@@ -53,58 +53,63 @@ fn lookup_directional(token: &str) -> Option<Directional> {
         .find(|&d| directional_variants(d).contains(&token))
 }
 
-/// Normalizes free-form address text into canonical lowercase tokens:
-/// punctuation stripped, suffixes and directionals folded to their USPS
-/// abbreviation, unit markers folded to `apt`.
+/// The canonical spelling of one lowercase alphanumeric token, if it is a
+/// suffix, directional or unit-marker variant (folding is idempotent).
+fn fold(token: &str) -> Option<&'static str> {
+    lookup_suffix(token)
+        .map(|s| suffix_variants(s)[0])
+        .or_else(|| lookup_directional(token).map(|d| directional_variants(d)[0]))
+        .or_else(|| UNIT_MARKERS.contains(&token).then_some("apt"))
+}
+
+/// Normalizes free-form address text into canonical lowercase tokens
+/// joined by single spaces: punctuation stripped, suffixes and
+/// directionals folded to their USPS abbreviation, unit markers folded to
+/// `apt`.
+///
+/// `"742 NORTH Evergreen Terrace, Unit 2B"` → `"742 n evergreen ter apt 2b"`.
+///
+/// One pass into one buffer: each token is written in place, then replaced
+/// by its canonical spelling if it folds.
+pub fn normalize_line(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for raw in text.split(|c: char| c.is_whitespace() || c == ',' || c == '.') {
+        // A leading '#' is a unit marker ("#3" -> "apt 3", a bare "#" ->
+        // "apt"); any other '#' is noise. The unit text folds through the
+        // same rules so normalization stays idempotent ("#av" -> "apt ave"
+        // on every pass).
+        if raw.starts_with('#') {
+            out.push_str(if out.is_empty() { "apt" } else { " apt" });
+        }
+        let before = out.len();
+        if before > 0 {
+            out.push(' ');
+        }
+        let start = out.len();
+        out.extend(
+            raw.chars()
+                .filter(char::is_ascii_alphanumeric)
+                .map(|c| c.to_ascii_lowercase()),
+        );
+        if out.len() == start {
+            out.truncate(before);
+        } else if let Some(canonical) = fold(&out[start..]) {
+            out.truncate(start);
+            out.push_str(canonical);
+        }
+    }
+    out
+}
+
+/// [`normalize_line`] split into its tokens.
 ///
 /// `"742 NORTH Evergreen Terrace, Unit 2B"` →
 /// `["742", "n", "evergreen", "ter", "apt", "2b"]`.
 pub fn normalize_tokens(text: &str) -> Vec<String> {
-    text.split(|c: char| c.is_whitespace() || c == ',' || c == '.')
-        .filter(|t| !t.is_empty())
-        .map(|raw| {
-            // A leading '#' is a unit marker ("#3"); any other '#' is noise.
-            let marker = raw.starts_with('#');
-            let token: String = raw
-                .chars()
-                .filter(char::is_ascii_alphanumeric)
-                .collect::<String>()
-                .to_ascii_lowercase();
-            (marker, token)
-        })
-        .filter(|(marker, t)| *marker || !t.is_empty())
-        .flat_map(|(marker, token)| {
-            // Fold a single token to its canonical form (idempotent).
-            fn fold(token: String) -> String {
-                if let Some(s) = lookup_suffix(&token) {
-                    suffix_variants(s)[0].to_string()
-                } else if let Some(d) = lookup_directional(&token) {
-                    directional_variants(d)[0].to_string()
-                } else if UNIT_MARKERS.contains(&token.as_str()) {
-                    "apt".to_string()
-                } else {
-                    token
-                }
-            }
-            if marker {
-                // "#3" -> ["apt", "3"]; a bare "#" -> ["apt"]. The unit text
-                // folds through the same rules so normalization stays
-                // idempotent ("#av" -> ["apt", "ave"] on every pass).
-                let mut out = vec!["apt".to_string()];
-                if !token.is_empty() {
-                    out.push(fold(token));
-                }
-                out
-            } else {
-                vec![fold(token)]
-            }
-        })
+    normalize_line(text)
+        .split_whitespace()
+        .map(str::to_string)
         .collect()
-}
-
-/// Normalized single-string form (tokens joined by single spaces).
-pub fn normalize_line(text: &str) -> String {
-    normalize_tokens(text).join(" ")
 }
 
 /// Extracts the 5-digit zip code from an address line, if present (the last

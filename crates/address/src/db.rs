@@ -10,6 +10,7 @@
 //! each block group's addresses, with a floor of thirty samples (capped by
 //! the group's size) so block-group medians are statistically meaningful.
 
+use crate::index::AddressIndex;
 use crate::model::StreetAddress;
 use crate::noise::{render_noisy, NoiseProfile};
 use crate::street::StreetNamer;
@@ -46,6 +47,7 @@ pub struct AddressDb {
     city_name: String,
     records: Vec<AddressRecord>,
     by_bg: Vec<Vec<usize>>,
+    index: AddressIndex,
 }
 
 /// Fraction of records that are multi-dwelling units.
@@ -69,8 +71,9 @@ impl AddressDb {
         let mut records: Vec<AddressRecord> = Vec::with_capacity(city.street_addresses());
         let mut by_bg: Vec<Vec<usize>> = vec![Vec::new(); n_bg];
         // Canonical lines must be city-unique (normalized): an ISP's address
-        // database has one row per deliverable address.
-        let mut seen = std::collections::HashSet::with_capacity(city.street_addresses());
+        // database has one row per deliverable address. The index that
+        // enforces it is the one every BAT of the city looks lines up in.
+        let mut index = AddressIndex::with_capacity(city.street_addresses());
 
         for (bg, bg_slots) in by_bg.iter_mut().enumerate() {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
@@ -82,26 +85,25 @@ impl AddressDb {
             let streets: Vec<_> = (0..n_streets).map(|_| namer.next_street()).collect();
 
             for k in 0..count {
-                let (directional, name, suffix) = streets[k % n_streets].clone();
+                let (directional, street_name, suffix) = streets[k % n_streets].clone();
                 // House numbers ascend along each street; bump until the
                 // canonical line is city-unique (streets recur across
                 // block groups sharing a zip).
-                let mut number =
-                    100 + (k / n_streets) as u32 * rng.gen_range(2..8) + rng.gen_range(0..2) as u32;
-                let key_of = |number: u32| {
-                    use crate::abbrev::normalize_line;
-                    let dir = directional
-                        .map(|d| format!("{} ", d.abbrev()))
-                        .unwrap_or_default();
-                    normalize_line(&format!(
-                        "{number} {dir}{name} {} , {} , {} {zip:05}",
-                        suffix.abbrev(),
-                        city.name,
-                        city.state
-                    ))
+                let mut canonical = StreetAddress {
+                    number: 100
+                        + (k / n_streets) as u32 * rng.gen_range(2..8)
+                        + rng.gen_range(0..2) as u32,
+                    directional,
+                    street_name,
+                    suffix,
+                    unit: None,
+                    city: city.name.to_string(),
+                    state: city.state.to_string(),
+                    zip,
                 };
-                while !seen.insert(key_of(number)) {
-                    number += rng.gen_range(1..5);
+                let id = records.len() as AddressId;
+                while !index.insert_unique(&canonical, id) {
+                    canonical.number += rng.gen_range(1..5);
                 }
                 let is_mdu = rng.gen_bool(MDU_RATE);
                 let units: Vec<String> = if is_mdu {
@@ -110,17 +112,6 @@ impl AddressDb {
                 } else {
                     Vec::new()
                 };
-                let canonical = StreetAddress {
-                    number,
-                    directional,
-                    street_name: name,
-                    suffix,
-                    unit: None,
-                    city: city.name.to_string(),
-                    state: city.state.to_string(),
-                    zip,
-                };
-                let id = records.len() as AddressId;
                 let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
                 bg_slots.push(records.len());
                 records.push(AddressRecord {
@@ -139,6 +130,7 @@ impl AddressDb {
             city_name: city.name.to_string(),
             records,
             by_bg,
+            index,
         }
     }
 
@@ -160,6 +152,12 @@ impl AddressDb {
 
     pub fn records(&self) -> &[AddressRecord] {
         &self.records
+    }
+
+    /// The normalized-lookup index over the canonical lines, built during
+    /// generation.
+    pub fn index(&self) -> &AddressIndex {
+        &self.index
     }
 
     /// Number of block groups with at least one address.

@@ -1,4 +1,4 @@
-//! The BAT's internal address database and lookup index.
+//! The ISP-side address table and its lookup index.
 //!
 //! The ISP side of the address-matching problem: a canonical address table
 //! indexed by normalized text, with candidate generation for the suggestion
@@ -6,87 +6,93 @@
 //! the same way a serviceability back-end would (case, punctuation and
 //! USPS abbreviation folding), so cosmetic listing noise resolves here and
 //! only genuine typos fall through to the suggestion flow.
+//!
+//! The index is filled by [`crate::AddressDb::generate`] in the same pass
+//! that keeps canonical lines city-unique, so every city builds it once and
+//! every BAT of the city shares it.
 
-use bbsim_address::abbrev::{extract_zip, normalize_line};
-use bbsim_address::{AddressDb, AddressId};
+use crate::abbrev::{extract_zip, normalize_line};
+use crate::db::AddressId;
+use crate::model::StreetAddress;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Normalized-lookup index over a city's canonical addresses.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct AddressIndex {
     /// normalized street line + zip -> address id.
     exact: HashMap<String, AddressId>,
-    /// (zip, house number) -> candidate ids for suggestions.
+    /// (zip, house number) -> candidate ids for suggestions, ascending.
     by_zip_number: HashMap<(u32, u32), Vec<AddressId>>,
 }
 
 impl AddressIndex {
-    /// Builds the index from the canonical side of an address inventory.
-    pub fn build(db: &AddressDb) -> Self {
-        let mut exact = HashMap::with_capacity(db.len());
-        let mut by_zip_number: HashMap<(u32, u32), Vec<AddressId>> = HashMap::new();
-        for r in db.records() {
-            exact.insert(Self::key_of(&r.canonical.canonical_line()), r.id);
-            by_zip_number
-                .entry((r.canonical.zip, r.canonical.number))
-                .or_default()
-                .push(r.id);
-        }
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
-            exact,
-            by_zip_number,
+            exact: HashMap::with_capacity(n),
+            by_zip_number: HashMap::new(),
         }
     }
 
-    fn key_of(line: &str) -> String {
-        normalize_line(line)
+    /// Registers `address` as record `id` unless its normalized line is
+    /// already taken; returns whether it was registered. Ids must be
+    /// inserted in ascending order.
+    pub(crate) fn insert_unique(&mut self, address: &StreetAddress, id: AddressId) -> bool {
+        match self.exact.entry(normalize_line(&address.canonical_line())) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                self.by_zip_number
+                    .entry((address.zip, address.number))
+                    .or_default()
+                    .push(id);
+                true
+            }
+        }
     }
 
     /// Exact lookup after normalization.
     pub fn lookup(&self, line: &str) -> Option<AddressId> {
-        self.exact.get(&Self::key_of(line)).copied()
+        self.exact.get(&normalize_line(line)).copied()
     }
 
     /// Looks up a line that may carry a unit designator the canonical table
     /// does not store: tries the full line, then the line with the unit
     /// stripped.
     pub fn lookup_allowing_unit(&self, line: &str) -> Option<AddressId> {
-        if let Some(id) = self.lookup(line) {
+        let norm = normalize_line(line);
+        if let Some(&id) = self.exact.get(&norm) {
             return Some(id);
         }
         // Strip a trailing "apt <x>" from the normalized form.
-        let norm = Self::key_of(line);
         if let Some(pos) = norm.find(" apt ") {
             let stripped = &norm[..pos];
             // Re-append the tail after the unit token (city/state/zip).
-            let after_unit: Vec<&str> = norm[pos + 5..].splitn(2, ' ').collect();
-            let rebuilt = if after_unit.len() == 2 {
-                format!("{stripped} {}", after_unit[1])
-            } else {
-                stripped.to_string()
+            let rebuilt = match norm[pos + 5..].split_once(' ') {
+                Some((_, tail)) => format!("{stripped} {tail}"),
+                None => stripped.to_string(),
             };
             return self.exact.get(&rebuilt).copied();
         }
         None
     }
 
-    /// Candidate ids for the suggestion list: same zip and house number.
-    /// Falls back to the parsed zip/number of the input line.
-    pub fn suggestion_candidates(&self, line: &str) -> Vec<AddressId> {
+    /// Candidate ids for the suggestion list: same zip and house number,
+    /// parsed from the input line, in ascending record order.
+    pub fn suggestion_candidates(&self, line: &str) -> &[AddressId] {
         let Some(zip) = extract_zip(line) else {
-            return Vec::new();
+            return &[];
         };
         let Some(number) = line
             .split_whitespace()
             .next()
             .and_then(|t| t.parse::<u32>().ok())
         else {
-            return Vec::new();
+            return &[];
         };
         self.by_zip_number
             .get(&(zip, number))
-            .cloned()
-            .unwrap_or_default()
+            .map_or(&[], Vec::as_slice)
     }
 
     pub fn len(&self) -> usize {
@@ -100,21 +106,26 @@ impl AddressIndex {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use bbsim_address::NoiseProfile;
+    use crate::{AddressDb, NoiseProfile};
     use bbsim_census::city_by_name;
 
-    fn db() -> AddressDb {
-        let city = city_by_name("Billings").unwrap();
+    fn db_of(name: &str) -> AddressDb {
+        let city = city_by_name(name).unwrap();
         AddressDb::generate(city, &city.grid(), &NoiseProfile::zillow_like())
     }
 
     #[test]
     fn exact_lookup_finds_every_canonical_address() {
-        let d = db();
-        let idx = AddressIndex::build(&d);
-        for r in d.records().iter().take(500) {
-            assert_eq!(idx.lookup(&r.canonical.canonical_line()), Some(r.id));
+        for name in ["Billings", "Fargo"] {
+            let d = db_of(name);
+            let idx = d.index();
+            for r in d.records() {
+                assert_eq!(
+                    idx.lookup(&r.canonical.canonical_line()),
+                    Some(r.id),
+                    "{name}"
+                );
+            }
         }
     }
 
@@ -122,8 +133,8 @@ mod tests {
     fn lookup_survives_cosmetic_noise() {
         // Most listing lines differ only in case/abbreviation and must
         // resolve without the suggestion flow.
-        let d = db();
-        let idx = AddressIndex::build(&d);
+        let d = db_of("Billings");
+        let idx = d.index();
         let resolved = d
             .records()
             .iter()
@@ -135,31 +146,29 @@ mod tests {
 
     #[test]
     fn lookup_with_spurious_unit_falls_back_to_building() {
-        let d = db();
-        let idx = AddressIndex::build(&d);
+        let d = db_of("Billings");
         let r = &d.records()[0];
         let mut with_unit = r.canonical.clone();
         with_unit.unit = Some("3".to_string());
         assert_eq!(
-            idx.lookup_allowing_unit(&with_unit.canonical_line()),
+            d.index().lookup_allowing_unit(&with_unit.canonical_line()),
             Some(r.id)
         );
     }
 
     #[test]
     fn suggestion_candidates_share_zip_and_number() {
-        let d = db();
-        let idx = AddressIndex::build(&d);
+        let d = db_of("Billings");
         // Typo the street name; zip and number survive.
         let r = &d.records()[42];
         let mut line = r.canonical.canonical_line();
         line = line.replace(&r.canonical.street_name, "Zzyzx");
-        let candidates = idx.suggestion_candidates(&line);
+        let candidates = d.index().suggestion_candidates(&line);
         assert!(
             candidates.contains(&r.id),
             "true address must be a candidate"
         );
-        for id in candidates {
+        for &id in candidates {
             let c = &d.record(id).canonical;
             assert_eq!(c.zip, r.canonical.zip);
             assert_eq!(c.number, r.canonical.number);
@@ -167,9 +176,24 @@ mod tests {
     }
 
     #[test]
+    fn suggestion_candidates_are_in_record_order() {
+        let d = db_of("Billings");
+        let lists: Vec<_> = d
+            .records()
+            .iter()
+            .map(|r| {
+                d.index()
+                    .suggestion_candidates(&r.canonical.canonical_line())
+            })
+            .collect();
+        assert!(lists.iter().any(|c| c.len() > 1), "no shared (zip, number)");
+        assert!(lists.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));
+    }
+
+    #[test]
     fn unparseable_input_yields_no_candidates() {
-        let d = db();
-        let idx = AddressIndex::build(&d);
+        let d = db_of("Billings");
+        let idx = d.index();
         assert!(idx
             .suggestion_candidates("not an address at all")
             .is_empty());
@@ -178,10 +202,9 @@ mod tests {
 
     #[test]
     fn index_size_matches_db() {
-        let d = db();
-        let idx = AddressIndex::build(&d);
-        // A few canonical collisions are tolerable (identical re-generated
-        // street+number), but the index must hold nearly all records.
-        assert!(idx.len() as f64 > d.len() as f64 * 0.95);
+        // Generation keys uniqueness on the index itself, so every record
+        // owns exactly one entry.
+        let d = db_of("Billings");
+        assert_eq!(d.index().len(), d.len());
     }
 }

@@ -13,16 +13,20 @@
 //! It also provides what BQT needs to *recover* from that noise:
 //! normalization against USPS-style abbreviation tables ([`abbrev`]) and
 //! fuzzy string matching (Levenshtein, Jaro–Winkler, token-sort) for picking
-//! the right entry from an ISP's suggestion list ([`matching`]).
+//! the right entry from an ISP's suggestion list ([`matching`]). The ISP's
+//! own side of that matching, the normalized-lookup table its BAT consults,
+//! is [`index`], built once per city during generation.
 
 pub mod abbrev;
 pub mod db;
+pub mod index;
 pub mod matching;
 pub mod model;
 pub mod noise;
 pub mod street;
 
 pub use db::{AddressDb, AddressId, AddressRecord};
+pub use index::AddressIndex;
 pub use matching::{best_match, jaro_winkler, levenshtein, token_sort_similarity};
 pub use model::{Directional, StreetAddress, Suffix};
 pub use noise::{render_noisy, NoiseProfile};

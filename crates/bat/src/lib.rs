@@ -21,13 +21,11 @@
 //!   ([`profile`]).
 
 pub mod drift;
-pub mod index;
 pub mod profile;
 pub mod server;
 pub mod templates;
 
 pub use drift::DriftSchedule;
-pub use index::AddressIndex;
 pub use profile::ServerProfile;
 pub use server::BatServer;
 pub use templates::{Dialect, PageKind, TemplateVersion};

@@ -15,7 +15,6 @@
 //! source IP exceeding the sliding-window rate limit receives HTTP 429.
 
 use crate::drift::DriftSchedule;
-use crate::index::AddressIndex;
 use crate::profile::ServerProfile;
 use crate::templates;
 use crate::templates::TemplateVersion;
@@ -44,7 +43,6 @@ pub struct BatServer {
     isp: Isp,
     world: Arc<CityWorld>,
     profile: ServerProfile,
-    index: AddressIndex,
     sessions: HashMap<String, Session>,
     ip_hits: HashMap<SimIp, VecDeque<SimTime>>,
     next_session: u64,
@@ -68,7 +66,8 @@ fn addr_draw(isp: Isp, id: AddressId, salt: u64) -> f64 {
 }
 
 impl BatServer {
-    /// Builds the BAT for `isp` over a shared city world.
+    /// Builds the BAT for `isp` over a shared city world. Address lookups
+    /// go through the world's own index, so construction builds nothing.
     ///
     /// # Panics
     /// Panics if `isp` is not active in the city — a real ISP does not run
@@ -79,12 +78,10 @@ impl BatServer {
             "{isp} is not active in {}",
             world.city().name
         );
-        let index = AddressIndex::build(world.addresses());
         Self {
             isp,
             world,
             profile: ServerProfile::for_isp(isp),
-            index,
             sessions: HashMap::new(),
             ip_hits: HashMap::new(),
             next_session: 0,
@@ -197,7 +194,7 @@ impl BatServer {
     /// Resolves an input line to a page, covering the hard-failure, unknown
     /// address and not-found branches.
     fn resolve_line(&mut self, line: &str, session: &mut Session) -> String {
-        match self.index.lookup_allowing_unit(line) {
+        match self.world.addresses().index().lookup_allowing_unit(line) {
             Some(id) => {
                 if addr_draw(self.isp, id, 0xBAD) < self.profile.hard_failure_rate {
                     return templates::render_technical_difficulty_v(
@@ -227,12 +224,15 @@ impl BatServer {
     /// Builds the suggestion list for a failed lookup, excluding `omit`
     /// (the unknown-address case hides the true record).
     fn suggestions_for(&self, line: &str, omit: Option<AddressId>) -> Vec<String> {
-        self.index
+        let addresses = self.world.addresses();
+        addresses
+            .index()
             .suggestion_candidates(line)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|&id| Some(id) != omit)
             .take(5)
-            .map(|id| self.world.addresses().record(id).canonical.canonical_line())
+            .map(|id| addresses.record(id).canonical.canonical_line())
             .collect()
     }
 }

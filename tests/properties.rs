@@ -1,14 +1,44 @@
 //! Property-based tests over the core data structures and invariants,
 //! spanning crate boundaries (proptest).
 
-use decoding_divide::address::abbrev::{normalize_line, normalize_tokens};
+use decoding_divide::address::abbrev::{
+    directional_variants, normalize_line, normalize_tokens, suffix_variants, UNIT_MARKERS,
+};
 use decoding_divide::address::{jaro_winkler, levenshtein, token_sort_similarity};
+use decoding_divide::address::{Directional, Suffix};
 use decoding_divide::geo::BlockGroupId;
 use decoding_divide::net::{FrameCodec, Request, Response};
 use decoding_divide::stats::{
     coefficient_of_variation, ks_two_sample, mean, median, quantile, Ecdf, PlanVector,
 };
 use proptest::prelude::*;
+
+/// The token-at-a-time normalizer the single-pass `normalize_line`
+/// replaced, kept as the reference it must agree with.
+fn oracle_tokens(text: &str) -> Vec<String> {
+    let fold = |t: String| {
+        let variants = Suffix::ALL.into_iter().map(suffix_variants);
+        match variants
+            .chain(Directional::ALL.into_iter().map(directional_variants))
+            .find(|v| v.contains(&t.as_str()))
+        {
+            Some(v) => v[0].to_string(),
+            None if UNIT_MARKERS.contains(&t.as_str()) => "apt".to_string(),
+            None => t,
+        }
+    };
+    let mut out = Vec::new();
+    for raw in text.split(|c: char| c.is_whitespace() || c == ',' || c == '.') {
+        let token: String = raw.chars().filter(char::is_ascii_alphanumeric).collect();
+        if raw.starts_with('#') {
+            out.push("apt".to_string());
+        }
+        if !token.is_empty() {
+            out.push(fold(token.to_ascii_lowercase()));
+        }
+    }
+    out
+}
 
 proptest! {
     // ---- geo ----------------------------------------------------------
@@ -85,6 +115,15 @@ proptest! {
         let once = normalize_line(&line);
         let twice = normalize_line(&once);
         prop_assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn single_pass_normalization_matches_the_token_oracle(
+        text in "([ -~]{1,4}|[A-Za-z0-9]{1,7}|#[0-9a-zA-Z]{0,3}|, |\\.|\t|\n|Apt|APARTMENT|unit|Ste|suite|North|no|NE|Ave|AV|Str|Court|CT|é|ß|Ω|№|\u{a0}|\u{2003}|\u{3000}|1½|Ä#){0,18}",
+    ) {
+        let oracle = oracle_tokens(&text);
+        prop_assert_eq!(normalize_line(&text), oracle.join(" "));
+        prop_assert_eq!(normalize_tokens(&text), oracle);
     }
 
     #[test]
