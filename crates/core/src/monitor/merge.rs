@@ -1,17 +1,22 @@
-//! The watermark + `(at, seq)` ordering heap, shared by the live monitor
-//! and the shard-stream merger.
+//! The watermark + `(at, seq)` ordering heap the live monitor and the
+//! trace assembler use to fold an emission-order stream in time order.
 //!
 //! The telemetry stream arrives in *emission* order, which is not virtual
 //! time order: an attempt's end is stamped in the future and emitted the
 //! moment the attempt is scheduled. Consumers that need exact time order
-//! (the sliding-window monitor, the multi-shard merge in
-//! [`shard`](crate::shard)) push every event into a [`WatermarkHeap`] and
-//! pop only once the watermark — the largest timestamp carried by an
-//! event that is emitted *at* the loop's current time — has passed an
-//! entry's stamp. Ties on the same virtual millisecond break on `seq`,
-//! a caller-assigned total order (emission order within one stream;
-//! shard-namespaced counters across streams), so the drained order is a
+//! (the sliding-window monitor, the standalone trace assembler) queue
+//! such events in a [`WatermarkHeap`] and pop them only once the
+//! watermark — the largest timestamp carried by an event that is emitted
+//! *at* the loop's current time — has passed an entry's stamp. Ties on
+//! the same virtual millisecond break on `seq`, a caller-assigned total
+//! order (emission order within one stream), so the drained order is a
 //! deterministic function of the event set alone.
+//!
+//! Loop-current events rarely need the heap: when nothing queued is
+//! stamped at or before one ([`WatermarkHeap::next_at`]), it is the next
+//! event in time order and is folded in place, so only future-stamped
+//! events wait. The multi-shard merge in [`shard`](crate::shard) needs no
+//! heap at all: its streams are complete, so it sorts them once.
 
 use crate::telemetry::EventKind;
 use std::cmp::Ordering;
@@ -128,6 +133,13 @@ impl<T> WatermarkHeap<T> {
         }
     }
 
+    /// The earliest stamp still queued, ready or not. An event stamped
+    /// before it drains ahead of every queued entry, which is what lets
+    /// a consumer fold it in place instead of pushing it.
+    pub fn next_at(&self) -> Option<u64> {
+        self.heap.peek().map(|entry| entry.at_ms)
+    }
+
     /// Entries still queued (ready or not).
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -155,8 +167,10 @@ mod tests {
         assert_eq!(heap.pop_ready(), Some((10, 3, "early")));
         assert!(heap.pop_ready().is_none(), "70ms entry is in the future");
 
+        assert_eq!(heap.next_at(), Some(70));
         heap.advance(u64::MAX);
         assert_eq!(heap.pop_ready(), Some((70, 2, "late-stamped")));
+        assert_eq!(heap.next_at(), None);
         assert!(heap.is_empty());
     }
 

@@ -26,8 +26,9 @@
 //! The monitor consumes only the *replay-stable* event subset and orders
 //! it by virtual time before folding (the raw stream is in emission
 //! order, where an attempt's end is announced ahead of later-emitted but
-//! earlier-stamped events; a watermark heap restores time order exactly).
-//! Windows, alerts, the exposition and the stable profile are therefore
+//! earlier-stamped events; a watermark heap restores time order exactly,
+//! and only those future-stamped events ever wait in it). Windows,
+//! alerts, the exposition and the stable profile are therefore
 //! byte-identical across repeated runs *and* across crash+resume — the
 //! invariant the `health` CI job enforces. Only `profile_fetches` mode
 //! (per-page `step_N` frames) reads ephemeral events and gives up the
@@ -49,6 +50,21 @@ use crate::trace::{ExemplarSet, TraceAssembler};
 use bbsim_net::{SimDuration, SimTime};
 use slo::SloEngine;
 use std::collections::BTreeMap;
+
+/// Applies `f` to `key`'s entry, inserting a default one first if absent.
+/// Unlike `entry(key.to_owned())`, it clones the key only on insert: the
+/// window and profiler folds run once per event and almost always find
+/// their entry.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => f(value),
+        None => {
+            let mut value = V::default();
+            f(&mut value);
+            map.insert(key.to_owned(), value);
+        }
+    }
+}
 
 /// Configuration for a campaign's live monitor.
 #[derive(Debug, Clone)]
@@ -226,13 +242,21 @@ impl CampaignMonitor {
             EventKind::CampaignEnd { makespan_ms } => self.makespan_ms = *makespan_ms,
             _ => {}
         }
+        let at_ms = event.at.as_millis();
         self.seq += 1;
-        self.heap
-            .push(event.at.as_millis(), self.seq, event.kind.clone());
-        if advances_watermark(&event.kind) {
-            self.heap.advance(event.at.as_millis());
-            self.drain();
+        if !advances_watermark(&event.kind) {
+            self.heap.push(at_ms, self.seq, event.kind.clone());
+            return;
         }
+        self.heap.advance(at_ms);
+        if self.heap.next_at().is_none_or(|next| next > at_ms) {
+            // Nothing queued is stamped at or before this event, so it is
+            // the next one in time order: fold it in place.
+            self.process(at_ms, &event.kind);
+        } else {
+            self.heap.push(at_ms, self.seq, event.kind.clone());
+        }
+        self.drain();
     }
 
     fn drain(&mut self) {

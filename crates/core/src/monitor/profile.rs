@@ -12,8 +12,10 @@
 //! per-page `step_N` frames plus driver `overhead`, using the *ephemeral*
 //! page-fetch spans — richer, but only meaningful for uninterrupted runs.
 
+use super::upsert;
 use crate::telemetry::EventKind;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 
 /// Builds the folded-stack attribution incrementally from the stream.
 #[derive(Debug)]
@@ -24,6 +26,9 @@ pub struct PhaseProfiler {
     /// Virtual ms per stack (frames `;`-joined, no root label).
     frames: BTreeMap<String, u64>,
     busy_ms: BTreeMap<u32, u64>,
+    /// Scratch buffer the current event's stack is formatted into, so a
+    /// frame already seen costs no allocation.
+    stack: String,
 }
 
 impl PhaseProfiler {
@@ -33,6 +38,7 @@ impl PhaseProfiler {
             fetches: HashMap::new(),
             frames: BTreeMap::new(),
             busy_ms: BTreeMap::new(),
+            stack: String::new(),
         }
     }
 
@@ -59,7 +65,9 @@ impl PhaseProfiler {
                 ..
             } => {
                 *self.busy_ms.entry(*worker).or_default() += duration_ms;
-                let stack = format!(
+                self.stack.clear();
+                let _ = write!(
+                    self.stack,
                     "worker_{worker:04};{endpoint};attempt_{attempt};{}",
                     outcome.as_str()
                 );
@@ -68,19 +76,24 @@ impl PhaseProfiler {
                     // so their sum is bounded by the attempt duration; the
                     // remainder is driver work between pages.
                     let spans = self.fetches.remove(&(*tag, *attempt)).unwrap_or_default();
+                    let attempt_len = self.stack.len();
                     let mut rest = *duration_ms;
                     for (i, ms) in spans.iter().enumerate() {
                         let charged = (*ms).min(rest);
                         rest -= charged;
                         if charged > 0 {
-                            *self.frames.entry(format!("{stack};step_{i}")).or_default() += charged;
+                            self.stack.truncate(attempt_len);
+                            let _ = write!(self.stack, ";step_{i}");
+                            self.charge(charged);
                         }
                     }
                     if rest > 0 {
-                        *self.frames.entry(format!("{stack};overhead")).or_default() += rest;
+                        self.stack.truncate(attempt_len);
+                        self.stack.push_str(";overhead");
+                        self.charge(rest);
                     }
                 } else {
-                    *self.frames.entry(stack).or_default() += duration_ms;
+                    self.charge(*duration_ms);
                 }
             }
             EventKind::ServeLookupEnd {
@@ -94,7 +107,9 @@ impl PhaseProfiler {
                 // The serve engine runs one virtual worker per shard, so
                 // shard id doubles as the worker frame.
                 *self.busy_ms.entry(*shard).or_default() += duration_ms;
-                let stack = format!(
+                self.stack.clear();
+                let _ = write!(
+                    self.stack,
                     "worker_{shard:04};{endpoint};lookup;{};{}",
                     if *cache_hit {
                         "cache_hit"
@@ -103,10 +118,15 @@ impl PhaseProfiler {
                     },
                     outcome.as_str()
                 );
-                *self.frames.entry(stack).or_default() += duration_ms;
+                self.charge(*duration_ms);
             }
             _ => {}
         }
+    }
+
+    /// Adds `ms` to the frame in the scratch stack buffer.
+    fn charge(&mut self, ms: u64) {
+        upsert(&mut self.frames, &self.stack, |total| *total += ms);
     }
 
     /// Closes the profile at campaign end: each started worker's unspent

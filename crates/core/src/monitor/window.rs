@@ -8,6 +8,7 @@
 //! is a pure function of the stable event subset, so a resumed campaign
 //! reproduces the exact window history of an uninterrupted one.
 
+use super::upsert;
 use crate::telemetry::{EventKind, Histogram};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -212,13 +213,13 @@ impl SlidingWindow {
             } => {
                 bucket.attempts += 1;
                 bucket.latency.record(*duration_ms);
-                let e = bucket.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                e.latency.record(*duration_ms);
-                if outcome.is_hit() {
-                    bucket.hits += 1;
-                    e.hits += 1;
-                }
+                let hit = outcome.is_hit();
+                bucket.hits += u64::from(hit);
+                upsert(&mut bucket.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    e.latency.record(*duration_ms);
+                    e.hits += u64::from(hit);
+                });
             }
             EventKind::Retry { .. } => bucket.retries += 1,
             EventKind::BreakerTrip { .. } => bucket.breaker_trips += 1,
@@ -231,11 +232,9 @@ impl SlidingWindow {
             EventKind::StallReclaimed { .. } => bucket.stalls += 1,
             EventKind::DriftSuspected { endpoint, .. } => {
                 bucket.drift_suspected += 1;
-                bucket
-                    .per_endpoint
-                    .entry(endpoint.clone())
-                    .or_default()
-                    .drift_suspected += 1;
+                upsert(&mut bucket.per_endpoint, endpoint, |e| {
+                    e.drift_suspected += 1
+                });
             }
             EventKind::RebootstrapStarted { .. } => bucket.rebootstraps += 1,
             EventKind::ServeLookupEnd {
@@ -251,13 +250,13 @@ impl SlidingWindow {
                 if *cache_hit {
                     bucket.cache_hits += 1;
                 }
-                let e = bucket.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                e.latency.record(*duration_ms);
-                if outcome.is_hit() {
-                    bucket.hits += 1;
-                    e.hits += 1;
-                }
+                let hit = outcome.is_hit();
+                bucket.hits += u64::from(hit);
+                upsert(&mut bucket.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    e.latency.record(*duration_ms);
+                    e.hits += u64::from(hit);
+                });
             }
             EventKind::CacheEvicted { .. } => bucket.cache_evictions += 1,
             EventKind::ServeShed { .. } => bucket.serve_sheds += 1,

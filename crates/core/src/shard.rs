@@ -15,12 +15,12 @@
 //! depends on the thread count: `threads` only says how many OS threads
 //! pull whole shards off a work queue. Because a shard shares no mutable
 //! state with its siblings, its event stream is a pure function of
-//! `(spec, environment)`; and because the merged stream orders events by
-//! `(at, seq)` through the same [`WatermarkHeap`] the monitor uses — with
-//! `seq` namespaced as `shard_id << SHARD_SEQ_BITS | counter` — the merged
-//! campaign output is **byte-identical for every thread count**. The
-//! differential suite in `tests/shard.rs` enforces exactly that for
-//! `threads ∈ {1, 2, 4, 8}`.
+//! `(spec, environment)`; and because the merge sorts the finished
+//! streams' events by `(at, seq)` — with `seq` namespaced as
+//! `shard_id << SHARD_SEQ_BITS | counter`, so no two events share a key —
+//! the merged campaign output is **byte-identical for every thread
+//! count**. The differential suite in `tests/shard.rs` enforces exactly
+//! that for `threads ∈ {1, 2, 4, 8}`.
 //!
 //! ## Crash + resume
 //!
@@ -35,7 +35,7 @@ use crate::campaign::CampaignOutcome;
 use crate::client::BqtConfig;
 use crate::driver::QueryJob;
 use crate::journal::{Journal, JournalError};
-use crate::monitor::{CampaignSection, MonitorPolicy, WatermarkHeap};
+use crate::monitor::{CampaignSection, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport, ResumeStats};
 use crate::telemetry::{Event, Recorder};
 use bbsim_net::{mix64, IpPool, SimTime, Transport};
@@ -281,8 +281,7 @@ impl ShardedOutcome {
     }
 }
 
-/// Merges shard streams into the canonical `(at, seq)` order through the
-/// watermark heap the monitor uses.
+/// Merges shard streams into the canonical `(at, seq)` order.
 pub fn merge_events(shards: &[ShardRun]) -> Vec<Event> {
     merge_seq_streams(shards.iter().map(|s| s.events.as_slice()))
 }
@@ -291,22 +290,20 @@ pub fn merge_events(shards: &[ShardRun]) -> Vec<Event> {
 /// result is a function of the event *set* alone: any partition of the
 /// same events into streams merges identically (the property
 /// `tests/properties.rs` fuzzes).
+///
+/// The streams are complete, so no watermark is needed: the merge sorts
+/// compact `(at, seq)` keys that borrow the events and clones each event
+/// once, in order. `seq` is unique, so an unstable sort is exact.
 pub fn merge_seq_streams<'a>(streams: impl IntoIterator<Item = &'a [SeqEvent]>) -> Vec<Event> {
-    let mut heap: WatermarkHeap<Event> = WatermarkHeap::new();
-    let mut n = 0usize;
-    for stream in streams {
-        for se in stream {
-            heap.push(se.event.at.as_millis(), se.seq, se.event.clone());
-            n += 1;
-        }
-    }
-    // The streams are complete: flush the watermark to the end of time.
-    heap.advance(u64::MAX);
-    let mut out = Vec::with_capacity(n);
-    while let Some((_, _, event)) = heap.pop_ready() {
-        out.push(event);
-    }
-    out
+    let mut keys: Vec<(u64, u64, &Event)> = streams
+        .into_iter()
+        .flatten()
+        .map(|se| (se.event.at.as_millis(), se.seq, &se.event))
+        .collect();
+    keys.sort_unstable_by_key(|&(at_ms, seq, _)| (at_ms, seq));
+    keys.into_iter()
+        .map(|(_, _, event)| event.clone())
+        .collect()
 }
 
 /// The clonable slice of a [`Campaign`](crate::Campaign) a shard runs

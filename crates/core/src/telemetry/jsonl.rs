@@ -203,18 +203,37 @@ impl LineWriter {
 
     fn num(&mut self, key: &str, v: u64) {
         self.key(key);
-        self.buf.push_str(&v.to_string());
+        // Decimal digits, least significant first, written straight into
+        // the line: no intermediate `String` per number.
+        let mut digits = [0u8; 20];
+        let mut len = 0;
+        let mut rest = v;
+        loop {
+            digits[len] = b'0' + (rest % 10) as u8;
+            len += 1;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        for &d in digits[..len].iter().rev() {
+            self.buf.push(char::from(d));
+        }
     }
 
     fn str(&mut self, key: &str, v: &str) {
         self.key(key);
         self.buf.push('"');
-        for c in v.chars() {
-            match c {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                c => self.buf.push(c),
+        if v.bytes().any(|b| b == b'"' || b == b'\\') {
+            for c in v.chars() {
+                match c {
+                    '"' => self.buf.push_str("\\\""),
+                    '\\' => self.buf.push_str("\\\\"),
+                    c => self.buf.push(c),
+                }
             }
+        } else {
+            self.buf.push_str(v);
         }
         self.buf.push('"');
     }
@@ -616,10 +635,13 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
         if self.stable_only && !event.kind.replay_stable() {
             return;
         }
+        let mut line = to_line(event);
+        line.push('\n');
+        let written = self.out.write_all(line.as_bytes());
         // A failed write panics; the fan-out poisons this recorder and the
         // campaign carries on without its log.
         // lint:allow(D3): panicking here is the poisoning contract — the telemetry fan-out catches it and detaches the recorder
-        writeln!(self.out, "{}", to_line(event)).expect("event log write failed");
+        written.expect("event log write failed");
         self.written += 1;
     }
 }

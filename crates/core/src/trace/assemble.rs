@@ -8,7 +8,9 @@
 //!   sliding window, so monitored campaigns grow traces for free;
 //! * [`TraceAssembler::observe`] takes events in raw emission order and
 //!   reorders them through its own [`WatermarkHeap`], for standalone use
-//!   over a recorded stream (benches, tests, `repro tail`).
+//!   over a recorded stream (benches, tests, `repro tail`). Only
+//!   future-stamped events wait in the heap; a loop-current event with
+//!   nothing queued at or before its stamp is folded in place.
 //!
 //! A job trace's children partition `[JobBegin, JobEnd]` exactly: attempt
 //! spans cover worker occupancy, and every gap between them is decomposed
@@ -108,13 +110,21 @@ impl TraceAssembler {
     /// through the assembler's own watermark heap exactly like the
     /// monitor does.
     pub fn observe(&mut self, event: &Event) {
+        let at_ms = event.at.as_millis();
         self.heap_seq += 1;
-        self.heap
-            .push(event.at.as_millis(), self.heap_seq, event.kind.clone());
-        if advances_watermark(&event.kind) {
-            self.heap.advance(event.at.as_millis());
-            self.drain();
+        if !advances_watermark(&event.kind) {
+            self.heap.push(at_ms, self.heap_seq, event.kind.clone());
+            return;
         }
+        self.heap.advance(at_ms);
+        if self.heap.next_at().is_none_or(|next| next > at_ms) {
+            // Nothing queued is stamped at or before this event, so it is
+            // the next one in time order: fold it in place.
+            self.ingest(at_ms, &event.kind);
+        } else {
+            self.heap.push(at_ms, self.heap_seq, event.kind.clone());
+        }
+        self.drain();
     }
 
     fn drain(&mut self) {

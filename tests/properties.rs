@@ -687,6 +687,376 @@ mod shard_merge {
     }
 }
 
+// ---- trace assembler: the in-order bypass ------------------------------
+//
+// `TraceAssembler::observe` folds a loop-current event in place when
+// nothing queued is stamped at or before it, instead of pushing it through
+// its watermark heap. The oracle is the path it replaced: push every
+// event, advance on loop-current kinds, and `ingest` whatever the heap
+// releases.
+
+mod assembler_bypass {
+    use super::*;
+    use decoding_divide::bqt::monitor::{advances_watermark, WatermarkHeap};
+    use decoding_divide::bqt::telemetry::OutcomeCode;
+    use decoding_divide::bqt::{Event, EventKind, ExemplarSet, TraceAssembler};
+    use decoding_divide::net::SimTime;
+
+    /// Large enough that every trace of a generated stream is kept, so the
+    /// exemplar sets compare whole traces, not just the slowest few.
+    const K: usize = 64;
+
+    fn ev(at_ms: u64, kind: EventKind) -> Event {
+        Event {
+            at: SimTime::from_millis(at_ms),
+            kind,
+        }
+    }
+
+    /// An emission-order stream as an event loop writes it: jobs start
+    /// `gap` ms apart, each attempt `(duration, backoff)` is announced at
+    /// its loop-current start together with its future-stamped end (and
+    /// the job's end, or a retry), and the loop visits starts at
+    /// nondecreasing stamps. Zero gaps, durations and backoffs make dense
+    /// ties between queued ends and later loop-current events.
+    fn emission_stream(jobs: &[(u64, Vec<(u64, u64)>)]) -> Vec<Event> {
+        let mut starts = Vec::new();
+        let mut job_start = 0;
+        for (job, (gap, attempts)) in jobs.iter().enumerate() {
+            job_start += gap;
+            let mut at = job_start;
+            for (attempt, &(duration, backoff)) in attempts.iter().enumerate() {
+                starts.push((at, job, attempt));
+                at += duration + backoff;
+            }
+        }
+        starts.sort();
+        let mut out = vec![
+            ev(
+                0,
+                EventKind::CampaignBegin {
+                    seed: 1,
+                    n_jobs: jobs.len() as u32,
+                    n_workers: 1,
+                },
+            ),
+            ev(0, EventKind::WorkerBegin { worker: 0 }),
+        ];
+        let mut makespan = 0;
+        for (at, job, attempt) in starts {
+            let attempts = &jobs[job].1;
+            let (duration, backoff) = attempts[attempt];
+            let tag = job as u64;
+            let endpoint = ["isp-a", "isp-b"][job % 2].to_string();
+            let last = attempt + 1 == attempts.len();
+            let end = at + duration;
+            makespan = makespan.max(end);
+            if attempt == 0 {
+                out.push(ev(
+                    at,
+                    EventKind::JobBegin {
+                        tag,
+                        endpoint: endpoint.clone(),
+                    },
+                ));
+            }
+            out.push(ev(
+                at,
+                EventKind::AttemptBegin {
+                    tag,
+                    attempt: attempt as u32 + 1,
+                    worker: 0,
+                    endpoint: endpoint.clone(),
+                },
+            ));
+            let outcome = if last {
+                OutcomeCode::Plans
+            } else {
+                OutcomeCode::Failed
+            };
+            out.push(ev(
+                end,
+                EventKind::AttemptEnd {
+                    tag,
+                    attempt: attempt as u32 + 1,
+                    worker: 0,
+                    endpoint,
+                    outcome,
+                    duration_ms: duration,
+                    steps: 1,
+                },
+            ));
+            out.push(ev(
+                end,
+                if last {
+                    EventKind::JobEnd {
+                        tag,
+                        outcome,
+                        attempts: attempts.len() as u32,
+                        dead_lettered: false,
+                    }
+                } else {
+                    EventKind::Retry {
+                        tag,
+                        next_attempt: attempt as u32 + 2,
+                        delay_ms: backoff,
+                    }
+                },
+            ));
+        }
+        out.push(ev(makespan, EventKind::WorkerEnd { worker: 0 }));
+        out.push(ev(
+            makespan,
+            EventKind::CampaignEnd {
+                makespan_ms: makespan,
+            },
+        ));
+        out
+    }
+
+    /// The push-everything path: every event through the heap.
+    struct Oracle {
+        heap: WatermarkHeap<EventKind>,
+        seq: u64,
+        assembler: TraceAssembler,
+    }
+
+    impl Oracle {
+        fn observe(&mut self, event: &Event) {
+            self.seq += 1;
+            let at_ms = event.at.as_millis();
+            self.heap.push(at_ms, self.seq, event.kind.clone());
+            if advances_watermark(&event.kind) {
+                self.heap.advance(at_ms);
+                self.drain();
+            }
+        }
+
+        fn drain(&mut self) {
+            while let Some((at_ms, _, kind)) = self.heap.pop_ready() {
+                self.assembler.ingest(at_ms, &kind);
+            }
+        }
+
+        fn finish(mut self) -> ExemplarSet {
+            self.heap.advance(u64::MAX);
+            self.drain();
+            self.assembler.finish()
+        }
+    }
+
+    proptest! {
+        /// After every event and at the end, the bypassing assembler holds
+        /// exactly the traces the push-everything oracle holds.
+        #[test]
+        fn observe_matches_the_push_everything_oracle(
+            jobs in proptest::collection::vec(
+                (0u64..3, proptest::collection::vec((0u64..4, 0u64..3), 1..4)),
+                1..12,
+            ),
+        ) {
+            let stream = emission_stream(&jobs);
+            let mut bypass = TraceAssembler::new(K);
+            let mut oracle = Oracle {
+                heap: WatermarkHeap::new(),
+                seq: 0,
+                assembler: TraceAssembler::new(K),
+            };
+            for event in &stream {
+                bypass.observe(event);
+                oracle.observe(event);
+                prop_assert_eq!(bypass.exemplars(), oracle.assembler.exemplars());
+            }
+            let expected = oracle.finish();
+            prop_assert_eq!(expected.global.len(), jobs.len().min(K));
+            prop_assert_eq!(bypass.finish(), expected);
+        }
+    }
+}
+
+// ---- JSONL encoder ------------------------------------------------------
+//
+// `to_line` writes digits and escape-free strings straight into the line.
+// The oracle is the encoder it replaced: `to_string` per number and a
+// per-char escape loop per string. Both must agree byte for byte, and the
+// lines must parse back to the event.
+
+mod jsonl_encoder {
+    use super::*;
+    use decoding_divide::bqt::telemetry::jsonl::{parse_line, to_line};
+    use decoding_divide::bqt::telemetry::OutcomeCode;
+    use decoding_divide::bqt::{Event, EventKind};
+    use decoding_divide::net::SimTime;
+
+    /// Quotes, backslashes, JSON punctuation and multi-byte characters.
+    const ALPHABET: [char; 15] = [
+        'a', 'Z', '0', ' ', ',', ':', '{', '}', '"', '\\', 'é', 'ß', '€', '中', '😀',
+    ];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..ALPHABET.len(), 0..10)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    /// Any `u64`, with the edges (0, `u64::MAX`) and short numbers drawn
+    /// as often as the long tail.
+    fn number() -> impl Strategy<Value = u64> {
+        (0u8..4, any::<u64>()).prop_map(|(pick, v)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => v % 1000,
+            _ => v,
+        })
+    }
+
+    /// The replaced line writer.
+    struct OracleLine(String);
+
+    impl OracleLine {
+        fn new(t: u64, ev: &str) -> Self {
+            let mut w = Self("{".to_string());
+            w.num("t", t);
+            w.str("ev", ev);
+            w
+        }
+
+        fn key(&mut self, key: &str) {
+            if self.0.len() > 1 {
+                self.0.push(',');
+            }
+            self.0.push_str(&format!("\"{key}\":"));
+        }
+
+        fn num(&mut self, key: &str, v: u64) {
+            self.key(key);
+            self.0.push_str(&v.to_string());
+        }
+
+        fn str(&mut self, key: &str, v: &str) {
+            self.key(key);
+            self.0.push('"');
+            for c in v.chars() {
+                match c {
+                    '"' => self.0.push_str("\\\""),
+                    '\\' => self.0.push_str("\\\\"),
+                    c => self.0.push(c),
+                }
+            }
+            self.0.push('"');
+        }
+
+        fn boolean(&mut self, key: &str, v: bool) {
+            self.key(key);
+            self.0.push_str(&v.to_string());
+        }
+
+        fn finish(mut self) -> String {
+            self.0.push('}');
+            self.0
+        }
+    }
+
+    /// One event of a kind picked by `pick`, with every field drawn from
+    /// the generated numbers and strings, plus its oracle line.
+    fn event_and_oracle(
+        pick: u8,
+        t: u64,
+        [a, b, c]: [u64; 3],
+        [s0, s1]: [String; 2],
+        flag: bool,
+    ) -> (Event, String) {
+        let outcome = if flag {
+            OutcomeCode::Plans
+        } else {
+            OutcomeCode::NoService
+        };
+        let (n32, c32) = (b as u32, c as u32);
+        let (kind, w) = match pick % 4 {
+            0 => {
+                let mut w = OracleLine::new(t, "campaign_begin");
+                w.num("seed", a);
+                w.num("n_jobs", n32 as u64);
+                w.num("n_workers", c32 as u64);
+                let kind = EventKind::CampaignBegin {
+                    seed: a,
+                    n_jobs: n32,
+                    n_workers: c32,
+                };
+                (kind, w)
+            }
+            1 => {
+                let mut w = OracleLine::new(t, "attempt_end");
+                w.num("tag", a);
+                w.num("attempt", n32 as u64);
+                w.num("worker", c32 as u64);
+                w.str("endpoint", &s0);
+                w.str("outcome", outcome.as_str());
+                w.num("duration_ms", c);
+                w.num("steps", n32 as u64);
+                let kind = EventKind::AttemptEnd {
+                    tag: a,
+                    attempt: n32,
+                    worker: c32,
+                    endpoint: s0,
+                    outcome,
+                    duration_ms: c,
+                    steps: n32,
+                };
+                (kind, w)
+            }
+            2 => {
+                let mut w = OracleLine::new(t, "serve_lookup_end");
+                w.num("tag", a);
+                w.num("shard", c32 as u64);
+                w.str("endpoint", &s0);
+                w.str("outcome", outcome.as_str());
+                w.boolean("cache_hit", flag);
+                w.num("duration_ms", b);
+                let kind = EventKind::ServeLookupEnd {
+                    tag: a,
+                    shard: c32,
+                    endpoint: s0,
+                    outcome,
+                    cache_hit: flag,
+                    duration_ms: b,
+                };
+                (kind, w)
+            }
+            _ => {
+                let mut w = OracleLine::new(t, "alert_fired");
+                w.str("rule", &s0);
+                w.str("exemplars", &s1);
+                let kind = EventKind::AlertFired {
+                    rule: s0,
+                    exemplars: s1,
+                };
+                (kind, w)
+            }
+        };
+        let event = Event {
+            at: SimTime::from_millis(t),
+            kind,
+        };
+        (event, w.finish())
+    }
+
+    proptest! {
+        #[test]
+        fn to_line_matches_the_replaced_encoder_and_round_trips(
+            pick in any::<u8>(),
+            t in number(),
+            n in (number(), number(), number()),
+            s in (text(), text()),
+            flag in any::<bool>(),
+        ) {
+            let (event, expected) = event_and_oracle(pick, t, [n.0, n.1, n.2], [s.0, s.1], flag);
+            let line = to_line(&event);
+            prop_assert_eq!(&line, &expected);
+            prop_assert_eq!(parse_line(&line), Ok(event));
+        }
+    }
+}
+
 // ---- scrape: V2 detection totality (the drift premise) -----------------
 //
 // The self-healing drift machinery rests on two facts about the template
