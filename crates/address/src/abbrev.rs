@@ -41,25 +41,38 @@ pub fn directional_variants(d: Directional) -> &'static [&'static str] {
 /// Unit designator spellings that all mean "apartment/unit".
 pub const UNIT_MARKERS: &[&str] = &["apt", "apartment", "unit", "ste", "suite", "#"];
 
-fn lookup_suffix(token: &str) -> Option<Suffix> {
-    Suffix::ALL
-        .into_iter()
-        .find(|&s| suffix_variants(s).contains(&token))
-}
-
-fn lookup_directional(token: &str) -> Option<Directional> {
-    Directional::ALL
-        .into_iter()
-        .find(|&d| directional_variants(d).contains(&token))
-}
-
 /// The canonical spelling of one lowercase alphanumeric token, if it is a
 /// suffix, directional or unit-marker variant (folding is idempotent).
+///
+/// One `match`, so a token costs O(1) comparisons instead of a scan of the
+/// variant tables. It must list exactly the spellings of
+/// [`suffix_variants`], [`directional_variants`] and the alphanumeric
+/// [`UNIT_MARKERS`]; the tests below check every table entry against it.
 fn fold(token: &str) -> Option<&'static str> {
-    lookup_suffix(token)
-        .map(|s| suffix_variants(s)[0])
-        .or_else(|| lookup_directional(token).map(|d| directional_variants(d)[0]))
-        .or_else(|| UNIT_MARKERS.contains(&token).then_some("apt"))
+    Some(match token {
+        "st" | "street" | "str" => "st",
+        "ave" | "avenue" | "av" | "aven" => "ave",
+        "blvd" | "boulevard" | "boul" | "blv" => "blvd",
+        "ct" | "court" | "crt" => "ct",
+        "dr" | "drive" | "drv" => "dr",
+        "ln" | "lane" => "ln",
+        "rd" | "road" => "rd",
+        "way" | "wy" => "way",
+        "ter" | "terrace" | "terr" => "ter",
+        "pl" | "place" => "pl",
+        "cir" | "circle" | "circ" => "cir",
+        "pkwy" | "parkway" | "pky" | "pkway" => "pkwy",
+        "n" | "north" | "no" => "n",
+        "s" | "south" | "so" => "s",
+        "e" | "east" => "e",
+        "w" | "west" => "w",
+        "ne" | "northeast" => "ne",
+        "nw" | "northwest" => "nw",
+        "se" | "southeast" => "se",
+        "sw" | "southwest" => "sw",
+        "apt" | "apartment" | "unit" | "ste" | "suite" => "apt",
+        _ => return None,
+    })
 }
 
 /// Normalizes free-form address text into canonical lowercase tokens
@@ -68,11 +81,22 @@ fn fold(token: &str) -> Option<&'static str> {
 /// `apt`.
 ///
 /// `"742 NORTH Evergreen Terrace, Unit 2B"` → `"742 n evergreen ter apt 2b"`.
-///
-/// One pass into one buffer: each token is written in place, then replaced
-/// by its canonical spelling if it folds.
 pub fn normalize_line(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    normalize_into(text, &mut out);
+    out
+}
+
+/// [`normalize_line`] into a caller-owned buffer, replacing its contents,
+/// so a caller that normalizes many lines reuses one allocation.
+///
+/// One pass: tokens split on `char`s (Unicode whitespace, `,` and `.`),
+/// and each token's bytes are filtered in place. A non-ASCII byte is never
+/// ASCII-alphanumeric, so filtering bytes keeps exactly the characters a
+/// `char` filter would. A token that folds is then replaced by its
+/// canonical spelling.
+pub fn normalize_into(text: &str, out: &mut String) {
+    out.clear();
     for raw in text.split(|c: char| c.is_whitespace() || c == ',' || c == '.') {
         // A leading '#' is a unit marker ("#3" -> "apt 3", a bare "#" ->
         // "apt"); any other '#' is noise. The unit text folds through the
@@ -86,11 +110,9 @@ pub fn normalize_line(text: &str) -> String {
             out.push(' ');
         }
         let start = out.len();
-        out.extend(
-            raw.chars()
-                .filter(char::is_ascii_alphanumeric)
-                .map(|c| c.to_ascii_lowercase()),
-        );
+        for b in raw.bytes().filter(u8::is_ascii_alphanumeric) {
+            out.push(char::from(b.to_ascii_lowercase()));
+        }
         if out.len() == start {
             out.truncate(before);
         } else if let Some(canonical) = fold(&out[start..]) {
@@ -98,7 +120,6 @@ pub fn normalize_line(text: &str) -> String {
             out.push_str(canonical);
         }
     }
-    out
 }
 
 /// [`normalize_line`] split into its tokens.
@@ -143,6 +164,44 @@ mod tests {
     fn directional_spellings_normalize() {
         assert_eq!(normalize_line("NORTH Rampart"), "n rampart");
         assert_eq!(normalize_line("sw Loop"), "sw loop");
+        for d in Directional::ALL {
+            let canon = directional_variants(d)[0];
+            for v in directional_variants(d) {
+                assert_eq!(normalize_line(v), canon, "variant {v}");
+                assert_eq!(
+                    normalize_line(&v.to_ascii_uppercase()),
+                    canon,
+                    "uppercase variant {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_table_spelling_folds_to_its_canonical_token() {
+        // `fold` is a hand-written `match`; this keeps it in step with the
+        // tables, spelling by spelling. A spelling the match folds but the
+        // tables lack is left to the token-oracle property test in
+        // tests/properties.rs, which folds generated text by the tables.
+        for s in Suffix::ALL {
+            for v in suffix_variants(s) {
+                assert_eq!(fold(v), Some(suffix_variants(s)[0]), "suffix {v}");
+            }
+        }
+        for d in Directional::ALL {
+            for v in directional_variants(d) {
+                assert_eq!(fold(v), Some(directional_variants(d)[0]), "directional {v}");
+            }
+        }
+        for m in UNIT_MARKERS {
+            if m.bytes().all(|b| b.is_ascii_alphanumeric()) {
+                assert_eq!(fold(m), Some("apt"), "unit marker {m}");
+                assert_eq!(normalize_line(m), "apt", "unit marker {m}");
+            }
+        }
+        for word in ["", "apts", "street1", "nn", "oak", "#"] {
+            assert_eq!(fold(word), None, "{word:?}");
+        }
     }
 
     #[test]

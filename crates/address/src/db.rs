@@ -74,6 +74,8 @@ impl AddressDb {
         // database has one row per deliverable address. The index that
         // enforces it is the one every BAT of the city looks lines up in.
         let mut index = AddressIndex::with_capacity(city.street_addresses());
+        // Scratch for the uniqueness check's canonical line and key.
+        let (mut line, mut key) = (String::new(), String::new());
 
         for (bg, bg_slots) in by_bg.iter_mut().enumerate() {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
@@ -102,7 +104,7 @@ impl AddressDb {
                     zip,
                 };
                 let id = records.len() as AddressId;
-                while !index.insert_unique(&canonical, id) {
+                while !index.insert_unique(&canonical, id, &mut line, &mut key) {
                     canonical.number += rng.gen_range(1..5);
                 }
                 let is_mdu = rng.gen_bool(MDU_RATE);
@@ -198,6 +200,7 @@ impl AddressDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abbrev::normalize_line;
     use bbsim_census::city_by_name;
 
     fn db() -> AddressDb {
@@ -295,6 +298,31 @@ mod tests {
         let d = db();
         for r in d.sample_block_group(3, 0.10, 30, 1) {
             assert_eq!(r.bg_index, 3);
+        }
+    }
+
+    #[test]
+    fn canonical_lines_never_normalize_to_a_unit_marker() {
+        // A BAT resolving a record by id (the new-customer step) treats its
+        // canonical line as unit-free without re-normalizing it. That holds
+        // because no street-name word, city or state folds to `apt`.
+        let mut namer = StreetNamer::new(3);
+        for _ in 0..2000 {
+            let (_, name, _) = namer.next_street();
+            assert!(
+                !normalize_line(&name).split(' ').any(|t| t == "apt"),
+                "{name}"
+            );
+        }
+        for city in bbsim_census::ALL_CITIES {
+            let tail = format!("{}, {}", city.name, city.state);
+            assert!(
+                !normalize_line(&tail).split(' ').any(|t| t == "apt"),
+                "{tail}"
+            );
+        }
+        for r in db().records() {
+            assert!(!normalize_line(&r.canonical.canonical_line()).contains(" apt "));
         }
     }
 

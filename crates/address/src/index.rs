@@ -11,10 +11,9 @@
 //! that keeps canonical lines city-unique, so every city builds it once and
 //! every BAT of the city shares it.
 
-use crate::abbrev::{extract_zip, normalize_line};
+use crate::abbrev::{extract_zip, normalize_into, normalize_line};
 use crate::db::AddressId;
 use crate::model::StreetAddress;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Normalized-lookup index over a city's canonical addresses.
@@ -37,18 +36,30 @@ impl AddressIndex {
     /// Registers `address` as record `id` unless its normalized line is
     /// already taken; returns whether it was registered. Ids must be
     /// inserted in ascending order.
-    pub(crate) fn insert_unique(&mut self, address: &StreetAddress, id: AddressId) -> bool {
-        match self.exact.entry(normalize_line(&address.canonical_line())) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(slot) => {
-                slot.insert(id);
-                self.by_zip_number
-                    .entry((address.zip, address.number))
-                    .or_default()
-                    .push(id);
-                true
-            }
+    ///
+    /// `line` and `key` are scratch buffers the caller reuses across
+    /// inserts: the canonical line and its normalized key are built in
+    /// them, and the key is copied out (at exact capacity) only when it is
+    /// inserted.
+    pub(crate) fn insert_unique(
+        &mut self,
+        address: &StreetAddress,
+        id: AddressId,
+        line: &mut String,
+        key: &mut String,
+    ) -> bool {
+        line.clear();
+        address.push_line(address.unit.as_deref(), line);
+        normalize_into(line, key);
+        if self.exact.contains_key(key.as_str()) {
+            return false;
         }
+        self.exact.insert(key.as_str().to_owned(), id);
+        self.by_zip_number
+            .entry((address.zip, address.number))
+            .or_default()
+            .push(id);
+        true
     }
 
     /// Exact lookup after normalization.
@@ -60,21 +71,25 @@ impl AddressIndex {
     /// does not store: tries the full line, then the line with the unit
     /// stripped.
     pub fn lookup_allowing_unit(&self, line: &str) -> Option<AddressId> {
-        let norm = normalize_line(line);
-        if let Some(&id) = self.exact.get(&norm) {
+        self.lookup_normalized_allowing_unit(&mut normalize_line(line))
+    }
+
+    /// [`Self::lookup_allowing_unit`] for a line already normalized (by
+    /// [`crate::abbrev::normalize_into`]), so a caller that needs the
+    /// normalized form for more than the lookup normalizes once. On a miss
+    /// the unit is stripped from `norm` in place.
+    pub fn lookup_normalized_allowing_unit(&self, norm: &mut String) -> Option<AddressId> {
+        if let Some(&id) = self.exact.get(norm.as_str()) {
             return Some(id);
         }
-        // Strip a trailing "apt <x>" from the normalized form.
-        if let Some(pos) = norm.find(" apt ") {
-            let stripped = &norm[..pos];
-            // Re-append the tail after the unit token (city/state/zip).
-            let rebuilt = match norm[pos + 5..].split_once(' ') {
-                Some((_, tail)) => format!("{stripped} {tail}"),
-                None => stripped.to_string(),
-            };
-            return self.exact.get(&rebuilt).copied();
+        // Strip the first "apt <x>" token pair, keeping the tail after it
+        // (city/state/zip).
+        let pos = norm.find(" apt ")?;
+        match norm[pos + 5..].find(' ') {
+            Some(unit_len) => norm.replace_range(pos..pos + 5 + unit_len, ""),
+            None => norm.truncate(pos),
         }
-        None
+        self.exact.get(norm.as_str()).copied()
     }
 
     /// Candidate ids for the suggestion list: same zip and house number,

@@ -144,37 +144,64 @@ impl StreetAddress {
     /// The canonical single-line rendering:
     /// `"742 N Evergreen Ter Apt 2, New Orleans, LA 70118"`.
     pub fn canonical_line(&self) -> String {
-        let mut s = format!("{} ", self.number);
-        if let Some(d) = self.directional {
-            s.push_str(d.abbrev());
-            s.push(' ');
-        }
-        s.push_str(&self.street_name);
-        s.push(' ');
-        s.push_str(self.suffix.abbrev());
-        if let Some(u) = &self.unit {
-            s.push_str(" Apt ");
-            s.push_str(u);
-        }
-        s.push_str(&format!(", {}, {} {:05}", self.city, self.state, self.zip));
+        self.canonical_line_with_unit(self.unit.as_deref())
+    }
+
+    /// The canonical line with `unit` as its unit designator, whatever
+    /// `self.unit` holds: an MDU's per-unit lines without cloning the
+    /// building's address.
+    pub fn canonical_line_with_unit(&self, unit: Option<&str>) -> String {
+        let mut s = String::with_capacity(self.line_len_hint(unit));
+        self.push_line(unit, &mut s);
         s
     }
 
     /// The street part only (no city/state/zip), canonical form.
     pub fn canonical_street_line(&self) -> String {
-        let mut s = format!("{} ", self.number);
-        if let Some(d) = self.directional {
-            s.push_str(d.abbrev());
-            s.push(' ');
-        }
-        s.push_str(&self.street_name);
-        s.push(' ');
-        s.push_str(self.suffix.abbrev());
-        if let Some(u) = &self.unit {
-            s.push_str(" Apt ");
-            s.push_str(u);
-        }
+        let unit = self.unit.as_deref();
+        let mut s = String::with_capacity(self.line_len_hint(unit));
+        self.push_street(unit, &mut s);
         s
+    }
+
+    /// Appends [`Self::canonical_line_with_unit`] to `out`.
+    pub(crate) fn push_line(&self, unit: Option<&str>, out: &mut String) {
+        self.push_street(unit, out);
+        self.push_tail(out);
+    }
+
+    /// Appends the `", City, ST 01234"` tail every rendering shares.
+    pub(crate) fn push_tail(&self, out: &mut String) {
+        out.push_str(", ");
+        out.push_str(&self.city);
+        out.push_str(", ");
+        out.push_str(&self.state);
+        out.push(' ');
+        push_decimal(out, self.zip, 5);
+    }
+
+    fn push_street(&self, unit: Option<&str>, out: &mut String) {
+        push_decimal(out, self.number, 1);
+        out.push(' ');
+        if let Some(d) = self.directional {
+            out.push_str(d.abbrev());
+            out.push(' ');
+        }
+        out.push_str(&self.street_name);
+        out.push(' ');
+        out.push_str(self.suffix.abbrev());
+        if let Some(u) = unit {
+            out.push_str(" Apt ");
+            out.push_str(u);
+        }
+    }
+
+    /// An upper bound on the length of the canonical line with `unit`, so
+    /// one allocation holds it.
+    pub(crate) fn line_len_hint(&self, unit: Option<&str>) -> usize {
+        // Number and zip (10 digits each at most), directional, suffix,
+        // " Apt " and the separators take at most 40 bytes.
+        40 + self.street_name.len() + unit.map_or(0, str::len) + self.city.len() + self.state.len()
     }
 
     /// This address without its unit designator (how an MDU often appears in
@@ -184,6 +211,24 @@ impl StreetAddress {
             unit: None,
             ..self.clone()
         }
+    }
+}
+
+/// Appends `n` in decimal, zero-padded to at least `width` digits (at
+/// most 10): `format!("{n:0width$}")` without the formatting machinery.
+pub(crate) fn push_decimal(out: &mut String, mut n: u32, width: usize) {
+    let mut digits = [b'0'; 10];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start.min(digits.len().saturating_sub(width))..] {
+        out.push(char::from(d));
     }
 }
 
@@ -264,6 +309,17 @@ mod tests {
         abbrevs.sort_unstable();
         abbrevs.dedup();
         assert_eq!(abbrevs.len(), 8);
+    }
+
+    #[test]
+    fn push_decimal_matches_format() {
+        for n in [0, 7, 10, 99, 2134, 70118, 123_456, u32::MAX] {
+            for width in [1, 5, 10] {
+                let mut s = String::new();
+                push_decimal(&mut s, n, width);
+                assert_eq!(s, format!("{n:0width$}"));
+            }
+        }
     }
 
     #[test]

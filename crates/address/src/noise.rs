@@ -11,7 +11,7 @@
 //! 4. **format drift** — unit marker spelled `Unit`/`#` instead of `Apt`.
 
 use crate::abbrev::{directional_variants, suffix_variants};
-use crate::model::StreetAddress;
+use crate::model::{push_decimal, StreetAddress};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,33 +56,47 @@ impl NoiseProfile {
     }
 }
 
-fn mangle_case(rng: &mut StdRng, token: &str) -> String {
+/// Re-cases `token` in place: upper, lower or as is, one draw.
+fn mangle_case(rng: &mut StdRng, token: &mut str) {
     match rng.gen_range(0..3u8) {
-        0 => token.to_ascii_uppercase(),
-        1 => token.to_ascii_lowercase(),
-        _ => token.to_string(),
+        0 => token.make_ascii_uppercase(),
+        1 => token.make_ascii_lowercase(),
+        _ => {}
     }
 }
 
-fn inject_typo(rng: &mut StdRng, word: &str) -> String {
-    let chars: Vec<char> = word.chars().collect();
-    if chars.len() < 3 {
-        return word.to_string();
+/// Appends `word` with one dropped, doubled or transposed character (not
+/// the first or last); words under three characters are appended intact
+/// and draw nothing.
+fn push_typo(rng: &mut StdRng, word: &str, out: &mut String) {
+    let n = word.chars().count();
+    if n < 3 {
+        out.push_str(word);
+        return;
     }
-    let i = rng.gen_range(1..chars.len() - 1);
-    let mut out = chars.clone();
+    let i = rng.gen_range(1..n - 1);
+    // Byte offsets of characters i-1, i and i+1 (the last exists: i < n-1).
+    let at = |k: usize| word.char_indices().nth(k).map_or(word.len(), |(b, _)| b);
+    let (prev, cur, next) = (at(i - 1), at(i), at(i + 1));
     match rng.gen_range(0..3u8) {
         0 => {
-            out.remove(i); // drop
+            // drop
+            out.push_str(&word[..cur]);
+            out.push_str(&word[next..]);
         }
         1 => {
-            out.insert(i, chars[i]); // double
+            // double
+            out.push_str(&word[..next]);
+            out.push_str(&word[cur..]);
         }
         _ => {
-            out.swap(i, i - 1); // transpose
+            // transpose
+            out.push_str(&word[..prev]);
+            out.push_str(&word[cur..next]);
+            out.push_str(&word[prev..cur]);
+            out.push_str(&word[next..]);
         }
     }
-    out.into_iter().collect()
 }
 
 /// Renders `addr` as noisy listing text, deterministic in `seed`.
@@ -90,69 +104,75 @@ fn inject_typo(rng: &mut StdRng, word: &str) -> String {
 /// Returns the rendered line. The city/state/zip tail is kept intact —
 /// listing services validate those — so noise concentrates in the street
 /// part, as the paper observed.
+///
+/// One buffer, written in RNG draw order: each token is pushed and then
+/// re-cased in place. The directional is drawn after the street and suffix
+/// but precedes them, so it is inserted at its slot once drawn. The line
+/// is returned at exact capacity because every inventory record stores one.
 pub fn render_noisy(addr: &StreetAddress, profile: &NoiseProfile, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0153);
+    // Noise lengthens a canonical line by at most 17 bytes: a spelled-out
+    // directional (+7) and suffix (+5), a doubled character (+4) and
+    // "Unit" for "Apt" (+1).
+    let mut line = String::with_capacity(addr.line_len_hint(addr.unit.as_deref()) + 17);
+    push_decimal(&mut line, addr.number, 1);
+    line.push(' ');
+    let dir_at = line.len();
 
-    let mut street_name = addr.street_name.clone();
+    let start = line.len();
     if rng.gen_bool(profile.p_typo) {
-        street_name = inject_typo(&mut rng, &street_name);
+        push_typo(&mut rng, &addr.street_name, &mut line);
+    } else {
+        line.push_str(&addr.street_name);
     }
     if rng.gen_bool(profile.p_case_mangle) {
-        street_name = mangle_case(&mut rng, &street_name);
+        mangle_case(&mut rng, &mut line[start..]);
     }
+    line.push(' ');
 
-    let suffix_text = if rng.gen_bool(profile.p_suffix_variant) {
+    let start = line.len();
+    if rng.gen_bool(profile.p_suffix_variant) {
         let variants = suffix_variants(addr.suffix);
         let v = variants[rng.gen_range(0..variants.len())];
+        line.push_str(v);
         // Title-case the chosen variant for plausibility.
-        let mut c = v.chars();
-        match c.next() {
-            Some(f) => f.to_ascii_uppercase().to_string() + c.as_str(),
-            None => String::new(),
-        }
+        let first = v.chars().next().map_or(0, char::len_utf8);
+        line[start..start + first].make_ascii_uppercase();
     } else {
-        addr.suffix.abbrev().to_string()
-    };
-    let suffix_text = if rng.gen_bool(profile.p_case_mangle) {
-        mangle_case(&mut rng, &suffix_text)
-    } else {
-        suffix_text
-    };
+        line.push_str(addr.suffix.abbrev());
+    }
+    if rng.gen_bool(profile.p_case_mangle) {
+        mangle_case(&mut rng, &mut line[start..]);
+    }
 
-    let dir_text = addr.directional.map(|d| {
-        if rng.gen_bool(profile.p_suffix_variant) {
+    if let Some(d) = addr.directional {
+        let text = if rng.gen_bool(profile.p_suffix_variant) {
             let variants = directional_variants(d);
-            variants[rng.gen_range(0..variants.len())].to_ascii_uppercase()
+            variants[rng.gen_range(0..variants.len())]
         } else {
-            d.abbrev().to_string()
-        }
-    });
+            d.abbrev()
+        };
+        line.insert(dir_at, ' ');
+        line.insert_str(dir_at, text);
+        line[dir_at..dir_at + text.len()].make_ascii_uppercase();
+    }
 
-    let unit_text = match &addr.unit {
+    match &addr.unit {
         Some(u) if !rng.gen_bool(profile.p_drop_unit) => {
             let marker = if rng.gen_bool(profile.p_alt_unit_marker) {
                 ["Unit", "#"][rng.gen_range(0..2)]
             } else {
                 "Apt"
             };
-            Some(format!("{marker} {u}"))
+            line.push(' ');
+            line.push_str(marker);
+            line.push(' ');
+            line.push_str(u);
         }
-        _ => None,
-    };
-
-    let mut line = format!("{} ", addr.number);
-    if let Some(d) = dir_text {
-        line.push_str(&d);
-        line.push(' ');
+        _ => {}
     }
-    line.push_str(&street_name);
-    line.push(' ');
-    line.push_str(&suffix_text);
-    if let Some(u) = unit_text {
-        line.push(' ');
-        line.push_str(&u);
-    }
-    line.push_str(&format!(", {}, {} {:05}", addr.city, addr.state, addr.zip));
+    addr.push_tail(&mut line);
+    line.shrink_to_fit();
     line
 }
 
@@ -223,6 +243,12 @@ mod tests {
             .filter(|&seed| render_noisy(&a, &p, seed).contains("2B"))
             .count();
         assert!(with_unit > 50 && with_unit < 150, "with_unit = {with_unit}");
+    }
+
+    fn inject_typo(rng: &mut StdRng, word: &str) -> String {
+        let mut out = String::new();
+        push_typo(rng, word, &mut out);
+        out
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::drift::DriftSchedule;
 use crate::profile::ServerProfile;
 use crate::templates;
 use crate::templates::TemplateVersion;
-use bbsim_address::abbrev::normalize_line;
+use bbsim_address::abbrev::normalize_into;
 use bbsim_address::AddressId;
 use bbsim_isp::{CityWorld, Isp};
 use bbsim_net::{Exchange, Request, Response, Service, SimDuration, SimIp, SimTime, Status};
@@ -52,6 +52,8 @@ pub struct BatServer {
     template_version: TemplateVersion,
     /// When set, redesigns deploy themselves on the virtual clock.
     drift: Option<DriftSchedule>,
+    /// Scratch for the normalized lookup key, reused across requests.
+    key: String,
 }
 
 /// Stable salted hash for per-address behaviour draws.
@@ -88,6 +90,7 @@ impl BatServer {
             blocked_requests: 0,
             template_version: TemplateVersion::V1,
             drift: None,
+            key: String::new(),
         }
     }
 
@@ -150,12 +153,13 @@ impl BatServer {
 
     fn body_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
         body.lines()
-            .find_map(|l| l.strip_prefix(&format!("{key}=")[..]))
+            .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
     }
 
     /// Advances the workflow for a resolved address: interstitial, MDU, or
-    /// the final plans / no-service page.
-    fn page_for(&self, id: AddressId, input_line: &str, session: &mut Session) -> String {
+    /// the final plans / no-service page. `input_has_unit` says whether
+    /// the normalized input carried a unit designator.
+    fn page_for(&self, id: AddressId, input_has_unit: bool, session: &mut Session) -> String {
         let record = self.world.addresses().record(id);
 
         // Existing-customer interstitial (once per session).
@@ -167,17 +171,12 @@ impl BatServer {
 
         // Multi-dwelling unit: the building needs a unit choice when the
         // input did not carry one.
-        let input_has_unit = normalize_line(input_line).contains(" apt ");
         if record.is_mdu && !input_has_unit {
             session.resolved = Some(id);
             let units: Vec<String> = record
                 .units
                 .iter()
-                .map(|u| {
-                    let mut a = record.canonical.clone();
-                    a.unit = Some(u.clone());
-                    a.canonical_line()
-                })
+                .map(|u| record.canonical.canonical_line_with_unit(Some(u)))
                 .collect();
             return templates::render_mdu_v(self.isp, &units, self.template_version);
         }
@@ -193,8 +192,18 @@ impl BatServer {
 
     /// Resolves an input line to a page, covering the hard-failure, unknown
     /// address and not-found branches.
+    ///
+    /// The line is normalized once, into the server's reused key buffer;
+    /// the index lookup and the MDU check both read that one result.
     fn resolve_line(&mut self, line: &str, session: &mut Session) -> String {
-        match self.world.addresses().index().lookup_allowing_unit(line) {
+        normalize_into(line, &mut self.key);
+        let input_has_unit = self.key.contains(" apt ");
+        let found = self
+            .world
+            .addresses()
+            .index()
+            .lookup_normalized_allowing_unit(&mut self.key);
+        match found {
             Some(id) => {
                 if addr_draw(self.isp, id, 0xBAD) < self.profile.hard_failure_rate {
                     return templates::render_technical_difficulty_v(
@@ -212,7 +221,7 @@ impl BatServer {
                         self.template_version,
                     );
                 }
-                self.page_for(id, line, session)
+                self.page_for(id, input_has_unit, session)
             }
             None => {
                 let suggestions = self.suggestions_for(line, None);
@@ -311,8 +320,8 @@ impl Service for BatServer {
                     match session.resolved {
                         Some(id) => {
                             session.interstitial_done = true;
-                            let line = self.world.addresses().record(id).canonical.canonical_line();
-                            self.page_for(id, &line, &mut session)
+                            // A record's canonical line carries no unit.
+                            self.page_for(id, false, &mut session)
                         }
                         None => {
                             return Exchange {

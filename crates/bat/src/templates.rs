@@ -7,6 +7,7 @@
 //! exactly the coupling the paper's manual bootstrapping step resolves.
 
 use bbsim_isp::{Isp, Plan};
+use std::fmt::Write as _;
 
 /// Front-end markup generation: ISPs periodically redesign their BATs
 /// (the paper's §3 "Limitations": any interface change requires updating
@@ -56,13 +57,25 @@ pub fn dialect_of(isp: Isp) -> Dialect {
     }
 }
 
-fn page_shell(isp: Isp, body: String) -> String {
-    format!(
-        "<html><head><title>{} Availability</title></head>\n<body>\n{}\n</body></html>",
-        isp.name(),
-        body
-    )
+/// Renders a page: the ISP's shell around whatever `body` appends, in one
+/// `String` pre-sized for `body_len` bytes of body.
+fn page(isp: Isp, body_len: usize, body: impl FnOnce(&mut String)) -> String {
+    const HEAD: &str = "<html><head><title>";
+    const TITLE_END: &str = " Availability</title></head>\n<body>\n";
+    const FOOT: &str = "\n</body></html>";
+    let name = isp.name();
+    let mut out =
+        String::with_capacity(HEAD.len() + name.len() + TITLE_END.len() + body_len + FOOT.len());
+    out.push_str(HEAD);
+    out.push_str(name);
+    out.push_str(TITLE_END);
+    body(&mut out);
+    out.push_str(FOOT);
+    out
 }
+
+/// Bytes reserved per plan row: the longest row template with its numbers.
+const PLAN_ROW_LEN: usize = 160;
 
 /// Renders the plans page in the ISP's dialect (V1 markup).
 pub fn render_plans(isp: Isp, plans: &[Plan]) -> String {
@@ -70,82 +83,106 @@ pub fn render_plans(isp: Isp, plans: &[Plan]) -> String {
 }
 
 /// Renders the plans page in the ISP's dialect and template generation.
+///
+/// Each dialect has one row shape; the generation only renames its
+/// container, classes and attributes.
 pub fn render_plans_v(isp: Isp, plans: &[Plan], version: TemplateVersion) -> String {
-    let body = match (dialect_of(isp), version) {
-        (Dialect::DataAttr, TemplateVersion::V1) => {
-            let cards: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <div class=\"plan\" data-down=\"{}\" data-up=\"{}\" data-price=\"{}\">Internet {}</div>\n",
+    let v1 = version == TemplateVersion::V1;
+    page(
+        isp,
+        40 + plans.len() * PLAN_ROW_LEN,
+        |out| match dialect_of(isp) {
+            Dialect::DataAttr => {
+                let (id, tag, class, down, up, price) = if v1 {
+                    (
+                        "availability-results",
+                        "div",
+                        "plan",
+                        "data-down",
+                        "data-up",
+                        "data-price",
+                    )
+                } else {
+                    (
+                        "svc-results",
+                        "article",
+                        "offer-card",
+                        "data-dl",
+                        "data-ul",
+                        "data-usd",
+                    )
+                };
+                let _ = writeln!(out, "<section id=\"{id}\">");
+                for p in plans {
+                    let _ = writeln!(
+                        out,
+                        "  <{tag} class=\"{class}\" {down}=\"{}\" {up}=\"{}\" {price}=\"{}\">Internet {}</{tag}>",
                         p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps
-                    )
-                })
-                .collect();
-            format!("<section id=\"availability-results\">\n{cards}</section>")
-        }
-        (Dialect::DataAttr, TemplateVersion::V2) => {
-            let cards: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <article class=\"offer-card\" data-dl=\"{}\" data-ul=\"{}\" data-usd=\"{}\">Internet {}</article>\n",
-                        p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps
-                    )
-                })
-                .collect();
-            format!("<section id=\"svc-results\">\n{cards}</section>")
-        }
-        (Dialect::TableRow, TemplateVersion::V1) => {
-            let rows: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <tr class=\"offer\"><td class=\"down\">{} Mbps</td><td class=\"up\">{} Mbps</td><td class=\"price\">${}/mo</td></tr>\n",
+                    );
+                }
+                out.push_str("</section>");
+            }
+            Dialect::TableRow => {
+                let (table, row, down, up, price) = if v1 {
+                    ("offers", "offer", "down", "up", "price")
+                } else {
+                    ("tiers", "tier", "dl", "ul", "cost")
+                };
+                let _ = writeln!(out, "<table class=\"{table}\">");
+                for p in plans {
+                    let _ = writeln!(
+                        out,
+                        "  <tr class=\"{row}\"><td class=\"{down}\">{} Mbps</td><td class=\"{up}\">{} Mbps</td><td class=\"{price}\">${}/mo</td></tr>",
                         p.download_mbps, p.upload_mbps, p.price_usd
-                    )
-                })
-                .collect();
-            format!("<table class=\"offers\">\n{rows}</table>")
-        }
-        (Dialect::TableRow, TemplateVersion::V2) => {
-            let rows: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <tr class=\"tier\"><td class=\"dl\">{} Mbps</td><td class=\"ul\">{} Mbps</td><td class=\"cost\">${}/mo</td></tr>\n",
+                    );
+                }
+                out.push_str("</table>");
+            }
+            Dialect::ListItem => {
+                let (list, item, down, up, price) = if v1 {
+                    ("packages", "pkg", "mbps", "upload", "usd")
+                } else {
+                    ("bundles", "bundle", "down", "up", "price")
+                };
+                let _ = writeln!(out, "<ul class=\"{list}\">");
+                for p in plans {
+                    let _ = writeln!(
+                        out,
+                        "  <li class=\"{item}\"><span class=\"{down}\">{}</span><span class=\"{up}\">{}</span><span class=\"{price}\">{}</span></li>",
                         p.download_mbps, p.upload_mbps, p.price_usd
-                    )
-                })
-                .collect();
-            format!("<table class=\"tiers\">\n{rows}</table>")
+                    );
+                }
+                out.push_str("</ul>");
+            }
+        },
+    )
+}
+
+/// A list page: a marker line, then one `<li>` per entry. The
+/// not-found and MDU pages share this shape.
+fn render_list(
+    isp: Isp,
+    marker: &str,
+    message: &str,
+    list: &str,
+    item: &str,
+    entries: &[String],
+) -> String {
+    let body_len = 64
+        + marker.len()
+        + message.len()
+        + entries
+            .iter()
+            .map(|e| e.len() + item.len() + 24)
+            .sum::<usize>();
+    page(isp, body_len, |out| {
+        let _ = writeln!(out, "<div class=\"{marker}\">{message}</div>");
+        let _ = writeln!(out, "<ul class=\"{list}\">");
+        for e in entries {
+            let _ = writeln!(out, "  <li class=\"{item}\">{e}</li>");
         }
-        (Dialect::ListItem, TemplateVersion::V1) => {
-            let items: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <li class=\"pkg\"><span class=\"mbps\">{}</span><span class=\"upload\">{}</span><span class=\"usd\">{}</span></li>\n",
-                        p.download_mbps, p.upload_mbps, p.price_usd
-                    )
-                })
-                .collect();
-            format!("<ul class=\"packages\">\n{items}</ul>")
-        }
-        (Dialect::ListItem, TemplateVersion::V2) => {
-            let items: String = plans
-                .iter()
-                .map(|p| {
-                    format!(
-                        "  <li class=\"bundle\"><span class=\"down\">{}</span><span class=\"up\">{}</span><span class=\"price\">{}</span></li>\n",
-                        p.download_mbps, p.upload_mbps, p.price_usd
-                    )
-                })
-                .collect();
-            format!("<ul class=\"bundles\">\n{items}</ul>")
-        }
-    };
-    page_shell(isp, body)
+        out.push_str("</ul>");
+    })
 }
 
 /// Renders the address-not-found page with a suggestion list (V1 markup).
@@ -159,14 +196,14 @@ pub fn render_not_found_v(isp: Isp, suggestions: &[String], version: TemplateVer
         TemplateVersion::V1 => ("address-error", "suggestion"),
         TemplateVersion::V2 => ("addr-missing", "addr-option"),
     };
-    let items: String = suggestions
-        .iter()
-        .map(|s| format!("  <li class=\"{item}\">{s}</li>\n"))
-        .collect();
-    let body = format!(
-        "<div class=\"{marker}\">We could not verify that address.</div>\n<ul class=\"options\">\n{items}</ul>"
-    );
-    page_shell(isp, body)
+    render_list(
+        isp,
+        marker,
+        "We could not verify that address.",
+        "options",
+        item,
+        suggestions,
+    )
 }
 
 /// Renders the multi-dwelling-unit page listing refined addresses (V1).
@@ -180,14 +217,19 @@ pub fn render_mdu_v(isp: Isp, units: &[String], version: TemplateVersion) -> Str
         TemplateVersion::V1 => ("mdu-prompt", "unit"),
         TemplateVersion::V2 => ("unit-prompt", "unit-option"),
     };
-    let items: String = units
-        .iter()
-        .map(|u| format!("  <li class=\"{item}\">{u}</li>\n"))
-        .collect();
-    let body = format!(
-        "<div class=\"{marker}\">This address has multiple units.</div>\n<ul class=\"units\">\n{items}</ul>"
-    );
-    page_shell(isp, body)
+    render_list(
+        isp,
+        marker,
+        "This address has multiple units.",
+        "units",
+        item,
+        units,
+    )
+}
+
+/// A page whose body is fixed text.
+fn render_static(isp: Isp, body: &str) -> String {
+    page(isp, body.len(), |out| out.push_str(body))
 }
 
 /// Renders the existing-customer interstitial with its three options (V1).
@@ -197,21 +239,22 @@ pub fn render_existing_customer(isp: Isp) -> String {
 
 /// Version-aware existing-customer interstitial.
 pub fn render_existing_customer_v(isp: Isp, version: TemplateVersion) -> String {
-    let body = match version {
-        TemplateVersion::V1 => {
-            "<div class=\"existing-customer\">An active account exists at this address.</div>\n\
+    render_static(
+        isp,
+        match version {
+            TemplateVersion::V1 => {
+                "<div class=\"existing-customer\">An active account exists at this address.</div>\n\
          <a id=\"change-plan\" href=\"/login\">Change my plan</a>\n\
          <a id=\"add-service\" href=\"/login\">Add a service</a>\n\
          <a id=\"new-customer\" href=\"/new\">I'm a new resident - view plans</a>"
-        }
-        TemplateVersion::V2 => {
-            "<div class=\"current-customer\">An active account exists at this address.</div>\n\
+            }
+            TemplateVersion::V2 => {
+                "<div class=\"current-customer\">An active account exists at this address.</div>\n\
          <a id=\"manage\" href=\"/login\">Manage my plan</a>\n\
          <a id=\"shop-new\" href=\"/new\">I'm a new resident - shop plans</a>"
-        }
-    }
-    .to_string();
-    page_shell(isp, body)
+            }
+        },
+    )
 }
 
 /// Renders the no-service page (V1).
@@ -221,13 +264,16 @@ pub fn render_no_service(isp: Isp) -> String {
 
 /// Version-aware no-service page.
 pub fn render_no_service_v(isp: Isp, version: TemplateVersion) -> String {
-    let marker = match version {
-        TemplateVersion::V1 => "no-service",
-        TemplateVersion::V2 => "not-serviceable",
-    };
-    page_shell(
+    render_static(
         isp,
-        format!("<div class=\"{marker}\">We do not offer internet service at this address.</div>"),
+        match version {
+            TemplateVersion::V1 => {
+                "<div class=\"no-service\">We do not offer internet service at this address.</div>"
+            }
+            TemplateVersion::V2 => {
+                "<div class=\"not-serviceable\">We do not offer internet service at this address.</div>"
+            }
+        },
     )
 }
 
@@ -238,13 +284,16 @@ pub fn render_technical_difficulty(isp: Isp) -> String {
 
 /// Version-aware technical-difficulty page.
 pub fn render_technical_difficulty_v(isp: Isp, version: TemplateVersion) -> String {
-    let marker = match version {
-        TemplateVersion::V1 => "oops",
-        TemplateVersion::V2 => "error-page",
-    };
-    page_shell(
+    render_static(
         isp,
-        format!("<div class=\"{marker}\">We are experiencing technical difficulties. Please call us.</div>"),
+        match version {
+            TemplateVersion::V1 => {
+                "<div class=\"oops\">We are experiencing technical difficulties. Please call us.</div>"
+            }
+            TemplateVersion::V2 => {
+                "<div class=\"error-page\">We are experiencing technical difficulties. Please call us.</div>"
+            }
+        },
     )
 }
 

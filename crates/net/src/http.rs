@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Request methods used by the BAT workflows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,28 +92,55 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn parse_headers<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<(BTreeMap<String, String>, String), WireError> {
-    let mut headers = BTreeMap::new();
-    let mut body = String::new();
-    let mut in_body = false;
-    for line in lines {
-        if in_body {
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            body.push_str(line);
-        } else if line.is_empty() {
-            in_body = true;
-        } else {
-            let (k, v) = line
-                .split_once(':')
-                .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
-            headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-        }
+/// Splits off the first line of `text`: the line itself and, if `text`
+/// has more than one line, everything after its `\n`.
+fn split_line(text: &str) -> (&str, Option<&str>) {
+    match text.split_once('\n') {
+        Some((line, rest)) => (line, Some(rest)),
+        None => (text, None),
     }
-    Ok((headers, body))
+}
+
+/// Parses the header lines after the start line up to the first empty
+/// line; the body is everything after that line, verbatim (leading
+/// newlines included). A message with no empty line has no body.
+fn parse_headers(mut rest: Option<&str>) -> Result<(BTreeMap<String, String>, String), WireError> {
+    let mut headers = BTreeMap::new();
+    while let Some(text) = rest {
+        let (line, next) = split_line(text);
+        if line.is_empty() {
+            return Ok((headers, next.unwrap_or_default().to_string()));
+        }
+        let (k, v) = line
+            .split_once(':')
+            .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
+        headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+        rest = next;
+    }
+    Ok((headers, String::new()))
+}
+
+/// Serializes a start line (at most `start_len` bytes), the headers and
+/// the body into one `String` sized for all of it.
+fn write_wire(
+    start: fmt::Arguments<'_>,
+    start_len: usize,
+    headers: &BTreeMap<String, String>,
+    body: &str,
+) -> String {
+    let header_len: usize = headers.iter().map(|(k, v)| k.len() + v.len() + 3).sum();
+    let mut s = String::with_capacity(start_len + header_len + 2 + body.len());
+    let _ = s.write_fmt(start);
+    s.push('\n');
+    for (k, v) in headers {
+        s.push_str(k);
+        s.push_str(": ");
+        s.push_str(v);
+        s.push('\n');
+    }
+    s.push('\n');
+    s.push_str(body);
+    s
 }
 
 /// An HTTP-lite request.
@@ -167,19 +195,17 @@ impl Request {
 
     /// Serializes to the text wire format.
     pub fn to_wire(&self) -> String {
-        let mut s = format!("{} {} BQT/1\n", self.method, self.path);
-        for (k, v) in &self.headers {
-            s.push_str(&format!("{k}: {v}\n"));
-        }
-        s.push('\n');
-        s.push_str(&self.body);
-        s
+        write_wire(
+            format_args!("{} {} BQT/1", self.method, self.path),
+            self.path.len() + 11,
+            &self.headers,
+            &self.body,
+        )
     }
 
     /// Parses the text wire format.
     pub fn from_wire(wire: &str) -> Result<Self, WireError> {
-        let mut lines = wire.split('\n');
-        let start = lines.next().ok_or(WireError::MissingStartLine)?;
+        let (start, rest) = split_line(wire);
         let mut parts = start.split_whitespace();
         let method = match parts.next() {
             Some("GET") => Method::Get,
@@ -191,7 +217,7 @@ impl Request {
             .next()
             .ok_or_else(|| WireError::BadStartLine(start.to_string()))?
             .to_string();
-        let (headers, body) = parse_headers(lines)?;
+        let (headers, body) = parse_headers(rest)?;
         Ok(Request {
             method,
             path,
@@ -245,18 +271,16 @@ impl Response {
     }
 
     pub fn to_wire(&self) -> String {
-        let mut s = format!("BQT/1 {}\n", self.status.code());
-        for (k, v) in &self.headers {
-            s.push_str(&format!("{k}: {v}\n"));
-        }
-        s.push('\n');
-        s.push_str(&self.body);
-        s
+        write_wire(
+            format_args!("BQT/1 {}", self.status.code()),
+            9,
+            &self.headers,
+            &self.body,
+        )
     }
 
     pub fn from_wire(wire: &str) -> Result<Self, WireError> {
-        let mut lines = wire.split('\n');
-        let start = lines.next().ok_or(WireError::MissingStartLine)?;
+        let (start, rest) = split_line(wire);
         let mut parts = start.split_whitespace();
         match parts.next() {
             Some("BQT/1") => {}
@@ -270,7 +294,7 @@ impl Response {
             .map_err(|_| WireError::UnknownStatus(code_str.to_string()))?;
         let status = Status::from_code(code)
             .ok_or_else(|| WireError::UnknownStatus(code_str.to_string()))?;
-        let (headers, body) = parse_headers(lines)?;
+        let (headers, body) = parse_headers(rest)?;
         Ok(Response {
             status,
             headers,
@@ -319,6 +343,20 @@ mod tests {
         let body = "line one\nline two\n\nline four";
         let req = Request::post("/x", body);
         assert_eq!(Request::from_wire(&req.to_wire()).unwrap().body, body);
+    }
+
+    #[test]
+    fn body_starting_with_newlines_survives_roundtrip() {
+        // The body is everything after the first blank line, so leading
+        // newlines are part of it.
+        let req = Request::post("/p", "\nx");
+        assert_eq!(Request::from_wire(&req.to_wire()).unwrap().body, "\nx");
+        let resp = Response::ok("\n\nplans");
+        assert_eq!(
+            Response::from_wire(&resp.to_wire()).unwrap().body,
+            "\n\nplans"
+        );
+        assert_eq!(Response::from_wire("BQT/1 200\n\n\n").unwrap().body, "\n");
     }
 
     #[test]

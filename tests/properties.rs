@@ -87,10 +87,12 @@ proptest! {
         prop_assert_eq!(partial.len(), before);
     }
 
+    // Bodies may start with (and contain runs of) newlines: the body is
+    // everything after the first blank line, verbatim.
     #[test]
     fn requests_roundtrip_wire_format(
         path in "[a-z/]{1,24}",
-        body in "[ -~&&[^\r]]{0,200}",
+        body in "\n{0,3}(\n|[ -~&&[^\r]]{1,8}){0,30}",
         cookie in "[a-z0-9=]{0,32}",
     ) {
         let mut req = Request::post(format!("/{path}"), body);
@@ -102,7 +104,7 @@ proptest! {
     }
 
     #[test]
-    fn responses_roundtrip_wire_format(body in "[ -~&&[^\r]]{0,300}") {
+    fn responses_roundtrip_wire_format(body in "\n{0,3}(\n|[ -~&&[^\r]]{1,8}){0,40}") {
         let resp = Response::ok(body).with_set_cookie("sid=1");
         let parsed = Response::from_wire(&resp.to_wire()).unwrap();
         prop_assert_eq!(parsed, resp);
@@ -1218,6 +1220,426 @@ mod v2_detect {
             prop_assert_eq!(learned.templates, TemplateSet::v2());
             let expected = picks.len() as f64 / pages.len() as f64;
             prop_assert!((learned.confidence - expected).abs() < 1e-12, "{isp}");
+        }
+    }
+}
+
+/// The address and page formatters write into one buffer; these are the
+/// `format!`-based implementations they replaced, kept as references the
+/// new output must equal byte for byte.
+mod formatter_oracles {
+    use super::*;
+    use decoding_divide::address::{render_noisy, NoiseProfile, StreetAddress};
+    use decoding_divide::bat::templates::{
+        dialect_of, render_existing_customer_v, render_mdu_v, render_no_service_v,
+        render_not_found_v, render_plans_v, render_technical_difficulty_v,
+    };
+    use decoding_divide::bat::{Dialect, TemplateVersion};
+    use decoding_divide::isp::{catalog, Isp, Plan, Tech, ALL_ISPS};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn old_canonical_line(a: &StreetAddress) -> String {
+        let mut s = format!("{} ", a.number);
+        if let Some(d) = a.directional {
+            s.push_str(d.abbrev());
+            s.push(' ');
+        }
+        s.push_str(&a.street_name);
+        s.push(' ');
+        s.push_str(a.suffix.abbrev());
+        if let Some(u) = &a.unit {
+            s.push_str(" Apt ");
+            s.push_str(u);
+        }
+        s.push_str(&format!(", {}, {} {:05}", a.city, a.state, a.zip));
+        s
+    }
+
+    fn old_canonical_street_line(a: &StreetAddress) -> String {
+        let mut s = format!("{} ", a.number);
+        if let Some(d) = a.directional {
+            s.push_str(d.abbrev());
+            s.push(' ');
+        }
+        s.push_str(&a.street_name);
+        s.push(' ');
+        s.push_str(a.suffix.abbrev());
+        if let Some(u) = &a.unit {
+            s.push_str(" Apt ");
+            s.push_str(u);
+        }
+        s
+    }
+
+    fn old_mangle_case(rng: &mut StdRng, token: &str) -> String {
+        match rng.gen_range(0..3u8) {
+            0 => token.to_ascii_uppercase(),
+            1 => token.to_ascii_lowercase(),
+            _ => token.to_string(),
+        }
+    }
+
+    fn old_inject_typo(rng: &mut StdRng, word: &str) -> String {
+        let chars: Vec<char> = word.chars().collect();
+        if chars.len() < 3 {
+            return word.to_string();
+        }
+        let i = rng.gen_range(1..chars.len() - 1);
+        let mut out = chars.clone();
+        match rng.gen_range(0..3u8) {
+            0 => {
+                out.remove(i);
+            }
+            1 => {
+                out.insert(i, chars[i]);
+            }
+            _ => {
+                out.swap(i, i - 1);
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    fn old_render_noisy(addr: &StreetAddress, profile: &NoiseProfile, seed: u64) -> String {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0153);
+        let mut street_name = addr.street_name.clone();
+        if rng.gen_bool(profile.p_typo) {
+            street_name = old_inject_typo(&mut rng, &street_name);
+        }
+        if rng.gen_bool(profile.p_case_mangle) {
+            street_name = old_mangle_case(&mut rng, &street_name);
+        }
+        let suffix_text = if rng.gen_bool(profile.p_suffix_variant) {
+            let variants = suffix_variants(addr.suffix);
+            let v = variants[rng.gen_range(0..variants.len())];
+            let mut c = v.chars();
+            match c.next() {
+                Some(f) => f.to_ascii_uppercase().to_string() + c.as_str(),
+                None => String::new(),
+            }
+        } else {
+            addr.suffix.abbrev().to_string()
+        };
+        let suffix_text = if rng.gen_bool(profile.p_case_mangle) {
+            old_mangle_case(&mut rng, &suffix_text)
+        } else {
+            suffix_text
+        };
+        let dir_text = addr.directional.map(|d| {
+            if rng.gen_bool(profile.p_suffix_variant) {
+                let variants = directional_variants(d);
+                variants[rng.gen_range(0..variants.len())].to_ascii_uppercase()
+            } else {
+                d.abbrev().to_string()
+            }
+        });
+        let unit_text = match &addr.unit {
+            Some(u) if !rng.gen_bool(profile.p_drop_unit) => {
+                let marker = if rng.gen_bool(profile.p_alt_unit_marker) {
+                    ["Unit", "#"][rng.gen_range(0..2)]
+                } else {
+                    "Apt"
+                };
+                Some(format!("{marker} {u}"))
+            }
+            _ => None,
+        };
+        let mut line = format!("{} ", addr.number);
+        if let Some(d) = dir_text {
+            line.push_str(&d);
+            line.push(' ');
+        }
+        line.push_str(&street_name);
+        line.push(' ');
+        line.push_str(&suffix_text);
+        if let Some(u) = unit_text {
+            line.push(' ');
+            line.push_str(&u);
+        }
+        line.push_str(&format!(", {}, {} {:05}", addr.city, addr.state, addr.zip));
+        line
+    }
+
+    fn old_page_shell(isp: Isp, body: String) -> String {
+        format!(
+            "<html><head><title>{} Availability</title></head>\n<body>\n{}\n</body></html>",
+            isp.name(),
+            body
+        )
+    }
+
+    fn old_render_plans_v(isp: Isp, plans: &[Plan], version: TemplateVersion) -> String {
+        let body = match (dialect_of(isp), version) {
+            (Dialect::DataAttr, TemplateVersion::V1) => {
+                let cards: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <div class=\"plan\" data-down=\"{}\" data-up=\"{}\" data-price=\"{}\">Internet {}</div>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps
+                        )
+                    })
+                    .collect();
+                format!("<section id=\"availability-results\">\n{cards}</section>")
+            }
+            (Dialect::DataAttr, TemplateVersion::V2) => {
+                let cards: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <article class=\"offer-card\" data-dl=\"{}\" data-ul=\"{}\" data-usd=\"{}\">Internet {}</article>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps
+                        )
+                    })
+                    .collect();
+                format!("<section id=\"svc-results\">\n{cards}</section>")
+            }
+            (Dialect::TableRow, TemplateVersion::V1) => {
+                let rows: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <tr class=\"offer\"><td class=\"down\">{} Mbps</td><td class=\"up\">{} Mbps</td><td class=\"price\">${}/mo</td></tr>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd
+                        )
+                    })
+                    .collect();
+                format!("<table class=\"offers\">\n{rows}</table>")
+            }
+            (Dialect::TableRow, TemplateVersion::V2) => {
+                let rows: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <tr class=\"tier\"><td class=\"dl\">{} Mbps</td><td class=\"ul\">{} Mbps</td><td class=\"cost\">${}/mo</td></tr>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd
+                        )
+                    })
+                    .collect();
+                format!("<table class=\"tiers\">\n{rows}</table>")
+            }
+            (Dialect::ListItem, TemplateVersion::V1) => {
+                let items: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <li class=\"pkg\"><span class=\"mbps\">{}</span><span class=\"upload\">{}</span><span class=\"usd\">{}</span></li>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd
+                        )
+                    })
+                    .collect();
+                format!("<ul class=\"packages\">\n{items}</ul>")
+            }
+            (Dialect::ListItem, TemplateVersion::V2) => {
+                let items: String = plans
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "  <li class=\"bundle\"><span class=\"down\">{}</span><span class=\"up\">{}</span><span class=\"price\">{}</span></li>\n",
+                            p.download_mbps, p.upload_mbps, p.price_usd
+                        )
+                    })
+                    .collect();
+                format!("<ul class=\"bundles\">\n{items}</ul>")
+            }
+        };
+        old_page_shell(isp, body)
+    }
+
+    fn old_render_not_found_v(
+        isp: Isp,
+        suggestions: &[String],
+        version: TemplateVersion,
+    ) -> String {
+        let (marker, item) = match version {
+            TemplateVersion::V1 => ("address-error", "suggestion"),
+            TemplateVersion::V2 => ("addr-missing", "addr-option"),
+        };
+        let items: String = suggestions
+            .iter()
+            .map(|s| format!("  <li class=\"{item}\">{s}</li>\n"))
+            .collect();
+        let body = format!(
+            "<div class=\"{marker}\">We could not verify that address.</div>\n<ul class=\"options\">\n{items}</ul>"
+        );
+        old_page_shell(isp, body)
+    }
+
+    fn old_render_mdu_v(isp: Isp, units: &[String], version: TemplateVersion) -> String {
+        let (marker, item) = match version {
+            TemplateVersion::V1 => ("mdu-prompt", "unit"),
+            TemplateVersion::V2 => ("unit-prompt", "unit-option"),
+        };
+        let items: String = units
+            .iter()
+            .map(|u| format!("  <li class=\"{item}\">{u}</li>\n"))
+            .collect();
+        let body = format!(
+            "<div class=\"{marker}\">This address has multiple units.</div>\n<ul class=\"units\">\n{items}</ul>"
+        );
+        old_page_shell(isp, body)
+    }
+
+    fn old_render_existing_customer_v(isp: Isp, version: TemplateVersion) -> String {
+        let body = match version {
+            TemplateVersion::V1 => {
+                "<div class=\"existing-customer\">An active account exists at this address.</div>\n\
+             <a id=\"change-plan\" href=\"/login\">Change my plan</a>\n\
+             <a id=\"add-service\" href=\"/login\">Add a service</a>\n\
+             <a id=\"new-customer\" href=\"/new\">I'm a new resident - view plans</a>"
+            }
+            TemplateVersion::V2 => {
+                "<div class=\"current-customer\">An active account exists at this address.</div>\n\
+             <a id=\"manage\" href=\"/login\">Manage my plan</a>\n\
+             <a id=\"shop-new\" href=\"/new\">I'm a new resident - shop plans</a>"
+            }
+        }
+        .to_string();
+        old_page_shell(isp, body)
+    }
+
+    fn old_render_no_service_v(isp: Isp, version: TemplateVersion) -> String {
+        let marker = match version {
+            TemplateVersion::V1 => "no-service",
+            TemplateVersion::V2 => "not-serviceable",
+        };
+        old_page_shell(
+            isp,
+            format!(
+                "<div class=\"{marker}\">We do not offer internet service at this address.</div>"
+            ),
+        )
+    }
+
+    fn old_render_technical_difficulty_v(isp: Isp, version: TemplateVersion) -> String {
+        let marker = match version {
+            TemplateVersion::V1 => "oops",
+            TemplateVersion::V2 => "error-page",
+        };
+        old_page_shell(
+            isp,
+            format!("<div class=\"{marker}\">We are experiencing technical difficulties. Please call us.</div>"),
+        )
+    }
+
+    const VERSIONS: [TemplateVersion; 2] = [TemplateVersion::V1, TemplateVersion::V2];
+
+    /// Every noise channel fires often, so every draw branch is exercised.
+    fn loud() -> NoiseProfile {
+        NoiseProfile {
+            p_suffix_variant: 0.5,
+            p_case_mangle: 0.5,
+            p_typo: 0.5,
+            p_drop_unit: 0.5,
+            p_alt_unit_marker: 0.5,
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn address(
+        number: u32,
+        dir: Option<usize>,
+        street_name: String,
+        suffix: usize,
+        unit: Option<String>,
+        city: String,
+        state: String,
+        zip: u32,
+    ) -> StreetAddress {
+        StreetAddress {
+            number,
+            directional: dir.map(|d| Directional::ALL[d]),
+            street_name,
+            suffix: Suffix::ALL[suffix],
+            unit,
+            city,
+            state,
+            zip,
+        }
+    }
+
+    proptest! {
+        /// Canonical and noisy lines over generated addresses, with and
+        /// without a directional and a unit, zips below 10000 included,
+        /// under three noise profiles and many seeds.
+        #[test]
+        fn address_lines_match_the_format_oracles(
+            number in 0u32..200_000,
+            dir in proptest::option::of(0usize..8),
+            street_name in "([A-Za-z]|[0-9]|é|ß|Ω| ){1,14}",
+            suffix in 0usize..12,
+            unit in proptest::option::of("[0-9A-Z]{1,3}"),
+            city in "[A-Z][a-z]{2,8}( [A-Z][a-z]{2,8})?",
+            state in "[A-Z]{2}",
+            zip in proptest::option::of(0u32..100_000),
+            small_zip in 0u32..10_000,
+            seed in any::<u64>(),
+        ) {
+            let a = address(number, dir, street_name, suffix, unit, city, state, zip.unwrap_or(small_zip));
+            prop_assert_eq!(a.canonical_line(), old_canonical_line(&a));
+            prop_assert_eq!(a.canonical_street_line(), old_canonical_street_line(&a));
+            let with_unit = StreetAddress { unit: Some("12B".to_string()), ..a.clone() };
+            prop_assert_eq!(a.canonical_line_with_unit(Some("12B")), old_canonical_line(&with_unit));
+            for profile in [NoiseProfile::clean(), NoiseProfile::zillow_like(), loud()] {
+                for k in 0..16u64 {
+                    let s = seed.wrapping_add(k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    let line = render_noisy(&a, &profile, s);
+                    prop_assert_eq!(&line, &old_render_noisy(&a, &profile, s));
+                    prop_assert_eq!(line.capacity(), line.len());
+                }
+            }
+        }
+
+        /// Plans pages over catalog subsets (the empty one included) and
+        /// arbitrary plans, for every ISP and template generation.
+        #[test]
+        fn plans_pages_match_the_format_oracle(
+            mask in any::<u32>(),
+            extra in proptest::collection::vec((0u32..5000, 0u32..2000, 0u32..100_000), 0..4),
+        ) {
+            for isp in ALL_ISPS {
+                let mut plans: Vec<Plan> = catalog(isp)
+                    .iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> (i % 32) & 1 == 1)
+                    .map(|(_, p)| *p)
+                    .collect();
+                for &(down, up, cents) in &extra {
+                    plans.push(Plan::new(f64::from(down) / 10.0, f64::from(up), f64::from(cents) / 100.0, Tech::Cable));
+                }
+                for version in VERSIONS {
+                    prop_assert_eq!(render_plans_v(isp, &plans, version), old_render_plans_v(isp, &plans, version));
+                    prop_assert_eq!(render_plans_v(isp, &[], version), old_render_plans_v(isp, &[], version));
+                }
+            }
+        }
+
+        /// Not-found pages with 0–5 suggestions and MDU pages with 2–12
+        /// units, plus the fixed pages, for every ISP and generation.
+        #[test]
+        fn list_and_fixed_pages_match_the_format_oracles(
+            suggestions in proptest::collection::vec("[0-9]{1,5} [A-Za-z ]{1,12}, [A-Z][a-z]{2,8}, [A-Z]{2} [0-9]{5}", 0..=5),
+            units in proptest::collection::vec("[0-9]{1,4} [A-Za-z]{1,10} Apt [0-9A-Z]{1,3}", 2..=12),
+        ) {
+            for isp in ALL_ISPS {
+                for version in VERSIONS {
+                    prop_assert_eq!(
+                        render_not_found_v(isp, &suggestions, version),
+                        old_render_not_found_v(isp, &suggestions, version)
+                    );
+                    prop_assert_eq!(render_mdu_v(isp, &units, version), old_render_mdu_v(isp, &units, version));
+                    prop_assert_eq!(
+                        render_existing_customer_v(isp, version),
+                        old_render_existing_customer_v(isp, version)
+                    );
+                    prop_assert_eq!(render_no_service_v(isp, version), old_render_no_service_v(isp, version));
+                    prop_assert_eq!(
+                        render_technical_difficulty_v(isp, version),
+                        old_render_technical_difficulty_v(isp, version)
+                    );
+                }
+            }
         }
     }
 }
