@@ -6,7 +6,8 @@
 //! [`ServeAnswer`] variant. The wire form is a single line of JSON-lite
 //! per query or answer (the same restricted dialect `events.jsonl`
 //! uses: string values never contain quotes or backslashes, so no
-//! escaping pass exists on either side). Serialization is exhaustive
+//! escaping pass exists on either side; a parser that meets a quote
+//! inside a value rejects the line). Serialization is exhaustive
 //! over the enums — adding a variant without extending the wire
 //! functions is a compile error here and a lint error in divide-lint's
 //! E1 rule, which pins `wire_name`/`cacheable`/`query_to_line`/
@@ -15,7 +16,7 @@
 use bbsim_isp::Isp;
 use bbsim_net::{Method, Request, Response};
 use bqt::ScrapedPlan;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// One typed lookup against the plan store.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,17 +60,29 @@ impl ServeQuery {
         }
     }
 
-    /// Deterministic cache key (also the eviction-log key). Contains no
-    /// commas, so keys survive the comma-joined `x-evicted` header.
+    /// Deterministic cache key (also the eviction-log key):
+    /// `plans/{city}/{isp}/{tag}`, `bg/{city}/{isp}/{bg}` or
+    /// `tiles/{city}`. The city is written as is, commas included; the
+    /// `x-evicted` header escapes them.
     pub fn cache_key(&self) -> String {
+        let mut key = String::with_capacity(32);
+        self.push_cache_key(&mut key);
+        key
+    }
+
+    /// Appends this query's cache key to `out`, so the router can reuse
+    /// one buffer across lookups.
+    pub(crate) fn push_cache_key(&self, out: &mut String) {
         match self {
             ServeQuery::Plans { city, isp, tag } => {
-                format!("plans/{city}/{}/{tag}", isp.slug())
+                let _ = write!(out, "plans/{city}/{}/{tag}", isp.slug());
             }
             ServeQuery::BlockGroup { city, isp, bg } => {
-                format!("bg/{city}/{}/{bg}", isp.slug())
+                let _ = write!(out, "bg/{city}/{}/{bg}", isp.slug());
             }
-            ServeQuery::Tiles { city } => format!("tiles/{city}"),
+            ServeQuery::Tiles { city } => {
+                let _ = write!(out, "tiles/{city}");
+            }
         }
     }
 
@@ -99,78 +112,109 @@ fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-/// Extracts `"key":<value>` from a JSON-lite line; values are either
-/// quoted strings (no escapes) or bare tokens terminated by `,` / `}`.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
+/// The rest of `line` after the first `"key":`. Keys are quote-free
+/// literals, so a match never overlaps an earlier partial one and the
+/// search can resume past it.
+fn value_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let mut from = 0;
+    loop {
+        let start = from + line.get(from..)?.find(key)?;
+        let end = start + key.len();
+        if line[..start].ends_with('"') && line[end..].starts_with("\":") {
+            return line.get(end + 2..);
+        }
+        from = end;
+    }
+}
+
+/// Extracts `"key":<value>` from a JSON-lite line, borrowed; values are
+/// either quoted strings (no escapes) or bare tokens terminated by `,`
+/// / `}`. A quoted value must end its field: a closing quote followed by
+/// anything but `,` or `}` means the value itself held a quote, which
+/// the dialect cannot carry, so the line is rejected rather than read
+/// as a shorter value.
+fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, WireError> {
+    let rest = value_after(line, key).ok_or_else(|| wire_err(format!("missing field {key:?}")))?;
+    if let Some(quoted) = rest.strip_prefix('"') {
+        let end = quoted
+            .find('"')
+            .ok_or_else(|| wire_err(format!("unterminated field {key:?}")))?;
+        match quoted.as_bytes().get(end + 1) {
+            Some(b',' | b'}') => Ok(&quoted[..end]),
+            _ => Err(wire_err(format!("stray quote in field {key:?}"))),
+        }
     } else {
-        let end = rest.find([',', '}'])?;
-        Some(&rest[..end])
+        let end = rest
+            .find([',', '}'])
+            .ok_or_else(|| wire_err(format!("unterminated field {key:?}")))?;
+        Ok(&rest[..end])
     }
 }
 
 fn num_field(line: &str, key: &str) -> Result<u64, WireError> {
-    field(line, key)
-        .ok_or_else(|| wire_err(format!("missing field {key:?}")))?
+    field(line, key)?
         .parse()
         .map_err(|_| wire_err(format!("non-numeric field {key:?}")))
 }
 
 fn f64_field(line: &str, key: &str) -> Result<f64, WireError> {
-    field(line, key)
-        .ok_or_else(|| wire_err(format!("missing field {key:?}")))?
+    field(line, key)?
         .parse()
         .map_err(|_| wire_err(format!("non-numeric field {key:?}")))
 }
 
-fn str_field(line: &str, key: &str) -> Result<String, WireError> {
-    field(line, key)
-        .map(str::to_string)
-        .ok_or_else(|| wire_err(format!("missing field {key:?}")))
-}
-
 fn isp_field(line: &str) -> Result<Isp, WireError> {
-    let slug = str_field(line, "isp")?;
-    Isp::from_slug(&slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
+    let slug = field(line, "isp")?;
+    Isp::from_slug(slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
 }
 
 /// Serializes one query to its single-line wire form.
 pub fn query_to_line(q: &ServeQuery) -> String {
     match q {
-        ServeQuery::Plans { city, isp, tag } => format!(
-            "{{\"q\":\"plans\",\"city\":\"{city}\",\"isp\":\"{}\",\"tag\":{tag}}}",
-            isp.slug()
-        ),
-        ServeQuery::BlockGroup { city, isp, bg } => format!(
-            "{{\"q\":\"block_group\",\"city\":\"{city}\",\"isp\":\"{}\",\"bg\":{bg}}}",
-            isp.slug()
-        ),
-        ServeQuery::Tiles { city } => format!("{{\"q\":\"tiles\",\"city\":\"{city}\"}}"),
+        ServeQuery::Plans { city, isp, tag } => {
+            let mut line = String::with_capacity(64 + city.len());
+            let _ = write!(
+                line,
+                "{{\"q\":\"plans\",\"city\":\"{city}\",\"isp\":\"{}\",\"tag\":{tag}}}",
+                isp.slug()
+            );
+            line
+        }
+        ServeQuery::BlockGroup { city, isp, bg } => {
+            let mut line = String::with_capacity(64 + city.len());
+            let _ = write!(
+                line,
+                "{{\"q\":\"block_group\",\"city\":\"{city}\",\"isp\":\"{}\",\"bg\":{bg}}}",
+                isp.slug()
+            );
+            line
+        }
+        ServeQuery::Tiles { city } => {
+            let mut line = String::with_capacity(24 + city.len());
+            let _ = write!(line, "{{\"q\":\"tiles\",\"city\":\"{city}\"}}");
+            line
+        }
     }
 }
 
 /// Parses one wire line back to a query; exact inverse of
-/// [`query_to_line`] on every value the serializer emits.
+/// [`query_to_line`] on every value the serializer emits whose city
+/// holds no `"`. The kind and ISP slug are matched borrowed; the city
+/// is the only string a parse allocates.
 pub fn parse_query_line(line: &str) -> Result<ServeQuery, WireError> {
-    let kind = str_field(line, "q")?;
-    match kind.as_str() {
+    match field(line, "q")? {
         "plans" => Ok(ServeQuery::Plans {
-            city: str_field(line, "city")?,
+            city: field(line, "city")?.to_string(),
             isp: isp_field(line)?,
             tag: num_field(line, "tag")?,
         }),
         "block_group" => Ok(ServeQuery::BlockGroup {
-            city: str_field(line, "city")?,
+            city: field(line, "city")?.to_string(),
             isp: isp_field(line)?,
             bg: num_field(line, "bg")?,
         }),
         "tiles" => Ok(ServeQuery::Tiles {
-            city: str_field(line, "city")?,
+            city: field(line, "city")?.to_string(),
         }),
         other => Err(wire_err(format!("unknown query kind {other:?}"))),
     }
@@ -204,74 +248,94 @@ pub enum ServeAnswer {
     Shed,
 }
 
-/// Packs plans into the dataset's `down/up/price;...` triple format.
-fn pack_plans(plans: &[ScrapedPlan]) -> String {
-    plans
-        .iter()
-        .map(|p| format!("{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd))
-        .collect::<Vec<_>>()
-        .join(";")
-}
-
 fn unpack_plans(s: &str) -> Result<Vec<ScrapedPlan>, WireError> {
     if s.is_empty() {
         return Ok(Vec::new());
     }
-    s.split(';')
-        .map(|triple| {
-            let mut it = triple.split('/');
-            let mut next = || {
-                it.next()
-                    .ok_or_else(|| wire_err(format!("short plan triple {triple:?}")))?
-                    .parse::<f64>()
-                    .map_err(|_| wire_err(format!("non-numeric plan triple {triple:?}")))
-            };
-            Ok(ScrapedPlan {
-                download_mbps: next()?,
-                upload_mbps: next()?,
-                price_usd: next()?,
-            })
-        })
-        .collect()
+    let mut plans = Vec::with_capacity(1 + s.bytes().filter(|&b| b == b';').count());
+    for triple in s.split(';') {
+        let mut it = triple.split('/');
+        let mut next = || {
+            it.next()
+                .ok_or_else(|| wire_err(format!("short plan triple {triple:?}")))?
+                .parse::<f64>()
+                .map_err(|_| wire_err(format!("non-numeric plan triple {triple:?}")))
+        };
+        plans.push(ScrapedPlan {
+            download_mbps: next()?,
+            upload_mbps: next()?,
+            price_usd: next()?,
+        });
+    }
+    Ok(plans)
 }
 
-/// Serializes one answer to its single-line wire form.
-pub fn answer_to_line(a: &ServeAnswer) -> String {
+/// Appends one answer's single-line wire form to `out`. Plans travel in
+/// the dataset's `down/up/price;...` triple format.
+fn push_answer_line(out: &mut String, a: &ServeAnswer) {
     match a {
         ServeAnswer::Plans { plans } => {
-            format!("{{\"a\":\"plans\",\"plans\":\"{}\"}}", pack_plans(plans))
+            out.push_str("{\"a\":\"plans\",\"plans\":\"");
+            for (i, p) in plans.iter().enumerate() {
+                if i > 0 {
+                    out.push(';');
+                }
+                let _ = write!(out, "{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd);
+            }
+            out.push_str("\"}");
         }
-        ServeAnswer::NoService => "{\"a\":\"no_service\"}".to_string(),
+        ServeAnswer::NoService => out.push_str("{\"a\":\"no_service\"}"),
         ServeAnswer::Percentiles {
             n,
             p25,
             p50,
             p75,
             p95,
-        } => format!(
-            "{{\"a\":\"percentiles\",\"n\":{n},\"p25\":{p25},\"p50\":{p50},\"p75\":{p75},\"p95\":{p95}}}"
-        ),
+        } => {
+            let _ = write!(
+                out,
+                "{{\"a\":\"percentiles\",\"n\":{n},\"p25\":{p25},\"p50\":{p50},\"p75\":{p75},\"p95\":{p95}}}"
+            );
+        }
         ServeAnswer::Tiles {
             block_groups,
             served,
             avg_providers,
             diversity,
-        } => format!(
-            "{{\"a\":\"tiles\",\"block_groups\":{block_groups},\"served\":{served},\"avg_providers\":{avg_providers},\"diversity\":{diversity}}}"
-        ),
-        ServeAnswer::NotFound => "{\"a\":\"not_found\"}".to_string(),
-        ServeAnswer::Shed => "{\"a\":\"shed\"}".to_string(),
+        } => {
+            let _ = write!(
+                out,
+                "{{\"a\":\"tiles\",\"block_groups\":{block_groups},\"served\":{served},\"avg_providers\":{avg_providers},\"diversity\":{diversity}}}"
+            );
+        }
+        ServeAnswer::NotFound => out.push_str("{\"a\":\"not_found\"}"),
+        ServeAnswer::Shed => out.push_str("{\"a\":\"shed\"}"),
     }
+}
+
+/// Room for one answer line: the envelope plus a typical triple per
+/// plan, so most lines never reallocate.
+fn answer_line_capacity(a: &ServeAnswer) -> usize {
+    match a {
+        ServeAnswer::Plans { plans } => 32 + 20 * plans.len(),
+        _ => 128,
+    }
+}
+
+/// Serializes one answer to its single-line wire form.
+pub fn answer_to_line(a: &ServeAnswer) -> String {
+    let mut line = String::with_capacity(answer_line_capacity(a));
+    push_answer_line(&mut line, a);
+    line
 }
 
 /// Parses one wire line back to an answer; exact inverse of
 /// [`answer_to_line`] (f64 fields use `Display`'s shortest round-trip
 /// form, so values survive byte-identically).
 pub fn parse_answer_line(line: &str) -> Result<ServeAnswer, WireError> {
-    let kind = str_field(line, "a")?;
-    match kind.as_str() {
+    match field(line, "a")? {
         "plans" => Ok(ServeAnswer::Plans {
-            plans: unpack_plans(&str_field(line, "plans")?)?,
+            plans: unpack_plans(field(line, "plans")?)?,
         }),
         "no_service" => Ok(ServeAnswer::NoService),
         "percentiles" => Ok(ServeAnswer::Percentiles {
@@ -315,7 +379,15 @@ impl ServeRequest {
         match self {
             ServeRequest::Single(q) => Request::post("/lookup", query_to_line(q)),
             ServeRequest::Batch(qs) => {
-                let body = qs.iter().map(query_to_line).collect::<Vec<_>>().join("\n");
+                // Each line comes from `query_to_line`, which holds the
+                // exhaustive match divide-lint's E1 pins to it.
+                let mut body = String::with_capacity(80 * qs.len());
+                for (i, q) in qs.iter().enumerate() {
+                    if i > 0 {
+                        body.push('\n');
+                    }
+                    body.push_str(&query_to_line(q));
+                }
                 Request::post("/batch", body)
             }
         }
@@ -362,11 +434,14 @@ impl ServeResponse {
         match self {
             ServeResponse::Single(a) => Response::ok(answer_to_line(a)),
             ServeResponse::Batch(answers) => {
-                let body = answers
-                    .iter()
-                    .map(answer_to_line)
-                    .collect::<Vec<_>>()
-                    .join("\n");
+                let capacity = answers.iter().map(|a| answer_line_capacity(a) + 1);
+                let mut body = String::with_capacity(capacity.sum());
+                for (i, a) in answers.iter().enumerate() {
+                    if i > 0 {
+                        body.push('\n');
+                    }
+                    push_answer_line(&mut body, a);
+                }
                 Response::ok(body)
             }
         }
@@ -473,6 +548,25 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_wraps_the_buffer_writer() {
+        let mut buf = String::new();
+        for q in queries() {
+            buf.clear();
+            q.push_cache_key(&mut buf);
+            assert_eq!(buf, q.cache_key());
+        }
+        assert_eq!(
+            ServeQuery::Plans {
+                city: "Washington, DC".into(),
+                isp: Isp::Att,
+                tag: 1,
+            }
+            .cache_key(),
+            "plans/Washington, DC/att/1"
+        );
+    }
+
+    #[test]
     fn cache_keys_are_comma_free_and_unique() {
         let keys: Vec<String> = queries().iter().map(ServeQuery::cache_key).collect();
         for k in &keys {
@@ -489,5 +583,26 @@ mod tests {
         assert!(parse_query_line("{\"q\":\"warp\"}").is_err());
         assert!(parse_query_line("{\"q\":\"plans\",\"city\":\"X\"}").is_err());
         assert!(parse_answer_line("{\"a\":\"percentiles\",\"n\":no}").is_err());
+    }
+
+    #[test]
+    fn a_quote_inside_a_quoted_value_is_rejected() {
+        for q in [
+            ServeQuery::Plans {
+                city: "a\"b".into(),
+                isp: Isp::Att,
+                tag: 1,
+            },
+            ServeQuery::Tiles { city: "\"".into() },
+        ] {
+            assert!(parse_query_line(&query_to_line(&q)).is_err(), "{q:?}");
+        }
+        let quoted_kind = "{\"q\":\"tiles\"x\",\"city\":\"B\"}";
+        assert!(parse_query_line(quoted_kind).is_err());
+        assert!(parse_answer_line("{\"a\":\"shed\"x\"}").is_err());
+        assert!(parse_answer_line("{\"a\":\"plans\",\"plans\":\"1/2/3\"4\"}").is_err());
+        assert!(parse_answer_line("{\"a\":\"plans\",\"plans\":\"1/2/3}").is_err());
+        // A value ending the line is still closed by `}`.
+        assert_eq!(parse_answer_line("{\"a\":\"shed\"}"), Ok(ServeAnswer::Shed));
     }
 }

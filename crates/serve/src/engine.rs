@@ -17,7 +17,7 @@
 
 use crate::api::{ServeAnswer, ServeRequest, ServeResponse};
 use crate::load::{Arrival, LoadPhase};
-use crate::service::{cache_flags, evicted_keys, PlanService, ServeCosts};
+use crate::service::{cache_flag_iter, evicted_key_iter, PlanService, ServeCosts};
 use crate::store::PlanStore;
 use bbsim_net::{Endpoint, LatencyModel, SimDuration, SimIp, SimTime, Transport};
 use bqt::monitor::{CampaignMonitor, MonitorPolicy};
@@ -198,12 +198,13 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
             .round_trip(&endpoint, src, &http, SimTime::from_millis(send_at))
             .expect("registered endpoint, no fault plan");
         let done = send_at + rt.as_millis();
-        let hits = cache_flags(&resp);
+        let mut hits = cache_flag_iter(&resp);
         let batch = matches!(request, ServeRequest::Batch(_));
-        let answers = match ServeResponse::from_http(&resp, batch) {
-            Ok(r) => r.answers().to_vec(),
-            Err(_) => Vec::new(),
-        };
+        // Every answer line is parsed in full: that is the check that the
+        // wire carried a well-formed answer. An unparsable response
+        // leaves no answers, so each of its lookups records `Failed`.
+        let response = ServeResponse::from_http(&resp, batch).ok();
+        let answers = response.as_ref().map_or(&[][..], ServeResponse::answers);
         for (i, q) in request.queries().iter().enumerate() {
             let outcome = answers
                 .get(i)
@@ -216,12 +217,12 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
                     shard: shard_id,
                     endpoint: endpoint.clone(),
                     outcome,
-                    cache_hit: hits.get(i).copied().unwrap_or(false),
+                    cache_hit: hits.next().unwrap_or(false),
                     duration_ms: done - at_ms,
                 },
             });
         }
-        for key in evicted_keys(&resp) {
+        for key in evicted_key_iter(&resp) {
             rec.record(&Event {
                 at: SimTime::from_millis(done),
                 kind: EventKind::CacheEvicted {

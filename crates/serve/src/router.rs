@@ -16,6 +16,9 @@ use std::sync::Arc;
 pub struct Router {
     store: Arc<PlanStore>,
     cache: LruCache,
+    /// Reused cache-key buffer: a lookup writes its key here and only
+    /// an insert copies it out.
+    key: String,
 }
 
 impl Router {
@@ -23,6 +26,7 @@ impl Router {
         Self {
             store,
             cache: LruCache::new(cache_capacity),
+            key: String::new(),
         }
     }
 
@@ -38,12 +42,13 @@ impl Router {
         if !query.cacheable() {
             return (self.store.answer(query), false);
         }
-        let key = query.cache_key();
-        if let Some(answer) = self.cache.get(&key) {
+        self.key.clear();
+        query.push_cache_key(&mut self.key);
+        if let Some(answer) = self.cache.get(&self.key) {
             return (answer, true);
         }
         let answer = self.store.answer(query);
-        self.cache.insert(key, answer.clone());
+        self.cache.insert(self.key.clone(), answer.clone());
         (answer, false)
     }
 

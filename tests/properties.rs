@@ -1684,3 +1684,361 @@ fn noisy_rendering_matches_back_to_its_own_canonical_form() {
         "matcher picked the right sibling only {correct}/{total} times"
     );
 }
+
+// ---- serve: the allocation-light codec and O(1) LRU against the -------
+// ---- implementations they replaced --------------------------------------
+//
+// The `BTreeMap` LRU, the `format!`/`join` line writers and both HTTP
+// envelopes are kept here verbatim as oracles. The rewrite must evict in
+// the same order, answer the same lookups and write the same bytes.
+
+mod serve_oracles {
+    use super::*;
+    use decoding_divide::bqt::ScrapedPlan;
+    use decoding_divide::isp::{Isp, ALL_ISPS};
+    use decoding_divide::serve::{
+        answer_to_line, parse_answer_line, parse_query_line, query_to_line, LruCache, ServeAnswer,
+        ServeQuery, ServeRequest, ServeResponse,
+    };
+    use std::collections::BTreeMap;
+
+    /// The tick-indexed `BTreeMap` cache the slab LRU replaced.
+    struct OracleLru {
+        capacity: usize,
+        tick: u64,
+        by_key: BTreeMap<String, (u64, ServeAnswer)>,
+        by_tick: BTreeMap<u64, String>,
+        evicted: Vec<String>,
+    }
+
+    impl OracleLru {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                tick: 0,
+                by_key: BTreeMap::new(),
+                by_tick: BTreeMap::new(),
+                evicted: Vec::new(),
+            }
+        }
+
+        fn get(&mut self, key: &str) -> Option<ServeAnswer> {
+            let (tick, answer) = self.by_key.get_mut(key)?;
+            let old = *tick;
+            self.tick += 1;
+            *tick = self.tick;
+            let answer = answer.clone();
+            self.by_tick.remove(&old);
+            self.by_tick.insert(self.tick, key.to_string());
+            Some(answer)
+        }
+
+        fn insert(&mut self, key: String, answer: ServeAnswer) {
+            if self.capacity == 0 {
+                return;
+            }
+            self.tick += 1;
+            if let Some((old, _)) = self.by_key.insert(key.clone(), (self.tick, answer)) {
+                self.by_tick.remove(&old);
+            }
+            self.by_tick.insert(self.tick, key);
+            while self.by_key.len() > self.capacity {
+                let (_, victim) = self.by_tick.pop_first().unwrap();
+                self.by_key.remove(&victim);
+                self.evicted.push(victim);
+            }
+        }
+    }
+
+    /// A small key alphabet, so sequences revisit resident keys often;
+    /// it includes a comma, a percent sign and non-ASCII text.
+    const KEYS: [&str; 10] = [
+        "plans/A/att/1",
+        "plans/A/att/2",
+        "bg/A/cox/1",
+        "plans/Washington, DC/att/1",
+        "bg/100% Fiber/att/7",
+        "plans/Zürich/verizon/3",
+        "k",
+        "",
+        "plans/A/att/10",
+        "bg/中/xfinity/0",
+    ];
+
+    fn answer(n: u64) -> ServeAnswer {
+        ServeAnswer::Percentiles {
+            n,
+            p25: 1.0,
+            p50: 2.0,
+            p75: 3.0,
+            p95: 4.0,
+        }
+    }
+
+    /// Any `f64` the wire carries (finite): integral, fractional, tiny
+    /// and huge magnitudes, and raw bit patterns.
+    fn float() -> impl Strategy<Value = f64> {
+        (0u8..6, any::<u64>(), any::<f64>()).prop_map(|(pick, bits, unit)| {
+            let v = match pick {
+                0 => (bits % 100_000) as f64,
+                1 => (bits % 100_000) as f64 / 8.0 + unit,
+                2 => unit * 1e-300,
+                3 => (1.0 + unit) * 1e300,
+                4 => -unit * 1e6,
+                _ => f64::from_bits(bits),
+            };
+            if v.is_finite() {
+                v
+            } else {
+                unit
+            }
+        })
+    }
+
+    /// City text: JSON punctuation, `%`, `,` and multi-byte characters,
+    /// but never the `"` the dialect cannot carry nor the line break a
+    /// batch body splits on.
+    const CITY: [char; 14] = [
+        'a', 'Z', '0', ' ', ',', ':', '{', '}', '/', '%', 'é', '中', '-', '\'',
+    ];
+
+    fn city() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..CITY.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| CITY[i]).collect())
+    }
+
+    fn query() -> impl Strategy<Value = ServeQuery> {
+        (0u8..3, city(), 0..ALL_ISPS.len(), any::<u64>()).prop_map(|(pick, city, isp, n)| {
+            let isp = ALL_ISPS[isp];
+            match pick {
+                0 => ServeQuery::Plans { city, isp, tag: n },
+                1 => ServeQuery::BlockGroup { city, isp, bg: n },
+                _ => ServeQuery::Tiles { city },
+            }
+        })
+    }
+
+    fn answer_of() -> impl Strategy<Value = ServeAnswer> {
+        (
+            0u8..6,
+            any::<u64>(),
+            proptest::collection::vec((float(), float(), float()), 0..5),
+            (float(), float(), float(), float()),
+        )
+            .prop_map(|(pick, n, triples, (a, b, c, d))| match pick {
+                0 => ServeAnswer::Plans {
+                    plans: triples
+                        .into_iter()
+                        .map(|(down, up, price)| ScrapedPlan {
+                            download_mbps: down,
+                            upload_mbps: up,
+                            price_usd: price,
+                        })
+                        .collect(),
+                },
+                1 => ServeAnswer::NoService,
+                2 => ServeAnswer::Percentiles {
+                    n,
+                    p25: a,
+                    p50: b,
+                    p75: c,
+                    p95: d,
+                },
+                3 => ServeAnswer::Tiles {
+                    block_groups: n,
+                    served: n / 2,
+                    avg_providers: a,
+                    diversity: b,
+                },
+                4 => ServeAnswer::NotFound,
+                _ => ServeAnswer::Shed,
+            })
+    }
+
+    fn oracle_query_line(q: &ServeQuery) -> String {
+        match q {
+            ServeQuery::Plans { city, isp, tag } => format!(
+                "{{\"q\":\"plans\",\"city\":\"{city}\",\"isp\":\"{}\",\"tag\":{tag}}}",
+                isp.slug()
+            ),
+            ServeQuery::BlockGroup { city, isp, bg } => format!(
+                "{{\"q\":\"block_group\",\"city\":\"{city}\",\"isp\":\"{}\",\"bg\":{bg}}}",
+                isp.slug()
+            ),
+            ServeQuery::Tiles { city } => format!("{{\"q\":\"tiles\",\"city\":\"{city}\"}}"),
+        }
+    }
+
+    fn oracle_answer_line(a: &ServeAnswer) -> String {
+        match a {
+            ServeAnswer::Plans { plans } => {
+                let packed = plans
+                    .iter()
+                    .map(|p| format!("{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd))
+                    .collect::<Vec<_>>()
+                    .join(";");
+                format!("{{\"a\":\"plans\",\"plans\":\"{packed}\"}}")
+            }
+            ServeAnswer::NoService => "{\"a\":\"no_service\"}".to_string(),
+            ServeAnswer::Percentiles {
+                n,
+                p25,
+                p50,
+                p75,
+                p95,
+            } => format!(
+                "{{\"a\":\"percentiles\",\"n\":{n},\"p25\":{p25},\"p50\":{p50},\"p75\":{p75},\"p95\":{p95}}}"
+            ),
+            ServeAnswer::Tiles {
+                block_groups,
+                served,
+                avg_providers,
+                diversity,
+            } => format!(
+                "{{\"a\":\"tiles\",\"block_groups\":{block_groups},\"served\":{served},\"avg_providers\":{avg_providers},\"diversity\":{diversity}}}"
+            ),
+            ServeAnswer::NotFound => "{\"a\":\"not_found\"}".to_string(),
+            ServeAnswer::Shed => "{\"a\":\"shed\"}".to_string(),
+        }
+    }
+
+    fn oracle_request(req: &ServeRequest) -> Request {
+        match req {
+            ServeRequest::Single(q) => Request::post("/lookup", oracle_query_line(q)),
+            ServeRequest::Batch(qs) => Request::post(
+                "/batch",
+                qs.iter()
+                    .map(oracle_query_line)
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            ),
+        }
+    }
+
+    fn oracle_response(resp: &ServeResponse) -> Response {
+        match resp {
+            ServeResponse::Single(a) => Response::ok(oracle_answer_line(a)),
+            ServeResponse::Batch(answers) => Response::ok(
+                answers
+                    .iter()
+                    .map(oracle_answer_line)
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            ),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn slab_lru_matches_the_btreemap_oracle(
+            capacity in 0usize..=8,
+            ops in proptest::collection::vec((0u8..4, 0..KEYS.len(), any::<u64>()), 0..160),
+        ) {
+            let mut lru = LruCache::new(capacity);
+            let mut oracle = OracleLru::new(capacity);
+            for (op, k, v) in ops {
+                let key = KEYS[k];
+                match op {
+                    0 => prop_assert_eq!(lru.get(key), oracle.get(key)),
+                    1 => {
+                        lru.insert(key.to_string(), answer(v));
+                        oracle.insert(key.to_string(), answer(v));
+                    }
+                    2 => {
+                        // The router's pattern: insert on a miss only.
+                        let hit = lru.get(key);
+                        prop_assert_eq!(&hit, &oracle.get(key));
+                        if hit.is_none() {
+                            lru.insert(key.to_string(), answer(v));
+                            oracle.insert(key.to_string(), answer(v));
+                        }
+                    }
+                    _ => {
+                        // Re-insert whatever is resident under `key`.
+                        if let Some(old) = oracle.get(key) {
+                            prop_assert_eq!(lru.get(key), Some(old.clone()));
+                            lru.insert(key.to_string(), old.clone());
+                            oracle.insert(key.to_string(), old);
+                        }
+                    }
+                }
+                prop_assert_eq!(lru.len(), oracle.by_key.len());
+                prop_assert_eq!(lru.drain_evicted(), std::mem::take(&mut oracle.evicted));
+            }
+            for key in KEYS {
+                prop_assert_eq!(lru.get(key), oracle.get(key));
+            }
+        }
+
+        #[test]
+        fn query_codec_matches_the_replaced_writer_and_round_trips(
+            qs in proptest::collection::vec(query(), 1..=6),
+        ) {
+            for q in &qs {
+                let line = query_to_line(q);
+                prop_assert_eq!(&line, &oracle_query_line(q));
+                prop_assert_eq!(parse_query_line(&line), Ok(q.clone()));
+            }
+            let requests = [ServeRequest::Single(qs[0].clone()), ServeRequest::Batch(qs)];
+            for req in requests {
+                let wire = req.to_http().to_wire();
+                prop_assert_eq!(&wire, &oracle_request(&req).to_wire());
+                let revived = Request::from_wire(&wire).unwrap();
+                prop_assert_eq!(ServeRequest::from_http(&revived), Ok(req));
+            }
+        }
+
+        #[test]
+        fn answer_codec_matches_the_replaced_writer_and_round_trips(
+            answers in proptest::collection::vec(answer_of(), 1..=6),
+        ) {
+            for a in &answers {
+                let line = answer_to_line(a);
+                prop_assert_eq!(&line, &oracle_answer_line(a));
+                prop_assert_eq!(parse_answer_line(&line), Ok(a.clone()));
+            }
+            let responses = [
+                (ServeResponse::Single(answers[0].clone()), false),
+                (ServeResponse::Batch(answers), true),
+            ];
+            for (resp, batch) in responses {
+                let wire = resp.to_http().to_wire();
+                prop_assert_eq!(&wire, &oracle_response(&resp).to_wire());
+                let revived = Response::from_wire(&wire).unwrap();
+                prop_assert_eq!(ServeResponse::from_http(&revived, batch), Ok(resp));
+            }
+        }
+    }
+
+    #[test]
+    fn empty_plan_lists_and_extreme_floats_round_trip() {
+        let answers = [
+            ServeAnswer::Plans { plans: Vec::new() },
+            ServeAnswer::Plans {
+                plans: vec![ScrapedPlan {
+                    download_mbps: 5e-324,
+                    upload_mbps: f64::MAX,
+                    price_usd: -0.0,
+                }],
+            },
+            ServeAnswer::Percentiles {
+                n: u64::MAX,
+                p25: 0.1,
+                p50: 1e21,
+                p75: 1e-7,
+                p95: 123_456_789.0,
+            },
+        ];
+        for a in &answers {
+            let line = answer_to_line(a);
+            assert_eq!(line, oracle_answer_line(a));
+            assert_eq!(parse_answer_line(&line), Ok(a.clone()));
+        }
+        let q = ServeQuery::Plans {
+            city: String::new(),
+            isp: Isp::Att,
+            tag: u64::MAX,
+        };
+        assert_eq!(parse_query_line(&query_to_line(&q)), Ok(q));
+    }
+}
