@@ -2,7 +2,9 @@
 //!
 //! Within one city the scrape runs on a virtual timeline (deterministic);
 //! across cities the simulations are independent, so real threads buy real
-//! wall-clock speedup without touching determinism.
+//! wall-clock speedup without touching determinism. Cities run on
+//! `bqt::exec`, the executor campaigns and serve share: largest city (by
+//! block groups) first, each result in its city's slot.
 
 use bbsim_census::{city_by_name, CityProfile, ALL_CITIES};
 use bbsim_dataset::{
@@ -82,6 +84,10 @@ pub fn resolve_cities(filter: Option<&str>) -> Vec<&'static CityProfile> {
 }
 
 /// Curates `cities` at `scale`, using up to `threads` OS threads.
+///
+/// # Panics
+/// If `cities` is empty, or if curating a city panics (after every other
+/// city has finished); the message names the city.
 pub fn run_study(
     cities: &[&'static CityProfile],
     scale: Scale,
@@ -89,29 +95,23 @@ pub fn run_study(
     threads: usize,
 ) -> StudyDataset {
     assert!(!cities.is_empty(), "study needs at least one city");
-    let threads = threads.clamp(1, cities.len());
-    let mut city_list: Vec<&'static CityProfile> = cities.to_vec();
-    // Largest cities first: better load balance across threads.
-    city_list.sort_by_key(|c| std::cmp::Reverse(c.block_groups));
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results: std::sync::Mutex<Vec<CityStudy>> = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(city) = city_list.get(i) else { break };
-                let dataset = curate_city(city, &scale.options(seed));
-                let rows = aggregate_block_groups(&dataset.records);
-                results
-                    .lock()
-                    .expect("no poisoned study lock")
-                    .push(CityStudy { dataset, rows });
-            });
-        }
-    });
-    let mut cities_done = results.into_inner().expect("threads joined");
-    // Deterministic output order regardless of thread scheduling.
+    let slots = bqt::exec::map(
+        cities,
+        threads,
+        |city| city.block_groups as u64,
+        |_, city| {
+            let dataset = curate_city(city, &scale.options(seed));
+            let rows = aggregate_block_groups(&dataset.records);
+            CityStudy { dataset, rows }
+        },
+    );
+    let mut cities_done: Vec<CityStudy> = slots
+        .into_iter()
+        .map(|slot| {
+            slot.unwrap_or_else(|failed| panic!("curating {}: {failed}", cities[failed.id].name))
+        })
+        .collect();
+    // Deterministic output order regardless of the caller's city order.
     cities_done.sort_by_key(|c| c.dataset.city.name);
     StudyDataset {
         scale,

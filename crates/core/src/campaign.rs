@@ -231,6 +231,11 @@ impl<'a> Campaign<'a> {
     /// finish, so a [`JsonlRecorder`](crate::telemetry::JsonlRecorder)
     /// here writes the canonical `events.jsonl` directly.
     ///
+    /// A shard that panics does not take the run down: its siblings run
+    /// to completion (their journal segments stay whole) and the run
+    /// returns [`JournalError::ShardFailed`] naming the shard. Re-running
+    /// over the same segments resumes it like a crashed shard.
+    ///
     /// # Panics
     /// If a campaign-level [`journal`](Self::journal) is attached: sharded
     /// runs journal per shard, through [`ShardEnv::journal`].

@@ -43,6 +43,7 @@
 
 use crate::client::{BqtConfig, WaitPolicy};
 use crate::driver::{QueryJob, QueryOutcome, QueryRecord};
+use crate::exec::ShardFailed;
 use crate::scrape::ScrapedPlan;
 use bbsim_net::{fnv1a, mix64, SimDuration};
 use std::collections::HashMap;
@@ -85,6 +86,10 @@ pub enum JournalError {
         expected: CampaignManifest,
         found: CampaignManifest,
     },
+    /// A shard of a sharded run panicked (a broken service, say). Its
+    /// journal segment holds what it finished before the panic, so a
+    /// re-run resumes it like a crashed shard.
+    ShardFailed(ShardFailed),
 }
 
 impl fmt::Display for JournalError {
@@ -110,11 +115,18 @@ impl fmt::Display for JournalError {
                 "journal belongs to a different campaign \
                  (expected {expected:?}, found {found:?})"
             ),
+            JournalError::ShardFailed(failed) => failed.fmt(f),
         }
     }
 }
 
 impl std::error::Error for JournalError {}
+
+impl From<ShardFailed> for JournalError {
+    fn from(failed: ShardFailed) -> Self {
+        JournalError::ShardFailed(failed)
+    }
+}
 
 impl From<std::io::Error> for JournalError {
     fn from(e: std::io::Error) -> Self {

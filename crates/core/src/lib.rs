@@ -28,10 +28,14 @@
 //! * [`campaign`] — the [`Campaign`] builder, the one entry point that
 //!   composes orchestration, journaling, simulated crashes and telemetry
 //!   recorders into a run;
+//! * [`exec`] — the one shard executor: scoped threads, a largest-first
+//!   work queue, results in task slots, panics as typed [`ShardFailed`]
+//!   errors, and a consumer on the calling thread while tasks run;
 //! * [`shard`] — multi-core campaigns: a fixed city×ISP partition into
 //!   shards (own virtual clock, hermetic RNG stream and telemetry `seq`
-//!   namespace each) executed on OS threads, with a watermark `(at, seq)`
-//!   merge that keeps every artifact byte-identical to `threads = 1`;
+//!   namespace each) executed on OS threads, with a frontier-gated
+//!   `(at, seq)` merge that keeps every artifact byte-identical to
+//!   `threads = 1`;
 //! * [`monitor`] — live campaign health over the telemetry stream:
 //!   sliding-window aggregation, SLO alerting with hysteresis, Prometheus
 //!   text exposition and a virtual-clock phase profiler;
@@ -50,6 +54,7 @@ pub mod campaign;
 pub mod client;
 pub mod drift;
 pub mod driver;
+pub mod exec;
 pub mod journal;
 pub mod metrics;
 pub mod monitor;
@@ -66,6 +71,7 @@ pub use campaign::{Campaign, CampaignOutcome};
 pub use client::{BqtConfig, WaitPolicy};
 pub use drift::{DriftMonitor, DriftReport};
 pub use driver::{query_address, query_address_traced, QueryJob, QueryOutcome, QueryRecord};
+pub use exec::ShardFailed;
 pub use journal::{
     config_fingerprint, AttemptEntry, CampaignManifest, Journal, JournalError, RebootstrapEntry,
 };
@@ -80,8 +86,9 @@ pub use scrape::{
     learn_template_set, DetectedPage, LearnedTemplates, ScrapedPlan, TemplateSet, GENERATIONS,
 };
 pub use shard::{
-    merge_events, merge_seq_streams, seq_counter, seq_shard, shard_seq, SeqEvent, ShardEnv,
-    ShardPlan, ShardRecorder, ShardRun, ShardSpec, ShardedOutcome,
+    merge_events, merge_seq_streams, seq_counter, seq_shard, shard_seq, MergeKey, MergeSink,
+    SeqEvent, ShardEnv, ShardPlan, ShardRecorder, ShardRun, ShardSpec, ShardedOutcome,
+    StreamMerger, FINISHED,
 };
 pub use shed::{ShedController, ShedDecision, ShedPolicy};
 pub use telemetry::{

@@ -13,14 +13,26 @@
 //!
 //! The shard *partition* is part of the campaign's identity and never
 //! depends on the thread count: `threads` only says how many OS threads
-//! pull whole shards off a work queue. Because a shard shares no mutable
-//! state with its siblings, its event stream is a pure function of
-//! `(spec, environment)`; and because the merge sorts the finished
-//! streams' events by `(at, seq)` — with `seq` namespaced as
-//! `shard_id << SHARD_SEQ_BITS | counter`, so no two events share a key —
-//! the merged campaign output is **byte-identical for every thread
-//! count**. The differential suite in `tests/shard.rs` enforces exactly
-//! that for `threads ∈ {1, 2, 4, 8}`.
+//! pull whole shards off [`crate::exec`]'s work queue (largest shard
+//! first). Because a shard shares no mutable state with its siblings,
+//! its event stream is a pure function of `(spec, environment)`; and
+//! because the merge orders every event by `(at, seq)` — with `seq`
+//! namespaced as `shard_id << SHARD_SEQ_BITS | counter`, so no two events
+//! share a key — the merged campaign output is **byte-identical for every
+//! thread count**. The differential suite in `tests/shard.rs` enforces
+//! exactly that for `threads ∈ {1, 2, 4, 8}`.
+//!
+//! There is one merge, [`StreamMerger`]. A stream hands it *sealed*
+//! chunks — sorted on `(at, seq)`, each with a **frontier**: a key that
+//! every event the stream has yet to send sorts at or above. The merger
+//! releases its lowest queued head only while that head sorts strictly
+//! below the frontier of every stream whose queue is empty, so nothing a
+//! late stream sends can ever belong before an event already released.
+//! A stream that has sent nothing yet holds the frontier at `(0, 0)`, and
+//! nothing is released before every stream has declared its size. Serve
+//! feeds the merger while its shards run; campaigns, whose
+//! [`ShardedOutcome`] keeps every shard's full stream, seal each finished
+//! stream whole ([`merge_seq_streams`]).
 //!
 //! ## Crash + resume
 //!
@@ -39,8 +51,7 @@ use crate::monitor::{CampaignSection, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport, ResumeStats};
 use crate::telemetry::{Event, Recorder};
 use bbsim_net::{mix64, IpPool, SimTime, Transport};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
 
 /// Domain separator for derived per-shard seeds.
 const SHARD_SALT: u64 = 0x5_4A2D;
@@ -180,6 +191,19 @@ pub struct SeqEvent {
     pub event: Event,
 }
 
+/// A merge position: `(at_ms, seq)`, the canonical event order.
+pub type MergeKey = (u64, u64);
+
+/// The frontier of a stream that will send nothing more.
+pub const FINISHED: MergeKey = (u64::MAX, u64::MAX);
+
+impl SeqEvent {
+    /// The event's position in the merged stream.
+    pub fn key(&self) -> MergeKey {
+        (self.event.at.as_millis(), self.seq)
+    }
+}
+
 /// A recorder that collects a shard's stream, assigning each event its
 /// namespaced `seq` in emission order.
 pub struct ShardRecorder {
@@ -200,16 +224,37 @@ impl ShardRecorder {
     pub fn into_events(self) -> Vec<SeqEvent> {
         self.events
     }
+
+    /// Stamps and keeps an owned event (what [`Recorder::record`] does
+    /// with a clone).
+    pub fn push(&mut self, event: Event) {
+        let seq = shard_seq(self.shard, self.next);
+        self.next += 1;
+        self.events.push(SeqEvent { seq, event });
+    }
+
+    /// The frontier of a stream whose every later event is stamped at
+    /// or after `at_ms`: the key the next event would get at `at_ms`.
+    pub fn frontier(&self, at_ms: u64) -> MergeKey {
+        (at_ms, shard_seq(self.shard, self.next))
+    }
+
+    /// Seals a chunk for a [`StreamMerger`]: sorts the pending events on
+    /// `(at, seq)` and hands back every one below `frontier`, in a vector
+    /// of exactly their length (the merger may hold it a while), keeping
+    /// the rest pending. With `frontier` from [`frontier`](Self::frontier)
+    /// (or [`FINISHED`] for the last chunk), the chunk and frontier
+    /// keep the merger's contract.
+    pub fn seal(&mut self, frontier: MergeKey) -> Vec<SeqEvent> {
+        self.events.sort_unstable_by_key(SeqEvent::key);
+        let cut = self.events.partition_point(|e| e.key() < frontier);
+        self.events.drain(..cut).collect()
+    }
 }
 
 impl Recorder for ShardRecorder {
     fn record(&mut self, event: &Event) {
-        let seq = shard_seq(self.shard, self.next);
-        self.next += 1;
-        self.events.push(SeqEvent {
-            seq,
-            event: event.clone(),
-        });
+        self.push(event.clone());
     }
 }
 
@@ -291,19 +336,172 @@ pub fn merge_events(shards: &[ShardRun]) -> Vec<Event> {
 /// same events into streams merges identically (the property
 /// `tests/properties.rs` fuzzes).
 ///
-/// The streams are complete, so no watermark is needed: the merge sorts
-/// compact `(at, seq)` keys that borrow the events and clones each event
-/// once, in order. `seq` is unique, so an unstable sort is exact.
+/// The streams are complete, so each is sealed whole — cloned once and
+/// sorted — with the [`FINISHED`] frontier, and the [`StreamMerger`]
+/// releases everything in one k-way pass.
 pub fn merge_seq_streams<'a>(streams: impl IntoIterator<Item = &'a [SeqEvent]>) -> Vec<Event> {
-    let mut keys: Vec<(u64, u64, &Event)> = streams
-        .into_iter()
-        .flatten()
-        .map(|se| (se.event.at.as_millis(), se.seq, &se.event))
-        .collect();
-    keys.sort_unstable_by_key(|&(at_ms, seq, _)| (at_ms, seq));
-    keys.into_iter()
-        .map(|(_, _, event)| event.clone())
-        .collect()
+    let streams: Vec<&[SeqEvent]> = streams.into_iter().collect();
+    let mut merger = StreamMerger::new(streams.len());
+    for (id, stream) in streams.into_iter().enumerate() {
+        let mut chunk = stream.to_vec();
+        chunk.sort_unstable_by_key(SeqEvent::key);
+        merger.declare(id, chunk.len() as u64);
+        merger.push(id, chunk, FINISHED);
+    }
+    let mut merged = Vec::new();
+    merger.release(&mut merged);
+    merged
+}
+
+/// Where a [`StreamMerger`] delivers the merged stream.
+pub trait MergeSink {
+    /// Called once, before the first event, with the sum of every
+    /// stream's declared count.
+    fn begin(&mut self, total: u64);
+    /// The next event in `(at, seq)` order.
+    fn event(&mut self, event: Event);
+}
+
+impl MergeSink for Vec<Event> {
+    fn begin(&mut self, total: u64) {
+        self.reserve(usize::try_from(total).unwrap_or(0));
+    }
+
+    fn event(&mut self, event: Event) {
+        self.push(event);
+    }
+}
+
+/// A k-way merge of sealed chunks that releases events while their
+/// streams are still running.
+///
+/// Each stream first [`declare`](Self::declare)s a count (serve: its
+/// arrival count; [`merge_seq_streams`]: its length), then
+/// [`push`](Self::push)es chunks sorted on `(at, seq)`, each with a
+/// frontier that every event the stream sends later sorts at or above,
+/// and last the [`FINISHED`] frontier. [`release`](Self::release) hands
+/// the sink every queued event that can no longer be preceded:
+///
+/// * nothing before every stream has declared (the sink's `begin` needs
+///   the total);
+/// * then, repeatedly, the lowest queued head — but only while it sorts
+///   strictly below the frontier of every stream whose queue is empty.
+///   A stream that has pushed nothing holds the frontier at `(0, 0)`.
+///
+/// Chunks queue without bound: a stream that has not started holds every
+/// other stream's events, so a bounded queue would deadlock a run with
+/// fewer threads than streams. A stream that never pushes [`FINISHED`]
+/// (its task died) keeps its frontier, so the merger never releases past
+/// it — the stream cannot end early.
+pub struct StreamMerger {
+    /// Per stream, its unreleased chunks; no chunk in a queue is empty.
+    queues: Vec<VecDeque<std::vec::IntoIter<SeqEvent>>>,
+    frontiers: Vec<MergeKey>,
+    declared: Vec<Option<u64>>,
+    /// Whether the sink's `begin` has run.
+    begun: bool,
+    queued: usize,
+    high_water: usize,
+}
+
+impl StreamMerger {
+    /// A merger over `streams` streams, ids `0..streams`.
+    pub fn new(streams: usize) -> Self {
+        Self {
+            queues: (0..streams).map(|_| VecDeque::new()).collect(),
+            frontiers: vec![(0, 0); streams],
+            declared: vec![None; streams],
+            begun: false,
+            queued: 0,
+            high_water: 0,
+        }
+    }
+
+    /// Records stream `id`'s count. Ids outside `0..streams` are ignored.
+    pub fn declare(&mut self, id: usize, count: u64) {
+        if let Some(slot) = self.declared.get_mut(id) {
+            *slot = Some(count);
+        }
+    }
+
+    /// Queues one sealed chunk of stream `id` and moves its frontier.
+    /// `chunk` must be sorted on `(at, seq)` and sort below `frontier`;
+    /// ids outside `0..streams` are ignored.
+    pub fn push(&mut self, id: usize, chunk: Vec<SeqEvent>, frontier: MergeKey) {
+        let (Some(queue), Some(slot)) = (self.queues.get_mut(id), self.frontiers.get_mut(id))
+        else {
+            return;
+        };
+        self.queued += chunk.len();
+        self.high_water = self.high_water.max(self.queued);
+        if !chunk.is_empty() {
+            queue.push_back(chunk.into_iter());
+        }
+        *slot = frontier;
+    }
+
+    /// Releases into `sink` every event the frontiers allow (see the
+    /// type's docs).
+    pub fn release(&mut self, sink: &mut impl MergeSink) {
+        if !self.begun {
+            let Some(total) = self.declared.iter().copied().sum::<Option<u64>>() else {
+                return;
+            };
+            self.begun = true;
+            sink.begin(total);
+        }
+        loop {
+            // The stream with the lowest head, and the limit its events
+            // must sort below: every other head, and the frontier of
+            // every empty queue.
+            let mut best: Option<(MergeKey, usize)> = None;
+            let mut limit = FINISHED;
+            for (id, (queue, &frontier)) in self.queues.iter().zip(&self.frontiers).enumerate() {
+                let Some(head) = queue.front().and_then(|c| c.as_slice().first()) else {
+                    limit = limit.min(frontier);
+                    continue;
+                };
+                let key = head.key();
+                match best {
+                    Some((lowest, _)) if lowest < key => limit = limit.min(key),
+                    _ => {
+                        if let Some((lowest, _)) = best {
+                            limit = limit.min(lowest);
+                        }
+                        best = Some((key, id));
+                    }
+                }
+            }
+            let Some(queue) = best.and_then(|(_, id)| self.queues.get_mut(id)) else {
+                break;
+            };
+            // Drain that stream while it stays below the limit.
+            let mut released = 0;
+            while let Some(chunk) = queue.front_mut() {
+                match chunk.as_slice().first() {
+                    Some(head) if head.key() < limit => {}
+                    Some(_) => break,
+                    None => {
+                        queue.pop_front();
+                        continue;
+                    }
+                }
+                if let Some(next) = chunk.next() {
+                    released += 1;
+                    sink.event(next.event);
+                }
+            }
+            if released == 0 {
+                break;
+            }
+            self.queued -= released;
+        }
+    }
+
+    /// The most events ever queued at once.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
 }
 
 /// The clonable slice of a [`Campaign`](crate::Campaign) a shard runs
@@ -315,58 +513,28 @@ pub(crate) struct ShardTemplate<'t> {
     pub crash_at: Option<SimTime>,
 }
 
-/// Runs every shard of `plan` on up to `threads` OS threads.
+/// Runs every shard of `plan` on up to `threads` OS threads through
+/// [`crate::exec`], largest shard (by job count) first.
 ///
-/// Threads pull whole shards off a deterministic work queue; results land
-/// in per-shard slots, so the returned order (and everything derived from
-/// it) is shard order regardless of scheduling. The first journal error
-/// from any shard surfaces as the run's error.
+/// Results come back in shard order regardless of scheduling. The first
+/// failure in shard order — a journal error, or a shard that panicked
+/// ([`JournalError::ShardFailed`]) — surfaces as the run's error; every
+/// other shard still runs to completion, so its journal segment is whole.
 pub(crate) fn execute(
     template: &ShardTemplate<'_>,
     plan: &ShardPlan,
     threads: usize,
     make_env: &(dyn Fn(&ShardSpec) -> Result<ShardEnv, JournalError> + Sync),
 ) -> Result<Vec<ShardRun>, JournalError> {
-    let threads = threads.clamp(1, plan.shards.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ShardRun, JournalError>>>> =
-        plan.shards.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = plan.shards.get(i) else {
-                    break;
-                };
-                let result = run_one(template, spec, make_env);
-                // A sibling panic can poison the slot; the payload is
-                // still ours to write.
-                let mut slot = match slots[i].lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                *slot = Some(result);
-            });
-        }
-    });
-
-    let mut runs = Vec::with_capacity(plan.shards.len());
-    for slot in slots {
-        let inner = match slot.into_inner() {
-            Ok(inner) => inner,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        // Scoped threads joined above, so every slot is filled; an empty
-        // one means a worker panicked mid-shard, which `scope` re-raises
-        // before we get here.
-        let Some(result) = inner else {
-            // lint:allow(T2): scope() re-raises worker panics before this line can run
-            unreachable!("scoped worker left a shard slot empty without panicking")
-        };
-        runs.push(result?);
-    }
-    Ok(runs)
+    crate::exec::map(
+        &plan.shards,
+        threads,
+        |spec| spec.jobs.len() as u64,
+        |_, spec| run_one(template, spec, make_env),
+    )
+    .into_iter()
+    .map(|slot| slot?)
+    .collect()
 }
 
 /// Runs one shard to completion (or to the simulated crash) inside its

@@ -53,11 +53,15 @@ pub const ORDERED_OUTPUT: &[&str] = &[
 /// recorder fan-out) instead of surfacing a typed error.
 pub const SUPERVISION: &[&str] = &["crates/core/src/", "crates/dataset/src/pipeline.rs"];
 
-/// T3: worker paths that execute shards on OS threads. Cross-shard
-/// state here must flow through per-shard slots indexed by shard id and
-/// be merged on `(at, seq)` — never through un-sharded locks or atomic
-/// synchronization order.
-pub const WORKER_PATHS: &[&str] = &["crates/core/src/shard.rs", "crates/serve/src/engine.rs"];
+/// T3: worker paths that execute shards on OS threads — the executor
+/// and its callers. Cross-shard state here must flow through per-shard
+/// slots indexed by shard id and be merged on `(at, seq)` — never through
+/// un-sharded locks or atomic synchronization order.
+pub const WORKER_PATHS: &[&str] = &[
+    "crates/core/src/exec.rs",
+    "crates/core/src/shard.rs",
+    "crates/serve/src/engine.rs",
+];
 
 /// Driver/harness code: may freely call entry points (and read the wall
 /// clock — it *measures* the system), so it must never receive incoming

@@ -9,11 +9,21 @@
 //! discipline turns arrival times into lookup latencies — an arrival
 //! whose queue wait would exceed `shed_wait_ms` is refused with a
 //! `ServeShed` event, which is what keeps the cache-hostile scan from
-//! growing the backlog without bound. Shard streams are merged on
-//! `(at, seq)` and fed once, in order, through the SLO monitor, the
-//! metrics aggregator and the caller's recorder; nothing in the merged
-//! stream or anything derived from it depends on how shards were
-//! packed onto OS threads.
+//! growing the backlog without bound.
+//!
+//! Shards run on [`bqt::exec`] worker threads while the calling thread
+//! merges. Every `SEAL_EVERY` arrivals a shard seals its pending
+//! events — sorted on `(at, seq)` in the worker — and sends them with its
+//! frontier: the next arrival's time and the next `seq`. Every later
+//! event of the shard is stamped at or after that arrival, so the
+//! frontier cannot come from the events themselves: a `ServeShed` is
+//! stamped at its arrival, before earlier lookups' completions. The
+//! calling thread's [`StreamMerger`] releases each event once no shard
+//! can still send one below it and feeds it, in `(at, seq)` order,
+//! through the SLO monitor, the metrics aggregator and the caller's
+//! recorder. Nothing in the merged stream or anything derived from it
+//! depends on how shards were packed onto OS threads, and only what sits
+//! between the slowest shard's frontier and the others' is buffered.
 
 use crate::api::{ServeAnswer, ServeRequest, ServeResponse};
 use crate::load::{Arrival, LoadPhase};
@@ -23,11 +33,16 @@ use bbsim_net::{Endpoint, LatencyModel, SimDuration, SimIp, SimTime, Transport};
 use bqt::monitor::{CampaignMonitor, MonitorPolicy};
 use bqt::telemetry::OutcomeCode;
 use bqt::{
-    merge_seq_streams, Event, EventKind, HealthReport, MetricsAggregator, Recorder, SeqEvent,
-    ShardRecorder, SloRule, TelemetrySummary,
+    Event, EventKind, HealthReport, MergeKey, MergeSink, MetricsAggregator, Recorder, SeqEvent,
+    ShardRecorder, SloRule, StreamMerger, TelemetrySummary, FINISHED,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+/// Arrivals between two seals of a shard's pending events: small enough
+/// that the merge trails a running shard by a few hundred arrivals,
+/// large enough that waking the consumer per chunk stays off the
+/// profile.
+const SEAL_EVERY: usize = 512;
 
 /// Configuration of one serve campaign.
 #[derive(Debug, Clone)]
@@ -128,6 +143,9 @@ pub struct ServeOutcome {
     pub makespan_ms: u64,
     /// Arrivals scheduled across all shards (served + shed).
     pub arrivals: u64,
+    /// The most shard events the merge held at once: what the consumer
+    /// buffered waiting for the slowest shard's frontier.
+    pub merge_high_water: usize,
 }
 
 impl ServeOutcome {
@@ -149,16 +167,24 @@ fn answer_outcome(answer: &ServeAnswer) -> OutcomeCode {
     }
 }
 
-/// Runs one shard's full schedule; returns its namespaced event stream
-/// and the number of scheduled arrivals.
-fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec<SeqEvent>, u64) {
+/// What a serve shard tells the merging consumer.
+enum ShardNote {
+    /// The shard's scheduled arrival count, sent before any chunk.
+    Arrivals(u64),
+    /// A sealed chunk and the shard's frontier after it.
+    Chunk(Vec<SeqEvent>, MergeKey),
+}
+
+/// Runs one shard's full schedule, sending its arrival count, then its
+/// namespaced event stream as sealed chunks ending with [`FINISHED`].
+fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &dyn Fn(ShardNote)) {
     let shard = store.shard(shard_id).expect("shard id from store range");
     let endpoint = shard.endpoint();
     let schedule = crate::load::generate_schedule(shard_id, shard, &opts.phases, opts.seed);
-    let arrivals = schedule.len() as u64;
+    emit(ShardNote::Arrivals(schedule.len() as u64));
 
     let mut rec = ShardRecorder::new(shard_id);
-    rec.record(&Event {
+    rec.push(Event {
         at: SimTime::ZERO,
         kind: EventKind::WorkerBegin { worker: shard_id },
     });
@@ -180,10 +206,18 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
     let src = SimIp(0x0a00_0001 + shard_id);
 
     let mut prev_done = 0u64;
-    for Arrival { at_ms, request } in schedule {
+    for (i, Arrival { at_ms, request }) in schedule.into_iter().enumerate() {
+        if i % SEAL_EVERY == 0 {
+            // Arrivals are in time order, and every event from here on
+            // is stamped at or after this one's `at_ms`: a shed at it,
+            // a lookup or eviction at its completion, `WorkerEnd` at the
+            // last completion.
+            let frontier = rec.frontier(at_ms);
+            emit(ShardNote::Chunk(rec.seal(frontier), frontier));
+        }
         let wait = prev_done.saturating_sub(at_ms);
         if wait > opts.shed_wait_ms {
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(at_ms),
                 kind: EventKind::ServeShed {
                     shard: shard_id,
@@ -210,7 +244,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
                 .get(i)
                 .map(answer_outcome)
                 .unwrap_or(OutcomeCode::Failed);
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(done),
                 kind: EventKind::ServeLookupEnd {
                     tag: q.telemetry_tag(),
@@ -223,7 +257,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
             });
         }
         for key in evicted_key_iter(&resp) {
-            rec.record(&Event {
+            rec.push(Event {
                 at: SimTime::from_millis(done),
                 kind: EventKind::CacheEvicted {
                     shard: shard_id,
@@ -233,11 +267,57 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32) -> (Vec
         }
         prev_done = done;
     }
-    rec.record(&Event {
+    rec.push(Event {
         at: SimTime::from_millis(prev_done),
         kind: EventKind::WorkerEnd { worker: shard_id },
     });
-    (rec.into_events(), arrivals)
+    emit(ShardNote::Chunk(rec.seal(FINISHED), FINISHED));
+}
+
+/// The serial consumers of the merged stream, fed once, in order: SLO
+/// monitor, metrics aggregator, then the caller's recorder — each
+/// followed by the alerts the monitor synthesized at that position.
+struct Feed<'r> {
+    monitor: CampaignMonitor,
+    agg: MetricsAggregator,
+    recorder: &'r mut dyn Recorder,
+    seed: u64,
+    n_shards: u32,
+    /// Arrivals across all shards, once every shard has declared.
+    arrivals: u64,
+    /// Virtual time of the last merged event.
+    last_ms: u64,
+}
+
+impl Feed<'_> {
+    fn feed(&mut self, event: &Event) {
+        self.monitor.observe(event);
+        self.agg.observe(event);
+        self.recorder.record(event);
+        for alert in self.monitor.take_events() {
+            self.agg.observe(&alert);
+            self.recorder.record(&alert);
+        }
+    }
+}
+
+impl MergeSink for Feed<'_> {
+    fn begin(&mut self, total: u64) {
+        self.arrivals = total;
+        self.feed(&Event {
+            at: SimTime::ZERO,
+            kind: EventKind::CampaignBegin {
+                seed: self.seed,
+                n_jobs: total.min(u64::from(u32::MAX)) as u32,
+                n_workers: self.n_shards,
+            },
+        });
+    }
+
+    fn event(&mut self, event: Event) {
+        self.last_ms = event.at.as_millis();
+        self.feed(&event);
+    }
 }
 
 /// A recorder that drops everything (for callers that only want the
@@ -257,96 +337,178 @@ pub fn run(store: &Arc<PlanStore>, opts: &ServeOptions) -> ServeOutcome {
 /// plus the monitor's synthesized alert events at their stream
 /// positions — through `recorder`.
 ///
-/// Shards are pulled off a shared work queue by `opts.threads` OS
-/// threads; the merged stream, the health report, the telemetry
-/// summary and everything the recorder sees are byte-identical for any
-/// thread count.
+/// Shards run on `opts.threads` [`bqt::exec`] worker threads while the
+/// calling thread merges their sealed chunks and feeds the monitor,
+/// aggregator and `recorder`; the merged stream, the health report, the
+/// telemetry summary and everything the recorder sees are
+/// byte-identical for any thread count.
+///
+/// # Panics
+/// If a shard panics, after every other shard has finished: the message
+/// names the shard (`serve shard N panicked: ...`). The merge never
+/// releases past the failed shard's last frontier, so the recorder never
+/// sees a stream that silently ends early, and no thread waits on the
+/// dead shard.
 pub fn run_recorded(
     store: &Arc<PlanStore>,
     opts: &ServeOptions,
     recorder: &mut dyn Recorder,
 ) -> ServeOutcome {
-    /// One shard's finished work: its event stream and arrival count.
-    type ShardSlot = Mutex<Option<(Vec<SeqEvent>, u64)>>;
-    let n_shards = store.shards().len();
-    let slots: Vec<ShardSlot> = (0..n_shards).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let threads = opts.threads.clamp(1, n_shards.max(1));
+    run_streamed(store.shards().len(), opts, recorder, |id, emit| {
+        run_shard(store, opts, id, emit)
+    })
+}
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let id = next.fetch_add(1, Ordering::Relaxed);
-                if id >= n_shards {
-                    break;
-                }
-                let result = run_shard(store, opts, id as u32);
-                *slots[id].lock().expect("result slot poisoned") = Some(result);
-            });
+/// [`run_recorded`] over `n_shards` shards, each run by `shard(id, emit)`.
+fn run_streamed(
+    n_shards: usize,
+    opts: &ServeOptions,
+    recorder: &mut dyn Recorder,
+    shard: impl Fn(u32, &dyn Fn(ShardNote)) + Sync,
+) -> ServeOutcome {
+    let ids: Vec<u32> = (0..n_shards as u32).collect();
+    let mut merger = StreamMerger::new(n_shards);
+    let mut feed = Feed {
+        monitor: CampaignMonitor::new(opts.policy.clone()),
+        agg: MetricsAggregator::new(),
+        recorder,
+        seed: opts.seed,
+        n_shards: n_shards as u32,
+        arrivals: 0,
+        last_ms: 0,
+    };
+    let results = bqt::exec::run(
+        &ids,
+        opts.threads,
+        // Every shard replays the same phases, so arrival counts match
+        // in expectation; equal costs dispatch in shard order.
+        |_| 1,
+        |_, &id, emit| shard(id, emit),
+        |id, note| {
+            match note {
+                ShardNote::Arrivals(n) => merger.declare(id, n),
+                ShardNote::Chunk(chunk, frontier) => merger.push(id, chunk, frontier),
+            }
+            merger.release(&mut feed);
+        },
+    );
+    for result in results {
+        if let Err(failed) = result {
+            panic!("serve {failed}");
         }
+    }
+    // Every shard finished, so this only matters for a store with no
+    // shards, where `begin` has not run yet.
+    merger.release(&mut feed);
+    let makespan_ms = feed.last_ms;
+    feed.feed(&Event {
+        at: SimTime::from_millis(makespan_ms),
+        kind: EventKind::CampaignEnd { makespan_ms },
     });
 
-    let mut streams = Vec::with_capacity(n_shards);
-    let mut arrivals = 0u64;
-    for slot in &slots {
-        let (events, n) = slot
-            .lock()
-            .expect("result slot poisoned")
-            .take()
-            .expect("every shard ran to completion");
-        arrivals += n;
-        streams.push(events);
-    }
-    let merged = merge_seq_streams(streams.iter().map(Vec::as_slice));
-    drop(streams);
-    let makespan_ms = merged.last().map(|e| e.at.as_millis()).unwrap_or(0);
-
-    let mut monitor = CampaignMonitor::new(opts.policy.clone());
-    let mut agg = MetricsAggregator::new();
-    let feed = |event: &Event,
-                monitor: &mut CampaignMonitor,
-                agg: &mut MetricsAggregator,
-                recorder: &mut dyn Recorder| {
-        monitor.observe(event);
-        agg.observe(event);
-        recorder.record(event);
-        for alert in monitor.take_events() {
-            agg.observe(&alert);
-            recorder.record(&alert);
-        }
-    };
-
-    feed(
-        &Event {
-            at: SimTime::ZERO,
-            kind: EventKind::CampaignBegin {
-                seed: opts.seed,
-                n_jobs: arrivals.min(u64::from(u32::MAX)) as u32,
-                n_workers: n_shards as u32,
-            },
-        },
-        &mut monitor,
-        &mut agg,
-        recorder,
-    );
-    for event in &merged {
-        feed(event, &mut monitor, &mut agg, recorder);
-    }
-    feed(
-        &Event {
-            at: SimTime::from_millis(makespan_ms),
-            kind: EventKind::CampaignEnd { makespan_ms },
-        },
-        &mut monitor,
-        &mut agg,
-        recorder,
-    );
-
-    let health = monitor.finish();
+    let Feed {
+        monitor,
+        agg,
+        arrivals,
+        ..
+    } = feed;
     ServeOutcome {
         summary: agg.into_summary(),
-        health,
+        health: monitor.finish(),
         makespan_ms,
         arrivals,
+        merge_high_water: merger.high_water(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keeps what the merged stream delivered.
+    #[derive(Default)]
+    struct Kept(Vec<Event>);
+
+    impl Recorder for Kept {
+        fn record(&mut self, event: &Event) {
+            self.0.push(event.clone());
+        }
+    }
+
+    fn worker(at_ms: u64, worker: u32) -> Event {
+        Event {
+            at: SimTime::from_millis(at_ms),
+            kind: EventKind::WorkerBegin { worker },
+        }
+    }
+
+    /// A fake shard: events at 0 and 10, sealed at 5, then — unless it is
+    /// `failing` — events at 20 and 30 and its last chunk.
+    fn fake_shard(failing: u32) -> impl Fn(u32, &dyn Fn(ShardNote)) + Sync {
+        move |id, emit| {
+            emit(ShardNote::Arrivals(4));
+            let mut rec = ShardRecorder::new(id);
+            rec.push(worker(0, id));
+            rec.push(worker(10, id));
+            let frontier = rec.frontier(5);
+            emit(ShardNote::Chunk(rec.seal(frontier), frontier));
+            if id == failing {
+                panic!("the store went away");
+            }
+            rec.push(worker(20, id));
+            rec.push(worker(30, id));
+            emit(ShardNote::Chunk(rec.seal(FINISHED), FINISHED));
+        }
+    }
+
+    #[test]
+    fn fake_shards_merge_in_at_seq_order_at_any_thread_count() {
+        for threads in [1, 2, 3, 8] {
+            let mut kept = Kept::default();
+            let opts = ServeOptions::quick(1).threads(threads);
+            let outcome = run_streamed(3, &opts, &mut kept, fake_shard(u32::MAX));
+            let workers: Vec<(u64, u32)> = kept
+                .0
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::WorkerBegin { worker } => Some((e.at.as_millis(), worker)),
+                    _ => None,
+                })
+                .collect();
+            let want: Vec<(u64, u32)> = [0, 10, 20, 30]
+                .iter()
+                .flat_map(|&at| (0..3).map(move |w| (at, w)))
+                .collect();
+            assert_eq!(workers, want, "threads {threads}");
+            assert_eq!(outcome.arrivals, 12);
+            assert_eq!(outcome.makespan_ms, 30);
+            assert!(matches!(
+                kept.0.first().map(|e| &e.kind),
+                Some(EventKind::CampaignBegin { n_jobs: 12, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_panics_the_run_naming_it_and_never_blocks() {
+        for threads in [1, 2, 4] {
+            let mut kept = Kept::default();
+            let opts = ServeOptions::quick(1).threads(threads);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_streamed(3, &opts, &mut kept, fake_shard(1))
+            }))
+            .expect_err("a failed shard fails the run");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(message, "serve shard 1 panicked: the store went away");
+            // Nothing past the dead shard's last frontier was fed, and
+            // the stream was not closed as if complete.
+            assert!(kept.0.iter().all(|e| e.at.as_millis() < 5), "{:?}", kept.0);
+            assert!(!kept
+                .0
+                .iter()
+                .any(|e| matches!(e.kind, EventKind::CampaignEnd { .. })));
+        }
     }
 }

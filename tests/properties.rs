@@ -556,8 +556,95 @@ proptest! {
 mod shard_merge {
     use super::*;
     use decoding_divide::bqt::monitor::WatermarkHeap;
-    use decoding_divide::bqt::{merge_seq_streams, shard_seq, Event, EventKind, SeqEvent};
+    use decoding_divide::bqt::{
+        merge_seq_streams, shard_seq, Event, EventKind, MergeKey, MergeSink, SeqEvent,
+        ShardRecorder, StreamMerger, FINISHED,
+    };
     use decoding_divide::net::SimTime;
+
+    /// One message a running shard sends the streaming merge.
+    enum Msg {
+        Declare(u64),
+        Chunk(Vec<SeqEvent>, MergeKey),
+    }
+
+    /// Per-shard streams in emission order that keep the serve
+    /// watermark contract, and the messages a shard would send for them.
+    ///
+    /// Each shard emits a start event at 0, then walks its arrivals in
+    /// time order; an arrival emits up to three events stamped at or
+    /// after it, by a per-arrival delay, so a later arrival's events can
+    /// sort before an earlier one's (a shed before an earlier lookup's
+    /// completion). Before any flagged arrival the shard seals at its
+    /// time (about 3 arrivals in 10). The first message declares the
+    /// arrival count; the last seals with `FINISHED`.
+    #[allow(clippy::type_complexity)]
+    fn sealed_streams(
+        arrivals: &[(u8, u64, u8, u64, u8)],
+        n_shards: u8,
+    ) -> (Vec<Vec<SeqEvent>>, Vec<Vec<Msg>>, u64) {
+        let n = n_shards as usize;
+        let mut recorders: Vec<ShardRecorder> =
+            (0..n_shards as u32).map(ShardRecorder::new).collect();
+        let mut complete: Vec<Vec<SeqEvent>> = vec![Vec::new(); n];
+        let mut chunks: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
+        let mut now = vec![0u64; n];
+        let mut count = vec![0u64; n];
+        let mut worker = 0u32;
+        let mut emit = |rec: &mut ShardRecorder, stream: &mut Vec<SeqEvent>, at: u64| {
+            let event = Event {
+                at: SimTime::from_millis(at),
+                kind: EventKind::WorkerBegin { worker },
+            };
+            worker += 1;
+            stream.push(SeqEvent {
+                seq: rec.frontier(at).1,
+                event: event.clone(),
+            });
+            rec.push(event);
+        };
+        for s in 0..n {
+            emit(&mut recorders[s], &mut complete[s], 0);
+        }
+        for &(shard, gap, events, delay, seal) in arrivals {
+            let s = (shard % n_shards) as usize;
+            now[s] += gap;
+            count[s] += 1;
+            if seal < 77 {
+                let frontier = recorders[s].frontier(now[s]);
+                chunks[s].push(Msg::Chunk(recorders[s].seal(frontier), frontier));
+            }
+            for k in 0..u64::from(events % 4) {
+                emit(&mut recorders[s], &mut complete[s], now[s] + delay * k);
+            }
+        }
+        let mut messages = Vec::with_capacity(n);
+        for (s, (rec, later)) in recorders.iter_mut().zip(chunks).enumerate() {
+            let mut msgs = vec![Msg::Declare(count[s])];
+            msgs.extend(later);
+            msgs.push(Msg::Chunk(rec.seal(FINISHED), FINISHED));
+            messages.push(msgs);
+        }
+        (complete, messages, count.iter().sum())
+    }
+
+    /// Records what a merger released: `(events before it, total)` per
+    /// `begin`, and the events.
+    #[derive(Default)]
+    struct Seen {
+        begins: Vec<(usize, u64)>,
+        events: Vec<Event>,
+    }
+
+    impl MergeSink for Seen {
+        fn begin(&mut self, total: u64) {
+            self.begins.push((self.events.len(), total));
+        }
+
+        fn event(&mut self, event: Event) {
+            self.events.push(event);
+        }
+    }
 
     /// A synthetic recorded stream: `n` events with bounded timestamps
     /// (dense ties), assigned to shards by `assign`, with per-shard
@@ -648,6 +735,46 @@ mod shard_merge {
             let merged_a = merge_seq_streams(a.iter().map(|s| s.as_slice()));
             let merged_b = merge_seq_streams(b.iter().rev().map(|s| s.as_slice()));
             prop_assert_eq!(workers(&merged_a), workers(&merged_b));
+        }
+
+        /// The streaming merge, fed sealed chunks in any cross-shard
+        /// interleaving, releases exactly what `merge_seq_streams` makes
+        /// of the complete streams, and begins once, first, with the
+        /// total of every shard's declared count.
+        #[test]
+        fn streaming_merge_matches_the_complete_merge_in_any_interleaving(
+            arrivals in proptest::collection::vec(
+                (any::<u8>(), 0u64..6, any::<u8>(), 0u64..9, any::<u8>()),
+                0..160,
+            ),
+            picks in proptest::collection::vec(any::<u8>(), 0..400),
+            n_shards in 1u8..5,
+        ) {
+            let (complete, messages, total) = sealed_streams(&arrivals, n_shards);
+            let expected = merge_seq_streams(complete.iter().map(Vec::as_slice));
+
+            let mut merger = StreamMerger::new(messages.len());
+            let mut pending: Vec<std::vec::IntoIter<Msg>> =
+                messages.into_iter().map(Vec::into_iter).collect();
+            let mut live: Vec<usize> = (0..pending.len()).collect();
+            let mut seen = Seen::default();
+            let mut picks = picks.into_iter();
+            while !live.is_empty() {
+                let at = picks.next().map_or(0, |p| p as usize % live.len());
+                let s = live[at];
+                match pending[s].next() {
+                    Some(Msg::Declare(n)) => merger.declare(s, n),
+                    Some(Msg::Chunk(chunk, frontier)) => merger.push(s, chunk, frontier),
+                    None => {
+                        live.remove(at);
+                        continue;
+                    }
+                }
+                merger.release(&mut seen);
+            }
+            merger.release(&mut seen);
+            prop_assert_eq!(seen.begins, vec![(0, total)]);
+            prop_assert_eq!(workers(&seen.events), workers(&expected));
         }
 
         /// The watermark gate never releases an entry stamped beyond the

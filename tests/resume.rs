@@ -15,8 +15,10 @@ use decoding_divide::bqt::{
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
 use decoding_divide::net::{
-    Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
+    Endpoint, Exchange, FaultPlan, IpPool, Request, RotationPolicy, Service, SimDuration, SimIp,
+    SimTime, Transport,
 };
+use rand::rngs::StdRng;
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -579,4 +581,151 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
         full, replayed,
         "the stable event stream retraces byte-for-byte across a crash"
     );
+}
+
+/// A BAT whose handler panics on its `k`-th request — a service bug
+/// inside one shard, not a simulated network fault.
+struct PanicsOnRequest {
+    inner: BatServer,
+    remaining: u32,
+}
+
+impl Service for PanicsOnRequest {
+    fn handle(&mut self, peer: SimIp, req: &Request, now: SimTime, rng: &mut StdRng) -> Exchange {
+        if self.remaining == 0 {
+            panic!("BAT handler crashed");
+        }
+        self.remaining -= 1;
+        self.inner.handle(peer, req, now, rng)
+    }
+}
+
+/// A shard whose service panics fails the sharded run with a typed
+/// `ShardFailed` error — at one thread and at four, without hanging —
+/// while its siblings finish and leave whole journal segments. Re-running
+/// over the same segments with a healthy service resumes the failed
+/// shard like a crashed one and reproduces the clean run byte-for-byte.
+#[test]
+fn a_panicking_shard_is_a_typed_error_and_resumes_byte_identically() {
+    const FAILING: u32 = 2;
+    let seed = 53 ^ chaos_seed().rotate_left(24);
+    let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
+    let jobs: Vec<QueryJob> = world
+        .addresses()
+        .records()
+        .iter()
+        .take(N_JOBS)
+        .map(|r| QueryJob {
+            endpoint: ENDPOINT.to_string(),
+            dialect: templates::dialect_of(Isp::CenturyLink),
+            input_line: r.listing_line.clone(),
+            tag: r.id as u64,
+        })
+        .collect();
+    let shard_plan = ShardPlan::round_robin(seed, &jobs, 4);
+
+    let base = std::env::temp_dir().join(format!("bqt-shard-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let segment = |dir: &std::path::Path, label: &str| dir.join(format!("{label}.journal"));
+
+    // `panic_after`: requests shard `FAILING`'s service answers before
+    // its handler panics; `None` is a healthy service.
+    let make_env = |dir: std::path::PathBuf, panic_after: Option<u32>| {
+        let world = world.clone();
+        move |spec: &ShardSpec| -> Result<ShardEnv, JournalError> {
+            let mut t = Transport::hermetic(seed);
+            t.set_fault_plan(plan(seed));
+            let server = BatServer::new(Isp::CenturyLink, world.clone());
+            let net = server.profile().network_latency;
+            let service: Box<dyn Service + Send> = match panic_after {
+                Some(k) if spec.id == FAILING => Box::new(PanicsOnRequest {
+                    inner: server,
+                    remaining: k,
+                }),
+                _ => Box::new(server),
+            };
+            t.register(ENDPOINT, Endpoint::new(service, net));
+            std::fs::create_dir_all(&dir).map_err(|e| JournalError::Io(e.to_string()))?;
+            Ok(ShardEnv {
+                transport: t,
+                pool: pool(seed),
+                journal: Some(Journal::open(&segment(&dir, &spec.label))?),
+            })
+        }
+    };
+
+    let truth_dir = base.join("truth");
+    let mut truth_log = JsonlRecorder::stable(Vec::new());
+    let truth = Campaign::from_orchestrator(orch(seed))
+        .config(config())
+        .threads(1)
+        .recorder(&mut truth_log)
+        .run_sharded(&shard_plan, &make_env(truth_dir.clone(), None))
+        .unwrap();
+    let truth_jsonl = truth_log.into_inner();
+
+    for threads in [1usize, 4] {
+        let dir = base.join(format!("failed-t{threads}"));
+        let err = match Campaign::from_orchestrator(orch(seed))
+            .config(config())
+            .threads(threads)
+            .run_sharded(&shard_plan, &make_env(dir.clone(), Some(40)))
+        {
+            Ok(_) => panic!("a panicking shard must fail the run (threads {threads})"),
+            Err(err) => err,
+        };
+        let JournalError::ShardFailed(failed) = &err else {
+            panic!("expected ShardFailed, got {err:?}");
+        };
+        assert_eq!(failed.id, FAILING as usize);
+        assert_eq!(failed.message, "BAT handler crashed");
+        assert_eq!(
+            err.to_string(),
+            format!("shard {FAILING} panicked: BAT handler crashed")
+        );
+
+        // Siblings ran to completion: their segments are the clean run's.
+        for spec in &shard_plan.shards {
+            if spec.id != FAILING {
+                assert_eq!(
+                    std::fs::read(segment(&dir, &spec.label)).unwrap(),
+                    std::fs::read(segment(&truth_dir, &spec.label)).unwrap(),
+                    "sibling segment {} is whole (threads {threads})",
+                    spec.label
+                );
+            }
+        }
+
+        let mut resumed_log = JsonlRecorder::stable(Vec::new());
+        let resumed = Campaign::from_orchestrator(orch(seed))
+            .config(config())
+            .threads(2)
+            .recorder(&mut resumed_log)
+            .run_sharded(&shard_plan, &make_env(dir, None))
+            .unwrap();
+        for (t_run, r_run) in truth.shards.iter().zip(&resumed.shards) {
+            let (a, b) = (
+                t_run.report.as_ref().unwrap(),
+                r_run.report.as_ref().unwrap(),
+            );
+            assert_reports_identical(a, b);
+            let replayed = b.resume();
+            if r_run.id == FAILING {
+                assert!(replayed.replayed_attempts > 0 && replayed.live_attempts > 0);
+            } else {
+                assert_eq!(
+                    replayed.live_attempts, 0,
+                    "sibling {} re-scraped",
+                    r_run.label
+                );
+            }
+        }
+        assert_eq!(
+            truth_jsonl,
+            resumed_log.into_inner(),
+            "the resumed stable event log is the clean run's (threads {threads})"
+        );
+    }
+
+    std::fs::remove_dir_all(&base).unwrap();
 }
