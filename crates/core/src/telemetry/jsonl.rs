@@ -2,11 +2,18 @@
 //!
 //! One event per line, one flat JSON object per event, keys in a fixed
 //! order (`t`, `ev`, then the kind's fields in declaration order), `u64`
-//! numbers and string enums. The format is canonical on purpose:
-//! [`parse_line`] followed by [`to_line`] reproduces the input byte for
-//! byte, which is what the resume byte-identity test and the `repro trace`
-//! schema-drift guard both lean on. Unknown event names, missing fields,
-//! extra fields or non-canonical values are all hard errors — schema drift
+//! numbers and string enums. The per-kind field lists are not written
+//! here: `event_schema!` in the parent module declares each kind once and
+//! generates the writer and reader these functions call, through the
+//! `Wire` encoding of each field type.
+//!
+//! The format is canonical on purpose: [`parse_line`] followed by
+//! [`to_line`] reproduces the input byte for byte, which is what the
+//! resume byte-identity test and the `repro trace` schema-drift guard both
+//! lean on. Strings escape quotes, backslashes and control characters
+//! (see `escape_into`), so every event stays on one line. Unknown event
+//! names, missing fields, extra or reordered fields, non-canonical values
+//! and escapes the writer never emits are all hard errors — schema drift
 //! fails loudly instead of rotting logs.
 
 use super::{Event, EventKind, FaultClass, OutcomeCode, Recorder};
@@ -17,167 +24,59 @@ use std::io::Write;
 /// Serializes one event to its canonical JSONL line (no trailing newline).
 pub fn to_line(event: &Event) -> String {
     let mut w = LineWriter::new(event.at.as_millis(), event.kind.name());
-    match &event.kind {
-        EventKind::CampaignBegin {
-            seed,
-            n_jobs,
-            n_workers,
-        } => {
-            w.num("seed", *seed);
-            w.num("n_jobs", *n_jobs as u64);
-            w.num("n_workers", *n_workers as u64);
-        }
-        EventKind::CampaignEnd { makespan_ms } => w.num("makespan_ms", *makespan_ms),
-        EventKind::WorkerBegin { worker } => w.num("worker", *worker as u64),
-        EventKind::WorkerEnd { worker } => w.num("worker", *worker as u64),
-        EventKind::JobBegin { tag, endpoint } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::JobEnd {
-            tag,
-            outcome,
-            attempts,
-            dead_lettered,
-        } => {
-            w.num("tag", *tag);
-            w.str("outcome", outcome.as_str());
-            w.num("attempts", *attempts as u64);
-            w.boolean("dead_lettered", *dead_lettered);
-        }
-        EventKind::AttemptBegin {
-            tag,
-            attempt,
-            worker,
-            endpoint,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("worker", *worker as u64);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::AttemptEnd {
-            tag,
-            attempt,
-            worker,
-            endpoint,
-            outcome,
-            duration_ms,
-            steps,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("worker", *worker as u64);
-            w.str("endpoint", endpoint);
-            w.str("outcome", outcome.as_str());
-            w.num("duration_ms", *duration_ms);
-            w.num("steps", *steps as u64);
-        }
-        EventKind::Retry {
-            tag,
-            next_attempt,
-            delay_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("next_attempt", *next_attempt as u64);
-            w.num("delay_ms", *delay_ms);
-        }
-        EventKind::BreakerTrip { endpoint } => w.str("endpoint", endpoint),
-        EventKind::BreakerDefer {
-            tag,
-            endpoint,
-            until_ms,
-        } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-            w.num("until_ms", *until_ms);
-        }
-        EventKind::ShedCut { limit } => w.num("limit", *limit as u64),
-        EventKind::ShedRaise { limit } => w.num("limit", *limit as u64),
-        EventKind::StallReclaimed { tag, worker } => {
-            w.num("tag", *tag);
-            w.num("worker", *worker as u64);
-        }
-        EventKind::DriftSuspected { tag, endpoint } => {
-            w.num("tag", *tag);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::RebootstrapStarted { endpoint } => w.str("endpoint", endpoint),
-        EventKind::TemplateSwapped {
-            endpoint,
-            generation,
-        } => {
-            w.str("endpoint", endpoint);
-            w.num("generation", *generation as u64);
-        }
-        EventKind::RebootstrapCompleted {
-            endpoint,
-            confidence_pct,
-        } => {
-            w.str("endpoint", endpoint);
-            w.num("confidence_pct", *confidence_pct as u64);
-        }
-        EventKind::ServeLookupEnd {
-            tag,
-            shard,
-            endpoint,
-            outcome,
-            cache_hit,
-            duration_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("shard", *shard as u64);
-            w.str("endpoint", endpoint);
-            w.str("outcome", outcome.as_str());
-            w.boolean("cache_hit", *cache_hit);
-            w.num("duration_ms", *duration_ms);
-        }
-        EventKind::CacheEvicted { shard, key } => {
-            w.num("shard", *shard as u64);
-            w.str("key", key);
-        }
-        EventKind::ServeShed { shard, endpoint } => {
-            w.num("shard", *shard as u64);
-            w.str("endpoint", endpoint);
-        }
-        EventKind::JournalReplay { tag, attempt } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-        }
-        EventKind::FaultInjected { endpoint, fault } => {
-            w.str("endpoint", endpoint);
-            w.str("fault", fault.as_str());
-        }
-        EventKind::AlertFired { rule, exemplars } => {
-            w.str("rule", rule);
-            w.str("exemplars", exemplars);
-        }
-        EventKind::AlertResolved { rule } => w.str("rule", rule),
-        EventKind::PageFetchBegin {
-            tag,
-            attempt,
-            fetch,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("fetch", *fetch as u64);
-        }
-        EventKind::PageFetchEnd {
-            tag,
-            attempt,
-            fetch,
-            duration_ms,
-        } => {
-            w.num("tag", *tag);
-            w.num("attempt", *attempt as u64);
-            w.num("fetch", *fetch as u64);
-            w.num("duration_ms", *duration_ms);
-        }
-    }
+    event.kind.write_fields(&mut w);
     w.finish()
 }
 
-struct LineWriter {
+/// Parses one canonical JSONL line back into an [`Event`].
+pub fn parse_line(line: &str) -> Result<Event, ParseError> {
+    let fields = tokenize(line)?;
+    let mut f = Fields {
+        fields: &fields,
+        i: 0,
+    };
+    let t = u64::read(&mut f, "t")?;
+    let ev = String::read(&mut f, "ev")?;
+    let kind = EventKind::read_fields(&ev, &mut f)?;
+    f.done()?;
+    Ok(Event {
+        at: SimTime::from_millis(t),
+        kind,
+    })
+}
+
+/// Escapes `s` into the body of a JSON string literal: quotes,
+/// backslashes, `\n`, `\t` and `\u00xx` for the other control
+/// characters. Shared by the JSONL and trace-event exporters.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let b = c as usize;
+                out.push_str("\\u00");
+                out.push(char::from(HEX[b >> 4]));
+                out.push(char::from(HEX[b & 0xf]));
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Appends `"key":value` pairs to one line.
+///
+/// Its methods and the [`Wire`] writers are `#[inline]` because their
+/// callers, the per-kind field writers, are generated in the parent
+/// module and may land in another codegen unit.
+pub(super) struct LineWriter {
     buf: String,
 }
 
@@ -192,6 +91,7 @@ impl LineWriter {
         w
     }
 
+    #[inline]
     fn key(&mut self, key: &str) {
         if self.buf.len() > 1 {
             self.buf.push(',');
@@ -201,6 +101,7 @@ impl LineWriter {
         self.buf.push_str("\":");
     }
 
+    #[inline]
     fn num(&mut self, key: &str, v: u64) {
         self.key(key);
         // Decimal digits, least significant first, written straight into
@@ -221,23 +122,15 @@ impl LineWriter {
         }
     }
 
+    #[inline]
     fn str(&mut self, key: &str, v: &str) {
         self.key(key);
         self.buf.push('"');
-        if v.bytes().any(|b| b == b'"' || b == b'\\') {
-            for c in v.chars() {
-                match c {
-                    '"' => self.buf.push_str("\\\""),
-                    '\\' => self.buf.push_str("\\\\"),
-                    c => self.buf.push(c),
-                }
-            }
-        } else {
-            self.buf.push_str(v);
-        }
+        escape_into(v, &mut self.buf);
         self.buf.push('"');
     }
 
+    #[inline]
     fn boolean(&mut self, key: &str, v: bool) {
         self.key(key);
         self.buf.push_str(if v { "true" } else { "false" });
@@ -256,7 +149,7 @@ pub struct ParseError {
 }
 
 impl ParseError {
-    fn new(message: impl Into<String>) -> Self {
+    pub(super) fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
         }
@@ -278,153 +171,14 @@ enum Val {
     Bool(bool),
 }
 
-/// Parses one canonical JSONL line back into an [`Event`].
-pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let fields = tokenize(line)?;
-    let mut f = Fields::new(&fields);
-    let t = f.num("t")?;
-    let ev = f.str("ev")?;
-    let kind = match ev.as_str() {
-        "campaign_begin" => EventKind::CampaignBegin {
-            seed: f.num("seed")?,
-            n_jobs: f.num_u32("n_jobs")?,
-            n_workers: f.num_u32("n_workers")?,
-        },
-        "campaign_end" => EventKind::CampaignEnd {
-            makespan_ms: f.num("makespan_ms")?,
-        },
-        "worker_begin" => EventKind::WorkerBegin {
-            worker: f.num_u32("worker")?,
-        },
-        "worker_end" => EventKind::WorkerEnd {
-            worker: f.num_u32("worker")?,
-        },
-        "job_begin" => EventKind::JobBegin {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "job_end" => EventKind::JobEnd {
-            tag: f.num("tag")?,
-            outcome: f.outcome("outcome")?,
-            attempts: f.num_u32("attempts")?,
-            dead_lettered: f.boolean("dead_lettered")?,
-        },
-        "attempt_begin" => EventKind::AttemptBegin {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            worker: f.num_u32("worker")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "attempt_end" => EventKind::AttemptEnd {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            worker: f.num_u32("worker")?,
-            endpoint: f.str("endpoint")?,
-            outcome: f.outcome("outcome")?,
-            duration_ms: f.num("duration_ms")?,
-            steps: f.num_u32("steps")?,
-        },
-        "retry" => EventKind::Retry {
-            tag: f.num("tag")?,
-            next_attempt: f.num_u32("next_attempt")?,
-            delay_ms: f.num("delay_ms")?,
-        },
-        "breaker_trip" => EventKind::BreakerTrip {
-            endpoint: f.str("endpoint")?,
-        },
-        "breaker_defer" => EventKind::BreakerDefer {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-            until_ms: f.num("until_ms")?,
-        },
-        "shed_cut" => EventKind::ShedCut {
-            limit: f.num_u32("limit")?,
-        },
-        "shed_raise" => EventKind::ShedRaise {
-            limit: f.num_u32("limit")?,
-        },
-        "stall_reclaimed" => EventKind::StallReclaimed {
-            tag: f.num("tag")?,
-            worker: f.num_u32("worker")?,
-        },
-        "drift_suspected" => EventKind::DriftSuspected {
-            tag: f.num("tag")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "rebootstrap_started" => EventKind::RebootstrapStarted {
-            endpoint: f.str("endpoint")?,
-        },
-        "template_swapped" => EventKind::TemplateSwapped {
-            endpoint: f.str("endpoint")?,
-            generation: f.num_u32("generation")?,
-        },
-        "rebootstrap_completed" => EventKind::RebootstrapCompleted {
-            endpoint: f.str("endpoint")?,
-            confidence_pct: f.num_u32("confidence_pct")?,
-        },
-        "serve_lookup_end" => EventKind::ServeLookupEnd {
-            tag: f.num("tag")?,
-            shard: f.num_u32("shard")?,
-            endpoint: f.str("endpoint")?,
-            outcome: f.outcome("outcome")?,
-            cache_hit: f.boolean("cache_hit")?,
-            duration_ms: f.num("duration_ms")?,
-        },
-        "cache_evicted" => EventKind::CacheEvicted {
-            shard: f.num_u32("shard")?,
-            key: f.str("key")?,
-        },
-        "serve_shed" => EventKind::ServeShed {
-            shard: f.num_u32("shard")?,
-            endpoint: f.str("endpoint")?,
-        },
-        "journal_replay" => EventKind::JournalReplay {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-        },
-        "fault_injected" => EventKind::FaultInjected {
-            endpoint: f.str("endpoint")?,
-            fault: f.fault("fault")?,
-        },
-        "alert_fired" => EventKind::AlertFired {
-            rule: f.str("rule")?,
-            exemplars: f.str("exemplars")?,
-        },
-        "alert_resolved" => EventKind::AlertResolved {
-            rule: f.str("rule")?,
-        },
-        "page_fetch_begin" => EventKind::PageFetchBegin {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            fetch: f.num_u32("fetch")?,
-        },
-        "page_fetch_end" => EventKind::PageFetchEnd {
-            tag: f.num("tag")?,
-            attempt: f.num_u32("attempt")?,
-            fetch: f.num_u32("fetch")?,
-            duration_ms: f.num("duration_ms")?,
-        },
-        other => return Err(ParseError::new(format!("unknown event name {other:?}"))),
-    };
-    f.done()?;
-    Ok(Event {
-        at: SimTime::from_millis(t),
-        kind,
-    })
-}
-
 /// Strict field cursor: canonical lines name every field exactly once, in
 /// schema order, with nothing extra.
-struct Fields<'a> {
+pub(super) struct Fields<'a> {
     fields: &'a [(String, Val)],
     i: usize,
 }
 
 impl<'a> Fields<'a> {
-    fn new(fields: &'a [(String, Val)]) -> Self {
-        Self { fields, i: 0 }
-    }
-
     fn next(&mut self, key: &str) -> Result<&'a Val, ParseError> {
         let (k, v) = self
             .fields
@@ -439,51 +193,95 @@ impl<'a> Fields<'a> {
         Ok(v)
     }
 
-    fn num(&mut self, key: &str) -> Result<u64, ParseError> {
-        match self.next(key)? {
+    fn done(&self) -> Result<(), ParseError> {
+        match self.fields.get(self.i) {
+            None => Ok(()),
+            Some((k, _)) => Err(ParseError::new(format!("unexpected extra field {k:?}"))),
+        }
+    }
+}
+
+/// How one field type is written to and read from a line.
+pub(super) trait Wire: Sized {
+    fn write(&self, w: &mut LineWriter, key: &str);
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError>;
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.num(key, *self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        match f.next(key)? {
             Val::Num(n) => Ok(*n),
             _ => Err(ParseError::new(format!("field {key:?} is not a number"))),
         }
     }
+}
 
-    fn num_u32(&mut self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.num(key)?)
-            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
+impl Wire for u32 {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.num(key, u64::from(*self));
     }
 
-    fn str(&mut self, key: &str) -> Result<String, ParseError> {
-        match self.next(key)? {
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        u32::try_from(u64::read(f, key)?)
+            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.str(key, self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        match f.next(key)? {
             Val::Str(s) => Ok(s.clone()),
             _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
         }
     }
+}
 
-    fn boolean(&mut self, key: &str) -> Result<bool, ParseError> {
-        match self.next(key)? {
+impl Wire for bool {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.boolean(key, *self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        match f.next(key)? {
             Val::Bool(b) => Ok(*b),
             _ => Err(ParseError::new(format!("field {key:?} is not a bool"))),
         }
     }
+}
 
-    fn outcome(&mut self, key: &str) -> Result<OutcomeCode, ParseError> {
-        let s = self.str(key)?;
+impl Wire for OutcomeCode {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.str(key, self.as_str());
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let s = String::read(f, key)?;
         OutcomeCode::parse(&s).ok_or_else(|| ParseError::new(format!("unknown outcome {s:?}")))
     }
+}
 
-    fn fault(&mut self, key: &str) -> Result<FaultClass, ParseError> {
-        let s = self.str(key)?;
-        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
+impl Wire for FaultClass {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.str(key, self.as_str());
     }
 
-    fn done(&self) -> Result<(), ParseError> {
-        if self.i == self.fields.len() {
-            Ok(())
-        } else {
-            Err(ParseError::new(format!(
-                "unexpected extra field {:?}",
-                self.fields[self.i].0
-            )))
-        }
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let s = String::read(f, key)?;
+        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
     }
 }
 
@@ -524,41 +322,58 @@ fn tokenize(line: &str) -> Result<Vec<(String, Val)>, ParseError> {
     Ok(out)
 }
 
+/// Reads a string literal, accepting exactly the escapes [`escape_into`]
+/// writes and no raw control bytes, so only canonical text parses.
 fn parse_string(b: &[u8], mut i: usize) -> Result<(String, usize), ParseError> {
     if b.get(i) != Some(&b'"') {
         return Err(ParseError::new("expected '\"'"));
     }
     i += 1;
-    let mut s = String::new();
+    let mut s = Vec::new();
     loop {
         match b.get(i) {
-            Some(b'"') => return Ok((s, i + 1)),
-            Some(b'\\') => match b.get(i + 1) {
-                Some(b'"') => {
-                    s.push('"');
-                    i += 2;
-                }
-                Some(b'\\') => {
-                    s.push('\\');
-                    i += 2;
-                }
-                _ => return Err(ParseError::new("unsupported escape")),
-            },
-            Some(_) => {
-                // Multi-byte UTF-8 is carried through verbatim.
-                let rest = &b[i..];
-                let first = std::str::from_utf8(rest)
-                    .ok()
-                    .and_then(|text| text.chars().next());
-                let Some(c) = first else {
-                    return Err(ParseError::new("invalid utf-8 in string"));
+            Some(b'"') => break,
+            Some(b'\\') => {
+                let (c, len) = match b.get(i + 1) {
+                    Some(b'"') => (b'"', 2),
+                    Some(b'\\') => (b'\\', 2),
+                    Some(b'n') => (b'\n', 2),
+                    Some(b't') => (b'\t', 2),
+                    Some(b'u') => match b.get(i + 2..i + 6).and_then(control_escape) {
+                        Some(c) => (c, 6),
+                        None => return Err(ParseError::new("unsupported escape")),
+                    },
+                    _ => return Err(ParseError::new("unsupported escape")),
                 };
                 s.push(c);
-                i += c.len_utf8();
+                i += len;
+            }
+            Some(&c) if c < 0x20 => return Err(ParseError::new("raw control byte in string")),
+            // Multi-byte UTF-8 is carried through verbatim.
+            Some(&c) => {
+                s.push(c);
+                i += 1;
             }
             None => return Err(ParseError::new("unterminated string")),
         }
     }
+    let s = String::from_utf8(s).map_err(|_| ParseError::new("invalid utf-8 in string"))?;
+    Ok((s, i + 1))
+}
+
+/// The control character a canonical `\u00xx` escape names: lowercase
+/// hex below 0x20, other than `\n` and `\t`, which have short escapes.
+fn control_escape(hex: &[u8]) -> Option<u8> {
+    let [b'0', b'0', hi @ b'0'..=b'1', lo] = *hex else {
+        return None;
+    };
+    let lo = match lo {
+        b'0'..=b'9' => lo - b'0',
+        b'a'..=b'f' => lo - b'a' + 10,
+        _ => return None,
+    };
+    let c = (hi - b'0') * 16 + lo;
+    (c != b'\n' && c != b'\t').then_some(c)
 }
 
 fn parse_value(b: &[u8], i: usize) -> Result<(Val, usize), ParseError> {
@@ -833,6 +648,46 @@ mod tests {
         ]
     }
 
+    /// `to_line` of each [`sample_events`] entry, byte for byte: key
+    /// order, key names and value spelling are part of the format.
+    #[test]
+    fn sample_events_encode_to_pinned_lines() {
+        let expected = [
+            r#"{"t":0,"ev":"campaign_begin","seed":7,"n_jobs":120,"n_workers":8}"#,
+            r#"{"t":0,"ev":"worker_begin","worker":0}"#,
+            r#"{"t":97,"ev":"job_begin","tag":41,"endpoint":"centurylink/billings"}"#,
+            r#"{"t":97,"ev":"attempt_begin","tag":41,"attempt":1,"worker":0,"endpoint":"centurylink/billings"}"#,
+            r#"{"t":150,"ev":"page_fetch_begin","tag":41,"attempt":1,"fetch":0}"#,
+            r#"{"t":45150,"ev":"page_fetch_end","tag":41,"attempt":1,"fetch":0,"duration_ms":45000}"#,
+            r#"{"t":45200,"ev":"fault_injected","endpoint":"centurylink/billings","fault":"timeout"}"#,
+            r#"{"t":46000,"ev":"attempt_end","tag":41,"attempt":1,"worker":0,"endpoint":"centurylink/billings","outcome":"failed","duration_ms":45903,"steps":2}"#,
+            r#"{"t":46000,"ev":"retry","tag":41,"next_attempt":2,"delay_ms":12000}"#,
+            r#"{"t":46000,"ev":"breaker_trip","endpoint":"centurylink/billings"}"#,
+            r#"{"t":46500,"ev":"breaker_defer","tag":42,"endpoint":"centurylink/billings","until_ms":58000}"#,
+            r#"{"t":47000,"ev":"shed_cut","limit":4}"#,
+            r#"{"t":60000,"ev":"alert_fired","rule":"hit_rate","exemplars":"centurylink/billings:2a@45000"}"#,
+            r#"{"t":84000,"ev":"alert_resolved","rule":"hit_rate"}"#,
+            r#"{"t":90000,"ev":"shed_raise","limit":5}"#,
+            r#"{"t":92000,"ev":"drift_suspected","tag":41,"endpoint":"centurylink/billings"}"#,
+            r#"{"t":92000,"ev":"rebootstrap_started","endpoint":"centurylink/billings"}"#,
+            r#"{"t":92000,"ev":"template_swapped","endpoint":"centurylink/billings","generation":2}"#,
+            r#"{"t":92000,"ev":"rebootstrap_completed","endpoint":"centurylink/billings","confidence_pct":95}"#,
+            r#"{"t":93000,"ev":"serve_lookup_end","tag":9001,"shard":3,"endpoint":"serve/billings/att","outcome":"plans","cache_hit":true,"duration_ms":4}"#,
+            r#"{"t":93500,"ev":"cache_evicted","shard":3,"key":"plans/billings/att/77"}"#,
+            r#"{"t":94000,"ev":"serve_shed","shard":3,"endpoint":"serve/billings/att"}"#,
+            r#"{"t":95000,"ev":"stall_reclaimed","tag":43,"worker":2}"#,
+            r#"{"t":95000,"ev":"journal_replay","tag":44,"attempt":1}"#,
+            r#"{"t":99000,"ev":"job_end","tag":41,"outcome":"plans","attempts":2,"dead_lettered":false}"#,
+            r#"{"t":100000,"ev":"worker_end","worker":0}"#,
+            r#"{"t":100000,"ev":"campaign_end","makespan_ms":100000}"#,
+        ];
+        let events = sample_events();
+        assert_eq!(events.len(), expected.len());
+        for (event, line) in events.iter().zip(expected) {
+            assert_eq!(to_line(event), line);
+        }
+    }
+
     #[test]
     fn every_event_kind_round_trips_byte_exact() {
         for event in sample_events() {
@@ -894,8 +749,56 @@ mod tests {
             r#"{"t":1,"ev":"shed_cut","limit":4} "#,
             r#"{"ev":"shed_cut","t":1,"limit":4}"#,
             r#"{"t":1,"ev":"job_end","tag":1,"outcome":"plans","attempts":1,"dead_lettered":maybe}"#,
+            r#"{"t":1,"ev":"shed_cut","limit":4294967296}"#,
+            r#"{"t":1,"ev":"job_end","tag":1,"outcome":"maybe","attempts":1,"dead_lettered":false}"#,
+            r#"{"t":1,"ev":"fault_injected","endpoint":"e","fault":"melt"}"#,
+            r#"{"t":1,"ev":"attempt_end","tag":1,"attempt":1,"worker":0,"endpoint":"e","duration_ms":5,"outcome":"plans","steps":1}"#,
+            r#"{"t":1,"ev":"shed_cut","worker":4}"#,
+            "{\"t\":1,\"ev\":\"breaker_trip\",\"endpoint\":\"a\nb\"}",
+            r#"{"t":1,"ev":"breaker_trip","endpoint":"a\u000ab"}"#,
+            r#"{"t":1,"ev":"breaker_trip","endpoint":"a\u001Fb"}"#,
+            r#"{"t":1,"ev":"breaker_trip","endpoint":"a\u0041b"}"#,
+            r#"{"t":1,"ev":"breaker_trip","endpoint":"a\/b"}"#,
         ] {
             assert!(parse_line(bad).is_err(), "accepted: {bad:?}");
+        }
+    }
+
+    /// The strict reader's messages are part of its contract.
+    #[test]
+    fn rejections_name_the_offending_field() {
+        for (bad, message) in [
+            (
+                r#"{"t":1,"ev":"shed_cut","limit":4294967296}"#,
+                r#"field "limit" overflows u32"#,
+            ),
+            (
+                r#"{"t":1,"ev":"job_end","tag":1,"outcome":"maybe","attempts":1,"dead_lettered":false}"#,
+                r#"unknown outcome "maybe""#,
+            ),
+            (
+                r#"{"t":1,"ev":"fault_injected","endpoint":"e","fault":"melt"}"#,
+                r#"unknown fault "melt""#,
+            ),
+            (
+                r#"{"t":1,"ev":"shed_cut","worker":4}"#,
+                r#"expected field "limit", found "worker""#,
+            ),
+            (r#"{"t":1,"ev":"shed_cut"}"#, r#"missing field "limit""#),
+            (
+                r#"{"t":1,"ev":"shed_cut","limit":4,"extra":1}"#,
+                r#"unexpected extra field "extra""#,
+            ),
+            (
+                r#"{"t":1,"ev":"martian_landing"}"#,
+                r#"unknown event name "martian_landing""#,
+            ),
+            (
+                r#"{"t":1,"ev":"shed_cut","limit":"four"}"#,
+                r#"field "limit" is not a number"#,
+            ),
+        ] {
+            assert_eq!(parse_line(bad).map_err(|e| e.message), Err(message.into()));
         }
     }
 
@@ -910,5 +813,28 @@ mod tests {
         let line = to_line(&event);
         assert_eq!(parse_line(&line).unwrap(), event);
         assert_eq!(to_line(&parse_line(&line).unwrap()), line);
+    }
+
+    /// A control character in a caller-supplied string is escaped, so the
+    /// event stays on one line and reads back unchanged.
+    #[test]
+    fn control_characters_stay_on_one_line() {
+        let event = Event {
+            at: SimTime::from_millis(5),
+            kind: EventKind::JobBegin {
+                tag: 1,
+                endpoint: "a\nb\tc\r\u{1}d\u{7f}".into(),
+            },
+        };
+        let mut rec = JsonlRecorder::new(Vec::new());
+        rec.record(&event);
+        let text = String::from_utf8(rec.into_inner()).unwrap();
+        assert_eq!(
+            text,
+            "{\"t\":5,\"ev\":\"job_begin\",\"tag\":1,\"endpoint\":\"a\\nb\\tc\\u000d\\u0001d\u{7f}\"}\n"
+        );
+        let line = text.trim_end_matches('\n');
+        assert_eq!(parse_line(line).unwrap(), event);
+        assert_eq!(to_line(&parse_line(line).unwrap()), line);
     }
 }

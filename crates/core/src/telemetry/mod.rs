@@ -9,6 +9,18 @@
 //! discrete-event loop; everything an operator used to dig out of ad-hoc
 //! report fields is now derivable from the stream.
 //!
+//! ## Schema
+//!
+//! [`EventKind`] is declared once, in the `event_schema!` invocation
+//! below: each variant with its fields, its JSONL name and whether it is
+//! replay-stable. The macro generates the enum, [`EventKind::name`],
+//! [`EventKind::replay_stable`] and the per-kind field codec that
+//! [`jsonl`] drives, so no per-variant table is written twice. The string
+//! enums [`OutcomeCode`] and [`FaultClass`] (and the trace layer's span
+//! kinds) come from `wire_enum!` the same way. Only consumers that decide
+//! something per variant, such as [`MetricsAggregator::observe`], are
+//! written by hand, and divide-lint's E1 rule keeps them exhaustive.
+//!
 //! ## Recorders
 //!
 //! A [`Recorder`] receives each event by reference. Shipped recorders:
@@ -45,6 +57,7 @@ mod ring;
 pub use aggregate::{
     EndpointStats, Histogram, MetricsAggregator, ResumeStats, TelemetrySummary, WorkerStats,
 };
+use jsonl::Wire;
 pub use jsonl::{JsonlRecorder, ParseError};
 pub use ring::RingRecorder;
 
@@ -52,6 +65,110 @@ use crate::driver::QueryOutcome;
 use crate::monitor::CampaignMonitor;
 use bbsim_net::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Declares a unit enum together with its wire-name map: `as_str` gives
+/// each variant's name and `parse` reads it back. Used for every closed
+/// string enum in the telemetry and trace schemas.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$vmeta:meta])* $variant:ident = $wire:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )*
+        }
+
+        impl $name {
+            /// The variant's wire name.
+            pub fn as_str(&self) -> &'static str {
+                match self {
+                    $( $name::$variant => $wire, )*
+                }
+            }
+
+            /// The variant whose wire name is `s`.
+            pub fn parse(s: &str) -> Option<Self> {
+                match s {
+                    $( $wire => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+pub(crate) use wire_enum;
+
+/// Declares [`EventKind`] once. Each variant lists its fields, its JSONL
+/// name and whether it is `stable` or `ephemeral` under replay; from that
+/// the macro generates the enum, [`EventKind::name`],
+/// [`EventKind::replay_stable`] and the per-kind field writer and reader
+/// behind [`jsonl::to_line`] and [`jsonl::parse_line`]. A field's JSONL
+/// key is its name, and fields go on the line in declaration order.
+macro_rules! event_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum $kind:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident {
+                    $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
+                } = $wire:literal $stability:ident,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $kind {
+            $( $(#[$vmeta])* $variant { $( $(#[$fmeta])* $field: $ty, )* }, )*
+        }
+
+        impl $kind {
+            /// The event's name in the JSONL schema.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( $kind::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// Whether a journaled resume retraces this event identically.
+            ///
+            /// Stable events are functions of the campaign's schedule,
+            /// outcomes and virtual times — all reconstructed exactly from
+            /// the journal. The ephemeral ones describe live transport work
+            /// (page fetches, fault injections) or the act of replaying
+            /// itself, which an uninterrupted run and a resumed run
+            /// necessarily disagree on.
+            pub fn replay_stable(&self) -> bool {
+                match self {
+                    $( $kind::$variant { .. } => event_schema!(@stable $stability), )*
+                }
+            }
+
+            /// Writes the kind's fields in declaration order.
+            fn write_fields(&self, w: &mut jsonl::LineWriter) {
+                match self {
+                    $( $kind::$variant { $($field,)* } => {
+                        $( Wire::write($field, w, stringify!($field)); )*
+                    } )*
+                }
+            }
+
+            /// Reads the fields of the kind named `ev`, in declaration order.
+            fn read_fields(ev: &str, f: &mut jsonl::Fields<'_>) -> Result<Self, ParseError> {
+                Ok(match ev {
+                    $( $wire => $kind::$variant {
+                        $( $field: Wire::read(f, stringify!($field))?, )*
+                    }, )*
+                    other => return Err(ParseError::new(format!("unknown event name {other:?}"))),
+                })
+            }
+        }
+    };
+    (@stable stable) => { true };
+    (@stable ephemeral) => { false };
+}
 
 /// One telemetry event: a kind stamped with virtual time.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,19 +178,21 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Outcome of a finished attempt, in event form.
-///
-/// [`QueryOutcome`] carries the scraped plans; events only need the
-/// classification, so this is the flattened code that also round-trips
-/// through the JSONL schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeCode {
-    Plans,
-    NoService,
-    Unserviceable,
-    Blocked,
-    Failed,
-    Stalled,
+wire_enum! {
+    /// Outcome of a finished attempt, in event form.
+    ///
+    /// [`QueryOutcome`] carries the scraped plans; events only need the
+    /// classification, so this is the flattened code that also round-trips
+    /// through the JSONL schema.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum OutcomeCode {
+        Plans = "plans",
+        NoService = "no_service",
+        Unserviceable = "unserviceable",
+        Blocked = "blocked",
+        Failed = "failed",
+        Stalled = "stalled",
+    }
 }
 
 impl OutcomeCode {
@@ -93,257 +212,133 @@ impl OutcomeCode {
     pub fn is_hit(&self) -> bool {
         matches!(self, OutcomeCode::Plans | OutcomeCode::NoService)
     }
+}
 
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            OutcomeCode::Plans => "plans",
-            OutcomeCode::NoService => "no_service",
-            OutcomeCode::Unserviceable => "unserviceable",
-            OutcomeCode::Blocked => "blocked",
-            OutcomeCode::Failed => "failed",
-            OutcomeCode::Stalled => "stalled",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "plans" => OutcomeCode::Plans,
-            "no_service" => OutcomeCode::NoService,
-            "unserviceable" => OutcomeCode::Unserviceable,
-            "blocked" => OutcomeCode::Blocked,
-            "failed" => OutcomeCode::Failed,
-            "stalled" => OutcomeCode::Stalled,
-            _ => return None,
-        })
+wire_enum! {
+    /// The fault class behind a [`EventKind::FaultInjected`] instant.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FaultClass {
+        Timeout = "timeout",
+        Reset = "reset",
+        Stall = "stall",
     }
 }
 
-/// The fault class behind a [`EventKind::FaultInjected`] instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultClass {
-    Timeout,
-    Reset,
-    Stall,
-}
-
-impl FaultClass {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FaultClass::Timeout => "timeout",
-            FaultClass::Reset => "reset",
-            FaultClass::Stall => "stall",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "timeout" => FaultClass::Timeout,
-            "reset" => FaultClass::Reset,
-            "stall" => FaultClass::Stall,
-            _ => return None,
-        })
-    }
-}
-
-/// Everything a campaign can narrate.
-///
-/// Span kinds come in `…Begin`/`…End` pairs keyed by their identifying
-/// fields (worker id, job tag, `(tag, attempt)`, `(tag, attempt, fetch)`);
-/// every begin gets exactly one end at a timestamp `>=` its own. The rest
-/// are instants.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// Campaign span opens at virtual zero.
-    CampaignBegin {
-        seed: u64,
-        n_jobs: u32,
-        n_workers: u32,
-    },
-    /// Campaign span closes at the makespan.
-    CampaignEnd { makespan_ms: u64 },
-    /// Worker `worker` enters the pool (at its staggered start).
-    WorkerBegin { worker: u32 },
-    /// Worker `worker` retires (at the makespan).
-    WorkerEnd { worker: u32 },
-    /// First attempt of job `tag` starts.
-    JobBegin { tag: u64, endpoint: String },
-    /// Job `tag` produced its final record.
-    JobEnd {
-        tag: u64,
-        outcome: OutcomeCode,
-        attempts: u32,
-        dead_lettered: bool,
-    },
-    /// Attempt `attempt` of job `tag` starts on `worker`.
-    AttemptBegin {
-        tag: u64,
-        attempt: u32,
-        worker: u32,
-        endpoint: String,
-    },
-    /// The attempt finished (live or replayed) and its time was charged.
-    AttemptEnd {
-        tag: u64,
-        attempt: u32,
-        worker: u32,
-        endpoint: String,
-        outcome: OutcomeCode,
-        duration_ms: u64,
-        steps: u32,
-    },
-    /// A retryable outcome was requeued with backoff.
-    Retry {
-        tag: u64,
-        next_attempt: u32,
-        delay_ms: u64,
-    },
-    /// A circuit breaker opened (or re-opened) on `endpoint`.
-    BreakerTrip { endpoint: String },
-    /// An open circuit deferred job `tag` until `until_ms`.
-    BreakerDefer {
-        tag: u64,
-        endpoint: String,
-        until_ms: u64,
-    },
-    /// The shed controller cut the concurrency ceiling to `limit`.
-    ShedCut { limit: u32 },
-    /// The shed controller raised the concurrency ceiling to `limit`.
-    ShedRaise { limit: u32 },
-    /// The watchdog reclaimed `worker` from a hung session.
-    StallReclaimed { tag: u64, worker: u32 },
-    /// An attempt against `endpoint` hit an unrecognized page — one drift
-    /// sighting charged to the attempt's job `tag`.
-    DriftSuspected { tag: u64, endpoint: String },
-    /// The drift monitor crossed its re-bootstrap threshold: `endpoint` is
-    /// quarantined and a structural probe burst begins.
-    RebootstrapStarted { endpoint: String },
-    /// The probe burst classified the endpoint's markup as template
-    /// `generation` and the orchestrator swapped the learned set in.
-    TemplateSwapped { endpoint: String, generation: u32 },
-    /// The endpoint left quarantine; `confidence_pct` is the fraction of
-    /// probe pages the winning template set recognized, in percent.
-    RebootstrapCompleted {
-        endpoint: String,
-        confidence_pct: u32,
-    },
-    /// A serve-layer lookup completed: the plan store answered (from the
-    /// LRU answer cache or the shard index) and the response crossed the
-    /// wire. `duration_ms` is the requester-perceived latency — queueing
-    /// wait plus the full round trip.
-    ServeLookupEnd {
-        tag: u64,
-        shard: u32,
-        endpoint: String,
-        outcome: OutcomeCode,
-        cache_hit: bool,
-        duration_ms: u64,
-    },
-    /// The serve answer cache evicted `key` to admit a new entry. The
-    /// eviction order is part of the serve determinism contract: same
-    /// seed + same request stream → byte-identical eviction log.
-    CacheEvicted { shard: u32, key: String },
-    /// The serve layer refused a lookup at admission: the shard's queue
-    /// was too deep for the request to meet its latency budget.
-    ServeShed { shard: u32, endpoint: String },
-    /// The attempt was answered from the journal, not the transport.
-    /// *Ephemeral*: only resumed runs emit it.
-    JournalReplay { tag: u64, attempt: u32 },
-    /// The transport injected a fault into a live page fetch. *Ephemeral.*
-    FaultInjected { endpoint: String, fault: FaultClass },
-    /// A monitor SLO rule crossed its threshold (with hysteresis) and an
-    /// alert opened. *Ephemeral*: alerts are an observer's judgement, not
-    /// part of the campaign's replayable schedule.
-    AlertFired {
-        rule: String,
-        /// Comma-joined slowest-trace exemplar ids current at fire time
-        /// (see [`crate::trace::ExemplarReservoir`]) — the page names the
-        /// offending traces.
-        exemplars: String,
-    },
-    /// The rule's signal recovered and the alert closed. *Ephemeral.*
-    AlertResolved { rule: String },
-    /// A live page fetch (one transport round trip) started. *Ephemeral.*
-    PageFetchBegin { tag: u64, attempt: u32, fetch: u32 },
-    /// The page fetch finished (including the settle wait). *Ephemeral.*
-    PageFetchEnd {
-        tag: u64,
-        attempt: u32,
-        fetch: u32,
-        duration_ms: u64,
-    },
-}
-
-impl EventKind {
-    /// Whether a journaled resume retraces this event identically.
+event_schema! {
+    /// Everything a campaign can narrate.
     ///
-    /// Stable events are functions of the campaign's schedule, outcomes and
-    /// virtual times — all reconstructed exactly from the journal. The
-    /// ephemeral ones describe live transport work (page fetches, fault
-    /// injections) or the act of replaying itself, which an uninterrupted
-    /// run and a resumed run necessarily disagree on.
-    pub fn replay_stable(&self) -> bool {
-        match self {
-            EventKind::CampaignBegin { .. }
-            | EventKind::CampaignEnd { .. }
-            | EventKind::WorkerBegin { .. }
-            | EventKind::WorkerEnd { .. }
-            | EventKind::JobBegin { .. }
-            | EventKind::JobEnd { .. }
-            | EventKind::AttemptBegin { .. }
-            | EventKind::AttemptEnd { .. }
-            | EventKind::Retry { .. }
-            | EventKind::BreakerTrip { .. }
-            | EventKind::BreakerDefer { .. }
-            | EventKind::ShedCut { .. }
-            | EventKind::ShedRaise { .. }
-            | EventKind::StallReclaimed { .. }
-            | EventKind::DriftSuspected { .. }
-            | EventKind::RebootstrapStarted { .. }
-            | EventKind::TemplateSwapped { .. }
-            | EventKind::RebootstrapCompleted { .. }
-            | EventKind::ServeLookupEnd { .. }
-            | EventKind::CacheEvicted { .. }
-            | EventKind::ServeShed { .. } => true,
-            EventKind::JournalReplay { .. }
-            | EventKind::FaultInjected { .. }
-            | EventKind::PageFetchBegin { .. }
-            | EventKind::PageFetchEnd { .. }
-            | EventKind::AlertFired { .. }
-            | EventKind::AlertResolved { .. } => false,
-        }
-    }
-
-    /// The event's name in the JSONL schema.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::CampaignBegin { .. } => "campaign_begin",
-            EventKind::CampaignEnd { .. } => "campaign_end",
-            EventKind::WorkerBegin { .. } => "worker_begin",
-            EventKind::WorkerEnd { .. } => "worker_end",
-            EventKind::JobBegin { .. } => "job_begin",
-            EventKind::JobEnd { .. } => "job_end",
-            EventKind::AttemptBegin { .. } => "attempt_begin",
-            EventKind::AttemptEnd { .. } => "attempt_end",
-            EventKind::Retry { .. } => "retry",
-            EventKind::BreakerTrip { .. } => "breaker_trip",
-            EventKind::BreakerDefer { .. } => "breaker_defer",
-            EventKind::ShedCut { .. } => "shed_cut",
-            EventKind::ShedRaise { .. } => "shed_raise",
-            EventKind::StallReclaimed { .. } => "stall_reclaimed",
-            EventKind::DriftSuspected { .. } => "drift_suspected",
-            EventKind::RebootstrapStarted { .. } => "rebootstrap_started",
-            EventKind::TemplateSwapped { .. } => "template_swapped",
-            EventKind::RebootstrapCompleted { .. } => "rebootstrap_completed",
-            EventKind::ServeLookupEnd { .. } => "serve_lookup_end",
-            EventKind::CacheEvicted { .. } => "cache_evicted",
-            EventKind::ServeShed { .. } => "serve_shed",
-            EventKind::JournalReplay { .. } => "journal_replay",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::AlertFired { .. } => "alert_fired",
-            EventKind::AlertResolved { .. } => "alert_resolved",
-            EventKind::PageFetchBegin { .. } => "page_fetch_begin",
-            EventKind::PageFetchEnd { .. } => "page_fetch_end",
-        }
+    /// Span kinds come in `…Begin`/`…End` pairs keyed by their identifying
+    /// fields (worker id, job tag, `(tag, attempt)`, `(tag, attempt, fetch)`);
+    /// every begin gets exactly one end at a timestamp `>=` its own. The rest
+    /// are instants.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum EventKind {
+        /// Campaign span opens at virtual zero.
+        CampaignBegin { seed: u64, n_jobs: u32, n_workers: u32, } = "campaign_begin" stable,
+        /// Campaign span closes at the makespan.
+        CampaignEnd { makespan_ms: u64, } = "campaign_end" stable,
+        /// Worker `worker` enters the pool (at its staggered start).
+        WorkerBegin { worker: u32, } = "worker_begin" stable,
+        /// Worker `worker` retires (at the makespan).
+        WorkerEnd { worker: u32, } = "worker_end" stable,
+        /// First attempt of job `tag` starts.
+        JobBegin { tag: u64, endpoint: String, } = "job_begin" stable,
+        /// Job `tag` produced its final record.
+        JobEnd {
+            tag: u64,
+            outcome: OutcomeCode,
+            attempts: u32,
+            dead_lettered: bool,
+        } = "job_end" stable,
+        /// Attempt `attempt` of job `tag` starts on `worker`.
+        AttemptBegin {
+            tag: u64,
+            attempt: u32,
+            worker: u32,
+            endpoint: String,
+        } = "attempt_begin" stable,
+        /// The attempt finished (live or replayed) and its time was charged.
+        AttemptEnd {
+            tag: u64,
+            attempt: u32,
+            worker: u32,
+            endpoint: String,
+            outcome: OutcomeCode,
+            duration_ms: u64,
+            steps: u32,
+        } = "attempt_end" stable,
+        /// A retryable outcome was requeued with backoff.
+        Retry { tag: u64, next_attempt: u32, delay_ms: u64, } = "retry" stable,
+        /// A circuit breaker opened (or re-opened) on `endpoint`.
+        BreakerTrip { endpoint: String, } = "breaker_trip" stable,
+        /// An open circuit deferred job `tag` until `until_ms`.
+        BreakerDefer { tag: u64, endpoint: String, until_ms: u64, } = "breaker_defer" stable,
+        /// The shed controller cut the concurrency ceiling to `limit`.
+        ShedCut { limit: u32, } = "shed_cut" stable,
+        /// The shed controller raised the concurrency ceiling to `limit`.
+        ShedRaise { limit: u32, } = "shed_raise" stable,
+        /// The watchdog reclaimed `worker` from a hung session.
+        StallReclaimed { tag: u64, worker: u32, } = "stall_reclaimed" stable,
+        /// An attempt against `endpoint` hit an unrecognized page — one drift
+        /// sighting charged to the attempt's job `tag`.
+        DriftSuspected { tag: u64, endpoint: String, } = "drift_suspected" stable,
+        /// The drift monitor crossed its re-bootstrap threshold: `endpoint` is
+        /// quarantined and a structural probe burst begins.
+        RebootstrapStarted { endpoint: String, } = "rebootstrap_started" stable,
+        /// The probe burst classified the endpoint's markup as template
+        /// `generation` and the orchestrator swapped the learned set in.
+        TemplateSwapped { endpoint: String, generation: u32, } = "template_swapped" stable,
+        /// The endpoint left quarantine; `confidence_pct` is the fraction of
+        /// probe pages the winning template set recognized, in percent.
+        RebootstrapCompleted {
+            endpoint: String,
+            confidence_pct: u32,
+        } = "rebootstrap_completed" stable,
+        /// A serve-layer lookup completed: the plan store answered (from the
+        /// LRU answer cache or the shard index) and the response crossed the
+        /// wire. `duration_ms` is the requester-perceived latency — queueing
+        /// wait plus the full round trip.
+        ServeLookupEnd {
+            tag: u64,
+            shard: u32,
+            endpoint: String,
+            outcome: OutcomeCode,
+            cache_hit: bool,
+            duration_ms: u64,
+        } = "serve_lookup_end" stable,
+        /// The serve answer cache evicted `key` to admit a new entry. The
+        /// eviction order is part of the serve determinism contract: same
+        /// seed + same request stream → byte-identical eviction log.
+        CacheEvicted { shard: u32, key: String, } = "cache_evicted" stable,
+        /// The serve layer refused a lookup at admission: the shard's queue
+        /// was too deep for the request to meet its latency budget.
+        ServeShed { shard: u32, endpoint: String, } = "serve_shed" stable,
+        /// The attempt was answered from the journal, not the transport.
+        /// *Ephemeral*: only resumed runs emit it.
+        JournalReplay { tag: u64, attempt: u32, } = "journal_replay" ephemeral,
+        /// The transport injected a fault into a live page fetch. *Ephemeral.*
+        FaultInjected { endpoint: String, fault: FaultClass, } = "fault_injected" ephemeral,
+        /// A monitor SLO rule crossed its threshold (with hysteresis) and an
+        /// alert opened. *Ephemeral*: alerts are an observer's judgement, not
+        /// part of the campaign's replayable schedule.
+        AlertFired {
+            rule: String,
+            /// Comma-joined slowest-trace exemplar ids current at fire time
+            /// (see [`crate::trace::ExemplarReservoir`]) — the page names the
+            /// offending traces.
+            exemplars: String,
+        } = "alert_fired" ephemeral,
+        /// The rule's signal recovered and the alert closed. *Ephemeral.*
+        AlertResolved { rule: String, } = "alert_resolved" ephemeral,
+        /// A live page fetch (one transport round trip) started. *Ephemeral.*
+        PageFetchBegin { tag: u64, attempt: u32, fetch: u32, } = "page_fetch_begin" ephemeral,
+        /// The page fetch finished (including the settle wait). *Ephemeral.*
+        PageFetchEnd {
+            tag: u64,
+            attempt: u32,
+            fetch: u32,
+            duration_ms: u64,
+        } = "page_fetch_end" ephemeral,
     }
 }
 

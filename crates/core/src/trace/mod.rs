@@ -22,12 +22,13 @@
 //! * [`render_trace_json`] — a Chrome/Perfetto trace-event exporter
 //!   writing `trace.json` beside `events.jsonl` in every campaign dir.
 //!
-//! The [`SpanKind`] enum is a closed schema under divide-lint's E1 rule:
-//! its wire-name map ([`SpanKind::wire_name`]), attribution class
-//! ([`SpanKind::bucket`]), Perfetto serializer
-//! ([`perfetto::span_json`]), parser ([`perfetto::parse_span_kind`]) and
-//! attribution bucketing ([`Attribution::charge`]) must each cover every
-//! variant with no wildcard arm.
+//! [`SpanKind`] and [`SpanClass`] are declared once through `wire_enum!`,
+//! which generates their wire names (`as_str`) and parsers (`parse`). The
+//! Perfetto `cat` field is the kind's class, so [`perfetto::span_json`]
+//! holds no per-kind table. What stays hand-written is policy: the class
+//! each kind rolls up into ([`SpanKind::bucket`]) and how the attribution
+//! fold charges it ([`Attribution::charge`]). divide-lint's E1 rule keeps
+//! both of those covering every variant with no wildcard arm.
 
 pub mod assemble;
 pub mod attribution;
@@ -36,58 +37,44 @@ pub mod reservoir;
 
 pub use assemble::TraceAssembler;
 pub use attribution::{attribute, critical_path, Attribution};
-pub use perfetto::{parse_span_kind, render_trace_json, span_json};
+pub use perfetto::{render_trace_json, span_json};
 pub use reservoir::{ExemplarReservoir, ExemplarSet};
 
-/// What a span in a trace tree represents. One trace's spans never
-/// overlap among siblings and always nest inside their parent, so every
-/// millisecond of a trace belongs to exactly one deepest span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpanKind {
-    /// The whole campaign (one per exported section, not per trace).
-    Campaign,
-    /// One job's life from enqueue to completion — a trace's root.
-    Job,
-    /// One attempt occupying a worker.
-    Attempt,
-    /// One page fetch inside an attempt (ephemeral-stream mode only).
-    PageFetch,
-    /// Waiting in queue for a worker with nothing else to blame.
-    QueueWait,
-    /// Sleeping out a retry backoff delay.
-    RetryBackoff,
-    /// Held back by an open circuit breaker.
-    BreakerWait,
-    /// Parked while the load shedder kept the ceiling cut.
-    Shed,
-    /// The store probe + answer-cache consult of a serve lookup.
-    CacheLookup,
-    /// Blocked on a drift quarantine / template rebootstrap.
-    Rebootstrap,
-    /// One serve request from arrival to response — a serve trace's root.
-    Serve,
+crate::telemetry::wire_enum! {
+    /// What a span in a trace tree represents. One trace's spans never
+    /// overlap among siblings and always nest inside their parent, so every
+    /// millisecond of a trace belongs to exactly one deepest span.
+    ///
+    /// The wire name is used for Perfetto `name` fields, attribution tables
+    /// and `# EXEMPLAR` component labels.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum SpanKind {
+        /// The whole campaign (one per exported section, not per trace).
+        Campaign = "campaign",
+        /// One job's life from enqueue to completion — a trace's root.
+        Job = "job",
+        /// One attempt occupying a worker.
+        Attempt = "attempt",
+        /// One page fetch inside an attempt (ephemeral-stream mode only).
+        PageFetch = "page_fetch",
+        /// Waiting in queue for a worker with nothing else to blame.
+        QueueWait = "queue_wait",
+        /// Sleeping out a retry backoff delay.
+        RetryBackoff = "retry_backoff",
+        /// Held back by an open circuit breaker.
+        BreakerWait = "breaker_wait",
+        /// Parked while the load shedder kept the ceiling cut.
+        Shed = "shed",
+        /// The store probe + answer-cache consult of a serve lookup.
+        CacheLookup = "cache_lookup",
+        /// Blocked on a drift quarantine / template rebootstrap.
+        Rebootstrap = "rebootstrap",
+        /// One serve request from arrival to response — a serve trace's root.
+        Serve = "serve",
+    }
 }
 
 impl SpanKind {
-    /// The stable wire name, used for Perfetto `name` fields, attribution
-    /// tables and `# EXEMPLAR` component labels. One literal per variant
-    /// (divide-lint E1 counts them).
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            SpanKind::Campaign => "campaign",
-            SpanKind::Job => "job",
-            SpanKind::Attempt => "attempt",
-            SpanKind::PageFetch => "page_fetch",
-            SpanKind::QueueWait => "queue_wait",
-            SpanKind::RetryBackoff => "retry_backoff",
-            SpanKind::BreakerWait => "breaker_wait",
-            SpanKind::Shed => "shed",
-            SpanKind::CacheLookup => "cache_lookup",
-            SpanKind::Rebootstrap => "rebootstrap",
-            SpanKind::Serve => "serve",
-        }
-    }
-
     /// The attribution class the kind rolls up into: tail time is either
     /// structure, useful work, some flavor of waiting, or self-healing.
     pub fn bucket(&self) -> SpanClass {
@@ -107,28 +94,19 @@ impl SpanKind {
     }
 }
 
-/// Coarse roll-up of [`SpanKind`]s for dashboards and Perfetto `cat`
-/// fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SpanClass {
-    /// Container spans (campaign, job, serve request).
-    Structural,
-    /// Time spent doing the thing the trace exists for.
-    Work,
-    /// Time spent waiting on queues, backoff, breakers or shed parking.
-    Wait,
-    /// Time spent inside drift quarantine / rebootstrap.
-    Heal,
-}
-
-impl SpanClass {
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SpanClass::Structural => "structural",
-            SpanClass::Work => "work",
-            SpanClass::Wait => "wait",
-            SpanClass::Heal => "heal",
-        }
+crate::telemetry::wire_enum! {
+    /// Coarse roll-up of [`SpanKind`]s for dashboards and Perfetto `cat`
+    /// fields.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum SpanClass {
+        /// Container spans (campaign, job, serve request).
+        Structural = "structural",
+        /// Time spent doing the thing the trace exists for.
+        Work = "work",
+        /// Time spent waiting on queues, backoff, breakers or shed parking.
+        Wait = "wait",
+        /// Time spent inside drift quarantine / rebootstrap.
+        Heal = "heal",
     }
 }
 
@@ -210,9 +188,9 @@ mod tests {
             SpanKind::Serve,
         ];
         for kind in kinds {
-            assert_eq!(parse_span_kind(kind.wire_name()), Some(kind), "{kind:?}");
+            assert_eq!(SpanKind::parse(kind.as_str()), Some(kind), "{kind:?}");
         }
-        assert_eq!(parse_span_kind("bogus"), None);
+        assert_eq!(SpanKind::parse("bogus"), None);
     }
 
     #[test]

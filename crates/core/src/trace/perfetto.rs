@@ -8,7 +8,9 @@
 //! (rank order, slowest first) with its spans emitted depth-first in
 //! time order. Timestamps are microseconds, so the virtual-clock
 //! millisecond values are multiplied by 1000 — durations read exactly in
-//! the viewer.
+//! the viewer. Each event's `name` is the span kind's wire name and its
+//! `cat` the kind's attribution class; labels go through the same JSON
+//! string escaper as `events.jsonl`.
 //!
 //! The exporter is byte-deterministic: it writes from [`ExemplarSet`]s
 //! held by `HealthReport`s, which are themselves byte-identical across
@@ -20,67 +22,17 @@
 
 use super::{Span, SpanKind, Trace};
 use crate::monitor::CampaignSection;
+use crate::telemetry::jsonl::escape_into;
 use std::fmt::Write as _;
 
-/// Parses a [`SpanKind`] wire name back to the kind — the inverse of
-/// [`SpanKind::wire_name`], covering every variant (divide-lint E1).
-pub fn parse_span_kind(s: &str) -> Option<SpanKind> {
-    match s {
-        "campaign" => Some(SpanKind::Campaign),
-        "job" => Some(SpanKind::Job),
-        "attempt" => Some(SpanKind::Attempt),
-        "page_fetch" => Some(SpanKind::PageFetch),
-        "queue_wait" => Some(SpanKind::QueueWait),
-        "retry_backoff" => Some(SpanKind::RetryBackoff),
-        "breaker_wait" => Some(SpanKind::BreakerWait),
-        "shed" => Some(SpanKind::Shed),
-        "cache_lookup" => Some(SpanKind::CacheLookup),
-        "rebootstrap" => Some(SpanKind::Rebootstrap),
-        "serve" => Some(SpanKind::Serve),
-        _ => None,
-    }
-}
-
-/// Escapes a string for a JSON string literal (quotes, backslashes,
-/// control bytes — everything our labels can contain).
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serializes one span as a complete (`"ph":"X"`) trace event. The
-/// `cat` field is the kind's attribution class, chosen by an exhaustive
-/// match over [`SpanKind`] (divide-lint E1) so a new kind cannot ship
-/// without a viewer category.
+/// `cat` field is the kind's attribution class ([`SpanKind::bucket`]).
 pub fn span_json(span: &Span, pid: usize, tid: usize, trace_id: &str, out: &mut String) {
-    let cat = match span.kind {
-        SpanKind::Campaign => "structural",
-        SpanKind::Job => "structural",
-        SpanKind::Serve => "structural",
-        SpanKind::Attempt => "work",
-        SpanKind::PageFetch => "work",
-        SpanKind::CacheLookup => "work",
-        SpanKind::QueueWait => "wait",
-        SpanKind::RetryBackoff => "wait",
-        SpanKind::BreakerWait => "wait",
-        SpanKind::Shed => "wait",
-        SpanKind::Rebootstrap => "heal",
-    };
     let _ = write!(
         out,
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"label\":\"",
-        span.kind.wire_name(),
-        cat,
+        span.kind.as_str(),
+        span.kind.bucket().as_str(),
         span.start_ms.saturating_mul(1000),
         span.duration_ms().saturating_mul(1000),
         pid,

@@ -195,25 +195,19 @@ pub struct Config {
     pub harness_scopes: Vec<String>,
 }
 
-/// Where the telemetry schema and its consumers live.
+/// A closed enum and the hand-written code that must cover every variant.
 #[derive(Debug, Clone)]
 pub struct E1Config {
-    /// File declaring the event enum, its `name()` map and the
-    /// replay-stable filter.
-    pub enum_file: String,
-    /// The enum's type name (`EventKind`).
-    pub enum_name: String,
-    /// Method mapping variants to wire names.
-    pub name_fn: String,
-    /// The replay-stable subset filter.
-    pub stable_fn: String,
-    /// File holding the JSONL serializer and parser.
-    pub serializer_file: String,
-    pub serialize_fn: String,
-    pub parse_fn: String,
-    /// File holding the metrics aggregator.
-    pub aggregator_file: String,
-    pub aggregate_fn: String,
+    /// File declaring the enum, and its type name (`EventKind`).
+    pub enum_file: &'static str,
+    pub enum_name: &'static str,
+    /// Hand-written `(file, fn, label)` surfaces: each must name every
+    /// variant as `Enum::Variant`, with no wildcard arm. The label names
+    /// the fn in diagnostics.
+    pub surfaces: Vec<(&'static str, &'static str, &'static str)>,
+    /// A hand-written `(wire-name map, parser)` pair in `enum_file`: the
+    /// parser must read back every string literal the map yields.
+    pub wire: Option<(&'static str, &'static str)>,
 }
 
 impl Config {
@@ -226,45 +220,50 @@ impl Config {
             d1_scopes: scopes::owned(scopes::REPLAY_CRITICAL),
             d2_scopes: scopes::owned(scopes::ORDERED_OUTPUT),
             d3_scopes: scopes::owned(scopes::SUPERVISION),
+            // Only hand-written code is listed: `event_schema!` and
+            // `wire_enum!` generate the enums' names, filters and codecs.
             e1: vec![
                 E1Config {
-                    enum_file: "crates/core/src/telemetry/mod.rs".into(),
-                    enum_name: "EventKind".into(),
-                    name_fn: "name".into(),
-                    stable_fn: "replay_stable".into(),
-                    serializer_file: "crates/core/src/telemetry/jsonl.rs".into(),
-                    serialize_fn: "to_line".into(),
-                    parse_fn: "parse_line".into(),
-                    aggregator_file: "crates/core/src/telemetry/aggregate.rs".into(),
-                    aggregate_fn: "observe".into(),
+                    enum_file: "crates/core/src/telemetry/mod.rs",
+                    enum_name: "EventKind",
+                    surfaces: vec![(
+                        "crates/core/src/telemetry/aggregate.rs",
+                        "observe",
+                        "metrics aggregator",
+                    )],
+                    wire: None,
                 },
-                // The serving wire schema: `ServeQuery` with its wire-name
-                // map, cacheability classifier, JSONL-stable codec and the
-                // store's exhaustive answer dispatch.
+                // The serving wire schema keeps its hand-written borrowed
+                // codec, so its names, parser and dispatch are all pinned.
                 E1Config {
-                    enum_file: "crates/serve/src/api.rs".into(),
-                    enum_name: "ServeQuery".into(),
-                    name_fn: "wire_name".into(),
-                    stable_fn: "cacheable".into(),
-                    serializer_file: "crates/serve/src/api.rs".into(),
-                    serialize_fn: "query_to_line".into(),
-                    parse_fn: "parse_query_line".into(),
-                    aggregator_file: "crates/serve/src/store.rs".into(),
-                    aggregate_fn: "answer".into(),
+                    enum_file: "crates/serve/src/api.rs",
+                    enum_name: "ServeQuery",
+                    surfaces: vec![
+                        ("crates/serve/src/api.rs", "wire_name", "wire-name map"),
+                        ("crates/serve/src/api.rs", "cacheable", "cacheability"),
+                        ("crates/serve/src/api.rs", "query_to_line", "serializer"),
+                        ("crates/serve/src/store.rs", "answer", "answer dispatch"),
+                    ],
+                    wire: Some(("wire_name", "parse_query_line")),
                 },
-                // The span-tree schema: `SpanKind` with its wire-name map,
-                // attribution-class bucketing, Chrome trace-event emitter
-                // and the critical-path attribution fold.
+                // The span-tree schema: the class each kind rolls up into
+                // and how the attribution fold charges it.
                 E1Config {
-                    enum_file: "crates/core/src/trace/mod.rs".into(),
-                    enum_name: "SpanKind".into(),
-                    name_fn: "wire_name".into(),
-                    stable_fn: "bucket".into(),
-                    serializer_file: "crates/core/src/trace/perfetto.rs".into(),
-                    serialize_fn: "span_json".into(),
-                    parse_fn: "parse_span_kind".into(),
-                    aggregator_file: "crates/core/src/trace/attribution.rs".into(),
-                    aggregate_fn: "charge".into(),
+                    enum_file: "crates/core/src/trace/mod.rs",
+                    enum_name: "SpanKind",
+                    surfaces: vec![
+                        (
+                            "crates/core/src/trace/mod.rs",
+                            "bucket",
+                            "attribution class",
+                        ),
+                        (
+                            "crates/core/src/trace/attribution.rs",
+                            "charge",
+                            "attribution fold",
+                        ),
+                    ],
+                    wire: None,
                 },
             ],
             w1_member_dirs: Some(vec!["crates".into(), "vendor".into()]),
@@ -315,9 +314,8 @@ impl Config {
             .cloned()
             .collect();
         for e1 in &self.e1 {
-            scopes.push(e1.enum_file.clone());
-            scopes.push(e1.serializer_file.clone());
-            scopes.push(e1.aggregator_file.clone());
+            scopes.push(e1.enum_file.to_string());
+            scopes.extend(e1.surfaces.iter().map(|s| s.0.to_string()));
         }
         scopes.sort();
         scopes.dedup();

@@ -1,13 +1,15 @@
-//! **E1** — telemetry exhaustiveness: every `EventKind` variant must be
-//! covered by the JSONL serializer, the JSONL parser, the replay-stable
-//! subset filter, and the `MetricsAggregator` — and none of those
-//! surfaces may hide behind a wildcard arm.
+//! **E1** — schema exhaustiveness: every variant of a closed enum must be
+//! covered by each hand-written `match` that consumes it (for
+//! `EventKind`, the `MetricsAggregator`; for `SpanKind`, the attribution
+//! class and the attribution fold), and none of those surfaces may hide
+//! behind a wildcard arm. Where a wire codec is still written by hand
+//! (`ServeQuery`), the parser must also read back every wire name.
 //!
-//! This is what makes the wire format a *closed* schema: adding an event
-//! variant without teaching the serializer (or the parser its wire name)
-//! fails CI with a `file:line` diagnostic instead of silently dropping
-//! the event from `events.jsonl`, the resume byte-identity check, and
-//! the health dashboard.
+//! Code that `event_schema!` and `wire_enum!` generate from the variant
+//! list covers every variant by construction and is not checked. What is
+//! checked is what a new variant could silently skip: adding one without
+//! teaching the consumers fails CI with a `file:line` diagnostic instead
+//! of silently dropping it from a dashboard or an attribution table.
 
 use crate::lexer::TokKind;
 use crate::scan::{self, SourceFile};
@@ -15,14 +17,15 @@ use crate::{E1Config, Finding, RuleId};
 use std::collections::BTreeSet;
 
 pub fn check(cfg: &E1Config, files: &[SourceFile], findings: &mut Vec<Finding>) {
-    let Some(enum_file) = files.iter().find(|f| f.rel == cfg.enum_file) else {
+    let file = |rel: &str| files.iter().find(|f| f.rel == rel);
+    let Some(enum_file) = file(cfg.enum_file) else {
         findings.push(config_error(
             cfg,
             format!("enum file {} not found", cfg.enum_file),
         ));
         return;
     };
-    let Some(variants) = scan::enum_variants(enum_file.tokens(), &cfg.enum_name) else {
+    let Some(variants) = scan::enum_variants(enum_file.tokens(), cfg.enum_name) else {
         findings.push(config_error(
             cfg,
             format!("enum {} not found in {}", cfg.enum_name, cfg.enum_file),
@@ -38,47 +41,19 @@ pub fn check(cfg: &E1Config, files: &[SourceFile], findings: &mut Vec<Finding>) 
     }
 
     // Variant-coverage surfaces: each must name every variant (as
-    // `EventKind::V`) and contain no `_ =>` wildcard arm.
-    let surfaces: [(&SourceFile, &str, &str); 4] = [
-        (enum_file, cfg.name_fn.as_str(), "wire-name map"),
-        (enum_file, cfg.stable_fn.as_str(), "replay-stable filter"),
-        (
-            match files.iter().find(|f| f.rel == cfg.serializer_file) {
-                Some(f) => f,
-                None => {
-                    findings.push(config_error(
-                        cfg,
-                        format!("serializer file {} not found", cfg.serializer_file),
-                    ));
-                    return;
-                }
-            },
-            cfg.serialize_fn.as_str(),
-            "JSONL serializer",
-        ),
-        (
-            match files.iter().find(|f| f.rel == cfg.aggregator_file) {
-                Some(f) => f,
-                None => {
-                    findings.push(config_error(
-                        cfg,
-                        format!("aggregator file {} not found", cfg.aggregator_file),
-                    ));
-                    return;
-                }
-            },
-            cfg.aggregate_fn.as_str(),
-            "metrics aggregator",
-        ),
-    ];
-
-    for (file, fn_name, label) in surfaces {
-        check_surface(cfg, file, fn_name, label, &variants, findings);
+    // `Enum::V`) and contain no `_ =>` wildcard arm.
+    for &(rel, fn_name, label) in &cfg.surfaces {
+        match file(rel) {
+            Some(f) => check_surface(cfg, f, fn_name, label, &variants, findings),
+            None => findings.push(config_error(cfg, format!("{label} file {rel} not found"))),
+        }
     }
 
-    // Parser coverage is by wire name: every string the `name()` map
-    // yields must appear as a string literal inside the parse fn.
-    check_parser(cfg, enum_file, files, &variants, findings);
+    // Parser coverage is by wire name: every string the name map yields
+    // must appear as a string literal inside the parse fn.
+    if let Some((name_fn, parse_fn)) = cfg.wire {
+        check_parser(enum_file, name_fn, parse_fn, &variants, findings);
+    }
 }
 
 fn check_surface(
@@ -107,8 +82,8 @@ fn check_surface(
     // Which variants does the body name as `Enum::Variant`?
     let mut covered = BTreeSet::new();
     for i in 0..body.len() {
-        if scan::is_ident(&body[i], &cfg.enum_name) {
-            if let Some(end) = scan::path_at(body, i, &[cfg.enum_name.as_str()]) {
+        if scan::is_ident(&body[i], cfg.enum_name) {
+            if let Some(end) = scan::path_at(body, i, &[cfg.enum_name]) {
                 if body.get(end).is_some_and(|t| scan::is_punct(t, ':'))
                     && body.get(end + 1).is_some_and(|t| scan::is_punct(t, ':'))
                 {
@@ -156,79 +131,70 @@ fn check_surface(
 }
 
 fn check_parser(
-    cfg: &E1Config,
-    enum_file: &SourceFile,
-    files: &[SourceFile],
+    file: &SourceFile,
+    name_fn: &str,
+    parse_fn: &str,
     variants: &[String],
     findings: &mut Vec<Finding>,
 ) {
-    let Some(parser_file) = files.iter().find(|f| f.rel == cfg.serializer_file) else {
-        return; // already reported
-    };
-    let Some((_, open, close)) = scan::fn_span(enum_file.tokens(), &cfg.name_fn) else {
-        return; // already reported
-    };
-    let wire_names: Vec<&str> = enum_file.tokens()[open..=close]
-        .iter()
-        .filter_map(|t| match &t.kind {
-            TokKind::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    if wire_names.len() != variants.len() {
-        findings.push(Finding {
-            file: enum_file.rel.clone(),
-            line: enum_file.tokens()[open].line,
-            col: enum_file.tokens()[open].col,
-            rule: RuleId::E1,
-            message: format!(
-                "wire-name map `fn {}` yields {} names for {} variants",
-                cfg.name_fn,
-                wire_names.len(),
-                variants.len()
-            ),
-            hint: "one wire name per variant, no sharing".into(),
-        });
-    }
-    let Some((fn_kw, popen, pclose)) = scan::fn_span(parser_file.tokens(), &cfg.parse_fn) else {
-        findings.push(Finding {
-            file: parser_file.rel.clone(),
-            line: 1,
-            col: 1,
-            rule: RuleId::E1,
-            message: format!("JSONL parser `fn {}` not found", cfg.parse_fn),
-            hint: "the wire format must stay strictly re-parseable".into(),
-        });
-        return;
-    };
-    let parsed: BTreeSet<&str> = parser_file.tokens()[popen..=pclose]
-        .iter()
-        .filter_map(|t| match &t.kind {
-            TokKind::Str(s) => Some(s.as_str()),
-            _ => None,
-        })
-        .collect();
-    let at = &parser_file.tokens()[fn_kw];
-    for name in wire_names {
-        if !parsed.contains(name) {
-            findings.push(Finding {
-                file: parser_file.rel.clone(),
-                line: at.line,
-                col: at.col,
-                rule: RuleId::E1,
-                message: format!(
-                    "JSONL parser `fn {}` does not handle wire name {name:?}",
-                    cfg.parse_fn
-                ),
-                hint: "add the match arm so parse→serialize stays byte-identical".into(),
+    let tokens = file.tokens();
+    // A fn's `fn` keyword, its body's opening brace, and the string
+    // literals inside the body.
+    let literals = |name: &str| {
+        scan::fn_span(tokens, name).map(|(fn_kw, open, close)| {
+            let strs = tokens[open..=close].iter().filter_map(|t| match &t.kind {
+                TokKind::Str(s) => Some(s.as_str()),
+                _ => None,
             });
-        }
+            (&tokens[fn_kw], &tokens[open], strs.collect::<Vec<_>>())
+        })
+    };
+    let mut finding = |at: Option<&crate::lexer::Token>, message: String, hint: &str| {
+        findings.push(Finding {
+            file: file.rel.clone(),
+            line: at.map_or(1, |t| t.line),
+            col: at.map_or(1, |t| t.col),
+            rule: RuleId::E1,
+            message,
+            hint: hint.into(),
+        })
+    };
+    let Some((_, name_at, wire_names)) = literals(name_fn) else {
+        let message = format!("wire-name map `fn {name_fn}` not found");
+        return finding(None, message, "the wire format needs its name map");
+    };
+    if wire_names.len() != variants.len() {
+        let message = format!(
+            "wire-name map `fn {name_fn}` yields {} names for {} variants",
+            wire_names.len(),
+            variants.len()
+        );
+        finding(
+            Some(name_at),
+            message,
+            "one wire name per variant, no sharing",
+        );
+    }
+    let Some((parse_at, _, parsed)) = literals(parse_fn) else {
+        let message = format!("JSONL parser `fn {parse_fn}` not found");
+        return finding(
+            None,
+            message,
+            "the wire format must stay strictly re-parseable",
+        );
+    };
+    for name in wire_names.iter().filter(|n| !parsed.contains(n)) {
+        finding(
+            Some(parse_at),
+            format!("JSONL parser `fn {parse_fn}` does not handle wire name {name:?}"),
+            "add the match arm so parse→serialize stays byte-identical",
+        );
     }
 }
 
 fn config_error(cfg: &E1Config, message: String) -> Finding {
     Finding {
-        file: cfg.enum_file.clone(),
+        file: cfg.enum_file.to_string(),
         line: 1,
         col: 1,
         rule: RuleId::E1,

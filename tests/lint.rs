@@ -215,19 +215,16 @@ fn real_drift_modules_are_clean_under_all_rules() {
 
 // ---- trace span-tree schema (E1 on SpanKind) ------------------------
 
-/// The real `SpanKind` E1 surface names, pointed at a fixture file.
-fn trace_e1_config(file: &str) -> divide_lint::E1Config {
-    divide_lint::E1Config {
-        enum_file: file.into(),
-        enum_name: "SpanKind".into(),
-        name_fn: "wire_name".into(),
-        stable_fn: "bucket".into(),
-        serializer_file: file.into(),
-        serialize_fn: "span_json".into(),
-        parse_fn: "parse_span_kind".into(),
-        aggregator_file: file.into(),
-        aggregate_fn: "charge".into(),
-    }
+/// The `SpanKind` E1 surfaces from before `wire_enum!` generated its
+/// wire names and parser, pointed at a fixture file that still writes
+/// them by hand.
+fn trace_e1_config(file: &'static str) -> divide_lint::E1Config {
+    e1_surfaces(
+        file,
+        "SpanKind",
+        ["wire_name", "bucket", "span_json", "charge"],
+        "parse_span_kind",
+    )
 }
 
 /// The E1 canary for the span-tree schema: the four-variant mirror of
@@ -455,17 +452,38 @@ fn emitters_render_fixture_findings() {
 
 // ---- E1: telemetry exhaustiveness -----------------------------------
 
-fn e1_config(file: &str) -> divide_lint::E1Config {
+fn e1_config(file: &'static str) -> divide_lint::E1Config {
+    e1_surfaces(
+        file,
+        "Kind",
+        ["name", "replay_stable", "to_line", "observe"],
+        "parse_line",
+    )
+}
+
+/// A one-file schema with four hand-written surfaces (labelled as the
+/// wire-name map, stable filter, serializer and aggregator) and a parser.
+fn e1_surfaces(
+    file: &'static str,
+    enum_name: &'static str,
+    fns: [&'static str; 4],
+    parse_fn: &'static str,
+) -> divide_lint::E1Config {
+    let labels = [
+        "wire-name map",
+        "replay-stable filter",
+        "JSONL serializer",
+        "metrics aggregator",
+    ];
     divide_lint::E1Config {
-        enum_file: file.into(),
-        enum_name: "Kind".into(),
-        name_fn: "name".into(),
-        stable_fn: "replay_stable".into(),
-        serializer_file: file.into(),
-        serialize_fn: "to_line".into(),
-        parse_fn: "parse_line".into(),
-        aggregator_file: file.into(),
-        aggregate_fn: "observe".into(),
+        enum_file: file,
+        enum_name,
+        surfaces: fns
+            .into_iter()
+            .zip(labels)
+            .map(|(f, l)| (file, f, l))
+            .collect(),
+        wire: Some((fns[0], parse_fn)),
     }
 }
 

@@ -1186,6 +1186,224 @@ mod jsonl_encoder {
     }
 }
 
+// ---- JSONL schema: every event kind -------------------------------------
+//
+// One event of each of the 27 kinds, its fields drawn at random: the line
+// parses back to the event, and re-encoding the parsed event gives the
+// same line. Strings include quotes, backslashes and control characters.
+
+mod jsonl_schema {
+    use super::*;
+    use decoding_divide::bqt::telemetry::jsonl::{parse_line, to_line};
+    use decoding_divide::bqt::telemetry::{FaultClass, OutcomeCode};
+    use decoding_divide::bqt::{Event, EventKind};
+    use decoding_divide::net::SimTime;
+    use std::collections::BTreeSet;
+
+    const KINDS: u8 = 27;
+
+    const ALPHABET: [char; 13] = [
+        'a', '/', ' ', '"', '\\', '\n', '\t', '\r', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀',
+    ];
+
+    const OUTCOMES: [OutcomeCode; 6] = [
+        OutcomeCode::Plans,
+        OutcomeCode::NoService,
+        OutcomeCode::Unserviceable,
+        OutcomeCode::Blocked,
+        OutcomeCode::Failed,
+        OutcomeCode::Stalled,
+    ];
+
+    const FAULTS: [FaultClass; 3] = [FaultClass::Timeout, FaultClass::Reset, FaultClass::Stall];
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0..ALPHABET.len(), 0..8)
+            .prop_map(|ix| ix.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    /// Any `u64`, with 0, `u64::MAX` and `u32::MAX + 1` as likely as the
+    /// long tail. The `u32` fields take the low half.
+    fn number() -> impl Strategy<Value = u64> {
+        (0u8..4, any::<u64>()).prop_map(|(pick, v)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => 1 << 32,
+            _ => v,
+        })
+    }
+
+    /// The field values one event draws from.
+    struct Draw {
+        n: [u64; 3],
+        s: [String; 2],
+        flag: bool,
+        outcome: OutcomeCode,
+        fault: FaultClass,
+    }
+
+    /// An event of kind `pick % 27`, every field taken from `d`.
+    fn kind(pick: u8, d: Draw) -> EventKind {
+        let [a, b, c] = d.n;
+        let (b32, c32) = (b as u32, c as u32);
+        let [s0, s1] = d.s;
+        let (flag, outcome, fault) = (d.flag, d.outcome, d.fault);
+        match pick % KINDS {
+            0 => EventKind::CampaignBegin {
+                seed: a,
+                n_jobs: b32,
+                n_workers: c32,
+            },
+            1 => EventKind::CampaignEnd { makespan_ms: a },
+            2 => EventKind::WorkerBegin { worker: b32 },
+            3 => EventKind::WorkerEnd { worker: c32 },
+            4 => EventKind::JobBegin {
+                tag: a,
+                endpoint: s0,
+            },
+            5 => EventKind::JobEnd {
+                tag: a,
+                outcome,
+                attempts: b32,
+                dead_lettered: flag,
+            },
+            6 => EventKind::AttemptBegin {
+                tag: a,
+                attempt: b32,
+                worker: c32,
+                endpoint: s0,
+            },
+            7 => EventKind::AttemptEnd {
+                tag: a,
+                attempt: b32,
+                worker: c32,
+                endpoint: s0,
+                outcome,
+                duration_ms: c,
+                steps: b32,
+            },
+            8 => EventKind::Retry {
+                tag: a,
+                next_attempt: b32,
+                delay_ms: c,
+            },
+            9 => EventKind::BreakerTrip { endpoint: s0 },
+            10 => EventKind::BreakerDefer {
+                tag: a,
+                endpoint: s0,
+                until_ms: b,
+            },
+            11 => EventKind::ShedCut { limit: b32 },
+            12 => EventKind::ShedRaise { limit: c32 },
+            13 => EventKind::StallReclaimed {
+                tag: a,
+                worker: b32,
+            },
+            14 => EventKind::DriftSuspected {
+                tag: a,
+                endpoint: s0,
+            },
+            15 => EventKind::RebootstrapStarted { endpoint: s0 },
+            16 => EventKind::TemplateSwapped {
+                endpoint: s0,
+                generation: b32,
+            },
+            17 => EventKind::RebootstrapCompleted {
+                endpoint: s0,
+                confidence_pct: c32,
+            },
+            18 => EventKind::ServeLookupEnd {
+                tag: a,
+                shard: b32,
+                endpoint: s0,
+                outcome,
+                cache_hit: flag,
+                duration_ms: c,
+            },
+            19 => EventKind::CacheEvicted {
+                shard: b32,
+                key: s0,
+            },
+            20 => EventKind::ServeShed {
+                shard: c32,
+                endpoint: s0,
+            },
+            21 => EventKind::JournalReplay {
+                tag: a,
+                attempt: b32,
+            },
+            22 => EventKind::FaultInjected {
+                endpoint: s0,
+                fault,
+            },
+            23 => EventKind::AlertFired {
+                rule: s0,
+                exemplars: s1,
+            },
+            24 => EventKind::AlertResolved { rule: s1 },
+            25 => EventKind::PageFetchBegin {
+                tag: a,
+                attempt: b32,
+                fetch: c32,
+            },
+            _ => EventKind::PageFetchEnd {
+                tag: a,
+                attempt: b32,
+                fetch: c32,
+                duration_ms: b,
+            },
+        }
+    }
+
+    #[test]
+    fn the_draw_reaches_every_kind() {
+        let names: BTreeSet<&str> = (0..KINDS)
+            .map(|pick| {
+                let d = Draw {
+                    n: [0; 3],
+                    s: [String::new(), String::new()],
+                    flag: false,
+                    outcome: OutcomeCode::Plans,
+                    fault: FaultClass::Reset,
+                };
+                kind(pick, d).name()
+            })
+            .collect();
+        assert_eq!(names.len(), usize::from(KINDS));
+    }
+
+    proptest! {
+        #[test]
+        fn every_kind_round_trips_through_its_line(
+            pick in any::<u8>(),
+            t in number(),
+            n in (number(), number(), number()),
+            s in (text(), text()),
+            flag in any::<bool>(),
+            codes in (0..OUTCOMES.len(), 0..FAULTS.len()),
+        ) {
+            let d = Draw {
+                n: [n.0, n.1, n.2],
+                s: [s.0, s.1],
+                flag,
+                outcome: OUTCOMES[codes.0],
+                fault: FAULTS[codes.1],
+            };
+            let event = Event {
+                at: SimTime::from_millis(t),
+                kind: kind(pick, d),
+            };
+            let line = to_line(&event);
+            prop_assert!(!line.contains('\n'), "line break in {line:?}");
+            let parsed = parse_line(&line);
+            prop_assert_eq!(&parsed, &Ok(event));
+            if let Ok(parsed) = parsed {
+                prop_assert_eq!(to_line(&parsed), line);
+            }
+        }
+    }
+}
+
 // ---- scrape: V2 detection totality (the drift premise) -----------------
 //
 // The self-healing drift machinery rests on two facts about the template

@@ -7,9 +7,7 @@
 
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::OutcomeCode;
-use decoding_divide::bqt::trace::{
-    attribute, critical_path, parse_span_kind, Span, TraceAssembler,
-};
+use decoding_divide::bqt::trace::{attribute, critical_path, Span, SpanKind, TraceAssembler};
 use decoding_divide::bqt::{
     render_trace_json, BqtConfig, Campaign, Event, EventKind, Journal, MonitorPolicy, Orchestrator,
     OrchestratorReport, QueryJob, RetryPolicy,
@@ -242,7 +240,7 @@ fn span_tree() -> impl Strategy<Value = Span> {
                     // descendants exercise the malformed paths.
                     let (start_ms, end_ms) = if i == 0 { (a.min(b), a.max(b)) } else { (a, b) };
                     Span {
-                        kind: parse_span_kind(WIRE_NAMES[kind]).expect("wire name"),
+                        kind: SpanKind::parse(WIRE_NAMES[kind]).expect("wire name"),
                         label: String::new(),
                         start_ms,
                         end_ms,
@@ -277,11 +275,11 @@ const WIRE_NAMES: [&str; 11] = [
 #[test]
 fn span_kind_wire_names_round_trip() {
     for name in WIRE_NAMES {
-        let kind = parse_span_kind(name).expect("every wire name parses");
-        assert_eq!(kind.wire_name(), name);
+        let kind = SpanKind::parse(name).expect("every wire name parses");
+        assert_eq!(kind.as_str(), name);
     }
-    assert_eq!(parse_span_kind("not_a_kind"), None);
-    assert!(parse_span_kind("attempt") < parse_span_kind("page_fetch"));
+    assert_eq!(SpanKind::parse("not_a_kind"), None);
+    assert!(SpanKind::parse("attempt") < SpanKind::parse("page_fetch"));
 }
 
 // ---- trace.json differential: thread counts --------------------------
