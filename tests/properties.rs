@@ -1881,6 +1881,36 @@ mod formatter_oracles {
         }
     }
 
+    /// One plan number, drawn from every class the row writer treats
+    /// differently.
+    fn plan_number() -> impl Strategy<Value = f64> {
+        const EDGES: [f64; 12] = [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            1e-7,
+            1e21,
+            999_999_999_999.99,
+            1e12,
+            1e12 + 0.25,
+            0.1 + 0.2,
+            f64::MAX,
+        ];
+        (0u8..9, any::<u64>(), any::<f64>()).prop_map(|(pick, bits, unit)| match pick {
+            0 => (bits % 100_000) as f64,
+            1 => (bits % 10_000_000) as f64 / 100.0,
+            2 => (bits % 100_000) as f64 / 10.0,
+            3 => f64::from_bits(bits),
+            4 => f64::from_bits(bits % (1 << 52)),
+            5 => EDGES[(bits % EDGES.len() as u64) as usize],
+            6 => -((bits % 100_000) as f64) / 100.0,
+            7 => unit * 10f64.powi((bits % 30) as i32 - 8),
+            _ => (bits % 100_000_000_000_000) as f64 / 100.0,
+        })
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn address(
         number: u32,
@@ -1960,6 +1990,26 @@ mod formatter_oracles {
             }
         }
 
+
+        /// Plan rows over every kind of `f64` a plan could carry:
+        /// integers, cents, tenths, raw bit patterns, `-0.0`, NaN, ±inf,
+        /// subnormals, tiny and huge magnitudes, and values on either side
+        /// of the 1e12 cut-off of the cents writer.
+        #[test]
+        fn plan_rows_match_the_format_oracle_for_any_number(
+            rows in proptest::collection::vec((plan_number(), plan_number(), plan_number()), 0..6),
+        ) {
+            let plans: Vec<Plan> = rows
+                .iter()
+                .map(|&(down, up, price)| Plan::new(down, up, price, Tech::Fiber))
+                .collect();
+            for isp in ALL_ISPS {
+                for version in VERSIONS {
+                    prop_assert_eq!(render_plans_v(isp, &plans, version), old_render_plans_v(isp, &plans, version));
+                }
+            }
+        }
+
         /// Not-found pages with 0–5 suggestions and MDU pages with 2–12
         /// units, plus the fixed pages, for every ISP and generation.
         #[test]
@@ -2028,6 +2078,332 @@ fn noisy_rendering_matches_back_to_its_own_canonical_form() {
         correct as f64 / total as f64 > 0.9,
         "matcher picked the right sibling only {correct}/{total} times"
     );
+}
+
+// ---- address curation: generation, index keys and the matcher against --
+// ---- the implementations they replaced ---------------------------------
+//
+// `AddressDb::generate` used to render every record's canonical line and
+// normalize it to key the uniqueness check, and `best_match` normalized
+// both sides of every comparison (token-sort twice). Both loops are kept
+// here verbatim as oracles: the records, the index and every score must
+// come out bit for bit the same.
+
+mod curation_oracles {
+    use super::*;
+    use decoding_divide::address::matching::{best_match, similarity, Measure};
+    use decoding_divide::address::{
+        render_noisy, AddressDb, AddressId, AddressRecord, NoiseProfile, StreetAddress, StreetNamer,
+    };
+    use decoding_divide::census::{city_by_name, city_seed, CityProfile};
+    use decoding_divide::geo::CityGrid;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
+
+    /// The generation loop before index keys were built from address
+    /// parts: uniqueness keyed on `normalize_line(canonical_line())`.
+    fn old_generate(
+        city: &CityProfile,
+        grid: &CityGrid,
+        noise: &NoiseProfile,
+    ) -> Vec<AddressRecord> {
+        let seed = city_seed(city.name);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xADD3);
+        let mut namer = StreetNamer::new(seed);
+        let n_bg = grid.len();
+        let mean_per_bg = (city.street_addresses() as f64 / n_bg as f64).max(4.0);
+        let mut records: Vec<AddressRecord> = Vec::new();
+        let mut taken: HashSet<String> = HashSet::new();
+        for bg in 0..n_bg {
+            let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
+            let zip = city.zip_prefix as u32 * 100 + (bg as u32 / 12) % 100;
+            let n_streets = rng.gen_range(3..=7).min(count.max(1));
+            let streets: Vec<_> = (0..n_streets).map(|_| namer.next_street()).collect();
+            for k in 0..count {
+                let (directional, street_name, suffix) = streets[k % n_streets].clone();
+                let mut canonical = StreetAddress {
+                    number: 100
+                        + (k / n_streets) as u32 * rng.gen_range(2..8)
+                        + rng.gen_range(0..2) as u32,
+                    directional,
+                    street_name,
+                    suffix,
+                    unit: None,
+                    city: city.name.to_string(),
+                    state: city.state.to_string(),
+                    zip,
+                };
+                while !taken.insert(normalize_line(&canonical.canonical_line())) {
+                    canonical.number += rng.gen_range(1..5);
+                }
+                let id = records.len() as AddressId;
+                let is_mdu = rng.gen_bool(0.10);
+                let units: Vec<String> = if is_mdu {
+                    let n_units = rng.gen_range(2..=12);
+                    (1..=n_units).map(|u| u.to_string()).collect()
+                } else {
+                    Vec::new()
+                };
+                let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
+                records.push(AddressRecord {
+                    id,
+                    canonical,
+                    bg_index: bg,
+                    block_group: grid.id(bg),
+                    is_mdu,
+                    units,
+                    listing_line,
+                });
+            }
+        }
+        records
+    }
+
+    /// Every record (numbers and listing lines included) equals the
+    /// render-then-normalize loop's, and the index holds exactly one key
+    /// per record: each canonical line, normalized, looks up its own id.
+    /// With `len() == records`, that makes every stored key equal to
+    /// `normalize_line(canonical_line())`.
+    #[test]
+    fn generated_records_and_index_keys_match_the_oracle() {
+        for name in ["Billings", "Fargo", "Chicago"] {
+            let city = city_by_name(name).expect("study city");
+            let grid = city.grid();
+            let noise = NoiseProfile::zillow_like();
+            let db = AddressDb::generate(city, &grid, &noise);
+            let old = old_generate(city, &grid, &noise);
+            assert_eq!(db.len(), old.len(), "{name}");
+            for (new, old) in db.records().iter().zip(&old) {
+                assert_eq!(new, old, "{name}");
+            }
+            assert_eq!(db.index().len(), db.len(), "{name}");
+            for r in db.records() {
+                assert_eq!(
+                    db.index().lookup(&r.canonical.canonical_line()),
+                    Some(r.id),
+                    "{name}"
+                );
+            }
+        }
+    }
+
+    // Today's scorers, verbatim.
+
+    fn old_levenshtein(a: &str, b: &str) -> usize {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() {
+            return b.len();
+        }
+        if b.is_empty() {
+            return a.len();
+        }
+        let mut row: Vec<usize> = (0..=b.len()).collect();
+        for (i, &ca) in a.iter().enumerate() {
+            let mut prev_diag = row[0];
+            row[0] = i + 1;
+            for (j, &cb) in b.iter().enumerate() {
+                let cost = if ca == cb { 0 } else { 1 };
+                let next = (prev_diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
+                prev_diag = row[j + 1];
+                row[j + 1] = next;
+            }
+        }
+        row[b.len()]
+    }
+
+    fn old_levenshtein_similarity(a: &str, b: &str) -> f64 {
+        let max = a.chars().count().max(b.chars().count());
+        if max == 0 {
+            return 1.0;
+        }
+        1.0 - old_levenshtein(a, b) as f64 / max as f64
+    }
+
+    fn old_jaro(a: &str, b: &str) -> f64 {
+        let a: Vec<char> = a.chars().collect();
+        let b: Vec<char> = b.chars().collect();
+        if a.is_empty() && b.is_empty() {
+            return 1.0;
+        }
+        if a.is_empty() || b.is_empty() {
+            return 0.0;
+        }
+        let window = (a.len().max(b.len()) / 2).saturating_sub(1);
+        let mut b_used = vec![false; b.len()];
+        let mut matches = 0usize;
+        let mut a_matched: Vec<char> = Vec::new();
+        for (i, &ca) in a.iter().enumerate() {
+            let lo = i.saturating_sub(window);
+            let hi = (i + window + 1).min(b.len());
+            for j in lo..hi {
+                if !b_used[j] && b[j] == ca {
+                    b_used[j] = true;
+                    matches += 1;
+                    a_matched.push(ca);
+                    break;
+                }
+            }
+        }
+        if matches == 0 {
+            return 0.0;
+        }
+        let b_matched: Vec<char> = b
+            .iter()
+            .zip(b_used.iter())
+            .filter(|&(_, &u)| u)
+            .map(|(&c, _)| c)
+            .collect();
+        let transpositions = a_matched
+            .iter()
+            .zip(b_matched.iter())
+            .filter(|(x, y)| x != y)
+            .count()
+            / 2;
+        let m = matches as f64;
+        (m / a.len() as f64 + m / b.len() as f64 + (m - transpositions as f64) / m) / 3.0
+    }
+
+    fn old_jaro_winkler(a: &str, b: &str) -> f64 {
+        let j = old_jaro(a, b);
+        let prefix = a
+            .chars()
+            .zip(b.chars())
+            .take(4)
+            .take_while(|(x, y)| x == y)
+            .count();
+        j + prefix as f64 * 0.1 * (1.0 - j)
+    }
+
+    fn old_token_sort_similarity(a: &str, b: &str) -> f64 {
+        let mut ta: Vec<String> = normalize_line(a).split(' ').map(str::to_string).collect();
+        let mut tb: Vec<String> = normalize_line(b).split(' ').map(str::to_string).collect();
+        ta.sort();
+        tb.sort();
+        old_levenshtein_similarity(&ta.join(" "), &tb.join(" "))
+    }
+
+    fn old_similarity(measure: Measure, input: &str, candidate: &str) -> f64 {
+        let a = normalize_line(input);
+        let b = normalize_line(candidate);
+        match measure {
+            Measure::Levenshtein => old_levenshtein_similarity(&a, &b),
+            Measure::JaroWinkler => old_jaro_winkler(&a, &b),
+            Measure::TokenSort => old_token_sort_similarity(&a, &b),
+        }
+    }
+
+    fn old_best_match(
+        measure: Measure,
+        input: &str,
+        candidates: &[String],
+        threshold: f64,
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in candidates.iter().enumerate() {
+            let s = old_similarity(measure, input, c);
+            if s >= threshold && best.is_none_or(|(_, bs)| s > bs) {
+                best = Some((i, s));
+            }
+        }
+        best
+    }
+
+    const MEASURES: [Measure; 3] = [
+        Measure::Levenshtein,
+        Measure::JaroWinkler,
+        Measure::TokenSort,
+    ];
+
+    /// A suggestion-list string: a variant of the true address (noisy,
+    /// renumbered, reordered or with a duplicated token), or free text
+    /// with `#`, unit markers, punctuation and non-ASCII characters, or
+    /// nothing at all.
+    fn variant(a: &StreetAddress, pick: u8, seed: u64, junk: &str) -> String {
+        let line = a.canonical_line();
+        match pick {
+            0 => line,
+            1 => render_noisy(a, &loud(), seed),
+            2 => StreetAddress {
+                number: a.number + 1 + (seed % 7) as u32,
+                ..a.clone()
+            }
+            .canonical_line(),
+            3 => line.split(' ').rev().collect::<Vec<_>>().join(" "),
+            4 => {
+                let first = line.split(' ').nth(1).unwrap_or_default().to_string();
+                format!("{line} {first} {first}")
+            }
+            5 => format!("{line} {junk}"),
+            6 => junk.to_string(),
+            _ => String::new(),
+        }
+    }
+
+    fn loud() -> NoiseProfile {
+        NoiseProfile {
+            p_suffix_variant: 0.5,
+            p_case_mangle: 0.5,
+            p_typo: 0.5,
+            p_drop_unit: 0.5,
+            p_alt_unit_marker: 0.5,
+        }
+    }
+
+    proptest! {
+        /// `best_match` and `similarity` give the oracle's winner and the
+        /// oracle's score, bit for bit, for all three measures.
+        #[test]
+        fn matcher_scores_match_the_oracle_bit_for_bit(
+            number in 1u32..20_000,
+            dir in proptest::option::of(0usize..8),
+            street_name in "([A-Za-z]|é|ß|中| ){1,12}",
+            suffix in 0usize..12,
+            unit in proptest::option::of("[0-9A-Z]{1,3}"),
+            zip in 0u32..100_000,
+            input_pick in 0u8..8,
+            picks in proptest::collection::vec(0u8..8, 0..7),
+            junk in "([A-Za-z0-9]|#|,|\\.|é|ß|Ω|中| |Apt|Unit|Suite|Avenue){0,14}",
+            seed in any::<u64>(),
+        ) {
+            let a = StreetAddress {
+                number,
+                directional: dir.map(|d| Directional::ALL[d]),
+                street_name,
+                suffix: Suffix::ALL[suffix],
+                unit,
+                city: "Fargo".to_string(),
+                state: "ND".to_string(),
+                zip,
+            };
+            let input = variant(&a, input_pick % 7 + 1, seed, &junk);
+            let candidates: Vec<String> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| variant(&a, p, seed.wrapping_add(i as u64), &junk))
+                .collect();
+            for measure in MEASURES {
+                for c in &candidates {
+                    prop_assert_eq!(
+                        similarity(measure, &input, c).to_bits(),
+                        old_similarity(measure, &input, c).to_bits()
+                    );
+                }
+                for threshold in [0.0, 0.5, 0.8, 1.0] {
+                    let got = best_match(measure, &input, &candidates, threshold);
+                    let want = old_best_match(measure, &input, &candidates, threshold);
+                    prop_assert_eq!(got.map(|(i, s)| (i, s.to_bits())), want.map(|(i, s)| (i, s.to_bits())));
+                }
+            }
+            for c in &candidates {
+                prop_assert_eq!(
+                    token_sort_similarity(&input, c).to_bits(),
+                    old_token_sort_similarity(&input, c).to_bits()
+                );
+            }
+        }
+    }
 }
 
 // ---- serve: the allocation-light codec and O(1) LRU against the -------
