@@ -10,6 +10,7 @@
 //! each block group's addresses, with a floor of thirty samples (capped by
 //! the group's size) so block-group medians are statistically meaningful.
 
+use crate::abbrev::normalize_line;
 use crate::index::AddressIndex;
 use crate::model::StreetAddress;
 use crate::noise::{render_noisy, NoiseProfile};
@@ -74,20 +75,42 @@ impl AddressDb {
         // database has one row per deliverable address. The index that
         // enforces it is the one every BAT of the city looks lines up in.
         let mut index = AddressIndex::with_capacity(city.street_addresses());
-        // Scratch for the uniqueness check's canonical line and key.
-        let (mut line, mut key) = (String::new(), String::new());
+        // Scratch for each street's canonical line.
+        let mut line = String::new();
 
         for (bg, bg_slots) in by_bg.iter_mut().enumerate() {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
             // Zip zone: contiguous runs of block groups share a zip code.
             let zip = city.zip_prefix as u32 * 100 + (bg as u32 / 12) % 100;
 
-            // A block group spans a few streets.
+            // A block group spans a few streets. Each is kept as an
+            // address without a house number, plus the normalized text
+            // after the number: the tail of every index key on the street,
+            // normalized here once instead of once per record.
             let n_streets = rng.gen_range(3..=7).min(count.max(1));
-            let streets: Vec<_> = (0..n_streets).map(|_| namer.next_street()).collect();
+            let streets: Vec<(StreetAddress, String)> = (0..n_streets)
+                .map(|_| {
+                    let (directional, street_name, suffix) = namer.next_street();
+                    let street = StreetAddress {
+                        number: 0,
+                        directional,
+                        street_name,
+                        suffix,
+                        unit: None,
+                        city: city.name.to_string(),
+                        state: city.state.to_string(),
+                        zip,
+                    };
+                    line.clear();
+                    street.push_line(None, &mut line);
+                    let after_number = line.split_once(' ').map_or("", |(_, rest)| rest);
+                    let key_tail = normalize_line(after_number);
+                    (street, key_tail)
+                })
+                .collect();
 
             for k in 0..count {
-                let (directional, street_name, suffix) = streets[k % n_streets].clone();
+                let (street, key_tail) = &streets[k % n_streets];
                 // House numbers ascend along each street; bump until the
                 // canonical line is city-unique (streets recur across
                 // block groups sharing a zip).
@@ -95,16 +118,10 @@ impl AddressDb {
                     number: 100
                         + (k / n_streets) as u32 * rng.gen_range(2..8)
                         + rng.gen_range(0..2) as u32,
-                    directional,
-                    street_name,
-                    suffix,
-                    unit: None,
-                    city: city.name.to_string(),
-                    state: city.state.to_string(),
-                    zip,
+                    ..street.clone()
                 };
                 let id = records.len() as AddressId;
-                while !index.insert_unique(&canonical, id, &mut line, &mut key) {
+                while !index.insert_unique(&canonical, key_tail, id) {
                     canonical.number += rng.gen_range(1..5);
                 }
                 let is_mdu = rng.gen_bool(MDU_RATE);
@@ -200,7 +217,6 @@ impl AddressDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abbrev::normalize_line;
     use bbsim_census::city_by_name;
 
     fn db() -> AddressDb {

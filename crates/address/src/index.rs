@@ -10,51 +10,121 @@
 //! The index is filled by [`crate::AddressDb::generate`] in the same pass
 //! that keeps canonical lines city-unique, so every city builds it once and
 //! every BAT of the city shares it.
+//!
+//! Both maps hash with `FxHasher`, a multiplicative hash that is much
+//! cheaper than the default SipHash. That is safe here: every key is
+//! generated by the simulator, so no input can choose keys that collide,
+//! and lookups of arbitrary text only probe. Neither map is iterated, so
+//! the order a hash induces never reaches an output.
 
-use crate::abbrev::{extract_zip, normalize_into, normalize_line};
+use crate::abbrev::{extract_zip, normalize_line};
 use crate::db::AddressId;
-use crate::model::StreetAddress;
+use crate::model::{push_decimal, StreetAddress};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The Fx hash (as in rustc): each word is mixed in with a rotate, an xor
+/// and one multiply.
+#[derive(Debug, Clone, Copy, Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for chunk in &mut words {
+            let mut word = [0; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// Normalized-lookup index over a city's canonical addresses.
 #[derive(Debug, Clone)]
 pub struct AddressIndex {
     /// normalized street line + zip -> address id.
-    exact: HashMap<String, AddressId>,
+    exact: HashMap<String, AddressId, FxBuild>,
     /// (zip, house number) -> candidate ids for suggestions, ascending.
-    by_zip_number: HashMap<(u32, u32), Vec<AddressId>>,
+    by_zip_number: HashMap<(u32, u32), Vec<AddressId>, FxBuild>,
 }
 
 impl AddressIndex {
     pub(crate) fn with_capacity(n: usize) -> Self {
         Self {
-            exact: HashMap::with_capacity(n),
-            by_zip_number: HashMap::new(),
+            exact: HashMap::with_capacity_and_hasher(n, FxBuild::default()),
+            by_zip_number: HashMap::default(),
         }
     }
 
-    /// Registers `address` as record `id` unless its normalized line is
+    /// Registers the unit-free `address` as record `id` unless its key is
     /// already taken; returns whether it was registered. Ids must be
     /// inserted in ascending order.
     ///
-    /// `line` and `key` are scratch buffers the caller reuses across
-    /// inserts: the canonical line and its normalized key are built in
-    /// them, and the key is copied out (at exact capacity) only when it is
-    /// inserted.
+    /// The key is built from parts instead of by normalizing the rendered
+    /// line. A house number is a digit token, which normalizes to itself,
+    /// so `normalize_line(&address.canonical_line())` is the number's
+    /// digits, a space and `key_tail`: the normalized text after the
+    /// number, which every address on one street of one zip shares (the
+    /// caller normalizes it once per street; it is never empty, since it
+    /// ends with the zip). The key is built at its exact length and
+    /// hashed once, by the entry lookup that inserts it.
     pub(crate) fn insert_unique(
         &mut self,
         address: &StreetAddress,
+        key_tail: &str,
         id: AddressId,
-        line: &mut String,
-        key: &mut String,
     ) -> bool {
-        line.clear();
-        address.push_line(address.unit.as_deref(), line);
-        normalize_into(line, key);
-        if self.exact.contains_key(key.as_str()) {
+        let digits = address
+            .number
+            .checked_ilog10()
+            .map_or(1, |d| d as usize + 1);
+        let mut key = String::with_capacity(digits + 1 + key_tail.len());
+        push_decimal(&mut key, address.number, 1);
+        key.push(' ');
+        key.push_str(key_tail);
+        let Entry::Vacant(slot) = self.exact.entry(key) else {
             return false;
-        }
-        self.exact.insert(key.as_str().to_owned(), id);
+        };
+        slot.insert(id);
         self.by_zip_number
             .entry((address.zip, address.number))
             .or_default()

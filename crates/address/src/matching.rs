@@ -6,28 +6,37 @@
 //! sides first. The bench crate ablates the three measures against each
 //! other.
 
-use crate::abbrev::normalize_line;
+use crate::abbrev::{normalize_into, normalize_line};
 
 /// Levenshtein edit distance (insertions, deletions, substitutions).
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    edit_distance(&a, &b, &mut Vec::new())
+}
+
+/// [`levenshtein`] over symbol slices, with `row` as the single-row
+/// dynamic program's reused scratch.
+fn edit_distance<T: PartialEq>(a: &[T], b: &[T], row: &mut Vec<usize>) -> usize {
     if a.is_empty() {
         return b.len();
     }
     if b.is_empty() {
         return a.len();
     }
-    // Single-row dynamic program.
-    let mut row: Vec<usize> = (0..=b.len()).collect();
-    for (i, &ca) in a.iter().enumerate() {
-        let mut prev_diag = row[0];
-        row[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let cost = if ca == cb { 0 } else { 1 };
-            let next = (prev_diag + cost).min(row[j] + 1).min(row[j + 1] + 1);
-            prev_diag = row[j + 1];
-            row[j + 1] = next;
+    row.clear();
+    row.extend(0..=b.len());
+    // `row` holds the previous prefix of `a` against every prefix of `b`;
+    // each pass overwrites it with the next, left to right, carrying the
+    // cell to the left and the old cell diagonally above in locals.
+    for (i, ca) in a.iter().enumerate() {
+        let mut diag = i;
+        let mut left = i + 1;
+        for (cell, cb) in row[1..].iter_mut().zip(b) {
+            let next = (diag + usize::from(ca != cb)).min(left + 1).min(*cell + 1);
+            diag = *cell;
+            *cell = next;
+            left = next;
         }
     }
     row[b.len()]
@@ -35,17 +44,29 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 
 /// Levenshtein similarity in `[0, 1]`: `1 - distance / max_len`.
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max = a.chars().count().max(b.chars().count());
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    edit_similarity(&a, &b, &mut Vec::new())
+}
+
+/// [`levenshtein_similarity`] over symbol slices.
+fn edit_similarity<T: PartialEq>(a: &[T], b: &[T], row: &mut Vec<usize>) -> f64 {
+    let max = a.len().max(b.len());
     if max == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max as f64
+    1.0 - edit_distance(a, b, row) as f64 / max as f64
 }
 
 /// Jaro similarity in `[0, 1]`.
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
+    jaro_of(&a, &b)
+}
+
+/// [`jaro`] over symbol slices.
+fn jaro_of<T: PartialEq + Copy>(a: &[T], b: &[T]) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -55,7 +76,7 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     let window = (a.len().max(b.len()) / 2).saturating_sub(1);
     let mut b_used = vec![false; b.len()];
     let mut matches = 0usize;
-    let mut a_matched: Vec<char> = Vec::new();
+    let mut a_matched: Vec<T> = Vec::new();
     for (i, &ca) in a.iter().enumerate() {
         let lo = i.saturating_sub(window);
         let hi = (i + window + 1).min(b.len());
@@ -71,15 +92,10 @@ pub fn jaro(a: &str, b: &str) -> f64 {
     if matches == 0 {
         return 0.0;
     }
-    let b_matched: Vec<char> = b
-        .iter()
-        .zip(b_used.iter())
-        .filter(|&(_, &u)| u)
-        .map(|(&c, _)| c)
-        .collect();
+    let b_matched = b.iter().zip(&b_used).filter(|&(_, &u)| u).map(|(c, _)| c);
     let transpositions = a_matched
         .iter()
-        .zip(b_matched.iter())
+        .zip(b_matched)
         .filter(|(x, y)| x != y)
         .count()
         / 2;
@@ -90,13 +106,15 @@ pub fn jaro(a: &str, b: &str) -> f64 {
 /// Jaro–Winkler similarity: Jaro boosted by common-prefix length (up to 4
 /// chars, standard scaling 0.1).
 pub fn jaro_winkler(a: &str, b: &str) -> f64 {
-    let j = jaro(a, b);
-    let prefix = a
-        .chars()
-        .zip(b.chars())
-        .take(4)
-        .take_while(|(x, y)| x == y)
-        .count();
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    jaro_winkler_of(&a, &b)
+}
+
+/// [`jaro_winkler`] over symbol slices.
+fn jaro_winkler_of<T: PartialEq + Copy>(a: &[T], b: &[T]) -> f64 {
+    let j = jaro_of(a, b);
+    let prefix = a.iter().zip(b).take(4).take_while(|(x, y)| x == y).count();
     j + prefix as f64 * 0.1 * (1.0 - j)
 }
 
@@ -104,11 +122,29 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// Levenshtein similarity — immune to token reordering like
 /// `"Ter Evergreen 742"` vs `"742 Evergreen Ter"`.
 pub fn token_sort_similarity(a: &str, b: &str) -> f64 {
-    let mut ta: Vec<String> = normalize_line(a).split(' ').map(str::to_string).collect();
-    let mut tb: Vec<String> = normalize_line(b).split(' ').map(str::to_string).collect();
-    ta.sort();
-    tb.sort();
-    levenshtein_similarity(&ta.join(" "), &tb.join(" "))
+    Scorer::new(Measure::TokenSort, a).score(b)
+}
+
+/// Writes the space-separated tokens of `norm` to `out`, sorted and
+/// joined by single spaces. `spans` is scratch for the token bounds.
+fn sort_tokens_into(norm: &str, spans: &mut Vec<(usize, usize)>, out: &mut String) {
+    spans.clear();
+    let mut start = 0;
+    for (i, b) in norm.bytes().enumerate() {
+        if b == b' ' {
+            spans.push((start, i));
+            start = i + 1;
+        }
+    }
+    spans.push((start, norm.len()));
+    spans.sort_unstable_by(|&(a, a_end), &(b, b_end)| norm[a..a_end].cmp(&norm[b..b_end]));
+    out.clear();
+    for (k, &(s, e)) in spans.iter().enumerate() {
+        if k > 0 {
+            out.push(' ');
+        }
+        out.push_str(&norm[s..e]);
+    }
 }
 
 /// Which similarity measure a matcher uses.
@@ -122,12 +158,58 @@ pub enum Measure {
 /// Scores `input` against `candidate` with `measure`, after normalizing
 /// both sides.
 pub fn similarity(measure: Measure, input: &str, candidate: &str) -> f64 {
-    let a = normalize_line(input);
-    let b = normalize_line(candidate);
-    match measure {
-        Measure::Levenshtein => levenshtein_similarity(&a, &b),
-        Measure::JaroWinkler => jaro_winkler(&a, &b),
-        Measure::TokenSort => token_sort_similarity(&a, &b),
+    Scorer::new(measure, input).score(candidate)
+}
+
+/// Scores candidates against one input with one measure.
+///
+/// The input is normalized once (and, for token sort, token-sorted once);
+/// each candidate is normalized once into a reused buffer. Normalized
+/// text is ASCII, so every measure runs over bytes and gives exactly the
+/// score it gives over `char`s. Normalizing is idempotent, so token sort
+/// does not normalize again.
+struct Scorer {
+    measure: Measure,
+    /// The normalized input, its tokens sorted under token sort.
+    input: String,
+    /// The current candidate, normalized.
+    candidate: String,
+    /// The current candidate's sorted tokens (token sort only).
+    sorted: String,
+    spans: Vec<(usize, usize)>,
+    row: Vec<usize>,
+}
+
+impl Scorer {
+    fn new(measure: Measure, input: &str) -> Self {
+        let mut scorer = Self {
+            measure,
+            input: normalize_line(input),
+            candidate: String::new(),
+            sorted: String::new(),
+            spans: Vec::new(),
+            row: Vec::new(),
+        };
+        if measure == Measure::TokenSort {
+            sort_tokens_into(&scorer.input, &mut scorer.spans, &mut scorer.sorted);
+            std::mem::swap(&mut scorer.input, &mut scorer.sorted);
+        }
+        scorer
+    }
+
+    fn score(&mut self, candidate: &str) -> f64 {
+        normalize_into(candidate, &mut self.candidate);
+        let input = self.input.as_bytes();
+        match self.measure {
+            Measure::Levenshtein => {
+                edit_similarity(input, self.candidate.as_bytes(), &mut self.row)
+            }
+            Measure::JaroWinkler => jaro_winkler_of(input, self.candidate.as_bytes()),
+            Measure::TokenSort => {
+                sort_tokens_into(&self.candidate, &mut self.spans, &mut self.sorted);
+                edit_similarity(input, self.sorted.as_bytes(), &mut self.row)
+            }
+        }
     }
 }
 
@@ -136,15 +218,20 @@ pub fn similarity(measure: Measure, input: &str, candidate: &str) -> f64 {
 /// Returns `(index, score)` of the winner, or `None` if nothing clears the
 /// threshold. Ties break toward the earliest candidate, which matches how a
 /// human would take the first plausible suggestion.
+///
+/// Each score is [`similarity`]`(measure, input, candidate)` bit for bit,
+/// but every string is normalized once: the input once for the whole
+/// list, and each candidate once, into a buffer reused across the list.
 pub fn best_match(
     measure: Measure,
     input: &str,
     candidates: &[String],
     threshold: f64,
 ) -> Option<(usize, f64)> {
+    let mut scorer = Scorer::new(measure, input);
     let mut best: Option<(usize, f64)> = None;
     for (i, c) in candidates.iter().enumerate() {
-        let s = similarity(measure, input, c);
+        let s = scorer.score(c);
         if s >= threshold && best.is_none_or(|(_, bs)| s > bs) {
             best = Some((i, s));
         }

@@ -85,77 +85,123 @@ pub fn render_plans(isp: Isp, plans: &[Plan]) -> String {
 /// Renders the plans page in the ISP's dialect and template generation.
 ///
 /// Each dialect has one row shape; the generation only renames its
-/// container, classes and attributes.
+/// container, classes and attributes. A row is written as its literal
+/// pieces with one number between each two: download, upload, price and
+/// (data-attribute dialect only) download again.
 pub fn render_plans_v(isp: Isp, plans: &[Plan], version: TemplateVersion) -> String {
     let v1 = version == TemplateVersion::V1;
-    page(
-        isp,
-        40 + plans.len() * PLAN_ROW_LEN,
-        |out| match dialect_of(isp) {
-            Dialect::DataAttr => {
-                let (id, tag, class, down, up, price) = if v1 {
-                    (
-                        "availability-results",
-                        "div",
-                        "plan",
-                        "data-down",
-                        "data-up",
-                        "data-price",
-                    )
-                } else {
-                    (
-                        "svc-results",
-                        "article",
-                        "offer-card",
-                        "data-dl",
-                        "data-ul",
-                        "data-usd",
-                    )
-                };
-                let _ = writeln!(out, "<section id=\"{id}\">");
-                for p in plans {
-                    let _ = writeln!(
-                        out,
-                        "  <{tag} class=\"{class}\" {down}=\"{}\" {up}=\"{}\" {price}=\"{}\">Internet {}</{tag}>",
-                        p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps
-                    );
-                }
-                out.push_str("</section>");
+    let (open, row, close): (&str, &[&str], &str) = match dialect_of(isp) {
+        Dialect::DataAttr if v1 => (
+            "<section id=\"availability-results\">\n",
+            &[
+                "  <div class=\"plan\" data-down=\"",
+                "\" data-up=\"",
+                "\" data-price=\"",
+                "\">Internet ",
+                "</div>\n",
+            ],
+            "</section>",
+        ),
+        Dialect::DataAttr => (
+            "<section id=\"svc-results\">\n",
+            &[
+                "  <article class=\"offer-card\" data-dl=\"",
+                "\" data-ul=\"",
+                "\" data-usd=\"",
+                "\">Internet ",
+                "</article>\n",
+            ],
+            "</section>",
+        ),
+        Dialect::TableRow if v1 => (
+            "<table class=\"offers\">\n",
+            &[
+                "  <tr class=\"offer\"><td class=\"down\">",
+                " Mbps</td><td class=\"up\">",
+                " Mbps</td><td class=\"price\">$",
+                "/mo</td></tr>\n",
+            ],
+            "</table>",
+        ),
+        Dialect::TableRow => (
+            "<table class=\"tiers\">\n",
+            &[
+                "  <tr class=\"tier\"><td class=\"dl\">",
+                " Mbps</td><td class=\"ul\">",
+                " Mbps</td><td class=\"cost\">$",
+                "/mo</td></tr>\n",
+            ],
+            "</table>",
+        ),
+        Dialect::ListItem if v1 => (
+            "<ul class=\"packages\">\n",
+            &[
+                "  <li class=\"pkg\"><span class=\"mbps\">",
+                "</span><span class=\"upload\">",
+                "</span><span class=\"usd\">",
+                "</span></li>\n",
+            ],
+            "</ul>",
+        ),
+        Dialect::ListItem => (
+            "<ul class=\"bundles\">\n",
+            &[
+                "  <li class=\"bundle\"><span class=\"down\">",
+                "</span><span class=\"up\">",
+                "</span><span class=\"price\">",
+                "</span></li>\n",
+            ],
+            "</ul>",
+        ),
+    };
+    page(isp, 40 + plans.len() * PLAN_ROW_LEN, |out| {
+        out.push_str(open);
+        for p in plans {
+            let numbers = [p.download_mbps, p.upload_mbps, p.price_usd, p.download_mbps];
+            out.push_str(row[0]);
+            for (&n, piece) in numbers.iter().zip(&row[1..]) {
+                push_number(out, n);
+                out.push_str(piece);
             }
-            Dialect::TableRow => {
-                let (table, row, down, up, price) = if v1 {
-                    ("offers", "offer", "down", "up", "price")
-                } else {
-                    ("tiers", "tier", "dl", "ul", "cost")
-                };
-                let _ = writeln!(out, "<table class=\"{table}\">");
-                for p in plans {
-                    let _ = writeln!(
-                        out,
-                        "  <tr class=\"{row}\"><td class=\"{down}\">{} Mbps</td><td class=\"{up}\">{} Mbps</td><td class=\"{price}\">${}/mo</td></tr>",
-                        p.download_mbps, p.upload_mbps, p.price_usd
-                    );
-                }
-                out.push_str("</table>");
-            }
-            Dialect::ListItem => {
-                let (list, item, down, up, price) = if v1 {
-                    ("packages", "pkg", "mbps", "upload", "usd")
-                } else {
-                    ("bundles", "bundle", "down", "up", "price")
-                };
-                let _ = writeln!(out, "<ul class=\"{list}\">");
-                for p in plans {
-                    let _ = writeln!(
-                        out,
-                        "  <li class=\"{item}\"><span class=\"{down}\">{}</span><span class=\"{up}\">{}</span><span class=\"{price}\">{}</span></li>",
-                        p.download_mbps, p.upload_mbps, p.price_usd
-                    );
-                }
-                out.push_str("</ul>");
-            }
-        },
-    )
+        }
+        out.push_str(close);
+    })
+}
+
+/// Appends `n` exactly as `Display` writes it.
+///
+/// A finite, non-negative `n` below 1e12 that is a whole number of cents
+/// is written without the formatter: its shortest round-trip form is the
+/// integer part and up to two decimals, trailing zeros trimmed (below
+/// 1e12 an `f64` is finer than a cent, so no shorter decimal names the
+/// same value). Every other value, `-0.0` included, goes to `Display`.
+fn push_number(out: &mut String, n: f64) {
+    let cents = (n * 100.0).round();
+    if !(n.is_sign_positive() && n < 1e12 && cents / 100.0 == n) {
+        let _ = write!(out, "{n}");
+        return;
+    }
+    let cents = cents as u64;
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut whole = cents / 100;
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (whole % 10) as u8;
+        whole /= 10;
+        if whole == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    let (tenths, hundredths) = (cents / 10 % 10, cents % 10);
+    if tenths + hundredths != 0 {
+        out.push('.');
+        out.push(char::from(b'0' + tenths as u8));
+        if hundredths != 0 {
+            out.push(char::from(b'0' + hundredths as u8));
+        }
+    }
 }
 
 /// A list page: a marker line, then one `<li>` per entry. The

@@ -275,13 +275,14 @@ impl MetricsAggregator {
                 s.attempts += 1;
                 s.attempt_latency.record(*duration_ms);
                 s.pages_per_session.record(*steps as u64);
-                let e = s.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                if outcome.is_hit() {
-                    e.hits += 1;
-                }
-                e.latency.record(*duration_ms);
-                e.pages.record(*steps as u64);
+                update_endpoint(&mut s.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    if outcome.is_hit() {
+                        e.hits += 1;
+                    }
+                    e.latency.record(*duration_ms);
+                    e.pages.record(*steps as u64);
+                });
                 let w = s.per_worker.entry(*worker).or_default();
                 w.attempts += 1;
                 w.busy_ms += duration_ms;
@@ -297,10 +298,7 @@ impl MetricsAggregator {
             EventKind::StallReclaimed { .. } => s.stalls_reclaimed += 1,
             EventKind::DriftSuspected { endpoint, .. } => {
                 s.drift_suspected += 1;
-                s.per_endpoint
-                    .entry(endpoint.clone())
-                    .or_default()
-                    .drift_suspected += 1;
+                update_endpoint(&mut s.per_endpoint, endpoint, |e| e.drift_suspected += 1);
             }
             EventKind::RebootstrapStarted { .. } => s.rebootstraps_started += 1,
             EventKind::TemplateSwapped { .. } => s.templates_swapped += 1,
@@ -317,12 +315,13 @@ impl MetricsAggregator {
                     s.serve_cache_hits += 1;
                 }
                 s.lookup_latency.record(*duration_ms);
-                let e = s.per_endpoint.entry(endpoint.clone()).or_default();
-                e.attempts += 1;
-                if outcome.is_hit() {
-                    e.hits += 1;
-                }
-                e.latency.record(*duration_ms);
+                update_endpoint(&mut s.per_endpoint, endpoint, |e| {
+                    e.attempts += 1;
+                    if outcome.is_hit() {
+                        e.hits += 1;
+                    }
+                    e.latency.record(*duration_ms);
+                });
             }
             EventKind::CacheEvicted { .. } => s.cache_evictions += 1,
             EventKind::ServeShed { .. } => s.serve_sheds += 1,
@@ -344,6 +343,19 @@ impl MetricsAggregator {
             | EventKind::AttemptBegin { .. }
             | EventKind::PageFetchEnd { .. } => {}
         }
+    }
+}
+
+/// Applies `update` to the stats of `endpoint`, cloning the name into
+/// the map only on the endpoint's first event.
+fn update_endpoint(
+    map: &mut BTreeMap<String, EndpointStats>,
+    endpoint: &str,
+    update: impl FnOnce(&mut EndpointStats),
+) {
+    match map.get_mut(endpoint) {
+        Some(stats) => update(stats),
+        None => update(map.entry(endpoint.to_owned()).or_default()),
     }
 }
 

@@ -11,7 +11,6 @@ use bqt::{
     JournalError, JsonlRecorder, Metrics, MonitorPolicy, Orchestrator, QueryJob, QueryOutcome,
     ResumeStats, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, ShedPolicy,
 };
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::Path;
@@ -217,11 +216,50 @@ pub fn curate_city_with_faults(
     opts: &CurationOptions,
     plan: Option<FaultPlan>,
 ) -> CityDataset {
-    let Ok((dataset, _)) = curate_city_inner(city, opts, plan, None) else {
-        // lint:allow(T2): no journal is configured, so journal errors are unconstructible
-        unreachable!("journal-less curation cannot hit journal errors")
-    };
-    dataset
+    let (world, run_seed) = city_world(city, opts);
+    let mut transport = Transport::new(run_seed);
+    if let Some(plan) = plan {
+        transport.set_fault_plan(plan);
+    }
+
+    // Stand the BAT fleet up.
+    for isp in world.isps() {
+        let server = BatServer::new(isp, world.clone());
+        let net = server.profile().network_latency;
+        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+    }
+
+    let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
+    let mut records = Vec::new();
+    let mut per_isp_metrics = Vec::new();
+    let mut per_isp_pause = Vec::new();
+
+    for isp in world.isps() {
+        let src = pool.next();
+        let (pause, config) = calibrate_isp(&world, opts, &mut transport, isp, src, run_seed);
+        per_isp_pause.push((isp, pause));
+        let jobs = sample_jobs(&world, opts, isp, sample_seed(city, opts));
+
+        // Scrape.
+        let Ok(outcome) = Campaign::from_orchestrator(isp_orchestrator(opts, isp, run_seed))
+            .config(config)
+            .run(&mut transport, &jobs, &mut pool)
+        else {
+            // lint:allow(T2): no journal is configured, so journal errors are unconstructible
+            unreachable!("journal-less runs cannot hit journal errors")
+        };
+        let report = outcome.report();
+
+        land_records(&mut records, city, &world, isp, &report.records);
+        per_isp_metrics.push((isp, report.metrics));
+    }
+
+    CityDataset {
+        city,
+        records,
+        per_isp_metrics,
+        per_isp_pause,
+    }
 }
 
 /// Crash-recoverable curation: like [`curate_city_with_faults`], but the
@@ -244,79 +282,18 @@ pub fn curate_city_journaled(
     journal_dir: &Path,
 ) -> Result<(CityDataset, ResumeStats), JournalError> {
     std::fs::create_dir_all(journal_dir).map_err(|e| JournalError::Io(e.to_string()))?;
-    curate_city_inner(city, opts, plan, Some(journal_dir))
+    let (world, run_seed) = city_world(city, opts);
+    curate_city_sharded(city, opts, plan, journal_dir, &world, run_seed)
 }
 
-fn curate_city_inner(
-    city: &'static CityProfile,
-    opts: &CurationOptions,
-    plan: Option<FaultPlan>,
-    journal_dir: Option<&Path>,
-) -> Result<(CityDataset, ResumeStats), JournalError> {
+/// Checks `opts` and builds the city's world at their epoch, with the
+/// run seed both curation modes derive their streams from.
+fn city_world(city: &'static CityProfile, opts: &CurationOptions) -> (Arc<CityWorld>, u64) {
     assert!(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0);
     assert!(opts.workers >= 1);
-
     let world = Arc::new(CityWorld::build_at(city, opts.epoch));
     let run_seed = city_seed(city.name) ^ opts.seed.rotate_left(16) ^ ((opts.epoch as u64) << 1);
-    let sample_seed = sample_seed(city, opts);
-
-    if let Some(dir) = journal_dir {
-        return curate_city_sharded(city, opts, plan, dir, &world, run_seed);
-    }
-
-    let mut transport = Transport::new(run_seed);
-    if let Some(plan) = plan {
-        transport.set_fault_plan(plan);
-    }
-
-    // Stand the BAT fleet up.
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-    }
-
-    let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
-    let mut records = Vec::new();
-    let mut per_isp_metrics = Vec::new();
-    let mut per_isp_pause = Vec::new();
-
-    for isp in world.isps() {
-        let src = pool.next();
-        let (pause, config) = calibrate_isp(&world, opts, &mut transport, isp, src, run_seed);
-        per_isp_pause.push((isp, pause));
-        let (jobs, tag_to_addr) = sample_jobs(&world, opts, isp, sample_seed);
-
-        // Scrape.
-        let Ok(outcome) = Campaign::from_orchestrator(isp_orchestrator(opts, isp, run_seed))
-            .config(config)
-            .run(&mut transport, &jobs, &mut pool)
-        else {
-            // lint:allow(T2): no journal is configured, so journal errors are unconstructible
-            unreachable!("journal-less runs cannot hit journal errors")
-        };
-        let report = outcome.report();
-
-        land_records(
-            &mut records,
-            city,
-            &world,
-            isp,
-            &report.records,
-            &tag_to_addr,
-        );
-        per_isp_metrics.push((isp, report.metrics));
-    }
-
-    Ok((
-        CityDataset {
-            city,
-            records,
-            per_isp_metrics,
-            per_isp_pause,
-        },
-        ResumeStats::default(),
-    ))
+    (world, run_seed)
 }
 
 /// Journaled curation, sharded per ISP: calibration runs serially upfront
@@ -350,14 +327,12 @@ fn curate_city_sharded(
 
     let mut per_isp_pause = Vec::new();
     let mut specs = Vec::new();
-    let mut tag_maps: Vec<HashMap<u64, u32>> = Vec::new();
     let isps = world.isps();
     for (i, &isp) in isps.iter().enumerate() {
         let src = pool.next();
         let (pause, config) = calibrate_isp(world, opts, &mut transport, isp, src, run_seed);
         per_isp_pause.push((isp, pause));
-        let (jobs, tag_to_addr) = sample_jobs(world, opts, isp, sample_seed(city, opts));
-        tag_maps.push(tag_to_addr);
+        let jobs = sample_jobs(world, opts, isp, sample_seed(city, opts));
         specs.push(ShardSpec {
             id: i as u32,
             label: isp.slug().to_string(),
@@ -424,12 +399,12 @@ fn curate_city_sharded(
     let resume = outcome.resume();
     let mut records = Vec::new();
     let mut per_isp_metrics = Vec::new();
-    for (run, (&isp, tag_to_addr)) in outcome.shards.into_iter().zip(isps.iter().zip(&tag_maps)) {
+    for (run, &isp) in outcome.shards.into_iter().zip(&isps) {
         let Some(report) = run.report else {
             // lint:allow(T2): pipeline campaigns never set a crash point
             unreachable!("pipeline campaigns never set a crash point")
         };
-        land_records(&mut records, city, world, isp, &report.records, tag_to_addr);
+        land_records(&mut records, city, world, isp, &report.records);
         per_isp_metrics.push((isp, report.metrics));
     }
 
@@ -476,7 +451,7 @@ fn calibrate_isp(
 }
 
 /// Samples addresses per block group (10%, floor 30, optional cap) into
-/// one ISP's job list, plus the tag → address-id map for landing records.
+/// one ISP's job list. Each job's tag is its address id.
 ///
 /// The sampling seed deliberately excludes the epoch (see
 /// [`sample_seed`]): a longitudinal study re-curates the *same* sample at
@@ -487,10 +462,9 @@ fn sample_jobs(
     opts: &CurationOptions,
     isp: Isp,
     sample_seed: u64,
-) -> (Vec<QueryJob>, HashMap<u64, u32>) {
+) -> Vec<QueryJob> {
     let db = world.addresses();
     let mut jobs = Vec::new();
-    let mut tag_to_addr: HashMap<u64, u32> = HashMap::new();
     for bg in 0..world.grid().len() {
         let mut sampled =
             db.sample_block_group(bg, opts.sample_rate, opts.min_samples, sample_seed);
@@ -498,17 +472,15 @@ fn sample_jobs(
             sampled.truncate(cap);
         }
         for rec in sampled {
-            let tag = rec.id as u64;
-            tag_to_addr.insert(tag, rec.id);
             jobs.push(QueryJob {
                 endpoint: isp.slug().to_string(),
                 dialect: templates::dialect_of(isp),
                 input_line: rec.listing_line.clone(),
-                tag,
+                tag: u64::from(rec.id),
             });
         }
     }
-    (jobs, tag_to_addr)
+    jobs
 }
 
 /// The per-ISP orchestration parameters every curation mode shares.
@@ -526,14 +498,14 @@ fn isp_orchestrator(opts: &CurationOptions, isp: Isp, run_seed: u64) -> Orchestr
     }
 }
 
-/// Lands one campaign's hits as dataset rows.
+/// Lands one campaign's hits as dataset rows. Each tag is the address id
+/// [`sample_jobs`] gave the job; any other tag lands no row.
 fn land_records(
     records: &mut Vec<PlanRecord>,
     city: &'static CityProfile,
     world: &Arc<CityWorld>,
     isp: Isp,
     qrecords: &[bqt::QueryRecord],
-    tag_to_addr: &HashMap<u64, u32>,
 ) {
     for qrec in qrecords {
         let plans = match &qrec.outcome {
@@ -541,7 +513,9 @@ fn land_records(
             QueryOutcome::NoService => Vec::new(),
             _ => continue,
         };
-        let addr_id = tag_to_addr[&qrec.tag];
+        let Ok(addr_id) = u32::try_from(qrec.tag) else {
+            continue;
+        };
         let addr = world.addresses().record(addr_id);
         records.push(PlanRecord {
             city: city.name.to_string(),

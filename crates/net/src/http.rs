@@ -143,6 +143,18 @@ fn write_wire(
     s
 }
 
+/// Looks `key` up case-insensitively in a header map whose keys are
+/// stored lowercase. Only a key with an uppercase byte is lowercased into
+/// a new string; the usual lowercase key is looked up as it is.
+fn header<'a>(headers: &'a BTreeMap<String, String>, key: &str) -> Option<&'a str> {
+    let value = if key.bytes().any(|b| b.is_ascii_uppercase()) {
+        headers.get(&key.to_ascii_lowercase())
+    } else {
+        headers.get(key)
+    };
+    value.map(String::as_str)
+}
+
 /// An HTTP-lite request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
@@ -179,9 +191,7 @@ impl Request {
     }
 
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        header(&self.headers, key)
     }
 
     /// The session cookie, if any.
@@ -256,9 +266,7 @@ impl Response {
     }
 
     pub fn header(&self, key: &str) -> Option<&str> {
-        self.headers
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        header(&self.headers, key)
     }
 
     /// The `Set-Cookie` value, if the server issued one.
