@@ -148,7 +148,15 @@ impl BatServer {
             .next_session
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .rotate_left(17);
-        format!("sid={token:016x}")
+        // `format!("sid={token:016x}")`, without the formatter.
+        let mut cookie = String::with_capacity(20);
+        cookie.push_str("sid=");
+        for shift in (0..16).rev() {
+            cookie.push(char::from(
+                b"0123456789abcdef"[(token >> (shift * 4)) as usize & 0xf],
+            ));
+        }
+        cookie
     }
 
     fn body_field<'a>(body: &'a str, key: &str) -> Option<&'a str> {
@@ -293,13 +301,15 @@ impl Service for BatServer {
                 }
             }
             (bbsim_net::Method::Post, "/select") => {
-                let Some(cookie) = req.cookie().map(str::to_string) else {
+                let Some(cookie) = req.cookie() else {
                     return Exchange {
                         response: Response::new(Status::Forbidden),
                         processing: SimDuration::from_millis(200),
                     };
                 };
-                let Some(mut session) = self.sessions.remove(&cookie) else {
+                // The removed entry's own key is re-inserted below, so the
+                // cookie is not copied.
+                let Some((cookie, mut session)) = self.sessions.remove_entry(cookie) else {
                     self.blocked_requests += 1;
                     return Exchange {
                         response: Response::new(Status::Forbidden),
@@ -373,6 +383,19 @@ mod tests {
         server
             .handle(peer, &req, SimTime::from_millis(now_s * 1000), &mut rng)
             .response
+    }
+
+    #[test]
+    fn cookies_spell_the_token_as_format_does() {
+        let mut s = server();
+        for _ in 0..1000 {
+            let cookie = s.new_cookie();
+            let token = s
+                .next_session
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .rotate_left(17);
+            assert_eq!(cookie, format!("sid={token:016x}"));
+        }
     }
 
     #[test]

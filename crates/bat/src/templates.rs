@@ -222,10 +222,21 @@ fn render_list(
             .map(|e| e.len() + item.len() + 24)
             .sum::<usize>();
     page(isp, body_len, |out| {
-        let _ = writeln!(out, "<div class=\"{marker}\">{message}</div>");
-        let _ = writeln!(out, "<ul class=\"{list}\">");
+        for piece in [
+            "<div class=\"",
+            marker,
+            "\">",
+            message,
+            "</div>\n<ul class=\"",
+            list,
+            "\">\n",
+        ] {
+            out.push_str(piece);
+        }
         for e in entries {
-            let _ = writeln!(out, "  <li class=\"{item}\">{e}</li>");
+            for piece in ["  <li class=\"", item, "\">", e, "</li>\n"] {
+                out.push_str(piece);
+            }
         }
         out.push_str("</ul>");
     })

@@ -145,7 +145,33 @@ fn collect_all(page: &str, open: &str, close: &str) -> Vec<String> {
     out
 }
 
+/// The number spelled by the ASCII digits and `.`s of `s`, everything
+/// else skipped (`"$35/mo"` → 35).
+///
+/// Up to 15 digits with at most one `.` skip the float parser: the digits
+/// as an integer (exact below 2^53) divided by a power of ten (exact up
+/// to 1e15) is one correctly rounded division, so it is the value
+/// `str::parse` returns for that decimal. Anything else is filtered into a
+/// string and parsed.
 fn parse_num(s: &str) -> Option<f64> {
+    const POW10: [f64; 16] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    ];
+    let (mut mantissa, mut digits, mut decimals, mut dots) = (0u64, 0usize, 0usize, 0usize);
+    for b in s.bytes() {
+        match b {
+            b'0'..=b'9' => {
+                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
+                digits += 1;
+                decimals += dots;
+            }
+            b'.' => dots += 1,
+            _ => {}
+        }
+    }
+    if (1..=15).contains(&digits) && dots <= 1 {
+        return Some(mantissa as f64 / POW10[decimals]);
+    }
     let cleaned: String = s
         .chars()
         .filter(|c| c.is_ascii_digit() || *c == '.')
@@ -430,6 +456,66 @@ mod tests {
     #[test]
     fn learning_needs_at_least_one_page() {
         assert_eq!(learn_template_set(&[], Dialect::TableRow), None);
+    }
+
+    /// `parse_num` before its fast path: filter, then `str::parse`.
+    fn old_parse_num(s: &str) -> Option<f64> {
+        let cleaned: String = s
+            .chars()
+            .filter(|c| c.is_ascii_digit() || *c == '.')
+            .collect();
+        let v: f64 = cleaned.parse().ok()?;
+        (v.is_finite() && v >= 0.0).then_some(v)
+    }
+
+    #[test]
+    fn parse_num_matches_the_float_parser_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let fixed = [
+            "",
+            ".",
+            "..",
+            "0",
+            "000",
+            ".5",
+            "5.",
+            "0.1",
+            "0.3",
+            "1.005",
+            "$19.99/mo",
+            "1000 Mbps",
+            "1e5",
+            "-3",
+            "999999999999999",
+            "9999999999999999",
+            "0.000000000000001",
+            "0.0000000000000001",
+            "12345678901234.5",
+            "123456789012345.6",
+            "18446744073709551616",
+            "1.2.3",
+        ];
+        for s in fixed {
+            assert_eq!(
+                parse_num(s).map(f64::to_bits),
+                old_parse_num(s).map(f64::to_bits),
+                "{s:?}"
+            );
+        }
+        const BYTES: &[u8] = b"0123456789...$/ Mbpse-";
+        let mut rng = StdRng::seed_from_u64(19);
+        for _ in 0..100_000 {
+            let len = rng.gen_range(0..24);
+            let s: String = (0..len)
+                .map(|_| char::from(BYTES[rng.gen_range(0..BYTES.len())]))
+                .collect();
+            assert_eq!(
+                parse_num(&s).map(f64::to_bits),
+                old_parse_num(&s).map(f64::to_bits),
+                "{s:?}"
+            );
+        }
     }
 
     #[test]
