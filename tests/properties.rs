@@ -1196,7 +1196,7 @@ mod jsonl_schema {
     use super::*;
     use decoding_divide::bqt::telemetry::jsonl::{parse_line, to_line};
     use decoding_divide::bqt::telemetry::{FaultClass, OutcomeCode};
-    use decoding_divide::bqt::{Event, EventKind};
+    use decoding_divide::bqt::{Event, EventKind, JsonlRecorder, Recorder};
     use decoding_divide::net::SimTime;
     use std::collections::BTreeSet;
 
@@ -1401,6 +1401,80 @@ mod jsonl_schema {
                 prop_assert_eq!(to_line(&parsed), line);
             }
         }
+
+        /// A recorder fed a run of events of every kind writes exactly
+        /// `to_line` and a newline per event. Strings grow along the run,
+        /// then drop back to empty, so long lines follow short ones and
+        /// short ones follow long: a line buffer reused across events must
+        /// be cleared, not appended to.
+        #[test]
+        fn recorder_writes_to_line_per_event(
+            picks in proptest::collection::vec(any::<u8>(), 1..64),
+            t in number(),
+            n in (number(), number(), number()),
+            s in (text(), text()),
+            flag in any::<bool>(),
+            codes in (0..OUTCOMES.len(), 0..FAULTS.len()),
+        ) {
+            let events: Vec<Event> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &pick)| {
+                    let grow = |base: &str| base.repeat(i % 9);
+                    let d = Draw {
+                        n: [n.0.rotate_left(i as u32), n.1, n.2 >> (i % 64)],
+                        s: [grow(&s.0), grow(&s.1)],
+                        flag: flag ^ (i % 2 == 0),
+                        outcome: OUTCOMES[(codes.0 + i) % OUTCOMES.len()],
+                        fault: FAULTS[(codes.1 + i) % FAULTS.len()],
+                    };
+                    Event {
+                        at: SimTime::from_millis(t.wrapping_add(i as u64)),
+                        kind: kind(pick.wrapping_add(i as u8), d),
+                    }
+                })
+                .collect();
+            let mut rec = JsonlRecorder::new(Vec::new());
+            let mut want = Vec::new();
+            for event in &events {
+                rec.record(event);
+                want.extend_from_slice(to_line(event).as_bytes());
+                want.push(b'\n');
+            }
+            prop_assert_eq!(rec.written(), events.len() as u64);
+            prop_assert_eq!(rec.into_inner(), want);
+        }
+    }
+
+    /// Every kind in turn, each once with long strings and then with empty
+    /// ones: the long line's bytes must not leak into the short line after.
+    #[test]
+    fn recorder_lines_do_not_carry_over() {
+        let mut rec = JsonlRecorder::new(Vec::new());
+        let mut want = Vec::new();
+        for pick in 0..KINDS {
+            for len in [40u8, 0, 3] {
+                let d = Draw {
+                    n: [u64::MAX >> len, u64::from(len), 7],
+                    s: [
+                        "\"x\\".repeat(usize::from(len)),
+                        "é".repeat(usize::from(len)),
+                    ],
+                    flag: len > 0,
+                    outcome: OutcomeCode::Unserviceable,
+                    fault: FaultClass::Stall,
+                };
+                let event = Event {
+                    at: SimTime::from_millis(u64::from(len)),
+                    kind: kind(pick, d),
+                };
+                rec.record(&event);
+                want.extend_from_slice(to_line(&event).as_bytes());
+                want.push(b'\n');
+            }
+        }
+        assert_eq!(rec.written(), u64::from(KINDS) * 3);
+        assert_eq!(rec.into_inner(), want);
     }
 }
 
@@ -2102,18 +2176,15 @@ mod curation_oracles {
     use std::collections::HashSet;
 
     /// The generation loop before index keys were built from address
-    /// parts: uniqueness keyed on `normalize_line(canonical_line())`.
-    fn old_generate(
-        city: &CityProfile,
-        grid: &CityGrid,
-        noise: &NoiseProfile,
-    ) -> Vec<AddressRecord> {
+    /// parts: uniqueness keyed on `normalize_line(canonical_line())`, and
+    /// each record owning its city, state, street name and unit strings.
+    fn old_generate(city: &CityProfile, grid: &CityGrid, noise: &NoiseProfile) -> Vec<OldRecord> {
         let seed = city_seed(city.name);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xADD3);
         let mut namer = StreetNamer::new(seed);
         let n_bg = grid.len();
         let mean_per_bg = (city.street_addresses() as f64 / n_bg as f64).max(4.0);
-        let mut records: Vec<AddressRecord> = Vec::new();
+        let mut records: Vec<OldRecord> = Vec::new();
         let mut taken: HashSet<String> = HashSet::new();
         for bg in 0..n_bg {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
@@ -2146,11 +2217,10 @@ mod curation_oracles {
                     Vec::new()
                 };
                 let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
-                records.push(AddressRecord {
+                records.push(OldRecord {
                     id,
                     canonical,
                     bg_index: bg,
-                    block_group: grid.id(bg),
                     is_mdu,
                     units,
                     listing_line,
@@ -2160,9 +2230,52 @@ mod curation_oracles {
         records
     }
 
-    /// Every record (numbers and listing lines included) equals the
-    /// render-then-normalize loop's, and the index holds exactly one key
-    /// per record: each canonical line, normalized, looks up its own id.
+    /// A record as the old loop built it: every MDU unit its own string.
+    struct OldRecord {
+        id: AddressId,
+        canonical: StreetAddress,
+        bg_index: usize,
+        is_mdu: bool,
+        units: Vec<String>,
+        listing_line: String,
+    }
+
+    /// Asserts `new` renders exactly what `old` does: id, block group,
+    /// house number, canonical and listing lines, MDU flag and every
+    /// unit's canonical line, in order.
+    fn assert_same_record(new: &AddressRecord, old: &OldRecord, city: &str) {
+        assert_eq!(new.id, old.id, "{city}");
+        assert_eq!(new.bg_index, old.bg_index, "{city} #{}", old.id);
+        assert_eq!(
+            new.canonical.number, old.canonical.number,
+            "{city} #{}",
+            old.id
+        );
+        assert_eq!(
+            new.canonical.canonical_line(),
+            old.canonical.canonical_line(),
+            "{city} #{}",
+            old.id
+        );
+        assert_eq!(new.listing_line, old.listing_line, "{city} #{}", old.id);
+        assert_eq!(new.is_mdu, old.is_mdu, "{city} #{}", old.id);
+        let new_units: Vec<String> = new
+            .units
+            .iter()
+            .map(|u| new.canonical.canonical_line_with_unit(Some(u)))
+            .collect();
+        let old_units: Vec<String> = old
+            .units
+            .iter()
+            .map(|u| old.canonical.canonical_line_with_unit(Some(u)))
+            .collect();
+        assert_eq!(new_units, old_units, "{city} #{}", old.id);
+    }
+
+    /// Every record (numbers, listing lines and unit lines included)
+    /// renders as the render-then-normalize loop's does, and the index
+    /// holds exactly one key per record: each canonical line, normalized,
+    /// looks up its own id.
     /// With `len() == records`, that makes every stored key equal to
     /// `normalize_line(canonical_line())`.
     #[test]
@@ -2175,7 +2288,7 @@ mod curation_oracles {
             let old = old_generate(city, &grid, &noise);
             assert_eq!(db.len(), old.len(), "{name}");
             for (new, old) in db.records().iter().zip(&old) {
-                assert_eq!(new, old, "{name}");
+                assert_same_record(new, old, name);
             }
             assert_eq!(db.index().len(), db.len(), "{name}");
             for r in db.records() {
