@@ -9,17 +9,26 @@
 //! Sampling implements the paper's strategy (§4.1): uniformly sample 10% of
 //! each block group's addresses, with a floor of thirty samples (capped by
 //! the group's size) so block-group medians are statistically meaningful.
+//!
+//! The inventory is compact: a record stores its id, house number, block
+//! group cell and unit count inline, its listing line, and a pointer to
+//! its street. Each street of a block group is one shared, number-less
+//! [`StreetAddress`], so a street's name is allocated once, and its city
+//! and state are the [`CityProfile`]'s own static strings. An MDU's units
+//! are `1..=n`, so the record keeps `n` and renders each unit's line on
+//! demand.
 
 use crate::abbrev::normalize_line;
 use crate::index::AddressIndex;
-use crate::model::StreetAddress;
+use crate::model::{push_decimal, StreetAddress};
 use crate::noise::{render_noisy, NoiseProfile};
 use crate::street::StreetNamer;
 use bbsim_census::{city_seed, CityProfile};
-use bbsim_geo::{BlockGroupId, CityGrid};
+use bbsim_geo::CityGrid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Identifier of an address within its city's database.
 pub type AddressId = u32;
@@ -28,24 +37,76 @@ pub type AddressId = u32;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AddressRecord {
     pub id: AddressId,
-    /// Canonical form — what the ISP's own address database contains.
-    pub canonical: StreetAddress,
+    /// House number on `street`.
+    number: u32,
     /// Cell index of the containing block group in the city grid.
-    pub bg_index: usize,
-    pub block_group: BlockGroupId,
-    /// Multi-dwelling unit: the canonical form has no unit, but the
-    /// building has `units`.
-    pub is_mdu: bool,
-    /// Unit designators for MDUs (empty otherwise).
-    pub units: Vec<String>,
+    bg_index: u32,
+    /// Units of a multi-dwelling building, designated `1..=units`; 0 for
+    /// a single-family address.
+    units: u8,
+    /// The street, shared by every record on it (its number is 0).
+    street: Arc<StreetAddress>,
     /// The noisy "Zillow" listing line BQT receives as input.
     pub listing_line: String,
+}
+
+impl AddressRecord {
+    /// Canonical form — what the ISP's own address database contains. A
+    /// multi-dwelling building's canonical form has no unit.
+    pub fn canonical(&self) -> StreetAddress {
+        StreetAddress {
+            number: self.number,
+            ..StreetAddress::clone(&self.street)
+        }
+    }
+
+    /// `self.canonical().canonical_line()`, rendered straight from the
+    /// shared street.
+    pub fn canonical_line(&self) -> String {
+        let mut line = String::with_capacity(self.street.line_len_hint(None));
+        self.street.push_numbered(self.number, &mut line);
+        self.street.push_tail(&mut line);
+        line
+    }
+
+    /// Cell index of the containing block group in the city grid.
+    pub fn bg_index(&self) -> usize {
+        self.bg_index as usize
+    }
+
+    /// Whether this is a multi-dwelling unit: the canonical form has no
+    /// unit, but the building has [`Self::unit_count`] of them.
+    pub fn is_mdu(&self) -> bool {
+        self.units > 0
+    }
+
+    /// Number of units in the building, designated `1..=n`; 0 unless
+    /// [`Self::is_mdu`].
+    pub fn unit_count(&self) -> u32 {
+        u32::from(self.units)
+    }
+
+    /// Appends the canonical line of unit `unit`,
+    /// `self.canonical().canonical_line_with_unit(Some(&unit.to_string()))`,
+    /// without building the unit's text.
+    pub fn push_unit_line(&self, unit: u32, out: &mut String) {
+        self.street.push_numbered(self.number, out);
+        out.push_str(" Apt ");
+        push_decimal(out, unit, 1);
+        self.street.push_tail(out);
+    }
+
+    /// An upper bound on the length of any of this record's lines,
+    /// [`Self::push_unit_line`]'s included (a unit has at most two digits).
+    pub fn line_len_hint(&self) -> usize {
+        self.street.line_len_hint(None) + 2
+    }
 }
 
 /// The address inventory for one city.
 #[derive(Debug, Clone)]
 pub struct AddressDb {
-    city_name: String,
+    city_name: &'static str,
     records: Vec<AddressRecord>,
     by_bg: Vec<Vec<usize>>,
     index: AddressIndex,
@@ -84,28 +145,29 @@ impl AddressDb {
             let zip = city.zip_prefix as u32 * 100 + (bg as u32 / 12) % 100;
 
             // A block group spans a few streets. Each is kept as an
-            // address without a house number, plus the normalized text
-            // after the number: the tail of every index key on the street,
-            // normalized here once instead of once per record.
+            // address without a house number, shared by the street's
+            // records, plus the normalized text after the number: the
+            // tail of every index key on the street, normalized here once
+            // instead of once per record.
             let n_streets = rng.gen_range(3..=7).min(count.max(1));
-            let streets: Vec<(StreetAddress, String)> = (0..n_streets)
+            let streets: Vec<(Arc<StreetAddress>, String)> = (0..n_streets)
                 .map(|_| {
                     let (directional, street_name, suffix) = namer.next_street();
                     let street = StreetAddress {
                         number: 0,
                         directional,
-                        street_name,
+                        street_name: street_name.into(),
                         suffix,
                         unit: None,
-                        city: city.name.to_string(),
-                        state: city.state.to_string(),
+                        city: city.name,
+                        state: city.state,
                         zip,
                     };
                     line.clear();
                     street.push_line(None, &mut line);
                     let after_number = line.split_once(' ').map_or("", |(_, rest)| rest);
                     let key_tail = normalize_line(after_number);
-                    (street, key_tail)
+                    (Arc::new(street), key_tail)
                 })
                 .collect();
 
@@ -114,39 +176,38 @@ impl AddressDb {
                 // House numbers ascend along each street; bump until the
                 // canonical line is city-unique (streets recur across
                 // block groups sharing a zip).
-                let mut canonical = StreetAddress {
-                    number: 100
-                        + (k / n_streets) as u32 * rng.gen_range(2..8)
-                        + rng.gen_range(0..2) as u32,
-                    ..street.clone()
-                };
+                let mut number =
+                    100 + (k / n_streets) as u32 * rng.gen_range(2..8) + rng.gen_range(0..2) as u32;
                 let id = records.len() as AddressId;
-                while !index.insert_unique(&canonical, key_tail, id) {
-                    canonical.number += rng.gen_range(1..5);
+                while !index.insert_unique(number, street.zip, key_tail, id) {
+                    number += rng.gen_range(1..5);
                 }
-                let is_mdu = rng.gen_bool(MDU_RATE);
-                let units: Vec<String> = if is_mdu {
-                    let n_units = rng.gen_range(2..=12);
-                    (1..=n_units).map(|u| u.to_string()).collect()
+                // Drawn as an `i32` in 2..=12, as the unit list it
+                // replaces was, so the generator's stream is unchanged.
+                let units = if rng.gen_bool(MDU_RATE) {
+                    rng.gen_range(2..=12i32) as u8
                 } else {
-                    Vec::new()
+                    0
+                };
+                let canonical = StreetAddress {
+                    number,
+                    ..StreetAddress::clone(street)
                 };
                 let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
                 bg_slots.push(records.len());
                 records.push(AddressRecord {
                     id,
-                    canonical,
-                    bg_index: bg,
-                    block_group: grid.id(bg),
-                    is_mdu,
+                    number,
+                    bg_index: bg as u32,
                     units,
+                    street: Arc::clone(street),
                     listing_line,
                 });
             }
         }
 
         Self {
-            city_name: city.name.to_string(),
+            city_name: city.name,
             records,
             by_bg,
             index,
@@ -154,7 +215,7 @@ impl AddressDb {
     }
 
     pub fn city_name(&self) -> &str {
-        &self.city_name
+        self.city_name
     }
 
     pub fn len(&self) -> usize {
@@ -257,7 +318,7 @@ mod tests {
     #[test]
     fn mdu_rate_is_about_ten_percent() {
         let d = db();
-        let mdus = d.records().iter().filter(|r| r.is_mdu).count();
+        let mdus = d.records().iter().filter(|r| r.is_mdu()).count();
         let rate = mdus as f64 / d.len() as f64;
         assert!((0.06..=0.15).contains(&rate), "MDU rate {rate}");
     }
@@ -266,11 +327,40 @@ mod tests {
     fn mdus_have_units_and_others_do_not() {
         let d = db();
         for r in d.records() {
-            if r.is_mdu {
-                assert!(r.units.len() >= 2);
-                assert!(r.canonical.unit.is_none(), "canonical form is the building");
+            if r.is_mdu() {
+                assert!((2..=12).contains(&r.unit_count()));
+                assert!(
+                    r.canonical().unit.is_none(),
+                    "canonical form is the building"
+                );
             } else {
-                assert!(r.units.is_empty());
+                assert_eq!(r.unit_count(), 0);
+            }
+        }
+    }
+
+    /// The compact layout: id, number, block group and unit count inline,
+    /// the street behind one pointer, the listing line.
+    #[test]
+    fn records_stay_compact() {
+        assert_eq!(std::mem::size_of::<AddressRecord>(), 48);
+    }
+
+    #[test]
+    fn record_lines_render_from_the_shared_street() {
+        let d = db();
+        for r in d.records() {
+            let canonical = r.canonical();
+            assert_eq!(r.canonical_line(), canonical.canonical_line());
+            assert!(r.canonical_line().len() <= r.line_len_hint());
+            for u in 1..=r.unit_count() {
+                let mut line = String::new();
+                r.push_unit_line(u, &mut line);
+                assert_eq!(
+                    line,
+                    canonical.canonical_line_with_unit(Some(&u.to_string()))
+                );
+                assert!(line.len() <= r.line_len_hint());
             }
         }
     }
@@ -279,7 +369,7 @@ mod tests {
     fn zips_carry_the_city_prefix() {
         let d = db();
         for r in d.records().iter().take(100) {
-            assert_eq!(r.canonical.zip / 100, 591, "{}", r.canonical.zip);
+            assert_eq!(r.canonical().zip / 100, 591, "{}", r.canonical().zip);
         }
     }
 
@@ -313,7 +403,7 @@ mod tests {
     fn samples_come_from_the_requested_block_group() {
         let d = db();
         for r in d.sample_block_group(3, 0.10, 30, 1) {
-            assert_eq!(r.bg_index, 3);
+            assert_eq!(r.bg_index(), 3);
         }
     }
 
@@ -338,7 +428,7 @@ mod tests {
             );
         }
         for r in db().records() {
-            assert!(!normalize_line(&r.canonical.canonical_line()).contains(" apt "));
+            assert!(!normalize_line(&r.canonical_line()).contains(" apt "));
         }
     }
 
@@ -347,10 +437,12 @@ mod tests {
         let d = db();
         let mut differing = 0;
         for r in d.records().iter().take(500) {
-            if r.listing_line != r.canonical.canonical_line() {
+            if r.listing_line != r.canonical_line() {
                 differing += 1;
             }
-            assert!(r.listing_line.ends_with(&format!("{:05}", r.canonical.zip)));
+            assert!(r
+                .listing_line
+                .ends_with(&format!("{:05}", r.canonical().zip)));
         }
         assert!(
             differing > 100,

@@ -19,7 +19,7 @@
 
 use crate::abbrev::{extract_zip, normalize_line};
 use crate::db::AddressId;
-use crate::model::{push_decimal, StreetAddress};
+use crate::model::push_decimal;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -95,13 +95,13 @@ impl AddressIndex {
         }
     }
 
-    /// Registers the unit-free `address` as record `id` unless its key is
-    /// already taken; returns whether it was registered. Ids must be
-    /// inserted in ascending order.
+    /// Registers the unit-free address at house `number` on a street of
+    /// `zip` as record `id` unless its key is already taken; returns
+    /// whether it was registered. Ids must be inserted in ascending order.
     ///
     /// The key is built from parts instead of by normalizing the rendered
     /// line. A house number is a digit token, which normalizes to itself,
-    /// so `normalize_line(&address.canonical_line())` is the number's
+    /// so `normalize_line` of the address's canonical line is the number's
     /// digits, a space and `key_tail`: the normalized text after the
     /// number, which every address on one street of one zip shares (the
     /// caller normalizes it once per street; it is never empty, since it
@@ -109,16 +109,14 @@ impl AddressIndex {
     /// hashed once, by the entry lookup that inserts it.
     pub(crate) fn insert_unique(
         &mut self,
-        address: &StreetAddress,
+        number: u32,
+        zip: u32,
         key_tail: &str,
         id: AddressId,
     ) -> bool {
-        let digits = address
-            .number
-            .checked_ilog10()
-            .map_or(1, |d| d as usize + 1);
+        let digits = number.checked_ilog10().map_or(1, |d| d as usize + 1);
         let mut key = String::with_capacity(digits + 1 + key_tail.len());
-        push_decimal(&mut key, address.number, 1);
+        push_decimal(&mut key, number, 1);
         key.push(' ');
         key.push_str(key_tail);
         let Entry::Vacant(slot) = self.exact.entry(key) else {
@@ -126,7 +124,7 @@ impl AddressIndex {
         };
         slot.insert(id);
         self.by_zip_number
-            .entry((address.zip, address.number))
+            .entry((zip, number))
             .or_default()
             .push(id);
         true
@@ -205,11 +203,7 @@ mod tests {
             let d = db_of(name);
             let idx = d.index();
             for r in d.records() {
-                assert_eq!(
-                    idx.lookup(&r.canonical.canonical_line()),
-                    Some(r.id),
-                    "{name}"
-                );
+                assert_eq!(idx.lookup(&r.canonical_line()), Some(r.id), "{name}");
             }
         }
     }
@@ -233,7 +227,7 @@ mod tests {
     fn lookup_with_spurious_unit_falls_back_to_building() {
         let d = db_of("Billings");
         let r = &d.records()[0];
-        let mut with_unit = r.canonical.clone();
+        let mut with_unit = r.canonical();
         with_unit.unit = Some("3".to_string());
         assert_eq!(
             d.index().lookup_allowing_unit(&with_unit.canonical_line()),
@@ -246,17 +240,17 @@ mod tests {
         let d = db_of("Billings");
         // Typo the street name; zip and number survive.
         let r = &d.records()[42];
-        let mut line = r.canonical.canonical_line();
-        line = line.replace(&r.canonical.street_name, "Zzyzx");
+        let mut line = r.canonical_line();
+        line = line.replace(&*r.canonical().street_name, "Zzyzx");
         let candidates = d.index().suggestion_candidates(&line);
         assert!(
             candidates.contains(&r.id),
             "true address must be a candidate"
         );
         for &id in candidates {
-            let c = &d.record(id).canonical;
-            assert_eq!(c.zip, r.canonical.zip);
-            assert_eq!(c.number, r.canonical.number);
+            let (c, r) = (d.record(id).canonical(), r.canonical());
+            assert_eq!(c.zip, r.zip);
+            assert_eq!(c.number, r.number);
         }
     }
 
@@ -266,10 +260,7 @@ mod tests {
         let lists: Vec<_> = d
             .records()
             .iter()
-            .map(|r| {
-                d.index()
-                    .suggestion_candidates(&r.canonical.canonical_line())
-            })
+            .map(|r| d.index().suggestion_candidates(&r.canonical_line()))
             .collect();
         assert!(lists.iter().any(|c| c.len() > 1), "no shared (zip, number)");
         assert!(lists.iter().all(|c| c.windows(2).all(|w| w[0] < w[1])));

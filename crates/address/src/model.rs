@@ -1,6 +1,7 @@
 //! Structured street addresses and their canonical text form.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Compass directional prefix (e.g. the "N" in "N Rampart St").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,16 +128,20 @@ impl Suffix {
 }
 
 /// A structured residential street address.
+///
+/// Cloning one copies no text: the street name is shared with every
+/// clone, and the city and state are static (an inventory takes them
+/// from its [`bbsim_census::CityProfile`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StreetAddress {
     pub number: u32,
     pub directional: Option<Directional>,
-    pub street_name: String,
+    pub street_name: Arc<str>,
     pub suffix: Suffix,
     /// Unit/apartment designator for multi-dwelling units.
     pub unit: Option<String>,
-    pub city: String,
-    pub state: String,
+    pub city: &'static str,
+    pub state: &'static str,
     pub zip: u32,
 }
 
@@ -173,15 +178,25 @@ impl StreetAddress {
     /// Appends the `", City, ST 01234"` tail every rendering shares.
     pub(crate) fn push_tail(&self, out: &mut String) {
         out.push_str(", ");
-        out.push_str(&self.city);
+        out.push_str(self.city);
         out.push_str(", ");
-        out.push_str(&self.state);
+        out.push_str(self.state);
         out.push(' ');
         push_decimal(out, self.zip, 5);
     }
 
     fn push_street(&self, unit: Option<&str>, out: &mut String) {
-        push_decimal(out, self.number, 1);
+        self.push_numbered(self.number, out);
+        if let Some(u) = unit {
+            out.push_str(" Apt ");
+            out.push_str(u);
+        }
+    }
+
+    /// Appends `"{number} {directional} {name} {suffix}"`: the street
+    /// part of house `number` on this address's street, without a unit.
+    pub(crate) fn push_numbered(&self, number: u32, out: &mut String) {
+        push_decimal(out, number, 1);
         out.push(' ');
         if let Some(d) = self.directional {
             out.push_str(d.abbrev());
@@ -190,10 +205,6 @@ impl StreetAddress {
         out.push_str(&self.street_name);
         out.push(' ');
         out.push_str(self.suffix.abbrev());
-        if let Some(u) = unit {
-            out.push_str(" Apt ");
-            out.push_str(u);
-        }
     }
 
     /// An upper bound on the length of the canonical line with `unit`, so
@@ -246,11 +257,11 @@ mod tests {
         StreetAddress {
             number: 742,
             directional: Some(Directional::N),
-            street_name: "Evergreen".to_string(),
+            street_name: "Evergreen".into(),
             suffix: Suffix::Terrace,
             unit: Some("2B".to_string()),
-            city: "New Orleans".to_string(),
-            state: "LA".to_string(),
+            city: "New Orleans",
+            state: "LA",
             zip: 70118,
         }
     }

@@ -186,11 +186,11 @@ mod tests {
         StreetAddress {
             number: 742,
             directional: Some(Directional::N),
-            street_name: "Evergreen".to_string(),
+            street_name: "Evergreen".into(),
             suffix: Suffix::Terrace,
             unit: unit.map(str::to_string),
-            city: "New Orleans".to_string(),
-            state: "LA".to_string(),
+            city: "New Orleans",
+            state: "LA",
             zip: 70118,
         }
     }

@@ -179,14 +179,17 @@ impl BatServer {
 
         // Multi-dwelling unit: the building needs a unit choice when the
         // input did not carry one.
-        if record.is_mdu && !input_has_unit {
+        // Its unit lines are written straight into the page.
+        if record.is_mdu() && !input_has_unit {
             session.resolved = Some(id);
-            let units: Vec<String> = record
-                .units
-                .iter()
-                .map(|u| record.canonical.canonical_line_with_unit(Some(u)))
-                .collect();
-            return templates::render_mdu_v(self.isp, &units, self.template_version);
+            let units = record.unit_count();
+            return templates::render_mdu_with_v(
+                self.isp,
+                units as usize,
+                units as usize * record.line_len_hint(),
+                |i, out| record.push_unit_line(i as u32 + 1, out),
+                self.template_version,
+            );
         }
 
         session.resolved = Some(id);
@@ -249,7 +252,7 @@ impl BatServer {
             .copied()
             .filter(|&id| Some(id) != omit)
             .take(5)
-            .map(|id| addresses.record(id).canonical.canonical_line())
+            .map(|id| addresses.record(id).canonical_line())
             .collect()
     }
 }
@@ -411,12 +414,7 @@ mod tests {
         let world = s.world.clone();
         let mut terminal = 0;
         for (i, r) in world.addresses().records().iter().take(50).enumerate() {
-            let resp = locate(
-                &mut s,
-                &r.canonical.canonical_line(),
-                ip(i as u32),
-                i as u64 * 120,
-            );
+            let resp = locate(&mut s, &r.canonical_line(), ip(i as u32), i as u64 * 120);
             assert_eq!(resp.status, Status::Ok);
             assert!(resp.set_cookie().is_some(), "locate issues a cookie");
             let known_marker = [
@@ -451,16 +449,16 @@ mod tests {
             .addresses()
             .records()
             .iter()
-            .find(|r| r.canonical.street_name.len() > 4)
+            .find(|r| r.canonical().street_name.len() > 4)
             .unwrap();
-        let line = r.canonical.canonical_line().replace(
-            &r.canonical.street_name,
-            &format!("{}x", &r.canonical.street_name[1..]),
-        );
+        let name = r.canonical().street_name;
+        let line = r
+            .canonical_line()
+            .replace(&*name, &format!("{}x", &name[1..]));
         let resp = locate(&mut s, &line, ip(0), 0);
         assert!(resp.body.contains("address-error"), "{}", &resp.body[..120]);
         assert!(
-            resp.body.contains(&r.canonical.canonical_line()),
+            resp.body.contains(&r.canonical_line()),
             "suggestions should contain the true address"
         );
     }
@@ -473,18 +471,15 @@ mod tests {
             .addresses()
             .records()
             .iter()
-            .find(|r| !r.is_mdu)
+            .find(|r| !r.is_mdu())
             .unwrap();
         // First a failed locate to get a cookie.
-        let bogus = format!("9999 Zzyzx Way, Billings, MT {:05}", r.canonical.zip);
+        let bogus = format!("9999 Zzyzx Way, Billings, MT {:05}", r.canonical().zip);
         let resp = locate(&mut s, &bogus, ip(0), 0);
         let cookie = resp.set_cookie().unwrap().to_string();
         // Now select the true canonical line.
-        let req = Request::post(
-            "/select",
-            format!("choice={}", r.canonical.canonical_line()),
-        )
-        .with_cookie(cookie);
+        let req =
+            Request::post("/select", format!("choice={}", r.canonical_line())).with_cookie(cookie);
         let mut rng = StdRng::seed_from_u64(2);
         let out = s
             .handle(ip(0), &req, SimTime::from_millis(5000), &mut rng)
@@ -508,7 +503,7 @@ mod tests {
                     && addr_draw(Isp::CenturyLink, r.id, 0x0FF) >= s.profile.unknown_address_rate
             })
             .expect("some existing-customer address");
-        let resp = locate(&mut s, &target.canonical.canonical_line(), ip(0), 0);
+        let resp = locate(&mut s, &target.canonical_line(), ip(0), 0);
         assert!(
             resp.body.contains("existing-customer"),
             "{}",
@@ -535,17 +530,17 @@ mod tests {
             .records()
             .iter()
             .find(|r| {
-                r.is_mdu
+                r.is_mdu()
                     && addr_draw(Isp::CenturyLink, r.id, 0xE71) >= s.profile.existing_customer_rate
                     && addr_draw(Isp::CenturyLink, r.id, 0xBAD) >= s.profile.hard_failure_rate
                     && addr_draw(Isp::CenturyLink, r.id, 0x0FF) >= s.profile.unknown_address_rate
             })
             .expect("some clean MDU");
-        let resp = locate(&mut s, &mdu.canonical.canonical_line(), ip(0), 0);
+        let resp = locate(&mut s, &mdu.canonical_line(), ip(0), 0);
         assert!(resp.body.contains("mdu-prompt"), "{}", &resp.body[..150]);
         assert!(resp.body.contains("Apt 1"));
         let cookie = resp.set_cookie().unwrap().to_string();
-        let mut unit_line = mdu.canonical.clone();
+        let mut unit_line = mdu.canonical();
         unit_line.unit = Some("1".to_string());
         let req = Request::post("/select", format!("choice={}", unit_line.canonical_line()))
             .with_cookie(cookie);
@@ -563,7 +558,7 @@ mod tests {
     fn per_ip_rate_limit_triggers_429() {
         let mut s = server();
         let world = s.world.clone();
-        let line = world.addresses().records()[0].canonical.canonical_line();
+        let line = world.addresses().records()[0].canonical_line();
         let mut saw_429 = false;
         for i in 0..50 {
             let req = Request::post("/locate", format!("address={line}"));
@@ -584,7 +579,7 @@ mod tests {
     fn rate_limit_window_slides() {
         let mut s = server();
         let world = s.world.clone();
-        let line = world.addresses().records()[0].canonical.canonical_line();
+        let line = world.addresses().records()[0].canonical_line();
         // Spread requests at 3s apart: 20 per minute < limit of 30.
         for i in 0..60u64 {
             let req = Request::post("/locate", format!("address={line}"));
@@ -600,7 +595,7 @@ mod tests {
     fn cookie_budget_blocks_reuse() {
         let mut s = server();
         let world = s.world.clone();
-        let line = world.addresses().records()[0].canonical.canonical_line();
+        let line = world.addresses().records()[0].canonical_line();
         let resp = locate(&mut s, &line, ip(1), 0);
         let cookie = resp.set_cookie().unwrap().to_string();
         let mut blocked = false;
@@ -664,7 +659,7 @@ mod tests {
             TemplateVersion::V2,
         ));
         let world = s.world.clone();
-        let line = world.addresses().records()[0].canonical.canonical_line();
+        let line = world.addresses().records()[0].canonical_line();
         let before = locate(&mut s, &line, ip(0), 0);
         assert_eq!(s.template_version(), TemplateVersion::V1);
         let after = locate(&mut s, &line, ip(1), 400);
@@ -685,7 +680,7 @@ mod tests {
         for attempt in 0..3 {
             let resp = locate(
                 &mut s,
-                &victim.canonical.canonical_line(),
+                &victim.canonical_line(),
                 ip(10 + attempt),
                 attempt as u64 * 100,
             );

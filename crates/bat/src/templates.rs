@@ -204,6 +204,24 @@ fn push_number(out: &mut String, n: f64) {
     }
 }
 
+/// The entries of a list page: `count` of them, each appended by
+/// `push(i, out)` for `i` in `0..count`, `len` bytes in total (or a bound
+/// on it). A caller can so render entries straight into the page.
+struct Entries<F> {
+    count: usize,
+    len: usize,
+    push: F,
+}
+
+/// Entries already rendered.
+fn rendered(entries: &[String]) -> Entries<impl FnMut(usize, &mut String) + '_> {
+    Entries {
+        count: entries.len(),
+        len: entries.iter().map(String::len).sum(),
+        push: |i: usize, out: &mut String| out.push_str(&entries[i]),
+    }
+}
+
 /// A list page: a marker line, then one `<li>` per entry. The
 /// not-found and MDU pages share this shape.
 fn render_list(
@@ -212,15 +230,10 @@ fn render_list(
     message: &str,
     list: &str,
     item: &str,
-    entries: &[String],
+    mut entries: Entries<impl FnMut(usize, &mut String)>,
 ) -> String {
-    let body_len = 64
-        + marker.len()
-        + message.len()
-        + entries
-            .iter()
-            .map(|e| e.len() + item.len() + 24)
-            .sum::<usize>();
+    let body_len =
+        64 + marker.len() + message.len() + entries.len + entries.count * (item.len() + 24);
     page(isp, body_len, |out| {
         for piece in [
             "<div class=\"",
@@ -233,10 +246,12 @@ fn render_list(
         ] {
             out.push_str(piece);
         }
-        for e in entries {
-            for piece in ["  <li class=\"", item, "\">", e, "</li>\n"] {
+        for i in 0..entries.count {
+            for piece in ["  <li class=\"", item, "\">"] {
                 out.push_str(piece);
             }
+            (entries.push)(i, out);
+            out.push_str("</li>\n");
         }
         out.push_str("</ul>");
     })
@@ -259,7 +274,7 @@ pub fn render_not_found_v(isp: Isp, suggestions: &[String], version: TemplateVer
         "We could not verify that address.",
         "options",
         item,
-        suggestions,
+        rendered(suggestions),
     )
 }
 
@@ -270,6 +285,33 @@ pub fn render_mdu(isp: Isp, units: &[String]) -> String {
 
 /// Version-aware multi-dwelling-unit page.
 pub fn render_mdu_v(isp: Isp, units: &[String], version: TemplateVersion) -> String {
+    render_mdu_page(isp, rendered(units), version)
+}
+
+/// [`render_mdu_v`] with its `count` unit lines appended by
+/// `push_unit(i, out)`, `i` in `0..count`, straight into the page, so a
+/// building's unit lines never exist as strings of their own. `units_len`
+/// is their total length in bytes, or a bound on it.
+pub fn render_mdu_with_v(
+    isp: Isp,
+    count: usize,
+    units_len: usize,
+    push_unit: impl FnMut(usize, &mut String),
+    version: TemplateVersion,
+) -> String {
+    let entries = Entries {
+        count,
+        len: units_len,
+        push: push_unit,
+    };
+    render_mdu_page(isp, entries, version)
+}
+
+fn render_mdu_page(
+    isp: Isp,
+    units: Entries<impl FnMut(usize, &mut String)>,
+    version: TemplateVersion,
+) -> String {
     let (marker, item) = match version {
         TemplateVersion::V1 => ("mdu-prompt", "unit"),
         TemplateVersion::V2 => ("unit-prompt", "unit-option"),

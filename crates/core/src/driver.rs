@@ -408,14 +408,14 @@ mod tests {
             .addresses()
             .records()
             .iter()
-            .filter(|r| r.is_mdu)
+            .filter(|r| r.is_mdu())
             .take(30)
             .collect();
         assert!(!mdus.is_empty());
         let mut hits = 0;
         for r in &mdus {
             // Query the canonical building line (no unit) to force the MDU flow.
-            let job = job_for(&r.canonical.canonical_line(), Isp::CenturyLink);
+            let job = job_for(&r.canonical_line(), Isp::CenturyLink);
             let rec = query_address(&mut t, &cfg(), &job, src(), now, &mut rng);
             now = now + rec.duration + SimDuration::from_secs(10);
             if rec.outcome.is_hit() {

@@ -23,7 +23,14 @@ use std::io::Write;
 
 /// Serializes one event to its canonical JSONL line (no trailing newline).
 pub fn to_line(event: &Event) -> String {
-    let mut w = LineWriter::new(event.at.as_millis(), event.kind.name());
+    write_line(event, String::with_capacity(96))
+}
+
+/// Writes `event`'s canonical line into `buf`, replacing what it held,
+/// and returns the buffer: a caller that hands the same buffer back for
+/// every event allocates only while its lines grow.
+fn write_line(event: &Event, buf: String) -> String {
+    let mut w = LineWriter::new(buf, event.at.as_millis(), event.kind.name());
     event.kind.write_fields(&mut w);
     w.finish()
 }
@@ -81,10 +88,10 @@ pub(super) struct LineWriter {
 }
 
 impl LineWriter {
-    fn new(t: u64, ev: &str) -> Self {
-        let mut w = Self {
-            buf: String::with_capacity(96),
-        };
+    /// Starts a line in `buf`, which is cleared first.
+    fn new(mut buf: String, t: u64, ev: &str) -> Self {
+        buf.clear();
+        let mut w = Self { buf };
         w.buf.push('{');
         w.num("t", t);
         w.str("ev", ev);
@@ -104,22 +111,7 @@ impl LineWriter {
     #[inline]
     fn num(&mut self, key: &str, v: u64) {
         self.key(key);
-        // Decimal digits, least significant first, written straight into
-        // the line: no intermediate `String` per number.
-        let mut digits = [0u8; 20];
-        let mut len = 0;
-        let mut rest = v;
-        loop {
-            digits[len] = b'0' + (rest % 10) as u8;
-            len += 1;
-            rest /= 10;
-            if rest == 0 {
-                break;
-            }
-        }
-        for &d in digits[..len].iter().rev() {
-            self.buf.push(char::from(d));
-        }
+        push_u64(&mut self.buf, v);
     }
 
     #[inline]
@@ -401,6 +393,32 @@ fn parse_value(b: &[u8], i: usize) -> Result<(Val, usize), ParseError> {
     }
 }
 
+/// Appends `v` in decimal: its digits, least significant first, are
+/// collected on the stack and written straight into `out`, with no
+/// intermediate `String`.
+#[inline]
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let mut len = 0;
+    let mut rest = v;
+    loop {
+        digits[len] = b'0' + (rest % 10) as u8;
+        len += 1;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for &d in digits[..len].iter().rev() {
+        out.push(char::from(d));
+    }
+}
+
+/// The number of decimal digits [`push_u64`] writes for `v`.
+pub(crate) fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 /// A [`Recorder`] that appends one canonical JSONL line per event.
 ///
 /// `stable` mode keeps only replay-stable events
@@ -410,6 +428,10 @@ pub struct JsonlRecorder<W: Write> {
     out: W,
     stable_only: bool,
     written: u64,
+    /// The line being written, newline included. Each event's line is
+    /// built over the previous one's bytes, so the recorder allocates
+    /// only when a line is longer than every line before it.
+    line: String,
 }
 
 impl<W: Write> JsonlRecorder<W> {
@@ -419,15 +441,15 @@ impl<W: Write> JsonlRecorder<W> {
             out,
             stable_only: false,
             written: 0,
+            line: String::new(),
         }
     }
 
     /// Records only replay-stable events.
     pub fn stable(out: W) -> Self {
         Self {
-            out,
             stable_only: true,
-            written: 0,
+            ..Self::new(out)
         }
     }
 
@@ -450,9 +472,9 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
         if self.stable_only && !event.kind.replay_stable() {
             return;
         }
-        let mut line = to_line(event);
-        line.push('\n');
-        let written = self.out.write_all(line.as_bytes());
+        self.line = write_line(event, std::mem::take(&mut self.line));
+        self.line.push('\n');
+        let written = self.out.write_all(self.line.as_bytes());
         // A failed write panics; the fan-out poisons this recorder and the
         // campaign carries on without its log.
         // lint:allow(D3): panicking here is the poisoning contract — the telemetry fan-out catches it and detaches the recorder

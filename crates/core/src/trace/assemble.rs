@@ -36,6 +36,7 @@
 use super::reservoir::{ExemplarReservoir, ExemplarSet};
 use super::{Span, SpanKind, Trace};
 use crate::monitor::{advances_watermark, WatermarkHeap};
+use crate::telemetry::jsonl::{decimal_len, push_u64};
 use crate::telemetry::{Event, EventKind};
 use std::collections::BTreeMap;
 
@@ -86,6 +87,23 @@ pub struct TraceAssembler {
     serve_shards: BTreeMap<u32, ServeCursor>,
     reservoir: ExemplarReservoir,
     makespan_ms: u64,
+}
+
+/// A span label, `"{head}{n}:{outcome}"` with `n` and `:{outcome}` each
+/// left out when `None`, built at its exact length without the formatter
+/// (one is made per attempt and per page fetch).
+fn label(head: &str, n: Option<u64>, outcome: Option<&str>) -> String {
+    let len = head.len() + n.map_or(0, decimal_len) + outcome.map_or(0, |o| 1 + o.len());
+    let mut label = String::with_capacity(len);
+    label.push_str(head);
+    if let Some(n) = n {
+        push_u64(&mut label, n);
+    }
+    if let Some(outcome) = outcome {
+        label.push(':');
+        label.push_str(outcome);
+    }
+    label
 }
 
 impl TraceAssembler {
@@ -177,7 +195,11 @@ impl TraceAssembler {
                         .map_or_else(|| at_ms.saturating_sub(*duration_ms), |(_, begin)| begin);
                     let mut span = Span {
                         kind: SpanKind::Attempt,
-                        label: format!("attempt_{attempt}:{}", outcome.as_str()),
+                        label: label(
+                            "attempt_",
+                            Some(u64::from(*attempt)),
+                            Some(outcome.as_str()),
+                        ),
                         start_ms: start,
                         end_ms: at_ms,
                         children: Vec::new(),
@@ -187,7 +209,7 @@ impl TraceAssembler {
                         if fe > fs {
                             span.children.push(Span {
                                 kind: SpanKind::PageFetch,
-                                label: format!("step_{i}"),
+                                label: label("step_", Some(i as u64), None),
                                 start_ms: fs,
                                 end_ms: fe,
                                 children: Vec::new(),
@@ -214,7 +236,7 @@ impl TraceAssembler {
                     let endpoint = job.endpoint;
                     let root = Span {
                         kind: SpanKind::Job,
-                        label: format!("{endpoint}:{}", outcome.as_str()),
+                        label: label(&endpoint, None, Some(outcome.as_str())),
                         start_ms: job.started_ms,
                         end_ms: at_ms,
                         children: job.children,
@@ -292,7 +314,7 @@ impl TraceAssembler {
                 };
                 let mut root = Span {
                     kind: SpanKind::Serve,
-                    label: format!("{endpoint}:{}", outcome.as_str()),
+                    label: label(endpoint, None, Some(outcome.as_str())),
                     start_ms: arrival,
                     end_ms: at_ms,
                     children: Vec::new(),
@@ -448,6 +470,23 @@ mod tests {
         Event {
             at: SimTime::from_millis(ms),
             kind,
+        }
+    }
+
+    #[test]
+    fn labels_match_the_formatter_at_exact_capacity() {
+        for n in [0, 7, 10, 99, 1_000, u64::from(u32::MAX), u64::MAX] {
+            for outcome in ["plans", "no_service", ""] {
+                let attempt = label("attempt_", Some(n), Some(outcome));
+                assert_eq!(attempt, format!("attempt_{n}:{outcome}"));
+                assert_eq!(attempt.capacity(), attempt.len());
+                let job = label("att/Billings", None, Some(outcome));
+                assert_eq!(job, format!("att/Billings:{outcome}"));
+                assert_eq!(job.capacity(), job.len());
+            }
+            let step = label("step_", Some(n), None);
+            assert_eq!(step, format!("step_{n}"));
+            assert_eq!(step.capacity(), step.len());
         }
     }
 

@@ -442,7 +442,7 @@ fn calibrate_isp(
         .records()
         .iter()
         .take(opts.calibration_samples.max(1))
-        .map(|r| r.canonical.canonical_line())
+        .map(|r| r.canonical_line())
         .collect();
     let pause = bqt::client::calibrate_pause(transport, isp.slug(), &calib_lines, src, run_seed);
     let mut config = BqtConfig::paper_default(pause);
@@ -521,8 +521,8 @@ fn land_records(
             city: city.name.to_string(),
             isp,
             address_tag: qrec.tag,
-            block_group: addr.block_group,
-            bg_index: addr.bg_index,
+            block_group: world.grid().id(addr.bg_index()),
+            bg_index: addr.bg_index(),
             plans,
         });
     }

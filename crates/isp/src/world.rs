@@ -173,7 +173,7 @@ impl CityWorld {
     /// Stable per-address hash used for sub-block-group assignment.
     fn addr_hash(&self, isp: Isp, addr: &AddressRecord) -> u64 {
         let mut h: u64 = 0x9E37_79B9_7F4A_7C15 ^ (isp.column() as u64);
-        for b in [addr.id as u64, addr.bg_index as u64] {
+        for b in [addr.id as u64, addr.bg_index() as u64] {
             h ^= b;
             h = h.wrapping_mul(0x1000_0000_01b3);
             h ^= h >> 29;
@@ -191,7 +191,7 @@ impl CityWorld {
             };
         };
         let deployment = &self.deployments[slot].1;
-        let bg = addr.bg_index;
+        let bg = addr.bg_index();
         let plans = match deployment.tech(bg) {
             TechAtBlockGroup::NotServed => Vec::new(),
             TechAtBlockGroup::Cable => self
