@@ -13,8 +13,9 @@
 //! The inventory is compact: a record stores its id, house number, block
 //! group cell and unit count inline, its listing line, and a pointer to
 //! its street. Each street of a block group is one shared, number-less
-//! [`StreetAddress`], so a street's name is allocated once, and its city
-//! and state are the [`CityProfile`]'s own static strings. An MDU's units
+//! [`StreetAddress`]; a street name is allocated once per city, however
+//! many streets carry it, and the city and state are the
+//! [`CityProfile`]'s own static strings. An MDU's units
 //! are `1..=n`, so the record keeps `n` and renders each unit's line on
 //! demand.
 
@@ -28,6 +29,7 @@ use bbsim_geo::CityGrid;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Identifier of an address within its city's database.
@@ -138,6 +140,9 @@ impl AddressDb {
         let mut index = AddressIndex::with_capacity(city.street_addresses());
         // Scratch for each street's canonical line.
         let mut line = String::new();
+        // Street names recur across block groups (the namer draws from
+        // fixed pools): each distinct name is allocated once per city.
+        let mut names: HashMap<String, Arc<str>> = HashMap::new();
 
         for (bg, bg_slots) in by_bg.iter_mut().enumerate() {
             let count = (mean_per_bg * rng.gen_range(0.5..1.5)).round().max(2.0) as usize;
@@ -152,11 +157,19 @@ impl AddressDb {
             let n_streets = rng.gen_range(3..=7).min(count.max(1));
             let streets: Vec<(Arc<StreetAddress>, String)> = (0..n_streets)
                 .map(|_| {
-                    let (directional, street_name, suffix) = namer.next_street();
+                    let (directional, name, suffix) = namer.next_street();
+                    let street_name = match names.get(&name) {
+                        Some(shared) => Arc::clone(shared),
+                        None => {
+                            let shared: Arc<str> = Arc::from(name.as_str());
+                            names.insert(name, Arc::clone(&shared));
+                            shared
+                        }
+                    };
                     let street = StreetAddress {
                         number: 0,
                         directional,
-                        street_name: street_name.into(),
+                        street_name,
                         suffix,
                         unit: None,
                         city: city.name,
