@@ -15,14 +15,13 @@
 //! its street. Each street of a block group is one shared, number-less
 //! [`StreetAddress`]; a street name is allocated once per city, however
 //! many streets carry it, and the city and state are the
-//! [`CityProfile`]'s own static strings. An MDU's units
-//! are `1..=n`, so the record keeps `n` and renders each unit's line on
-//! demand.
+//! [`CityProfile`]'s own static strings. An MDU's units are `1..=n`, so
+//! the record keeps `n` and renders each unit's line on demand.
 
 use crate::abbrev::normalize_line;
 use crate::index::AddressIndex;
 use crate::model::{push_decimal, StreetAddress};
-use crate::noise::{render_noisy, NoiseProfile};
+use crate::noise::{render_noisy_into, NoiseProfile};
 use crate::street::StreetNamer;
 use bbsim_census::{city_seed, CityProfile};
 use bbsim_geo::CityGrid;
@@ -138,8 +137,8 @@ impl AddressDb {
         // database has one row per deliverable address. The index that
         // enforces it is the one every BAT of the city looks lines up in.
         let mut index = AddressIndex::with_capacity(city.street_addresses());
-        // Scratch for each street's canonical line.
-        let mut line = String::new();
+        // Scratch for each street's canonical line and each listing line.
+        let (mut line, mut listing) = (String::new(), String::new());
         // Street names recur across block groups (the namer draws from
         // fixed pools): each distinct name is allocated once per city.
         let mut names: HashMap<String, Arc<str>> = HashMap::new();
@@ -158,18 +157,13 @@ impl AddressDb {
             let streets: Vec<(Arc<StreetAddress>, String)> = (0..n_streets)
                 .map(|_| {
                     let (directional, name, suffix) = namer.next_street();
-                    let street_name = match names.get(&name) {
-                        Some(shared) => Arc::clone(shared),
-                        None => {
-                            let shared: Arc<str> = Arc::from(name.as_str());
-                            names.insert(name, Arc::clone(&shared));
-                            shared
-                        }
-                    };
+                    let street_name = names
+                        .entry(name)
+                        .or_insert_with_key(|name| Arc::from(name.as_str()));
                     let street = StreetAddress {
                         number: 0,
                         directional,
-                        street_name,
+                        street_name: Arc::clone(street_name),
                         suffix,
                         unit: None,
                         city: city.name,
@@ -206,7 +200,10 @@ impl AddressDb {
                     number,
                     ..StreetAddress::clone(street)
                 };
-                let listing_line = render_noisy(&canonical, noise, seed ^ (id as u64) << 8);
+                // Copied out of the scratch at its length: one exact
+                // allocation, and no freed tail between records.
+                render_noisy_into(&canonical, noise, seed ^ (id as u64) << 8, &mut listing);
+                let listing_line = listing.as_str().to_owned();
                 bg_slots.push(records.len());
                 records.push(AddressRecord {
                     id,

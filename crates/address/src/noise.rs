@@ -110,18 +110,34 @@ fn push_typo(rng: &mut StdRng, word: &str, out: &mut String) {
 /// but precedes them, so it is inserted at its slot once drawn. The line
 /// is returned at exact capacity because every inventory record stores one.
 pub fn render_noisy(addr: &StreetAddress, profile: &NoiseProfile, seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0153);
     // Noise lengthens a canonical line by at most 17 bytes: a spelled-out
     // directional (+7) and suffix (+5), a doubled character (+4) and
     // "Unit" for "Apt" (+1).
     let mut line = String::with_capacity(addr.line_len_hint(addr.unit.as_deref()) + 17);
-    push_decimal(&mut line, addr.number, 1);
+    render_noisy_into(addr, profile, seed, &mut line);
+    line.shrink_to_fit();
+    line
+}
+
+/// [`render_noisy`] into `line`, which is cleared first. A caller that
+/// renders many lines through one buffer and copies each out at its
+/// length allocates each line once, at its size. Shrinking an oversized
+/// line in place instead frees its tail as a small hole next to it.
+pub(crate) fn render_noisy_into(
+    addr: &StreetAddress,
+    profile: &NoiseProfile,
+    seed: u64,
+    line: &mut String,
+) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x0153);
+    line.clear();
+    push_decimal(line, addr.number, 1);
     line.push(' ');
     let dir_at = line.len();
 
     let start = line.len();
     if rng.gen_bool(profile.p_typo) {
-        push_typo(&mut rng, &addr.street_name, &mut line);
+        push_typo(&mut rng, &addr.street_name, line);
     } else {
         line.push_str(&addr.street_name);
     }
@@ -171,9 +187,7 @@ pub fn render_noisy(addr: &StreetAddress, profile: &NoiseProfile, seed: u64) -> 
         }
         _ => {}
     }
-    addr.push_tail(&mut line);
-    line.shrink_to_fit();
-    line
+    addr.push_tail(line);
 }
 
 #[cfg(test)]

@@ -285,7 +285,8 @@ pub fn render_mdu(isp: Isp, units: &[String]) -> String {
 
 /// Version-aware multi-dwelling-unit page.
 pub fn render_mdu_v(isp: Isp, units: &[String], version: TemplateVersion) -> String {
-    render_mdu_page(isp, rendered(units), version)
+    let units = rendered(units);
+    render_mdu_with_v(isp, units.count, units.len, units.push, version)
 }
 
 /// [`render_mdu_v`] with its `count` unit lines appended by
@@ -299,22 +300,14 @@ pub fn render_mdu_with_v(
     push_unit: impl FnMut(usize, &mut String),
     version: TemplateVersion,
 ) -> String {
-    let entries = Entries {
-        count,
-        len: units_len,
-        push: push_unit,
-    };
-    render_mdu_page(isp, entries, version)
-}
-
-fn render_mdu_page(
-    isp: Isp,
-    units: Entries<impl FnMut(usize, &mut String)>,
-    version: TemplateVersion,
-) -> String {
     let (marker, item) = match version {
         TemplateVersion::V1 => ("mdu-prompt", "unit"),
         TemplateVersion::V2 => ("unit-prompt", "unit-option"),
+    };
+    let units = Entries {
+        count,
+        len: units_len,
+        push: push_unit,
     };
     render_list(
         isp,
@@ -455,6 +448,26 @@ mod tests {
         let page = render_mdu(Isp::Att, &["742 Evergreen Ter Apt 1".to_string()]);
         assert!(page.contains("class=\"unit\""));
         assert!(page.contains("Apt 1"));
+    }
+
+    #[test]
+    fn mdu_page_from_a_writer_matches_the_rendered_lines() {
+        let lines: Vec<String> = (1..=12)
+            .map(|u| format!("742 Evergreen Ter Apt {u}"))
+            .collect();
+        for version in [TemplateVersion::V1, TemplateVersion::V2] {
+            let written = render_mdu_with_v(
+                Isp::Att,
+                lines.len(),
+                0,
+                |i, out| {
+                    out.push_str("742 Evergreen Ter Apt ");
+                    out.push_str(&(i + 1).to_string());
+                },
+                version,
+            );
+            assert_eq!(written, render_mdu_v(Isp::Att, &lines, version));
+        }
     }
 
     #[test]
