@@ -189,8 +189,8 @@ impl AddressDb {
                 while !index.insert_unique(number, street.zip, key_tail, id) {
                     number += rng.gen_range(1..5);
                 }
-                // Drawn as an `i32` in 2..=12, as the unit list it
-                // replaces was, so the generator's stream is unchanged.
+                // Drawn as an `i32`: the draw's type fixes the generator's
+                // stream, and every artifact depends on that stream.
                 let units = if rng.gen_bool(MDU_RATE) {
                     rng.gen_range(2..=12i32) as u8
                 } else {
