@@ -108,7 +108,7 @@ fn push_typo(rng: &mut StdRng, word: &str, out: &mut String) {
 /// One buffer, written in RNG draw order: each token is pushed and then
 /// re-cased in place. The directional is drawn after the street and suffix
 /// but precedes them, so it is inserted at its slot once drawn. The line
-/// is returned at exact capacity because every inventory record stores one.
+/// is returned at exact capacity.
 pub fn render_noisy(addr: &StreetAddress, profile: &NoiseProfile, seed: u64) -> String {
     // Noise lengthens a canonical line by at most 17 bytes: a spelled-out
     // directional (+7) and suffix (+5), a doubled character (+4) and
