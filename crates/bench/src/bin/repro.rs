@@ -17,7 +17,6 @@
 //!              breach and drift-rebootstrap exemplars, trace.json
 //!              export ([--quick], [--artifacts DIR])
 //!   lint       run divide-lint against the committed baseline
-//!   bench      run the perf trajectory, write BENCH_pr6.json ([--quick])
 //!   determinism  print per-artifact content hashes at --threads N
 //! ```
 //!
@@ -133,7 +132,6 @@ fn main() {
         threads: args.threads,
         scale: args.scale,
         quick: args.quick,
-        out: args.out.as_deref(),
         artifacts: args.artifacts.as_deref(),
     };
 

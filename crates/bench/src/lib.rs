@@ -1,11 +1,10 @@
-//! Benchmark harness and paper-reproduction experiments.
+//! Paper-reproduction experiments behind the `repro` binary.
 //!
 //! * [`study`] — runs the curation pipeline over any subset of the 30 study
 //!   cities, in parallel, at a configurable sampling scale;
 //! * [`experiments`] — one function per paper table/figure, each returning a
 //!   plain-text report with the same rows/series the paper plots;
-//! * [`perf`] — the committed perf trajectory (`repro bench` →
-//!   `BENCH_prN.json`) and the cross-thread determinism probe;
+//! * [`determinism`] — the cross-thread determinism probe;
 //! * [`registry`] — every experiment as a value behind one
 //!   [`Experiment`](registry::Experiment) trait; the `repro` binary is
 //!   argument parsing plus one lookup;
@@ -13,14 +12,14 @@
 //!   sweep, byte-identity digests and the SLO dashboard;
 //! * [`tail_exp`] — the `repro tail` tail-latency attribution: slowest-
 //!   trace exemplars, critical-path decomposition and the deterministic
-//!   `trace.json` export;
-//! * `benches/` holds the Criterion micro-benchmarks for the
-//!   performance-sensitive components (matcher, Moran's I, KS, framing,
-//!   query path, pipeline).
+//!   `trace.json` export.
+//!
+//! Performance is measured end to end by divide-bench
+//! (`src/bin/divide-bench/`), a package of its own.
 
+pub mod determinism;
 pub mod experiments;
 pub mod experiments_ext;
-pub mod perf;
 pub mod registry;
 pub mod serve_exp;
 pub mod study;

@@ -25,9 +25,6 @@ pub struct ExperimentCtx<'a> {
     pub scale: Scale,
     /// Abbreviated run (`--quick`): smaller corpora, fewer samples.
     pub quick: bool,
-    /// Report destination (`--out`), for experiments that manage their
-    /// own output files.
-    pub out: Option<&'a str>,
     /// Directory for on-disk campaign artifacts (`--artifacts`), used
     /// by experiments CI byte-compares across runs.
     pub artifacts: Option<&'a str>,
@@ -168,9 +165,8 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         solo_exp("serve", crate::serve_exp::serve),
         solo_exp("tail", crate::tail_exp::tail),
         solo_exp("lint", run_lint),
-        solo_exp("bench", run_bench),
         solo_exp("determinism", |c| {
-            report(crate::perf::determinism(c.seed, c.threads))
+            report(crate::determinism::determinism(c.seed, c.threads))
         }),
     ];
     all.into_iter().map(|e| e as Box<dyn Experiment>).collect()
@@ -234,25 +230,6 @@ fn run_lint(_ctx: &ExperimentCtx) -> ExperimentAction {
     ExperimentAction::Exit(if outcome.is_clean() { 0 } else { 1 })
 }
 
-/// Runs the perf trajectory and writes the committed record
-/// (`BENCH_pr6.json` at the workspace root unless `--out` overrides).
-fn run_bench(ctx: &ExperimentCtx) -> ExperimentAction {
-    let json = crate::perf::bench(ctx.quick);
-    let path = match ctx.out {
-        Some(path) => std::path::PathBuf::from(path),
-        None => {
-            let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-            divide_lint::discover_root(here)
-                .unwrap_or_else(|| std::path::PathBuf::from("."))
-                .join("BENCH_pr6.json")
-        }
-    };
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    print!("{json}");
-    eprintln!("[repro] wrote {}", path.display());
-    ExperimentAction::Exit(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,7 +248,6 @@ mod tests {
             "serve",
             "tail",
             "lint",
-            "bench",
             "determinism",
         ] {
             assert!(names.contains(&must), "missing {must}");

@@ -35,7 +35,7 @@ use crate::orchestrator::{Orchestrator, OrchestratorReport};
 use crate::retry::RetryPolicy;
 use crate::shard::{self, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
 use crate::shed::ShedPolicy;
-use crate::telemetry::{Recorder, Telemetry};
+use crate::telemetry::{Fanout, Recorder, Telemetry};
 use bbsim_net::{IpPool, SimDuration, SimTime, Transport};
 
 /// Builder for one orchestrated scraping campaign.
@@ -229,7 +229,8 @@ impl<'a> Campaign<'a> {
     ///
     /// Attached recorders replay the *merged* stream after all shards
     /// finish, so a [`JsonlRecorder`](crate::telemetry::JsonlRecorder)
-    /// here writes the canonical `events.jsonl` directly.
+    /// here writes the canonical `events.jsonl` directly. A recorder that
+    /// panics there is detached, as in [`run`](Self::run).
     ///
     /// A shard that panics does not take the run down: its siblings run
     /// to completion (their journal segments stay whole) and the run
@@ -249,7 +250,7 @@ impl<'a> Campaign<'a> {
             config,
             journal,
             crash_at,
-            mut recorders,
+            recorders,
             monitor,
             threads,
         } = self;
@@ -266,10 +267,12 @@ impl<'a> Campaign<'a> {
         };
         let shards = shard::execute(&template, plan, threads, make_env)?;
         let events = shard::merge_events(&shards);
+        let mut fanout = Fanout::default();
+        for r in recorders {
+            fanout.attach(r);
+        }
         for event in &events {
-            for recorder in recorders.iter_mut() {
-                recorder.record(event);
-            }
+            fanout.deliver(event);
         }
         Ok(ShardedOutcome { shards, events })
     }

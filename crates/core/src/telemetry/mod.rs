@@ -33,10 +33,12 @@
 //!   always attached internally, and its summary lands in
 //!   `OrchestratorReport::telemetry`.
 //!
-//! External recorders are attached through [`Telemetry`], the fan-out used
-//! by `Campaign::recorder`. A recorder that panics is *poisoned* — dropped
-//! from the fan-out for the rest of the run — so a broken observer can
-//! never take a campaign down with it.
+//! External recorders attached by `Campaign::recorder` are fed through one
+//! fan-out: [`Telemetry`] delivers through it while a campaign runs, and a
+//! sharded run delivers its merged stream through it once the shards
+//! finish. A recorder that panics is *poisoned* — dropped from the fan-out
+//! for the rest of the run — so a broken observer can never take a
+//! campaign down with it.
 //!
 //! ## Determinism
 //!
@@ -373,8 +375,41 @@ struct Slot<'a> {
     poisoned: bool,
 }
 
+/// The external recorders of one run, isolating their panics: a recorder
+/// that panics is poisoned and never called again, and the run carries on.
+#[derive(Default)]
+pub(crate) struct Fanout<'a> {
+    slots: Vec<Slot<'a>>,
+}
+
+impl<'a> Fanout<'a> {
+    pub(crate) fn attach(&mut self, recorder: &'a mut dyn Recorder) {
+        self.slots.push(Slot {
+            recorder,
+            poisoned: false,
+        });
+    }
+
+    pub(crate) fn deliver(&mut self, event: &Event) {
+        for slot in &mut self.slots {
+            if slot.poisoned {
+                continue;
+            }
+            // A recorder is an observer; its failure must not rewrite the
+            // campaign's outcome. Poison it and move on.
+            if catch_unwind(AssertUnwindSafe(|| slot.recorder.record(event))).is_err() {
+                slot.poisoned = true;
+            }
+        }
+    }
+
+    pub(crate) fn poisoned(&self) -> usize {
+        self.slots.iter().filter(|s| s.poisoned).count()
+    }
+}
+
 /// Fans events out to an always-on [`MetricsAggregator`] plus any attached
-/// external recorders, isolating recorder panics.
+/// external recorders, isolating recorder panics (see `Fanout`).
 ///
 /// A [`CampaignMonitor`] may additionally ride inside the fan-out; unlike
 /// plain recorders it can *synthesize* events ([`EventKind::AlertFired`] /
@@ -383,7 +418,7 @@ struct Slot<'a> {
 pub struct Telemetry<'a> {
     aggregator: MetricsAggregator,
     monitor: Option<CampaignMonitor>,
-    slots: Vec<Slot<'a>>,
+    recorders: Fanout<'a>,
 }
 
 impl<'a> Telemetry<'a> {
@@ -391,16 +426,13 @@ impl<'a> Telemetry<'a> {
         Self {
             aggregator: MetricsAggregator::new(),
             monitor: None,
-            slots: Vec::new(),
+            recorders: Fanout::default(),
         }
     }
 
     /// Attaches an external recorder for the duration of the run.
     pub fn attach(&mut self, recorder: &'a mut dyn Recorder) {
-        self.slots.push(Slot {
-            recorder,
-            poisoned: false,
-        });
+        self.recorders.attach(recorder);
     }
 
     /// Installs the live monitor for the run.
@@ -436,21 +468,12 @@ impl<'a> Telemetry<'a> {
 
     fn deliver(&mut self, event: &Event) {
         self.aggregator.observe(event);
-        for slot in &mut self.slots {
-            if slot.poisoned {
-                continue;
-            }
-            // A recorder is an observer; its failure must not rewrite the
-            // campaign's outcome. Poison it and move on.
-            if catch_unwind(AssertUnwindSafe(|| slot.recorder.record(event))).is_err() {
-                slot.poisoned = true;
-            }
-        }
+        self.recorders.deliver(event);
     }
 
     /// Recorders poisoned (detached after a panic) so far.
     pub fn poisoned(&self) -> usize {
-        self.slots.iter().filter(|s| s.poisoned).count()
+        self.recorders.poisoned()
     }
 
     /// The internal aggregator's current state.

@@ -1,11 +1,13 @@
 //! divide-lint integration tests: the fixture corpus under
 //! `tests/lint_fixtures/` (one known-bad / known-clean pair per rule),
 //! the baseline delta logic, a lexer-totality property, and a self-run
-//! asserting the real workspace is clean against the committed baseline.
+//! asserting the real workspace is clean against the committed baseline
+//! within the analyzer's 5 s budget.
 
 use divide_lint::{analyze, analyze_with_baseline, Baseline, Config, Finding, RuleId};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn fixtures() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -567,8 +569,16 @@ fn workspace_is_clean_against_committed_baseline() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(root.join("lint.baseline")).expect("read lint.baseline");
     let baseline = Baseline::parse(&text).expect("parse lint.baseline");
+    let started = Instant::now();
     let outcome =
         analyze_with_baseline(&Config::workspace(root), &baseline).expect("workspace analysis");
+    // The analyzer's wall-clock budget: a full-workspace pass, call graph
+    // and every rule included, must stay under 5 s as the workspace grows.
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "full-workspace lint took {elapsed:?}, over the 5 s budget"
+    );
     assert!(
         outcome.new.is_empty(),
         "non-baselined findings:\n{}",

@@ -10,7 +10,8 @@
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::jsonl::parse_line;
 use decoding_divide::bqt::{
-    Campaign, Event, EventKind, JsonlRecorder, QueryJob, Recorder, RetryPolicy, RingRecorder,
+    Campaign, Event, EventKind, JournalError, JsonlRecorder, QueryJob, Recorder, RetryPolicy,
+    RingRecorder, ShardEnv, ShardPlan, ShardSpec,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
@@ -19,12 +20,17 @@ use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
 
-fn setup() -> (Transport, Vec<QueryJob>) {
-    let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
+fn transport(world: &Arc<CityWorld>) -> Transport {
     let mut t = Transport::hermetic(11);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
     let net = server.profile().network_latency;
     t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+    t
+}
+
+fn setup() -> (Transport, Vec<QueryJob>) {
+    let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
+    let t = transport(&world);
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()
@@ -157,6 +163,60 @@ fn a_panicking_recorder_is_detached_without_poisoning_the_run() {
         grenade.seen_after_panic, 0,
         "poisoned slots are never re-entered"
     );
+}
+
+#[test]
+fn a_panicking_recorder_is_detached_from_a_sharded_run() {
+    // Sharded recorders replay the merged stream after every shard has
+    // finished; a recorder that panics there must be detached too.
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+
+    let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
+    let (_, jobs) = setup();
+    let plan = ShardPlan::round_robin(5, &jobs, 2);
+    assert_eq!(plan.len(), 2);
+    let make_env = |_spec: &ShardSpec| -> Result<ShardEnv, JournalError> {
+        Ok(ShardEnv {
+            transport: transport(&world),
+            pool: IpPool::residential(32, RotationPolicy::RoundRobin, 1),
+            journal: None,
+        })
+    };
+    let runs: Vec<_> = [1, 2]
+        .into_iter()
+        .map(|threads| {
+            let mut grenade = Grenade {
+                fuse: 25,
+                seen: 0,
+                seen_after_panic: 0,
+                panicked: false,
+            };
+            let mut ring = RingRecorder::new(1_000_000);
+            let result = Campaign::new(5)
+                .workers(8)
+                .threads(threads)
+                .recorder(&mut grenade)
+                .recorder(&mut ring)
+                .run_sharded(&plan, &make_env);
+            (threads, result, grenade, ring)
+        })
+        .collect();
+    std::panic::set_hook(prev);
+
+    for (threads, result, grenade, ring) in runs {
+        let outcome = result.expect("a recorder panic is not a run failure");
+        assert!(!outcome.crashed(), "threads {threads}");
+        // The healthy recorder saw the whole merged stream.
+        let seen: Vec<Event> = ring.events().cloned().collect();
+        assert_eq!(seen, outcome.events, "threads {threads}");
+        // The poisoned recorder was dropped at the explosion, not retried.
+        assert_eq!(grenade.seen, 25, "threads {threads}");
+        assert_eq!(
+            grenade.seen_after_panic, 0,
+            "poisoned slots are never re-entered (threads {threads})"
+        );
+    }
 }
 
 #[test]
