@@ -27,19 +27,11 @@
 use crate::registry::{ExperimentAction, ExperimentCtx};
 use crate::serve_exp::build_store;
 use bbsim_analysis::Table;
-use bbsim_serve::{run_recorded, PlanStore, ServeOptions, ServeOutcome};
+use bbsim_serve::{run, PlanStore, ServeOptions, ServeOutcome};
 use bqt::monitor::CampaignSection;
 use bqt::trace::{attribute, ExemplarSet};
-use bqt::{render_trace_json, Event, JsonlRecorder, Recorder};
+use bqt::{render_trace_json, JsonlRecorder};
 use std::sync::Arc;
-
-/// Swallows the event stream; `repro tail` only needs the condensed
-/// health report, not a log.
-struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&mut self, _event: &Event) {}
-}
 
 /// Panics unless every exemplar's attribution sums exactly to its
 /// measured duration — the acceptance invariant, enforced at run time
@@ -88,7 +80,7 @@ struct TailRun {
 }
 
 fn tail_run(store: &Arc<PlanStore>, opts: ServeOptions) -> TailRun {
-    let outcome = run_recorded(store, &opts, &mut NullRecorder);
+    let outcome = run(store, &opts);
     let section = CampaignSection {
         label: "serve",
         telemetry: &outcome.summary,

@@ -8,17 +8,20 @@
 //! such events in a [`WatermarkHeap`] and pop them only once the
 //! watermark — the largest timestamp carried by an event that is emitted
 //! *at* the loop's current time — has passed an entry's stamp. Ties on
-//! the same virtual millisecond break on `seq`, a caller-assigned total
-//! order (emission order within one stream), so the drained order is a
-//! deterministic function of the event set alone.
+//! the same virtual millisecond break on `seq`, a total order (emission
+//! order within one stream), so the drained order is a deterministic
+//! function of the event set alone.
 //!
-//! Loop-current events rarely need the heap: when nothing queued is
-//! stamped at or before one ([`WatermarkHeap::next_at`]), it is the next
-//! event in time order and is folded in place, so only future-stamped
-//! events wait. The multi-shard merge in [`shard`](crate::shard) needs no
-//! heap at all: its streams are complete, so it sorts them once.
+//! Both consumers go through one fold, [`WatermarkHeap::observe`]: it
+//! numbers the events itself and hands each one to the caller's closure
+//! once it is next in time order, and [`WatermarkHeap::flush`] ends the
+//! stream. Loop-current events rarely need the heap: when nothing queued
+//! is stamped at or before one, it is the next event in time order and
+//! is folded in place, so only future-stamped events wait. The
+//! multi-shard merge in [`shard`](crate::shard) needs no heap at all: its
+//! streams are complete, so it sorts them once.
 
-use crate::telemetry::EventKind;
+use crate::telemetry::{Event, EventKind};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -80,6 +83,8 @@ pub fn advances_watermark(kind: &EventKind) -> bool {
 pub struct WatermarkHeap<T> {
     heap: BinaryHeap<Entry<T>>,
     watermark: u64,
+    /// Events [`observe`](WatermarkHeap::observe) has numbered so far.
+    seq: u64,
 }
 
 impl<T> Default for WatermarkHeap<T> {
@@ -93,6 +98,7 @@ impl<T> WatermarkHeap<T> {
         Self {
             heap: BinaryHeap::new(),
             watermark: 0,
+            seq: 0,
         }
     }
 
@@ -140,13 +146,44 @@ impl<T> WatermarkHeap<T> {
         self.heap.peek().map(|entry| entry.at_ms)
     }
 
-    /// Entries still queued (ready or not).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
+    }
+}
+
+impl WatermarkHeap<EventKind> {
+    /// Takes one event in emission order and calls `fold` with every
+    /// event that is now next in time order, earliest `(at, seq)` first.
+    /// Only a queued event is cloned: a loop-current event with nothing
+    /// queued at or before its stamp is folded in place.
+    pub fn observe(&mut self, event: &Event, mut fold: impl FnMut(u64, &EventKind)) {
+        let at_ms = event.at.as_millis();
+        self.seq += 1;
+        if !advances_watermark(&event.kind) {
+            self.push(at_ms, self.seq, event.kind.clone());
+            return;
+        }
+        self.advance(at_ms);
+        if self.next_at().is_none_or(|next| next > at_ms) {
+            fold(at_ms, &event.kind);
+        } else {
+            self.push(at_ms, self.seq, event.kind.clone());
+        }
+        self.drain(fold);
+    }
+
+    /// Ends the stream: folds everything still queued, in time order (a
+    /// truncated stream, such as a simulated crash, may leave
+    /// future-stamped events behind).
+    pub fn flush(&mut self, fold: impl FnMut(u64, &EventKind)) {
+        self.advance(u64::MAX);
+        self.drain(fold);
+    }
+
+    fn drain(&mut self, mut fold: impl FnMut(u64, &EventKind)) {
+        while let Some((at_ms, _, kind)) = self.pop_ready() {
+            fold(at_ms, &kind);
+        }
     }
 }
 

@@ -4,7 +4,7 @@
 //! The ROADMAP's telemetry layer narrates a campaign; this module *judges*
 //! it while it runs. A [`CampaignMonitor`] rides inside the
 //! [`Telemetry`](crate::telemetry::Telemetry) fan-out (installed via
-//! `Campaign::monitor`) and maintains:
+//! `Campaign::monitor`, or by the serve engine) and maintains:
 //!
 //! * a [`SlidingWindow`] — a ring of virtual-time buckets tracking hit
 //!   rate, latency p50/p99, retry and breaker-flap rate, queue depth, shed
@@ -26,8 +26,9 @@
 //! The monitor consumes only the *replay-stable* event subset and orders
 //! it by virtual time before folding (the raw stream is in emission
 //! order, where an attempt's end is announced ahead of later-emitted but
-//! earlier-stamped events; a watermark heap restores time order exactly,
-//! and only those future-stamped events ever wait in it). Windows,
+//! earlier-stamped events; [`WatermarkHeap::observe`], the fold the trace
+//! assembler runs too, restores time order exactly, and only those
+//! future-stamped events ever wait in its heap). Windows,
 //! alerts, the exposition and the stable profile are therefore
 //! byte-identical across repeated runs *and* across crash+resume — the
 //! invariant the `health` CI job enforces. Only `profile_fetches` mode
@@ -191,7 +192,6 @@ pub struct CampaignMonitor {
     profiler: profile::PhaseProfiler,
     assembler: TraceAssembler,
     heap: WatermarkHeap<EventKind>,
-    seq: u64,
     pending: Vec<Event>,
     escalation_pending: bool,
     escalations: u64,
@@ -215,7 +215,6 @@ impl CampaignMonitor {
             profiler,
             assembler,
             heap: WatermarkHeap::new(),
-            seq: 0,
             pending: Vec::new(),
             escalation_pending: false,
             escalations: 0,
@@ -242,27 +241,10 @@ impl CampaignMonitor {
             EventKind::CampaignEnd { makespan_ms } => self.makespan_ms = *makespan_ms,
             _ => {}
         }
-        let at_ms = event.at.as_millis();
-        self.seq += 1;
-        if !advances_watermark(&event.kind) {
-            self.heap.push(at_ms, self.seq, event.kind.clone());
-            return;
-        }
-        self.heap.advance(at_ms);
-        if self.heap.next_at().is_none_or(|next| next > at_ms) {
-            // Nothing queued is stamped at or before this event, so it is
-            // the next one in time order: fold it in place.
-            self.process(at_ms, &event.kind);
-        } else {
-            self.heap.push(at_ms, self.seq, event.kind.clone());
-        }
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        while let Some((at_ms, _, kind)) = self.heap.pop_ready() {
-            self.process(at_ms, &kind);
-        }
+        // The heap is taken out so its fold can borrow the monitor.
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.observe(event, |at_ms, kind| self.process(at_ms, kind));
+        self.heap = heap;
     }
 
     /// Handles one event in exact virtual-time order: cross any bucket
@@ -327,10 +309,8 @@ impl CampaignMonitor {
     /// Condenses the monitor into its final report. Call after the stream
     /// ended (`CampaignEnd` drains the heap completely).
     pub fn finish(mut self) -> HealthReport {
-        // Belt and braces: a truncated stream (simulated crash) may leave
-        // future-stamped events queued. Fold them so nothing is lost.
-        self.heap.advance(u64::MAX);
-        self.drain();
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.flush(|at_ms, kind| self.process(at_ms, kind));
         let window = self.window.snapshot(self.makespan_ms);
         HealthReport {
             alerts: self.engine.into_alerts(),

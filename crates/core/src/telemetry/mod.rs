@@ -33,12 +33,12 @@
 //!   always attached internally, and its summary lands in
 //!   `OrchestratorReport::telemetry`.
 //!
-//! External recorders attached by `Campaign::recorder` are fed through one
-//! fan-out: [`Telemetry`] delivers through it while a campaign runs, and a
-//! sharded run delivers its merged stream through it once the shards
-//! finish. A recorder that panics is *poisoned* — dropped from the fan-out
-//! for the rest of the run — so a broken observer can never take a
-//! campaign down with it.
+//! External recorders are fed through one fan-out: [`Telemetry`] delivers
+//! through it while a campaign runs or a serve run merges its shards, and
+//! a sharded campaign delivers its merged stream through it once the
+//! shards finish. A recorder that panics is *poisoned* — dropped from the
+//! fan-out for the rest of the run — so a broken observer can never take
+//! a campaign down with it.
 //!
 //! ## Determinism
 //!

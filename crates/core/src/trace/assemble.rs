@@ -8,9 +8,9 @@
 //!   sliding window, so monitored campaigns grow traces for free;
 //! * [`TraceAssembler::observe`] takes events in raw emission order and
 //!   reorders them through its own [`WatermarkHeap`], for standalone use
-//!   over a recorded stream (benches, tests, `repro tail`). Only
-//!   future-stamped events wait in the heap; a loop-current event with
-//!   nothing queued at or before its stamp is folded in place.
+//!   over a recorded stream (benches, tests, `repro tail`). It is the
+//!   same fold the monitor runs ([`WatermarkHeap::observe`]), so only
+//!   future-stamped events wait in the heap.
 //!
 //! A job trace's children partition `[JobBegin, JobEnd]` exactly: attempt
 //! spans cover worker occupancy, and every gap between them is decomposed
@@ -35,7 +35,7 @@
 
 use super::reservoir::{ExemplarReservoir, ExemplarSet};
 use super::{Span, SpanKind, Trace};
-use crate::monitor::{advances_watermark, WatermarkHeap};
+use crate::monitor::WatermarkHeap;
 use crate::telemetry::jsonl::{decimal_len, push_u64};
 use crate::telemetry::{Event, EventKind};
 use std::collections::BTreeMap;
@@ -71,7 +71,6 @@ struct ServeCursor {
 #[derive(Debug)]
 pub struct TraceAssembler {
     heap: WatermarkHeap<EventKind>,
-    heap_seq: u64,
     /// Events ingested so far — the deterministic `(at, seq)` tie-break
     /// key the reservoir uses (identical for any thread count, because
     /// the merged stream order is).
@@ -112,7 +111,6 @@ impl TraceAssembler {
     pub fn new(k: usize) -> Self {
         Self {
             heap: WatermarkHeap::new(),
-            heap_seq: 0,
             seq: 0,
             jobs: BTreeMap::new(),
             fetches: BTreeMap::new(),
@@ -128,27 +126,10 @@ impl TraceAssembler {
     /// through the assembler's own watermark heap exactly like the
     /// monitor does.
     pub fn observe(&mut self, event: &Event) {
-        let at_ms = event.at.as_millis();
-        self.heap_seq += 1;
-        if !advances_watermark(&event.kind) {
-            self.heap.push(at_ms, self.heap_seq, event.kind.clone());
-            return;
-        }
-        self.heap.advance(at_ms);
-        if self.heap.next_at().is_none_or(|next| next > at_ms) {
-            // Nothing queued is stamped at or before this event, so it is
-            // the next one in time order: fold it in place.
-            self.ingest(at_ms, &event.kind);
-        } else {
-            self.heap.push(at_ms, self.heap_seq, event.kind.clone());
-        }
-        self.drain();
-    }
-
-    fn drain(&mut self) {
-        while let Some((at_ms, _, kind)) = self.heap.pop_ready() {
-            self.ingest(at_ms, &kind);
-        }
+        // The heap is taken out so its fold can borrow the assembler.
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.observe(event, |at_ms, kind| self.ingest(at_ms, kind));
+        self.heap = heap;
     }
 
     /// Folds one event already in exact virtual-time order (the
@@ -376,8 +357,8 @@ impl TraceAssembler {
     /// (a simulated crash) are dropped — the resumed stream re-plays them
     /// to completion.
     pub fn finish(mut self) -> ExemplarSet {
-        self.heap.advance(u64::MAX);
-        self.drain();
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.flush(|at_ms, kind| self.ingest(at_ms, kind));
         self.reservoir.into_set()
     }
 }

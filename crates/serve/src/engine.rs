@@ -19,11 +19,13 @@
 //! frontier cannot come from the events themselves: a `ServeShed` is
 //! stamped at its arrival, before earlier lookups' completions. The
 //! calling thread's [`StreamMerger`] releases each event once no shard
-//! can still send one below it and feeds it, in `(at, seq)` order,
-//! through the SLO monitor, the metrics aggregator and the caller's
-//! recorder. Nothing in the merged stream or anything derived from it
-//! depends on how shards were packed onto OS threads, and only what sits
-//! between the slowest shard's frontier and the others' is buffered.
+//! can still send one below it and emits it, in `(at, seq)` order, into
+//! the [`Telemetry`] pipeline campaigns use: the metrics aggregator and
+//! the caller's recorder (detached if it panics), then the SLO monitor,
+//! then the monitor's alerts to both. Nothing in the merged stream or
+//! anything derived from it depends on how shards were packed onto OS
+//! threads, and only what sits between the slowest shard's frontier and
+//! the others' is buffered.
 
 use crate::api::{ServeAnswer, ServeRequest, ServeResponse};
 use crate::load::{Arrival, LoadPhase};
@@ -31,10 +33,10 @@ use crate::service::{cache_flag_iter, evicted_key_iter, PlanService, ServeCosts}
 use crate::store::PlanStore;
 use bbsim_net::{Endpoint, LatencyModel, SimDuration, SimIp, SimTime, Transport};
 use bqt::monitor::{CampaignMonitor, MonitorPolicy};
-use bqt::telemetry::OutcomeCode;
+use bqt::telemetry::{EventSink, OutcomeCode};
 use bqt::{
-    Event, EventKind, HealthReport, MergeKey, MergeSink, MetricsAggregator, Recorder, SeqEvent,
-    ShardRecorder, SloRule, StreamMerger, TelemetrySummary, FINISHED,
+    Event, EventKind, HealthReport, MergeKey, MergeSink, Recorder, SeqEvent, ShardRecorder,
+    SloRule, StreamMerger, Telemetry, TelemetrySummary, FINISHED,
 };
 use std::sync::Arc;
 
@@ -274,13 +276,11 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &
     emit(ShardNote::Chunk(rec.seal(FINISHED), FINISHED));
 }
 
-/// The serial consumers of the merged stream, fed once, in order: SLO
-/// monitor, metrics aggregator, then the caller's recorder — each
-/// followed by the alerts the monitor synthesized at that position.
+/// The serial consumer of the merged stream: the campaign [`Telemetry`]
+/// pipeline with the SLO monitor installed and the caller's recorder
+/// attached, plus the merge's own bookkeeping.
 struct Feed<'r> {
-    monitor: CampaignMonitor,
-    agg: MetricsAggregator,
-    recorder: &'r mut dyn Recorder,
+    telemetry: Telemetry<'r>,
     seed: u64,
     n_shards: u32,
     /// Arrivals across all shards, once every shard has declared.
@@ -289,48 +289,30 @@ struct Feed<'r> {
     last_ms: u64,
 }
 
-impl Feed<'_> {
-    fn feed(&mut self, event: &Event) {
-        self.monitor.observe(event);
-        self.agg.observe(event);
-        self.recorder.record(event);
-        for alert in self.monitor.take_events() {
-            self.agg.observe(&alert);
-            self.recorder.record(&alert);
-        }
-    }
-}
-
 impl MergeSink for Feed<'_> {
     fn begin(&mut self, total: u64) {
         self.arrivals = total;
-        self.feed(&Event {
-            at: SimTime::ZERO,
-            kind: EventKind::CampaignBegin {
+        self.telemetry.emit(
+            SimTime::ZERO,
+            EventKind::CampaignBegin {
                 seed: self.seed,
                 n_jobs: total.min(u64::from(u32::MAX)) as u32,
                 n_workers: self.n_shards,
             },
-        });
+        );
     }
 
     fn event(&mut self, event: Event) {
         self.last_ms = event.at.as_millis();
-        self.feed(&event);
+        self.telemetry.emit(event.at, event.kind);
     }
-}
-
-/// A recorder that drops everything (for callers that only want the
-/// outcome).
-struct NopRecorder;
-
-impl Recorder for NopRecorder {
-    fn record(&mut self, _event: &Event) {}
 }
 
 /// Runs the serve campaign and discards the event stream.
 pub fn run(store: &Arc<PlanStore>, opts: &ServeOptions) -> ServeOutcome {
-    run_recorded(store, opts, &mut NopRecorder)
+    run_streamed(store.shards().len(), opts, None, |id, emit| {
+        run_shard(store, opts, id, emit)
+    })
 }
 
 /// Runs the serve campaign, feeding the merged, time-ordered stream —
@@ -338,10 +320,12 @@ pub fn run(store: &Arc<PlanStore>, opts: &ServeOptions) -> ServeOutcome {
 /// positions — through `recorder`.
 ///
 /// Shards run on `opts.threads` [`bqt::exec`] worker threads while the
-/// calling thread merges their sealed chunks and feeds the monitor,
-/// aggregator and `recorder`; the merged stream, the health report, the
-/// telemetry summary and everything the recorder sees are
-/// byte-identical for any thread count.
+/// calling thread merges their sealed chunks and feeds them through a
+/// [`Telemetry`] pipeline: aggregator and `recorder`, then the monitor,
+/// then the monitor's alerts to both. The merged stream, the health
+/// report, the telemetry summary and everything the recorder sees are
+/// byte-identical for any thread count. A recorder that panics is
+/// detached and the run carries on, as in a campaign.
 ///
 /// # Panics
 /// If a shard panics, after every other shard has finished: the message
@@ -354,7 +338,7 @@ pub fn run_recorded(
     opts: &ServeOptions,
     recorder: &mut dyn Recorder,
 ) -> ServeOutcome {
-    run_streamed(store.shards().len(), opts, recorder, |id, emit| {
+    run_streamed(store.shards().len(), opts, Some(recorder), |id, emit| {
         run_shard(store, opts, id, emit)
     })
 }
@@ -363,15 +347,18 @@ pub fn run_recorded(
 fn run_streamed(
     n_shards: usize,
     opts: &ServeOptions,
-    recorder: &mut dyn Recorder,
+    recorder: Option<&mut dyn Recorder>,
     shard: impl Fn(u32, &dyn Fn(ShardNote)) + Sync,
 ) -> ServeOutcome {
     let ids: Vec<u32> = (0..n_shards as u32).collect();
     let mut merger = StreamMerger::new(n_shards);
+    let mut telemetry = Telemetry::new();
+    telemetry.set_monitor(CampaignMonitor::new(opts.policy.clone()));
+    if let Some(recorder) = recorder {
+        telemetry.attach(recorder);
+    }
     let mut feed = Feed {
-        monitor: CampaignMonitor::new(opts.policy.clone()),
-        agg: MetricsAggregator::new(),
-        recorder,
+        telemetry,
         seed: opts.seed,
         n_shards: n_shards as u32,
         arrivals: 0,
@@ -400,21 +387,22 @@ fn run_streamed(
     // Every shard finished, so this only matters for a store with no
     // shards, where `begin` has not run yet.
     merger.release(&mut feed);
-    let makespan_ms = feed.last_ms;
-    feed.feed(&Event {
-        at: SimTime::from_millis(makespan_ms),
-        kind: EventKind::CampaignEnd { makespan_ms },
-    });
-
     let Feed {
-        monitor,
-        agg,
+        mut telemetry,
         arrivals,
+        last_ms: makespan_ms,
         ..
     } = feed;
+    telemetry.emit(
+        SimTime::from_millis(makespan_ms),
+        EventKind::CampaignEnd { makespan_ms },
+    );
     ServeOutcome {
-        summary: agg.into_summary(),
-        health: monitor.finish(),
+        summary: telemetry.summary(),
+        health: telemetry
+            .take_monitor()
+            .map(|m| m.finish())
+            .unwrap_or_default(),
         makespan_ms,
         arrivals,
         merge_high_water: merger.high_water(),
@@ -466,7 +454,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let mut kept = Kept::default();
             let opts = ServeOptions::quick(1).threads(threads);
-            let outcome = run_streamed(3, &opts, &mut kept, fake_shard(u32::MAX));
+            let outcome = run_streamed(3, &opts, Some(&mut kept), fake_shard(u32::MAX));
             let workers: Vec<(u64, u32)> = kept
                 .0
                 .iter()
@@ -489,13 +477,48 @@ mod tests {
         }
     }
 
+    /// Counts its calls and panics on the `panic_on`-th.
+    struct Bomb {
+        calls: u64,
+        panic_on: u64,
+    }
+
+    impl Recorder for Bomb {
+        fn record(&mut self, _event: &Event) {
+            self.calls += 1;
+            if self.calls == self.panic_on {
+                panic!("recorder blew up");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_recorder_is_detached_and_the_run_completes() {
+        for threads in [1, 2, 4] {
+            let opts = ServeOptions::quick(1).threads(threads);
+            let mut healthy = Kept::default();
+            let want = run_streamed(3, &opts, Some(&mut healthy), fake_shard(u32::MAX));
+            let mut bomb = Bomb {
+                calls: 0,
+                panic_on: 10,
+            };
+            let got = run_streamed(3, &opts, Some(&mut bomb), fake_shard(u32::MAX));
+            assert!(healthy.0.len() > 10, "the stream outlasts the bomb");
+            assert_eq!(bomb.calls, 10, "never called again after it panicked");
+            assert_eq!(got.arrivals, want.arrivals);
+            assert_eq!(got.makespan_ms, want.makespan_ms);
+            assert_eq!(format!("{:?}", got.summary), format!("{:?}", want.summary));
+            assert_eq!(got.health.alerts, want.health.alerts);
+        }
+    }
+
     #[test]
     fn a_panicking_shard_panics_the_run_naming_it_and_never_blocks() {
         for threads in [1, 2, 4] {
             let mut kept = Kept::default();
             let opts = ServeOptions::quick(1).threads(threads);
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_streamed(3, &opts, &mut kept, fake_shard(1))
+                run_streamed(3, &opts, Some(&mut kept), fake_shard(1))
             }))
             .expect_err("a failed shard fails the run");
             let message = payload

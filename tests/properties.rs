@@ -818,15 +818,17 @@ mod shard_merge {
 
 // ---- trace assembler: the in-order bypass ------------------------------
 //
-// `TraceAssembler::observe` folds a loop-current event in place when
-// nothing queued is stamped at or before it, instead of pushing it through
-// its watermark heap. The oracle is the path it replaced: push every
-// event, advance on loop-current kinds, and `ingest` whatever the heap
-// releases.
+// `TraceAssembler::observe` and `CampaignMonitor::observe` fold a
+// loop-current event in place when nothing queued is stamped at or before
+// it, instead of pushing it through their watermark heap. The oracle is
+// the path they replaced: push every event, advance on loop-current kinds,
+// and `ingest` whatever the heap releases.
 
 mod assembler_bypass {
     use super::*;
-    use decoding_divide::bqt::monitor::{advances_watermark, WatermarkHeap};
+    use decoding_divide::bqt::monitor::{
+        advances_watermark, CampaignMonitor, MonitorPolicy, WatermarkHeap,
+    };
     use decoding_divide::bqt::telemetry::OutcomeCode;
     use decoding_divide::bqt::{Event, EventKind, ExemplarSet, TraceAssembler};
     use decoding_divide::net::SimTime;
@@ -976,7 +978,8 @@ mod assembler_bypass {
 
     proptest! {
         /// After every event and at the end, the bypassing assembler holds
-        /// exactly the traces the push-everything oracle holds.
+        /// exactly the traces the push-everything oracle holds, and so does
+        /// the monitor's assembler at the end.
         #[test]
         fn observe_matches_the_push_everything_oracle(
             jobs in proptest::collection::vec(
@@ -986,6 +989,7 @@ mod assembler_bypass {
         ) {
             let stream = emission_stream(&jobs);
             let mut bypass = TraceAssembler::new(K);
+            let mut monitor = CampaignMonitor::new(MonitorPolicy::paper_default().exemplars(K));
             let mut oracle = Oracle {
                 heap: WatermarkHeap::new(),
                 seq: 0,
@@ -993,11 +997,13 @@ mod assembler_bypass {
             };
             for event in &stream {
                 bypass.observe(event);
+                monitor.observe(event);
                 oracle.observe(event);
                 prop_assert_eq!(bypass.exemplars(), oracle.assembler.exemplars());
             }
             let expected = oracle.finish();
             prop_assert_eq!(expected.global.len(), jobs.len().min(K));
+            prop_assert_eq!(monitor.finish().exemplars, expected.clone());
             prop_assert_eq!(bypass.finish(), expected);
         }
     }
