@@ -477,7 +477,7 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
         let written = self.out.write_all(self.line.as_bytes());
         // A failed write panics; the fan-out poisons this recorder and the
         // campaign carries on without its log.
-        // lint:allow(D3): panicking here is the poisoning contract — the telemetry fan-out catches it and detaches the recorder
+        // lint:allow(T2): panicking here is the poisoning contract — the telemetry fan-out catches it and detaches the recorder
         written.expect("event log write failed");
         self.written += 1;
     }

@@ -56,8 +56,7 @@ pub(crate) fn smoothed_noise(grid: &CityGrid, rounds: usize, rng: &mut StdRng) -
 pub(crate) fn ranks(values: &[f64]) -> Vec<f64> {
     let n = values.len();
     let mut order: Vec<usize> = (0..n).collect();
-    // lint:allow(T2): model scores are finite by construction, so partial_cmp is total
-    order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("no NaN"));
+    order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
     let mut out = vec![0.0; n];
     for (rank, &i) in order.iter().enumerate() {
         out[i] = if n > 1 {
@@ -240,8 +239,7 @@ impl Deployment {
 /// Value below which `fraction` of the (ascending) values fall.
 fn cutoff(values: &[f64], fraction: f64) -> f64 {
     let mut v = values.to_vec();
-    // lint:allow(T2): model scores are finite by construction, so partial_cmp is total
-    v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    v.sort_by(f64::total_cmp);
     let idx = ((v.len() as f64 * fraction).ceil() as usize)
         .min(v.len())
         .max(1)
@@ -256,8 +254,7 @@ fn cutoff_top(values: &[f64], fraction: f64) -> f64 {
         return f64::MAX;
     }
     let mut v = values.to_vec();
-    // lint:allow(T2): model scores are finite by construction, so partial_cmp is total
-    v.sort_by(|a, b| b.partial_cmp(a).expect("no NaN"));
+    v.sort_by(|a, b| b.total_cmp(a));
     let idx = ((v.len() as f64 * fraction).ceil() as usize)
         .min(v.len())
         .max(1)

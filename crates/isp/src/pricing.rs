@@ -235,13 +235,12 @@ impl CablePricing {
         }
         if self.acp[bg] {
             // The best offer also appears in its subsidized form.
-            let best = *out
+            if let Some(&best) = out
                 .iter()
-                // lint:allow(T2): carriage values are finite and the ladder was just built non-empty
-                .max_by(|a, b| a.carriage_value().partial_cmp(&b.carriage_value()).unwrap())
-                // lint:allow(T2): the ladder was just built non-empty above
-                .expect("ladder is non-empty");
-            out.push(best.with_subsidy(30.0));
+                .max_by(|a, b| a.carriage_value().total_cmp(&b.carriage_value()))
+            {
+                out.push(best.with_subsidy(30.0));
+            }
         }
         out
     }

@@ -3,7 +3,7 @@
 //! Format — one entry per line, sorted, `#` comments allowed:
 //!
 //! ```text
-//! D3 crates/dataset/src/pipeline.rs:134:10 `.expect()` in a supervision path
+//! T2 crates/dataset/src/pipeline.rs:134:10 `.expect()` in supervision scope
 //! ```
 //!
 //! An entry matches a finding when rule, file, line, column *and message*
@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn baseline_round_trips_through_render_and_parse() {
-        let f = finding(RuleId::D3, "crates/x/src/a.rs", 10, "`.unwrap()` somewhere");
+        let f = finding(RuleId::T2, "crates/x/src/a.rs", 10, "`.unwrap()` somewhere");
         let text = Baseline::render(std::slice::from_ref(&f));
         let parsed = Baseline::parse(&text).unwrap();
         assert_eq!(parsed.entries.len(), 1);
@@ -166,12 +166,12 @@ mod tests {
 
     #[test]
     fn judge_splits_new_baselined_and_stale() {
-        let old = finding(RuleId::D3, "a.rs", 1, "old debt");
-        let gone = finding(RuleId::D1, "b.rs", 2, "paid off");
+        let old = finding(RuleId::T2, "a.rs", 1, "old debt");
+        let gone = finding(RuleId::T1, "b.rs", 2, "paid off");
         let text = Baseline::render(&[old.clone(), gone]);
         let base = Baseline::parse(&text).unwrap();
 
-        let fresh = finding(RuleId::D2, "c.rs", 3, "regression");
+        let fresh = finding(RuleId::T3, "c.rs", 3, "regression");
         let outcome = base.judge(vec![old.clone(), fresh.clone()]);
         assert_eq!(outcome.baselined, vec![old]);
         assert_eq!(outcome.new, vec![fresh]);
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_hard_errors() {
-        for bad in ["Z9 a.rs:1:1 nope", "D3 missing-loc", "D3 a.rs:x:1 msg"] {
+        for bad in ["Z9 a.rs:1:1 nope", "T2 missing-loc", "T2 a.rs:x:1 msg"] {
             assert!(Baseline::parse(bad).is_err(), "accepted {bad:?}");
         }
     }

@@ -15,26 +15,17 @@ use std::fmt::Write as _;
 /// Every rule the driver declares, with its one-line description.
 const RULES: &[(RuleId, &str)] = &[
     (
-        RuleId::D1,
-        "no wall-clock, OS-entropy or env reads in replay-critical crates",
-    ),
-    (
-        RuleId::D2,
-        "no unordered-map iteration in ordered-output files",
-    ),
-    (RuleId::D3, "no unwrap/expect in supervision paths"),
-    (
         RuleId::E1,
         "closed event schemas stay exhaustive across every surface",
     ),
     (RuleId::W1, "workspace members opt into [workspace.lints]"),
     (
         RuleId::T1,
-        "no ambient input reachable from a replay entry point",
+        "no ambient input reachable from a replay entry point or in replay-critical scope",
     ),
     (
         RuleId::T2,
-        "no panic site reachable from a supervision entry point",
+        "no panic site reachable from a supervision entry point or in supervision scope",
     ),
     (
         RuleId::T3,
@@ -155,8 +146,8 @@ mod tests {
                 file: "crates/core/src/b.rs".into(),
                 line: 9,
                 col: 1,
-                rule: RuleId::D3,
-                message: "`.unwrap()` in a supervision path".into(),
+                rule: RuleId::T2,
+                message: "`.unwrap()` in supervision scope".into(),
                 hint: "say \"why\"\there".into(),
             },
         ]

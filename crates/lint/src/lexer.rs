@@ -52,7 +52,7 @@ pub struct Suppression {
     /// Source line the comment sits on (suppresses findings on this line
     /// and the next — "above the offending line" style).
     pub line: u32,
-    /// Rule ids named in the parentheses, e.g. `["D3"]`.
+    /// Rule ids named in the parentheses, e.g. `["T2"]`.
     pub rules: Vec<String>,
     /// The free-text reason after the colon (may be empty; the lint that
     /// *requires* a reason checks this).
@@ -364,7 +364,7 @@ fn unicode_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Parses `lint:allow(D1,D3): reason` out of one line comment's text.
+/// Parses `lint:allow(T1,T2): reason` out of one line comment's text.
 fn parse_suppression(comment: &str, line: u32) -> Option<Suppression> {
     let at = comment.find("lint:allow(")?;
     let rest = &comment[at + "lint:allow(".len()..];
@@ -474,12 +474,12 @@ mod tests {
 
     #[test]
     fn suppression_comments_are_collected() {
-        let src = "x();\n// lint:allow(D3, E1): poisoning contract\ny();";
+        let src = "x();\n// lint:allow(T2, E1): poisoning contract\ny();";
         let lexed = lex(src);
         assert_eq!(lexed.suppressions.len(), 1);
         let s = &lexed.suppressions[0];
         assert_eq!(s.line, 2);
-        assert_eq!(s.rules, vec!["D3", "E1"]);
+        assert_eq!(s.rules, vec!["T2", "E1"]);
         assert_eq!(s.reason, "poisoning contract");
     }
 

@@ -8,12 +8,6 @@
 //! breaks every resume guarantee. This crate checks those invariants
 //! mechanically on every CI run:
 //!
-//! * **D1 determinism** — no wall-clock, OS entropy or environment reads
-//!   in replay-critical crates;
-//! * **D2 ordered output** — no `HashMap`/`HashSet` iteration in files
-//!   that emit serialized or ordered artifacts;
-//! * **D3 panic-safety** — no `unwrap()`/`expect()` in non-test
-//!   supervision code (orchestrator, driver, journal, monitor, telemetry);
 //! * **E1 telemetry exhaustiveness** — the `EventKind` enum, its JSONL
 //!   serializer/parser, the replay-stable filter and the
 //!   `MetricsAggregator` must all cover exactly the same variant set,
@@ -21,17 +15,19 @@
 //! * **W1 lint posture** — every workspace member opts into the shared
 //!   `[workspace.lints]` table.
 //!
-//! On top of the lexical rules sits an *interprocedural* layer
-//! ([`parse`] → [`symbols`] → [`callgraph`] → [`taint`]): a brace-tree
-//! item parser extracts every `fn`, `impl` and call expression, a
-//! workspace-wide symbol table and over-approximate call graph link
-//! them, and three transitive rules ride on top:
+//! Next to them sits an *interprocedural* layer ([`parse`] → [`symbols`]
+//! → [`callgraph`] → [`taint`]): a brace-tree item parser extracts every
+//! `fn`, `impl` and call expression, a workspace-wide symbol table and
+//! over-approximate call graph link them, and three rules ride on top:
 //!
-//! * **T1 determinism taint** — no replay entry point may *reach* a
-//!   wall-clock / entropy / env read or hash-order iteration, however
-//!   many calls deep; findings carry the witness call chain;
-//! * **T2 panic reachability** — the call-graph upgrade of D3: no
-//!   supervision entry may reach an `unwrap`/`expect`/panicking macro;
+//! * **T1 determinism** — no wall-clock / entropy / env read or
+//!   hash-order iteration that a replay entry point can *reach*, however
+//!   many calls deep, or that sits in a replay-critical file (`net`,
+//!   `core`, `dataset`, `serve`); reached findings carry the witness
+//!   call chain;
+//! * **T2 panic safety** — no `unwrap`/`expect`/panicking macro that an
+//!   entry point can reach or that sits in supervision code (all of
+//!   `core`, `dataset::pipeline`);
 //! * **T3 lock discipline** — worker paths share state only through
 //!   per-shard slots merged on `(at, seq)`, never un-sharded locks or
 //!   synchronizing atomic orderings.
@@ -67,19 +63,15 @@ use std::path::{Path, PathBuf};
 /// Identifies one rule family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Determinism: no wall clock / OS entropy / env reads in replay paths.
-    D1,
-    /// Ordered output: no unordered-map iteration feeding serialized files.
-    D2,
-    /// Panic safety: no `unwrap()`/`expect()` in supervision paths.
-    D3,
     /// Telemetry exhaustiveness: event schema surfaces cover every variant.
     E1,
     /// Workspace lint posture: members opt into `[workspace.lints]`.
     W1,
-    /// Determinism taint: replay entries must not reach ambient inputs.
+    /// Determinism: no ambient input or hash-order iteration reachable
+    /// from a replay entry or in replay-critical scope.
     T1,
-    /// Panic reachability: supervision entries must not reach panics.
+    /// Panic safety: no panic site reachable from a supervision entry or
+    /// in supervision scope.
     T2,
     /// Lock discipline: worker paths use per-shard slots, not shared locks.
     T3,
@@ -88,9 +80,6 @@ pub enum RuleId {
 impl RuleId {
     pub fn as_str(&self) -> &'static str {
         match self {
-            RuleId::D1 => "D1",
-            RuleId::D2 => "D2",
-            RuleId::D3 => "D3",
             RuleId::E1 => "E1",
             RuleId::W1 => "W1",
             RuleId::T1 => "T1",
@@ -101,9 +90,6 @@ impl RuleId {
 
     pub fn parse(s: &str) -> Option<Self> {
         Some(match s {
-            "D1" => RuleId::D1,
-            "D2" => RuleId::D2,
-            "D3" => RuleId::D3,
             "E1" => RuleId::E1,
             "W1" => RuleId::W1,
             "T1" => RuleId::T1,
@@ -111,17 +97,6 @@ impl RuleId {
             "T3" => RuleId::T3,
             _ => return None,
         })
-    }
-
-    /// Lexical rules whose inline `lint:allow` also silences this rule:
-    /// a reasoned `allow(D1)` on a wall-clock read is the same judgment
-    /// call T1 would re-litigate, so the allow carries over.
-    fn alias_of(&self) -> &'static [&'static str] {
-        match self {
-            RuleId::T1 => &["D1", "D2"],
-            RuleId::T2 => &["D3"],
-            _ => &[],
-        }
     }
 }
 
@@ -166,28 +141,20 @@ impl fmt::Display for Finding {
 #[derive(Debug, Clone)]
 pub struct Config {
     pub root: PathBuf,
-    /// D1: replay-critical scopes.
-    pub d1_scopes: Vec<String>,
-    /// D2: files/dirs that emit serialized or ordered output.
-    pub d2_scopes: Vec<String>,
-    /// D3: supervision code paths.
-    pub d3_scopes: Vec<String>,
+    /// T1's file scope: replay-critical code, checked at call distance 0.
+    pub replay_scopes: Vec<String>,
+    /// T2's file scope: supervision code, checked at call distance 0.
+    pub supervision_scopes: Vec<String>,
     /// E1: the closed event/query schemas to keep exhaustive — one
     /// entry per enum surface (empty disables the rule).
     pub e1: Vec<E1Config>,
     /// W1: member manifest globs that must opt into workspace lints
     /// (None disables the rule).
     pub w1_member_dirs: Option<Vec<String>>,
-    /// T1: replay entry points (empty disables the rule). Any entry here
-    /// switches source collection to the whole tree — the call graph
-    /// must span every crate to be sound.
-    pub t1_entries: Vec<EntrySpec>,
-    /// T2: supervision entry points (empty disables the rule).
-    pub t2_entries: Vec<EntrySpec>,
-    /// T2: also seed `slice[idx]` indexing as panic sources. Off in the
-    /// workspace policy — checked-by-construction indexing dominates —
-    /// but exercised by fixtures.
-    pub t2_indexing: bool,
+    /// T1/T2: the entry points whose transitive callees both rules
+    /// check. Any entry here switches source collection to the whole
+    /// tree — the call graph must span every crate to be sound.
+    pub entries: Vec<EntrySpec>,
     /// T3: worker-path files held to the shard-slot discipline.
     pub t3_scopes: Vec<String>,
     /// Harness scopes (bench, the linter itself): their fns get no
@@ -217,9 +184,8 @@ impl Config {
     pub fn workspace(root: PathBuf) -> Self {
         Self {
             root,
-            d1_scopes: scopes::owned(scopes::REPLAY_CRITICAL),
-            d2_scopes: scopes::owned(scopes::ORDERED_OUTPUT),
-            d3_scopes: scopes::owned(scopes::SUPERVISION),
+            replay_scopes: scopes::owned(scopes::REPLAY_CRITICAL),
+            supervision_scopes: scopes::owned(scopes::SUPERVISION),
             // Only hand-written code is listed: `event_schema!` and
             // `wire_enum!` generate the enums' names, filters and codecs.
             e1: vec![
@@ -267,9 +233,7 @@ impl Config {
                 },
             ],
             w1_member_dirs: Some(vec!["crates".into(), "vendor".into()]),
-            t1_entries: EntrySpec::from_defs(scopes::REPLAY_ENTRY_POINTS),
-            t2_entries: EntrySpec::from_defs(scopes::SUPERVISION_ENTRY_POINTS),
-            t2_indexing: false,
+            entries: EntrySpec::from_defs(scopes::ENTRY_POINTS),
             t3_scopes: scopes::owned(scopes::WORKER_PATHS),
             harness_scopes: scopes::owned(scopes::HARNESS),
         }
@@ -280,36 +244,33 @@ impl Config {
     pub fn bare(root: PathBuf) -> Self {
         Self {
             root,
-            d1_scopes: Vec::new(),
-            d2_scopes: Vec::new(),
-            d3_scopes: Vec::new(),
+            replay_scopes: Vec::new(),
+            supervision_scopes: Vec::new(),
             e1: Vec::new(),
             w1_member_dirs: None,
-            t1_entries: Vec::new(),
-            t2_entries: Vec::new(),
-            t2_indexing: false,
+            entries: Vec::new(),
             t3_scopes: Vec::new(),
             harness_scopes: Vec::new(),
         }
     }
 
-    /// Whether any interprocedural rule is on — these need the whole
-    /// source tree, not just the lexical scopes.
+    /// Whether T1 or T2 is on — both need the item parse.
     fn needs_graph(&self) -> bool {
-        !self.t1_entries.is_empty() || !self.t2_entries.is_empty()
+        !self.entries.is_empty()
+            || !self.replay_scopes.is_empty()
+            || !self.supervision_scopes.is_empty()
     }
 
     fn rust_scopes(&self) -> Vec<String> {
-        if self.needs_graph() {
+        if !self.entries.is_empty() {
             // The empty prefix matches every path: the call graph is only
             // sound if it spans all crates.
             return vec![String::new()];
         }
         let mut scopes: Vec<String> = self
-            .d1_scopes
+            .replay_scopes
             .iter()
-            .chain(&self.d2_scopes)
-            .chain(&self.d3_scopes)
+            .chain(&self.supervision_scopes)
             .chain(&self.t3_scopes)
             .cloned()
             .collect();
@@ -329,15 +290,6 @@ pub fn analyze(config: &Config) -> Result<Vec<Finding>, String> {
     let files = collect_sources(config)?;
     let mut findings = Vec::new();
     for file in &files {
-        if scan::in_scope(&file.rel, &config.d1_scopes) {
-            rules::determinism::check(file, &mut findings);
-        }
-        if scan::in_scope(&file.rel, &config.d2_scopes) {
-            rules::ordering::check(file, &mut findings);
-        }
-        if scan::in_scope(&file.rel, &config.d3_scopes) {
-            rules::panics::check(file, &mut findings);
-        }
         if scan::in_scope(&file.rel, &config.t3_scopes) {
             taint::check_t3(file, &mut findings);
         }
@@ -352,15 +304,14 @@ pub fn analyze(config: &Config) -> Result<Vec<Finding>, String> {
         let parsed: Vec<parse::ParsedFile> = files.iter().map(parse::parse_file).collect();
         let table = symbols::SymbolTable::build(&files, &parsed, &config.harness_scopes);
         let graph = callgraph::CallGraph::build(&table, &files);
-        taint::check_t1(&table, &graph, &files, &config.t1_entries, &mut findings);
-        taint::check_t2(
-            &table,
-            &graph,
-            &files,
-            &config.t2_entries,
-            config.t2_indexing,
-            &mut findings,
-        );
+        let reach = taint::Reach::new(&table, &graph, &config.entries);
+        let scoped = [
+            (&taint::T1, &config.replay_scopes),
+            (&taint::T2, &config.supervision_scopes),
+        ];
+        for (rule, scopes) in scoped {
+            taint::check(rule, &reach, &files, scopes, &mut findings);
+        }
     }
     findings.retain(|f| !is_suppressed(f, &files));
     sort_canonical(&mut findings);
@@ -408,12 +359,9 @@ fn is_suppressed(finding: &Finding, files: &[SourceFile]) -> bool {
     let Some(file) = files.iter().find(|f| f.rel == finding.file) else {
         return false;
     };
-    let aliases = finding.rule.alias_of();
     file.lexed.suppressions.iter().any(|s| {
         (s.line == finding.line || s.line + 1 == finding.line)
-            && s.rules
-                .iter()
-                .any(|r| r == finding.rule.as_str() || aliases.iter().any(|a| a == r))
+            && s.rules.iter().any(|r| r == finding.rule.as_str())
     })
 }
 

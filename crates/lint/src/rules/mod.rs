@@ -1,9 +1,6 @@
-//! The rule families. Each module exposes `check(...)`, pushing
-//! [`Finding`](crate::Finding)s for one source file (or, for the
-//! cross-file rules E1/W1, for the whole workspace).
+//! The whole-workspace rule families E1 and W1. Each module exposes
+//! `check(...)`, pushing [`Finding`](crate::Finding)s; the per-file and
+//! call-graph rules T1–T3 live in [`crate::taint`].
 
-pub mod determinism;
 pub mod exhaustive;
-pub mod ordering;
-pub mod panics;
 pub mod posture;

@@ -10,7 +10,7 @@ pub struct SourceFile {
     pub rel: String,
     pub lexed: Lexed,
     /// Inclusive `(start_line, end_line)` ranges of `#[test]` functions
-    /// and `#[cfg(test)]` items — exempt from D1/D2/D3.
+    /// and `#[cfg(test)]` items — exempt from T1/T2/T3.
     pub test_ranges: Vec<(u32, u32)>,
 }
 

@@ -1,22 +1,16 @@
 //! The workspace scope manifest — the **single** place a module gets
-//! registered with the analyzer.
+//! registered with the analyzer, so adding a module is one edit here,
+//! not several parallel vectors in `Config::workspace`:
 //!
-//! Before this file existed, D1/D2/D3 each carried their own copy of
-//! the crate/file lists inside `Config::workspace`, so adding a module
-//! meant editing several parallel vectors (and forgetting one meant a
-//! silently unlinted path). Now every rule family reads from here:
-//!
-//! * [`REPLAY_CRITICAL`] — D1 scope *and* the crates whose fns count as
-//!   replay-critical context for T1;
-//! * [`ORDERED_OUTPUT`] — D2 scope;
-//! * [`SUPERVISION`] — D3 scope;
+//! * [`REPLAY_CRITICAL`] — T1's file scope: every source here is
+//!   checked whether or not an entry point reaches it;
+//! * [`SUPERVISION`] — T2's file scope, likewise;
 //! * [`WORKER_PATHS`] — T3 scope: files whose worker loops may only
 //!   share state through per-shard slots + the `(at, seq)` merge;
 //! * [`HARNESS`] — driver code (bench, the linter itself) that calls
 //!   *into* the system but never receives call-graph edges;
-//! * [`REPLAY_ENTRY_POINTS`] / [`SUPERVISION_ENTRY_POINTS`] — the T1/T2
-//!   sinks: the functions whose transitive closure must stay free of
-//!   ambient inputs (T1) and panics (T2).
+//! * [`ENTRY_POINTS`] — the T1/T2 sinks: the functions whose transitive
+//!   closure must stay free of ambient inputs (T1) and panics (T2).
 
 /// One interprocedural entry point: `(file prefix, impl owner, fn)`.
 #[derive(Debug, Clone, Copy)]
@@ -27,8 +21,10 @@ pub struct EntryPointDef {
     pub name: &'static str,
 }
 
-/// D1 + T1 context: anything here feeds the virtual clock, the seeded
-/// draws, or the journal replay path.
+/// T1 scope: anything here feeds the virtual clock, the seeded draws,
+/// the journal replay path, or a serialized artifact (the WAL, the JSONL
+/// event log, the Prometheus exposition, the folded profile, the Chrome
+/// trace export, the dataset CSVs).
 pub const REPLAY_CRITICAL: &[&str] = &[
     "crates/net/src/",
     "crates/core/src/",
@@ -36,20 +32,7 @@ pub const REPLAY_CRITICAL: &[&str] = &[
     "crates/serve/src/",
 ];
 
-/// D2: files that emit serialized or ordered artifacts — the WAL, the
-/// JSONL event log, the Prometheus exposition, the folded profile, the
-/// Chrome trace export, and the dataset CSVs.
-pub const ORDERED_OUTPUT: &[&str] = &[
-    "crates/core/src/journal.rs",
-    "crates/core/src/telemetry/",
-    "crates/core/src/monitor/",
-    "crates/core/src/shard.rs",
-    "crates/core/src/trace/",
-    "crates/dataset/src/",
-    "crates/serve/src/",
-];
-
-/// D3: supervision paths — a panic here takes down a campaign (or a
+/// T2 scope: supervision paths — a panic here takes down a campaign (or a
 /// recorder fan-out) instead of surfacing a typed error.
 pub const SUPERVISION: &[&str] = &["crates/core/src/", "crates/dataset/src/pipeline.rs"];
 
@@ -68,10 +51,12 @@ pub const WORKER_PATHS: &[&str] = &[
 /// call-graph edges, or every benchmark timer would taint the campaign.
 pub const HARNESS: &[&str] = &["crates/bench/src/", "crates/lint/src/"];
 
-/// T1 sinks: the replay-critical public entry points. A wall-clock /
-/// entropy / env / hash-order source transitively reachable from any of
-/// these voids the byte-identity guarantee.
-pub const REPLAY_ENTRY_POINTS: &[EntryPointDef] = &[
+/// T1/T2 sinks: the replay-critical public entry points, each also a
+/// supervised one. A wall-clock / entropy / env / hash-order source
+/// transitively reachable from any of these voids the byte-identity
+/// guarantee; a reachable panic tears down a campaign mid-journal
+/// instead of surfacing a typed error.
+pub const ENTRY_POINTS: &[EntryPointDef] = &[
     EntryPointDef {
         file: "crates/core/src/campaign.rs",
         owner: Some("Campaign"),
@@ -143,12 +128,6 @@ pub const REPLAY_ENTRY_POINTS: &[EntryPointDef] = &[
         name: "curate_city_journaled",
     },
 ];
-
-/// T2 sinks: supervision entry points. A panic transitively reachable
-/// from these tears down a campaign mid-journal instead of surfacing a
-/// typed error. The set matches [`REPLAY_ENTRY_POINTS`]: every replay
-/// entry is also a supervised one.
-pub const SUPERVISION_ENTRY_POINTS: &[EntryPointDef] = REPLAY_ENTRY_POINTS;
 
 /// Helper: materialize a `&'static str` slice into the owned form
 /// `Config` carries.

@@ -1,26 +1,30 @@
-//! **T1/T2/T3** — the interprocedural rule family, built on the
+//! **T1/T2/T3** — the taint rule family, built on the
 //! [`crate::parse`] → [`crate::symbols`] → [`crate::callgraph`] stack.
 //!
-//! The lexical D-rules answer "does this *file* contain a banned
-//! construct"; the T-rules answer the question that actually matters for
-//! replay: "can a *replay entry point* reach one". A wall-clock read in
-//! a leaf helper is harmless until somebody wires that helper into
-//! `Campaign::run` — at which point the D1 scope list may not even cover
-//! the helper's crate. T1 closes that hole transitively:
+//! T1 and T2 seed taint at *source* tokens and report every source that
+//! a manifest entry point can reach, however many calls deep, or that
+//! sits in the rule's file scope (call distance 0):
 //!
-//! * **T1 determinism taint** — seeds taint at wall-clock / OS-entropy /
-//!   `std::env` reads and hash-order iteration sites, and reports every
-//!   source a replay entry point ([`crate::scopes::REPLAY_ENTRY_POINTS`])
-//!   can reach, with the full witness call chain in the hint;
-//! * **T2 panic reachability** — same propagation for
-//!   `unwrap`/`expect`/panicking macros (and, optionally, slice
-//!   indexing) reachable from supervision entries — the call-graph
-//!   upgrade of D3's file-scope approximation;
+//! * **T1 determinism** — wall-clock / OS-entropy / `std::env` reads and
+//!   hash-order iteration, reachable from a replay entry point
+//!   ([`crate::scopes::ENTRY_POINTS`]) or in a replay-critical
+//!   file ([`crate::scopes::REPLAY_CRITICAL`]);
+//! * **T2 panic safety** — `unwrap`/`expect`/panicking macros reachable
+//!   from the same entry points or in a supervision file
+//!   ([`crate::scopes::SUPERVISION`]);
 //! * **T3 lock discipline** — a lexical check on worker-path files
 //!   ([`crate::scopes::WORKER_PATHS`]): cross-shard state must flow
 //!   through per-shard slots (`slots[id].lock()`) merged on `(at, seq)`,
 //!   never through un-sharded locks or non-`Relaxed` atomic orderings
 //!   that would make output depend on OS scheduling.
+//!
+//! The two halves cover each other's blind spots. The entries catch a
+//! wall-clock read in a leaf helper of a crate no scope names, the day
+//! somebody wires it into `Campaign::run`; the scope catches code no
+//! entry reaches yet, such as a serve worker loop, and the imports and
+//! other items outside any fn. A source both cover names the nearest
+//! entry and its witness call chain; one only the scope covers names
+//! the scope.
 //!
 //! Findings land on the *source* token (the `Instant::now()`, the
 //! `unwrap()`), where a `lint:allow` belongs and where the baseline can
@@ -29,7 +33,6 @@
 
 use crate::callgraph::CallGraph;
 use crate::lexer::Token;
-use crate::rules::{determinism, ordering};
 use crate::scan::{self, SourceFile};
 use crate::scopes::EntryPointDef;
 use crate::symbols::SymbolTable;
@@ -60,15 +63,17 @@ impl EntrySpec {
     }
 }
 
-/// Resolved entry points with their BFS distance maps — computed once,
-/// shared by every source site a rule seeds.
-struct Reach {
+/// The call graph with the entry points resolved on it and their BFS
+/// distance maps — computed once, shared by T1 and T2.
+pub(crate) struct Reach<'a> {
+    table: &'a SymbolTable,
+    graph: &'a CallGraph,
     /// `(entry fn id, display name, distances)`, in manifest order.
     entries: Vec<(usize, String, Vec<Option<u32>>)>,
 }
 
-impl Reach {
-    fn new(table: &SymbolTable, graph: &CallGraph, specs: &[EntrySpec]) -> Self {
+impl<'a> Reach<'a> {
+    pub(crate) fn new(table: &'a SymbolTable, graph: &'a CallGraph, specs: &[EntrySpec]) -> Self {
         let mut seen = BTreeSet::new();
         let mut entries = Vec::new();
         for spec in specs {
@@ -78,7 +83,11 @@ impl Reach {
                 }
             }
         }
-        Self { entries }
+        Self {
+            table,
+            graph,
+            entries,
+        }
     }
 
     /// The nearest entry reaching `target`: ties break toward manifest
@@ -95,149 +104,310 @@ impl Reach {
         }
         best.map(|(_, id, display)| (id, display))
     }
-}
 
-/// Renders `entry → .. → sink` as `Name (file:line) -> ..`.
-fn render_chain(table: &SymbolTable, graph: &CallGraph, entry: usize, sink: usize) -> String {
-    let ids = graph.witness(entry, sink).unwrap_or_else(|| vec![sink]);
-    let hops: Vec<String> = ids
-        .iter()
-        .map(|&id| {
-            let f = &table.fns[id];
-            format!("{} ({}:{})", f.display(), f.file, f.line)
-        })
-        .collect();
-    format!("call chain: {}", hops.join(" -> "))
-}
-
-/// Maps a token index to the innermost enclosing non-test fn, if any.
-/// Nested fns shadow their parents so a source inside a helper is
-/// attributed to the helper, not to every fn whose span contains it.
-fn enclosing_fn(table: &SymbolTable, file_idx: usize, tok: usize) -> Option<usize> {
-    let mut best: Option<(usize, usize)> = None; // (span width, id)
-    for (id, f) in table.fns.iter().enumerate() {
-        if f.file_idx != file_idx || f.is_test {
-            continue;
-        }
-        let (start, end) = f.span;
-        if tok < start || tok > end {
-            continue;
-        }
-        let width = end - start;
-        if best.is_none_or(|(bw, _)| width < bw) {
-            best = Some((width, id));
-        }
+    /// Renders `entry → .. → sink` as `Name (file:line) -> ..`.
+    fn render_chain(&self, entry: usize, sink: usize) -> String {
+        let ids = self
+            .graph
+            .witness(entry, sink)
+            .unwrap_or_else(|| vec![sink]);
+        let hops: Vec<String> = ids
+            .iter()
+            .map(|&id| {
+                let f = &self.table.fns[id];
+                format!("{} ({}:{})", f.display(), f.file, f.line)
+            })
+            .collect();
+        format!("call chain: {}", hops.join(" -> "))
     }
-    best.map(|(_, id)| id)
+
+    /// Maps a token index to the innermost enclosing non-test fn, if
+    /// any. Nested fns shadow their parents so a source inside a helper
+    /// is attributed to the helper, not to every fn whose span contains
+    /// it.
+    fn enclosing_fn(&self, file_idx: usize, tok: usize) -> Option<usize> {
+        let mut best: Option<(usize, usize)> = None; // (span width, id)
+        for (id, f) in self.table.fns.iter().enumerate() {
+            if f.file_idx != file_idx || f.is_test {
+                continue;
+            }
+            let (start, end) = f.span;
+            if tok < start || tok > end {
+                continue;
+            }
+            let width = end - start;
+            if best.is_none_or(|(bw, _)| width < bw) {
+                best = Some((width, id));
+            }
+        }
+        best.map(|(_, id)| id)
+    }
 }
 
-/// **T1**: every determinism source (ambient input or hash-order
-/// iteration) reachable from a replay entry point.
-pub fn check_t1(
-    table: &SymbolTable,
-    graph: &CallGraph,
+/// A source site: `(token index, what it is, how to fix it)`. The
+/// `what` is context-free ("wall-clock read `Instant::now()`"); the
+/// rule suffixes the entry or the scope that catches it.
+type Site = (usize, String, &'static str);
+
+/// A source rule: the sites it seeds and how it names what catches one.
+pub(crate) struct SourceRule {
+    rule: RuleId,
+    sites: fn(&[Token]) -> Vec<Site>,
+    entry: &'static str,
+    scope: &'static str,
+}
+
+/// **T1**: ambient inputs and hash-order iteration.
+pub(crate) const T1: SourceRule = SourceRule {
+    rule: RuleId::T1,
+    sites: determinism_sites,
+    entry: "replay entry",
+    scope: "replay-critical scope",
+};
+
+/// **T2**: panic sites.
+pub(crate) const T2: SourceRule = SourceRule {
+    rule: RuleId::T2,
+    sites: panic_sites,
+    entry: "supervision entry",
+    scope: "supervision scope",
+};
+
+/// Reports every `rule` source outside test code that an entry reaches
+/// (naming the nearest entry and its chain) or that lies in `scopes`
+/// (naming the scope).
+pub(crate) fn check(
+    rule: &SourceRule,
+    reach: &Reach,
     files: &[SourceFile],
-    specs: &[EntrySpec],
+    scopes: &[String],
     findings: &mut Vec<Finding>,
 ) {
-    if specs.is_empty() {
-        return;
-    }
-    let reach = Reach::new(table, graph, specs);
-    if reach.entries.is_empty() {
-        return;
-    }
     for (file_idx, file) in files.iter().enumerate() {
+        let in_scope = scan::in_scope(&file.rel, scopes);
         let tokens = file.tokens();
-        if tokens.is_empty() {
-            continue;
-        }
-        // (token index, what, fix hint)
-        let mut sources: Vec<(usize, String, String)> = Vec::new();
-        for (i, what, hint) in determinism::ambient_sites(tokens, (0, tokens.len() - 1)) {
-            sources.push((i, what.to_string(), hint.to_string()));
-        }
-        for (i, name, how) in ordering::iteration_sites(tokens) {
-            sources.push((
-                i,
-                format!("hash-order iteration (`{how}`) over `{name}`"),
-                "declare it as BTreeMap/BTreeSet, or collect and sort explicitly".to_string(),
-            ));
-        }
-        for (i, what, fix) in sources {
+        for (i, what, fix) in (rule.sites)(tokens) {
             let tok = &tokens[i];
             if file.is_test_line(tok.line) {
                 continue;
             }
-            let Some(fid) = enclosing_fn(table, file_idx, i) else {
-                continue; // top-level items (imports) stay D1's business
-            };
-            if table.fns[fid].is_harness {
+            let fid = reach.enclosing_fn(file_idx, i);
+            if fid.is_some_and(|id| reach.table.fns[id].is_harness) {
                 continue;
             }
-            let Some((entry, display)) = reach.nearest(fid) else {
-                continue;
-            };
-            findings.push(Finding {
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                rule: RuleId::T1,
-                message: format!("{what} reachable from replay entry `{display}`"),
-                hint: format!("{}; {fix}", render_chain(table, graph, entry, fid)),
-            });
-        }
-    }
-}
-
-/// **T2**: every panic site reachable from a supervision entry point.
-/// `indexing` additionally seeds `slice[idx]` expressions — off in the
-/// workspace policy (too many checked-by-construction sites), on in
-/// fixtures that exercise it.
-pub fn check_t2(
-    table: &SymbolTable,
-    graph: &CallGraph,
-    files: &[SourceFile],
-    specs: &[EntrySpec],
-    indexing: bool,
-    findings: &mut Vec<Finding>,
-) {
-    if specs.is_empty() {
-        return;
-    }
-    let reach = Reach::new(table, graph, specs);
-    if reach.entries.is_empty() {
-        return;
-    }
-    for (file_idx, file) in files.iter().enumerate() {
-        let tokens = file.tokens();
-        for (i, what) in panic_sites(tokens, indexing) {
-            let tok = &tokens[i];
-            if file.is_test_line(tok.line) {
-                continue;
-            }
-            let Some(fid) = enclosing_fn(table, file_idx, i) else {
-                continue;
-            };
-            if table.fns[fid].is_harness {
-                continue;
-            }
-            let Some((entry, display)) = reach.nearest(fid) else {
-                continue;
-            };
-            findings.push(Finding {
-                file: file.rel.clone(),
-                line: tok.line,
-                col: tok.col,
-                rule: RuleId::T2,
-                message: format!("{what} reachable from supervision entry `{display}`"),
-                hint: format!(
-                    "{}; return a typed error or restructure with let-else/map_or",
-                    render_chain(table, graph, entry, fid)
+            let reached = fid.and_then(|id| reach.nearest(id).map(|entry| (id, entry)));
+            let (message, hint) = match reached {
+                Some((id, (entry, display))) => (
+                    format!("{what} reachable from {} `{display}`", rule.entry),
+                    format!("{}; {fix}", reach.render_chain(entry, id)),
                 ),
+                None if in_scope => (format!("{what} in {}", rule.scope), fix.to_string()),
+                None => continue,
+            };
+            findings.push(Finding {
+                file: file.rel.clone(),
+                line: tok.line,
+                col: tok.col,
+                rule: rule.rule,
+                message,
+                hint,
             });
         }
     }
+}
+
+const VIRTUAL_CLOCK: &str = "use the campaign's virtual clock (`SimTime`/`EventQueue`) instead";
+const SEEDED_RNG: &str = "derive a seeded `StdRng` from the campaign seed (`mix64`)";
+
+/// `(path segments, what, fix)` — a match on the qualified path.
+const BANNED_PATHS: &[(&[&str], &str, &str)] = &[
+    (
+        &["Instant", "now"],
+        "wall-clock read `Instant::now()`",
+        VIRTUAL_CLOCK,
+    ),
+    (
+        &["SystemTime", "now"],
+        "wall-clock read `SystemTime::now()`",
+        VIRTUAL_CLOCK,
+    ),
+    (
+        &["std", "time", "Instant"],
+        "import of `std::time::Instant`",
+        VIRTUAL_CLOCK,
+    ),
+    (
+        &["std", "time", "SystemTime"],
+        "import of `std::time::SystemTime`",
+        VIRTUAL_CLOCK,
+    ),
+    (
+        &["std", "env"],
+        "process-environment read via `std::env`",
+        "thread configuration through `BqtConfig`/`CurationOptions` instead",
+    ),
+];
+
+/// Bare identifiers that always mean OS entropy.
+const BANNED_IDENTS: &[(&str, &str, &str)] = &[
+    ("thread_rng", "OS-entropy RNG `thread_rng`", SEEDED_RNG),
+    (
+        "from_entropy",
+        "OS-entropy seeding `from_entropy`",
+        SEEDED_RNG,
+    ),
+];
+
+/// T1 sources: ambient inputs — the wall clock, OS entropy and the
+/// process environment — then hash-order iteration. A journaled resume
+/// replays on the *virtual* clock with draws derived from
+/// `(seed, tag, attempt)`, so any of them desynchronizes the resumed
+/// run from the original (DESIGN.md §7).
+fn determinism_sites(tokens: &[Token]) -> Vec<Site> {
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        for (segs, what, fix) in BANNED_PATHS {
+            if scan::path_at(tokens, i, segs).is_some() {
+                out.push((i, what.to_string(), *fix));
+            }
+        }
+        for (name, what, fix) in BANNED_IDENTS {
+            if scan::is_ident(&tokens[i], name) {
+                out.push((i, what.to_string(), *fix));
+            }
+        }
+    }
+    out.extend(iteration_sites(tokens));
+    out
+}
+
+const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
+
+/// Methods that reveal iteration order.
+const ITER_METHODS: &[&str] = &[
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "keys",
+    "into_keys",
+    "values",
+    "values_mut",
+    "into_values",
+    "drain",
+];
+
+/// Hash-order iteration over identifiers declared with a hash-map type
+/// in the same file. Hash order is arbitrary and, with a randomized
+/// hasher, varies between runs of the same binary; keyed lookups
+/// (`get`, `entry`, `remove`, `insert`) are fine. An unordered map that
+/// crosses into another file should be converted at its declaration.
+fn iteration_sites(tokens: &[Token]) -> Vec<Site> {
+    const FIX: &str = "declare it as BTreeMap/BTreeSet, or collect and sort explicitly";
+    let tracked = tracked_hash_idents(tokens);
+    let mut out = Vec::new();
+    if tracked.is_empty() {
+        return out;
+    }
+    let site = |i: usize, name: &str, how: &str| {
+        (
+            i,
+            format!("hash-order iteration (`{how}`) over `{name}`"),
+            FIX,
+        )
+    };
+    for i in 0..tokens.len() {
+        let Some(method) = scan::ident_name(&tokens[i]) else {
+            continue;
+        };
+        // `name.iter()` / `self.name.keys()` — the receiver ident sits
+        // two tokens before the method name.
+        if ITER_METHODS.contains(&method)
+            && i >= 2
+            && scan::is_punct(&tokens[i - 1], '.')
+            && tokens.get(i + 1).is_some_and(|t| scan::is_punct(t, '('))
+        {
+            if let Some(name) = scan::ident_name(&tokens[i - 2]).filter(|n| tracked.contains(*n)) {
+                out.push(site(i, name, method));
+            }
+        }
+        // `for x in &name { ... }` — implicit IntoIterator.
+        if method == "in" {
+            if let Some((name, k)) = for_in_target(tokens, i, &tracked) {
+                out.push(site(k, name, "for-in"));
+            }
+        }
+    }
+    out
+}
+
+/// After `in`, skip `&`, `mut`, `self`, `.`; if the next ident is tracked
+/// and the loop body opens right after it, that's hash-order iteration.
+/// Returns `(name, token index of the name)`.
+fn for_in_target<'a>(
+    tokens: &'a [Token],
+    in_idx: usize,
+    tracked: &BTreeSet<String>,
+) -> Option<(&'a str, usize)> {
+    let mut k = in_idx + 1;
+    while k < tokens.len() {
+        let t = &tokens[k];
+        if scan::is_punct(t, '&')
+            || scan::is_punct(t, '.')
+            || scan::is_ident(t, "mut")
+            || scan::is_ident(t, "self")
+        {
+            k += 1;
+            continue;
+        }
+        break;
+    }
+    let name = scan::ident_name(tokens.get(k)?)?;
+    if !tracked.contains(name) {
+        return None;
+    }
+    // Only a direct `{` means the map itself is the iterator; a method
+    // call on it is judged by the method rule instead.
+    if scan::is_punct(tokens.get(k + 1)?, '{') {
+        Some((name, k))
+    } else {
+        None
+    }
+}
+
+/// Identifiers declared with a hash-map type anywhere in the file:
+/// `name: HashMap<..>` (fields, params, let annotations) and
+/// `name = HashMap::new()` style initializers.
+fn tracked_hash_idents(tokens: &[Token]) -> BTreeSet<String> {
+    let mut tracked = BTreeSet::new();
+    for i in 0..tokens.len() {
+        let Some(ty) = scan::ident_name(&tokens[i]) else {
+            continue;
+        };
+        if !HASH_TYPES.contains(&ty) {
+            continue;
+        }
+        // Walk left over a qualifying path (`std :: collections ::`).
+        let mut j = i;
+        while j >= 3
+            && scan::is_punct(&tokens[j - 1], ':')
+            && scan::is_punct(&tokens[j - 2], ':')
+            && scan::ident_name(&tokens[j - 3]).is_some()
+        {
+            j -= 3;
+        }
+        if j < 2 {
+            continue;
+        }
+        let Some(name) = scan::ident_name(&tokens[j - 2]) else {
+            continue;
+        };
+        // `name : HashMap` — annotation (let / field / param); or
+        // `name = HashMap::...` — inferred-type initializer.
+        if scan::is_punct(&tokens[j - 1], ':') || scan::is_punct(&tokens[j - 1], '=') {
+            tracked.insert(name.to_string());
+        }
+    }
+    tracked
 }
 
 /// Macros that abort the thread outright. `assert!` family is exempt:
@@ -246,8 +416,11 @@ pub fn check_t2(
 /// to delete their invariants.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// Panic sites in a token stream: `(token index, description)`.
-fn panic_sites(tokens: &[Token], indexing: bool) -> Vec<(usize, String)> {
+/// T2 sources: a panic here tears down a campaign mid-journal, or rips
+/// through the recorder fan-out the poisoning machinery protects.
+/// Indexing is not a source: checked-by-construction indexing dominates.
+fn panic_sites(tokens: &[Token]) -> Vec<Site> {
+    const FIX: &str = "return a typed error or restructure with let-else/map_or";
     let mut out = Vec::new();
     for i in 0..tokens.len() {
         let Some(name) = scan::ident_name(&tokens[i]) else {
@@ -261,28 +434,16 @@ fn panic_sites(tokens: &[Token], indexing: bool) -> Vec<(usize, String)> {
             && next(1).is_some_and(|t| scan::is_punct(t, '('))
             && next(2).is_some_and(|t| scan::is_punct(t, ')'))
         {
-            out.push((i, "`.unwrap()`".to_string()));
+            out.push((i, "`.unwrap()`".to_string(), FIX));
         }
         if prev_dot && name == "expect" && next(1).is_some_and(|t| scan::is_punct(t, '(')) {
-            out.push((i, "`.expect()`".to_string()));
+            out.push((i, "`.expect()`".to_string(), FIX));
         }
         // `panic!(..)` and friends.
         let is_macro = next(1).is_some_and(|t| scan::is_punct(t, '!'));
         if is_macro && PANIC_MACROS.contains(&name) {
-            out.push((i, format!("panicking macro `{name}!`")));
+            out.push((i, format!("panicking macro `{name}!`"), FIX));
         }
-    }
-    // `recv[idx]` — optional, noisy on checked-by-construction code.
-    if indexing {
-        for i in 1..tokens.len() {
-            if scan::is_punct(&tokens[i], '[')
-                && scan::ident_name(&tokens[i - 1]).is_some()
-                && tokens.get(i + 1).is_some_and(|t| !scan::is_punct(t, ']'))
-            {
-                out.push((i, "possibly-panicking indexing `[..]`".to_string()));
-            }
-        }
-        out.sort_by_key(|(i, _)| *i);
     }
     out
 }
@@ -420,8 +581,8 @@ mod tests {
     #[test]
     fn panic_sites_find_unwrap_expect_and_macros() {
         let f = lex("fn f(x: Option<u8>) { x.unwrap(); x.expect(\"m\"); panic!(\"n\"); }");
-        let sites = panic_sites(f.tokens(), false);
-        let kinds: Vec<&str> = sites.iter().map(|(_, w)| w.as_str()).collect();
+        let sites = panic_sites(f.tokens());
+        let kinds: Vec<&str> = sites.iter().map(|(_, w, _)| w.as_str()).collect();
         assert_eq!(
             kinds,
             vec!["`.unwrap()`", "`.expect()`", "panicking macro `panic!`"]
@@ -434,14 +595,7 @@ mod tests {
             "fn f(x: Option<u8>) { x.unwrap_or(0); x.unwrap_or_default(); println!(\"k\"); \
              assert!(true); assert_eq!(1, 1); }",
         );
-        assert!(panic_sites(f.tokens(), false).is_empty());
-    }
-
-    #[test]
-    fn indexing_sites_are_gated() {
-        let f = lex("fn f(v: &[u8], i: usize) -> u8 { v[i] }");
-        assert!(panic_sites(f.tokens(), false).is_empty());
-        assert_eq!(panic_sites(f.tokens(), true).len(), 1);
+        assert!(panic_sites(f.tokens()).is_empty());
     }
 
     #[test]

@@ -81,6 +81,8 @@ pub struct Arrival {
 /// via inverse-CDF binary search on the precomputed cumulative weights.
 struct Zipf {
     cumulative: Vec<f64>,
+    /// The last cumulative weight: the sum over all ranks.
+    total: f64,
 }
 
 impl Zipf {
@@ -91,13 +93,11 @@ impl Zipf {
             total += 1.0 / (r as f64 + 1.0);
             cumulative.push(total);
         }
-        Self { cumulative }
+        Self { cumulative, total }
     }
 
     fn sample(&self, rng: &mut StdRng) -> usize {
-        // lint:allow(T2): cumulative is built from a non-empty class list
-        let total = *self.cumulative.last().expect("non-empty by construction");
-        let u = rng.gen::<f64>() * total;
+        let u = rng.gen::<f64>() * self.total;
         self.cumulative.partition_point(|&c| c < u)
     }
 }

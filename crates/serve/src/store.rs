@@ -5,7 +5,7 @@
 //! block group → carriage-value percentiles, and (on the city's primary
 //! shard) the city-wide competition/diversity tile summary. Index
 //! structures are `BTreeMap`s keyed on integers so iteration order, and
-//! therefore every derived artifact, is deterministic (divide-lint D2).
+//! therefore every derived artifact, is deterministic (divide-lint T1).
 
 use crate::api::{ServeAnswer, ServeQuery};
 use bbsim_dataset::artifact::CityArtifact;

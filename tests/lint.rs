@@ -1,8 +1,8 @@
 //! divide-lint integration tests: the fixture corpus under
-//! `tests/lint_fixtures/` (one known-bad / known-clean pair per rule),
-//! the baseline delta logic, a lexer-totality property, and a self-run
-//! asserting the real workspace is clean against the committed baseline
-//! within the analyzer's 5 s budget.
+//! `tests/lint_fixtures/` (known-bad / known-clean pairs per rule and
+//! source kind), the baseline delta logic, a lexer-totality property,
+//! and a self-run asserting the real workspace is clean against the
+//! committed baseline within the analyzer's 5 s budget.
 
 use divide_lint::{analyze, analyze_with_baseline, Baseline, Config, Finding, RuleId};
 use proptest::prelude::*;
@@ -21,12 +21,15 @@ fn run(configure: impl FnOnce(&mut Config)) -> Vec<Finding> {
     analyze(&config).expect("fixture analysis")
 }
 
-// ---- D1: determinism ------------------------------------------------
+// ---- T1 scope: ambient inputs ---------------------------------------
 
 #[test]
 fn d1_flags_every_ambient_input() {
-    let findings = run(|c| c.d1_scopes = vec!["d1/bad.rs".into()]);
-    assert!(findings.iter().all(|f| f.rule == RuleId::D1));
+    let findings = run(|c| c.replay_scopes = vec!["d1/bad.rs".into()]);
+    assert!(findings.iter().all(|f| f.rule == RuleId::T1));
+    assert!(findings
+        .iter()
+        .all(|f| f.message.ends_with(" in replay-critical scope")));
     let expect = [
         "import of `std::time::Instant`",
         "wall-clock read `Instant::now()`",
@@ -38,27 +41,27 @@ fn d1_flags_every_ambient_input() {
     for needle in expect {
         assert!(
             findings.iter().any(|f| f.message.contains(needle)),
-            "missing D1 finding for {needle:?}: {findings:?}"
+            "missing T1 finding for {needle:?}: {findings:?}"
         );
     }
     assert_eq!(findings.len(), expect.len(), "{findings:?}");
-    // Locations are exact: the import sits on line 5 of the fixture.
+    // Locations are exact: the import, outside any fn, sits on line 5.
     assert_eq!((findings[0].line, findings[0].col), (5, 5));
 }
 
 #[test]
 fn d1_exempts_tests_and_honours_suppression() {
-    let findings = run(|c| c.d1_scopes = vec!["d1/clean.rs".into()]);
+    let findings = run(|c| c.replay_scopes = vec!["d1/clean.rs".into()]);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---- D2: ordered output ---------------------------------------------
+// ---- T1 scope: hash-order iteration ---------------------------------
 
 #[test]
 fn d2_flags_hash_iteration_feeding_emitters() {
-    let findings = run(|c| c.d2_scopes = vec!["d2/bad.rs".into()]);
+    let findings = run(|c| c.replay_scopes = vec!["d2/bad.rs".into()]);
     assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings.iter().all(|f| f.rule == RuleId::D2));
+    assert!(findings.iter().all(|f| f.rule == RuleId::T1));
     assert!(findings[0].message.contains("`for-in`"), "{findings:?}");
     assert!(findings[1].message.contains("`keys`"), "{findings:?}");
     assert!(findings.iter().all(|f| f.message.contains("`rows`")));
@@ -66,95 +69,102 @@ fn d2_flags_hash_iteration_feeding_emitters() {
 
 #[test]
 fn d2_allows_ordered_maps_keyed_lookups_and_tests() {
-    let findings = run(|c| c.d2_scopes = vec!["d2/clean.rs".into()]);
+    let findings = run(|c| c.replay_scopes = vec!["d2/clean.rs".into()]);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---- D3: panic safety -----------------------------------------------
+// ---- T2 scope: panic sites --------------------------------------------
 
 #[test]
 fn d3_flags_unwrap_and_expect() {
-    let findings = run(|c| c.d3_scopes = vec!["d3/bad.rs".into()]);
+    let findings = run(|c| c.supervision_scopes = vec!["d3/bad.rs".into()]);
     assert_eq!(findings.len(), 2, "{findings:?}");
-    assert!(findings[0].message.contains("`.unwrap()`"));
-    assert!(findings[1].message.contains("`.expect()`"));
+    assert!(findings.iter().all(|f| f.rule == RuleId::T2));
+    assert_eq!(findings[0].message, "`.unwrap()` in supervision scope");
+    assert_eq!(findings[1].message, "`.expect()` in supervision scope");
 }
 
 #[test]
 fn d3_allows_totals_suppressions_and_tests() {
-    let findings = run(|c| c.d3_scopes = vec!["d3/clean.rs".into()]);
+    let findings = run(|c| c.supervision_scopes = vec!["d3/clean.rs".into()]);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---- shard merge hazards (D1 + D2 on the same code shape) -----------
+// ---- shard merge hazards (both T1 sources on one code shape) ----------
 
-/// The known-bad shard merge trips both rules: wall-clock stamps (D1)
-/// and hash-order iteration over per-shard streams (D2).
+/// The known-bad shard merge trips both T1 source kinds: wall-clock
+/// stamps and hash-order iteration over per-shard streams.
 #[test]
 fn shard_fixture_flags_wall_clock_and_unordered_merge() {
-    let findings = run(|c| {
-        c.d1_scopes = vec!["shard/bad.rs".into()];
-        c.d2_scopes = vec!["shard/bad.rs".into()];
-    });
-    let d1: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::D1).collect();
-    let d2: Vec<_> = findings.iter().filter(|f| f.rule == RuleId::D2).collect();
-    assert_eq!(d1.len() + d2.len(), findings.len(), "{findings:?}");
-    assert_eq!(d1.len(), 2, "{d1:?}");
-    assert!(d1
-        .iter()
-        .any(|f| f.message.contains("import of `std::time::Instant`")));
-    assert!(d1
-        .iter()
-        .any(|f| f.message.contains("wall-clock read `Instant::now()`")));
-    assert_eq!(d2.len(), 2, "{d2:?}");
-    assert!(d2.iter().any(|f| f.message.contains("`for-in`")));
-    assert!(d2.iter().any(|f| f.message.contains("`values`")));
-    assert!(d2.iter().all(|f| f.message.contains("`streams`")));
+    let findings = run(|c| c.replay_scopes = vec!["shard/bad.rs".into()]);
+    assert!(
+        findings.iter().all(|f| f.rule == RuleId::T1),
+        "{findings:?}"
+    );
+    assert_eq!(findings.len(), 4, "{findings:?}");
+    for needle in [
+        "import of `std::time::Instant`",
+        "wall-clock read `Instant::now()`",
+        "hash-order iteration (`for-in`) over `streams`",
+        "hash-order iteration (`values`) over `streams`",
+    ] {
+        assert!(
+            findings.iter().any(|f| f.message.contains(needle)),
+            "missing T1 finding for {needle:?}: {findings:?}"
+        );
+    }
 }
 
 /// The deterministic shape of the real merge — shard-indexed `Vec`s,
 /// virtual stamps, keyed hash lookups, one justified suppression — passes
-/// both rules clean.
+/// clean.
 #[test]
 fn shard_fixture_clean_shape_passes_both_rules() {
     let findings = run(|c| {
-        c.d1_scopes = vec!["shard/clean.rs".into()];
-        c.d2_scopes = vec!["shard/clean.rs".into()];
+        c.replay_scopes = vec!["shard/clean.rs".into()];
+        c.supervision_scopes = vec!["shard/clean.rs".into()];
     });
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-/// The dogfood gate for the new module specifically: the real
-/// `bqt::shard` passes D1 + D2 + D3 with zero findings — not even
+/// Points T1 and T2's file scopes at `scopes` in the real workspace.
+fn real_scoped(scopes: &[&str]) -> Vec<Finding> {
+    let mut config = Config::bare(PathBuf::from(env!("CARGO_MANIFEST_DIR")));
+    config.replay_scopes = scopes.iter().map(|s| s.to_string()).collect();
+    config.supervision_scopes.clone_from(&config.replay_scopes);
+    analyze(&config).expect("module analysis")
+}
+
+fn render(findings: &[Finding]) -> String {
+    findings
+        .iter()
+        .map(|f| f.to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// The dogfood gate for the module specifically: the real `bqt::shard`
+/// passes T1 and T2 at file scope with zero findings — not even
 /// baselined ones.
 #[test]
 fn real_shard_module_is_clean_under_all_rules() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut config = Config::bare(root);
-    config.d1_scopes = vec!["crates/core/src/shard.rs".into()];
-    config.d2_scopes = vec!["crates/core/src/shard.rs".into()];
-    config.d3_scopes = vec!["crates/core/src/shard.rs".into()];
-    let findings = analyze(&config).expect("shard module analysis");
+    let findings = real_scoped(&["crates/core/src/shard.rs"]);
     assert!(
         findings.is_empty(),
         "bqt::shard must be lint-clean:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        render(&findings)
     );
 }
 
-// ---- drift-monitor hazards (D1 + E1 on the self-healing loop) -------
+// ---- drift-monitor hazards (T1 + E1 on the self-healing loop) -------
 
-/// The known-bad drift monitor trips D1 three ways: wall-clock sighting
+/// The known-bad drift monitor trips T1 three ways: wall-clock sighting
 /// stamps, an environment-variable rebootstrap toggle, and OS-entropy
 /// probe jitter — each of which would make a re-bootstrap unreplayable.
 #[test]
 fn drift_fixture_flags_ambient_inputs_in_the_monitor() {
-    let findings = run(|c| c.d1_scopes = vec!["drift/bad.rs".into()]);
-    assert!(findings.iter().all(|f| f.rule == RuleId::D1));
+    let findings = run(|c| c.replay_scopes = vec!["drift/bad.rs".into()]);
+    assert!(findings.iter().all(|f| f.rule == RuleId::T1));
     for needle in [
         "wall-clock read `SystemTime::now()`",
         "process-environment read via `std::env`",
@@ -162,7 +172,7 @@ fn drift_fixture_flags_ambient_inputs_in_the_monitor() {
     ] {
         assert!(
             findings.iter().any(|f| f.message.contains(needle)),
-            "missing D1 finding for {needle:?}: {findings:?}"
+            "missing T1 finding for {needle:?}: {findings:?}"
         );
     }
     assert_eq!(findings.len(), 3, "{findings:?}");
@@ -174,8 +184,8 @@ fn drift_fixture_flags_ambient_inputs_in_the_monitor() {
 #[test]
 fn drift_fixture_clean_shape_passes() {
     let findings = run(|c| {
-        c.d1_scopes = vec!["drift/clean.rs".into()];
-        c.d2_scopes = vec!["drift/clean.rs".into()];
+        c.replay_scopes = vec!["drift/clean.rs".into()];
+        c.supervision_scopes = vec!["drift/clean.rs".into()];
     });
     assert!(findings.is_empty(), "{findings:?}");
 }
@@ -189,29 +199,16 @@ fn drift_schema_canary_is_exhaustive() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-/// The dogfood gate for the tentpole modules: the real drift monitor and
-/// the BAT's drift schedule pass D1 + D2 + D3 with zero findings — not
-/// even baselined ones.
+/// The dogfood gate for the drift modules: the real drift monitor and
+/// the BAT's drift schedule pass T1 and T2 at file scope with zero
+/// findings — not even baselined ones.
 #[test]
 fn real_drift_modules_are_clean_under_all_rules() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut config = Config::bare(root);
-    let scopes = vec![
-        "crates/core/src/drift.rs".to_string(),
-        "crates/bat/src/drift.rs".to_string(),
-    ];
-    config.d1_scopes.clone_from(&scopes);
-    config.d2_scopes.clone_from(&scopes);
-    config.d3_scopes = scopes;
-    let findings = analyze(&config).expect("drift module analysis");
+    let findings = real_scoped(&["crates/core/src/drift.rs", "crates/bat/src/drift.rs"]);
     assert!(
         findings.is_empty(),
         "the drift modules must be lint-clean:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        render(&findings)
     );
 }
 
@@ -259,26 +256,16 @@ fn trace_schema_bad_flags_wildcard_fold_gap_and_parser_gap() {
     }
 }
 
-/// The dogfood gate for the tentpole module: the real `bqt::trace`
-/// passes D1 + D2 + D3 with zero findings — not even baselined ones.
+/// The dogfood gate for the trace module: the real `bqt::trace` passes
+/// T1 and T2 at file scope with zero findings — not even baselined ones.
 /// (Its E1 surfaces are enforced by the workspace self-run below.)
 #[test]
 fn real_trace_module_is_clean_under_all_rules() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut config = Config::bare(root);
-    let scopes = vec!["crates/core/src/trace/".to_string()];
-    config.d1_scopes.clone_from(&scopes);
-    config.d2_scopes.clone_from(&scopes);
-    config.d3_scopes = scopes;
-    let findings = analyze(&config).expect("trace module analysis");
+    let findings = real_scoped(&["crates/core/src/trace/"]);
     assert!(
         findings.is_empty(),
         "bqt::trace must be lint-clean:\n{}",
-        findings
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        render(&findings)
     );
 }
 
@@ -292,13 +279,13 @@ fn entry(file: &str, owner: Option<&str>, name: &str) -> divide_lint::EntrySpec 
     }
 }
 
-/// The tentpole case: the wall-clock read sits two calls below the
-/// entry point, in a fn no lexical scope list would ever name — and the
-/// finding carries the complete entry → helper → sink witness chain.
+/// The wall-clock read sits two calls below the entry point, in a fn
+/// no file scope names — and the finding carries the complete
+/// entry → helper → sink witness chain.
 #[test]
 fn t1_reports_transitive_sources_with_full_chains() {
     let findings = run(|c| {
-        c.t1_entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
+        c.entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
     });
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RuleId::T1));
@@ -326,21 +313,61 @@ fn t1_reports_transitive_sources_with_full_chains() {
     assert!(hash.hint.contains("-> hash_summary"), "{}", hash.hint);
 }
 
-/// Virtual clock threaded in, one reasoned `lint:allow(D1)` (aliasing
-/// over to T1), a tainted-but-unreachable dev helper, and test-only
+/// A source that is both in scope and reached names the nearest entry
+/// and its witness chain, not the scope; the same file under its scope
+/// alone names the scope.
+#[test]
+fn t1_reached_source_in_scope_names_the_entry_not_the_scope() {
+    let scoped = || vec!["taint/t1_bad.rs".to_string()];
+    let both = run(|c| {
+        c.replay_scopes = scoped();
+        c.entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
+    });
+    assert_eq!(both.len(), 2, "{both:?}");
+    for f in &both {
+        assert_eq!(f.rule, RuleId::T1);
+        assert!(
+            f.message
+                .ends_with(" reachable from replay entry `Campaign::run`"),
+            "{}",
+            f.message
+        );
+        assert!(
+            f.hint
+                .starts_with("call chain: Campaign::run (taint/t1_bad.rs:"),
+            "{}",
+            f.hint
+        );
+    }
+    let wall = both
+        .iter()
+        .find(|f| f.message.contains("Instant::now"))
+        .expect("wall-clock finding");
+    assert!(wall.hint.contains("-> checkpoint") && wall.hint.contains("-> stamp"));
+
+    let scope_only = run(|c| c.replay_scopes = scoped());
+    let sites = |fs: &[Finding]| fs.iter().map(|f| (f.line, f.col)).collect::<Vec<_>>();
+    assert_eq!(sites(&scope_only), sites(&both));
+    assert!(scope_only
+        .iter()
+        .all(|f| f.message.ends_with(" in replay-critical scope") && !f.hint.contains("chain")));
+}
+
+/// Virtual clock threaded in, one reasoned `lint:allow(T1)`, a
+/// tainted-but-unreachable dev helper outside any scope, and test-only
 /// clock reads: all quiet.
 #[test]
 fn t1_clean_virtual_clock_allows_and_unreachable_sources_pass() {
     let findings = run(|c| {
-        c.t1_entries = vec![entry("taint/t1_clean.rs", Some("Campaign"), "run")];
+        c.entries = vec![entry("taint/t1_clean.rs", Some("Campaign"), "run")];
     });
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
-fn t2_reports_transitive_panics_and_gates_indexing() {
+fn t2_reports_transitive_panics() {
     let findings = run(|c| {
-        c.t2_entries = vec![entry("taint/t2_bad.rs", None, "supervise")];
+        c.entries = vec![entry("taint/t2_bad.rs", None, "supervise")];
     });
     assert_eq!(findings.len(), 2, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RuleId::T2));
@@ -359,25 +386,14 @@ fn t2_reports_transitive_panics_and_gates_indexing() {
         "incomplete witness chain: {}",
         unwrap.hint
     );
-
-    // The indexing source is opt-in; turning it on adds exactly the
-    // `rows[0]` site.
-    let with_indexing = run(|c| {
-        c.t2_entries = vec![entry("taint/t2_bad.rs", None, "supervise")];
-        c.t2_indexing = true;
-    });
-    assert_eq!(with_indexing.len(), 3, "{with_indexing:?}");
-    assert!(with_indexing
-        .iter()
-        .any(|f| f.message.contains("possibly-panicking indexing")));
 }
 
-/// Typed errors, a reasoned `lint:allow(D3)` (aliasing over to T2) and
-/// test-only unwraps: all quiet.
+/// Typed errors, a reasoned `lint:allow(T2)` and test-only unwraps: all
+/// quiet.
 #[test]
 fn t2_clean_typed_errors_allows_and_tests_pass() {
     let findings = run(|c| {
-        c.t2_entries = vec![entry("taint/t2_clean.rs", None, "supervise")];
+        c.entries = vec![entry("taint/t2_clean.rs", None, "supervise")];
     });
     assert!(findings.is_empty(), "{findings:?}");
 }
@@ -415,11 +431,14 @@ fn t3_sanctioned_shard_slot_idiom_passes() {
 fn findings_are_canonically_ordered_and_stable() {
     let run_once = || {
         run(|c| {
-            c.d1_scopes = vec!["d1/bad.rs".into(), "drift/bad.rs".into()];
-            c.d2_scopes = vec!["d2/bad.rs".into(), "shard/bad.rs".into()];
-            c.d3_scopes = vec!["d3/bad.rs".into()];
-            c.t1_entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
-            c.t2_entries = vec![entry("taint/t2_bad.rs", None, "supervise")];
+            c.replay_scopes = ["d1/bad.rs", "drift/bad.rs", "d2/bad.rs", "shard/bad.rs"]
+                .map(String::from)
+                .to_vec();
+            c.supervision_scopes = vec!["d3/bad.rs".into()];
+            c.entries = vec![
+                entry("taint/t1_bad.rs", Some("Campaign"), "run"),
+                entry("taint/t2_bad.rs", None, "supervise"),
+            ];
             c.t3_scopes = vec!["taint/t3_bad.rs".into()];
         })
     };
@@ -441,7 +460,7 @@ fn findings_are_canonically_ordered_and_stable() {
 #[test]
 fn emitters_render_fixture_findings() {
     let findings = run(|c| {
-        c.t1_entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
+        c.entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
     });
     let json = divide_lint::emit::json(&findings);
     assert!(json.contains("\"rule\": \"T1\""));
@@ -538,14 +557,14 @@ fn w1_accepts_a_wired_workspace() {
 
 #[test]
 fn baseline_grandfathers_matches_and_surfaces_regressions_and_stale() {
-    let findings = run(|c| c.d3_scopes = vec!["d3/bad.rs".into()]);
+    let findings = run(|c| c.supervision_scopes = vec!["d3/bad.rs".into()]);
     assert_eq!(findings.len(), 2);
 
     // Baseline the unwrap only: the expect is a "regression".
     let text = Baseline::render(&findings[..1]);
     let baseline = Baseline::parse(&text).expect("parse rendered baseline");
     let mut config = Config::bare(fixtures());
-    config.d3_scopes = vec!["d3/bad.rs".into()];
+    config.supervision_scopes = vec!["d3/bad.rs".into()];
     let outcome = analyze_with_baseline(&config, &baseline).expect("analysis");
     assert_eq!(outcome.baselined.len(), 1);
     assert_eq!(outcome.new.len(), 1);
@@ -553,7 +572,7 @@ fn baseline_grandfathers_matches_and_surfaces_regressions_and_stale() {
     assert!(!outcome.is_clean());
 
     // An entry pointing at fixed code is stale and also fails the run.
-    let stale_text = format!("{text}D3 d3/bad.rs:99:1 `.unwrap()` in a supervision path\n");
+    let stale_text = format!("{text}T2 d3/bad.rs:99:1 `.unwrap()` in supervision scope\n");
     let stale_base = Baseline::parse(&stale_text).expect("parse");
     let outcome = analyze_with_baseline(&config, &stale_base).expect("analysis");
     assert_eq!(outcome.stale.len(), 1);

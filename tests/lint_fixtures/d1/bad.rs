@@ -1,7 +1,7 @@
-//! D1 known-bad fixture: every ambient input the rule bans, in non-test
-//! code. Expected findings (in line order): the `std::time::Instant`
-//! import, `Instant::now()`, `SystemTime::now()`, `std::env`,
-//! `thread_rng`, `from_entropy`.
+//! Ambient-input known-bad fixture: every ambient input T1 bans, in
+//! non-test code no entry point reaches. Expected T1 scope findings (in
+//! line order): the `std::time::Instant` import, `Instant::now()`,
+//! `SystemTime::now()`, `std::env`, `thread_rng`, `from_entropy`.
 use std::time::Instant;
 
 pub fn stamp_wall_clock() -> Instant {

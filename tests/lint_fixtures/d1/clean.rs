@@ -1,5 +1,6 @@
-//! D1 known-clean fixture: virtual time and seeded draws in real code,
-//! ambient inputs confined to tests, one justified suppression.
+//! Ambient-input known-clean fixture: virtual time and seeded draws in
+//! real code, ambient inputs confined to tests, one justified
+//! suppression — clean under T1's file scope.
 
 pub fn virtual_now(queue: &EventQueue) -> SimTime {
     queue.now()
@@ -10,7 +11,7 @@ pub fn seeded_rng(seed: u64, tag: u64, attempt: u32) -> StdRng {
 }
 
 pub fn banner_tz() -> Option<String> {
-    // lint:allow(D1): startup banner only — never feeds the replay schedule
+    // lint:allow(T1): startup banner only — never feeds the replay schedule
     std::env::var("TZ").ok()
 }
 

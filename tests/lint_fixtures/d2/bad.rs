@@ -1,5 +1,5 @@
-//! D2 known-bad fixture: hash-map iteration feeding an emitter.
-//! Expected findings: the `for .. in &self.rows` loop and the
+//! Hash-order known-bad fixture: hash-map iteration feeding an emitter.
+//! Expected T1 scope findings: the `for .. in &self.rows` loop and the
 //! `.keys()` call.
 use std::collections::HashMap;
 

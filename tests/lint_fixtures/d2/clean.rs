@@ -1,5 +1,5 @@
-//! D2 known-clean fixture: ordered maps iterate freely, hash maps are
-//! only used for keyed lookups, and tests are exempt.
+//! Hash-order known-clean fixture: ordered maps iterate freely, hash
+//! maps are only used for keyed lookups, and tests are exempt.
 use std::collections::{BTreeMap, HashMap};
 
 pub struct Export {

@@ -1,5 +1,6 @@
-//! D3 known-bad fixture: panicking extractors in non-test code.
-//! Expected findings: the `.unwrap()` and the `.expect()`.
+//! Panic known-bad fixture: panicking extractors in non-test code no
+//! entry point reaches. Expected T2 scope findings: the `.unwrap()` and
+//! the `.expect()`.
 
 pub fn first_attempt(attempts: &[u32]) -> u32 {
     *attempts.first().unwrap()

@@ -1,5 +1,5 @@
-//! D3 known-clean fixture: total alternatives, a same-line suppression,
-//! a line-above suppression, and free use inside tests.
+//! Panic known-clean fixture: total alternatives, a same-line
+//! suppression, a line-above suppression, and free use inside tests.
 
 pub fn first_attempt(attempts: &[u32]) -> u32 {
     attempts.first().copied().unwrap_or(0)
@@ -10,11 +10,11 @@ pub fn parse_limit(raw: &str) -> u32 {
 }
 
 pub fn mutex_style(v: Option<u32>) -> u32 {
-    v.unwrap() // lint:allow(D3): fixture — caller guarantees Some
+    v.unwrap() // lint:allow(T2): fixture — caller guarantees Some
 }
 
 pub fn invariant_style(v: Option<u32>) -> u32 {
-    // lint:allow(D3): fixture — invariant documented one line above
+    // lint:allow(T2): fixture — invariant documented one line above
     v.expect("checked by caller")
 }
 

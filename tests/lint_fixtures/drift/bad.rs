@@ -1,6 +1,6 @@
 //! Drift-monitor known-bad fixture: the ambient inputs a naive
 //! self-healing loop reaches for, each of which would make a re-bootstrap
-//! unreplayable. Expected D1 findings (in line order): the
+//! unreplayable. Expected T1 scope findings (in line order): the
 //! `SystemTime::now()` sighting stamp, the `std::env` rebootstrap
 //! toggle, and the `thread_rng` probe jitter.
 

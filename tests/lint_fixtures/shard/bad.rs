@@ -1,9 +1,8 @@
 //! Shard-merge known-bad fixture: the two hazards sharding introduces
 //! and divide-lint keeps out of `bqt::shard`.
-//! Expected D1 findings: the `std::time::Instant` import and the
+//! Expected T1 scope findings: the `std::time::Instant` import and the
 //! `Instant::now()` read (wall-clock stamps would differ per run and per
-//! thread interleaving).
-//! Expected D2 findings: the `for .. in &self.streams` loop and the
+//! thread interleaving), then the `for .. in &self.streams` loop and the
 //! `.values()` call (hash-order iteration over per-shard streams feeds
 //! the merged artifact in nondeterministic order).
 use std::collections::HashMap;

@@ -32,7 +32,7 @@ impl SeqMerge {
     }
 
     pub fn debug_len(&self) -> usize {
-        // lint:allow(D2): cardinality only — order cannot reach any artifact
+        // lint:allow(T1): cardinality only — order cannot reach any artifact
         self.by_label.values().count()
     }
 }

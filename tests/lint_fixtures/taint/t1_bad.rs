@@ -1,7 +1,7 @@
 //! Known-bad T1 shape: a replay entry point reaches ambient inputs
 //! transitively. The wall-clock read sits TWO calls below the entry —
-//! exactly the case the lexical D1 scope lists can never catch, because
-//! `stamp` could live in a crate no scope names.
+//! exactly the case a file scope can never catch, because `stamp` could
+//! live in a crate no scope names.
 
 use std::collections::HashMap;
 

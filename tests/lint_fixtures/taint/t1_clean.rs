@@ -1,6 +1,6 @@
 //! Clean T1 shape: the entry threads a virtual clock through, ambient
 //! reads live only in unreachable dev helpers, tests, or behind a
-//! reasoned `lint:allow` — and the D1 allow aliases over to T1.
+//! reasoned `lint:allow(T1)`.
 
 pub struct Campaign;
 
@@ -15,9 +15,9 @@ fn advance(now: u64) -> u64 {
     now + 1
 }
 
-/// Reachable, but the justified D1 allow silences T1 via the alias.
+/// Reachable, but the justified allow silences T1.
 fn salted() -> u64 {
-    // lint:allow(D1): fixture proves a reasoned D1 allow carries to T1
+    // lint:allow(T1): fixture proves a reasoned allow silences T1
     let rng = thread_rng();
     rng as u64
 }

@@ -1,6 +1,6 @@
 //! Known-bad T2 shape: a supervision entry reaches panic sites through
-//! two layers of helpers — `.unwrap()`, a panicking macro, and (when
-//! the indexing source is enabled) a bare slice index.
+//! two layers of helpers — `.unwrap()` and a panicking macro. A bare
+//! slice index is not a panic source.
 
 /// The supervision entry point.
 pub fn supervise(rows: &[&str]) -> u32 {
@@ -24,7 +24,7 @@ fn parse_row(row: &str) -> u32 {
     row.parse().unwrap()
 }
 
-/// Indexing source — only flagged when `t2_indexing` is on.
+/// Reachable indexing: not flagged.
 fn first_row(rows: &[&str]) -> u32 {
     rows[0].len() as u32
 }

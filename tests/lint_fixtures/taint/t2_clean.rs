@@ -1,6 +1,5 @@
 //! Clean T2 shape: the same pipeline returns typed errors, confines
-//! panics to tests, and justifies one infallible spot with an allow —
-//! which carries over from D3 via the alias.
+//! panics to tests, and justifies one infallible spot with an allow.
 
 pub enum RowError {
     Empty,
@@ -24,9 +23,9 @@ fn parse_row_checked(row: &str) -> Result<u32, RowError> {
     row.parse().map_err(|_| RowError::Malformed)
 }
 
-/// Reachable, but the justified D3 allow silences T2 via the alias.
+/// Reachable, but the justified allow silences T2.
 fn known_good() -> u32 {
-    // lint:allow(D3): constant literal always parses
+    // lint:allow(T2): constant literal always parses
     "7".parse().unwrap()
 }
 
