@@ -515,10 +515,13 @@ mod tests {
 
     #[test]
     fn query_lines_round_trip() {
-        for q in queries() {
+        let kinds = [("plans", true), ("block_group", true), ("tiles", false)];
+        for (q, (name, cacheable)) in queries().into_iter().zip(kinds) {
             let line = query_to_line(&q);
             assert_eq!(parse_query_line(&line).unwrap(), q, "{line}");
-            assert!(line.contains(q.wire_name()));
+            assert_eq!(q.wire_name(), name);
+            assert_eq!(q.cacheable(), cacheable, "{name}");
+            assert!(line.starts_with(&format!("{{\"q\":\"{name}\"")), "{line}");
         }
     }
 
