@@ -14,15 +14,8 @@ use bbsim_isp::{catalog, Isp, ALL_ISPS};
 use bbsim_stats::{median, quantile};
 use bqt::Metrics;
 
-fn isps_of(city: &CityProfile) -> Vec<Isp> {
-    city.major_isps
-        .iter()
-        .map(|&n| Isp::from_column(n).expect("valid column"))
-        .collect()
-}
-
 fn cable_and_rival(city: &CityProfile) -> (Option<Isp>, Option<Isp>) {
-    let isps = isps_of(city);
+    let isps = Isp::of_city(city);
     (
         isps.iter().copied().find(|i| i.is_cable()),
         isps.iter().copied().find(|i| !i.is_cable()),
@@ -184,7 +177,7 @@ pub fn table2(study: &StudyDataset) -> String {
             .sum();
         total_bg += bgs.len();
         total_addr += queried;
-        let isps = isps_of(city)
+        let isps = Isp::of_city(city)
             .iter()
             .map(|i| i.name())
             .collect::<Vec<_>>()
@@ -252,7 +245,7 @@ pub fn fig5(study: &StudyDataset) -> String {
         out.push_str(&format!("--- {} ---\n", isp.name()));
         let mut shown = 0;
         for cs in &study.cities {
-            if !isps_of(cs.dataset.city).contains(&isp) || shown >= 5 {
+            if !Isp::of_city(cs.dataset.city).contains(&isp) || shown >= 5 {
                 continue;
             }
             let Some(h) = cv_histogram(&cs.rows, isp, 30) else {
@@ -370,7 +363,7 @@ pub fn table3(study: &StudyDataset) -> String {
         let mut is = Vec::new();
         let mut zs = Vec::new();
         for cs in &study.cities {
-            if !isps_of(cs.dataset.city).contains(&isp) {
+            if !Isp::of_city(cs.dataset.city).contains(&isp) {
                 continue;
             }
             match morans_i_for_isp(cs.dataset.city, &cs.rows, isp) {
@@ -396,7 +389,7 @@ pub fn table3(study: &StudyDataset) -> String {
     let mut tp = Table::new(vec!["ISP pair", "cities", "median Moran I"]);
     let mut pair_stats: std::collections::BTreeMap<String, Vec<f64>> = Default::default();
     for cs in &study.cities {
-        let isps = isps_of(cs.dataset.city);
+        let isps = Isp::of_city(cs.dataset.city);
         if isps.len() != 2 {
             continue;
         }
@@ -518,7 +511,7 @@ pub fn fig9b(study: &StudyDataset) -> String {
     for isp in [Isp::Att, Isp::Verizon, Isp::CenturyLink, Isp::Frontier] {
         let mut gaps = Vec::new();
         for cs in &study.cities {
-            if !isps_of(cs.dataset.city).contains(&isp) {
+            if !Isp::of_city(cs.dataset.city).contains(&isp) {
                 continue;
             }
             if let Some(b) = fiber_by_income(cs.dataset.city, &cs.rows, isp) {

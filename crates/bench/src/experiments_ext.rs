@@ -7,17 +7,10 @@ use bbsim_analysis::{
     audit_form477, evaluate_intervention, markup_view, morans_i_for_isp, report::opt_f64,
     test_competition, upload_consistency, worst_flattening, CompetitionMode, Intervention, Table,
 };
-use bbsim_census::{city_by_name, CityProfile};
+use bbsim_census::city_by_name;
 use bbsim_dataset::{aggregate_block_groups, curate_city, CurationOptions};
 use bbsim_isp::{CityWorld, Form477Report, Isp, ALL_ISPS};
 use bbsim_stats::{gearys_c, mann_whitney, median};
-
-fn isps_of(city: &CityProfile) -> Vec<Isp> {
-    city.major_isps
-        .iter()
-        .map(|&n| Isp::from_column(n).expect("valid column"))
-        .collect()
-}
 
 /// §4.3 — staleness: how much does a snapshot drift per month?
 pub fn staleness(seed: u64) -> String {
@@ -243,10 +236,13 @@ pub fn markup_baseline(study: &StudyDataset) -> String {
         "bad deals (with cable)",
     ]);
     for cs in &study.cities {
-        let Some(dslf) = isps_of(cs.dataset.city).into_iter().find(|i| !i.is_cable()) else {
+        let Some(dslf) = Isp::of_city(cs.dataset.city)
+            .into_iter()
+            .find(|i| !i.is_cable())
+        else {
             continue;
         };
-        if !isps_of(cs.dataset.city).iter().any(|i| i.is_cable()) {
+        if !Isp::of_city(cs.dataset.city).iter().any(|i| i.is_cable()) {
             continue;
         }
         let cmp = markup_view(&cs.rows, dslf, 5.0);
@@ -305,7 +301,7 @@ pub fn robustness(study: &StudyDataset) -> String {
     let mut mw_reject = 0;
     let mut mw_total = 0;
     for cs in &study.cities {
-        let isps = isps_of(cs.dataset.city);
+        let isps = Isp::of_city(cs.dataset.city);
         let Some(cable) = isps
             .iter()
             .copied()
@@ -341,7 +337,7 @@ pub fn robustness(study: &StudyDataset) -> String {
     let mut agree = 0;
     let mut total = 0;
     for cs in &study.cities {
-        for isp in isps_of(cs.dataset.city) {
+        for isp in Isp::of_city(cs.dataset.city) {
             let city = cs.dataset.city;
             let grid = city.grid();
             let field = bbsim_analysis::intracity::cell_aligned_cvs(&grid, &cs.rows, isp);
@@ -434,7 +430,7 @@ pub fn policy(study: &StudyDataset) -> String {
     ]);
     for cs in &study.cities {
         // Only duopoly cities with both income bands well represented.
-        if isps_of(cs.dataset.city).len() != 2 {
+        if Isp::of_city(cs.dataset.city).len() != 2 {
             continue;
         }
         for intervention in [

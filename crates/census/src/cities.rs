@@ -527,6 +527,20 @@ mod tests {
         }
     }
 
+    /// `Isp::of_city` filters the seven ISPs in column order, which equals
+    /// mapping each city's list only because every list is ascending.
+    #[test]
+    fn major_isps_are_strictly_ascending_table_2_columns() {
+        for c in ALL_CITIES {
+            assert!(
+                c.major_isps.iter().all(|n| (1..=7).contains(n)),
+                "{}",
+                c.name
+            );
+            assert!(c.major_isps.windows(2).all(|w| w[0] < w[1]), "{}", c.name);
+        }
+    }
+
     #[test]
     fn no_city_has_more_than_two_major_isps() {
         for c in ALL_CITIES {

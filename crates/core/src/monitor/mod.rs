@@ -31,9 +31,7 @@
 //! future-stamped events ever wait in its heap). Windows,
 //! alerts, the exposition and the stable profile are therefore
 //! byte-identical across repeated runs *and* across crash+resume — the
-//! invariant the `health` CI job enforces. Only `profile_fetches` mode
-//! (per-page `step_N` frames) reads ephemeral events and gives up the
-//! resume half of that guarantee.
+//! invariant the `health` CI job enforces.
 
 mod expo;
 mod merge;
@@ -79,10 +77,6 @@ pub struct MonitorPolicy {
     /// Ask the load-shedder to cut the concurrency ceiling whenever an
     /// alert fires (the orchestrator polls this between loop steps).
     pub escalate: bool,
-    /// Split profiled attempts into per-page `step_N` frames using the
-    /// ephemeral page-fetch spans. Richer attribution, but a resumed run
-    /// no longer folds identically — leave off for journaled campaigns.
-    pub profile_fetches: bool,
     /// Capture a window snapshot every so often (for dashboards); the
     /// final snapshot is always captured.
     pub checkpoint_every: Option<SimDuration>,
@@ -95,7 +89,7 @@ pub struct MonitorPolicy {
 impl MonitorPolicy {
     /// The paper-scale defaults: 10 one-minute buckets, hit rate ≥ 0.95
     /// over the window, p99 attempt latency ≤ 10 virtual minutes, at most
-    /// 10 breaker flaps per window. No escalation, stable profile.
+    /// 10 breaker flaps per window. No escalation.
     pub fn paper_default() -> Self {
         Self {
             bucket: SimDuration::from_secs(60),
@@ -106,7 +100,6 @@ impl MonitorPolicy {
                 SloRule::breaker_flaps_at_most(10),
             ],
             escalate: false,
-            profile_fetches: false,
             checkpoint_every: None,
             exemplars: 3,
         }
@@ -119,11 +112,6 @@ impl MonitorPolicy {
 
     pub fn escalate(mut self, on: bool) -> Self {
         self.escalate = on;
-        self
-    }
-
-    pub fn profile_fetches(mut self, on: bool) -> Self {
-        self.profile_fetches = on;
         self
     }
 
@@ -205,7 +193,7 @@ impl CampaignMonitor {
     pub fn new(policy: MonitorPolicy) -> Self {
         let window = window::SlidingWindow::new(policy.bucket.as_millis(), policy.buckets);
         let engine = SloEngine::new(policy.rules.clone());
-        let profiler = profile::PhaseProfiler::new(policy.profile_fetches);
+        let profiler = profile::PhaseProfiler::default();
         let next_checkpoint_ms = policy.checkpoint_every.map(|d| d.as_millis().max(1));
         let assembler = TraceAssembler::new(policy.exemplars);
         Self {
@@ -228,11 +216,8 @@ impl CampaignMonitor {
     /// Feeds one event of the stream, in emission order.
     pub fn observe(&mut self, event: &Event) {
         if !event.kind.replay_stable() {
-            // Ephemeral events never reach the window or the SLO engine;
-            // the profiler reads page fetches only in fetch-frames mode.
-            if self.policy.profile_fetches {
-                self.profiler.observe(&event.kind);
-            }
+            // Ephemeral events never reach the window, the SLO engine or
+            // the profiler.
             return;
         }
         self.profiler.observe(&event.kind);

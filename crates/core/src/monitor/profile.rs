@@ -5,24 +5,19 @@
 //! Every millisecond of every started worker's lifetime is attributed to
 //! exactly one stack, so the per-worker frame totals each sum to the
 //! campaign makespan (and the grand total to `workers × makespan`) — the
-//! invariant the determinism suite checks. The default (stable) mode
-//! charges whole attempts from [`EventKind::AttemptEnd`] spans, which are
-//! replay-stable, so a resumed campaign folds to byte-identical output.
-//! With `fetch_frames` enabled the profiler splits attempts further into
-//! per-page `step_N` frames plus driver `overhead`, using the *ephemeral*
-//! page-fetch spans — richer, but only meaningful for uninterrupted runs.
+//! invariant the determinism suite checks. It charges whole attempts
+//! from [`EventKind::AttemptEnd`] spans and serve lookups from
+//! [`EventKind::ServeLookupEnd`], both replay-stable, so a resumed
+//! campaign folds to byte-identical output.
 
 use super::upsert;
 use crate::telemetry::EventKind;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// Builds the folded-stack attribution incrementally from the stream.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PhaseProfiler {
-    fetch_frames: bool,
-    /// Live page-fetch durations per `(tag, attempt)`, drained at its end.
-    fetches: HashMap<(u64, u32), Vec<u64>>,
     /// Virtual ms per stack (frames `;`-joined, no root label).
     frames: BTreeMap<String, u64>,
     busy_ms: BTreeMap<u32, u64>,
@@ -32,31 +27,9 @@ pub struct PhaseProfiler {
 }
 
 impl PhaseProfiler {
-    pub fn new(fetch_frames: bool) -> Self {
-        Self {
-            fetch_frames,
-            fetches: HashMap::new(),
-            frames: BTreeMap::new(),
-            busy_ms: BTreeMap::new(),
-            stack: String::new(),
-        }
-    }
-
     pub fn observe(&mut self, kind: &EventKind) {
         match kind {
-            EventKind::PageFetchEnd {
-                tag,
-                attempt,
-                duration_ms,
-                ..
-            } if self.fetch_frames => {
-                self.fetches
-                    .entry((*tag, *attempt))
-                    .or_default()
-                    .push(*duration_ms);
-            }
             EventKind::AttemptEnd {
-                tag,
                 attempt,
                 worker,
                 endpoint,
@@ -71,30 +44,7 @@ impl PhaseProfiler {
                     "worker_{worker:04};{endpoint};attempt_{attempt};{}",
                     outcome.as_str()
                 );
-                if self.fetch_frames {
-                    // Fetch spans nest inside the attempt and never overlap,
-                    // so their sum is bounded by the attempt duration; the
-                    // remainder is driver work between pages.
-                    let spans = self.fetches.remove(&(*tag, *attempt)).unwrap_or_default();
-                    let attempt_len = self.stack.len();
-                    let mut rest = *duration_ms;
-                    for (i, ms) in spans.iter().enumerate() {
-                        let charged = (*ms).min(rest);
-                        rest -= charged;
-                        if charged > 0 {
-                            self.stack.truncate(attempt_len);
-                            let _ = write!(self.stack, ";step_{i}");
-                            self.charge(charged);
-                        }
-                    }
-                    if rest > 0 {
-                        self.stack.truncate(attempt_len);
-                        self.stack.push_str(";overhead");
-                        self.charge(rest);
-                    }
-                } else {
-                    self.charge(*duration_ms);
-                }
+                self.charge(*duration_ms);
             }
             EventKind::ServeLookupEnd {
                 shard,
@@ -172,18 +122,9 @@ mod tests {
         }
     }
 
-    fn fetch_end(tag: u64, attempt: u32, fetch: u32, ms: u64) -> EventKind {
-        EventKind::PageFetchEnd {
-            tag,
-            attempt,
-            fetch,
-            duration_ms: ms,
-        }
-    }
-
     #[test]
-    fn stable_mode_charges_attempts_and_idle_to_the_makespan() {
-        let mut p = PhaseProfiler::new(false);
+    fn charges_attempts_and_idle_to_the_makespan() {
+        let mut p = PhaseProfiler::default();
         p.observe(&attempt_end(1, 1, 0, 40_000));
         p.observe(&attempt_end(2, 1, 0, 20_000));
         p.observe(&attempt_end(3, 1, 1, 55_000));
@@ -203,23 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn fetch_mode_splits_attempts_into_steps_and_overhead() {
-        let mut p = PhaseProfiler::new(true);
-        p.observe(&fetch_end(1, 1, 0, 45_000));
-        p.observe(&fetch_end(1, 1, 1, 30_000));
-        p.observe(&attempt_end(1, 1, 0, 80_000));
-        let frames = p.finish(80_000, 1);
-        let stack = "worker_0000;isp/city;attempt_1;plans";
-        assert_eq!(frames[&format!("{stack};step_0")], 45_000);
-        assert_eq!(frames[&format!("{stack};step_1")], 30_000);
-        assert_eq!(frames[&format!("{stack};overhead")], 5_000);
-        let total: u64 = frames.values().sum();
-        assert_eq!(total, 80_000);
-    }
-
-    #[test]
     fn folded_lines_are_sorted_and_root_labelled() {
-        let mut p = PhaseProfiler::new(false);
+        let mut p = PhaseProfiler::default();
         p.observe(&attempt_end(1, 1, 0, 10));
         let frames = p.finish(10, 1);
         let mut out = String::new();

@@ -296,11 +296,7 @@ mod tests {
         // §5.3: "we do not find a case where the DSL/fiber-based providers
         // offer better coverage ... than the cable-based providers."
         for city in bbsim_census::ALL_CITIES {
-            let isps: Vec<Isp> = city
-                .major_isps
-                .iter()
-                .map(|&n| Isp::from_column(n).unwrap())
-                .collect();
+            let isps = Isp::of_city(city);
             let cable = isps.iter().copied().find(|i| i.is_cable());
             let dslf = isps.iter().copied().find(|i| !i.is_cable());
             if let (Some(c), Some(d)) = (cable, dslf) {

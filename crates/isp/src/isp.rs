@@ -1,5 +1,6 @@
 //! The seven major ISPs of the study.
 
+use bbsim_census::CityProfile;
 use std::fmt;
 
 /// Access-technology category (§2: same-type ISPs never compete).
@@ -51,6 +52,15 @@ impl Isp {
     /// Inverse of [`Isp::column`].
     pub fn from_column(n: u8) -> Option<Isp> {
         ALL_ISPS.into_iter().find(|i| i.column() == n)
+    }
+
+    /// The major ISPs serving `city`, in Table-2 column order (the order
+    /// of its `major_isps` list, which is strictly ascending).
+    pub fn of_city(city: &CityProfile) -> Vec<Isp> {
+        ALL_ISPS
+            .into_iter()
+            .filter(|i| city.has_isp(i.column()))
+            .collect()
     }
 
     pub fn technology(self) -> Technology {

@@ -73,12 +73,7 @@ impl CityWorld {
         let acs = AcsDataset::build(city, &grid, &income, seed);
         let addresses = AddressDb::generate(city, &grid, &NoiseProfile::zillow_like());
 
-        let isps: Vec<Isp> = city
-            .major_isps
-            .iter()
-            // lint:allow(T2): major_isps holds Table 2 columns validated at profile build
-            .map(|&n| Isp::from_column(n).expect("Table 2 column in 1..=7"))
-            .collect();
+        let isps = Isp::of_city(city);
 
         let deployments: Vec<(Isp, Deployment)> = isps
             .iter()

@@ -8,10 +8,10 @@
 //! breaks every resume guarantee. This crate checks those invariants
 //! mechanically on every CI run:
 //!
-//! * **E1 telemetry exhaustiveness** — the `EventKind` enum, its JSONL
-//!   serializer/parser, the replay-stable filter and the
-//!   `MetricsAggregator` must all cover exactly the same variant set,
-//!   with no wildcard arms;
+//! * **E1 schema exhaustiveness** — each hand-written consumer of a
+//!   closed schema enum (`EventKind`'s `MetricsAggregator`, `SpanKind`'s
+//!   attribution, the serve store's `ServeQuery` dispatch) must cover
+//!   every variant, with no wildcard arms;
 //! * **W1 lint posture** — every workspace member opts into the shared
 //!   `[workspace.lints]` table.
 //!
@@ -27,7 +27,7 @@
 //!   call chain;
 //! * **T2 panic safety** — no `unwrap`/`expect`/panicking macro that an
 //!   entry point can reach or that sits in supervision code (all of
-//!   `core`, `dataset::pipeline`);
+//!   `core`, `dataset::pipeline`, serve's engine);
 //! * **T3 lock discipline** — worker paths share state only through
 //!   per-shard slots merged on `(at, seq)`, never un-sharded locks or
 //!   synchronizing atomic orderings.
@@ -172,9 +172,6 @@ pub struct E1Config {
     /// variant as `Enum::Variant`, with no wildcard arm. The label names
     /// the fn in diagnostics.
     pub surfaces: Vec<(&'static str, &'static str, &'static str)>,
-    /// A hand-written `(wire-name map, parser)` pair in `enum_file`: the
-    /// parser must read back every string literal the map yields.
-    pub wire: Option<(&'static str, &'static str)>,
 }
 
 impl Config {
@@ -186,8 +183,9 @@ impl Config {
             root,
             replay_scopes: scopes::owned(scopes::REPLAY_CRITICAL),
             supervision_scopes: scopes::owned(scopes::SUPERVISION),
-            // Only hand-written code is listed: `event_schema!` and
-            // `wire_enum!` generate the enums' names, filters and codecs.
+            // Only hand-written code is listed: `event_schema!`,
+            // `wire_enum!` and `wire_schema!` generate the enums' names,
+            // filters and codecs.
             e1: vec![
                 E1Config {
                     enum_file: "crates/core/src/telemetry/mod.rs",
@@ -197,20 +195,13 @@ impl Config {
                         "observe",
                         "metrics aggregator",
                     )],
-                    wire: None,
                 },
-                // The serving wire schema keeps its hand-written borrowed
-                // codec, so its names, parser and dispatch are all pinned.
+                // The serving wire schema: the store answers each query
+                // kind by hand.
                 E1Config {
                     enum_file: "crates/serve/src/api.rs",
                     enum_name: "ServeQuery",
-                    surfaces: vec![
-                        ("crates/serve/src/api.rs", "wire_name", "wire-name map"),
-                        ("crates/serve/src/api.rs", "cacheable", "cacheability"),
-                        ("crates/serve/src/api.rs", "query_to_line", "serializer"),
-                        ("crates/serve/src/store.rs", "answer", "answer dispatch"),
-                    ],
-                    wire: Some(("wire_name", "parse_query_line")),
+                    surfaces: vec![("crates/serve/src/store.rs", "answer", "answer dispatch")],
                 },
                 // The span-tree schema: the class each kind rolls up into
                 // and how the attribution fold charges it.
@@ -229,7 +220,6 @@ impl Config {
                             "attribution fold",
                         ),
                     ],
-                    wire: None,
                 },
             ],
             w1_member_dirs: Some(vec!["crates".into(), "vendor".into()]),

@@ -1,17 +1,16 @@
 //! **E1** — schema exhaustiveness: every variant of a closed enum must be
 //! covered by each hand-written `match` that consumes it (for
 //! `EventKind`, the `MetricsAggregator`; for `SpanKind`, the attribution
-//! class and the attribution fold), and none of those surfaces may hide
-//! behind a wildcard arm. Where a wire codec is still written by hand
-//! (`ServeQuery`), the parser must also read back every wire name.
+//! class and the attribution fold; for `ServeQuery`, the store's answer
+//! dispatch), and none of those surfaces may hide behind a wildcard arm.
 //!
-//! Code that `event_schema!` and `wire_enum!` generate from the variant
-//! list covers every variant by construction and is not checked. What is
-//! checked is what a new variant could silently skip: adding one without
-//! teaching the consumers fails CI with a `file:line` diagnostic instead
-//! of silently dropping it from a dashboard or an attribution table.
+//! Code that `event_schema!`, `wire_enum!` and serve's `wire_schema!`
+//! generate from the variant list covers every variant by construction
+//! and is not checked. What is checked is what a new variant could
+//! silently skip: adding one without teaching the consumers fails CI
+//! with a `file:line` diagnostic instead of silently dropping it from a
+//! dashboard, an attribution table or the store's answers.
 
-use crate::lexer::TokKind;
 use crate::scan::{self, SourceFile};
 use crate::{E1Config, Finding, RuleId};
 use std::collections::BTreeSet;
@@ -47,12 +46,6 @@ pub fn check(cfg: &E1Config, files: &[SourceFile], findings: &mut Vec<Finding>) 
             Some(f) => check_surface(cfg, f, fn_name, label, &variants, findings),
             None => findings.push(config_error(cfg, format!("{label} file {rel} not found"))),
         }
-    }
-
-    // Parser coverage is by wire name: every string the name map yields
-    // must appear as a string literal inside the parse fn.
-    if let Some((name_fn, parse_fn)) = cfg.wire {
-        check_parser(enum_file, name_fn, parse_fn, &variants, findings);
     }
 }
 
@@ -127,68 +120,6 @@ fn check_surface(
                     .into(),
             });
         }
-    }
-}
-
-fn check_parser(
-    file: &SourceFile,
-    name_fn: &str,
-    parse_fn: &str,
-    variants: &[String],
-    findings: &mut Vec<Finding>,
-) {
-    let tokens = file.tokens();
-    // A fn's `fn` keyword, its body's opening brace, and the string
-    // literals inside the body.
-    let literals = |name: &str| {
-        scan::fn_span(tokens, name).map(|(fn_kw, open, close)| {
-            let strs = tokens[open..=close].iter().filter_map(|t| match &t.kind {
-                TokKind::Str(s) => Some(s.as_str()),
-                _ => None,
-            });
-            (&tokens[fn_kw], &tokens[open], strs.collect::<Vec<_>>())
-        })
-    };
-    let mut finding = |at: Option<&crate::lexer::Token>, message: String, hint: &str| {
-        findings.push(Finding {
-            file: file.rel.clone(),
-            line: at.map_or(1, |t| t.line),
-            col: at.map_or(1, |t| t.col),
-            rule: RuleId::E1,
-            message,
-            hint: hint.into(),
-        })
-    };
-    let Some((_, name_at, wire_names)) = literals(name_fn) else {
-        let message = format!("wire-name map `fn {name_fn}` not found");
-        return finding(None, message, "the wire format needs its name map");
-    };
-    if wire_names.len() != variants.len() {
-        let message = format!(
-            "wire-name map `fn {name_fn}` yields {} names for {} variants",
-            wire_names.len(),
-            variants.len()
-        );
-        finding(
-            Some(name_at),
-            message,
-            "one wire name per variant, no sharing",
-        );
-    }
-    let Some((parse_at, _, parsed)) = literals(parse_fn) else {
-        let message = format!("JSONL parser `fn {parse_fn}` not found");
-        return finding(
-            None,
-            message,
-            "the wire format must stay strictly re-parseable",
-        );
-    };
-    for name in wire_names.iter().filter(|n| !parsed.contains(n)) {
-        finding(
-            Some(parse_at),
-            format!("JSONL parser `fn {parse_fn}` does not handle wire name {name:?}"),
-            "add the match arm so parse→serialize stays byte-identical",
-        );
     }
 }
 

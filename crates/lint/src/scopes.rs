@@ -32,9 +32,13 @@ pub const REPLAY_CRITICAL: &[&str] = &[
     "crates/serve/src/",
 ];
 
-/// T2 scope: supervision paths — a panic here takes down a campaign (or a
-/// recorder fan-out) instead of surfacing a typed error.
-pub const SUPERVISION: &[&str] = &["crates/core/src/", "crates/dataset/src/pipeline.rs"];
+/// T2 scope: supervision paths — a panic here takes down a campaign, a
+/// serve run (or a recorder fan-out) instead of surfacing a typed error.
+pub const SUPERVISION: &[&str] = &[
+    "crates/core/src/",
+    "crates/dataset/src/pipeline.rs",
+    "crates/serve/src/engine.rs",
+];
 
 /// T3: worker paths that execute shards on OS threads — the executor
 /// and its callers. Cross-shard state here must flow through per-shard

@@ -6,15 +6,49 @@
 //! order, which keeps runs fully deterministic.
 
 use crate::clock::SimTime;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// A time-ordered event queue. `E` is the caller's event payload.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    payloads: Vec<Option<E>>,
+    heap: BinaryHeap<Entry<E>>,
     seq: u64,
+}
+
+/// One scheduled event. The payload rides in its heap entry, which
+/// orders on `(time, seq)` alone, earliest first.
+#[derive(Debug)]
+struct Entry<E> {
+    time: SimTime,
+    seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> Reverse<(SimTime, u64)> {
+        Reverse((self.time, self.seq))
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -27,30 +61,27 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            payloads: Vec::new(),
             seq: 0,
         }
     }
 
     /// Schedules `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
-        let slot = self.payloads.len();
-        self.payloads.push(Some(event));
-        self.heap.push(Reverse((time, self.seq, slot)));
+        let seq = self.seq;
+        self.heap.push(Entry { time, seq, event });
         self.seq += 1;
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse((time, _, slot)) = self.heap.pop()?;
-        // lint:allow(T2): each heap slot is filled exactly once per push
-        let event = self.payloads[slot].take().expect("event popped twice");
-        Some((time, event))
+        self.heap
+            .pop()
+            .map(|Entry { time, event, .. }| (time, event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse((t, _, _))| *t)
+        self.heap.peek().map(|entry| entry.time)
     }
 
     pub fn len(&self) -> usize {

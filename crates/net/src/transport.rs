@@ -16,7 +16,7 @@ use crate::http::{Request, Response, Status};
 use crate::ip::SimIp;
 use crate::latency::LatencyModel;
 use crate::mix::{fnv1a, mix64};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -248,14 +248,7 @@ impl Transport {
 
         // Request leg: encode, frame, decode, parse — the server sees only
         // what survived the wire.
-        let mut buf = BytesMut::new();
-        self.codec.encode(req.to_wire().as_bytes(), &mut buf);
-        let frame = self
-            .codec
-            .decode(&mut buf)
-            .map_err(|e| TransportError::Garbled(e.to_string()))?
-            // lint:allow(T2): a frame we just encoded always decodes complete
-            .expect("frame just encoded is complete");
+        let frame = through_frame(&self.codec, req.to_wire().as_bytes())?;
         let wire =
             std::str::from_utf8(&frame).map_err(|e| TransportError::Garbled(e.to_string()))?;
         let parsed_req =
@@ -269,14 +262,7 @@ impl Transport {
         } = ep.service.handle(src, &parsed_req, arrival, rng);
 
         // Response leg through the same codec path.
-        let mut rbuf = BytesMut::new();
-        self.codec.encode(response.to_wire().as_bytes(), &mut rbuf);
-        let rframe = self
-            .codec
-            .decode(&mut rbuf)
-            .map_err(|e| TransportError::Garbled(e.to_string()))?
-            // lint:allow(T2): a frame we just encoded always decodes complete
-            .expect("frame just encoded is complete");
+        let rframe = through_frame(&self.codec, response.to_wire().as_bytes())?;
         let rwire =
             std::str::from_utf8(&rframe).map_err(|e| TransportError::Garbled(e.to_string()))?;
         let parsed_resp =
@@ -296,6 +282,17 @@ impl Transport {
 
         Ok((parsed_resp, elapsed))
     }
+}
+
+/// Carries `payload` through the framing codec: encode, then decode. A
+/// decode error or an incomplete frame is a garbled message.
+fn through_frame(codec: &FrameCodec, payload: &[u8]) -> Result<Bytes, TransportError> {
+    let mut buf = BytesMut::new();
+    codec.encode(payload, &mut buf);
+    codec
+        .decode(&mut buf)
+        .map_err(|e| TransportError::Garbled(e.to_string()))?
+        .ok_or_else(|| TransportError::Garbled("incomplete frame".into()))
 }
 
 #[cfg(test)]

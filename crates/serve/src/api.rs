@@ -7,47 +7,97 @@
 //! per query or answer (the same restricted dialect `events.jsonl`
 //! uses: string values never contain quotes or backslashes, so no
 //! escaping pass exists on either side; a parser that meets a quote
-//! inside a value rejects the line). Serialization is exhaustive
-//! over the enums — adding a variant without extending the wire
-//! functions is a compile error here and a lint error in divide-lint's
-//! E1 rule, which pins `wire_name`/`cacheable`/`query_to_line`/
-//! `parse_query_line` to the variant list.
+//! inside a value rejects the line). Each enum is declared once, in a
+//! `wire_schema!` invocation that generates its wire names, line writer
+//! and parser from the variant list, so a new variant travels the wire
+//! by construction. Only the store's `answer` dispatch is written by
+//! hand, and divide-lint's E1 rule keeps it exhaustive.
 
 use bbsim_isp::Isp;
 use bbsim_net::{Method, Request, Response};
 use bqt::ScrapedPlan;
 use std::fmt::{self, Write};
 
-/// One typed lookup against the plan store.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeQuery {
-    /// Plans offered at one address tag of `city` × `isp`.
-    Plans { city: String, isp: Isp, tag: u64 },
-    /// Carriage-value percentiles over one block group of `city` × `isp`.
-    BlockGroup { city: String, isp: Isp, bg: u64 },
-    /// City-wide competition/diversity tiles (cross-ISP, uncacheable).
-    Tiles { city: String },
+/// Declares one serve wire enum once. The header names what the enum's
+/// lines carry (for errors) and the key of their kind field; each
+/// variant lists its fields and its wire name. From that the macro
+/// generates the enum, `wire_name`, the line writer `push_line` and the
+/// key-based parser `read_line`. A line is `{"<key>":"<wire name>"`,
+/// then `,"<field>":<value>` per field in declaration order, then `}`;
+/// each value goes through the field type's [`Wire`] impl.
+macro_rules! wire_schema {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident: $kind:ident $key:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident $({ $( $field:ident: $ty:ty, )* })? = $wire:literal,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $field: $ty, )* })?, )*
+        }
+
+        impl $name {
+            /// Stable wire discriminant for the variant.
+            pub fn wire_name(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $wire, )*
+                }
+            }
+
+            /// Appends the single-line wire form to `out`.
+            fn push_line(&self, out: &mut String) {
+                match self {
+                    $( $name::$variant { $($( $field, )*)? } => {
+                        out.push_str(concat!("{\"", $key, "\":\"", $wire, "\""));
+                        $($(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            Wire::write($field, out);
+                        )*)?
+                    } )*
+                }
+                out.push('}');
+            }
+
+            /// Parses one line, finding the kind and each field by key.
+            fn read_line(line: &str) -> Result<Self, WireError> {
+                Ok(match field(line, $key)? {
+                    $( $wire => $name::$variant { $($(
+                        $field: Wire::read(field(line, stringify!($field))?, stringify!($field))?,
+                    )*)? }, )*
+                    other => {
+                        let kind = stringify!($kind);
+                        return Err(wire_err(format!("unknown {kind} kind {other:?}")));
+                    }
+                })
+            }
+        }
+    };
+}
+
+wire_schema! {
+    /// One typed lookup against the plan store.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ServeQuery: query "q" {
+        /// Plans offered at one address tag of `city` × `isp`.
+        Plans { city: String, isp: Isp, tag: u64, } = "plans",
+        /// Carriage-value percentiles over one block group of `city` × `isp`.
+        BlockGroup { city: String, isp: Isp, bg: u64, } = "block_group",
+        /// City-wide competition/diversity tiles (cross-ISP, uncacheable).
+        Tiles { city: String, } = "tiles",
+    }
 }
 
 impl ServeQuery {
-    /// Stable wire discriminant for the query kind.
-    pub fn wire_name(&self) -> &'static str {
-        match self {
-            ServeQuery::Plans { .. } => "plans",
-            ServeQuery::BlockGroup { .. } => "block_group",
-            ServeQuery::Tiles { .. } => "tiles",
-        }
-    }
-
     /// Whether the answer may be served from (and stored in) the LRU
-    /// answer cache. Tile queries aggregate across every shard of a
-    /// city, so they bypass the per-shard cache.
+    /// answer cache: exactly when the query routes to one shard, whose
+    /// cache it then uses. Tile queries aggregate across every shard of
+    /// a city, so they bypass the per-shard cache.
     pub fn cacheable(&self) -> bool {
-        match self {
-            ServeQuery::Plans { .. } => true,
-            ServeQuery::BlockGroup { .. } => true,
-            ServeQuery::Tiles { .. } => false,
-        }
+        self.shard_key().is_some()
     }
 
     /// The shard this query routes to: `(city, isp)` for sharded kinds,
@@ -151,50 +201,99 @@ fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, WireError> {
     }
 }
 
-fn num_field(line: &str, key: &str) -> Result<u64, WireError> {
-    field(line, key)?
-        .parse()
-        .map_err(|_| wire_err(format!("non-numeric field {key:?}")))
+/// How one field type travels on a wire line: `write` appends the value
+/// (quoted or bare), `read` rebuilds it from what [`field`] found under
+/// `key`.
+trait Wire: Sized {
+    fn write(&self, out: &mut String);
+    fn read(value: &str, key: &str) -> Result<Self, WireError>;
 }
 
-fn f64_field(line: &str, key: &str) -> Result<f64, WireError> {
-    field(line, key)?
-        .parse()
-        .map_err(|_| wire_err(format!("non-numeric field {key:?}")))
+/// Numbers travel bare, in `Display` form: shortest round-trip for
+/// `f64`, so values survive byte-identically.
+macro_rules! bare_number {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read(value: &str, key: &str) -> Result<Self, WireError> {
+                value.parse().map_err(|_| wire_err(format!("non-numeric field {key:?}")))
+            }
+        }
+    )*};
 }
 
-fn isp_field(line: &str) -> Result<Isp, WireError> {
-    let slug = field(line, "isp")?;
-    Isp::from_slug(slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
+bare_number!(u64, f64);
+
+/// The query's city: the only string a parse allocates.
+impl Wire for String {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+
+    fn read(value: &str, _key: &str) -> Result<Self, WireError> {
+        Ok(value.to_string())
+    }
 }
+
+/// An ISP travels as its slug, matched borrowed.
+impl Wire for Isp {
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.slug());
+    }
+
+    fn read(slug: &str, _key: &str) -> Result<Self, WireError> {
+        Isp::from_slug(slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
+    }
+}
+
+/// Plans travel in the dataset's quoted `down/up/price;...` triple
+/// format.
+impl Wire for Vec<ScrapedPlan> {
+    fn write(&self, out: &mut String) {
+        out.push('"');
+        for (i, p) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(';');
+            }
+            let _ = write!(out, "{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd);
+        }
+        out.push('"');
+    }
+
+    fn read(s: &str, _key: &str) -> Result<Self, WireError> {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        let mut plans = Vec::with_capacity(1 + s.bytes().filter(|&b| b == b';').count());
+        for triple in s.split(';') {
+            let mut it = triple.split('/');
+            let mut next = || {
+                it.next()
+                    .ok_or_else(|| wire_err(format!("short plan triple {triple:?}")))?
+                    .parse::<f64>()
+                    .map_err(|_| wire_err(format!("non-numeric plan triple {triple:?}")))
+            };
+            plans.push(ScrapedPlan {
+                download_mbps: next()?,
+                upload_mbps: next()?,
+                price_usd: next()?,
+            });
+        }
+        Ok(plans)
+    }
+}
+
+/// Room for one query line with a city name of ordinary length.
+const QUERY_LINE_CAPACITY: usize = 96;
 
 /// Serializes one query to its single-line wire form.
 pub fn query_to_line(q: &ServeQuery) -> String {
-    match q {
-        ServeQuery::Plans { city, isp, tag } => {
-            let mut line = String::with_capacity(64 + city.len());
-            let _ = write!(
-                line,
-                "{{\"q\":\"plans\",\"city\":\"{city}\",\"isp\":\"{}\",\"tag\":{tag}}}",
-                isp.slug()
-            );
-            line
-        }
-        ServeQuery::BlockGroup { city, isp, bg } => {
-            let mut line = String::with_capacity(64 + city.len());
-            let _ = write!(
-                line,
-                "{{\"q\":\"block_group\",\"city\":\"{city}\",\"isp\":\"{}\",\"bg\":{bg}}}",
-                isp.slug()
-            );
-            line
-        }
-        ServeQuery::Tiles { city } => {
-            let mut line = String::with_capacity(24 + city.len());
-            let _ = write!(line, "{{\"q\":\"tiles\",\"city\":\"{city}\"}}");
-            line
-        }
-    }
+    let mut line = String::with_capacity(QUERY_LINE_CAPACITY);
+    q.push_line(&mut line);
+    line
 }
 
 /// Parses one wire line back to a query; exact inverse of
@@ -202,114 +301,30 @@ pub fn query_to_line(q: &ServeQuery) -> String {
 /// holds no `"`. The kind and ISP slug are matched borrowed; the city
 /// is the only string a parse allocates.
 pub fn parse_query_line(line: &str) -> Result<ServeQuery, WireError> {
-    match field(line, "q")? {
-        "plans" => Ok(ServeQuery::Plans {
-            city: field(line, "city")?.to_string(),
-            isp: isp_field(line)?,
-            tag: num_field(line, "tag")?,
-        }),
-        "block_group" => Ok(ServeQuery::BlockGroup {
-            city: field(line, "city")?.to_string(),
-            isp: isp_field(line)?,
-            bg: num_field(line, "bg")?,
-        }),
-        "tiles" => Ok(ServeQuery::Tiles {
-            city: field(line, "city")?.to_string(),
-        }),
-        other => Err(wire_err(format!("unknown query kind {other:?}"))),
-    }
+    ServeQuery::read_line(line)
 }
 
-/// One typed answer from the plan store.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServeAnswer {
-    /// The plans offered at the queried address.
-    Plans { plans: Vec<ScrapedPlan> },
-    /// The address exists in the store but no plan serves it.
-    NoService,
-    /// Carriage-value percentiles over the queried block group.
-    Percentiles {
-        n: u64,
-        p25: f64,
-        p50: f64,
-        p75: f64,
-        p95: f64,
-    },
-    /// City-wide competition/diversity tile summary.
-    Tiles {
-        block_groups: u64,
-        served: u64,
-        avg_providers: f64,
-        diversity: f64,
-    },
-    /// The queried key is not in the store at all.
-    NotFound,
-    /// The server refused the lookup under overload.
-    Shed,
-}
-
-fn unpack_plans(s: &str) -> Result<Vec<ScrapedPlan>, WireError> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    let mut plans = Vec::with_capacity(1 + s.bytes().filter(|&b| b == b';').count());
-    for triple in s.split(';') {
-        let mut it = triple.split('/');
-        let mut next = || {
-            it.next()
-                .ok_or_else(|| wire_err(format!("short plan triple {triple:?}")))?
-                .parse::<f64>()
-                .map_err(|_| wire_err(format!("non-numeric plan triple {triple:?}")))
-        };
-        plans.push(ScrapedPlan {
-            download_mbps: next()?,
-            upload_mbps: next()?,
-            price_usd: next()?,
-        });
-    }
-    Ok(plans)
-}
-
-/// Appends one answer's single-line wire form to `out`. Plans travel in
-/// the dataset's `down/up/price;...` triple format.
-fn push_answer_line(out: &mut String, a: &ServeAnswer) {
-    match a {
-        ServeAnswer::Plans { plans } => {
-            out.push_str("{\"a\":\"plans\",\"plans\":\"");
-            for (i, p) in plans.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                let _ = write!(out, "{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd);
-            }
-            out.push_str("\"}");
-        }
-        ServeAnswer::NoService => out.push_str("{\"a\":\"no_service\"}"),
-        ServeAnswer::Percentiles {
-            n,
-            p25,
-            p50,
-            p75,
-            p95,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"a\":\"percentiles\",\"n\":{n},\"p25\":{p25},\"p50\":{p50},\"p75\":{p75},\"p95\":{p95}}}"
-            );
-        }
-        ServeAnswer::Tiles {
-            block_groups,
-            served,
-            avg_providers,
-            diversity,
-        } => {
-            let _ = write!(
-                out,
-                "{{\"a\":\"tiles\",\"block_groups\":{block_groups},\"served\":{served},\"avg_providers\":{avg_providers},\"diversity\":{diversity}}}"
-            );
-        }
-        ServeAnswer::NotFound => out.push_str("{\"a\":\"not_found\"}"),
-        ServeAnswer::Shed => out.push_str("{\"a\":\"shed\"}"),
+wire_schema! {
+    /// One typed answer from the plan store.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ServeAnswer: answer "a" {
+        /// The plans offered at the queried address.
+        Plans { plans: Vec<ScrapedPlan>, } = "plans",
+        /// The address exists in the store but no plan serves it.
+        NoService = "no_service",
+        /// Carriage-value percentiles over the queried block group.
+        Percentiles { n: u64, p25: f64, p50: f64, p75: f64, p95: f64, } = "percentiles",
+        /// City-wide competition/diversity tile summary.
+        Tiles {
+            block_groups: u64,
+            served: u64,
+            avg_providers: f64,
+            diversity: f64,
+        } = "tiles",
+        /// The queried key is not in the store at all.
+        NotFound = "not_found",
+        /// The server refused the lookup under overload.
+        Shed = "shed",
     }
 }
 
@@ -325,7 +340,7 @@ fn answer_line_capacity(a: &ServeAnswer) -> usize {
 /// Serializes one answer to its single-line wire form.
 pub fn answer_to_line(a: &ServeAnswer) -> String {
     let mut line = String::with_capacity(answer_line_capacity(a));
-    push_answer_line(&mut line, a);
+    a.push_line(&mut line);
     line
 }
 
@@ -333,28 +348,7 @@ pub fn answer_to_line(a: &ServeAnswer) -> String {
 /// [`answer_to_line`] (f64 fields use `Display`'s shortest round-trip
 /// form, so values survive byte-identically).
 pub fn parse_answer_line(line: &str) -> Result<ServeAnswer, WireError> {
-    match field(line, "a")? {
-        "plans" => Ok(ServeAnswer::Plans {
-            plans: unpack_plans(field(line, "plans")?)?,
-        }),
-        "no_service" => Ok(ServeAnswer::NoService),
-        "percentiles" => Ok(ServeAnswer::Percentiles {
-            n: num_field(line, "n")?,
-            p25: f64_field(line, "p25")?,
-            p50: f64_field(line, "p50")?,
-            p75: f64_field(line, "p75")?,
-            p95: f64_field(line, "p95")?,
-        }),
-        "tiles" => Ok(ServeAnswer::Tiles {
-            block_groups: num_field(line, "block_groups")?,
-            served: num_field(line, "served")?,
-            avg_providers: f64_field(line, "avg_providers")?,
-            diversity: f64_field(line, "diversity")?,
-        }),
-        "not_found" => Ok(ServeAnswer::NotFound),
-        "shed" => Ok(ServeAnswer::Shed),
-        other => Err(wire_err(format!("unknown answer kind {other:?}"))),
-    }
+    ServeAnswer::read_line(line)
 }
 
 /// A request envelope: one query or an ordered batch.
@@ -379,14 +373,12 @@ impl ServeRequest {
         match self {
             ServeRequest::Single(q) => Request::post("/lookup", query_to_line(q)),
             ServeRequest::Batch(qs) => {
-                // Each line comes from `query_to_line`, which holds the
-                // exhaustive match divide-lint's E1 pins to it.
-                let mut body = String::with_capacity(80 * qs.len());
+                let mut body = String::with_capacity(QUERY_LINE_CAPACITY * qs.len());
                 for (i, q) in qs.iter().enumerate() {
                     if i > 0 {
                         body.push('\n');
                     }
-                    body.push_str(&query_to_line(q));
+                    q.push_line(&mut body);
                 }
                 Request::post("/batch", body)
             }
@@ -440,7 +432,7 @@ impl ServeResponse {
                     if i > 0 {
                         body.push('\n');
                     }
-                    push_answer_line(&mut body, a);
+                    a.push_line(&mut body);
                 }
                 Response::ok(body)
             }

@@ -7,7 +7,7 @@
 //! (namespaced event seqs), its own hermetic [`Transport`] carrying its
 //! own [`PlanService`] endpoint, its own arrival schedule. A FIFO queue
 //! discipline turns arrival times into lookup latencies — an arrival
-//! whose queue wait would exceed `shed_wait_ms` is refused with a
+//! whose queue wait would exceed `SHED_WAIT_MS` is refused with a
 //! `ServeShed` event, which is what keeps the cache-hostile scan from
 //! growing the backlog without bound.
 //!
@@ -30,7 +30,7 @@
 use crate::api::{ServeAnswer, ServeRequest, ServeResponse};
 use crate::load::{Arrival, LoadPhase};
 use crate::service::{cache_flag_iter, evicted_key_iter, PlanService, ServeCosts};
-use crate::store::PlanStore;
+use crate::store::{PlanStore, ShardIndex};
 use bbsim_net::{Endpoint, LatencyModel, SimDuration, SimIp, SimTime, Transport};
 use bqt::monitor::{CampaignMonitor, MonitorPolicy};
 use bqt::telemetry::{EventSink, OutcomeCode};
@@ -46,6 +46,12 @@ use std::sync::Arc;
 /// profile.
 const SEAL_EVERY: usize = 512;
 
+/// Queue wait beyond which an arrival is refused (shed).
+const SHED_WAIT_MS: u64 = 2_000;
+
+/// One-way link latency between requesters and a shard.
+const LINK_LATENCY_MS: u64 = 0;
+
 /// Configuration of one serve campaign.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -56,12 +62,8 @@ pub struct ServeOptions {
     pub threads: usize,
     /// LRU answer-cache capacity per shard.
     pub cache_capacity: usize,
-    /// Queue wait beyond which an arrival is refused (shed).
-    pub shed_wait_ms: u64,
     /// Per-lookup virtual processing costs.
     pub costs: ServeCosts,
-    /// One-way link latency between requesters and a shard, in ms.
-    pub link_latency_ms: u64,
     /// The load campaign, phase by phase (shared by every shard).
     pub phases: Vec<LoadPhase>,
     /// SLO monitor configuration applied to the merged stream.
@@ -87,9 +89,7 @@ impl ServeOptions {
             seed,
             threads: 1,
             cache_capacity: 128,
-            shed_wait_ms: 2_000,
             costs: ServeCosts::paper_default(),
-            link_latency_ms: 0,
             phases: vec![
                 LoadPhase::steady(60_000, 12),
                 LoadPhase::burst(10_000, 12),
@@ -113,9 +113,7 @@ impl ServeOptions {
             seed,
             threads: 1,
             cache_capacity: 256,
-            shed_wait_ms: 2_000,
             costs: ServeCosts::paper_default(),
-            link_latency_ms: 0,
             phases: vec![
                 LoadPhase::steady(900_000, 7),
                 LoadPhase::burst(60_000, 7),
@@ -177,10 +175,15 @@ enum ShardNote {
     Chunk(Vec<SeqEvent>, MergeKey),
 }
 
-/// Runs one shard's full schedule, sending its arrival count, then its
-/// namespaced event stream as sealed chunks ending with [`FINISHED`].
-fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &dyn Fn(ShardNote)) {
-    let shard = store.shard(shard_id).expect("shard id from store range");
+/// Runs shard `shard_id`'s full schedule, sending its arrival count, then
+/// its namespaced event stream as sealed chunks ending with [`FINISHED`].
+fn run_shard(
+    store: &Arc<PlanStore>,
+    shard: &ShardIndex,
+    opts: &ServeOptions,
+    shard_id: u32,
+    emit: &dyn Fn(ShardNote),
+) {
     let endpoint = shard.endpoint();
     let schedule = crate::load::generate_schedule(shard_id, shard, &opts.phases, opts.seed);
     emit(ShardNote::Arrivals(schedule.len() as u64));
@@ -200,7 +203,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &
                 opts.cache_capacity,
                 opts.costs,
             )),
-            LatencyModel::constant(SimDuration::from_millis(opts.link_latency_ms)),
+            LatencyModel::constant(SimDuration::from_millis(LINK_LATENCY_MS)),
         ),
     );
     // Deterministic per-shard requester address: keeps hermetic draws
@@ -218,7 +221,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &
             emit(ShardNote::Chunk(rec.seal(frontier), frontier));
         }
         let wait = prev_done.saturating_sub(at_ms);
-        if wait > opts.shed_wait_ms {
+        if wait > SHED_WAIT_MS {
             rec.push(Event {
                 at: SimTime::from_millis(at_ms),
                 kind: EventKind::ServeShed {
@@ -232,6 +235,7 @@ fn run_shard(store: &Arc<PlanStore>, opts: &ServeOptions, shard_id: u32, emit: &
         let http = request.to_http();
         let (resp, rt) = transport
             .round_trip(&endpoint, src, &http, SimTime::from_millis(send_at))
+            // lint:allow(T2): the endpoint is registered above on a transport with no fault plan, and every request is framed and re-parsed from its own wire form
             .expect("registered endpoint, no fault plan");
         let done = send_at + rt.as_millis();
         let mut hits = cache_flag_iter(&resp);
@@ -310,8 +314,8 @@ impl MergeSink for Feed<'_> {
 
 /// Runs the serve campaign and discards the event stream.
 pub fn run(store: &Arc<PlanStore>, opts: &ServeOptions) -> ServeOutcome {
-    run_streamed(store.shards().len(), opts, None, |id, emit| {
-        run_shard(store, opts, id, emit)
+    run_streamed(store.shards(), opts, None, |id, shard, emit| {
+        run_shard(store, shard, opts, id, emit)
     })
 }
 
@@ -338,19 +342,19 @@ pub fn run_recorded(
     opts: &ServeOptions,
     recorder: &mut dyn Recorder,
 ) -> ServeOutcome {
-    run_streamed(store.shards().len(), opts, Some(recorder), |id, emit| {
-        run_shard(store, opts, id, emit)
+    run_streamed(store.shards(), opts, Some(recorder), |id, shard, emit| {
+        run_shard(store, shard, opts, id, emit)
     })
 }
 
-/// [`run_recorded`] over `n_shards` shards, each run by `shard(id, emit)`.
-fn run_streamed(
-    n_shards: usize,
+/// [`run_recorded`] over `shards`, shard `id` run by `shard(id, &shards[id], emit)`.
+fn run_streamed<T: Sync>(
+    shards: &[T],
     opts: &ServeOptions,
     recorder: Option<&mut dyn Recorder>,
-    shard: impl Fn(u32, &dyn Fn(ShardNote)) + Sync,
+    shard: impl Fn(u32, &T, &dyn Fn(ShardNote)) + Sync,
 ) -> ServeOutcome {
-    let ids: Vec<u32> = (0..n_shards as u32).collect();
+    let n_shards = shards.len();
     let mut merger = StreamMerger::new(n_shards);
     let mut telemetry = Telemetry::new();
     telemetry.set_monitor(CampaignMonitor::new(opts.policy.clone()));
@@ -365,12 +369,12 @@ fn run_streamed(
         last_ms: 0,
     };
     let results = bqt::exec::run(
-        &ids,
+        shards,
         opts.threads,
         // Every shard replays the same phases, so arrival counts match
         // in expectation; equal costs dispatch in shard order.
         |_| 1,
-        |_, &id, emit| shard(id, emit),
+        |id, task, emit| shard(id as u32, task, emit),
         |id, note| {
             match note {
                 ShardNote::Arrivals(n) => merger.declare(id, n),
@@ -381,6 +385,7 @@ fn run_streamed(
     );
     for result in results {
         if let Err(failed) = result {
+            // lint:allow(T2): a failed shard ends the run loudly, never as a stream cut short; a_panicking_shard_panics_the_run_naming_it_and_never_blocks pins it
             panic!("serve {failed}");
         }
     }
@@ -432,8 +437,8 @@ mod tests {
 
     /// A fake shard: events at 0 and 10, sealed at 5, then — unless it is
     /// `failing` — events at 20 and 30 and its last chunk.
-    fn fake_shard(failing: u32) -> impl Fn(u32, &dyn Fn(ShardNote)) + Sync {
-        move |id, emit| {
+    fn fake_shard(failing: u32) -> impl Fn(u32, &(), &dyn Fn(ShardNote)) + Sync {
+        move |id, _, emit| {
             emit(ShardNote::Arrivals(4));
             let mut rec = ShardRecorder::new(id);
             rec.push(worker(0, id));
@@ -454,7 +459,7 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let mut kept = Kept::default();
             let opts = ServeOptions::quick(1).threads(threads);
-            let outcome = run_streamed(3, &opts, Some(&mut kept), fake_shard(u32::MAX));
+            let outcome = run_streamed(&[(); 3], &opts, Some(&mut kept), fake_shard(u32::MAX));
             let workers: Vec<(u64, u32)> = kept
                 .0
                 .iter()
@@ -497,12 +502,12 @@ mod tests {
         for threads in [1, 2, 4] {
             let opts = ServeOptions::quick(1).threads(threads);
             let mut healthy = Kept::default();
-            let want = run_streamed(3, &opts, Some(&mut healthy), fake_shard(u32::MAX));
+            let want = run_streamed(&[(); 3], &opts, Some(&mut healthy), fake_shard(u32::MAX));
             let mut bomb = Bomb {
                 calls: 0,
                 panic_on: 10,
             };
-            let got = run_streamed(3, &opts, Some(&mut bomb), fake_shard(u32::MAX));
+            let got = run_streamed(&[(); 3], &opts, Some(&mut bomb), fake_shard(u32::MAX));
             assert!(healthy.0.len() > 10, "the stream outlasts the bomb");
             assert_eq!(bomb.calls, 10, "never called again after it panicked");
             assert_eq!(got.arrivals, want.arrivals);
@@ -518,7 +523,7 @@ mod tests {
             let mut kept = Kept::default();
             let opts = ServeOptions::quick(1).threads(threads);
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_streamed(3, &opts, Some(&mut kept), fake_shard(1))
+                run_streamed(&[(); 3], &opts, Some(&mut kept), fake_shard(1))
             }))
             .expect_err("a failed shard fails the run");
             let message = payload

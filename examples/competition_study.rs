@@ -16,11 +16,7 @@ fn main() {
         .unwrap_or_else(|| "New Orleans".to_string());
     let city = city_by_name(&name)
         .unwrap_or_else(|| panic!("{name:?} is not a study city; use a Table-2 name"));
-    let isps: Vec<Isp> = city
-        .major_isps
-        .iter()
-        .map(|&n| Isp::from_column(n).expect("valid column"))
-        .collect();
+    let isps = Isp::of_city(city);
     let cable = isps
         .iter()
         .copied()

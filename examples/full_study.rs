@@ -14,13 +14,6 @@ use decoding_divide::dataset::BlockGroupRow;
 use decoding_divide::prelude::*;
 use decoding_divide::stats::median;
 
-fn isps_of(city: &CityProfile) -> Vec<Isp> {
-    city.major_isps
-        .iter()
-        .map(|&n| Isp::from_column(n).expect("valid column"))
-        .collect()
-}
-
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
     let cities: Vec<&'static CityProfile> = if all {
@@ -68,7 +61,7 @@ fn main() {
     // Finding 2: plans cluster intra-city.
     let mut morans = Vec::new();
     for (city, rows) in &per_city {
-        for isp in isps_of(city) {
+        for isp in Isp::of_city(city) {
             if let Some(r) = morans_i_for_isp(city, rows, isp) {
                 morans.push(r.i);
             }
@@ -85,7 +78,7 @@ fn main() {
     let mut rejections = 0;
     let mut tests = 0;
     for (city, rows) in &per_city {
-        let isps = isps_of(city);
+        let isps = Isp::of_city(city);
         let Some(cable) = isps
             .iter()
             .copied()
@@ -117,7 +110,7 @@ fn main() {
     // Finding 4: fiber follows income.
     let mut gaps = Vec::new();
     for (city, rows) in &per_city {
-        for isp in isps_of(city)
+        for isp in Isp::of_city(city)
             .into_iter()
             .filter(|i| !i.is_cable() && *i != Isp::Frontier)
         {

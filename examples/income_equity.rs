@@ -19,11 +19,7 @@ fn main() {
         .unwrap_or_else(|| "New Orleans".to_string());
     let city = city_by_name(&name)
         .unwrap_or_else(|| panic!("{name:?} is not a study city; use a Table-2 name"));
-    let isps: Vec<Isp> = city
-        .major_isps
-        .iter()
-        .map(|&n| Isp::from_column(n).expect("valid column"))
-        .collect();
+    let isps = Isp::of_city(city);
     let Some(fiber_isp) = isps.iter().copied().find(|i| !i.is_cable()) else {
         panic!("{name} has no DSL/fiber ISP; pick e.g. New Orleans");
     };

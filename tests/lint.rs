@@ -215,14 +215,12 @@ fn real_drift_modules_are_clean_under_all_rules() {
 // ---- trace span-tree schema (E1 on SpanKind) ------------------------
 
 /// The `SpanKind` E1 surfaces from before `wire_enum!` generated its
-/// wire names and parser, pointed at a fixture file that still writes
-/// them by hand.
+/// wire names, pointed at a fixture file that still writes them by hand.
 fn trace_e1_config(file: &'static str) -> divide_lint::E1Config {
     e1_surfaces(
         file,
         "SpanKind",
         ["wire_name", "bucket", "span_json", "charge"],
-        "parse_span_kind",
     )
 }
 
@@ -235,19 +233,18 @@ fn trace_schema_canary_is_exhaustive() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-/// The known-bad span-tree schema: a wildcard in the bucketing, a
-/// variant the attribution fold skips, and a wire name the parser
-/// cannot read back — four distinct findings.
+/// The known-bad span-tree schema: a wildcard in the bucketing hiding a
+/// variant, and a variant the attribution fold skips — three distinct
+/// findings.
 #[test]
-fn trace_schema_bad_flags_wildcard_fold_gap_and_parser_gap() {
+fn trace_schema_bad_flags_wildcard_and_fold_gap() {
     let findings = run(|c| c.e1 = vec![trace_e1_config("trace/schema_bad.rs")]);
-    assert_eq!(findings.len(), 4, "{findings:?}");
+    assert_eq!(findings.len(), 3, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RuleId::E1));
     for needle in [
         "replay-stable filter `fn bucket` does not cover `SpanKind::Rebootstrap`",
         "wildcard `_ =>` arm in replay-stable filter `fn bucket`",
         "metrics aggregator `fn charge` does not cover `SpanKind::QueueWait`",
-        "does not handle wire name \"queue_wait\"",
     ] {
         assert!(
             findings.iter().any(|f| f.message.contains(needle)),
@@ -478,17 +475,15 @@ fn e1_config(file: &'static str) -> divide_lint::E1Config {
         file,
         "Kind",
         ["name", "replay_stable", "to_line", "observe"],
-        "parse_line",
     )
 }
 
 /// A one-file schema with four hand-written surfaces (labelled as the
-/// wire-name map, stable filter, serializer and aggregator) and a parser.
+/// wire-name map, stable filter, serializer and aggregator).
 fn e1_surfaces(
     file: &'static str,
     enum_name: &'static str,
     fns: [&'static str; 4],
-    parse_fn: &'static str,
 ) -> divide_lint::E1Config {
     let labels = [
         "wire-name map",
@@ -504,7 +499,6 @@ fn e1_surfaces(
             .zip(labels)
             .map(|(f, l)| (file, f, l))
             .collect(),
-        wire: Some((fns[0], parse_fn)),
     }
 }
 
@@ -515,15 +509,14 @@ fn e1_accepts_a_fully_covered_schema() {
 }
 
 #[test]
-fn e1_flags_missing_variants_wildcards_and_parser_gaps() {
+fn e1_flags_missing_variants_and_wildcards() {
     let findings = run(|c| c.e1 = vec![e1_config("e1_bad/schema.rs")]);
-    assert_eq!(findings.len(), 4, "{findings:?}");
+    assert_eq!(findings.len(), 3, "{findings:?}");
     assert!(findings.iter().all(|f| f.rule == RuleId::E1));
     for needle in [
         "does not cover `Kind::B`",
         "does not cover `Kind::C`",
         "wildcard `_ =>` arm in replay-stable filter",
-        "does not handle wire name \"c\"",
     ] {
         assert!(
             findings.iter().any(|f| f.message.contains(needle)),

@@ -1,6 +1,6 @@
 //! E1 canary for the drift event slice: a mirror of the four drift
 //! `EventKind` variants with every surface — wire-name map, replay-stable
-//! filter, serializer, parser, aggregator — covering all of them and no
+//! filter, serializer, aggregator — covering all of them and no
 //! wildcard arms. Adding a fifth drift variant here without extending
 //! every surface trips E1, the same contract the real telemetry schema
 //! is held to.
@@ -38,16 +38,6 @@ pub fn to_line(kind: &Kind) -> String {
         Kind::RebootstrapStarted => String::from("rebootstrap_started"),
         Kind::TemplateSwapped { generation } => format!("template_swapped {generation}"),
         Kind::RebootstrapCompleted { probes } => format!("rebootstrap_completed {probes}"),
-    }
-}
-
-pub fn parse_line(line: &str) -> Option<Kind> {
-    match line.split(' ').next() {
-        Some("drift_suspected") => Some(Kind::DriftSuspected { rate_pm: 0 }),
-        Some("rebootstrap_started") => Some(Kind::RebootstrapStarted),
-        Some("template_swapped") => Some(Kind::TemplateSwapped { generation: 0 }),
-        Some("rebootstrap_completed") => Some(Kind::RebootstrapCompleted { probes: 0 }),
-        _ => None,
     }
 }
 

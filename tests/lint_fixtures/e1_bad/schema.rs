@@ -1,6 +1,6 @@
 //! E1 known-bad fixture. Expected findings: the replay-stable filter
 //! misses `Kind::B` and `Kind::C` behind a wildcard arm (three
-//! findings), and the parser does not handle wire name "c" (one).
+//! findings).
 
 pub enum Kind {
     A,
@@ -30,14 +30,6 @@ pub fn to_line(kind: &Kind) -> String {
         Kind::A => String::from("a"),
         Kind::B => String::from("b"),
         Kind::C => String::from("c"),
-    }
-}
-
-pub fn parse_line(line: &str) -> Option<Kind> {
-    match line {
-        "a" => Some(Kind::A),
-        "b" => Some(Kind::B),
-        _ => None,
     }
 }
 

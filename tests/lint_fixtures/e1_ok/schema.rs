@@ -1,7 +1,6 @@
 //! E1 known-clean fixture: a two-variant event schema whose four
 //! surfaces (wire-name map, replay-stable filter, serializer,
-//! aggregator) each cover every variant, and whose parser handles every
-//! wire name. No wildcard arms anywhere.
+//! aggregator) each cover every variant. No wildcard arms anywhere.
 
 pub enum Kind {
     A,
@@ -28,14 +27,6 @@ pub fn to_line(kind: &Kind) -> String {
     match kind {
         Kind::A => String::from("a"),
         Kind::B { n } => format!("b {n}"),
-    }
-}
-
-pub fn parse_line(line: &str) -> Option<Kind> {
-    match line.split(' ').next() {
-        Some("a") => Some(Kind::A),
-        Some("b") => Some(Kind::B { n: 0 }),
-        _ => None,
     }
 }
 

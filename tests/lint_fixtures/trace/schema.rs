@@ -1,7 +1,7 @@
 //! E1 known-clean canary for the span-tree schema: a four-variant
-//! mirror of `SpanKind` whose five surfaces — wire-name map,
-//! attribution-class bucketing, trace-event serializer, wire-name
-//! parser, attribution fold — each cover every variant with no
+//! mirror of `SpanKind` whose four surfaces — wire-name map,
+//! attribution-class bucketing, trace-event serializer, attribution
+//! fold — each cover every variant with no
 //! wildcard arms. Adding a fifth span kind here without extending
 //! every surface trips E1, the same contract the real trace module
 //! is held to.
@@ -43,16 +43,6 @@ pub fn span_json(kind: &SpanKind, out: &mut String) {
     out.push_str(kind.wire_name());
     out.push(':');
     out.push_str(cat);
-}
-
-pub fn parse_span_kind(name: &str) -> Option<SpanKind> {
-    match name {
-        "job" => Some(SpanKind::Job),
-        "attempt" => Some(SpanKind::Attempt { n: 0 }),
-        "queue_wait" => Some(SpanKind::QueueWait),
-        "rebootstrap" => Some(SpanKind::Rebootstrap),
-        _ => None,
-    }
 }
 
 pub fn charge(kind: &SpanKind, ms: u64, wait_ms: &mut u64) {

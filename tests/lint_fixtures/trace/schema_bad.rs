@@ -1,7 +1,6 @@
 //! E1 known-bad canary for the span-tree schema: the bucketing hides a
-//! variant behind a wildcard, the attribution fold skips one, and the
-//! parser cannot read back a wire name the map yields — each gap is a
-//! distinct finding.
+//! variant behind a wildcard and the attribution fold skips one — each
+//! gap is a distinct finding.
 
 pub enum SpanKind {
     Job,
@@ -42,16 +41,6 @@ pub fn span_json(kind: &SpanKind, out: &mut String) {
     out.push_str(kind.wire_name());
     out.push(':');
     out.push_str(cat);
-}
-
-// BAD: "queue_wait" round-trips out but never back in.
-pub fn parse_span_kind(name: &str) -> Option<SpanKind> {
-    match name {
-        "job" => Some(SpanKind::Job),
-        "attempt" => Some(SpanKind::Attempt { n: 0 }),
-        "rebootstrap" => Some(SpanKind::Rebootstrap),
-        _ => None,
-    }
 }
 
 // BAD: queue waits vanish from the attribution report.
