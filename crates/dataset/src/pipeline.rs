@@ -375,8 +375,6 @@ fn curate_city_sharded(
         File::create(dir.join("events.jsonl")).map_err(|e| JournalError::Io(e.to_string()))?;
     let mut event_log = JsonlRecorder::stable(BufWriter::new(file));
 
-    // The monitor's profile and exposition stay byte-identical across
-    // resume.
     let outcome = Campaign::from_orchestrator(isp_orchestrator(opts, isps[0], run_seed))
         .monitor(MonitorPolicy::paper_default())
         .threads(opts.threads)

@@ -1,10 +1,9 @@
 //! E1 known-clean canary for the span-tree schema: a four-variant
 //! mirror of `SpanKind` whose four surfaces — wire-name map,
 //! attribution-class bucketing, trace-event serializer, attribution
-//! fold — each cover every variant with no
-//! wildcard arms. Adding a fifth span kind here without extending
-//! every surface trips E1, the same contract the real trace module
-//! is held to.
+//! fold — each cover every variant with no wildcard arms. Adding a
+//! fifth span kind here without extending every surface trips E1, the
+//! same contract the real trace module is held to.
 
 pub enum SpanKind {
     Job,
