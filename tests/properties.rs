@@ -1009,6 +1009,738 @@ mod assembler_bypass {
     }
 }
 
+// ---- monitor oracles ----------------------------------------------------
+//
+// The monitor's trace assembler and phase profiler against two oracles
+// kept here: the eager assembler fold, which builds every job's and every
+// lookup's span tree with its labels and offers each trace to the
+// reservoir, and the profiler keyed by the formatted folded-stack string.
+// Over random streams both sides must give equal exemplar sets at
+// k ∈ {0, 1, 3}, equal folded frames, and equal exemplar ids on every
+// `AlertFired`. Small k matters: with every trace kept, a fold that
+// skipped a trace the reservoir would have admitted could not show.
+
+mod monitor_oracles {
+    use super::*;
+    use decoding_divide::bqt::monitor::{CampaignMonitor, MonitorPolicy, SloRule, WatermarkHeap};
+    use decoding_divide::bqt::telemetry::OutcomeCode;
+    use decoding_divide::bqt::trace::{ExemplarReservoir, ExemplarSet, Span, SpanKind, Trace};
+    use decoding_divide::bqt::{Event, EventKind, TraceAssembler};
+    use decoding_divide::net::{SimDuration, SimTime};
+    use std::collections::BTreeMap;
+    use std::fmt::Write;
+
+    /// `;` and `:` are the folded-stack and trace-id separators.
+    const ENDPOINTS: [&str; 4] = ["isp/city", "a;b", "c:d", "x;y:z"];
+    const WORKERS: [u32; 4] = [0, 1, 10_000, 12_345];
+    const OUTCOMES: [OutcomeCode; 6] = [
+        OutcomeCode::Plans,
+        OutcomeCode::NoService,
+        OutcomeCode::Unserviceable,
+        OutcomeCode::Blocked,
+        OutcomeCode::Failed,
+        OutcomeCode::Stalled,
+    ];
+
+    /// `(wait, duration, fetches, marker, delay, outcome)`: the attempt
+    /// starts `wait` ms after the previous one ended. A non-final attempt
+    /// announces a `Retry` of `delay` ms when `marker & 1`, and a
+    /// `BreakerDefer` until `delay` ms after its end when `marker & 2`.
+    type Attempt = (u64, u64, u32, u8, u64, usize);
+    /// `(gap, endpoint, worker, attempts)`: the job begins `gap` ms after
+    /// the previous one.
+    type Job = (u64, usize, usize, Vec<Attempt>);
+    /// `(shard, gap, duration, batch, endpoint, cache_hit, outcome)`:
+    /// `batch` lookups complete together `gap` ms after the shard's last.
+    type Lookup = (u32, u64, u64, usize, usize, u8, usize);
+    /// `(kind, at, len, endpoint)`: kind 0 cuts and raises the shed
+    /// ceiling, 1 only cuts it, 2 quarantines and releases an endpoint,
+    /// 3 only quarantines it.
+    type Mark = (u8, u64, u64, usize);
+
+    fn stream(jobs: &[Job], lookups: &[Lookup], marks: &[Mark]) -> Vec<Event> {
+        // `(emitted at, event)`: ends are announced when their attempt
+        // starts, as the event loop does.
+        let mut out: Vec<(u64, Event)> = Vec::new();
+        let mut push = |emit: u64, at: u64, kind: EventKind| {
+            out.push((
+                emit,
+                Event {
+                    at: SimTime::from_millis(at),
+                    kind,
+                },
+            ));
+        };
+        push(
+            0,
+            0,
+            EventKind::CampaignBegin {
+                seed: 1,
+                n_jobs: jobs.len() as u32,
+                n_workers: 2,
+            },
+        );
+        for worker in 0..2 {
+            push(0, 0, EventKind::WorkerBegin { worker });
+        }
+        let mut makespan = 0;
+        let mut start = 0;
+        for (tag, (gap, endpoint, worker, attempts)) in jobs.iter().enumerate() {
+            let (tag, endpoint, worker) = (tag as u64, ENDPOINTS[*endpoint], WORKERS[*worker]);
+            start += gap;
+            push(
+                start,
+                start,
+                EventKind::JobBegin {
+                    tag,
+                    endpoint: endpoint.into(),
+                },
+            );
+            let mut cursor = start;
+            for (i, &(wait, duration, fetches, marker, delay, outcome)) in
+                attempts.iter().enumerate()
+            {
+                let attempt = i as u32 + 1;
+                let outcome = OUTCOMES[outcome];
+                let begin = cursor + wait;
+                let end = begin + duration;
+                push(
+                    begin,
+                    begin,
+                    EventKind::AttemptBegin {
+                        tag,
+                        attempt,
+                        worker,
+                        endpoint: endpoint.into(),
+                    },
+                );
+                // The third fetch spills past the attempt's end and every
+                // fetch may start before its begin: the assembler clips.
+                for fetch in 0..fetches {
+                    push(
+                        begin,
+                        begin + duration * u64::from(fetch + 1) * 3 / 4,
+                        EventKind::PageFetchEnd {
+                            tag,
+                            attempt,
+                            fetch,
+                            duration_ms: duration / 2 + u64::from(fetch),
+                        },
+                    );
+                }
+                push(
+                    begin,
+                    end,
+                    EventKind::AttemptEnd {
+                        tag,
+                        attempt,
+                        worker,
+                        endpoint: endpoint.into(),
+                        outcome,
+                        duration_ms: duration,
+                        steps: fetches,
+                    },
+                );
+                if i + 1 == attempts.len() {
+                    push(
+                        begin,
+                        end,
+                        EventKind::JobEnd {
+                            tag,
+                            outcome,
+                            attempts: attempt,
+                            dead_lettered: false,
+                        },
+                    );
+                } else {
+                    if marker & 1 != 0 {
+                        push(
+                            begin,
+                            end,
+                            EventKind::Retry {
+                                tag,
+                                next_attempt: attempt + 1,
+                                delay_ms: delay,
+                            },
+                        );
+                    }
+                    if marker & 2 != 0 {
+                        push(
+                            end,
+                            end,
+                            EventKind::BreakerDefer {
+                                tag,
+                                endpoint: endpoint.into(),
+                                until_ms: end + delay,
+                            },
+                        );
+                    }
+                }
+                cursor = end;
+                makespan = makespan.max(end);
+            }
+        }
+        let mut done = [0u64; 3];
+        for (i, &(shard, gap, duration, batch, endpoint, cache_hit, outcome)) in
+            lookups.iter().enumerate()
+        {
+            let at = done[shard as usize] + gap;
+            done[shard as usize] = at;
+            for member in 0..batch {
+                push(
+                    at,
+                    at,
+                    EventKind::ServeLookupEnd {
+                        tag: 1_000 + 10 * i as u64 + member as u64,
+                        shard,
+                        endpoint: ENDPOINTS[endpoint].into(),
+                        outcome: OUTCOMES[outcome],
+                        cache_hit: cache_hit == 1,
+                        duration_ms: duration,
+                    },
+                );
+            }
+            makespan = makespan.max(at);
+        }
+        for &(kind, at, len, endpoint) in marks {
+            let endpoint = ENDPOINTS[endpoint].to_string();
+            match kind {
+                0 | 1 => {
+                    push(at, at, EventKind::ShedCut { limit: 1 });
+                    if kind == 0 {
+                        push(at + len, at + len, EventKind::ShedRaise { limit: 2 });
+                    }
+                }
+                _ => {
+                    push(
+                        at,
+                        at,
+                        EventKind::RebootstrapStarted {
+                            endpoint: endpoint.clone(),
+                        },
+                    );
+                    if kind == 2 {
+                        push(
+                            at + len,
+                            at + len,
+                            EventKind::RebootstrapCompleted {
+                                endpoint,
+                                confidence_pct: 90,
+                            },
+                        );
+                    }
+                }
+            }
+            makespan = makespan.max(at + len);
+        }
+        for worker in 0..2 {
+            push(makespan, makespan, EventKind::WorkerEnd { worker });
+        }
+        push(
+            makespan,
+            makespan,
+            EventKind::CampaignEnd {
+                makespan_ms: makespan,
+            },
+        );
+        // Stable: events announced together keep their push order.
+        out.sort_by_key(|(emit, _)| *emit);
+        out.into_iter().map(|(_, event)| event).collect()
+    }
+
+    type Interval = (u64, Option<u64>);
+
+    struct OpenJob {
+        endpoint: String,
+        started_ms: u64,
+        cursor_ms: u64,
+        children: Vec<Span>,
+        open_attempt: Option<(u32, u64)>,
+        pending_backoff_ms: Option<u64>,
+        pending_defer_until_ms: Option<u64>,
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct ServeCursor {
+        done_ms: u64,
+        duration_ms: u64,
+        queue_wait_ms: u64,
+    }
+
+    fn span(kind: SpanKind, label: String, start_ms: u64, end_ms: u64) -> Span {
+        Span {
+            kind,
+            label,
+            start_ms,
+            end_ms,
+            children: Vec::new(),
+        }
+    }
+
+    /// The eager fold: every job and lookup becomes a span tree with its
+    /// labels, and every tree is offered to the reservoir.
+    struct EagerAssembler {
+        heap: WatermarkHeap<EventKind>,
+        seq: u64,
+        jobs: BTreeMap<u64, OpenJob>,
+        fetches: BTreeMap<(u64, u32), Vec<(u64, u64)>>,
+        quarantines: BTreeMap<String, Vec<Interval>>,
+        sheds: Vec<Interval>,
+        serve_shards: BTreeMap<u32, ServeCursor>,
+        reservoir: ExemplarReservoir,
+    }
+
+    impl EagerAssembler {
+        fn new(k: usize) -> Self {
+            Self {
+                heap: WatermarkHeap::new(),
+                seq: 0,
+                jobs: BTreeMap::new(),
+                fetches: BTreeMap::new(),
+                quarantines: BTreeMap::new(),
+                sheds: Vec::new(),
+                serve_shards: BTreeMap::new(),
+                reservoir: ExemplarReservoir::new(k),
+            }
+        }
+
+        fn observe(&mut self, event: &Event) {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.observe(event, |at_ms, kind| self.ingest(at_ms, kind));
+            self.heap = heap;
+        }
+
+        fn ingest(&mut self, at_ms: u64, kind: &EventKind) {
+            self.seq += 1;
+            match kind {
+                EventKind::JobBegin { tag, endpoint } => {
+                    self.jobs.insert(
+                        *tag,
+                        OpenJob {
+                            endpoint: endpoint.clone(),
+                            started_ms: at_ms,
+                            cursor_ms: at_ms,
+                            children: Vec::new(),
+                            open_attempt: None,
+                            pending_backoff_ms: None,
+                            pending_defer_until_ms: None,
+                        },
+                    );
+                }
+                EventKind::AttemptBegin { tag, attempt, .. } => {
+                    if let Some(job) = self.jobs.get_mut(tag) {
+                        close_gap(job, at_ms, &self.quarantines, &self.sheds);
+                        job.open_attempt = Some((*attempt, at_ms));
+                    }
+                }
+                EventKind::AttemptEnd {
+                    tag,
+                    attempt,
+                    outcome,
+                    duration_ms,
+                    ..
+                } => {
+                    let fetches = self.fetches.remove(&(*tag, *attempt)).unwrap_or_default();
+                    if let Some(job) = self.jobs.get_mut(tag) {
+                        let start = job
+                            .open_attempt
+                            .take()
+                            .map_or_else(|| at_ms.saturating_sub(*duration_ms), |(_, b)| b);
+                        let mut attempt_span = span(
+                            SpanKind::Attempt,
+                            format!("attempt_{attempt}:{}", outcome.as_str()),
+                            start,
+                            at_ms,
+                        );
+                        for (i, (fs, fe)) in fetches.into_iter().enumerate() {
+                            let (fs, fe) = (fs.max(start), fe.min(at_ms));
+                            if fe > fs {
+                                attempt_span.children.push(span(
+                                    SpanKind::PageFetch,
+                                    format!("step_{i}"),
+                                    fs,
+                                    fe,
+                                ));
+                            }
+                        }
+                        job.children.push(attempt_span);
+                        job.cursor_ms = at_ms;
+                    }
+                }
+                EventKind::Retry { tag, delay_ms, .. } => {
+                    if let Some(job) = self.jobs.get_mut(tag) {
+                        job.pending_backoff_ms = Some(*delay_ms);
+                    }
+                }
+                EventKind::BreakerDefer { tag, until_ms, .. } => {
+                    if let Some(job) = self.jobs.get_mut(tag) {
+                        job.pending_defer_until_ms = Some(*until_ms);
+                    }
+                }
+                EventKind::JobEnd { tag, outcome, .. } => {
+                    if let Some(mut job) = self.jobs.remove(tag) {
+                        close_gap(&mut job, at_ms, &self.quarantines, &self.sheds);
+                        let mut root = span(
+                            SpanKind::Job,
+                            format!("{}:{}", job.endpoint, outcome.as_str()),
+                            job.started_ms,
+                            at_ms,
+                        );
+                        root.children = job.children;
+                        let trace = Trace {
+                            tag: *tag,
+                            endpoint: job.endpoint,
+                            root,
+                        };
+                        self.reservoir.offer(trace, at_ms, self.seq);
+                    }
+                }
+                EventKind::ShedCut { .. } if !matches!(self.sheds.last(), Some((_, None))) => {
+                    self.sheds.push((at_ms, None));
+                }
+                EventKind::ShedCut { .. } => {}
+                EventKind::ShedRaise { .. } => {
+                    if let Some((_, end @ None)) = self.sheds.last_mut() {
+                        *end = Some(at_ms);
+                    }
+                }
+                EventKind::RebootstrapStarted { endpoint } => {
+                    let intervals = self.quarantines.entry(endpoint.clone()).or_default();
+                    if !matches!(intervals.last(), Some((_, None))) {
+                        intervals.push((at_ms, None));
+                    }
+                }
+                EventKind::RebootstrapCompleted { endpoint, .. } => {
+                    let intervals = self.quarantines.entry(endpoint.clone()).or_default();
+                    if let Some((_, end @ None)) = intervals.last_mut() {
+                        *end = Some(at_ms);
+                    }
+                }
+                EventKind::PageFetchEnd {
+                    tag,
+                    attempt,
+                    duration_ms,
+                    ..
+                } => {
+                    self.fetches
+                        .entry((*tag, *attempt))
+                        .or_default()
+                        .push((at_ms.saturating_sub(*duration_ms), at_ms));
+                }
+                EventKind::ServeLookupEnd {
+                    tag,
+                    shard,
+                    endpoint,
+                    outcome,
+                    cache_hit,
+                    duration_ms,
+                } => {
+                    let arrival = at_ms.saturating_sub(*duration_ms);
+                    let cursor = self.serve_shards.entry(*shard).or_default();
+                    let queue_wait =
+                        if at_ms == cursor.done_ms && *duration_ms == cursor.duration_ms {
+                            cursor.queue_wait_ms
+                        } else {
+                            let wait = cursor.done_ms.saturating_sub(arrival).min(*duration_ms);
+                            *cursor = ServeCursor {
+                                done_ms: at_ms,
+                                duration_ms: *duration_ms,
+                                queue_wait_ms: wait,
+                            };
+                            wait
+                        };
+                    let mut root = span(
+                        SpanKind::Serve,
+                        format!("{endpoint}:{}", outcome.as_str()),
+                        arrival,
+                        at_ms,
+                    );
+                    if queue_wait > 0 {
+                        root.children.push(span(
+                            SpanKind::QueueWait,
+                            "queue".into(),
+                            arrival,
+                            arrival + queue_wait,
+                        ));
+                    }
+                    if at_ms > arrival + queue_wait {
+                        let label = if *cache_hit {
+                            "cache_hit"
+                        } else {
+                            "cache_miss"
+                        };
+                        root.children.push(span(
+                            SpanKind::CacheLookup,
+                            label.into(),
+                            arrival + queue_wait,
+                            at_ms,
+                        ));
+                    }
+                    let trace = Trace {
+                        tag: *tag,
+                        endpoint: endpoint.clone(),
+                        root,
+                    };
+                    self.reservoir.offer(trace, at_ms, self.seq);
+                }
+                _ => {}
+            }
+        }
+
+        fn csv(&self) -> String {
+            self.reservoir.csv()
+        }
+
+        fn finish(mut self) -> ExemplarSet {
+            let mut heap = std::mem::take(&mut self.heap);
+            heap.flush(|at_ms, kind| self.ingest(at_ms, kind));
+            self.reservoir.into_set()
+        }
+    }
+
+    fn close_gap(
+        job: &mut OpenJob,
+        end_ms: u64,
+        quarantines: &BTreeMap<String, Vec<Interval>>,
+        sheds: &[Interval],
+    ) {
+        let backoff = job.pending_backoff_ms.take();
+        let defer = job.pending_defer_until_ms.take();
+        let mut cur = job.cursor_ms;
+        if cur >= end_ms {
+            return;
+        }
+        if let Some(delay) = backoff {
+            let seg_end = cur.saturating_add(delay).min(end_ms);
+            cur = push_wait(job, SpanKind::RetryBackoff, "backoff", cur, seg_end);
+        }
+        if let Some(until) = defer {
+            let seg_end = until.clamp(cur, end_ms);
+            cur = push_wait(job, SpanKind::BreakerWait, "breaker", cur, seg_end);
+        }
+        let no_intervals = Vec::new();
+        let quars = quarantines.get(&job.endpoint).unwrap_or(&no_intervals);
+        while cur < end_ms {
+            if let Some(seg_end) = covering_end(quars, cur) {
+                let seg_end = seg_end.min(end_ms);
+                cur = push_wait(job, SpanKind::Rebootstrap, "quarantine", cur, seg_end);
+            } else if let Some(seg_end) = covering_end(sheds, cur) {
+                cur = push_wait(job, SpanKind::Shed, "shed", cur, seg_end.min(end_ms));
+            } else {
+                let seg_end = next_interval_start(quars, sheds, cur).min(end_ms);
+                cur = push_wait(job, SpanKind::QueueWait, "queue", cur, seg_end);
+            }
+        }
+        job.cursor_ms = end_ms;
+    }
+
+    fn push_wait(job: &mut OpenJob, kind: SpanKind, label: &str, start: u64, end: u64) -> u64 {
+        if end > start {
+            job.children.push(span(kind, label.to_string(), start, end));
+        }
+        end.max(start)
+    }
+
+    fn covering_end(intervals: &[Interval], at: u64) -> Option<u64> {
+        intervals
+            .iter()
+            .filter(|(start, end)| *start <= at && end.is_none_or(|e| e > at))
+            .map(|(_, end)| end.unwrap_or(u64::MAX))
+            .max()
+    }
+
+    fn next_interval_start(quarantines: &[Interval], sheds: &[Interval], at: u64) -> u64 {
+        quarantines
+            .iter()
+            .chain(sheds)
+            .map(|(start, _)| *start)
+            .filter(|start| *start > at)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// The profiler keyed by the formatted folded-stack string.
+    #[derive(Default)]
+    struct StringProfiler {
+        frames: BTreeMap<String, u64>,
+        busy_ms: BTreeMap<u32, u64>,
+    }
+
+    impl StringProfiler {
+        fn observe(&mut self, kind: &EventKind) {
+            let mut stack = String::new();
+            let ms = match kind {
+                EventKind::AttemptEnd {
+                    attempt,
+                    worker,
+                    endpoint,
+                    outcome,
+                    duration_ms,
+                    ..
+                } => {
+                    *self.busy_ms.entry(*worker).or_default() += duration_ms;
+                    let outcome = outcome.as_str();
+                    let _ = write!(
+                        stack,
+                        "worker_{worker:04};{endpoint};attempt_{attempt};{outcome}"
+                    );
+                    *duration_ms
+                }
+                EventKind::ServeLookupEnd {
+                    shard,
+                    endpoint,
+                    outcome,
+                    cache_hit,
+                    duration_ms,
+                    ..
+                } => {
+                    *self.busy_ms.entry(*shard).or_default() += duration_ms;
+                    let cache = if *cache_hit {
+                        "cache_hit"
+                    } else {
+                        "cache_miss"
+                    };
+                    let outcome = outcome.as_str();
+                    let _ = write!(
+                        stack,
+                        "worker_{shard:04};{endpoint};lookup;{cache};{outcome}"
+                    );
+                    *duration_ms
+                }
+                _ => return,
+            };
+            *self.frames.entry(stack).or_default() += ms;
+        }
+
+        fn finish(mut self, makespan_ms: u64, started_workers: u32) -> BTreeMap<String, u64> {
+            for worker in 0..started_workers {
+                let busy = self.busy_ms.get(&worker).copied().unwrap_or(0);
+                let idle = makespan_ms.saturating_sub(busy);
+                if idle > 0 {
+                    self.frames.insert(format!("worker_{worker:04};idle"), idle);
+                }
+            }
+            self.frames
+        }
+    }
+
+    /// One-second buckets and rules that fire on any failing or slow
+    /// second, so most streams raise alerts.
+    fn policy(k: usize) -> MonitorPolicy {
+        MonitorPolicy {
+            bucket: SimDuration::from_millis(1_000),
+            buckets: 4,
+            rules: vec![
+                SloRule::hit_rate_at_least(0.9)
+                    .hysteresis(1, 1)
+                    .min_samples(1),
+                SloRule::p99_latency_at_most(1_500)
+                    .hysteresis(1, 1)
+                    .min_samples(1),
+            ],
+            escalate: false,
+            checkpoint_every: None,
+            exemplars: k,
+        }
+    }
+
+    /// Runs both sides over one stream at capacity `k` and returns how
+    /// many alerts carried exemplar ids.
+    fn check(stream: &[Event], k: usize) -> Result<usize, String> {
+        // Standalone: every event, page fetches included, in raw order.
+        let mut lazy = TraceAssembler::new(k);
+        let mut eager = EagerAssembler::new(k);
+        for event in stream {
+            lazy.observe(event);
+            eager.observe(event);
+            prop_assert_eq!(lazy.exemplar_csv(), eager.csv());
+        }
+        prop_assert_eq!(lazy.finish(), eager.finish());
+
+        // In the monitor: the replay-stable events only.
+        let stable: Vec<&Event> = stream.iter().filter(|e| e.kind.replay_stable()).collect();
+        let mut monitor = CampaignMonitor::new(policy(k));
+        let mut profiler = StringProfiler::default();
+        let mut alerts = Vec::new();
+        for event in &stable {
+            monitor.observe(event);
+            profiler.observe(&event.kind);
+            alerts.extend(monitor.take_events());
+        }
+        let report = monitor.finish();
+        let mut ordered = Vec::new();
+        let mut heap = WatermarkHeap::new();
+        for event in &stable {
+            heap.observe(event, |at_ms, kind| ordered.push((at_ms, kind.clone())));
+        }
+        heap.flush(|at_ms, kind| ordered.push((at_ms, kind.clone())));
+        let fold = |until_ms: u64| {
+            let mut eager = EagerAssembler::new(k);
+            for (at_ms, kind) in ordered.iter().take_while(|(at_ms, _)| *at_ms < until_ms) {
+                eager.ingest(*at_ms, kind);
+            }
+            eager
+        };
+        prop_assert_eq!(report.exemplars, fold(u64::MAX).finish());
+        let started = report.started_workers;
+        prop_assert_eq!(report.frames, profiler.finish(report.makespan_ms, started));
+        // An alert at a bucket boundary carries the reservoir as it stood
+        // once every event stamped before the boundary was folded in.
+        let mut with_exemplars = 0;
+        for alert in &alerts {
+            if let EventKind::AlertFired { exemplars, .. } = &alert.kind {
+                prop_assert_eq!(*exemplars, fold(alert.at.as_millis()).csv());
+                with_exemplars += usize::from(!exemplars.is_empty());
+            }
+        }
+        Ok(with_exemplars)
+    }
+
+    #[test]
+    fn failing_jobs_raise_alerts_that_name_their_traces() {
+        let attempt = |duration: u64, outcome: usize| (100, duration, 1, 3, 400, outcome);
+        let jobs: Vec<Job> = (0..8)
+            .map(|i| {
+                let attempts = vec![attempt(900 + 50 * i as u64, 4), attempt(2_000, 0)];
+                (300, i % 4, i % 4, attempts)
+            })
+            .collect();
+        let lookups = [(0, 200, 1_800, 2, 1, 1, 4), (1, 900, 2_200, 1, 2, 0, 0)];
+        let stream = stream(&jobs, &lookups, &[(0, 1_000, 2_000, 0), (2, 500, 3_000, 1)]);
+        for k in [1, 3] {
+            assert!(check(&stream, k).unwrap() > 0, "k = {k}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn the_monitor_matches_the_eager_fold_and_the_string_profiler(
+            jobs in proptest::collection::vec(
+                (
+                    0u64..1_500,
+                    0usize..4,
+                    0usize..4,
+                    proptest::collection::vec(
+                        (0u64..800, 0u64..2_500, 0u32..4, 0u8..4, 0u64..1_200, 0usize..6),
+                        1..4,
+                    ),
+                ),
+                0..10,
+            ),
+            lookups in proptest::collection::vec(
+                (0u32..3, 0u64..700, 0u64..900, 1usize..4, 0usize..4, 0u8..2, 0usize..6),
+                0..12,
+            ),
+            marks in proptest::collection::vec((0u8..4, 0u64..12_000, 0u64..3_000, 0usize..4), 0..5),
+        ) {
+            let stream = stream(&jobs, &lookups, &marks);
+            for k in [0, 1, 3] {
+                check(&stream, k)?;
+            }
+        }
+    }
+}
+
 // ---- JSONL encoder ------------------------------------------------------
 //
 // `to_line` writes digits and escape-free strings straight into the line.
