@@ -134,18 +134,61 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// CRC-32/IEEE (the zlib polynomial), bitwise. Payloads are small enough
-/// that a table buys nothing.
+/// CRC-32/IEEE (the zlib polynomial), slicing-by-8: eight bytes per step
+/// through eight 256-entry tables built at compile time. Frames are small,
+/// but recovery checks every frame of every shard, about 6 MB per quick
+/// replay, where the table costs a tenth of the bitwise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][c[4] as usize]
+            ^ t[2][c[5] as usize]
+            ^ t[1][c[6] as usize]
+            ^ t[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through
+/// it; `CRC_TABLES[k][b]` continues that with `k` zero bytes, so one
+/// lookup per byte of an 8-byte block lands each byte at its distance
+/// from the block's end.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Identity of a campaign: what must match for a journal to be resumable.
@@ -1082,5 +1125,32 @@ mod tests {
         // Standard CRC-32/IEEE check values.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bitwise CRC-32/IEEE loop, the oracle for the tables.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_oracle_at_every_length_and_offset() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let mut buf = [0u8; 8 + 300];
+        for len in 0..=300 {
+            rng.fill_bytes(&mut buf);
+            for offset in 0..8 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bitwise(bytes), "len {len} at {offset}");
+            }
+        }
     }
 }
