@@ -1042,23 +1042,28 @@ mod monitor_oracles {
         OutcomeCode::Stalled,
     ];
 
+    // Times below are in units of `unit` ms (see `stream`).
+
     /// `(wait, duration, fetches, marker, delay, outcome)`: the attempt
-    /// starts `wait` ms after the previous one ended. A non-final attempt
-    /// announces a `Retry` of `delay` ms when `marker & 1`, and a
-    /// `BreakerDefer` until `delay` ms after its end when `marker & 2`.
+    /// starts `wait` after the previous one ended. A non-final attempt
+    /// announces a `Retry` of `delay` when `marker & 1`, and a
+    /// `BreakerDefer` until `delay` after its end when `marker & 2`.
     type Attempt = (u64, u64, u32, u8, u64, usize);
-    /// `(gap, endpoint, worker, attempts)`: the job begins `gap` ms after
-    /// the previous one.
+    /// `(gap, endpoint, worker, attempts)`: the job begins `gap` after the
+    /// previous one.
     type Job = (u64, usize, usize, Vec<Attempt>);
     /// `(shard, gap, duration, batch, endpoint, cache_hit, outcome)`:
-    /// `batch` lookups complete together `gap` ms after the shard's last.
+    /// `batch` lookups complete together `gap` after the shard's last.
     type Lookup = (u32, u64, u64, usize, usize, u8, usize);
     /// `(kind, at, len, endpoint)`: kind 0 cuts and raises the shed
     /// ceiling, 1 only cuts it, 2 quarantines and releases an endpoint,
     /// 3 only quarantines it.
     type Mark = (u8, u64, u64, usize);
 
-    fn stream(jobs: &[Job], lookups: &[Lookup], marks: &[Mark]) -> Vec<Event> {
+    /// The stream in emission order. A unit of 1 ms makes durations tie
+    /// or differ by one millisecond; a unit of 250 ms spreads the stream
+    /// over several monitor buckets, so alerts fire.
+    fn stream(unit: u64, jobs: &[Job], lookups: &[Lookup], marks: &[Mark]) -> Vec<Event> {
         // `(emitted at, event)`: ends are announced when their attempt
         // starts, as the event loop does.
         let mut out: Vec<(u64, Event)> = Vec::new();
@@ -1087,7 +1092,7 @@ mod monitor_oracles {
         let mut start = 0;
         for (tag, (gap, endpoint, worker, attempts)) in jobs.iter().enumerate() {
             let (tag, endpoint, worker) = (tag as u64, ENDPOINTS[*endpoint], WORKERS[*worker]);
-            start += gap;
+            start += gap * unit;
             push(
                 start,
                 start,
@@ -1100,6 +1105,7 @@ mod monitor_oracles {
             for (i, &(wait, duration, fetches, marker, delay, outcome)) in
                 attempts.iter().enumerate()
             {
+                let (wait, duration, delay) = (wait * unit, duration * unit, delay * unit);
                 let attempt = i as u32 + 1;
                 let outcome = OUTCOMES[outcome];
                 let begin = cursor + wait;
@@ -1184,6 +1190,7 @@ mod monitor_oracles {
         for (i, &(shard, gap, duration, batch, endpoint, cache_hit, outcome)) in
             lookups.iter().enumerate()
         {
+            let (gap, duration) = (gap * unit, duration * unit);
             let at = done[shard as usize] + gap;
             done[shard as usize] = at;
             for member in 0..batch {
@@ -1203,6 +1210,7 @@ mod monitor_oracles {
             makespan = makespan.max(at);
         }
         for &(kind, at, len, endpoint) in marks {
+            let (at, len) = (at * unit, len * unit);
             let endpoint = ENDPOINTS[endpoint].to_string();
             match kind {
                 0 | 1 => {
@@ -1706,7 +1714,8 @@ mod monitor_oracles {
             })
             .collect();
         let lookups = [(0, 200, 1_800, 2, 1, 1, 4), (1, 900, 2_200, 1, 2, 0, 0)];
-        let stream = stream(&jobs, &lookups, &[(0, 1_000, 2_000, 0), (2, 500, 3_000, 1)]);
+        let marks = [(0, 1_000, 2_000, 0), (2, 500, 3_000, 1)];
+        let stream = stream(1, &jobs, &lookups, &marks);
         for k in [1, 3] {
             assert!(check(&stream, k).unwrap() > 0, "k = {k}");
         }
@@ -1717,23 +1726,24 @@ mod monitor_oracles {
         fn the_monitor_matches_the_eager_fold_and_the_string_profiler(
             jobs in proptest::collection::vec(
                 (
-                    0u64..1_500,
+                    0u64..6,
                     0usize..4,
                     0usize..4,
                     proptest::collection::vec(
-                        (0u64..800, 0u64..2_500, 0u32..4, 0u8..4, 0u64..1_200, 0usize..6),
+                        (0u64..4, 0u64..10, 0u32..4, 0u8..4, 0u64..5, 0usize..6),
                         1..4,
                     ),
                 ),
                 0..10,
             ),
             lookups in proptest::collection::vec(
-                (0u32..3, 0u64..700, 0u64..900, 1usize..4, 0usize..4, 0u8..2, 0usize..6),
+                (0u32..3, 0u64..3, 0u64..4, 1usize..4, 0usize..4, 0u8..2, 0usize..6),
                 0..12,
             ),
-            marks in proptest::collection::vec((0u8..4, 0u64..12_000, 0u64..3_000, 0usize..4), 0..5),
+            marks in proptest::collection::vec((0u8..4, 0u64..48, 0u64..12, 0usize..4), 0..5),
+            unit in (0usize..3).prop_map(|i| [1, 7, 250][i]),
         ) {
-            let stream = stream(&jobs, &lookups, &marks);
+            let stream = stream(unit, &jobs, &lookups, &marks);
             for k in [0, 1, 3] {
                 check(&stream, k)?;
             }
