@@ -65,6 +65,31 @@ fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&
     }
 }
 
+/// Endpoint names interned once per fold: the first sighting stores the
+/// name, later ones cost one lookup, and the fold's own keys hold the id.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    names: Vec<String>,
+    ids: BTreeMap<String, u32>,
+}
+
+impl Names {
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.names.len() as u32;
+        self.names.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        id
+    }
+
+    /// The name `intern` returned `id` for.
+    pub(crate) fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+}
+
 /// Configuration for a campaign's live monitor.
 #[derive(Debug, Clone)]
 pub struct MonitorPolicy {

@@ -1,6 +1,6 @@
 //! The virtual-clock phase profiler: folds the campaign → worker → job →
-//! attempt → page-fetch span tree into per-ISP, per-workflow-step time
-//! attribution, rendered as flamegraph-compatible folded-stack lines.
+//! attempt span tree into per-ISP, per-workflow-step time attribution,
+//! rendered as flamegraph-compatible folded-stack lines.
 //!
 //! Every millisecond of every started worker's lifetime is attributed to
 //! exactly one stack, so the per-worker frame totals each sum to the
@@ -9,26 +9,39 @@
 //! from [`EventKind::AttemptEnd`] spans and serve lookups from
 //! [`EventKind::ServeLookupEnd`], both replay-stable, so a resumed
 //! campaign folds to byte-identical output.
+//!
+//! The fold keys its frames by integers — worker (or serve shard),
+//! endpoint index, attempt number or cache flag, and outcome — and
+//! renders the `;`-joined stack strings once, in [`PhaseProfiler::finish`],
+//! so an event costs no formatting. Two keys that render alike are summed.
 
-use super::upsert;
-use crate::telemetry::EventKind;
+use super::Names;
+use crate::telemetry::{EventKind, OutcomeCode};
 use std::collections::BTreeMap;
-use std::fmt::Write;
+
+/// The step a frame charges: one attempt, or a serve lookup by cache flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    Attempt(u32),
+    Lookup { cache_hit: bool },
+}
+
+/// A frame before rendering: `(worker, endpoint, step, outcome)`, the
+/// endpoint an index into the profiler's [`Names`].
+type Frame = (u32, u32, Step, OutcomeCode);
 
 /// Builds the folded-stack attribution incrementally from the stream.
 #[derive(Debug, Default)]
 pub struct PhaseProfiler {
-    /// Virtual ms per stack (frames `;`-joined, no root label).
-    frames: BTreeMap<String, u64>,
+    names: Names,
+    /// Virtual ms per frame.
+    frames: BTreeMap<Frame, u64>,
     busy_ms: BTreeMap<u32, u64>,
-    /// Scratch buffer the current event's stack is formatted into, so a
-    /// frame already seen costs no allocation.
-    stack: String,
 }
 
 impl PhaseProfiler {
     pub fn observe(&mut self, kind: &EventKind) {
-        match kind {
+        let (worker, endpoint, step, outcome, ms) = match kind {
             EventKind::AttemptEnd {
                 attempt,
                 worker,
@@ -36,16 +49,15 @@ impl PhaseProfiler {
                 outcome,
                 duration_ms,
                 ..
-            } => {
-                *self.busy_ms.entry(*worker).or_default() += duration_ms;
-                self.stack.clear();
-                let _ = write!(
-                    self.stack,
-                    "worker_{worker:04};{endpoint};attempt_{attempt};{}",
-                    outcome.as_str()
-                );
-                self.charge(*duration_ms);
-            }
+            } => (
+                *worker,
+                endpoint,
+                Step::Attempt(*attempt),
+                *outcome,
+                *duration_ms,
+            ),
+            // The serve engine runs one virtual worker per shard, so
+            // shard id doubles as the worker frame.
             EventKind::ServeLookupEnd {
                 shard,
                 endpoint,
@@ -53,43 +65,47 @@ impl PhaseProfiler {
                 cache_hit,
                 duration_ms,
                 ..
-            } => {
-                // The serve engine runs one virtual worker per shard, so
-                // shard id doubles as the worker frame.
-                *self.busy_ms.entry(*shard).or_default() += duration_ms;
-                self.stack.clear();
-                let _ = write!(
-                    self.stack,
-                    "worker_{shard:04};{endpoint};lookup;{};{}",
-                    if *cache_hit {
-                        "cache_hit"
-                    } else {
-                        "cache_miss"
-                    },
-                    outcome.as_str()
-                );
-                self.charge(*duration_ms);
-            }
-            _ => {}
+            } => (
+                *shard,
+                endpoint,
+                Step::Lookup {
+                    cache_hit: *cache_hit,
+                },
+                *outcome,
+                *duration_ms,
+            ),
+            _ => return,
+        };
+        *self.busy_ms.entry(worker).or_default() += ms;
+        let frame = (worker, self.names.intern(endpoint), step, outcome);
+        *self.frames.entry(frame).or_default() += ms;
+    }
+
+    /// Closes the profile at campaign end: renders every frame's stack
+    /// (virtual ms per `;`-joined stack, no root label), and each started
+    /// worker's unspent lifetime becomes its `idle` frame.
+    pub fn finish(self, makespan_ms: u64, started_workers: u32) -> BTreeMap<String, u64> {
+        let mut frames = BTreeMap::new();
+        for ((worker, endpoint, step, outcome), ms) in self.frames {
+            let endpoint = self.names.name(endpoint);
+            let outcome = outcome.as_str();
+            let stack = match step {
+                Step::Attempt(n) => format!("worker_{worker:04};{endpoint};attempt_{n};{outcome}"),
+                Step::Lookup { cache_hit } => {
+                    let cache = if cache_hit { "cache_hit" } else { "cache_miss" };
+                    format!("worker_{worker:04};{endpoint};lookup;{cache};{outcome}")
+                }
+            };
+            *frames.entry(stack).or_default() += ms;
         }
-    }
-
-    /// Adds `ms` to the frame in the scratch stack buffer.
-    fn charge(&mut self, ms: u64) {
-        upsert(&mut self.frames, &self.stack, |total| *total += ms);
-    }
-
-    /// Closes the profile at campaign end: each started worker's unspent
-    /// lifetime becomes its `idle` frame.
-    pub fn finish(mut self, makespan_ms: u64, started_workers: u32) -> BTreeMap<String, u64> {
         for worker in 0..started_workers {
             let busy = self.busy_ms.get(&worker).copied().unwrap_or(0);
             let idle = makespan_ms.saturating_sub(busy);
             if idle > 0 {
-                self.frames.insert(format!("worker_{worker:04};idle"), idle);
+                frames.insert(format!("worker_{worker:04};idle"), idle);
             }
         }
-        self.frames
+        frames
     }
 }
 

@@ -186,7 +186,7 @@ wire_enum! {
     /// [`QueryOutcome`] carries the scraped plans; events only need the
     /// classification, so this is the flattened code that also round-trips
     /// through the JSONL schema.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum OutcomeCode {
         Plans = "plans",
         NoService = "no_service",

@@ -32,31 +32,159 @@
 //! every stream one assembler sees: a shard's monitor folds only its own
 //! shard (one ISP — tags are address ids, unique per ISP), and serve
 //! streams carry no job spans at all.
+//!
+//! Only the traces the reservoir keeps are ever built. An open job holds
+//! compact [`Segment`]s (no labels, its endpoint an index into the
+//! assembler's name table), and at `JobEnd`, as for each serve lookup,
+//! [`ExemplarReservoir::admits`] decides from the trace's duration and
+//! stream coordinates alone whether any [`Span`], label or [`Trace`]
+//! gets made. A campaign ends tens of thousands of jobs and keeps a
+//! handful.
 
 use super::reservoir::{ExemplarReservoir, ExemplarSet};
 use super::{Span, SpanKind, Trace};
-use crate::monitor::WatermarkHeap;
+use crate::monitor::{Names, WatermarkHeap};
 use crate::telemetry::jsonl::{decimal_len, push_u64};
-use crate::telemetry::{Event, EventKind};
+use crate::telemetry::{Event, EventKind, OutcomeCode};
 use std::collections::BTreeMap;
 
 /// `(start_ms, end_ms)` with `None` meaning "still open".
 type Interval = (u64, Option<u64>);
 
-/// One job between its `JobBegin` and `JobEnd`.
+/// One child of an open job's root span, kept unbuilt until the job ends.
 #[derive(Debug)]
+enum Segment {
+    /// A typed gap between attempts.
+    Wait {
+        kind: SpanKind,
+        label: &'static str,
+        start_ms: u64,
+        end_ms: u64,
+    },
+    /// One attempt, with the page fetches the stream reported for it
+    /// (unclipped; only standalone mode sees them).
+    Attempt {
+        attempt: u32,
+        outcome: OutcomeCode,
+        start_ms: u64,
+        end_ms: u64,
+        fetches: Vec<(u64, u64)>,
+    },
+}
+
+impl Segment {
+    fn into_span(self) -> Span {
+        match self {
+            Segment::Wait {
+                kind,
+                label,
+                start_ms,
+                end_ms,
+            } => Span {
+                kind,
+                label: label.to_string(),
+                start_ms,
+                end_ms,
+                children: Vec::new(),
+            },
+            Segment::Attempt {
+                attempt,
+                outcome,
+                start_ms,
+                end_ms,
+                fetches,
+            } => {
+                let mut children = Vec::new();
+                for (i, (fs, fe)) in fetches.into_iter().enumerate() {
+                    let (fs, fe) = (fs.max(start_ms), fe.min(end_ms));
+                    if fe > fs {
+                        children.push(Span {
+                            kind: SpanKind::PageFetch,
+                            label: label("step_", Some(i as u64), None),
+                            start_ms: fs,
+                            end_ms: fe,
+                            children: Vec::new(),
+                        });
+                    }
+                }
+                Span {
+                    kind: SpanKind::Attempt,
+                    label: label("attempt_", Some(u64::from(attempt)), Some(outcome.as_str())),
+                    start_ms,
+                    end_ms,
+                    children,
+                }
+            }
+        }
+    }
+}
+
+/// One job between its `JobBegin` and `JobEnd`.
+#[derive(Debug, Default)]
 struct OpenJob {
-    endpoint: String,
+    /// Index into the assembler's [`Names`].
+    endpoint: u32,
     started_ms: u64,
-    /// Everything before this instant is already covered by `children`.
+    /// Everything before this instant is already covered by `segments`.
     cursor_ms: u64,
-    children: Vec<Span>,
+    segments: Vec<Segment>,
     /// `(attempt, begin_ms)` while a worker holds the job.
     open_attempt: Option<(u32, u64)>,
     /// Backoff delay announced by the last `Retry`, unconsumed.
     pending_backoff_ms: Option<u64>,
     /// Hold-until instant announced by the last `BreakerDefer`.
     pending_defer_until_ms: Option<u64>,
+}
+
+/// The open jobs by tag. Each lives in a slot that the next job reuses,
+/// so its segment buffer keeps its capacity and the tag map's nodes hold
+/// only slot numbers.
+#[derive(Debug, Default)]
+struct OpenJobs {
+    by_tag: BTreeMap<u64, usize>,
+    slots: Vec<OpenJob>,
+    free: Vec<usize>,
+}
+
+impl OpenJobs {
+    /// Opens (or, for a tag already open, restarts) job `tag`.
+    fn open(&mut self, tag: u64, endpoint: u32, at_ms: u64) {
+        let slot = match self.by_tag.get(&tag) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    self.slots.push(OpenJob::default());
+                    self.slots.len() - 1
+                });
+                self.by_tag.insert(tag, slot);
+                slot
+            }
+        };
+        if let Some(job) = self.slots.get_mut(slot) {
+            let mut segments = std::mem::take(&mut job.segments);
+            segments.clear();
+            *job = OpenJob {
+                endpoint,
+                started_ms: at_ms,
+                cursor_ms: at_ms,
+                segments,
+                ..OpenJob::default()
+            };
+        }
+    }
+
+    fn get_mut(&mut self, tag: u64) -> Option<&mut OpenJob> {
+        let slot = *self.by_tag.get(&tag)?;
+        self.slots.get_mut(slot)
+    }
+
+    /// Closes job `tag` and frees its slot. The returned job stays as it
+    /// was until the slot's next `open`.
+    fn close(&mut self, tag: u64) -> Option<&mut OpenJob> {
+        let slot = self.by_tag.remove(&tag)?;
+        self.free.push(slot);
+        self.slots.get_mut(slot)
+    }
 }
 
 /// Per-shard FIFO bookkeeping for serve lookups.
@@ -75,12 +203,14 @@ pub struct TraceAssembler {
     /// key the reservoir uses (identical for any thread count, because
     /// the merged stream order is).
     seq: u64,
-    jobs: BTreeMap<u64, OpenJob>,
+    /// Job endpoints, interned: open jobs and quarantines index them.
+    names: Names,
+    jobs: OpenJobs,
     /// Ephemeral page-fetch spans per `(tag, attempt)`, attached at
     /// `AttemptEnd` when the stream carries them (unfiltered mode only).
     fetches: BTreeMap<(u64, u32), Vec<(u64, u64)>>,
-    /// Rebootstrap quarantine intervals per endpoint, in start order.
-    quarantines: BTreeMap<String, Vec<Interval>>,
+    /// Rebootstrap quarantine intervals per endpoint index, in start order.
+    quarantines: Vec<Vec<Interval>>,
     /// Campaign-wide shed intervals (`ShedCut` opens, `ShedRaise` closes).
     sheds: Vec<Interval>,
     serve_shards: BTreeMap<u32, ServeCursor>,
@@ -89,8 +219,7 @@ pub struct TraceAssembler {
 }
 
 /// A span label, `"{head}{n}:{outcome}"` with `n` and `:{outcome}` each
-/// left out when `None`, built at its exact length without the formatter
-/// (one is made per attempt and per page fetch).
+/// left out when `None`, built at its exact length without the formatter.
 fn label(head: &str, n: Option<u64>, outcome: Option<&str>) -> String {
     let len = head.len() + n.map_or(0, decimal_len) + outcome.map_or(0, |o| 1 + o.len());
     let mut label = String::with_capacity(len);
@@ -112,9 +241,10 @@ impl TraceAssembler {
         Self {
             heap: WatermarkHeap::new(),
             seq: 0,
-            jobs: BTreeMap::new(),
+            names: Names::default(),
+            jobs: OpenJobs::default(),
             fetches: BTreeMap::new(),
-            quarantines: BTreeMap::new(),
+            quarantines: Vec::new(),
             sheds: Vec::new(),
             serve_shards: BTreeMap::new(),
             reservoir: ExemplarReservoir::new(k),
@@ -132,6 +262,15 @@ impl TraceAssembler {
         self.heap = heap;
     }
 
+    /// The quarantine intervals of endpoint `id`, created on first use.
+    fn quarantines_mut(&mut self, endpoint: &str) -> &mut Vec<Interval> {
+        let id = self.names.intern(endpoint) as usize;
+        if self.quarantines.len() <= id {
+            self.quarantines.resize_with(id + 1, Vec::new);
+        }
+        &mut self.quarantines[id]
+    }
+
     /// Folds one event already in exact virtual-time order (the
     /// monitor's post-watermark drain).
     pub fn ingest(&mut self, at_ms: u64, kind: &EventKind) {
@@ -141,23 +280,12 @@ impl TraceAssembler {
                 self.makespan_ms = self.makespan_ms.max(*makespan_ms);
             }
             EventKind::JobBegin { tag, endpoint } => {
-                self.jobs.insert(
-                    *tag,
-                    OpenJob {
-                        endpoint: endpoint.clone(),
-                        started_ms: at_ms,
-                        cursor_ms: at_ms,
-                        children: Vec::new(),
-                        open_attempt: None,
-                        pending_backoff_ms: None,
-                        pending_defer_until_ms: None,
-                    },
-                );
+                let endpoint = self.names.intern(endpoint);
+                self.jobs.open(*tag, endpoint, at_ms);
             }
             EventKind::AttemptBegin { tag, attempt, .. } => {
-                let (jobs, quarantines, sheds) = (&mut self.jobs, &self.quarantines, &self.sheds);
-                if let Some(job) = jobs.get_mut(tag) {
-                    close_gap(job, at_ms, quarantines, sheds);
+                if let Some(job) = self.jobs.get_mut(*tag) {
+                    close_gap(job, at_ms, &self.quarantines, &self.sheds);
                     job.open_attempt = Some((*attempt, at_ms));
                 }
             }
@@ -169,68 +297,54 @@ impl TraceAssembler {
                 ..
             } => {
                 let fetches = self.fetches.remove(&(*tag, *attempt)).unwrap_or_default();
-                if let Some(job) = self.jobs.get_mut(tag) {
-                    let start = job
+                if let Some(job) = self.jobs.get_mut(*tag) {
+                    let start_ms = job
                         .open_attempt
                         .take()
                         .map_or_else(|| at_ms.saturating_sub(*duration_ms), |(_, begin)| begin);
-                    let mut span = Span {
-                        kind: SpanKind::Attempt,
-                        label: label(
-                            "attempt_",
-                            Some(u64::from(*attempt)),
-                            Some(outcome.as_str()),
-                        ),
-                        start_ms: start,
+                    job.segments.push(Segment::Attempt {
+                        attempt: *attempt,
+                        outcome: *outcome,
+                        start_ms,
                         end_ms: at_ms,
-                        children: Vec::new(),
-                    };
-                    for (i, (fs, fe)) in fetches.into_iter().enumerate() {
-                        let (fs, fe) = (fs.max(start), fe.min(at_ms));
-                        if fe > fs {
-                            span.children.push(Span {
-                                kind: SpanKind::PageFetch,
-                                label: label("step_", Some(i as u64), None),
-                                start_ms: fs,
-                                end_ms: fe,
-                                children: Vec::new(),
-                            });
-                        }
-                    }
-                    job.children.push(span);
+                        fetches,
+                    });
                     job.cursor_ms = at_ms;
                 }
             }
             EventKind::Retry { tag, delay_ms, .. } => {
-                if let Some(job) = self.jobs.get_mut(tag) {
+                if let Some(job) = self.jobs.get_mut(*tag) {
                     job.pending_backoff_ms = Some(*delay_ms);
                 }
             }
             EventKind::BreakerDefer { tag, until_ms, .. } => {
-                if let Some(job) = self.jobs.get_mut(tag) {
+                if let Some(job) = self.jobs.get_mut(*tag) {
                     job.pending_defer_until_ms = Some(*until_ms);
                 }
             }
             EventKind::JobEnd { tag, outcome, .. } => {
-                if let Some(mut job) = self.jobs.remove(tag) {
-                    close_gap(&mut job, at_ms, &self.quarantines, &self.sheds);
-                    let endpoint = job.endpoint;
-                    let root = Span {
-                        kind: SpanKind::Job,
-                        label: label(&endpoint, None, Some(outcome.as_str())),
-                        start_ms: job.started_ms,
-                        end_ms: at_ms,
-                        children: job.children,
-                    };
-                    self.reservoir.offer(
-                        Trace {
+                if let Some(job) = self.jobs.close(*tag) {
+                    close_gap(job, at_ms, &self.quarantines, &self.sheds);
+                    let endpoint = self.names.name(job.endpoint);
+                    let duration_ms = at_ms.saturating_sub(job.started_ms);
+                    if self
+                        .reservoir
+                        .admits(endpoint, duration_ms, at_ms, self.seq)
+                    {
+                        let root = Span {
+                            kind: SpanKind::Job,
+                            label: label(endpoint, None, Some(outcome.as_str())),
+                            start_ms: job.started_ms,
+                            end_ms: at_ms,
+                            children: job.segments.drain(..).map(Segment::into_span).collect(),
+                        };
+                        let trace = Trace {
                             tag: *tag,
-                            endpoint,
+                            endpoint: endpoint.to_string(),
                             root,
-                        },
-                        at_ms,
-                        self.seq,
-                    );
+                        };
+                        self.reservoir.offer(trace, at_ms, self.seq);
+                    }
                 }
             }
             EventKind::ShedCut { .. } if !matches!(self.sheds.last(), Some((_, None))) => {
@@ -243,18 +357,13 @@ impl TraceAssembler {
                 }
             }
             EventKind::RebootstrapStarted { endpoint } => {
-                let intervals = self.quarantines.entry(endpoint.clone()).or_default();
+                let intervals = self.quarantines_mut(endpoint);
                 if !matches!(intervals.last(), Some((_, None))) {
                     intervals.push((at_ms, None));
                 }
             }
             EventKind::RebootstrapCompleted { endpoint, .. } => {
-                if let Some((_, end @ None)) = self
-                    .quarantines
-                    .entry(endpoint.clone())
-                    .or_default()
-                    .last_mut()
-                {
+                if let Some((_, end @ None)) = self.quarantines_mut(endpoint).last_mut() {
                     *end = Some(at_ms);
                 }
             }
@@ -293,6 +402,12 @@ impl TraceAssembler {
                     };
                     wait
                 };
+                if !self
+                    .reservoir
+                    .admits(endpoint, at_ms - arrival, at_ms, self.seq)
+                {
+                    return;
+                }
                 let mut root = Span {
                     kind: SpanKind::Serve,
                     label: label(endpoint, None, Some(outcome.as_str())),
@@ -363,15 +478,10 @@ impl TraceAssembler {
     }
 }
 
-/// Decomposes `[job.cursor_ms, end_ms)` into typed wait spans appended to
-/// `job.children`, consuming any pending backoff/defer marker. The
+/// Decomposes `[job.cursor_ms, end_ms)` into typed wait segments appended
+/// to `job.segments`, consuming any pending backoff/defer marker. The
 /// segments partition the gap exactly.
-fn close_gap(
-    job: &mut OpenJob,
-    end_ms: u64,
-    quarantines: &BTreeMap<String, Vec<Interval>>,
-    sheds: &[Interval],
-) {
+fn close_gap(job: &mut OpenJob, end_ms: u64, quarantines: &[Vec<Interval>], sheds: &[Interval]) {
     let backoff = job.pending_backoff_ms.take();
     let defer = job.pending_defer_until_ms.take();
     let mut cur = job.cursor_ms;
@@ -386,8 +496,9 @@ fn close_gap(
         let seg_end = until.clamp(cur, end_ms);
         cur = push_wait(job, SpanKind::BreakerWait, "breaker", cur, seg_end);
     }
-    let no_intervals = Vec::new();
-    let quars = quarantines.get(&job.endpoint).unwrap_or(&no_intervals);
+    let quars = quarantines
+        .get(job.endpoint as usize)
+        .map_or(&[][..], Vec::as_slice);
     while cur < end_ms {
         if let Some(seg_end) = covering_end(quars, cur) {
             cur = push_wait(
@@ -407,17 +518,22 @@ fn close_gap(
     job.cursor_ms = end_ms;
 }
 
-fn push_wait(job: &mut OpenJob, kind: SpanKind, label: &str, start: u64, end: u64) -> u64 {
-    if end > start {
-        job.children.push(Span {
+fn push_wait(
+    job: &mut OpenJob,
+    kind: SpanKind,
+    label: &'static str,
+    start_ms: u64,
+    end_ms: u64,
+) -> u64 {
+    if end_ms > start_ms {
+        job.segments.push(Segment::Wait {
             kind,
-            label: label.to_string(),
-            start_ms: start,
-            end_ms: end,
-            children: Vec::new(),
+            label,
+            start_ms,
+            end_ms,
         });
     }
-    end.max(start)
+    end_ms.max(start_ms)
 }
 
 /// If some interval covers `at`, its effective end (open = forever).

@@ -8,7 +8,12 @@
 //! key every shard interleaving agrees on.
 
 use super::Trace;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+
+/// The ranking key, smallest first: longest duration, then earliest
+/// `(end_ms, seq)`.
+type Rank = (Reverse<u64>, u64, u64);
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -18,10 +23,8 @@ struct Entry {
 }
 
 impl Entry {
-    /// Strict-weak order: does `self` outrank `other`?
-    fn outranks(&self, other: &Entry) -> bool {
-        let (a, b) = (self.trace.duration_ms(), other.trace.duration_ms());
-        a > b || (a == b && (self.end_ms, self.seq) < (other.end_ms, other.seq))
+    fn rank(&self) -> Rank {
+        (Reverse(self.trace.duration_ms()), self.end_ms, self.seq)
     }
 }
 
@@ -44,29 +47,44 @@ impl ExemplarReservoir {
         }
     }
 
+    /// Whether [`offer`](Self::offer)ing a trace with these coordinates
+    /// would change the reservoir, decided before the trace is built: the
+    /// assembler builds spans, labels and the [`Trace`] only when it is.
+    pub fn admits(&self, endpoint: &str, duration_ms: u64, end_ms: u64, seq: u64) -> bool {
+        let rank = (Reverse(duration_ms), end_ms, seq);
+        self.endpoint_admits(endpoint, rank) || self.global_slot(rank).is_some()
+    }
+
     /// Offers a completed trace. `end_ms` and `seq` are the completing
     /// event's merged-stream coordinates — the deterministic tie-break.
     pub fn offer(&mut self, trace: Trace, end_ms: u64, seq: u64) {
         let entry = Entry { trace, end_ms, seq };
-        match self.per_endpoint.get(&entry.trace.endpoint) {
-            Some(held) if held.outranks(&entry) => {}
-            _ => {
-                self.per_endpoint
-                    .insert(entry.trace.endpoint.clone(), entry.clone());
-            }
+        let rank = entry.rank();
+        if self.endpoint_admits(&entry.trace.endpoint, rank) {
+            self.per_endpoint
+                .insert(entry.trace.endpoint.clone(), entry.clone());
         }
-        if self.k == 0 {
-            return;
-        }
-        let pos = self
-            .global
-            .iter()
-            .position(|held| entry.outranks(held))
-            .unwrap_or(self.global.len());
-        if pos < self.k {
+        if let Some(pos) = self.global_slot(rank) {
             self.global.insert(pos, entry);
             self.global.truncate(self.k);
         }
+    }
+
+    /// A trace replaces its endpoint's held one unless that one outranks it.
+    fn endpoint_admits(&self, endpoint: &str, rank: Rank) -> bool {
+        self.per_endpoint
+            .get(endpoint)
+            .is_none_or(|held| held.rank() >= rank)
+    }
+
+    /// Where a trace of this rank would enter the global top-K, if at all.
+    fn global_slot(&self, rank: Rank) -> Option<usize> {
+        let pos = self
+            .global
+            .iter()
+            .position(|held| rank < held.rank())
+            .unwrap_or(self.global.len());
+        (pos < self.k).then_some(pos)
     }
 
     /// The current global exemplar ids, slowest first, comma-joined.
@@ -189,6 +207,30 @@ mod tests {
         assert!(set.global.is_empty());
         assert_eq!(set.csv(), "");
         assert_eq!(set.per_endpoint.len(), 1);
+    }
+
+    #[test]
+    fn admits_is_true_exactly_when_offer_changes_the_reservoir() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(27);
+        for case in 0..400 {
+            let mut r = ExemplarReservoir::new(case % 4);
+            let mut seq = 0;
+            for tag in 0..30 {
+                // Four durations and end instants on a 10 ms grid make
+                // duration ties and equal ends common; a repeated `seq`
+                // makes whole-key ties.
+                let endpoint = ["a", "b", "c"][rng.gen_range(0..3)];
+                let end = rng.gen_range(3..7u64) * 10;
+                let start = end - rng.gen_range(0..4u64) * 10;
+                seq += rng.gen_range(0..2u64);
+                let before = r.snapshot();
+                let admitted = r.admits(endpoint, end - start, end, seq);
+                r.offer(trace(endpoint, tag, start, end), end, seq);
+                assert_eq!(admitted, r.snapshot() != before, "case {case} tag {tag}");
+            }
+        }
     }
 
     #[test]
