@@ -52,8 +52,7 @@ use std::collections::BTreeMap;
 
 /// Applies `f` to `key`'s entry, inserting a default one first if absent.
 /// Unlike `entry(key.to_owned())`, it clones the key only on insert: the
-/// window and profiler folds run once per event and almost always find
-/// their entry.
+/// window's fold runs once per event and almost always finds its entry.
 fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, f: impl FnOnce(&mut V)) {
     match map.get_mut(key) {
         Some(value) => f(value),

@@ -262,7 +262,7 @@ impl TraceAssembler {
         self.heap = heap;
     }
 
-    /// The quarantine intervals of endpoint `id`, created on first use.
+    /// The quarantine intervals of `endpoint`, created on first use.
     fn quarantines_mut(&mut self, endpoint: &str) -> &mut Vec<Interval> {
         let id = self.names.intern(endpoint) as usize;
         if self.quarantines.len() <= id {
