@@ -137,7 +137,7 @@ impl From<std::io::Error> for JournalError {
 /// CRC-32/IEEE (the zlib polynomial), slicing-by-8: eight bytes per step
 /// through eight 256-entry tables built at compile time. Frames are small,
 /// but recovery checks every frame of every shard, about 6 MB per quick
-/// replay, where the table costs a tenth of the bitwise loop.
+/// replay, where the tables cost about a tenth of the bitwise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = !0u32;

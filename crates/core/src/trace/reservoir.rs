@@ -50,7 +50,7 @@ impl ExemplarReservoir {
     /// Whether [`offer`](Self::offer)ing a trace with these coordinates
     /// would change the reservoir, decided before the trace is built: the
     /// assembler builds spans, labels and the [`Trace`] only when it is.
-    pub fn admits(&self, endpoint: &str, duration_ms: u64, end_ms: u64, seq: u64) -> bool {
+    pub(crate) fn admits(&self, endpoint: &str, duration_ms: u64, end_ms: u64, seq: u64) -> bool {
         let rank = (Reverse(duration_ms), end_ms, seq);
         self.endpoint_admits(endpoint, rank) || self.global_slot(rank).is_some()
     }
