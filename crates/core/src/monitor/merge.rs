@@ -15,9 +15,10 @@
 //! Both consumers go through one fold, [`WatermarkHeap::observe`]: it
 //! numbers the events itself and hands each one to the caller's closure
 //! once it is next in time order, and [`WatermarkHeap::flush`] ends the
-//! stream. Loop-current events rarely need the heap: when nothing queued
-//! is stamped at or before one, it is the next event in time order and
-//! is folded in place, so only future-stamped events wait. The
+//! stream. Loop-current events never need the heap: every queued event
+//! was numbered before one, so the queued events stamped at or before it
+//! fold first and it then folds in place, and only future-stamped events
+//! wait. The
 //! multi-shard merge in [`shard`](crate::shard) needs no heap at all: its
 //! streams are complete, so it sorts them once.
 
@@ -154,8 +155,8 @@ impl<T> WatermarkHeap<T> {
 impl WatermarkHeap<EventKind> {
     /// Takes one event in emission order and calls `fold` with every
     /// event that is now next in time order, earliest `(at, seq)` first.
-    /// Only a queued event is cloned: a loop-current event with nothing
-    /// queued at or before its stamp is folded in place.
+    /// Only a future-stamped event is queued, and so cloned: a
+    /// loop-current event folds in place.
     pub fn observe(&mut self, event: &Event, mut fold: impl FnMut(u64, &EventKind)) {
         let at_ms = event.at.as_millis();
         self.seq += 1;
@@ -163,12 +164,16 @@ impl WatermarkHeap<EventKind> {
             self.push(at_ms, self.seq, event.kind.clone());
             return;
         }
-        self.advance(at_ms);
-        if self.next_at().is_none_or(|next| next > at_ms) {
-            fold(at_ms, &event.kind);
-        } else {
-            self.push(at_ms, self.seq, event.kind.clone());
+        // Everything queued carries a smaller `seq`, so what is stamped at
+        // or before this event precedes it; what the raised watermark
+        // releases beyond its stamp follows it.
+        while self.next_at().is_some_and(|next| next <= at_ms) {
+            if let Some(entry) = self.heap.pop() {
+                fold(entry.at_ms, &entry.payload);
+            }
         }
+        fold(at_ms, &event.kind);
+        self.advance(at_ms);
         self.drain(fold);
     }
 
@@ -209,6 +214,63 @@ mod tests {
         assert_eq!(heap.pop_ready(), Some((70, 2, "late-stamped")));
         assert_eq!(heap.next_at(), None);
         assert!(heap.is_empty());
+    }
+
+    /// The fold `observe` must equal: queue every event, and drain what
+    /// each loop-current event's watermark releases.
+    fn push_everything(events: &[Event]) -> Vec<(u64, EventKind)> {
+        let mut heap = WatermarkHeap::new();
+        let mut out = Vec::new();
+        for (seq, event) in events.iter().enumerate() {
+            let at_ms = event.at.as_millis();
+            heap.push(at_ms, seq as u64, event.kind.clone());
+            if advances_watermark(&event.kind) {
+                heap.advance(at_ms);
+                while let Some((at_ms, _, kind)) = heap.pop_ready() {
+                    out.push((at_ms, kind));
+                }
+            }
+        }
+        heap.advance(u64::MAX);
+        while let Some((at_ms, _, kind)) = heap.pop_ready() {
+            out.push((at_ms, kind));
+        }
+        out
+    }
+
+    #[test]
+    fn observe_folds_in_the_push_everything_order() {
+        use bbsim_net::SimTime;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for case in 0..500 {
+            // Stamps drawn from a dozen milliseconds in any order: dense
+            // ties, and loop-current events stamped below the watermark.
+            let events: Vec<Event> = (0..rng.gen_range(1..40u64))
+                .map(|tag| Event {
+                    at: SimTime::from_millis(rng.gen_range(0..12)),
+                    kind: if rng.gen_bool(0.5) {
+                        EventKind::JobBegin {
+                            tag,
+                            endpoint: String::new(),
+                        }
+                    } else {
+                        EventKind::Retry {
+                            tag,
+                            next_attempt: 2,
+                            delay_ms: 0,
+                        }
+                    },
+                })
+                .collect();
+            let mut heap = WatermarkHeap::new();
+            let mut folded = Vec::new();
+            for event in &events {
+                heap.observe(event, |at_ms, kind| folded.push((at_ms, kind.clone())));
+            }
+            heap.flush(|at_ms, kind| folded.push((at_ms, kind.clone())));
+            assert_eq!(folded, push_everything(&events), "case {case}");
+        }
     }
 
     #[test]
