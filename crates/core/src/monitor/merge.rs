@@ -18,9 +18,8 @@
 //! stream. Loop-current events never need the heap: every queued event
 //! was numbered before one, so the queued events stamped at or before it
 //! fold first and it then folds in place, and only future-stamped events
-//! wait. The
-//! multi-shard merge in [`shard`](crate::shard) needs no heap at all: its
-//! streams are complete, so it sorts them once.
+//! wait. The multi-shard merge in [`shard`](crate::shard) needs no heap
+//! at all: its streams are complete, so it sorts them once.
 
 use crate::telemetry::{Event, EventKind};
 use std::cmp::Ordering;
