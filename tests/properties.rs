@@ -3631,3 +3631,520 @@ mod serve_oracles {
         assert_eq!(parse_query_line(&query_to_line(&q)), Ok(q));
     }
 }
+
+// ---- journal oracles ----------------------------------------------------
+//
+// The BQJ1 journal's hand-written encoders and decoders, kept here
+// verbatim as oracles: one pair per entry kind, the offset readers, the
+// framer, the kind dispatch and the frame scanner. Entries written
+// through `Journal` must give the oracle's exact bytes, and payloads the
+// oracle built, then cut short, extended or byte-flipped (CRC recomputed),
+// must read back to the same entries or fail with the same error variant
+// at the same frame.
+
+mod journal_oracles {
+    use super::*;
+    use decoding_divide::bqt::journal::{
+        crc32, read_entries, AttemptEntry, CampaignManifest, Entry, Journal, JournalError,
+        RebootstrapEntry, MAGIC,
+    };
+    use decoding_divide::bqt::{QueryOutcome, ScrapedPlan};
+    use decoding_divide::net::SimDuration;
+
+    const KIND_MANIFEST: u8 = 1;
+    const KIND_ATTEMPT: u8 = 2;
+    const KIND_REBOOTSTRAP: u8 = 3;
+
+    fn encode_manifest(m: &CampaignManifest) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 + 8 * 3 + 4);
+        buf.push(KIND_MANIFEST);
+        buf.extend_from_slice(&m.seed.to_le_bytes());
+        buf.extend_from_slice(&m.config_hash.to_le_bytes());
+        buf.extend_from_slice(&m.job_digest.to_le_bytes());
+        buf.extend_from_slice(&m.n_jobs.to_le_bytes());
+        buf
+    }
+
+    fn decode_manifest(frame: usize, payload: &[u8]) -> Result<CampaignManifest, JournalError> {
+        let body = &payload[1..];
+        if body.len() != 8 * 3 + 4 {
+            return Err(JournalError::Malformed {
+                frame,
+                what: "manifest length",
+            });
+        }
+        Ok(CampaignManifest {
+            seed: read_u64_le(frame, body, 0, "manifest seed")?,
+            config_hash: read_u64_le(frame, body, 8, "manifest config hash")?,
+            job_digest: read_u64_le(frame, body, 16, "manifest job digest")?,
+            n_jobs: read_u32_le(frame, body, 24, "manifest job count")?,
+        })
+    }
+
+    fn encode_attempt(a: &AttemptEntry) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(32);
+        buf.push(KIND_ATTEMPT);
+        buf.extend_from_slice(&a.tag.to_le_bytes());
+        buf.extend_from_slice(&a.attempt.to_le_bytes());
+        buf.extend_from_slice(&a.duration.as_millis().to_le_bytes());
+        buf.extend_from_slice(&a.steps.to_le_bytes());
+        buf.push(a.saw_unrecognized_page as u8);
+        match &a.outcome {
+            QueryOutcome::NoService => buf.push(0),
+            QueryOutcome::Unserviceable => buf.push(1),
+            QueryOutcome::Blocked => buf.push(2),
+            QueryOutcome::Failed => buf.push(3),
+            QueryOutcome::Stalled => buf.push(4),
+            QueryOutcome::Plans(plans) => {
+                buf.push(5);
+                buf.extend_from_slice(&(plans.len() as u32).to_le_bytes());
+                for p in plans {
+                    buf.extend_from_slice(&p.download_mbps.to_bits().to_le_bytes());
+                    buf.extend_from_slice(&p.upload_mbps.to_bits().to_le_bytes());
+                    buf.extend_from_slice(&p.price_usd.to_bits().to_le_bytes());
+                }
+            }
+        }
+        buf
+    }
+
+    fn decode_attempt(frame: usize, payload: &[u8]) -> Result<AttemptEntry, JournalError> {
+        let malformed = |what| JournalError::Malformed { frame, what };
+        let body = &payload[1..];
+        if body.len() < 8 + 4 + 8 + 4 + 1 + 1 {
+            return Err(malformed("attempt header length"));
+        }
+        let tag = read_u64_le(frame, body, 0, "attempt tag")?;
+        let attempt = read_u32_le(frame, body, 8, "attempt number")?;
+        let duration_ms = read_u64_le(frame, body, 12, "attempt duration")?;
+        let steps = read_u32_le(frame, body, 20, "attempt steps")?;
+        let flags = body[24];
+        let code = body[25];
+        let rest = &body[26..];
+        let outcome = match code {
+            0 => QueryOutcome::NoService,
+            1 => QueryOutcome::Unserviceable,
+            2 => QueryOutcome::Blocked,
+            3 => QueryOutcome::Failed,
+            4 => QueryOutcome::Stalled,
+            5 => {
+                let n = read_u32_le(frame, rest, 0, "plan count")? as usize;
+                if rest.len() != 4 + n * 24 {
+                    return Err(malformed("plan list length"));
+                }
+                let mut plans = Vec::with_capacity(n);
+                for i in 0..n {
+                    let at = 4 + i * 24;
+                    let f = |o: usize| {
+                        read_u64_le(frame, rest, at + o, "plan field").map(f64::from_bits)
+                    };
+                    plans.push(ScrapedPlan {
+                        download_mbps: f(0)?,
+                        upload_mbps: f(8)?,
+                        price_usd: f(16)?,
+                    });
+                }
+                QueryOutcome::Plans(plans)
+            }
+            _ => return Err(malformed("outcome code")),
+        };
+        if code != 5 && !rest.is_empty() {
+            return Err(malformed("trailing bytes"));
+        }
+        Ok(AttemptEntry {
+            tag,
+            attempt,
+            outcome,
+            duration: SimDuration::from_millis(duration_ms),
+            steps,
+            saw_unrecognized_page: flags & 1 != 0,
+        })
+    }
+
+    fn encode_rebootstrap(r: &RebootstrapEntry) -> Vec<u8> {
+        let name = r.endpoint.as_bytes();
+        let mut buf = Vec::with_capacity(1 + 4 + name.len() + 4 * 3);
+        buf.push(KIND_REBOOTSTRAP);
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name);
+        buf.extend_from_slice(&r.occurrence.to_le_bytes());
+        buf.extend_from_slice(&r.generation.to_le_bytes());
+        buf.extend_from_slice(&r.confidence_pct.to_le_bytes());
+        buf
+    }
+
+    fn decode_rebootstrap(frame: usize, payload: &[u8]) -> Result<RebootstrapEntry, JournalError> {
+        let malformed = |what| JournalError::Malformed { frame, what };
+        let body = &payload[1..];
+        let name_len = read_u32_le(frame, body, 0, "rebootstrap endpoint length")? as usize;
+        let name_end = 4 + name_len;
+        if body.len() != name_end + 4 * 3 {
+            return Err(malformed("rebootstrap length"));
+        }
+        let endpoint = std::str::from_utf8(&body[4..name_end])
+            .map_err(|_| malformed("rebootstrap endpoint utf-8"))?
+            .to_string();
+        Ok(RebootstrapEntry {
+            endpoint,
+            occurrence: read_u32_le(frame, body, name_end, "rebootstrap occurrence")?,
+            generation: read_u32_le(frame, body, name_end + 4, "rebootstrap generation")?,
+            confidence_pct: read_u32_le(frame, body, name_end + 8, "rebootstrap confidence")?,
+        })
+    }
+
+    fn read_u64_le(
+        frame: usize,
+        body: &[u8],
+        at: usize,
+        what: &'static str,
+    ) -> Result<u64, JournalError> {
+        match body.get(at..at + 8).map(<[u8; 8]>::try_from) {
+            Some(Ok(raw)) => Ok(u64::from_le_bytes(raw)),
+            _ => Err(JournalError::Malformed { frame, what }),
+        }
+    }
+
+    fn read_u32_le(
+        frame: usize,
+        body: &[u8],
+        at: usize,
+        what: &'static str,
+    ) -> Result<u32, JournalError> {
+        match body.get(at..at + 4).map(<[u8; 4]>::try_from) {
+            Some(Ok(raw)) => Ok(u32::from_le_bytes(raw)),
+            _ => Err(JournalError::Malformed { frame, what }),
+        }
+    }
+
+    fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(8 + payload.len());
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    const MAX_FRAME: u32 = 1 << 20;
+
+    fn decode_payload(frame: usize, payload: &[u8]) -> Result<Entry, JournalError> {
+        match payload.first() {
+            None => Err(JournalError::Malformed {
+                frame,
+                what: "empty payload",
+            }),
+            Some(&KIND_MANIFEST) => decode_manifest(frame, payload).map(Entry::Manifest),
+            Some(&KIND_ATTEMPT) => decode_attempt(frame, payload).map(Entry::Attempt),
+            Some(&KIND_REBOOTSTRAP) => decode_rebootstrap(frame, payload).map(Entry::Rebootstrap),
+            Some(&kind) => Err(JournalError::UnknownKind { frame, kind }),
+        }
+    }
+
+    /// The strict reader: the frame scanner, failing on a torn tail.
+    fn read_entries_oracle(bytes: &[u8]) -> Result<Vec<Entry>, JournalError> {
+        if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
+            return Err(JournalError::BadMagic);
+        }
+        let mut entries = Vec::new();
+        let mut at = MAGIC.len();
+        let mut frame = 0usize;
+        while at < bytes.len() {
+            let header_end = at + 8;
+            if header_end > bytes.len() {
+                return Err(JournalError::TornTail);
+            }
+            let len = read_u32_le(frame, bytes, at, "frame length")?;
+            if len > MAX_FRAME {
+                if at + 8 + len as usize > bytes.len() {
+                    return Err(JournalError::TornTail);
+                }
+                return Err(JournalError::OversizedFrame { frame, len });
+            }
+            let crc = read_u32_le(frame, bytes, at + 4, "frame crc")?;
+            let payload_end = header_end + len as usize;
+            if payload_end > bytes.len() {
+                return Err(JournalError::TornTail);
+            }
+            let payload = &bytes[header_end..payload_end];
+            if crc32(payload) != crc {
+                return Err(JournalError::BadCrc { frame });
+            }
+            let entry = decode_payload(frame, payload)?;
+            match (&entry, frame) {
+                (Entry::Manifest(_), 0) => {}
+                (Entry::Manifest(_), _) => return Err(JournalError::DuplicateManifest),
+                (Entry::Attempt(_) | Entry::Rebootstrap(_), 0) => {
+                    return Err(JournalError::MissingManifest)
+                }
+                (Entry::Attempt(_) | Entry::Rebootstrap(_), _) => {}
+            }
+            entries.push(entry);
+            at = payload_end;
+            frame += 1;
+        }
+        Ok(entries)
+    }
+
+    fn encode_entry(entry: &Entry) -> Vec<u8> {
+        match entry {
+            Entry::Manifest(m) => encode_manifest(m),
+            Entry::Attempt(a) => encode_attempt(a),
+            Entry::Rebootstrap(r) => encode_rebootstrap(r),
+        }
+    }
+
+    /// An error's variant and the frame it names, if any: what both
+    /// readers must agree on (the `what` of a malformed frame may differ).
+    fn shape(e: &JournalError) -> (std::mem::Discriminant<JournalError>, Option<usize>) {
+        let frame = match e {
+            JournalError::BadCrc { frame }
+            | JournalError::Malformed { frame, .. }
+            | JournalError::OversizedFrame { frame, .. }
+            | JournalError::UnknownKind { frame, .. } => Some(*frame),
+            _ => None,
+        };
+        (std::mem::discriminant(e), frame)
+    }
+
+    /// `(seed, config_hash, job_digest, n_jobs)`.
+    type ManifestSpec = (u64, u64, u64, u32);
+    /// `(selector, bits)`: selectors 0–4 pick NaN payloads, −0.0 and
+    /// infinity, anything higher takes `bits` as they are.
+    type Float = (u8, u64);
+    /// `(tag, attempt, duration_ms, steps, flag, outcome, plans)`.
+    type AttemptSpec = (u64, u32, u64, u32, bool, usize, Vec<(Float, Float, Float)>);
+    /// `(endpoint chars, occurrence, generation, confidence_pct)`.
+    type RebootSpec = (Vec<usize>, u32, u32, u32);
+    /// `(is_rebootstrap, attempt, rebootstrap)`.
+    type Op = (bool, AttemptSpec, RebootSpec);
+
+    /// Empty, ASCII and multi-byte endpoint characters.
+    const CHARS: [char; 8] = ['a', 'z', '/', '-', '7', 'é', '漢', '🦀'];
+
+    fn manifest((seed, config_hash, job_digest, n_jobs): ManifestSpec) -> CampaignManifest {
+        CampaignManifest {
+            seed,
+            config_hash,
+            job_digest,
+            n_jobs,
+        }
+    }
+
+    fn float((selector, bits): Float) -> f64 {
+        f64::from_bits(match selector {
+            0 => 0x7FF8_0000_0000_0000,
+            1 => 0xFFF0_0000_0000_0001 | (bits & 0xF_FFFF),
+            2 => 0x7FF0_0000_0000_0001 | (bits & 0xFFFF_FFFF),
+            3 => 0x8000_0000_0000_0000,
+            4 => 0xFFF0_0000_0000_0000,
+            _ => bits,
+        })
+    }
+
+    fn attempt(spec: &AttemptSpec) -> AttemptEntry {
+        let (tag, attempt, duration_ms, steps, flag, outcome, plans) = spec;
+        let outcome = match outcome {
+            0 => QueryOutcome::NoService,
+            1 => QueryOutcome::Unserviceable,
+            2 => QueryOutcome::Blocked,
+            3 => QueryOutcome::Failed,
+            4 => QueryOutcome::Stalled,
+            _ => QueryOutcome::Plans(
+                plans
+                    .iter()
+                    .map(|&(d, u, p)| ScrapedPlan {
+                        download_mbps: float(d),
+                        upload_mbps: float(u),
+                        price_usd: float(p),
+                    })
+                    .collect(),
+            ),
+        };
+        AttemptEntry {
+            tag: *tag,
+            attempt: *attempt,
+            outcome,
+            duration: SimDuration::from_millis(*duration_ms),
+            steps: *steps,
+            saw_unrecognized_page: *flag,
+        }
+    }
+
+    fn rebootstrap(spec: &RebootSpec) -> RebootstrapEntry {
+        let (chars, occurrence, generation, confidence_pct) = spec;
+        RebootstrapEntry {
+            endpoint: chars.iter().map(|&i| CHARS[i]).collect(),
+            occurrence: *occurrence,
+            generation: *generation,
+            confidence_pct: *confidence_pct,
+        }
+    }
+
+    fn float_strategy() -> impl Strategy<Value = Float> {
+        (0u8..12, any::<u64>())
+    }
+
+    fn attempt_strategy() -> impl Strategy<Value = AttemptSpec> {
+        (
+            any::<u64>(),
+            any::<u32>(),
+            any::<u64>(),
+            any::<u32>(),
+            any::<bool>(),
+            0usize..6,
+            proptest::collection::vec(
+                (float_strategy(), float_strategy(), float_strategy()),
+                0..41,
+            ),
+        )
+    }
+
+    fn reboot_strategy() -> impl Strategy<Value = RebootSpec> {
+        (
+            proptest::collection::vec(0usize..CHARS.len(), 0..12),
+            any::<u32>(),
+            any::<u32>(),
+            any::<u32>(),
+        )
+    }
+
+    fn manifest_strategy() -> impl Strategy<Value = ManifestSpec> {
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>())
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (any::<bool>(), attempt_strategy(), reboot_strategy())
+    }
+
+    /// `(kind, at, byte)`: kind 0 cuts the payload to `at % (len + 1)`
+    /// bytes, 1 appends `at % 30 + 1` copies of `byte`, 2 flips the bits
+    /// of `byte | 1` into the byte at `at % len`.
+    type Mutation = (u8, usize, u8);
+
+    fn mutate(payload: &mut Vec<u8>, (kind, at, byte): Mutation) {
+        match kind {
+            0 => payload.truncate(at % (payload.len() + 1)),
+            1 => payload.extend(std::iter::repeat_n(byte, at % 30 + 1)),
+            _ => {
+                let i = at % payload.len();
+                payload[i] ^= byte | 1;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn journal_writes_the_oracle_bytes(
+            m in manifest_strategy(),
+            ops in proptest::collection::vec(op_strategy(), 0..12),
+        ) {
+            let mut journal = Journal::in_memory();
+            let mut expected = MAGIC.to_vec();
+            let m = manifest(m);
+            journal.bind_manifest(m).map_err(|e| e.to_string())?;
+            expected.extend_from_slice(&frame_bytes(&encode_manifest(&m)));
+            for (is_reboot, a, r) in &ops {
+                if *is_reboot {
+                    let r = rebootstrap(r);
+                    expected.extend_from_slice(&frame_bytes(&encode_rebootstrap(&r)));
+                    journal.append_rebootstrap(r).map_err(|e| e.to_string())?;
+                } else {
+                    let a = attempt(a);
+                    expected.extend_from_slice(&frame_bytes(&encode_attempt(&a)));
+                    journal.append(a).map_err(|e| e.to_string())?;
+                }
+            }
+            prop_assert!(journal.bytes() == Some(&expected[..]), "bytes differ for {ops:?}");
+        }
+
+        #[test]
+        fn damaged_payloads_read_as_the_oracle_reads_them(
+            m in manifest_strategy(),
+            ops in proptest::collection::vec(op_strategy(), 0..5),
+            raw in proptest::collection::vec(any::<u8>(), 0..12),
+            mutations in proptest::collection::vec(
+                (0usize..8, (0u8..3, any::<usize>(), any::<u8>())),
+                1..4,
+            ),
+        ) {
+            // Frame 0 is the manifest, then the ops, then a raw payload.
+            let mut payloads = vec![encode_manifest(&manifest(m))];
+            for (is_reboot, a, r) in &ops {
+                payloads.push(if *is_reboot {
+                    encode_rebootstrap(&rebootstrap(r))
+                } else {
+                    encode_attempt(&attempt(a))
+                });
+            }
+            payloads.push(raw);
+            for &(victim, mutation) in &mutations {
+                let n = payloads.len();
+                let payload = &mut payloads[victim % n];
+                if !payload.is_empty() || mutation.0 == 1 {
+                    mutate(payload, mutation);
+                }
+            }
+            let mut bytes = MAGIC.to_vec();
+            for payload in &payloads {
+                bytes.extend_from_slice(&frame_bytes(payload));
+            }
+            match (read_entries(&bytes), read_entries_oracle(&bytes)) {
+                (Ok(got), Ok(want)) => {
+                    let got: Vec<Vec<u8>> = got.iter().map(encode_entry).collect();
+                    let want: Vec<Vec<u8>> = want.iter().map(encode_entry).collect();
+                    prop_assert_eq!(got, want);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(shape(&got), shape(&want)),
+                (got, want) => {
+                    return Err(format!("read {got:?}, oracle read {want:?}"));
+                }
+            }
+        }
+    }
+
+    /// The mutations reach every error the payload decoders can give and
+    /// valid entries too, so the property above is not vacuous.
+    #[test]
+    fn damage_covers_every_decoder_outcome() {
+        let attempt = attempt(&(9, 1, 1500, 2, true, 5, vec![((9, 1), (3, 0), (0, 0))]));
+        let reboot = rebootstrap(&(vec![5, 6, 7], 1, 2, 95));
+        let cases: [(Vec<u8>, Mutation); 8] = [
+            (encode_attempt(&attempt), (0, 20, 0)),
+            (encode_attempt(&attempt), (1, 0, 7)),
+            (encode_attempt(&attempt), (2, 26, 0x0E)),
+            (encode_attempt(&attempt), (2, 27, 0x40)),
+            (encode_attempt(&attempt), (2, 25, 0x02)),
+            (encode_rebootstrap(&reboot), (2, 6, 0x40)),
+            (encode_rebootstrap(&reboot), (0, 0, 0)),
+            (encode_rebootstrap(&reboot), (2, 0, 0x0E)),
+        ];
+        let mut seen = Vec::new();
+        for (mut payload, mutation) in cases {
+            mutate(&mut payload, mutation);
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&frame_bytes(&encode_manifest(&manifest((1, 2, 3, 4)))));
+            bytes.extend_from_slice(&frame_bytes(&payload));
+            let got = read_entries(&bytes).map(|e| e.len());
+            assert_eq!(
+                got.as_ref().map_err(shape),
+                read_entries_oracle(&bytes)
+                    .map(|e| e.len())
+                    .as_ref()
+                    .map_err(shape)
+            );
+            seen.push(got);
+        }
+        // Cut short, extended, a bad outcome code, a plan count past the
+        // payload, bad UTF-8, an empty payload.
+        for i in [0, 1, 2, 3, 5, 6] {
+            let malformed = matches!(seen[i], Err(JournalError::Malformed { frame: 1, .. }));
+            assert!(malformed, "case {i}: {:?}", seen[i]);
+        }
+        assert_eq!(seen[4], Ok(2), "flag bits above bit 0 are ignored");
+        assert_eq!(
+            seen[7],
+            Err(JournalError::UnknownKind { frame: 1, kind: 12 })
+        );
+    }
+}
