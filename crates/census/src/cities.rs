@@ -589,6 +589,11 @@ mod tests {
         let g = c.grid();
         assert_eq!(g.len(), 98);
         assert_eq!(g.id(0).state.0, 30);
+        // The grid grows until it holds every block group: its frontier
+        // never empties first.
+        for city in ALL_CITIES {
+            assert_eq!(city.grid().len(), city.block_groups, "{}", city.name);
+        }
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use crate::scrape::TemplateSet;
 use bbsim_net::{Request, SimDuration, SimIp, SimTime, Transport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 pub use bbsim_address::matching::Measure;
 
@@ -80,13 +78,11 @@ pub fn calibrate_pause(
     endpoint: &str,
     sample_lines: &[String],
     src: SimIp,
-    seed: u64,
 ) -> SimDuration {
     assert!(
         !sample_lines.is_empty(),
         "calibration needs sample addresses"
     );
-    let _rng = StdRng::seed_from_u64(seed);
     let mut worst = SimDuration::ZERO;
     let mut now = SimTime::ZERO;
     for line in sample_lines {
@@ -104,6 +100,7 @@ pub fn calibrate_pause(
 mod tests {
     use super::*;
     use bbsim_net::{Endpoint, Exchange, LatencyModel, Response, Service};
+    use rand::rngs::StdRng;
 
     struct SlowPage;
     impl Service for SlowPage {
@@ -128,7 +125,7 @@ mod tests {
         );
         let lines: Vec<String> = (0..25).map(|i| format!("{i} Main St")).collect();
         let src = SimIp(0x6440_0001);
-        let pause = calibrate_pause(&mut t, "isp", &lines, src, 7);
+        let pause = calibrate_pause(&mut t, "isp", &lines, src);
         // The max of 25 lognormal(10s, 0.4) draws is comfortably above the
         // median and below a pathological bound.
         assert!(pause > SimDuration::from_secs(10), "pause {pause}");
@@ -155,6 +152,6 @@ mod tests {
     #[should_panic(expected = "calibration needs")]
     fn calibration_requires_samples() {
         let mut t = Transport::new(1);
-        calibrate_pause(&mut t, "isp", &[], SimIp(1), 0);
+        calibrate_pause(&mut t, "isp", &[], SimIp(1));
     }
 }

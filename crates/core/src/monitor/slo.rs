@@ -133,11 +133,6 @@ impl SloRule {
         }
     }
 
-    /// Retries per attempt must stay at or below `rate`.
-    pub fn retry_rate_at_most(rate: f64) -> Self {
-        Self::base("retry_rate", SloSignal::RetryRate, rate)
-    }
-
     /// Template match confidence must stay at or above `threshold` —
     /// degradation means the endpoint's markup drifted away from the
     /// bootstrapped template set.

@@ -187,21 +187,6 @@ pub struct CityDataset {
     pub per_isp_pause: Vec<(Isp, SimDuration)>,
 }
 
-impl CityDataset {
-    /// Records for one ISP.
-    pub fn records_for(&self, isp: Isp) -> impl Iterator<Item = &PlanRecord> {
-        self.records.iter().filter(move |r| r.isp == isp)
-    }
-
-    /// Metrics for one ISP, if it was curated here.
-    pub fn metrics_for(&self, isp: Isp) -> Option<&Metrics> {
-        self.per_isp_metrics
-            .iter()
-            .find(|(i, _)| *i == isp)
-            .map(|(_, m)| m)
-    }
-}
-
 /// Curates one city: the paper's §4.1 methodology over the simulated web.
 pub fn curate_city(city: &'static CityProfile, opts: &CurationOptions) -> CityDataset {
     curate_city_with_faults(city, opts, None)
@@ -236,7 +221,7 @@ pub fn curate_city_with_faults(
 
     for isp in world.isps() {
         let src = pool.next();
-        let (pause, config) = calibrate_isp(&world, opts, &mut transport, isp, src, run_seed);
+        let (pause, config) = calibrate_isp(&world, opts, &mut transport, isp, src);
         per_isp_pause.push((isp, pause));
         let jobs = sample_jobs(&world, opts, isp, sample_seed(city, opts));
 
@@ -330,7 +315,7 @@ fn curate_city_sharded(
     let isps = world.isps();
     for (i, &isp) in isps.iter().enumerate() {
         let src = pool.next();
-        let (pause, config) = calibrate_isp(world, opts, &mut transport, isp, src, run_seed);
+        let (pause, config) = calibrate_isp(world, opts, &mut transport, isp, src);
         per_isp_pause.push((isp, pause));
         let jobs = sample_jobs(world, opts, isp, sample_seed(city, opts));
         specs.push(ShardSpec {
@@ -432,7 +417,6 @@ fn calibrate_isp(
     transport: &mut Transport,
     isp: Isp,
     src: bbsim_net::SimIp,
-    run_seed: u64,
 ) -> (SimDuration, BqtConfig) {
     let calib_lines: Vec<String> = world
         .addresses()
@@ -441,7 +425,7 @@ fn calibrate_isp(
         .take(opts.calibration_samples.max(1))
         .map(|r| r.canonical_line())
         .collect();
-    let pause = bqt::client::calibrate_pause(transport, isp.slug(), &calib_lines, src, run_seed);
+    let pause = bqt::client::calibrate_pause(transport, isp.slug(), &calib_lines, src);
     let mut config = BqtConfig::paper_default(pause);
     config.measure = opts.measure;
     (pause, config)

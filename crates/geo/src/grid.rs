@@ -79,8 +79,7 @@ impl CityGrid {
                     best = Some((i, d2));
                 }
             }
-            // lint:allow(T2): the frontier is refilled every iteration while cells remain
-            let (i, _) = best.expect("frontier never empties while growing");
+            let Some((i, _)) = best else { break };
             let c = frontier.swap_remove(i);
             add(c, &mut cells, &mut by_coord, &mut frontier);
             frontier.retain(|f| !by_coord.contains_key(f));

@@ -62,10 +62,6 @@ impl Status {
             _ => return None,
         })
     }
-
-    pub fn is_success(self) -> bool {
-        self == Status::Ok
-    }
 }
 
 /// Parse failures for the wire format.

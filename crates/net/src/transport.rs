@@ -153,11 +153,6 @@ impl Transport {
         t
     }
 
-    /// Whether this transport derives per-request randomness hermetically.
-    pub fn is_hermetic(&self) -> bool {
-        self.hermetic
-    }
-
     /// Requests carried (or preempted by faults) since construction.
     pub fn requests_sent(&self) -> u64 {
         self.requests
@@ -168,22 +163,9 @@ impl Transport {
         self.endpoints.insert(name.into(), endpoint);
     }
 
-    pub fn has_endpoint(&self, name: &str) -> bool {
-        self.endpoints.contains_key(name)
-    }
-
     /// Attaches (or replaces) the fault-injection schedule.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
-    }
-
-    /// Removes any attached fault schedule.
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-    }
-
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
     }
 
     /// Sends `req` from `src` to `endpoint` at virtual time `now`.

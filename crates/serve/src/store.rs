@@ -223,22 +223,6 @@ impl PlanStore {
             .map(|i| i as u32)
     }
 
-    /// Shard id a query routes to: its `(city, isp)` shard, or for
-    /// city-wide queries the city's primary shard.
-    pub fn route_shard(&self, query: &ServeQuery) -> Option<u32> {
-        match query.shard_key() {
-            Some((city, isp)) => self.shard_for(city, isp),
-            None => match query {
-                ServeQuery::Tiles { city } => self
-                    .shards
-                    .iter()
-                    .position(|s| s.city == *city)
-                    .map(|i| i as u32),
-                ServeQuery::Plans { .. } | ServeQuery::BlockGroup { .. } => None,
-            },
-        }
-    }
-
     /// Answers one query against the indices (no cache involved).
     pub fn answer(&self, query: &ServeQuery) -> ServeAnswer {
         match query {

@@ -575,7 +575,8 @@ fn baseline_grandfathers_matches_and_surfaces_regressions_and_stale() {
 // ---- self-run ---------------------------------------------------------
 
 /// The dogfood gate: the real workspace must be clean against the
-/// committed baseline — exactly what CI's `repro lint` enforces.
+/// committed baseline — exactly what CI's `cargo run -p divide-lint` step
+/// enforces.
 #[test]
 fn workspace_is_clean_against_committed_baseline() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
