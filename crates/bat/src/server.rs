@@ -120,11 +120,6 @@ impl BatServer {
         &self.profile
     }
 
-    /// Number of live sessions (for tests and capacity experiments).
-    pub fn session_count(&self) -> usize {
-        self.sessions.len()
-    }
-
     fn rate_limited(&mut self, peer: SimIp, now: SimTime) -> bool {
         let hits = self.ip_hits.entry(peer).or_default();
         let window_start = SimTime::from_millis(

@@ -16,7 +16,7 @@
 //!   tail       causal traces + tail-latency attribution: serve p99
 //!              breach and drift-rebootstrap exemplars, trace.json
 //!              export ([--quick], [--artifacts DIR])
-//!   lint       run divide-lint against the committed baseline
+//!   lint       run divide-lint over the workspace
 //!   determinism  print per-artifact content hashes at --threads N
 //! ```
 //!

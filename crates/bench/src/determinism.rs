@@ -67,6 +67,9 @@ mod tests {
         let a = determinism(7, 1);
         let b = determinism(7, 4);
         assert_eq!(a, b);
-        assert!(a.contains("events.jsonl") && a.contains("health.prom"));
+        assert_eq!(
+            a,
+            include_str!("../../../tests/golden/determinism-seed7.txt")
+        );
     }
 }

@@ -1237,13 +1237,9 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
     );
 
     // --- Epoch waves: re-curate the same sample as the world evolves. ---
-    let waves = Campaign::epochs(4, |epoch| {
-        Ok(curate_city(
-            city,
-            &bbsim_dataset::CurationOptions::quick(seed).epoch(epoch * 2),
-        ))
-    })
-    .expect("journal-less waves");
+    let waves: Vec<_> = (0..4)
+        .map(|epoch| curate_city(city, &CurationOptions::quick(seed).epoch(epoch * 2)))
+        .collect();
     let diffs = diff_epochs(&waves);
 
     let mut wave_table = Table::new(vec![

@@ -182,52 +182,29 @@ pub fn names() -> Vec<&'static str> {
     registry().iter().map(|e| e.name()).collect()
 }
 
-/// Runs the workspace static analyzer against the committed baseline.
-/// Exit code 0 when clean, 1 on regressions or stale entries, 2 on
-/// setup errors — same contract as the standalone `divide-lint` binary.
+/// Runs the workspace static analyzer. Exit code 0 when clean, 1 on any
+/// finding, 2 on setup errors — same contract as the standalone
+/// `divide-lint` binary.
 fn run_lint(_ctx: &ExperimentCtx) -> ExperimentAction {
-    use divide_lint::{analyze, baseline::Baseline, discover_root, Config};
+    use divide_lint::{analyze, discover_root, Config};
 
     let here = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let Some(root) = discover_root(here) else {
         eprintln!("[repro] lint: no workspace root above {}", here.display());
         return ExperimentAction::Exit(2);
     };
-    let baseline_path = root.join("lint.baseline");
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("[repro] lint: {e}");
-                return ExperimentAction::Exit(2);
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::empty(),
-        Err(e) => {
-            eprintln!("[repro] lint: cannot read {}: {e}", baseline_path.display());
-            return ExperimentAction::Exit(2);
-        }
-    };
-    let outcome = match analyze(&Config::workspace(root)) {
-        Ok(findings) => baseline.judge(findings),
+    let findings = match analyze(&Config::workspace(root)) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("[repro] lint: {e}");
             return ExperimentAction::Exit(2);
         }
     };
-    for f in &outcome.new {
+    for f in &findings {
         println!("{f}");
     }
-    for e in &outcome.stale {
-        println!("stale baseline entry: {}", e.render());
-    }
-    println!(
-        "[repro] lint: {} new, {} baselined, {} stale",
-        outcome.new.len(),
-        outcome.baselined.len(),
-        outcome.stale.len()
-    );
-    ExperimentAction::Exit(if outcome.is_clean() { 0 } else { 1 })
+    println!("[repro] lint: {} findings", findings.len());
+    ExperimentAction::Exit(if findings.is_empty() { 0 } else { 1 })
 }
 
 #[cfg(test)]

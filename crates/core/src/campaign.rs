@@ -34,7 +34,6 @@ use crate::monitor::{CampaignMonitor, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport};
 use crate::retry::RetryPolicy;
 use crate::shard::{self, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
-use crate::shed::ShedPolicy;
 use crate::telemetry::{Fanout, Recorder, Telemetry};
 use bbsim_net::{IpPool, SimDuration, SimTime, Transport};
 
@@ -88,21 +87,9 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Per-job stall deadline for the watchdog.
-    pub fn watchdog(mut self, deadline: SimDuration) -> Self {
-        self.orch.watchdog = deadline;
-        self
-    }
-
     /// Enables job-level retries under `policy`.
     pub fn retries(mut self, policy: RetryPolicy) -> Self {
         self.orch.retry = Some(policy);
-        self
-    }
-
-    /// Enables AIMD load shedding under `policy`.
-    pub fn shedding(mut self, policy: ShedPolicy) -> Self {
-        self.orch.shed = Some(policy);
         self
     }
 
@@ -275,25 +262,6 @@ impl<'a> Campaign<'a> {
             fanout.deliver(event);
         }
         Ok(ShardedOutcome { shards, events })
-    }
-
-    /// Runs `n` longitudinal waves of one campaign family, epoch by epoch.
-    ///
-    /// A longitudinal study re-runs the same campaign against a world
-    /// that evolves between waves (`CityWorld::build_at(city, epoch)`:
-    /// fiber builds out, cable reprices). Each wave owns a fresh
-    /// environment —
-    /// worlds, transports and pools cannot be reused across epochs — so
-    /// the closure receives the epoch number (`0..n`), builds that
-    /// epoch's world and campaign, runs it, and returns whatever the
-    /// study keeps per wave (typically the report plus a curated
-    /// snapshot). Results come back in epoch order; a wave's journal
-    /// error aborts the remaining epochs.
-    pub fn epochs<T>(
-        n: u32,
-        wave: impl FnMut(u32) -> Result<T, JournalError>,
-    ) -> Result<Vec<T>, JournalError> {
-        (0..n).map(wave).collect()
     }
 }
 

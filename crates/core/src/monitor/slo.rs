@@ -18,20 +18,10 @@ use bbsim_net::SimTime;
 pub enum SloSignal {
     /// Hits per finished attempt (breaches *below* threshold).
     HitRate,
-    /// Windowed attempt-latency p50 in ms (breaches above).
-    LatencyP50Ms,
     /// Windowed attempt-latency p99 in ms (breaches above).
     LatencyP99Ms,
-    /// Retries per finished attempt (breaches above).
-    RetryRate,
     /// Circuit-breaker flaps (opens) in the window (breaches above).
     BreakerFlaps,
-    /// Watchdog stall reclaims in the window (breaches above).
-    StallsReclaimed,
-    /// Workers currently live (breaches *below* threshold).
-    WorkersLive,
-    /// Jobs begun but unfinished (breaches above).
-    QueueDepth,
     /// Fraction of windowed attempts whose pages the template set
     /// recognized (breaches *below* threshold) — the drift signal.
     MatchConfidence,
@@ -48,7 +38,6 @@ impl SloSignal {
             let e = snap.per_endpoint.get(endpoint)?;
             return match self {
                 SloSignal::HitRate => e.hit_rate(),
-                SloSignal::LatencyP50Ms => e.latency.quantile_ms(0.5).map(|v| v as f64),
                 SloSignal::LatencyP99Ms => e.latency.quantile_ms(0.99).map(|v| v as f64),
                 SloSignal::MatchConfidence => e.match_confidence(),
                 // The remaining signals are campaign-wide; a scoped rule
@@ -58,13 +47,8 @@ impl SloSignal {
         }
         match self {
             SloSignal::HitRate => snap.hit_rate(),
-            SloSignal::LatencyP50Ms => snap.p50_ms().map(|v| v as f64),
             SloSignal::LatencyP99Ms => snap.p99_ms().map(|v| v as f64),
-            SloSignal::RetryRate => snap.retry_rate(),
             SloSignal::BreakerFlaps => Some(snap.breaker_trips as f64),
-            SloSignal::StallsReclaimed => Some(snap.stalls as f64),
-            SloSignal::WorkersLive => Some(snap.workers_live as f64),
-            SloSignal::QueueDepth => Some(snap.jobs_open as f64),
             SloSignal::MatchConfidence => snap.match_confidence(),
             SloSignal::CacheHitRate => snap.cache_hit_rate(),
         }
@@ -75,10 +59,7 @@ impl SloSignal {
     fn breaches_below(&self) -> bool {
         matches!(
             self,
-            SloSignal::HitRate
-                | SloSignal::WorkersLive
-                | SloSignal::MatchConfidence
-                | SloSignal::CacheHitRate
+            SloSignal::HitRate | SloSignal::MatchConfidence | SloSignal::CacheHitRate
         )
     }
 }

@@ -125,15 +125,6 @@ impl WindowSnapshot {
         (self.attempts > 0).then(|| self.hits as f64 / self.attempts as f64)
     }
 
-    /// Retries per finished attempt inside the window.
-    pub fn retry_rate(&self) -> Option<f64> {
-        (self.attempts > 0).then(|| self.retries as f64 / self.attempts as f64)
-    }
-
-    pub fn p50_ms(&self) -> Option<u64> {
-        self.latency.quantile_ms(0.5)
-    }
-
     pub fn p99_ms(&self) -> Option<u64> {
         self.latency.quantile_ms(0.99)
     }
@@ -360,8 +351,8 @@ mod tests {
         });
         let snap = w.snapshot(9_000);
         assert_eq!(snap.hit_rate(), Some(0.9));
-        assert_eq!(snap.retry_rate(), Some(0.1));
+        assert_eq!(snap.retries, 1);
         assert!(snap.p99_ms().unwrap() >= 64_000);
-        assert!(snap.p50_ms().unwrap() < 2_048);
+        assert!(snap.latency.quantile_ms(0.5).unwrap() < 2_048);
     }
 }

@@ -9,7 +9,7 @@ use bbsim_net::{Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, Transp
 use bqt::{
     render_folded, render_prometheus, render_trace_json, BqtConfig, Campaign, Journal,
     JournalError, JsonlRecorder, Metrics, MonitorPolicy, Orchestrator, QueryJob, QueryOutcome,
-    ResumeStats, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, ShedPolicy,
+    ResumeStats, RetryPolicy, ShardEnv, ShardPlan, ShardSpec,
 };
 use std::fs::File;
 use std::io::BufWriter;
@@ -47,15 +47,6 @@ pub struct CurationOptions {
     /// paper's one-shot semantics; chaos runs set it to recover hit rate
     /// under injected faults.
     pub retry: Option<RetryPolicy>,
-    /// Watchdog deadline for hung sessions (see [`Orchestrator::watchdog`]).
-    pub watchdog: SimDuration,
-    /// Adaptive load shedding for the worker pool; `None` keeps it fixed.
-    pub shed: Option<ShedPolicy>,
-    /// Template-drift watch as `(window, threshold)` per the arguments of
-    /// [`bqt::DriftMonitor::new`]; `None` trusts the bootstrapped
-    /// templates for the whole run. Armed runs quarantine and re-bootstrap
-    /// endpoints whose markup drifts (see [`bqt::drift`]).
-    pub drift: Option<(usize, f64)>,
     /// OS threads for journaled (sharded) curation. Purely a scheduling
     /// knob: every artifact is byte-identical for every value (see
     /// [`bqt::shard`]). Ignored by journal-less curation, which stays on
@@ -76,9 +67,6 @@ impl CurationOptions {
             measure: Measure::TokenSort,
             epoch: 0,
             retry: None,
-            watchdog: SimDuration::from_secs(300),
-            shed: None,
-            drift: None,
             threads: 1,
         }
     }
@@ -96,9 +84,6 @@ impl CurationOptions {
             measure: Measure::TokenSort,
             epoch: 0,
             retry: None,
-            watchdog: SimDuration::from_secs(300),
-            shed: None,
-            drift: None,
             threads: 1,
         }
     }
@@ -148,24 +133,6 @@ impl CurationOptions {
     /// Overrides the world epoch (months since the first snapshot).
     pub fn epoch(mut self, epoch: u32) -> Self {
         self.epoch = epoch;
-        self
-    }
-
-    /// Overrides the hung-session watchdog deadline.
-    pub fn watchdog(mut self, deadline: SimDuration) -> Self {
-        self.watchdog = deadline;
-        self
-    }
-
-    /// Attaches an adaptive load-shedding policy.
-    pub fn shed(mut self, policy: ShedPolicy) -> Self {
-        self.shed = Some(policy);
-        self
-    }
-
-    /// Arms the template-drift watch as `(window, threshold)`.
-    pub fn drift(mut self, window: usize, threshold: f64) -> Self {
-        self.drift = Some((window, threshold));
         self
     }
 
@@ -468,14 +435,8 @@ fn sample_jobs(
 fn isp_orchestrator(opts: &CurationOptions, isp: Isp, run_seed: u64) -> Orchestrator {
     Orchestrator {
         n_workers: opts.workers,
-        politeness: SimDuration::from_secs(5),
-        seed: run_seed ^ (isp.column() as u64),
         retry: opts.retry,
-        watchdog: opts.watchdog,
-        shed: opts.shed,
-        drift: opts
-            .drift
-            .map(|(capacity, threshold)| bqt::DriftMonitor::new(capacity, threshold)),
+        ..Orchestrator::paper_default(run_seed ^ (isp.column() as u64))
     }
 }
 

@@ -1,11 +1,11 @@
-//! Machine-readable finding output for `--format json|sarif`.
+//! Machine-readable finding output for `--format sarif`.
 //!
-//! Both emitters are hand-rolled (the workspace has no serde) and emit
+//! The emitter is hand-rolled (the workspace has no serde) and emits
 //! byte-stable output: findings arrive already in canonical
 //! `(file, line, col, rule)` order from [`crate::sort_canonical`], keys
 //! are written in a fixed order, and nothing depends on map iteration.
 //!
-//! The SARIF document targets 2.1.0 with the minimal result shape CI
+//! The document targets SARIF 2.1.0 with the minimal result shape CI
 //! code-scanning ingestion needs: `ruleId`, a message, and one physical
 //! location per finding; the hint travels as the second message line.
 
@@ -49,30 +49,6 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
-}
-
-/// A flat JSON array of finding objects — the stable scripting surface.
-pub fn json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"message\": \"{}\", \"hint\": \"{}\"}}",
-            f.rule,
-            escape(&f.file),
-            f.line,
-            f.col,
-            escape(&f.message),
-            escape(&f.hint)
-        );
-        if i + 1 < findings.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]\n");
     out
 }
 
@@ -154,19 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_and_lists_every_finding() {
-        let out = json(&sample());
-        assert!(out.contains("\"rule\": \"T1\""));
-        assert!(out.contains("say \\\"why\\\"\\there"));
-        assert_eq!(out.matches("\"file\":").count(), 2);
-    }
-
-    #[test]
     fn sarif_has_schema_rules_and_locations() {
         let out = sarif(&sample());
         assert!(out.contains("sarif-2.1.0.json"));
         assert!(out.contains("\"ruleId\": \"T1\""));
         assert!(out.contains("\"startLine\": 3"));
+        assert!(out.contains("say \\\"why\\\"\\there"));
+        assert_eq!(out.matches("\"artifactLocation\":").count(), 2);
         // every declared rule is present in the driver metadata
         for (rule, _) in RULES {
             assert!(out.contains(&format!("\"id\": \"{rule}\"")));
@@ -174,9 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn emitters_are_stable_across_calls() {
+    fn sarif_is_stable_across_calls() {
         let s = sample();
-        assert_eq!(json(&s), json(&s));
         assert_eq!(sarif(&s), sarif(&s));
     }
 }

@@ -32,17 +32,15 @@
 //!   per-shard slots merged on `(at, seq)`, never un-sharded locks or
 //!   synchronizing atomic orderings.
 //!
-//! Findings carry `file:line:col`, a rule id and a fix hint. Deliberate
-//! exceptions are suppressed inline with `// lint:allow(rule): reason`;
-//! pre-existing debt is grandfathered in a committed baseline file so CI
-//! fails only on regressions (and on stale baseline entries, so the file
-//! can never rot).
+//! Findings carry `file:line:col`, a rule id and a fix hint. A
+//! deliberate exception has exactly one way through: an inline
+//! `// lint:allow(rule): reason` on or above the flagged line. Any other
+//! finding fails CI.
 //!
 //! The analyzer is deliberately lexical: a lightweight panic-free lexer
 //! ([`lexer`]) and token-sequence rules, no `syn`, keeping the
 //! workspace's offline vendor policy.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod emit;
 pub mod lexer;
@@ -53,7 +51,6 @@ pub mod scopes;
 pub mod symbols;
 pub mod taint;
 
-pub use baseline::Baseline;
 pub use scan::SourceFile;
 pub use taint::EntrySpec;
 
@@ -87,17 +84,6 @@ impl RuleId {
             RuleId::T3 => "T3",
         }
     }
-
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "E1" => RuleId::E1,
-            "W1" => RuleId::W1,
-            "T1" => RuleId::T1,
-            "T2" => RuleId::T2,
-            "T3" => RuleId::T3,
-            _ => return None,
-        })
-    }
 }
 
 impl fmt::Display for RuleId {
@@ -116,9 +102,9 @@ pub struct Finding {
     /// 1-based column.
     pub col: u32,
     pub rule: RuleId,
-    /// What is wrong (stable across unrelated edits; baseline-matched).
+    /// What is wrong (stable across unrelated edits).
     pub message: String,
-    /// How to fix it (informational, not baseline-matched).
+    /// How to fix it (informational).
     pub hint: String,
 }
 
@@ -310,38 +296,14 @@ pub fn analyze(config: &Config) -> Result<Vec<Finding>, String> {
 }
 
 /// The one finding order every consumer sees: `(file, line, col, rule)`,
-/// with message and hint as final tie-breaks. Applied before baseline
-/// diffing and before every emitter, so text, JSON and SARIF output are
-/// byte-stable run over run.
+/// with message and hint as final tie-breaks. [`analyze`] applies it
+/// before returning, so text and SARIF output are byte-stable run over
+/// run.
 pub fn sort_canonical(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.col, a.rule, &a.message, &a.hint)
             .cmp(&(&b.file, b.line, b.col, b.rule, &b.message, &b.hint))
     });
-}
-
-/// The outcome of an analysis run judged against a baseline.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Findings not covered by the baseline: regressions, CI-fatal.
-    pub new: Vec<Finding>,
-    /// Findings matched by a baseline entry: grandfathered debt.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries matching no current finding: stale, CI-fatal
-    /// (the debt was paid — the entry must be removed).
-    pub stale: Vec<baseline::Entry>,
-}
-
-impl Outcome {
-    pub fn is_clean(&self) -> bool {
-        self.new.is_empty() && self.stale.is_empty()
-    }
-}
-
-/// Runs the analysis and splits the result against `baseline`.
-pub fn analyze_with_baseline(config: &Config, baseline: &Baseline) -> Result<Outcome, String> {
-    let findings = analyze(config)?;
-    Ok(baseline.judge(findings))
 }
 
 fn is_suppressed(finding: &Finding, files: &[SourceFile]) -> bool {

@@ -1,76 +1,50 @@
 //! The `divide-lint` CLI.
 //!
 //! ```text
-//! divide-lint [--root DIR] [--baseline FILE | --no-baseline]
-//!             [--write-baseline] [--quiet]
-//!             [--format text|json|sarif] [--out FILE]
+//! divide-lint [--root DIR] [--quiet] [--format text|sarif] [--out FILE]
 //! ```
 //!
-//! `--format json` / `--format sarif` additionally emit the combined
-//! finding set (new + baselined) in machine-readable form — to stdout,
-//! or to `--out FILE` so CI can upload the document as an artifact while
-//! keeping the human summary on the console. Exit codes: `0` clean, `1`
-//! new findings or stale baseline entries, `2` usage / configuration
-//! errors (unreadable files, malformed baseline).
+//! `--format sarif` additionally emits the findings as a SARIF 2.1.0
+//! document — to stdout, or to `--out FILE` so CI can upload it as an
+//! artifact while keeping the human summary on the console. Exit codes:
+//! `0` clean, `1` any finding, `2` usage / configuration errors
+//! (unreadable files, no workspace root).
 
-use divide_lint::{analyze, baseline::Baseline, discover_root, emit, Config, Finding};
+use divide_lint::{analyze, discover_root, emit, Config};
 use std::path::PathBuf;
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     quiet: bool,
-    format: Format,
+    sarif: bool,
     out: Option<PathBuf>,
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: divide-lint [--root DIR] [--baseline FILE | --no-baseline] \
-         [--write-baseline] [--quiet] [--format text|json|sarif] [--out FILE]"
-    );
+    eprintln!("usage: divide-lint [--root DIR] [--quiet] [--format text|sarif] [--out FILE]");
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         root: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         quiet: false,
-        format: Format::Text,
+        sarif: false,
         out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().unwrap_or_else(|| usage())))
-            }
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => args.write_baseline = true,
             "--quiet" | "-q" => args.quiet = true,
             "--format" => {
-                args.format = match it.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("sarif") => Format::Sarif,
+                args.sarif = match it.next().as_deref() {
+                    Some("text") => false,
+                    Some("sarif") => true,
                     _ => usage(),
                 }
             }
             "--out" => args.out = Some(PathBuf::from(it.next().unwrap_or_else(|| usage()))),
-            "--help" | "-h" => usage(),
             _ => usage(),
         }
     }
@@ -82,19 +56,6 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn print_findings(header: &str, findings: &[Finding], quiet: bool) {
-    if findings.is_empty() {
-        return;
-    }
-    println!("{header}");
-    for f in findings {
-        println!("  {f}");
-        if !quiet && !f.hint.is_empty() {
-            println!("      hint: {}", f.hint);
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     let root = match args
@@ -104,54 +65,10 @@ fn main() {
         Some(r) => r,
         None => fail("no workspace root found (run inside the workspace or pass --root)"),
     };
-    let config = Config::workspace(root.clone());
+    let findings = analyze(&Config::workspace(root)).unwrap_or_else(|e| fail(&e));
 
-    let baseline_path = args.baseline.unwrap_or_else(|| root.join("lint.baseline"));
-
-    if args.write_baseline {
-        let findings = analyze(&config).unwrap_or_else(|e| fail(&e));
-        let text = Baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            fail(&format!("cannot write {}: {e}", baseline_path.display()));
-        }
-        println!(
-            "divide-lint: wrote {} entries to {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    let baseline = if args.no_baseline {
-        Baseline::empty()
-    } else {
-        match std::fs::read_to_string(&baseline_path) {
-            Ok(text) => Baseline::parse(&text).unwrap_or_else(|e| fail(&e)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::empty(),
-            Err(e) => fail(&format!("cannot read {}: {e}", baseline_path.display())),
-        }
-    };
-
-    let outcome = match analyze(&config) {
-        Ok(findings) => baseline.judge(findings),
-        Err(e) => fail(&e),
-    };
-
-    if args.format != Format::Text {
-        // The machine-readable document carries every live finding —
-        // baselined debt included — in canonical order.
-        let mut all: Vec<Finding> = outcome
-            .new
-            .iter()
-            .chain(&outcome.baselined)
-            .cloned()
-            .collect();
-        divide_lint::sort_canonical(&mut all);
-        let doc = match args.format {
-            Format::Json => emit::json(&all),
-            Format::Sarif => emit::sarif(&all),
-            Format::Text => unreachable!("guarded above"),
-        };
+    if args.sarif {
+        let doc = emit::sarif(&findings);
         match &args.out {
             Some(path) => {
                 if let Err(e) = std::fs::write(path, &doc) {
@@ -162,19 +79,12 @@ fn main() {
         }
     }
 
-    print_findings("new findings (not baselined):", &outcome.new, args.quiet);
-    if !outcome.stale.is_empty() {
-        println!("stale baseline entries (no longer match any finding):");
-        for e in &outcome.stale {
-            println!("  {}", e.render());
+    for f in &findings {
+        println!("{f}");
+        if !args.quiet && !f.hint.is_empty() {
+            println!("    hint: {}", f.hint);
         }
-        println!("  regenerate with `divide-lint --write-baseline` after review");
     }
-    println!(
-        "divide-lint: {} new, {} baselined, {} stale",
-        outcome.new.len(),
-        outcome.baselined.len(),
-        outcome.stale.len()
-    );
-    std::process::exit(if outcome.is_clean() { 0 } else { 1 });
+    println!("divide-lint: {} findings", findings.len());
+    std::process::exit(if findings.is_empty() { 0 } else { 1 });
 }

@@ -27,9 +27,9 @@
 //! the scope.
 //!
 //! Findings land on the *source* token (the `Instant::now()`, the
-//! `unwrap()`), where a `lint:allow` belongs and where the baseline can
-//! match them stably; the witness chain lives in the hint so an edit to
-//! an intermediate caller doesn't churn baseline entries.
+//! `unwrap()`), where a `lint:allow` belongs; the witness chain lives in
+//! the hint, so an edit to an intermediate caller leaves the message as
+//! it was.
 
 use crate::callgraph::CallGraph;
 use crate::lexer::Token;

@@ -1,10 +1,9 @@
 //! divide-lint integration tests: the fixture corpus under
 //! `tests/lint_fixtures/` (known-bad / known-clean pairs per rule and
-//! source kind), the baseline delta logic, a lexer-totality property,
-//! and a self-run asserting the real workspace is clean against the
-//! committed baseline within the analyzer's 5 s budget.
+//! source kind), a lexer-totality property, and a self-run asserting
+//! the real workspace has no findings within the analyzer's 5 s budget.
 
-use divide_lint::{analyze, analyze_with_baseline, Baseline, Config, Finding, RuleId};
+use divide_lint::{analyze, Config, Finding, RuleId};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -144,8 +143,7 @@ fn render(findings: &[Finding]) -> String {
 }
 
 /// The dogfood gate for the module specifically: the real `bqt::shard`
-/// passes T1 and T2 at file scope with zero findings — not even
-/// baselined ones.
+/// passes T1 and T2 at file scope with zero findings.
 #[test]
 fn real_shard_module_is_clean_under_all_rules() {
     let findings = real_scoped(&["crates/core/src/shard.rs"]);
@@ -201,7 +199,7 @@ fn drift_schema_canary_is_exhaustive() {
 
 /// The dogfood gate for the drift modules: the real drift monitor and
 /// the BAT's drift schedule pass T1 and T2 at file scope with zero
-/// findings — not even baselined ones.
+/// findings.
 #[test]
 fn real_drift_modules_are_clean_under_all_rules() {
     let findings = real_scoped(&["crates/core/src/drift.rs", "crates/bat/src/drift.rs"]);
@@ -254,7 +252,7 @@ fn trace_schema_bad_flags_wildcard_and_fold_gap() {
 }
 
 /// The dogfood gate for the trace module: the real `bqt::trace` passes
-/// T1 and T2 at file scope with zero findings — not even baselined ones.
+/// T1 and T2 at file scope with zero findings.
 /// (Its E1 surfaces are enforced by the workspace self-run below.)
 #[test]
 fn real_trace_module_is_clean_under_all_rules() {
@@ -422,8 +420,7 @@ fn t3_sanctioned_shard_slot_idiom_passes() {
 
 /// Satellite regression gate: `analyze` returns findings already in
 /// canonical `(file, line, col, rule)` order, identically across runs —
-/// the property both the baseline differ and the JSON/SARIF emitters
-/// lean on.
+/// the property the text output and the SARIF emitter lean on.
 #[test]
 fn findings_are_canonically_ordered_and_stable() {
     let run_once = || {
@@ -459,13 +456,11 @@ fn emitters_render_fixture_findings() {
     let findings = run(|c| {
         c.entries = vec![entry("taint/t1_bad.rs", Some("Campaign"), "run")];
     });
-    let json = divide_lint::emit::json(&findings);
-    assert!(json.contains("\"rule\": \"T1\""));
-    assert!(json.contains("call chain:"));
     let sarif = divide_lint::emit::sarif(&findings);
     assert!(sarif.contains("\"version\": \"2.1.0\""));
     assert!(sarif.contains("\"ruleId\": \"T1\""));
     assert!(sarif.contains("taint/t1_bad.rs"));
+    assert!(sarif.contains("call chain:"));
 }
 
 // ---- E1: telemetry exhaustiveness -----------------------------------
@@ -546,45 +541,15 @@ fn w1_accepts_a_wired_workspace() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-// ---- baseline delta --------------------------------------------------
-
-#[test]
-fn baseline_grandfathers_matches_and_surfaces_regressions_and_stale() {
-    let findings = run(|c| c.supervision_scopes = vec!["d3/bad.rs".into()]);
-    assert_eq!(findings.len(), 2);
-
-    // Baseline the unwrap only: the expect is a "regression".
-    let text = Baseline::render(&findings[..1]);
-    let baseline = Baseline::parse(&text).expect("parse rendered baseline");
-    let mut config = Config::bare(fixtures());
-    config.supervision_scopes = vec!["d3/bad.rs".into()];
-    let outcome = analyze_with_baseline(&config, &baseline).expect("analysis");
-    assert_eq!(outcome.baselined.len(), 1);
-    assert_eq!(outcome.new.len(), 1);
-    assert!(outcome.stale.is_empty());
-    assert!(!outcome.is_clean());
-
-    // An entry pointing at fixed code is stale and also fails the run.
-    let stale_text = format!("{text}T2 d3/bad.rs:99:1 `.unwrap()` in supervision scope\n");
-    let stale_base = Baseline::parse(&stale_text).expect("parse");
-    let outcome = analyze_with_baseline(&config, &stale_base).expect("analysis");
-    assert_eq!(outcome.stale.len(), 1);
-    assert!(!outcome.is_clean());
-}
-
 // ---- self-run ---------------------------------------------------------
 
-/// The dogfood gate: the real workspace must be clean against the
-/// committed baseline — exactly what CI's `cargo run -p divide-lint` step
-/// enforces.
+/// The dogfood gate: the real workspace must have no findings — exactly
+/// what CI's `cargo run -p divide-lint` step enforces.
 #[test]
-fn workspace_is_clean_against_committed_baseline() {
+fn workspace_has_no_findings() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(root.join("lint.baseline")).expect("read lint.baseline");
-    let baseline = Baseline::parse(&text).expect("parse lint.baseline");
     let started = Instant::now();
-    let outcome =
-        analyze_with_baseline(&Config::workspace(root), &baseline).expect("workspace analysis");
+    let findings = analyze(&Config::workspace(root)).expect("workspace analysis");
     // The analyzer's wall-clock budget: a full-workspace pass, call graph
     // and every rule included, must stay under 5 s as the workspace grows.
     let elapsed = started.elapsed();
@@ -592,26 +557,7 @@ fn workspace_is_clean_against_committed_baseline() {
         elapsed < Duration::from_secs(5),
         "full-workspace lint took {elapsed:?}, over the 5 s budget"
     );
-    assert!(
-        outcome.new.is_empty(),
-        "non-baselined findings:\n{}",
-        outcome
-            .new
-            .iter()
-            .map(|f| f.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        outcome.stale.is_empty(),
-        "stale baseline entries:\n{}",
-        outcome
-            .stale
-            .iter()
-            .map(|e| e.render())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
+    assert!(findings.is_empty(), "findings:\n{}", render(&findings));
 }
 
 // ---- lexer totality ----------------------------------------------------
