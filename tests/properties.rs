@@ -4155,3 +4155,139 @@ mod journal_oracles {
         );
     }
 }
+
+mod weights_oracles {
+    use super::*;
+    use decoding_divide::analysis::intracity::{lisa_field, morans_i_partial};
+    use decoding_divide::geo::{CityGrid, LatLon};
+    use decoding_divide::stats::{local_morans_i, morans_i, MoranResult};
+
+    /// Covered cells, their values, and the weight rows among them.
+    type Subgraph = (Vec<usize>, Vec<f64>, Vec<Vec<(usize, f64)>>);
+
+    /// The covered cells, their values and the row-standardized rook
+    /// weights among them, as `morans_i_partial` and `lisa_field` each
+    /// built them inline before sharing one builder.
+    fn oracle_subgraph(grid: &CityGrid, field: &[Option<f64>]) -> Option<Subgraph> {
+        let covered: Vec<usize> = (0..grid.len()).filter(|&i| field[i].is_some()).collect();
+        if covered.len() < 10 {
+            return None;
+        }
+        let mut dense_index = vec![usize::MAX; grid.len()];
+        for (k, &i) in covered.iter().enumerate() {
+            dense_index[i] = k;
+        }
+        let values: Vec<f64> = covered
+            .iter()
+            .map(|&i| field[i].expect("covered"))
+            .collect();
+        let weights: Vec<Vec<(usize, f64)>> = covered
+            .iter()
+            .map(|&i| {
+                let ns: Vec<usize> = grid
+                    .rook_neighbors(i)
+                    .into_iter()
+                    .filter(|&j| dense_index[j] != usize::MAX)
+                    .map(|j| dense_index[j])
+                    .collect();
+                if ns.is_empty() {
+                    Vec::new()
+                } else {
+                    let w = 1.0 / ns.len() as f64;
+                    ns.into_iter().map(|j| (j, w)).collect()
+                }
+            })
+            .collect();
+        Some((covered, values, weights))
+    }
+
+    fn oracle_morans_i(grid: &CityGrid, field: &[Option<f64>]) -> Option<MoranResult> {
+        let (_, values, weights) = oracle_subgraph(grid, field)?;
+        morans_i(&values, &weights)
+    }
+
+    fn oracle_lisa(grid: &CityGrid, field: &[Option<f64>]) -> Option<Vec<Option<f64>>> {
+        let (covered, values, weights) = oracle_subgraph(grid, field)?;
+        let local = local_morans_i(&values, &weights)?;
+        let mut out = vec![None; grid.len()];
+        for (k, &i) in covered.iter().enumerate() {
+            out[i] = Some(local[k]);
+        }
+        Some(out)
+    }
+
+    fn moran_bits(r: Option<MoranResult>) -> Option<[u64; 5]> {
+        r.map(|r| {
+            [
+                r.i.to_bits(),
+                r.expected.to_bits(),
+                r.z_score.to_bits(),
+                r.p_value.to_bits(),
+                r.n as u64,
+            ]
+        })
+    }
+
+    fn lisa_bits(l: Option<Vec<Option<f64>>>) -> Option<Vec<Option<u64>>> {
+        l.map(|v| v.into_iter().map(|x| x.map(f64::to_bits)).collect())
+    }
+
+    /// A partially covered field on a grown grid: each cell is covered
+    /// with probability `cover_pct`%, and covered values are drawn from
+    /// `levels` distinct carriage values so ties and constant fields occur.
+    fn field_for(grid: &CityGrid, seed: u64, cover_pct: u64, levels: u64) -> Vec<Option<f64>> {
+        let mut state = seed | 1;
+        (0..grid.len())
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 100 < cover_pct).then(|| 2.0 + (state >> 32) as f64 % levels as f64 * 0.75)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn intracity_statistics_match_the_inline_weights_oracle(
+            n_cells in 1usize..260,
+            grid_seed in any::<u64>(),
+            field_seed in any::<u64>(),
+            cover_pct in 0u64..=100,
+            levels in 1u64..12,
+        ) {
+            let grid = CityGrid::grow(LatLon::new(40.0, -100.0), n_cells, 30, 111, grid_seed);
+            let field = field_for(&grid, field_seed, cover_pct, levels);
+            prop_assert_eq!(
+                moran_bits(morans_i_partial(&grid, &field)),
+                moran_bits(oracle_morans_i(&grid, &field))
+            );
+            prop_assert_eq!(
+                lisa_bits(lisa_field(&grid, &field)),
+                lisa_bits(oracle_lisa(&grid, &field))
+            );
+        }
+    }
+
+    /// The property above reaches both sides of every early return: too
+    /// few covered cells, a constant field, and a defined statistic.
+    #[test]
+    fn oracle_cases_cover_every_outcome() {
+        let grid = CityGrid::grow(LatLon::new(40.0, -100.0), 120, 30, 111, 5);
+        let sparse = field_for(&grid, 3, 5, 6);
+        assert!(oracle_subgraph(&grid, &sparse).is_none());
+        let constant = field_for(&grid, 3, 60, 1);
+        assert!(oracle_subgraph(&grid, &constant).is_some());
+        assert!(oracle_morans_i(&grid, &constant).is_none());
+        assert!(oracle_lisa(&grid, &constant).is_none());
+        let varied = field_for(&grid, 3, 60, 6);
+        assert!(oracle_morans_i(&grid, &varied).is_some());
+        assert!(oracle_lisa(&grid, &varied).is_some());
+        assert_eq!(
+            morans_i_partial(&grid, &varied),
+            oracle_morans_i(&grid, &varied)
+        );
+    }
+}
