@@ -122,17 +122,6 @@ pub fn normalize_into(text: &str, out: &mut String) {
     }
 }
 
-/// [`normalize_line`] split into its tokens.
-///
-/// `"742 NORTH Evergreen Terrace, Unit 2B"` →
-/// `["742", "n", "evergreen", "ter", "apt", "2b"]`.
-pub fn normalize_tokens(text: &str) -> Vec<String> {
-    normalize_line(text)
-        .split_whitespace()
-        .map(str::to_string)
-        .collect()
-}
-
 /// Extracts the 5-digit zip code from an address line, if present (the last
 /// standalone 5-digit token).
 pub fn extract_zip(text: &str) -> Option<u32> {
@@ -150,10 +139,10 @@ mod tests {
         for s in Suffix::ALL {
             let canon = suffix_variants(s)[0];
             for v in suffix_variants(s) {
-                assert_eq!(normalize_tokens(v), vec![canon.to_string()], "variant {v}");
+                assert_eq!(normalize_line(v), canon, "variant {v}");
                 assert_eq!(
-                    normalize_tokens(&v.to_ascii_uppercase()),
-                    vec![canon.to_string()],
+                    normalize_line(&v.to_ascii_uppercase()),
+                    canon,
                     "uppercase variant {v}"
                 );
             }

@@ -17,7 +17,7 @@
 //! and lookups of arbitrary text only probe. Neither map is iterated, so
 //! the order a hash induces never reaches an output.
 
-use crate::abbrev::{extract_zip, normalize_line};
+use crate::abbrev::extract_zip;
 use crate::db::AddressId;
 use crate::model::push_decimal;
 use std::collections::hash_map::Entry;
@@ -130,22 +130,10 @@ impl AddressIndex {
         true
     }
 
-    /// Exact lookup after normalization.
-    pub fn lookup(&self, line: &str) -> Option<AddressId> {
-        self.exact.get(&normalize_line(line)).copied()
-    }
-
-    /// Looks up a line that may carry a unit designator the canonical table
-    /// does not store: tries the full line, then the line with the unit
-    /// stripped.
-    pub fn lookup_allowing_unit(&self, line: &str) -> Option<AddressId> {
-        self.lookup_normalized_allowing_unit(&mut normalize_line(line))
-    }
-
-    /// [`Self::lookup_allowing_unit`] for a line already normalized (by
-    /// [`crate::abbrev::normalize_into`]), so a caller that needs the
-    /// normalized form for more than the lookup normalizes once. On a miss
-    /// the unit is stripped from `norm` in place.
+    /// Looks up a line already normalized (by
+    /// [`crate::abbrev::normalize_into`]) that may carry a unit designator
+    /// the canonical table does not store: tries the full line, then, on a
+    /// miss, the line with the unit stripped from `norm` in place.
     pub fn lookup_normalized_allowing_unit(&self, norm: &mut String) -> Option<AddressId> {
         if let Some(&id) = self.exact.get(norm.as_str()) {
             return Some(id);
@@ -189,8 +177,16 @@ impl AddressIndex {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::abbrev::normalize_line;
     use crate::{AddressDb, NoiseProfile};
     use bbsim_census::city_by_name;
+
+    /// Resolves `line` as the BAT server does: normalize, then look up
+    /// with the unit fallback.
+    fn resolve(idx: &AddressIndex, line: &str) -> Option<AddressId> {
+        idx.lookup_normalized_allowing_unit(&mut normalize_line(line))
+    }
 
     fn db_of(name: &str) -> AddressDb {
         let city = city_by_name(name).unwrap();
@@ -203,7 +199,7 @@ mod tests {
             let d = db_of(name);
             let idx = d.index();
             for r in d.records() {
-                assert_eq!(idx.lookup(&r.canonical_line()), Some(r.id), "{name}");
+                assert_eq!(resolve(idx, &r.canonical_line()), Some(r.id), "{name}");
             }
         }
     }
@@ -218,7 +214,7 @@ mod tests {
             .records()
             .iter()
             .take(1000)
-            .filter(|r| idx.lookup(&r.listing_line) == Some(r.id))
+            .filter(|r| resolve(idx, &r.listing_line) == Some(r.id))
             .count();
         assert!(resolved > 900, "only {resolved}/1000 listings resolved");
     }
@@ -229,10 +225,7 @@ mod tests {
         let r = &d.records()[0];
         let mut with_unit = r.canonical();
         with_unit.unit = Some("3".to_string());
-        assert_eq!(
-            d.index().lookup_allowing_unit(&with_unit.canonical_line()),
-            Some(r.id)
-        );
+        assert_eq!(resolve(d.index(), &with_unit.canonical_line()), Some(r.id));
     }
 
     #[test]

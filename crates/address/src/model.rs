@@ -41,20 +41,6 @@ impl Directional {
             Directional::SW => "SW",
         }
     }
-
-    /// Spelled-out form ("North", ...).
-    pub fn full(self) -> &'static str {
-        match self {
-            Directional::N => "North",
-            Directional::S => "South",
-            Directional::E => "East",
-            Directional::W => "West",
-            Directional::NE => "Northeast",
-            Directional::NW => "Northwest",
-            Directional::SE => "Southeast",
-            Directional::SW => "Southwest",
-        }
-    }
 }
 
 /// Street suffix (thoroughfare type).
@@ -107,24 +93,6 @@ impl Suffix {
             Suffix::Parkway => "Pkwy",
         }
     }
-
-    /// Spelled-out form ("Street", "Avenue", ...).
-    pub fn full(self) -> &'static str {
-        match self {
-            Suffix::Street => "Street",
-            Suffix::Avenue => "Avenue",
-            Suffix::Boulevard => "Boulevard",
-            Suffix::Court => "Court",
-            Suffix::Drive => "Drive",
-            Suffix::Lane => "Lane",
-            Suffix::Road => "Road",
-            Suffix::Way => "Way",
-            Suffix::Terrace => "Terrace",
-            Suffix::Place => "Place",
-            Suffix::Circle => "Circle",
-            Suffix::Parkway => "Parkway",
-        }
-    }
 }
 
 /// A structured residential street address.
@@ -158,14 +126,6 @@ impl StreetAddress {
     pub fn canonical_line_with_unit(&self, unit: Option<&str>) -> String {
         let mut s = String::with_capacity(self.line_len_hint(unit));
         self.push_line(unit, &mut s);
-        s
-    }
-
-    /// The street part only (no city/state/zip), canonical form.
-    pub fn canonical_street_line(&self) -> String {
-        let unit = self.unit.as_deref();
-        let mut s = String::with_capacity(self.line_len_hint(unit));
-        self.push_street(unit, &mut s);
         s
     }
 
@@ -213,15 +173,6 @@ impl StreetAddress {
         // Number and zip (10 digits each at most), directional, suffix,
         // " Apt " and the separators take at most 40 bytes.
         40 + self.street_name.len() + unit.map_or(0, str::len) + self.city.len() + self.state.len()
-    }
-
-    /// This address without its unit designator (how an MDU often appears in
-    /// listing data).
-    pub fn without_unit(&self) -> StreetAddress {
-        StreetAddress {
-            unit: None,
-            ..self.clone()
-        }
     }
 }
 
@@ -295,23 +246,11 @@ mod tests {
     }
 
     #[test]
-    fn without_unit_strips_only_unit() {
-        let a = sample();
-        let b = a.without_unit();
-        assert_eq!(b.unit, None);
-        assert_eq!(b.number, a.number);
-        assert_eq!(b.street_name, a.street_name);
-    }
-
-    #[test]
     fn suffix_tables_are_complete_and_distinct() {
         let mut abbrevs: Vec<&str> = Suffix::ALL.iter().map(|s| s.abbrev()).collect();
         abbrevs.sort_unstable();
         abbrevs.dedup();
         assert_eq!(abbrevs.len(), Suffix::ALL.len());
-        for s in Suffix::ALL {
-            assert!(!s.full().is_empty());
-        }
     }
 
     #[test]

@@ -74,11 +74,6 @@ pub fn fiber_by_income(
     })
 }
 
-/// Convenience: the Fig. 9b gap for one (city, ISP), if computable.
-pub fn fiber_income_gap(city: &CityProfile, rows: &[BlockGroupRow], isp: Isp) -> Option<f64> {
-    fiber_by_income(city, rows, isp).map(|b| b.gap_points())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

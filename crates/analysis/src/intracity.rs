@@ -8,13 +8,15 @@
 //!
 //! Geometry is public: the city grid is rebuilt from the census registry,
 //! and weights cover only the block groups with scraped data (ISP coverage
-//! is partial), restricted to the subgraph they induce.
+//! is partial): the row-standardized rook weights of the subgraph they
+//! induce, built once per field by [`CityGrid::rook_weights`] and shared by
+//! Moran's I and LISA.
 
 use bbsim_census::CityProfile;
 use bbsim_dataset::BlockGroupRow;
-use bbsim_geo::CityGrid;
+use bbsim_geo::{CellIndex, CityGrid};
 use bbsim_isp::Isp;
-use bbsim_stats::{morans_i, MoranResult};
+use bbsim_stats::{local_morans_i, morans_i, MoranResult};
 
 /// Aligns one ISP's block-group medians onto grid cells.
 /// Returns a cell-indexed vector with `None` where the ISP has no data.
@@ -45,6 +47,35 @@ pub fn composite_best_cv(
     out
 }
 
+/// The covered cells of a partially observed field, their values, and
+/// the row-standardized rook weights among them.
+struct Covered {
+    cells: Vec<CellIndex>,
+    values: Vec<f64>,
+    weights: Vec<Vec<(usize, f64)>>,
+}
+
+impl Covered {
+    /// `None` when fewer than 10 cells are covered.
+    fn of(grid: &CityGrid, field: &[Option<f64>]) -> Option<Self> {
+        assert_eq!(grid.len(), field.len());
+        let (cells, values): (Vec<CellIndex>, Vec<f64>) = field
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (i, v)))
+            .unzip();
+        if cells.len() < 10 {
+            return None;
+        }
+        let weights = grid.rook_weights(&cells);
+        Some(Self {
+            cells,
+            values,
+            weights,
+        })
+    }
+}
+
 /// Moran's I over the covered subgraph of a partially observed field.
 ///
 /// Builds rook weights among only the cells with values, row-standardizes
@@ -52,37 +83,8 @@ pub fn composite_best_cv(
 /// the field is constant (e.g. Xfinity: identical plans everywhere — the
 /// paper reports its Moran's I as 0).
 pub fn morans_i_partial(grid: &CityGrid, field: &[Option<f64>]) -> Option<MoranResult> {
-    assert_eq!(grid.len(), field.len());
-    let covered: Vec<usize> = (0..grid.len()).filter(|&i| field[i].is_some()).collect();
-    if covered.len() < 10 {
-        return None;
-    }
-    let mut dense_index = vec![usize::MAX; grid.len()];
-    for (k, &i) in covered.iter().enumerate() {
-        dense_index[i] = k;
-    }
-    let values: Vec<f64> = covered
-        .iter()
-        .map(|&i| field[i].expect("covered"))
-        .collect();
-    let weights: Vec<Vec<(usize, f64)>> = covered
-        .iter()
-        .map(|&i| {
-            let ns: Vec<usize> = grid
-                .rook_neighbors(i)
-                .into_iter()
-                .filter(|&j| dense_index[j] != usize::MAX)
-                .map(|j| dense_index[j])
-                .collect();
-            if ns.is_empty() {
-                Vec::new()
-            } else {
-                let w = 1.0 / ns.len() as f64;
-                ns.into_iter().map(|j| (j, w)).collect()
-            }
-        })
-        .collect();
-    morans_i(&values, &weights)
+    let covered = Covered::of(grid, field)?;
+    morans_i(&covered.values, &covered.weights)
 }
 
 /// Moran's I of one ISP's carriage values in a city (a Table-3 cell).
@@ -275,40 +277,11 @@ mod tests {
 /// cell-aligned field (None where no data), for hotspot rendering next to
 /// the Fig.-7 maps.
 pub fn lisa_field(grid: &CityGrid, field: &[Option<f64>]) -> Option<Vec<Option<f64>>> {
-    assert_eq!(grid.len(), field.len());
-    let covered: Vec<usize> = (0..grid.len()).filter(|&i| field[i].is_some()).collect();
-    if covered.len() < 10 {
-        return None;
-    }
-    let mut dense_index = vec![usize::MAX; grid.len()];
-    for (k, &i) in covered.iter().enumerate() {
-        dense_index[i] = k;
-    }
-    let values: Vec<f64> = covered
-        .iter()
-        .map(|&i| field[i].expect("covered"))
-        .collect();
-    let weights: Vec<Vec<(usize, f64)>> = covered
-        .iter()
-        .map(|&i| {
-            let ns: Vec<usize> = grid
-                .rook_neighbors(i)
-                .into_iter()
-                .filter(|&j| dense_index[j] != usize::MAX)
-                .map(|j| dense_index[j])
-                .collect();
-            if ns.is_empty() {
-                Vec::new()
-            } else {
-                let w = 1.0 / ns.len() as f64;
-                ns.into_iter().map(|j| (j, w)).collect()
-            }
-        })
-        .collect();
-    let local = bbsim_stats::local_morans_i(&values, &weights)?;
+    let covered = Covered::of(grid, field)?;
+    let local = local_morans_i(&covered.values, &covered.weights)?;
     let mut out = vec![None; grid.len()];
-    for (k, &i) in covered.iter().enumerate() {
-        out[i] = Some(local[k]);
+    for (&i, l) in covered.cells.iter().zip(local) {
+        out[i] = Some(l);
     }
     Some(out)
 }

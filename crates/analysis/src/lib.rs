@@ -32,7 +32,7 @@ pub use audit::{audit_form477, AuditSummary};
 pub use baseline::{markup_view, upload_consistency, MarkupComparison};
 pub use competition::{classify_modes, test_competition, CompetitionMode, CompetitionReport};
 pub use flattening::{tier_flattening, worst_flattening, PricePointSpread};
-pub use income::{fiber_by_income, fiber_income_gap, FiberIncomeBreakdown};
+pub use income::{fiber_by_income, FiberIncomeBreakdown};
 pub use intercity::{cv_histogram, l1_pairs, plan_vector_for};
 pub use intracity::{
     ascii_map, composite_best_cv, lisa_field, lisa_map, morans_i_for_isp, morans_i_for_pair,

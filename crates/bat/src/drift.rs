@@ -25,11 +25,6 @@ pub struct DriftSchedule {
 }
 
 impl DriftSchedule {
-    /// A schedule with no flips: the site stays on V1 forever.
-    pub fn none() -> Self {
-        Self::default()
-    }
-
     /// The one-redesign schedule: V1 until `at`, `to` from then on.
     pub fn flip_at(at: SimTime, to: TemplateVersion) -> Self {
         Self::default().then(at, to)
@@ -54,11 +49,6 @@ impl DriftSchedule {
             .unwrap_or(TemplateVersion::V1)
     }
 
-    /// Whether the schedule ever changes the markup.
-    pub fn is_static(&self) -> bool {
-        self.flips.is_empty()
-    }
-
     /// The scheduled flips, ascending by time.
     pub fn flips(&self) -> &[(SimTime, TemplateVersion)] {
         &self.flips
@@ -75,8 +65,8 @@ mod tests {
 
     #[test]
     fn empty_schedule_stays_on_v1() {
-        let s = DriftSchedule::none();
-        assert!(s.is_static());
+        let s = DriftSchedule::default();
+        assert!(s.flips().is_empty());
         assert_eq!(s.version_at(SimTime::ZERO), TemplateVersion::V1);
         assert_eq!(s.version_at(at(u64::MAX)), TemplateVersion::V1);
     }
@@ -91,7 +81,7 @@ mod tests {
 
     #[test]
     fn flips_sort_regardless_of_insertion_order() {
-        let s = DriftSchedule::none()
+        let s = DriftSchedule::default()
             .then(at(200), TemplateVersion::V1)
             .then(at(100), TemplateVersion::V2);
         assert_eq!(s.version_at(at(50)), TemplateVersion::V1);

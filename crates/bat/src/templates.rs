@@ -77,11 +77,6 @@ fn page(isp: Isp, body_len: usize, body: impl FnOnce(&mut String)) -> String {
 /// Bytes reserved per plan row: the longest row template with its numbers.
 const PLAN_ROW_LEN: usize = 160;
 
-/// Renders the plans page in the ISP's dialect (V1 markup).
-pub fn render_plans(isp: Isp, plans: &[Plan]) -> String {
-    render_plans_v(isp, plans, TemplateVersion::V1)
-}
-
 /// Renders the plans page in the ISP's dialect and template generation.
 ///
 /// Each dialect has one row shape; the generation only renames its
@@ -257,11 +252,6 @@ fn render_list(
     })
 }
 
-/// Renders the address-not-found page with a suggestion list (V1 markup).
-pub fn render_not_found(isp: Isp, suggestions: &[String]) -> String {
-    render_not_found_v(isp, suggestions, TemplateVersion::V1)
-}
-
 /// Version-aware address-not-found page.
 pub fn render_not_found_v(isp: Isp, suggestions: &[String], version: TemplateVersion) -> String {
     let (marker, item) = match version {
@@ -276,11 +266,6 @@ pub fn render_not_found_v(isp: Isp, suggestions: &[String], version: TemplateVer
         item,
         rendered(suggestions),
     )
-}
-
-/// Renders the multi-dwelling-unit page listing refined addresses (V1).
-pub fn render_mdu(isp: Isp, units: &[String]) -> String {
-    render_mdu_v(isp, units, TemplateVersion::V1)
 }
 
 /// Version-aware multi-dwelling-unit page.
@@ -324,11 +309,6 @@ fn render_static(isp: Isp, body: &str) -> String {
     page(isp, body.len(), |out| out.push_str(body))
 }
 
-/// Renders the existing-customer interstitial with its three options (V1).
-pub fn render_existing_customer(isp: Isp) -> String {
-    render_existing_customer_v(isp, TemplateVersion::V1)
-}
-
 /// Version-aware existing-customer interstitial.
 pub fn render_existing_customer_v(isp: Isp, version: TemplateVersion) -> String {
     render_static(
@@ -349,11 +329,6 @@ pub fn render_existing_customer_v(isp: Isp, version: TemplateVersion) -> String 
     )
 }
 
-/// Renders the no-service page (V1).
-pub fn render_no_service(isp: Isp) -> String {
-    render_no_service_v(isp, TemplateVersion::V1)
-}
-
 /// Version-aware no-service page.
 pub fn render_no_service_v(isp: Isp, version: TemplateVersion) -> String {
     render_static(
@@ -367,11 +342,6 @@ pub fn render_no_service_v(isp: Isp, version: TemplateVersion) -> String {
             }
         },
     )
-}
-
-/// Renders the permanent technical-difficulty page (V1).
-pub fn render_technical_difficulty(isp: Isp) -> String {
-    render_technical_difficulty_v(isp, TemplateVersion::V1)
 }
 
 /// Version-aware technical-difficulty page.
@@ -405,7 +375,7 @@ mod tests {
     fn plans_pages_embed_every_plan() {
         for isp in ALL_ISPS {
             let plans = catalog(isp);
-            let page = render_plans(isp, plans);
+            let page = render_plans_v(isp, plans, TemplateVersion::V1);
             for p in plans {
                 assert!(
                     page.contains(&p.download_mbps.to_string()),
@@ -424,9 +394,9 @@ mod tests {
     #[test]
     fn dialect_markup_differs() {
         let p = catalog(Isp::Att);
-        let att = render_plans(Isp::Att, p);
-        let cl = render_plans(Isp::CenturyLink, p);
-        let cox = render_plans(Isp::Cox, p);
+        let att = render_plans_v(Isp::Att, p, TemplateVersion::V1);
+        let cl = render_plans_v(Isp::CenturyLink, p, TemplateVersion::V1);
+        let cox = render_plans_v(Isp::Cox, p, TemplateVersion::V1);
         assert!(att.contains("data-down"));
         assert!(!cl.contains("data-down"));
         assert!(cl.contains("class=\"offer\""));
@@ -436,7 +406,7 @@ mod tests {
     #[test]
     fn not_found_page_lists_suggestions_in_order() {
         let suggestions = vec!["1 Elm St".to_string(), "2 Elm St".to_string()];
-        let page = render_not_found(Isp::Cox, &suggestions);
+        let page = render_not_found_v(Isp::Cox, &suggestions, TemplateVersion::V1);
         assert!(page.contains("address-error"));
         let a = page.find("1 Elm St").unwrap();
         let b = page.find("2 Elm St").unwrap();
@@ -445,7 +415,11 @@ mod tests {
 
     #[test]
     fn mdu_page_lists_units() {
-        let page = render_mdu(Isp::Att, &["742 Evergreen Ter Apt 1".to_string()]);
+        let page = render_mdu_v(
+            Isp::Att,
+            &["742 Evergreen Ter Apt 1".to_string()],
+            TemplateVersion::V1,
+        );
         assert!(page.contains("class=\"unit\""));
         assert!(page.contains("Apt 1"));
     }
@@ -472,7 +446,7 @@ mod tests {
 
     #[test]
     fn existing_customer_page_offers_new_customer_path() {
-        let page = render_existing_customer(Isp::Verizon);
+        let page = render_existing_customer_v(Isp::Verizon, TemplateVersion::V1);
         assert!(page.contains("id=\"new-customer\""));
         assert!(page.contains("id=\"change-plan\""));
     }
@@ -481,12 +455,12 @@ mod tests {
     fn distinct_page_kinds_have_distinct_markers() {
         // No marker of one page kind may appear in another, or template
         // detection becomes ambiguous.
-        let plans = render_plans(Isp::Att, catalog(Isp::Att));
-        let nf = render_not_found(Isp::Att, &["x".to_string()]);
-        let mdu = render_mdu(Isp::Att, &["x".to_string()]);
-        let ec = render_existing_customer(Isp::Att);
-        let ns = render_no_service(Isp::Att);
-        let td = render_technical_difficulty(Isp::Att);
+        let plans = render_plans_v(Isp::Att, catalog(Isp::Att), TemplateVersion::V1);
+        let nf = render_not_found_v(Isp::Att, &["x".to_string()], TemplateVersion::V1);
+        let mdu = render_mdu_v(Isp::Att, &["x".to_string()], TemplateVersion::V1);
+        let ec = render_existing_customer_v(Isp::Att, TemplateVersion::V1);
+        let ns = render_no_service_v(Isp::Att, TemplateVersion::V1);
+        let td = render_technical_difficulty_v(Isp::Att, TemplateVersion::V1);
         let markers = [
             ("availability-results", &plans),
             ("address-error", &nf),

@@ -101,11 +101,6 @@ impl AcsDataset {
     pub fn city_median_income_k(&self) -> f64 {
         self.city_median_income_k
     }
-
-    /// Total population across the city's block groups.
-    pub fn total_population(&self) -> u64 {
-        self.rows.iter().map(|r| r.population as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -176,13 +171,5 @@ mod tests {
         for (x, y) in a.rows().iter().zip(b.rows()) {
             assert_eq!(x, y);
         }
-    }
-
-    #[test]
-    fn total_population_is_plausible_for_city_size() {
-        let ds = dataset();
-        let pop = ds.total_population();
-        // 439 groups x 600..3000 people.
-        assert!(pop > 439 * 600 && pop < 439 * 3000);
     }
 }

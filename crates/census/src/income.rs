@@ -129,7 +129,7 @@ impl IncomeField {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbsim_geo::{Adjacency, Contiguity, LatLon, SpatialWeights};
+    use bbsim_geo::LatLon;
 
     fn test_grid() -> CityGrid {
         CityGrid::grow(LatLon::new(29.95, -90.07), 439, 22, 71, 7)
@@ -172,8 +172,8 @@ mod tests {
         // would be built on sand.
         let g = test_grid();
         let f = IncomeField::generate(&g, 41.0, 3);
-        let w = SpatialWeights::row_standardized(&Adjacency::from_grid(&g, Contiguity::Rook));
-        let r = bbsim_stats::morans_i(f.incomes_k(), w.rows()).unwrap();
+        let w = g.rook_weights(&(0..g.len()).collect::<Vec<_>>());
+        let r = bbsim_stats::morans_i(f.incomes_k(), &w).unwrap();
         assert!(r.i > 0.3, "income Moran's I = {}", r.i);
     }
 

@@ -305,10 +305,11 @@ pub fn detect_with(ts: &TemplateSet, page: &str, dialect: Dialect) -> DetectedPa
 mod tests {
     use super::*;
     use bbsim_bat::templates;
+    use bbsim_bat::TemplateVersion;
     use bbsim_isp::{catalog, Isp, Plan, ALL_ISPS};
 
     fn roundtrip(isp: Isp, plans: &[Plan]) -> Vec<ScrapedPlan> {
-        let page = templates::render_plans(isp, plans);
+        let page = templates::render_plans_v(isp, plans, TemplateVersion::V1);
         match detect(&page, bbsim_bat::templates::dialect_of(isp)) {
             DetectedPage::Plans(p) => p,
             other => panic!("{isp}: expected plans, got {other:?}"),
@@ -334,15 +335,16 @@ mod tests {
     fn wrong_dialect_fails_to_parse_plans() {
         // An AT&T page fed to a Cox-dialect parser must not yield plans —
         // this is why the paper needs per-ISP templates.
-        let page = templates::render_plans(Isp::Att, catalog(Isp::Att));
+        let page = templates::render_plans_v(Isp::Att, catalog(Isp::Att), TemplateVersion::V1);
         assert_eq!(detect(&page, Dialect::ListItem), DetectedPage::Unrecognized);
     }
 
     #[test]
     fn detects_not_found_with_ordered_suggestions() {
-        let page = templates::render_not_found(
+        let page = templates::render_not_found_v(
             Isp::Cox,
             &["1 Oak St".to_string(), "2 Oak St".to_string()],
+            TemplateVersion::V1,
         );
         match detect(&page, Dialect::ListItem) {
             DetectedPage::AddressNotFound(s) => {
@@ -354,7 +356,11 @@ mod tests {
 
     #[test]
     fn detects_mdu_units() {
-        let page = templates::render_mdu(Isp::Att, &["742 Ter Apt 1".to_string()]);
+        let page = templates::render_mdu_v(
+            Isp::Att,
+            &["742 Ter Apt 1".to_string()],
+            TemplateVersion::V1,
+        );
         assert_eq!(
             detect(&page, Dialect::DataAttr),
             DetectedPage::MultiDwellingUnit(vec!["742 Ter Apt 1".to_string()])
@@ -365,18 +371,21 @@ mod tests {
     fn detects_interstitial_and_terminal_pages() {
         assert_eq!(
             detect(
-                &templates::render_existing_customer(Isp::Verizon),
+                &templates::render_existing_customer_v(Isp::Verizon, TemplateVersion::V1),
                 Dialect::DataAttr
             ),
             DetectedPage::ExistingCustomer
         );
         assert_eq!(
-            detect(&templates::render_no_service(Isp::Cox), Dialect::ListItem),
+            detect(
+                &templates::render_no_service_v(Isp::Cox, TemplateVersion::V1),
+                Dialect::ListItem
+            ),
             DetectedPage::NoService
         );
         assert_eq!(
             detect(
-                &templates::render_technical_difficulty(Isp::Cox),
+                &templates::render_technical_difficulty_v(Isp::Cox, TemplateVersion::V1),
                 Dialect::ListItem
             ),
             DetectedPage::TechnicalDifficulty
@@ -428,7 +437,6 @@ mod tests {
 
     #[test]
     fn learning_classifies_v2_probe_bursts_as_generation_2() {
-        use bbsim_bat::TemplateVersion;
         for isp in ALL_ISPS {
             let dialect = templates::dialect_of(isp);
             let pages = vec![

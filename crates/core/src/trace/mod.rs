@@ -126,13 +126,6 @@ impl Span {
     pub fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
     }
-
-    /// Milliseconds of this span not covered by any child — the share the
-    /// critical path charges to this span's own kind.
-    pub fn self_ms(&self) -> u64 {
-        let children: u64 = self.children.iter().map(Span::duration_ms).sum();
-        self.duration_ms().saturating_sub(children)
-    }
 }
 
 /// One assembled causal tree: a job's or a serve request's full story.
@@ -191,22 +184,6 @@ mod tests {
             assert_eq!(SpanKind::parse(kind.as_str()), Some(kind), "{kind:?}");
         }
         assert_eq!(SpanKind::parse("bogus"), None);
-    }
-
-    #[test]
-    fn self_time_is_duration_minus_children() {
-        let span = Span {
-            kind: SpanKind::Job,
-            label: String::new(),
-            start_ms: 100,
-            end_ms: 200,
-            children: vec![
-                leaf(SpanKind::Attempt, 110, 140),
-                leaf(SpanKind::QueueWait, 140, 180),
-            ],
-        };
-        assert_eq!(span.duration_ms(), 100);
-        assert_eq!(span.self_ms(), 30);
     }
 
     #[test]

@@ -15,12 +15,6 @@ use std::collections::HashMap;
 /// Index of a cell (block group) within a [`CityGrid`]; dense `0..len()`.
 pub type CellIndex = usize;
 
-/// Edge length of one block-group cell in kilometres.
-///
-/// Block groups hold 600–3000 people; in a mid-density US city that is
-/// roughly a square kilometre.
-pub const CELL_KM: f64 = 1.0;
-
 /// A city rendered as a connected set of lattice cells, one per block group.
 #[derive(Debug, Clone)]
 pub struct CityGrid {
@@ -122,21 +116,9 @@ impl CityGrid {
         &self.ids
     }
 
-    /// Looks up the cell index for a block-group id (linear in city size).
-    pub fn index_of(&self, id: BlockGroupId) -> Option<CellIndex> {
-        self.ids.iter().position(|&x| x == id)
-    }
-
     /// Lattice coordinate of cell `i`.
     pub fn coord(&self, i: CellIndex) -> (i32, i32) {
         self.cells[i]
-    }
-
-    /// Geographic centroid of cell `i`.
-    pub fn centroid(&self, i: CellIndex) -> LatLon {
-        let (x, y) = self.cells[i];
-        self.center
-            .offset_km(x as f64 * CELL_KM, y as f64 * CELL_KM)
     }
 
     /// Rook (edge-sharing) neighbours of cell `i`.
@@ -148,21 +130,30 @@ impl CityGrid {
             .collect()
     }
 
-    /// Queen (edge- or corner-sharing) neighbours of cell `i`.
-    pub fn queen_neighbors(&self, i: CellIndex) -> Vec<CellIndex> {
-        let (x, y) = self.cells[i];
-        let mut out = Vec::with_capacity(8);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                if let Some(&j) = self.by_coord.get(&(x + dx, y + dy)) {
-                    out.push(j);
-                }
-            }
+    /// Row-standardized rook weights over the subgraph `cells` induce.
+    ///
+    /// Row `k` belongs to `cells[k]` and gives `1/n` to each of its `n`
+    /// rook neighbours that `cells` also holds, named by their position
+    /// in `cells`; a cell with no such neighbour gets an empty row. This
+    /// is the weights matrix Moran's I and LISA take.
+    pub fn rook_weights(&self, cells: &[CellIndex]) -> Vec<Vec<(usize, f64)>> {
+        let mut dense_index = vec![usize::MAX; self.len()];
+        for (k, &i) in cells.iter().enumerate() {
+            dense_index[i] = k;
         }
-        out
+        cells
+            .iter()
+            .map(|&i| {
+                let ns: Vec<usize> = self
+                    .rook_neighbors(i)
+                    .into_iter()
+                    .filter(|&j| dense_index[j] != usize::MAX)
+                    .map(|j| dense_index[j])
+                    .collect();
+                let w = 1.0 / ns.len() as f64;
+                ns.into_iter().map(|j| (j, w)).collect()
+            })
+            .collect()
     }
 
     /// Normalized radial position of cell `i` in `[0, 1]`: 0 at the city
@@ -231,35 +222,26 @@ mod tests {
     }
 
     #[test]
-    fn index_of_inverts_id() {
+    fn rook_weights_index_the_subset_and_leave_isolates_empty() {
         let g = nola();
-        for i in [0, 1, 57, 438] {
-            assert_eq!(g.index_of(g.id(i)), Some(i));
+        let all: Vec<CellIndex> = (0..g.len()).collect();
+        let w = g.rook_weights(&all);
+        for (i, row) in w.iter().enumerate() {
+            let cols: Vec<usize> = row.iter().map(|&(j, _)| j).collect();
+            assert_eq!(cols, g.rook_neighbors(i), "cell {i}");
+            let s: f64 = row.iter().map(|&(_, v)| v).sum();
+            assert!((s - 1.0).abs() < 1e-12, "row {i} sums to {s}");
         }
-    }
-
-    #[test]
-    fn queen_superset_of_rook() {
-        let g = nola();
-        for i in 0..g.len() {
-            let rook = g.rook_neighbors(i);
-            let queen = g.queen_neighbors(i);
-            for r in &rook {
-                assert!(queen.contains(r));
-            }
-            assert!(queen.len() >= rook.len());
-            assert!(queen.len() <= 8);
-        }
-    }
-
-    #[test]
-    fn centroids_are_near_center() {
-        let g = nola();
-        let c = g.center();
-        for i in 0..g.len() {
-            // 439 compact cells should stay within ~40 km of downtown.
-            assert!(g.centroid(i).distance_km(&c) < 40.0);
-        }
+        // The origin cell and one rook neighbour, plus a cell touching
+        // neither: columns are positions in the subset.
+        let nb = g.rook_neighbors(0)[0];
+        let far = (1..g.len())
+            .find(|&i| i != nb && !g.rook_neighbors(i).iter().any(|&j| j == 0 || j == nb))
+            .expect("a cell away from both");
+        let w = g.rook_weights(&[far, 0, nb]);
+        assert!(w[0].is_empty());
+        assert_eq!(w[1], vec![(2, 1.0)]);
+        assert_eq!(w[2], vec![(1, 1.0)]);
     }
 
     #[test]

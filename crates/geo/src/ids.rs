@@ -55,11 +55,6 @@ impl BlockGroupId {
         }
     }
 
-    /// The 11-character tract-level GEOID prefix (state + county + tract).
-    pub fn tract_geoid(&self) -> String {
-        format!("{:02}{:03}{:06}", self.state.0, self.county.0, self.tract.0)
-    }
-
     /// Encodes the id into a single sortable integer (useful as a map key).
     pub fn as_u64(&self) -> u64 {
         self.state.0 as u64 * 10_000_000_000
@@ -172,13 +167,6 @@ mod tests {
             "000710017001".parse::<BlockGroupId>(),
             Err(ParseGeoidError::OutOfRange("state"))
         );
-    }
-
-    #[test]
-    fn tract_geoid_is_prefix_of_full_geoid() {
-        let id = BlockGroupId::new(48, 453, 2314, 3);
-        assert!(id.to_string().starts_with(&id.tract_geoid()));
-        assert_eq!(id.tract_geoid().len(), 11);
     }
 
     #[test]

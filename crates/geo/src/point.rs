@@ -1,4 +1,4 @@
-//! Latitude/longitude points and great-circle distance.
+//! Latitude/longitude points.
 
 /// A point on the Earth's surface in decimal degrees.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -6,9 +6,6 @@ pub struct LatLon {
     pub lat: f64,
     pub lon: f64,
 }
-
-/// Mean Earth radius in kilometres (IUGG value).
-pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
 impl LatLon {
     pub fn new(lat: f64, lon: f64) -> Self {
@@ -21,134 +18,5 @@ impl LatLon {
             "longitude out of range: {lon}"
         );
         Self { lat, lon }
-    }
-
-    /// Great-circle distance to `other` in kilometres (haversine formula).
-    pub fn distance_km(&self, other: &LatLon) -> f64 {
-        let (lat1, lon1) = (self.lat.to_radians(), self.lon.to_radians());
-        let (lat2, lon2) = (other.lat.to_radians(), other.lon.to_radians());
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
-    }
-
-    /// Returns the point offset by `dx_km` east and `dy_km` north, using a
-    /// local equirectangular approximation (fine for city-scale offsets).
-    pub fn offset_km(&self, dx_km: f64, dy_km: f64) -> LatLon {
-        let dlat = dy_km / EARTH_RADIUS_KM;
-        let dlon = dx_km / (EARTH_RADIUS_KM * self.lat.to_radians().cos());
-        LatLon {
-            lat: (self.lat + dlat.to_degrees()).clamp(-90.0, 90.0),
-            lon: self.lon + dlon.to_degrees(),
-        }
-    }
-}
-
-/// Axis-aligned bounding box over lat/lon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundingBox {
-    pub min: LatLon,
-    pub max: LatLon,
-}
-
-impl BoundingBox {
-    /// The smallest box covering all `points`. Returns `None` for an empty
-    /// iterator.
-    pub fn covering<I: IntoIterator<Item = LatLon>>(points: I) -> Option<Self> {
-        let mut it = points.into_iter();
-        let first = it.next()?;
-        let mut bb = BoundingBox {
-            min: first,
-            max: first,
-        };
-        for p in it {
-            bb.min.lat = bb.min.lat.min(p.lat);
-            bb.min.lon = bb.min.lon.min(p.lon);
-            bb.max.lat = bb.max.lat.max(p.lat);
-            bb.max.lon = bb.max.lon.max(p.lon);
-        }
-        Some(bb)
-    }
-
-    pub fn contains(&self, p: &LatLon) -> bool {
-        p.lat >= self.min.lat
-            && p.lat <= self.max.lat
-            && p.lon >= self.min.lon
-            && p.lon <= self.max.lon
-    }
-
-    /// Geometric centre of the box.
-    pub fn center(&self) -> LatLon {
-        LatLon {
-            lat: (self.min.lat + self.max.lat) / 2.0,
-            lon: (self.min.lon + self.max.lon) / 2.0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn distance_to_self_is_zero() {
-        let p = LatLon::new(29.95, -90.07);
-        assert!(p.distance_km(&p) < 1e-9);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        let a = LatLon::new(29.95, -90.07); // New Orleans
-        let b = LatLon::new(35.47, -97.52); // Oklahoma City
-        assert!((a.distance_km(&b) - b.distance_km(&a)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn known_distance_new_orleans_to_okc() {
-        // ~940 km as the crow flies.
-        let a = LatLon::new(29.95, -90.07);
-        let b = LatLon::new(35.47, -97.52);
-        let d = a.distance_km(&b);
-        assert!((900.0..980.0).contains(&d), "got {d}");
-    }
-
-    #[test]
-    fn offset_km_roundtrip_distance() {
-        let p = LatLon::new(40.0, -100.0);
-        let q = p.offset_km(3.0, 4.0);
-        let d = p.distance_km(&q);
-        assert!((d - 5.0).abs() < 0.05, "expected ~5 km, got {d}");
-    }
-
-    #[test]
-    fn bounding_box_covers_all_points() {
-        let pts = vec![
-            LatLon::new(1.0, 1.0),
-            LatLon::new(-2.0, 5.0),
-            LatLon::new(3.0, -4.0),
-        ];
-        let bb = BoundingBox::covering(pts.clone()).unwrap();
-        for p in &pts {
-            assert!(bb.contains(p));
-        }
-        assert_eq!(bb.min.lat, -2.0);
-        assert_eq!(bb.max.lon, 5.0);
-    }
-
-    #[test]
-    fn bounding_box_empty_is_none() {
-        assert!(BoundingBox::covering(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn bounding_box_center_is_midpoint() {
-        let bb = BoundingBox {
-            min: LatLon::new(0.0, 0.0),
-            max: LatLon::new(10.0, 20.0),
-        };
-        let c = bb.center();
-        assert_eq!(c.lat, 5.0);
-        assert_eq!(c.lon, 10.0);
     }
 }

@@ -192,11 +192,6 @@ impl Deployment {
         self.tech[bg]
     }
 
-    /// All per-block-group technologies, cell-aligned with the grid.
-    pub fn techs(&self) -> &[TechAtBlockGroup] {
-        &self.tech
-    }
-
     /// Fraction of the city's block groups the ISP serves at all.
     pub fn coverage(&self) -> f64 {
         let served = self
@@ -377,11 +372,10 @@ mod tests {
 
     #[test]
     fn deployment_is_spatially_clustered() {
-        use bbsim_geo::{Adjacency, Contiguity, SpatialWeights};
         let (dep, grid, _) = world(Isp::Att, "Chicago");
         // Encode tech as a numeric field: fiber 2, dsl 1, none 0.
         let values: Vec<f64> = dep
-            .techs()
+            .tech
             .iter()
             .map(|t| match t {
                 TechAtBlockGroup::Fiber => 2.0,
@@ -389,8 +383,8 @@ mod tests {
                 _ => 0.0,
             })
             .collect();
-        let w = SpatialWeights::row_standardized(&Adjacency::from_grid(&grid, Contiguity::Rook));
-        let r = bbsim_stats::morans_i(&values, w.rows()).unwrap();
+        let w = grid.rook_weights(&(0..grid.len()).collect::<Vec<_>>());
+        let r = bbsim_stats::morans_i(&values, &w).unwrap();
         assert!(r.i > 0.25, "Moran's I = {}", r.i);
     }
 
@@ -398,7 +392,7 @@ mod tests {
     fn deployment_is_deterministic() {
         let (a, ..) = world(Isp::Att, "New Orleans");
         let (b, ..) = world(Isp::Att, "New Orleans");
-        assert_eq!(a.techs(), b.techs());
+        assert_eq!(a.tech, b.tech);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Isp {
         }
     }
 
-    /// Inverse of [`Isp::column`].
-    pub fn from_column(n: u8) -> Option<Isp> {
-        ALL_ISPS.into_iter().find(|i| i.column() == n)
-    }
-
     /// The major ISPs serving `city`, in Table-2 column order (the order
     /// of its `major_isps` list, which is strictly ascending).
     pub fn of_city(city: &CityProfile) -> Vec<Isp> {
@@ -120,10 +115,7 @@ mod tests {
     fn column_numbering_matches_table_2_order() {
         for (i, isp) in ALL_ISPS.iter().enumerate() {
             assert_eq!(isp.column() as usize, i + 1);
-            assert_eq!(Isp::from_column(isp.column()), Some(*isp));
         }
-        assert_eq!(Isp::from_column(0), None);
-        assert_eq!(Isp::from_column(8), None);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl Plan {
         self.download_mbps / self.price_usd
     }
 
-    /// Carriage value computed from upload speed (the paper verified its
-    /// results also hold on this variant).
-    pub fn upload_carriage_value(&self) -> f64 {
-        self.upload_mbps / self.price_usd
-    }
-
     /// The same plan with an ACP-style monthly subsidy applied (price floor
     /// $5 so cv stays finite).
     pub fn with_subsidy(&self, discount_usd: f64) -> Plan {

@@ -209,11 +209,6 @@ impl CablePricing {
         &self.tiers
     }
 
-    /// Whether block group `bg` carries the ACP-subsidized variant.
-    pub fn has_acp(&self, bg: usize) -> bool {
-        self.acp[bg]
-    }
-
     /// The concrete plan list offered in block group `bg`.
     pub fn plans_in(&self, bg: usize) -> Vec<Plan> {
         let (standard, competitive, promo) = split_catalog(self.isp);
@@ -268,7 +263,7 @@ mod tests {
         let first = p.plans_in(0);
         for bg in 0..grid.len() {
             assert_eq!(p.plans_in(bg), first);
-            assert!(!p.has_acp(bg));
+            assert!(!p.acp[bg]);
         }
         assert_eq!(first.len(), 3);
     }
@@ -303,8 +298,8 @@ mod tests {
         let mut std_ = Vec::new();
         for bg in 0..grid.len() {
             match p.tier(bg) {
-                CableTier::Competitive(_) if !p.has_acp(bg) => comp.push(best_cv(bg)),
-                CableTier::Standard(_) if !p.has_acp(bg) => std_.push(best_cv(bg)),
+                CableTier::Competitive(_) if !p.acp[bg] => comp.push(best_cv(bg)),
+                CableTier::Standard(_) if !p.acp[bg] => std_.push(best_cv(bg)),
                 _ => {}
             }
         }
@@ -326,7 +321,7 @@ mod tests {
         let (p, grid) = setup(Isp::Cox, "New Orleans", 0.0);
         let mut acp_count = 0;
         for bg in 0..grid.len() {
-            if p.has_acp(bg) {
+            if p.acp[bg] {
                 acp_count += 1;
                 let best = p
                     .plans_in(bg)
@@ -370,7 +365,6 @@ mod tests {
 
     #[test]
     fn tiers_are_spatially_clustered() {
-        use bbsim_geo::{Adjacency, Contiguity, SpatialWeights};
         let (p, grid) = setup(Isp::Cox, "Phoenix", 0.3);
         let values: Vec<f64> = (0..grid.len())
             .map(|bg| {
@@ -380,8 +374,8 @@ mod tests {
                     .fold(f64::MIN, f64::max)
             })
             .collect();
-        let w = SpatialWeights::row_standardized(&Adjacency::from_grid(&grid, Contiguity::Rook));
-        let r = bbsim_stats::morans_i(&values, w.rows()).unwrap();
+        let w = grid.rook_weights(&(0..grid.len()).collect::<Vec<_>>());
+        let r = bbsim_stats::morans_i(&values, &w).unwrap();
         assert!(r.i > 0.1, "Moran's I = {}", r.i);
     }
 

@@ -31,17 +31,6 @@ pub struct OfferedPlans {
     pub plans: Vec<Plan>,
 }
 
-impl OfferedPlans {
-    /// Best (maximum) carriage value among the offered plans, the paper's
-    /// per-address summary metric.
-    pub fn best_carriage_value(&self) -> Option<f64> {
-        self.plans
-            .iter()
-            .map(Plan::carriage_value)
-            .fold(None, |acc, cv| Some(acc.map_or(cv, |a: f64| a.max(cv))))
-    }
-}
-
 /// One city's complete hidden state.
 pub struct CityWorld {
     city: &'static CityProfile,
@@ -316,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn best_carriage_value_matches_manual_max() {
-        let w = nola();
-        let addr = &w.addresses().records()[10];
-        let offered = w.plans_at(Isp::Cox, addr);
-        if let Some(best) = offered.best_carriage_value() {
-            let manual = offered
-                .plans
-                .iter()
-                .map(Plan::carriage_value)
-                .fold(f64::MIN, f64::max);
-            assert_eq!(best, manual);
-        }
-    }
-
-    #[test]
     fn plans_at_is_deterministic() {
         let a = nola();
         let b = nola();
@@ -340,15 +314,6 @@ mod tests {
             assert_eq!(a.plans_at(Isp::Att, ra), b.plans_at(Isp::Att, rb));
             assert_eq!(a.plans_at(Isp::Cox, ra), b.plans_at(Isp::Cox, rb));
         }
-    }
-
-    #[test]
-    fn empty_offered_plans_has_no_best_cv() {
-        let offered = OfferedPlans {
-            isp: Isp::Verizon,
-            plans: Vec::new(),
-        };
-        assert_eq!(offered.best_carriage_value(), None);
     }
 
     #[test]

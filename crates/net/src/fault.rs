@@ -96,10 +96,11 @@ pub struct FaultPlan {
     /// Derive each request's fault rolls from `(seed, endpoint, now)`
     /// instead of the shared sequential stream. See [`Self::hermetic`].
     hermetic: bool,
-    /// Virtual time a client waits before declaring a swallowed request
-    /// timed out.
-    client_timeout: SimDuration,
 }
+
+/// Virtual milliseconds a client waits before declaring a swallowed
+/// request timed out.
+const CLIENT_TIMEOUT_MS: u64 = 30_000;
 
 impl FaultPlan {
     /// An empty plan drawing fault decisions from `seed`.
@@ -109,7 +110,6 @@ impl FaultPlan {
             seed,
             rng: StdRng::seed_from_u64(seed ^ 0xFA_017),
             hermetic: false,
-            client_timeout: SimDuration::from_secs(30),
         }
     }
 
@@ -121,12 +121,6 @@ impl FaultPlan {
     /// later fault roll.
     pub fn hermetic(mut self) -> Self {
         self.hermetic = true;
-        self
-    }
-
-    /// Overrides the client-side timeout charged for swallowed requests.
-    pub fn with_client_timeout(mut self, timeout: SimDuration) -> Self {
-        self.client_timeout = timeout;
         self
     }
 
@@ -229,13 +223,6 @@ impl FaultPlan {
         })
     }
 
-    /// Whether any window could ever affect `endpoint`.
-    pub fn covers(&self, endpoint: &str) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.endpoint.as_deref().is_none_or(|e| e == endpoint))
-    }
-
     pub fn windows(&self) -> &[FaultWindow] {
         &self.windows
     }
@@ -265,15 +252,13 @@ impl FaultPlan {
             }
             return Some(match w.kind {
                 FaultKind::Timeout => FaultAction::Timeout {
-                    after: self.client_timeout,
+                    after: SimDuration::from_millis(CLIENT_TIMEOUT_MS),
                 },
                 FaultKind::Stall => FaultAction::Stall,
                 FaultKind::ConnectionReset => FaultAction::Reset {
                     // Connections die partway through: charge a uniform
                     // fraction of the client timeout.
-                    after: SimDuration::from_millis(
-                        rng.gen_range(1..=self.client_timeout.as_millis().max(2)),
-                    ),
+                    after: SimDuration::from_millis(rng.gen_range(1..=CLIENT_TIMEOUT_MS)),
                 },
                 FaultKind::RateLimitStorm => FaultAction::SyntheticRateLimit,
                 FaultKind::Brownout {
@@ -371,13 +356,11 @@ mod tests {
 
     #[test]
     fn reset_charges_partial_time() {
-        let mut plan = FaultPlan::new(5)
-            .with_client_timeout(SimDuration::from_secs(10))
-            .flaky_endpoint("e", t(0), t(1000), 1.0);
+        let mut plan = FaultPlan::new(5).flaky_endpoint("e", t(0), t(1000), 1.0);
         match plan.intercept("e", t(1)) {
             Some(FaultAction::Reset { after }) => {
                 assert!(after > SimDuration::ZERO);
-                assert!(after <= SimDuration::from_secs(10));
+                assert!(after <= SimDuration::from_secs(30));
             }
             other => panic!("unexpected action {other:?}"),
         }

@@ -67,7 +67,6 @@ impl Status {
 /// Parse failures for the wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    MissingStartLine,
     BadStartLine(String),
     BadHeader(String),
     UnknownMethod(String),
@@ -77,7 +76,6 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::MissingStartLine => write!(f, "message has no start line"),
             WireError::BadStartLine(l) => write!(f, "malformed start line: {l:?}"),
             WireError::BadHeader(l) => write!(f, "malformed header: {l:?}"),
             WireError::UnknownMethod(m) => write!(f, "unknown method: {m:?}"),

@@ -45,8 +45,6 @@ pub struct IpPool {
     cursor: usize,
     rng: StdRng,
     assign_salt: u64,
-    leases: Vec<u32>,
-    n_leased: usize,
 }
 
 impl IpPool {
@@ -68,15 +66,12 @@ impl IpPool {
         }
         let base = u32::from_be_bytes([100, 64, 0, 0]);
         let addrs: Vec<SimIp> = offsets.into_iter().map(|o| SimIp(base + o)).collect();
-        let leases = vec![0; addrs.len()];
         Self {
             addrs,
             policy,
             cursor: 0,
             rng,
             assign_salt: seed,
-            leases,
-            n_leased: 0,
         }
     }
 
@@ -119,46 +114,6 @@ impl IpPool {
     pub fn assign(&self, key: u64) -> SimIp {
         let i = (mix64(self.assign_salt ^ ASSIGN_SALT, &[key]) % self.addrs.len() as u64) as usize;
         self.addrs[i]
-    }
-
-    /// Checks out the derived address for `key`, preferring an unleased
-    /// slot.
-    ///
-    /// Starting from the derived index, probes forward (wrapping) for the
-    /// first address with no outstanding lease. When every address is
-    /// leased — more concurrent workers than pool slots — the pool does
-    /// not spin or panic: it degrades to sharing the derived address and
-    /// records a second lease on it. [`release`](Self::release) must be
-    /// called once per checkout.
-    pub fn checkout(&mut self, key: u64) -> SimIp {
-        let n = self.addrs.len();
-        let start = (mix64(self.assign_salt ^ ASSIGN_SALT, &[key]) % n as u64) as usize;
-        // Probe forward (wrapping) for a free slot; under exhaustion every
-        // slot is taken and the probe wraps back to `start`, so checkout
-        // degrades to sharing the derived address instead of spinning.
-        let i = (0..n)
-            .map(|d| (start + d) % n)
-            .find(|&j| self.leases[j] == 0)
-            .unwrap_or(start);
-        self.leases[i] += 1;
-        self.n_leased += 1;
-        self.addrs[i]
-    }
-
-    /// Returns a leased address to the pool. Unknown or unleased addresses
-    /// are ignored rather than corrupting the lease table.
-    pub fn release(&mut self, ip: SimIp) {
-        if let Some(i) = self.addrs.iter().position(|&a| a == ip) {
-            if self.leases[i] > 0 {
-                self.leases[i] -= 1;
-                self.n_leased -= 1;
-            }
-        }
-    }
-
-    /// Number of outstanding leases (may exceed `len()` under exhaustion).
-    pub fn outstanding_leases(&self) -> usize {
-        self.n_leased
     }
 }
 
@@ -228,62 +183,11 @@ mod tests {
     fn assign_is_pure_and_history_independent() {
         let mut pool = IpPool::residential(7, RotationPolicy::RoundRobin, 11);
         let before: Vec<SimIp> = (0..20).map(|k| pool.assign(k)).collect();
-        // Churn the mutable state heavily.
-        for k in 0..50 {
-            let ip = pool.checkout(k);
-            if k % 3 == 0 {
-                pool.release(ip);
-            }
+        // Churn the rotation cursor.
+        for _ in 0..50 {
             pool.next();
         }
         let after: Vec<SimIp> = (0..20).map(|k| pool.assign(k)).collect();
-        assert_eq!(before, after, "assign must ignore checkout history");
-    }
-
-    #[test]
-    fn checkout_prefers_free_slots_in_small_pool() {
-        // 4 addresses, 4 workers: distinct keys must land on distinct
-        // addresses while free slots remain, whatever the derived indices.
-        let mut pool = IpPool::residential(4, RotationPolicy::RoundRobin, 5);
-        let got: Vec<SimIp> = (0..4).map(|k| pool.checkout(k)).collect();
-        let distinct: std::collections::HashSet<_> = got.iter().collect();
-        assert_eq!(distinct.len(), 4, "free slots skipped: {got:?}");
-        assert_eq!(pool.outstanding_leases(), 4);
-    }
-
-    #[test]
-    fn checkout_survives_exhaustion_by_sharing() {
-        // 3 addresses, 16 workers: the pool must neither panic nor loop;
-        // past exhaustion it shares addresses and keeps counting leases.
-        let mut pool = IpPool::residential(3, RotationPolicy::Random, 6);
-        let got: Vec<SimIp> = (0..16).map(|k| pool.checkout(k)).collect();
-        assert_eq!(pool.outstanding_leases(), 16);
-        let distinct: std::collections::HashSet<_> = got.iter().collect();
-        assert_eq!(distinct.len(), 3, "all addresses pressed into service");
-        // Releasing every lease drains the table completely.
-        for ip in got {
-            pool.release(ip);
-        }
-        assert_eq!(pool.outstanding_leases(), 0);
-        // And the pool recovers: fresh checkouts spread out again.
-        let again: Vec<SimIp> = (0..3).map(|k| pool.checkout(k)).collect();
-        assert_eq!(
-            again.iter().collect::<std::collections::HashSet<_>>().len(),
-            3
-        );
-    }
-
-    #[test]
-    fn release_of_foreign_or_unleased_ip_is_harmless() {
-        let mut pool = IpPool::residential(2, RotationPolicy::RoundRobin, 7);
-        let outside = SimIp(u32::from_be_bytes([10, 0, 0, 1]));
-        pool.release(outside);
-        let inside = pool.addrs()[0];
-        pool.release(inside); // never checked out
-        assert_eq!(pool.outstanding_leases(), 0);
-        let ip = pool.checkout(0);
-        pool.release(ip);
-        pool.release(ip); // double release
-        assert_eq!(pool.outstanding_leases(), 0);
+        assert_eq!(before, after, "assign must ignore rotation history");
     }
 }

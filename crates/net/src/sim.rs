@@ -79,11 +79,6 @@ impl<E> EventQueue<E> {
             .map(|Entry { time, event, .. }| (time, event))
     }
 
-    /// The timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|entry| entry.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -122,17 +117,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        q.push(t(7), ());
-        assert_eq!(q.peek_time(), Some(t(7)));
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert_eq!(q.peek_time(), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -110,18 +110,11 @@ impl ServeQuery {
         }
     }
 
-    /// Deterministic cache key (also the eviction-log key):
+    /// Appends this query's deterministic cache key (also the eviction-log
+    /// key) to `out`, so the router can reuse one buffer across lookups:
     /// `plans/{city}/{isp}/{tag}`, `bg/{city}/{isp}/{bg}` or
     /// `tiles/{city}`. The city is written as is, commas included; the
     /// `x-evicted` header escapes them.
-    pub fn cache_key(&self) -> String {
-        let mut key = String::with_capacity(32);
-        self.push_cache_key(&mut key);
-        key
-    }
-
-    /// Appends this query's cache key to `out`, so the router can reuse
-    /// one buffer across lookups.
     pub(crate) fn push_cache_key(&self, out: &mut String) {
         match self {
             ServeQuery::Plans { city, isp, tag } => {
@@ -542,28 +535,25 @@ mod tests {
         assert_eq!(ServeResponse::from_http(&revived, true).unwrap(), resp);
     }
 
+    fn cache_key(q: &ServeQuery) -> String {
+        let mut key = String::new();
+        q.push_cache_key(&mut key);
+        key
+    }
+
     #[test]
-    fn cache_key_wraps_the_buffer_writer() {
-        let mut buf = String::new();
-        for q in queries() {
-            buf.clear();
-            q.push_cache_key(&mut buf);
-            assert_eq!(buf, q.cache_key());
-        }
-        assert_eq!(
-            ServeQuery::Plans {
-                city: "Washington, DC".into(),
-                isp: Isp::Att,
-                tag: 1,
-            }
-            .cache_key(),
-            "plans/Washington, DC/att/1"
-        );
+    fn cache_key_writes_the_city_as_is() {
+        let q = ServeQuery::Plans {
+            city: "Washington, DC".into(),
+            isp: Isp::Att,
+            tag: 1,
+        };
+        assert_eq!(cache_key(&q), "plans/Washington, DC/att/1");
     }
 
     #[test]
     fn cache_keys_are_comma_free_and_unique() {
-        let keys: Vec<String> = queries().iter().map(ServeQuery::cache_key).collect();
+        let keys: Vec<String> = queries().iter().map(cache_key).collect();
         for k in &keys {
             assert!(!k.contains(','), "{k}");
         }

@@ -39,5 +39,5 @@ pub use cache::LruCache;
 pub use engine::{run, run_recorded, ServeOptions, ServeOutcome};
 pub use load::{Arrival, LoadPhase, PhaseKind};
 pub use router::Router;
-pub use service::{cache_flags, evicted_keys, PlanService, ServeCosts};
+pub use service::{PlanService, ServeCosts};
 pub use store::{CityTiles, CvSummary, PlanStore, ShardIndex};

@@ -304,7 +304,11 @@ mod tests {
         let mut keys: Vec<String> = scan
             .iter()
             .flat_map(|a| a.request.queries())
-            .map(ServeQuery::cache_key)
+            .map(|q| {
+                let mut key = String::new();
+                q.push_cache_key(&mut key);
+                key
+            })
             .collect();
         let total = keys.len();
         keys.sort();

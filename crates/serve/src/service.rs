@@ -167,23 +167,16 @@ pub(crate) fn evicted_key_iter(resp: &Response) -> impl Iterator<Item = String> 
         .map(unescape_key)
 }
 
-/// Parses the `x-cache` header back to per-query flags (empty when the
-/// header is absent, e.g. on an error response).
-pub fn cache_flags(resp: &Response) -> Vec<bool> {
-    cache_flag_iter(resp).collect()
-}
-
-/// Parses the `x-evicted` header back to evicted cache keys.
-pub fn evicted_keys(resp: &Response) -> Vec<String> {
-    evicted_key_iter(resp).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::api::{ServeAnswer, ServeQuery, ServeResponse};
     use bbsim_isp::Isp;
     use bbsim_net::{Endpoint, LatencyModel, Transport};
+
+    fn cache_flags(resp: &Response) -> Vec<bool> {
+        cache_flag_iter(resp).collect()
+    }
 
     /// A capacity-1 service over an empty store behind a hermetic
     /// transport, so every response crosses the real HTTP framing.
@@ -234,7 +227,7 @@ mod tests {
                 },
             );
             assert_eq!(resp.status, Status::Ok, "{city:?}");
-            evicted.extend(evicted_keys(&resp));
+            evicted.extend(evicted_key_iter(&resp));
         }
         let expected: Vec<String> = cities[..cities.len() - 1]
             .iter()

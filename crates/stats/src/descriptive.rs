@@ -88,11 +88,6 @@ impl Summary {
             max: quantile(xs, 1.0)?,
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
 }
 
 #[cfg(test)]
@@ -170,6 +165,5 @@ mod tests {
         assert_eq!(s.mean, 50.5);
         assert_eq!(s.median, 50.5);
         assert!(s.p25 < s.median && s.median < s.p75);
-        assert!((s.iqr() - (s.p75 - s.p25)).abs() < 1e-12);
     }
 }

@@ -37,41 +37,6 @@ impl Ecdf {
         let count = self.sorted.partition_point(|&v| v <= x);
         count as f64 / self.sorted.len() as f64
     }
-
-    /// Generalized inverse `F⁻¹(q)`: the smallest sample value with
-    /// `F(x) >= q`. `None` if the sample is empty or `q` out of `(0, 1]`.
-    pub fn inverse(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() || !(0.0 < q && q <= 1.0) {
-            return None;
-        }
-        let idx = ((q * self.sorted.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.sorted[idx.min(self.sorted.len() - 1)])
-    }
-
-    /// The sorted sample (support points of the step function).
-    pub fn support(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Evaluates the ECDF on an evenly spaced grid of `n` points spanning
-    /// the sample range, as `(x, F(x))` pairs — the series plotted in the
-    /// paper's CDF figures.
-    pub fn curve(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return Vec::new();
-        }
-        let lo = self.sorted[0];
-        let hi = *self.sorted.last().expect("non-empty");
-        if n == 1 || hi == lo {
-            return vec![(hi, 1.0)];
-        }
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 /// A fixed-width histogram over `[lo, hi)` with an implicit overflow rule:
@@ -188,24 +153,6 @@ mod tests {
             assert!(v >= prev);
             prev = v;
         }
-    }
-
-    #[test]
-    fn ecdf_inverse_is_generalized_quantile() {
-        let e = Ecdf::new(vec![10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(e.inverse(0.25), Some(10.0));
-        assert_eq!(e.inverse(0.5), Some(20.0));
-        assert_eq!(e.inverse(1.0), Some(40.0));
-        assert_eq!(e.inverse(0.0), None);
-    }
-
-    #[test]
-    fn ecdf_curve_spans_range_and_ends_at_one() {
-        let e = Ecdf::new(vec![1.0, 4.0, 9.0]);
-        let c = e.curve(10);
-        assert_eq!(c.len(), 10);
-        assert_eq!(c[0].0, 1.0);
-        assert_eq!(c[9], (9.0, 1.0));
     }
 
     #[test]

@@ -2,16 +2,10 @@
 //!
 //! The paper uses Moran's I over block-group carriage values inside a city to
 //! quantify spatial clustering (Table 3, §5.3). We implement the statistic
-//! over sparse row-major weights, with two inference routes:
-//!
-//! * the classic analytic moments under the normality assumption (z-score
-//!   against `E[I] = −1/(n−1)`), and
-//! * a seeded permutation test, which makes no distributional assumption.
+//! over sparse row-major weights, with the classic analytic moments under
+//! the normality assumption (z-score against `E[I] = −1/(n−1)`).
 
 use crate::special::std_normal_cdf;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Sparse spatial weights: row `i` holds `(j, w_ij)` pairs.
 pub type WeightRows = [Vec<(usize, f64)>];
@@ -108,33 +102,6 @@ pub fn morans_i(values: &[f64], weights: &WeightRows) -> Option<MoranResult> {
     })
 }
 
-/// Permutation-test p-value for positive spatial autocorrelation.
-///
-/// Shuffles `values` `permutations` times (seeded) and reports the fraction
-/// of permuted statistics at least as large as the observed one, with the
-/// standard +1 correction. Returns `None` when the statistic is undefined.
-pub fn morans_i_permutation(
-    values: &[f64],
-    weights: &WeightRows,
-    permutations: usize,
-    seed: u64,
-) -> Option<(MoranResult, f64)> {
-    let observed = morans_i(values, weights)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut shuffled: Vec<f64> = values.to_vec();
-    let mut at_least = 0usize;
-    for _ in 0..permutations {
-        shuffled.shuffle(&mut rng);
-        if let Some(perm) = morans_i(&shuffled, weights) {
-            if perm.i >= observed.i {
-                at_least += 1;
-            }
-        }
-    }
-    let p = (at_least + 1) as f64 / (permutations + 1) as f64;
-    Some((observed, p))
-}
-
 #[cfg(test)]
 pub(crate) mod tests_support {
     /// Row-standardized weights for a k x k rook grid.
@@ -223,28 +190,6 @@ mod tests {
     fn too_few_observations_is_undefined() {
         let w: Vec<Vec<(usize, f64)>> = vec![vec![(1, 1.0)], vec![(0, 1.0)]];
         assert!(morans_i(&[1.0, 2.0], &w).is_none());
-    }
-
-    #[test]
-    fn permutation_p_agrees_with_analytic_for_clustered_data() {
-        let k = 8;
-        let values: Vec<f64> = (0..k * k)
-            .map(|i| if i % k < k / 2 { 0.0 } else { 10.0 })
-            .collect();
-        let w = grid_weights(k);
-        let (obs, p_perm) = morans_i_permutation(&values, &w, 499, 11).unwrap();
-        assert!(p_perm < 0.01, "perm p = {p_perm}");
-        assert!(obs.p_value < 0.01);
-    }
-
-    #[test]
-    fn permutation_is_deterministic_in_seed() {
-        let k = 6;
-        let values: Vec<f64> = (0..k * k).map(|i| (i % 7) as f64).collect();
-        let w = grid_weights(k);
-        let (_, p1) = morans_i_permutation(&values, &w, 199, 5).unwrap();
-        let (_, p2) = morans_i_permutation(&values, &w, 199, 5).unwrap();
-        assert_eq!(p1, p2);
     }
 
     #[test]

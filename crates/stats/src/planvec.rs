@@ -44,11 +44,6 @@ impl PlanVector {
         })
     }
 
-    /// The weight in dimension `d` (0-based; carriage value `d+1`).
-    pub fn weight(&self, d: usize) -> f64 {
-        self.weights[d]
-    }
-
     /// All weights.
     pub fn weights(&self) -> &[f64; PLAN_VECTOR_DIMS] {
         &self.weights
@@ -57,16 +52,6 @@ impl PlanVector {
     /// Number of block groups aggregated into this vector.
     pub fn n_groups(&self) -> usize {
         self.n_groups
-    }
-
-    /// Dimensions with non-zero weight, as `(carriage_value, fraction)`.
-    pub fn support(&self) -> Vec<(usize, f64)> {
-        self.weights
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > 0.0)
-            .map(|(d, &w)| (d + 1, w))
-            .collect()
     }
 }
 
@@ -95,15 +80,15 @@ mod tests {
     fn ceil_discretization() {
         let v = PlanVector::from_carriage_values(&[0.3, 1.0, 1.1, 2.9]).unwrap();
         // 0.3 -> 1, 1.0 -> 1, 1.1 -> 2, 2.9 -> 3
-        assert!((v.weight(0) - 0.5).abs() < 1e-12);
-        assert!((v.weight(1) - 0.25).abs() < 1e-12);
-        assert!((v.weight(2) - 0.25).abs() < 1e-12);
+        assert!((v.weights()[0] - 0.5).abs() < 1e-12);
+        assert!((v.weights()[1] - 0.25).abs() < 1e-12);
+        assert!((v.weights()[2] - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn values_above_range_clamp_to_top_bucket() {
         let v = PlanVector::from_carriage_values(&[45.0]).unwrap();
-        assert_eq!(v.weight(PLAN_VECTOR_DIMS - 1), 1.0);
+        assert_eq!(v.weights()[PLAN_VECTOR_DIMS - 1], 1.0);
     }
 
     #[test]
