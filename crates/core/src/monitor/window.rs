@@ -1,12 +1,13 @@
 //! Sliding-window aggregation on the virtual clock.
 //!
-//! A [`SlidingWindow`] is a ring of fixed-width time buckets plus a small
-//! set of instantaneous gauges. Replay-stable events are folded into the
-//! bucket their timestamp falls in; the window "slides" by rotating the
-//! ring each time virtual time crosses a bucket boundary, which is also
-//! when the SLO engine evaluates its rules (see [`super::slo`]). Everything
-//! is a pure function of the stable event subset, so a resumed campaign
-//! reproduces the exact window history of an uninterrupted one.
+//! A [`SlidingWindow`] is a ring of fixed-width time buckets plus one
+//! instantaneous gauge, the shed ceiling. Replay-stable events are folded
+//! into the bucket their timestamp falls in; the window "slides" by
+//! rotating the ring each time virtual time crosses a bucket boundary,
+//! which is also when the SLO engine evaluates its rules (see
+//! [`super::slo`]). Everything is a pure function of the stable event
+//! subset, so a resumed campaign reproduces the exact window history of an
+//! uninterrupted one.
 
 use super::upsert;
 use crate::telemetry::{EventKind, Histogram};
@@ -18,17 +19,10 @@ struct Bucket {
     attempts: u64,
     hits: u64,
     latency: Histogram,
-    retries: u64,
     breaker_trips: u64,
-    breaker_defers: u64,
-    shed_cuts: u64,
-    stalls: u64,
     drift_suspected: u64,
-    rebootstraps: u64,
     cache_lookups: u64,
     cache_hits: u64,
-    cache_evictions: u64,
-    serve_sheds: u64,
     per_endpoint: BTreeMap<String, EndpointWindow>,
 }
 
@@ -37,17 +31,10 @@ impl Bucket {
         snap.attempts += self.attempts;
         snap.hits += self.hits;
         snap.latency.merge(&self.latency);
-        snap.retries += self.retries;
         snap.breaker_trips += self.breaker_trips;
-        snap.breaker_defers += self.breaker_defers;
-        snap.shed_cuts += self.shed_cuts;
-        snap.stalls += self.stalls;
         snap.drift_suspected += self.drift_suspected;
-        snap.rebootstraps += self.rebootstraps;
         snap.cache_lookups += self.cache_lookups;
         snap.cache_hits += self.cache_hits;
-        snap.cache_evictions += self.cache_evictions;
-        snap.serve_sheds += self.serve_sheds;
         for (endpoint, e) in &self.per_endpoint {
             let t = snap.per_endpoint.entry(endpoint.clone()).or_default();
             t.attempts += e.attempts;
@@ -82,7 +69,7 @@ impl EndpointWindow {
 }
 
 /// The merged view of a window at one instant: counters summed over the
-/// ring's buckets plus the current value of each gauge.
+/// ring's buckets plus the current shed ceiling.
 #[derive(Debug, Clone, Default)]
 pub struct WindowSnapshot {
     /// Start of the oldest bucket covered (virtual ms).
@@ -93,29 +80,15 @@ pub struct WindowSnapshot {
     pub hits: u64,
     /// Attempt latency inside the window.
     pub latency: Histogram,
-    pub retries: u64,
     /// Breaker flaps (circuit opens) inside the window.
     pub breaker_trips: u64,
-    pub breaker_defers: u64,
-    pub shed_cuts: u64,
-    pub stalls: u64,
     /// Unrecognized-page sightings inside the window.
     pub drift_suspected: u64,
-    /// Re-bootstrap cycles begun inside the window.
-    pub rebootstraps: u64,
     /// Serve lookups inside the window (cache hits + misses).
     pub cache_lookups: u64,
     /// Serve lookups the LRU answer cache satisfied inside the window.
     pub cache_hits: u64,
-    /// Serve answer-cache evictions inside the window.
-    pub cache_evictions: u64,
-    /// Serve lookups refused at admission inside the window.
-    pub serve_sheds: u64,
     pub per_endpoint: BTreeMap<String, EndpointWindow>,
-    /// Workers currently inside their worker span.
-    pub workers_live: u32,
-    /// Jobs begun but not yet finished (queue depth).
-    pub jobs_open: u32,
     /// Current shed ceiling, if the controller has ever spoken.
     pub shed_limit: Option<u32>,
 }
@@ -150,8 +123,6 @@ pub struct SlidingWindow {
     /// Newest bucket at the back; covers `[epoch*w, (epoch+1)*w)`.
     ring: VecDeque<Bucket>,
     epoch: u64,
-    workers_live: u32,
-    jobs_open: u32,
     shed_limit: Option<u32>,
 }
 
@@ -164,8 +135,6 @@ impl SlidingWindow {
             max_buckets: buckets.max(1),
             ring,
             epoch: 0,
-            workers_live: 0,
-            jobs_open: 0,
             shed_limit: None,
         }
     }
@@ -185,7 +154,9 @@ impl SlidingWindow {
         self.epoch += 1;
     }
 
-    /// Folds one replay-stable event into the current bucket and gauges.
+    /// Folds one replay-stable event into the current bucket or the shed
+    /// ceiling; events that neither the SLO signals nor the health report
+    /// read are ignored.
     /// The caller is responsible for boundary handling (rotation happens
     /// in time order, so an event is always charged to the open bucket).
     pub fn record(&mut self, kind: &EventKind) {
@@ -212,22 +183,16 @@ impl SlidingWindow {
                     e.hits += u64::from(hit);
                 });
             }
-            EventKind::Retry { .. } => bucket.retries += 1,
             EventKind::BreakerTrip { .. } => bucket.breaker_trips += 1,
-            EventKind::BreakerDefer { .. } => bucket.breaker_defers += 1,
-            EventKind::ShedCut { limit } => {
-                bucket.shed_cuts += 1;
-                self.shed_limit = Some(*limit);
+            EventKind::ShedCut { limit } | EventKind::ShedRaise { limit } => {
+                self.shed_limit = Some(*limit)
             }
-            EventKind::ShedRaise { limit } => self.shed_limit = Some(*limit),
-            EventKind::StallReclaimed { .. } => bucket.stalls += 1,
             EventKind::DriftSuspected { endpoint, .. } => {
                 bucket.drift_suspected += 1;
                 upsert(&mut bucket.per_endpoint, endpoint, |e| {
                     e.drift_suspected += 1
                 });
             }
-            EventKind::RebootstrapStarted { .. } => bucket.rebootstraps += 1,
             EventKind::ServeLookupEnd {
                 endpoint,
                 outcome,
@@ -249,12 +214,6 @@ impl SlidingWindow {
                     e.hits += u64::from(hit);
                 });
             }
-            EventKind::CacheEvicted { .. } => bucket.cache_evictions += 1,
-            EventKind::ServeShed { .. } => bucket.serve_sheds += 1,
-            EventKind::WorkerBegin { .. } => self.workers_live += 1,
-            EventKind::WorkerEnd { .. } => self.workers_live = self.workers_live.saturating_sub(1),
-            EventKind::JobBegin { .. } => self.jobs_open += 1,
-            EventKind::JobEnd { .. } => self.jobs_open = self.jobs_open.saturating_sub(1),
             _ => {}
         }
     }
@@ -264,8 +223,6 @@ impl SlidingWindow {
         let mut snap = WindowSnapshot {
             from_ms: (self.epoch + 1).saturating_sub(self.ring.len() as u64) * self.bucket_ms,
             at_ms,
-            workers_live: self.workers_live,
-            jobs_open: self.jobs_open,
             shed_limit: self.shed_limit,
             ..WindowSnapshot::default()
         };
@@ -316,25 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn gauges_track_instantaneous_state_across_rotation() {
+    fn shed_limit_gauge_survives_rotation() {
         let mut w = SlidingWindow::new(1_000, 2);
-        w.record(&EventKind::WorkerBegin { worker: 0 });
-        w.record(&EventKind::WorkerBegin { worker: 1 });
-        w.record(&EventKind::JobBegin {
-            tag: 9,
-            endpoint: "a".into(),
-        });
         w.record(&EventKind::ShedCut { limit: 4 });
         w.rotate();
         w.rotate();
         w.rotate();
-        w.record(&EventKind::WorkerEnd { worker: 1 });
-        let snap = w.snapshot(4_000);
-        assert_eq!(snap.workers_live, 1);
-        assert_eq!(snap.jobs_open, 1);
-        assert_eq!(snap.shed_limit, Some(4));
-        // The windowed cut counter itself rotated out.
-        assert_eq!(snap.shed_cuts, 0);
+        assert_eq!(w.snapshot(4_000).shed_limit, Some(4));
+        w.record(&EventKind::ShedRaise { limit: 6 });
+        assert_eq!(w.snapshot(4_000).shed_limit, Some(6));
     }
 
     #[test]
@@ -351,7 +298,6 @@ mod tests {
         });
         let snap = w.snapshot(9_000);
         assert_eq!(snap.hit_rate(), Some(0.9));
-        assert_eq!(snap.retries, 1);
         assert!(snap.p99_ms().unwrap() >= 64_000);
         assert!(snap.latency.quantile_ms(0.5).unwrap() < 2_048);
     }
