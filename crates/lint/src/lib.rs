@@ -261,7 +261,8 @@ impl Config {
 }
 
 /// Runs every configured rule and returns suppression-filtered findings,
-/// sorted by `(file, line, col, rule)`.
+/// sorted by `(file, line, col, rule)`. Fails on an unreadable tree or
+/// manifest, and on an entry point that resolves to no fn.
 pub fn analyze(config: &Config) -> Result<Vec<Finding>, String> {
     let files = collect_sources(config)?;
     let mut findings = Vec::new();
@@ -280,7 +281,7 @@ pub fn analyze(config: &Config) -> Result<Vec<Finding>, String> {
         let parsed: Vec<parse::ParsedFile> = files.iter().map(parse::parse_file).collect();
         let table = symbols::SymbolTable::build(&files, &parsed, &config.harness_scopes);
         let graph = callgraph::CallGraph::build(&table, &files);
-        let reach = taint::Reach::new(&table, &graph, &config.entries);
+        let reach = taint::Reach::new(&table, &graph, &config.entries)?;
         let scoped = [
             (&taint::T1, &config.replay_scopes),
             (&taint::T2, &config.supervision_scopes),

@@ -59,7 +59,9 @@ pub const HARNESS: &[&str] = &["crates/bench/src/", "crates/lint/src/"];
 /// supervised one. A wall-clock / entropy / env / hash-order source
 /// transitively reachable from any of these voids the byte-identity
 /// guarantee; a reachable panic tears down a campaign mid-journal
-/// instead of surfacing a typed error.
+/// instead of surfacing a typed error. Each entry must name at least one
+/// fn: [`crate::analyze`] fails on one that resolves to none, so a
+/// renamed or deleted entry cannot quietly drop out of T1 and T2.
 pub const ENTRY_POINTS: &[EntryPointDef] = &[
     EntryPointDef {
         file: "crates/core/src/campaign.rs",
@@ -70,11 +72,6 @@ pub const ENTRY_POINTS: &[EntryPointDef] = &[
         file: "crates/core/src/campaign.rs",
         owner: Some("Campaign"),
         name: "run_sharded",
-    },
-    EntryPointDef {
-        file: "crates/core/src/campaign.rs",
-        owner: Some("Campaign"),
-        name: "epochs",
     },
     EntryPointDef {
         file: "crates/core/src/journal.rs",

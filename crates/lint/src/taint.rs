@@ -73,21 +73,43 @@ pub(crate) struct Reach<'a> {
 }
 
 impl<'a> Reach<'a> {
-    pub(crate) fn new(table: &'a SymbolTable, graph: &'a CallGraph, specs: &[EntrySpec]) -> Self {
+    /// Resolves every spec on the table. A spec that names no fn is an
+    /// error naming it: a stale entry would otherwise void T1 and T2
+    /// coverage without a trace.
+    pub(crate) fn new(
+        table: &'a SymbolTable,
+        graph: &'a CallGraph,
+        specs: &[EntrySpec],
+    ) -> Result<Self, String> {
         let mut seen = BTreeSet::new();
         let mut entries = Vec::new();
+        let mut stale = Vec::new();
         for spec in specs {
-            for id in table.lookup_entry(&spec.file, spec.owner.as_deref(), &spec.name) {
+            let ids = table.lookup_entry(&spec.file, spec.owner.as_deref(), &spec.name);
+            if ids.is_empty() {
+                let name = match &spec.owner {
+                    Some(owner) => format!("{owner}::{}", spec.name),
+                    None => spec.name.clone(),
+                };
+                stale.push(format!("{name} in {}", spec.file));
+            }
+            for id in ids {
                 if seen.insert(id) {
                     entries.push((id, table.fns[id].display(), graph.distances(id)));
                 }
             }
         }
-        Self {
+        if !stale.is_empty() {
+            return Err(format!(
+                "entry points resolve to no fn: {}",
+                stale.join(", ")
+            ));
+        }
+        Ok(Self {
             table,
             graph,
             entries,
-        }
+        })
     }
 
     /// The nearest entry reaching `target`: ties break toward manifest

@@ -359,6 +359,24 @@ fn t1_clean_virtual_clock_allows_and_unreachable_sources_pass() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
+/// An entry that resolves to no fn fails the analysis with a message
+/// naming it, even when the other entries resolve: a renamed or deleted
+/// entry must not quietly drop out of T1 and T2.
+#[test]
+fn stale_entry_point_is_an_error_naming_it() {
+    let mut config = Config::bare(fixtures());
+    config.entries = vec![
+        entry("taint/t1_clean.rs", Some("Campaign"), "run"),
+        entry("taint/t1_clean.rs", Some("Campaign"), "epochs"),
+    ];
+    let err = analyze(&config).expect_err("a stale entry must fail the analysis");
+    assert!(
+        err.contains("Campaign::epochs in taint/t1_clean.rs"),
+        "{err}"
+    );
+    assert!(!err.contains("Campaign::run"), "{err}");
+}
+
 #[test]
 fn t2_reports_transitive_panics() {
     let findings = run(|c| {
