@@ -4157,7 +4157,7 @@ mod weights_oracles {
 
     /// The covered cells, their values and the row-standardized rook
     /// weights among them, as `morans_i_partial` and `lisa_field` each
-    /// built them inline before sharing one builder.
+    /// built them inline before both called `CityGrid::rook_weights`.
     fn oracle_subgraph(grid: &CityGrid, field: &[Option<f64>]) -> Option<Subgraph> {
         let covered: Vec<usize> = (0..grid.len()).filter(|&i| field[i].is_some()).collect();
         if covered.len() < 10 {
