@@ -9,7 +9,7 @@
 
 use bbsim_dataset::PlanRecord;
 use bbsim_isp::Isp;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The speed spread at one price point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,14 +31,15 @@ impl PricePointSpread {
 
 /// Computes every price point's speed spread for one ISP.
 ///
-/// Returns spreads sorted by flattening factor, largest first; price points
-/// seen fewer than `min_observations` times are dropped as noise.
+/// Returns spreads sorted by flattening factor, largest first, ties in
+/// ascending price; price points seen fewer than `min_observations` times
+/// are dropped as noise.
 pub fn tier_flattening(
     records: &[PlanRecord],
     isp: Isp,
     min_observations: usize,
 ) -> Vec<PricePointSpread> {
-    let mut by_price: HashMap<u32, (f64, f64, usize)> = HashMap::new();
+    let mut by_price: BTreeMap<u32, (f64, f64, usize)> = BTreeMap::new();
     for r in records.iter().filter(|r| r.isp == isp) {
         for p in &r.plans {
             let price = p.price_usd.round() as u32;
@@ -110,6 +111,25 @@ mod tests {
         let records: Vec<PlanRecord> = (0..20).map(|_| rec(Isp::Cox, 200.0, 20.0)).collect();
         let worst = worst_flattening(&records, Isp::Cox).unwrap();
         assert_eq!(worst.flattening_factor(), 1.0);
+    }
+
+    #[test]
+    fn equal_factors_keep_ascending_price() {
+        let mut records = Vec::new();
+        for _ in 0..12 {
+            for price in [80.0, 20.0, 50.0] {
+                records.push(rec(Isp::Xfinity, 100.0, price));
+            }
+        }
+        let prices: Vec<u32> = tier_flattening(&records, Isp::Xfinity, 10)
+            .iter()
+            .map(|s| s.price_usd)
+            .collect();
+        assert_eq!(prices, vec![20, 50, 80]);
+        assert_eq!(
+            worst_flattening(&records, Isp::Xfinity).unwrap().price_usd,
+            20
+        );
     }
 
     #[test]

@@ -33,8 +33,8 @@ use crate::journal::{CampaignManifest, Journal, JournalError};
 use crate::monitor::{CampaignMonitor, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport};
 use crate::retry::RetryPolicy;
-use crate::shard::{self, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
-use crate::telemetry::{Fanout, Recorder, Telemetry};
+use crate::shard::{self, MergeSink, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
+use crate::telemetry::{Event, Fanout, Recorder, Telemetry};
 use bbsim_net::{IpPool, SimDuration, SimTime, Transport};
 
 /// Builder for one orchestrated scraping campaign.
@@ -253,15 +253,42 @@ impl<'a> Campaign<'a> {
             crash_at,
         };
         let shards = shard::execute(&template, plan, threads, make_env)?;
-        let events = shard::merge_events(&shards);
         let mut fanout = Fanout::default();
         for r in recorders {
             fanout.attach(r);
         }
-        for event in &events {
-            fanout.deliver(event);
-        }
-        Ok(ShardedOutcome { shards, events })
+        let mut merged = Deliver {
+            fanout,
+            events: Vec::new(),
+        };
+        shard::merge_sorted(
+            shards
+                .iter()
+                .map(|s| (s.events.as_slice(), s.order.as_slice())),
+            &mut merged,
+        );
+        Ok(ShardedOutcome {
+            shards,
+            events: merged.events,
+        })
+    }
+}
+
+/// The sink of a sharded run's merge: each released event goes to the
+/// recorders, then is cloned once into the merged stream.
+struct Deliver<'r> {
+    fanout: Fanout<'r>,
+    events: Vec<Event>,
+}
+
+impl MergeSink<&Event> for Deliver<'_> {
+    fn begin(&mut self, total: u64) {
+        self.events.begin(total);
+    }
+
+    fn event(&mut self, event: &Event) {
+        self.fanout.deliver(event);
+        self.events.push(event.clone());
     }
 }
 

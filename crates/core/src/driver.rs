@@ -15,6 +15,7 @@ use bbsim_bat::Dialect;
 use bbsim_net::{Request, SimDuration, SimIp, SimTime, Status, Transport, TransportError};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// One unit of scraping work: an (endpoint, address) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +90,18 @@ pub fn query_address(
     start: SimTime,
     rng: &mut StdRng,
 ) -> QueryRecord {
-    query_address_traced(transport, config, job, src, start, rng, 1, &mut NullSink)
+    let endpoint = Arc::from(job.endpoint.as_str());
+    query_address_traced(
+        transport,
+        config,
+        job,
+        &endpoint,
+        src,
+        start,
+        rng,
+        1,
+        &mut NullSink,
+    )
 }
 
 /// [`query_address`], narrating each transport round trip to `sink` as
@@ -97,11 +109,14 @@ pub fn query_address(
 /// instants. `attempt` only labels the emitted events (the orchestrator's
 /// attempt counter); it does not affect the workflow. Timing is identical
 /// to the untraced path — events observe the clock, never advance it.
+/// `endpoint` is `job.endpoint` interned by the caller: every
+/// `fault_injected` event shares it instead of copying the name.
 #[allow(clippy::too_many_arguments)]
 pub fn query_address_traced(
     transport: &mut Transport,
     config: &BqtConfig,
     job: &QueryJob,
+    endpoint: &Arc<str>,
     src: SimIp,
     start: SimTime,
     rng: &mut StdRng,
@@ -189,7 +204,7 @@ pub fn query_address_traced(
                     sink.emit(
                         now,
                         EventKind::FaultInjected {
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                             fault,
                         },
                     );
@@ -206,7 +221,7 @@ pub fn query_address_traced(
                     sink.emit(
                         now,
                         EventKind::FaultInjected {
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                             fault: FaultClass::Stall,
                         },
                     );

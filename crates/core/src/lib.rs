@@ -86,9 +86,9 @@ pub use scrape::{
     learn_template_set, DetectedPage, LearnedTemplates, ScrapedPlan, TemplateSet, GENERATIONS,
 };
 pub use shard::{
-    merge_events, merge_seq_streams, seq_counter, seq_shard, shard_seq, MergeKey, MergeSink,
-    SeqEvent, ShardEnv, ShardPlan, ShardRecorder, ShardRun, ShardSpec, ShardedOutcome,
-    StreamMerger, FINISHED,
+    merge_order, merge_seq_streams, merge_sorted, seq_counter, seq_shard, shard_seq, MergeItem,
+    MergeKey, MergeSink, SeqEvent, ShardEnv, ShardPlan, ShardRecorder, ShardRun, ShardSpec,
+    ShardedOutcome, StreamMerger, FINISHED,
 };
 pub use shed::{ShedController, ShedDecision, ShedPolicy};
 pub use telemetry::{

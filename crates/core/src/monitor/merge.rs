@@ -251,7 +251,7 @@ mod tests {
                     kind: if rng.gen_bool(0.5) {
                         EventKind::JobBegin {
                             tag,
-                            endpoint: String::new(),
+                            endpoint: "".into(),
                         }
                     } else {
                         EventKind::Retry {

@@ -50,6 +50,7 @@ use bbsim_net::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 pub use crate::telemetry::ResumeStats;
 
@@ -171,6 +172,7 @@ impl Orchestrator {
         // replayed attempts cannot desynchronize live ones.
         let mut rng = StdRng::seed_from_u64(self.seed ^ RNG_SALT);
         let mut queue: EventQueue<Event> = EventQueue::new();
+        let endpoints = intern_endpoints(jobs);
         tel.emit(
             SimTime::ZERO,
             EventKind::CampaignBegin {
@@ -214,9 +216,9 @@ impl Orchestrator {
         // prototype, learned template overrides applied to live attempts,
         // and the quarantine count per endpoint (the journal key a resumed
         // run looks swaps up under).
-        let mut drift_mons: BTreeMap<String, DriftMonitor> = BTreeMap::new();
-        let mut learned_templates: BTreeMap<String, &'static TemplateSet> = BTreeMap::new();
-        let mut quarantines: BTreeMap<String, u32> = BTreeMap::new();
+        let mut drift_mons: BTreeMap<Arc<str>, DriftMonitor> = BTreeMap::new();
+        let mut learned_templates: BTreeMap<Arc<str>, &'static TemplateSet> = BTreeMap::new();
+        let mut quarantines: BTreeMap<Arc<str>, u32> = BTreeMap::new();
 
         while let Some((now, event)) = queue.pop() {
             if let Some(crash) = crash_at {
@@ -262,6 +264,7 @@ impl Orchestrator {
                 }
             };
             let job = &jobs[j];
+            let endpoint = &endpoints[j];
 
             // An open circuit defers the job (not charging an attempt)
             // until the breaker half-opens; the worker stays in rotation.
@@ -278,7 +281,7 @@ impl Orchestrator {
                         now,
                         EventKind::BreakerDefer {
                             tag: job.tag,
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                             until_ms: resume_at.as_millis(),
                         },
                     );
@@ -297,7 +300,7 @@ impl Orchestrator {
                     now,
                     EventKind::JobBegin {
                         tag: job.tag,
-                        endpoint: job.endpoint.clone(),
+                        endpoint: endpoint.clone(),
                     },
                 );
             }
@@ -307,7 +310,7 @@ impl Orchestrator {
                     tag: job.tag,
                     attempt,
                     worker: worker as u32,
-                    endpoint: job.endpoint.clone(),
+                    endpoint: endpoint.clone(),
                 },
             );
 
@@ -334,7 +337,7 @@ impl Orchestrator {
                     // A re-bootstrapped endpoint queries through its
                     // learned templates; everything else keeps the
                     // campaign configuration.
-                    let cfg = match learned_templates.get(&job.endpoint) {
+                    let cfg = match learned_templates.get(endpoint) {
                         Some(ts) => config.with_templates(ts),
                         None => *config,
                     };
@@ -350,11 +353,13 @@ impl Orchestrator {
                             &[job.tag, attempt as u64],
                         ));
                         query_address_traced(
-                            transport, &cfg, job, src, now, &mut arng, attempt, tel,
+                            transport, &cfg, job, endpoint, src, now, &mut arng, attempt, tel,
                         )
                     } else {
                         let src = pool.next();
-                        query_address_traced(transport, &cfg, job, src, now, &mut rng, attempt, tel)
+                        query_address_traced(
+                            transport, &cfg, job, endpoint, src, now, &mut rng, attempt, tel,
+                        )
                     };
                     if rec.outcome == QueryOutcome::Stalled {
                         // The watchdog reclaims the hung worker: charge
@@ -373,7 +378,7 @@ impl Orchestrator {
                     tag: job.tag,
                     attempt,
                     worker: worker as u32,
-                    endpoint: job.endpoint.clone(),
+                    endpoint: endpoint.clone(),
                     outcome: OutcomeCode::of(&rec.outcome),
                     duration_ms: rec.duration.as_millis(),
                     steps: rec.steps,
@@ -408,24 +413,24 @@ impl Orchestrator {
                         done,
                         EventKind::DriftSuspected {
                             tag: job.tag,
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                         },
                     );
                 }
                 let mon = drift_mons
-                    .entry(job.endpoint.clone())
+                    .entry(endpoint.clone())
                     .or_insert_with(|| proto.clone());
                 mon.observe(&rec);
                 if mon.needs_rebootstrap() {
                     let occurrence = {
-                        let n = quarantines.entry(job.endpoint.clone()).or_insert(0);
+                        let n = quarantines.entry(endpoint.clone()).or_insert(0);
                         *n += 1;
                         *n
                     };
                     tel.emit(
                         done,
                         EventKind::RebootstrapStarted {
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                         },
                     );
                     // A journaled swap for this exact quarantine is
@@ -482,15 +487,13 @@ impl Orchestrator {
                         .and_then(|g| GENERATIONS.get(g as usize))
                         .copied();
                     if let Some(ts) = swapped {
-                        let current = *learned_templates
-                            .get(&job.endpoint)
-                            .unwrap_or(&config.templates);
+                        let current = *learned_templates.get(endpoint).unwrap_or(&config.templates);
                         if *ts != *current {
-                            learned_templates.insert(job.endpoint.clone(), ts);
+                            learned_templates.insert(endpoint.clone(), ts);
                             tel.emit(
                                 done,
                                 EventKind::TemplateSwapped {
-                                    endpoint: job.endpoint.clone(),
+                                    endpoint: endpoint.clone(),
                                     generation,
                                 },
                             );
@@ -499,7 +502,7 @@ impl Orchestrator {
                     tel.emit(
                         done,
                         EventKind::RebootstrapCompleted {
-                            endpoint: job.endpoint.clone(),
+                            endpoint: endpoint.clone(),
                             confidence_pct,
                         },
                     );
@@ -559,7 +562,7 @@ impl Orchestrator {
                             tel.emit(
                                 done,
                                 EventKind::BreakerTrip {
-                                    endpoint: job.endpoint.clone(),
+                                    endpoint: endpoint.clone(),
                                 },
                             );
                         }
@@ -625,9 +628,12 @@ impl Orchestrator {
             total_sightings: drift_mons.values().map(|m| m.total_sightings).sum(),
             per_endpoint: drift_mons
                 .iter()
-                .map(|(e, m)| (e.clone(), m.drift_rate()))
+                .map(|(e, m)| (e.to_string(), m.drift_rate()))
                 .collect(),
-            rebootstraps: quarantines.iter().map(|(e, n)| (e.clone(), *n)).collect(),
+            rebootstraps: quarantines
+                .iter()
+                .map(|(e, n)| (e.to_string(), *n))
+                .collect(),
         });
         Ok(Some(OrchestratorReport {
             records,
@@ -640,6 +646,20 @@ impl Orchestrator {
             drift,
         }))
     }
+}
+
+/// Each job's endpoint as one shared allocation per distinct endpoint:
+/// every event that names an endpoint clones the `Arc`, not the text.
+fn intern_endpoints(jobs: &[QueryJob]) -> Vec<Arc<str>> {
+    let mut interned: BTreeMap<&str, Arc<str>> = BTreeMap::new();
+    jobs.iter()
+        .map(|job| {
+            interned
+                .entry(job.endpoint.as_str())
+                .or_insert_with(|| Arc::from(job.endpoint.as_str()))
+                .clone()
+        })
+        .collect()
 }
 
 /// A job that exhausted its attempt budget without a hit.

@@ -30,9 +30,12 @@
 //! late stream sends can ever belong before an event already released.
 //! A stream that has sent nothing yet holds the frontier at `(0, 0)`, and
 //! nothing is released before every stream has declared its size. Serve
-//! feeds the merger while its shards run; campaigns, whose
-//! [`ShardedOutcome`] keeps every shard's full stream, seal each finished
-//! stream whole ([`merge_seq_streams`]).
+//! feeds the merger owned chunks while its shards run. Campaigns, whose
+//! [`ShardedOutcome`] keeps every shard's full stream, merge after the
+//! join and by reference: each shard sorts its stream's `(at, seq)` keys
+//! into a permutation ([`ShardRun::order`]) on its own worker thread, and
+//! [`merge_sorted`] seals every stream whole as borrowed events in that
+//! order, so no event is copied to be merged.
 //!
 //! ## Crash + resume
 //!
@@ -204,6 +207,52 @@ impl SeqEvent {
     }
 }
 
+/// What a [`StreamMerger`] queues: an item with a merge key that becomes
+/// the event a [`MergeSink`] receives once it is released.
+pub trait MergeItem {
+    /// What the sink receives.
+    type Event;
+    /// The item's position in the merged stream.
+    fn key(&self) -> MergeKey;
+    /// The released event.
+    fn into_event(self) -> Self::Event;
+}
+
+/// An owned item: serve's sealed chunks hand the event over.
+impl MergeItem for SeqEvent {
+    type Event = Event;
+
+    fn key(&self) -> MergeKey {
+        SeqEvent::key(self)
+    }
+
+    fn into_event(self) -> Event {
+        self.event
+    }
+}
+
+/// A borrowed item: complete streams merge without copying an event.
+impl<'a> MergeItem for &'a SeqEvent {
+    type Event = &'a Event;
+
+    fn key(&self) -> MergeKey {
+        SeqEvent::key(self)
+    }
+
+    fn into_event(self) -> &'a Event {
+        &self.event
+    }
+}
+
+/// The positions of `stream`'s events in `(at, seq)` order: the
+/// permutation a by-reference merge walks the stream in.
+pub fn merge_order(stream: &[SeqEvent]) -> Vec<u32> {
+    debug_assert!(u32::try_from(stream.len()).is_ok(), "stream of 2^32 events");
+    let mut order: Vec<u32> = (0..stream.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| stream[i as usize].key());
+    order
+}
+
 /// A recorder that collects a shard's stream, assigning each event its
 /// namespaced `seq` in emission order.
 pub struct ShardRecorder {
@@ -268,6 +317,9 @@ pub struct ShardRun {
     /// The shard's full event stream with namespaced `seq`s, in emission
     /// order.
     pub events: Vec<SeqEvent>,
+    /// [`merge_order`] of `events`, sorted on the shard's own worker
+    /// thread.
+    pub order: Vec<u32>,
     /// The shard's environment, handed back for inspection (journal bytes,
     /// transport request counts).
     pub env: ShardEnv,
@@ -326,57 +378,72 @@ impl ShardedOutcome {
     }
 }
 
-/// Merges shard streams into the canonical `(at, seq)` order.
-pub fn merge_events(shards: &[ShardRun]) -> Vec<Event> {
-    merge_seq_streams(shards.iter().map(|s| s.events.as_slice()))
-}
-
 /// Merges any set of `seq`-stamped streams into `(at, seq)` order. The
 /// result is a function of the event *set* alone: any partition of the
 /// same events into streams merges identically (the property
 /// `tests/properties.rs` fuzzes).
 ///
-/// The streams are complete, so each is sealed whole — cloned once and
-/// sorted — with the [`FINISHED`] frontier, and the [`StreamMerger`]
-/// releases everything in one k-way pass.
+/// Each stream's [`merge_order`] is sorted here, then the streams merge
+/// by reference ([`merge_sorted`]) and each event is cloned once, into
+/// the result.
 pub fn merge_seq_streams<'a>(streams: impl IntoIterator<Item = &'a [SeqEvent]>) -> Vec<Event> {
     let streams: Vec<&[SeqEvent]> = streams.into_iter().collect();
-    let mut merger = StreamMerger::new(streams.len());
-    for (id, stream) in streams.into_iter().enumerate() {
-        let mut chunk = stream.to_vec();
-        chunk.sort_unstable_by_key(SeqEvent::key);
-        merger.declare(id, chunk.len() as u64);
-        merger.push(id, chunk, FINISHED);
-    }
+    let orders: Vec<Vec<u32>> = streams.iter().map(|s| merge_order(s)).collect();
     let mut merged = Vec::new();
-    merger.release(&mut merged);
+    merge_sorted(
+        streams.into_iter().zip(orders.iter().map(Vec::as_slice)),
+        &mut merged,
+    );
     merged
 }
 
-/// Where a [`StreamMerger`] delivers the merged stream.
-pub trait MergeSink {
+/// Merges complete streams by reference: each `(stream, order)` pair is a
+/// stream and its [`merge_order`]. Every stream is sealed whole, as
+/// borrowed items in that order, with the [`FINISHED`] frontier, and the
+/// [`StreamMerger`] releases everything into `sink` in one k-way pass.
+pub fn merge_sorted<'a>(
+    streams: impl IntoIterator<Item = (&'a [SeqEvent], &'a [u32])>,
+    sink: &mut impl MergeSink<&'a Event>,
+) {
+    let streams: Vec<(&[SeqEvent], &[u32])> = streams.into_iter().collect();
+    let mut merger = StreamMerger::new(streams.len());
+    for (id, (stream, order)) in streams.into_iter().enumerate() {
+        merger.declare(id, order.len() as u64);
+        let chunk = order.iter().map(|&i| &stream[i as usize]).collect();
+        merger.push(id, chunk, FINISHED);
+    }
+    merger.release(sink);
+}
+
+/// Where a [`StreamMerger`] delivers the merged stream: owned events from
+/// owned chunks, `&Event` from borrowed ones.
+pub trait MergeSink<E = Event> {
     /// Called once, before the first event, with the sum of every
     /// stream's declared count.
     fn begin(&mut self, total: u64);
     /// The next event in `(at, seq)` order.
-    fn event(&mut self, event: Event);
+    fn event(&mut self, event: E);
 }
 
-impl MergeSink for Vec<Event> {
+/// Keeps a clone of every borrowed event.
+impl MergeSink<&Event> for Vec<Event> {
     fn begin(&mut self, total: u64) {
         self.reserve(usize::try_from(total).unwrap_or(0));
     }
 
-    fn event(&mut self, event: Event) {
-        self.push(event);
+    fn event(&mut self, event: &Event) {
+        self.push(event.clone());
     }
 }
 
 /// A k-way merge of sealed chunks that releases events while their
 /// streams are still running.
 ///
+/// Chunks hold [`MergeItem`]s: serve's owned [`SeqEvent`]s, or
+/// [`merge_sorted`]'s borrowed ones.
+///
 /// Each stream first [`declare`](Self::declare)s a count (serve: its
-/// arrival count; [`merge_seq_streams`]: its length), then
+/// arrival count; [`merge_sorted`]: its length), then
 /// [`push`](Self::push)es chunks sorted on `(at, seq)`, each with a
 /// frontier that every event the stream sends later sorts at or above,
 /// and last the [`FINISHED`] frontier. [`release`](Self::release) hands
@@ -393,9 +460,9 @@ impl MergeSink for Vec<Event> {
 /// fewer threads than streams. A stream that never pushes [`FINISHED`]
 /// (its task died) keeps its frontier, so the merger never releases past
 /// it — the stream cannot end early.
-pub struct StreamMerger {
+pub struct StreamMerger<T: MergeItem = SeqEvent> {
     /// Per stream, its unreleased chunks; no chunk in a queue is empty.
-    queues: Vec<VecDeque<std::vec::IntoIter<SeqEvent>>>,
+    queues: Vec<VecDeque<std::vec::IntoIter<T>>>,
     frontiers: Vec<MergeKey>,
     declared: Vec<Option<u64>>,
     /// Whether the sink's `begin` has run.
@@ -404,7 +471,7 @@ pub struct StreamMerger {
     high_water: usize,
 }
 
-impl StreamMerger {
+impl<T: MergeItem> StreamMerger<T> {
     /// A merger over `streams` streams, ids `0..streams`.
     pub fn new(streams: usize) -> Self {
         Self {
@@ -427,7 +494,7 @@ impl StreamMerger {
     /// Queues one sealed chunk of stream `id` and moves its frontier.
     /// `chunk` must be sorted on `(at, seq)` and sort below `frontier`;
     /// ids outside `0..streams` are ignored.
-    pub fn push(&mut self, id: usize, chunk: Vec<SeqEvent>, frontier: MergeKey) {
+    pub fn push(&mut self, id: usize, chunk: Vec<T>, frontier: MergeKey) {
         let (Some(queue), Some(slot)) = (self.queues.get_mut(id), self.frontiers.get_mut(id))
         else {
             return;
@@ -442,7 +509,7 @@ impl StreamMerger {
 
     /// Releases into `sink` every event the frontiers allow (see the
     /// type's docs).
-    pub fn release(&mut self, sink: &mut impl MergeSink) {
+    pub fn release(&mut self, sink: &mut impl MergeSink<T::Event>) {
         if !self.begun {
             let Some(total) = self.declared.iter().copied().sum::<Option<u64>>() else {
                 return;
@@ -488,7 +555,7 @@ impl StreamMerger {
                 }
                 if let Some(next) = chunk.next() {
                     released += 1;
-                    sink.event(next.event);
+                    sink.event(next.into_event());
                 }
             }
             if released == 0 {
@@ -571,11 +638,14 @@ fn run_one(
         CampaignOutcome::Completed(report) => Some(report),
         CampaignOutcome::Crashed => None,
     };
+    let events = recorder.into_events();
+    let order = merge_order(&events);
     Ok(ShardRun {
         id: spec.id,
         label: spec.label.clone(),
         report,
-        events: recorder.into_events(),
+        events,
+        order,
         env,
     })
 }

@@ -20,6 +20,7 @@ use super::{Event, EventKind, FaultClass, OutcomeCode, Recorder};
 use bbsim_net::SimTime;
 use std::fmt;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Serializes one event to its canonical JSONL line (no trailing newline).
 pub fn to_line(event: &Event) -> String {
@@ -234,6 +235,22 @@ impl Wire for String {
     fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
         match f.next(key)? {
             Val::Str(s) => Ok(s.clone()),
+            _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
+        }
+    }
+}
+
+/// An interned endpoint: written as its text, so the line is the same as
+/// for a `String`; each parsed line gets its own allocation.
+impl Wire for Arc<str> {
+    #[inline]
+    fn write(&self, w: &mut LineWriter, key: &str) {
+        w.str(key, self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        match f.next(key)? {
+            Val::Str(s) => Ok(Arc::from(s.as_str())),
             _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
         }
     }

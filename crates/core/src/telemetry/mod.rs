@@ -67,6 +67,7 @@ use crate::driver::QueryOutcome;
 use crate::monitor::CampaignMonitor;
 use bbsim_net::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Declares a unit enum together with its wire-name map: `as_str` gives
 /// each variant's name and `parse` reads it back. Used for every closed
@@ -244,7 +245,7 @@ event_schema! {
         /// Worker `worker` retires (at the makespan).
         WorkerEnd { worker: u32, } = "worker_end" stable,
         /// First attempt of job `tag` starts.
-        JobBegin { tag: u64, endpoint: String, } = "job_begin" stable,
+        JobBegin { tag: u64, endpoint: Arc<str>, } = "job_begin" stable,
         /// Job `tag` produced its final record.
         JobEnd {
             tag: u64,
@@ -257,14 +258,14 @@ event_schema! {
             tag: u64,
             attempt: u32,
             worker: u32,
-            endpoint: String,
+            endpoint: Arc<str>,
         } = "attempt_begin" stable,
         /// The attempt finished (live or replayed) and its time was charged.
         AttemptEnd {
             tag: u64,
             attempt: u32,
             worker: u32,
-            endpoint: String,
+            endpoint: Arc<str>,
             outcome: OutcomeCode,
             duration_ms: u64,
             steps: u32,
@@ -272,9 +273,9 @@ event_schema! {
         /// A retryable outcome was requeued with backoff.
         Retry { tag: u64, next_attempt: u32, delay_ms: u64, } = "retry" stable,
         /// A circuit breaker opened (or re-opened) on `endpoint`.
-        BreakerTrip { endpoint: String, } = "breaker_trip" stable,
+        BreakerTrip { endpoint: Arc<str>, } = "breaker_trip" stable,
         /// An open circuit deferred job `tag` until `until_ms`.
-        BreakerDefer { tag: u64, endpoint: String, until_ms: u64, } = "breaker_defer" stable,
+        BreakerDefer { tag: u64, endpoint: Arc<str>, until_ms: u64, } = "breaker_defer" stable,
         /// The shed controller cut the concurrency ceiling to `limit`.
         ShedCut { limit: u32, } = "shed_cut" stable,
         /// The shed controller raised the concurrency ceiling to `limit`.
@@ -283,17 +284,17 @@ event_schema! {
         StallReclaimed { tag: u64, worker: u32, } = "stall_reclaimed" stable,
         /// An attempt against `endpoint` hit an unrecognized page — one drift
         /// sighting charged to the attempt's job `tag`.
-        DriftSuspected { tag: u64, endpoint: String, } = "drift_suspected" stable,
+        DriftSuspected { tag: u64, endpoint: Arc<str>, } = "drift_suspected" stable,
         /// The drift monitor crossed its re-bootstrap threshold: `endpoint` is
         /// quarantined and a structural probe burst begins.
-        RebootstrapStarted { endpoint: String, } = "rebootstrap_started" stable,
+        RebootstrapStarted { endpoint: Arc<str>, } = "rebootstrap_started" stable,
         /// The probe burst classified the endpoint's markup as template
         /// `generation` and the orchestrator swapped the learned set in.
-        TemplateSwapped { endpoint: String, generation: u32, } = "template_swapped" stable,
+        TemplateSwapped { endpoint: Arc<str>, generation: u32, } = "template_swapped" stable,
         /// The endpoint left quarantine; `confidence_pct` is the fraction of
         /// probe pages the winning template set recognized, in percent.
         RebootstrapCompleted {
-            endpoint: String,
+            endpoint: Arc<str>,
             confidence_pct: u32,
         } = "rebootstrap_completed" stable,
         /// A serve-layer lookup completed: the plan store answered (from the
@@ -303,7 +304,7 @@ event_schema! {
         ServeLookupEnd {
             tag: u64,
             shard: u32,
-            endpoint: String,
+            endpoint: Arc<str>,
             outcome: OutcomeCode,
             cache_hit: bool,
             duration_ms: u64,
@@ -314,12 +315,12 @@ event_schema! {
         CacheEvicted { shard: u32, key: String, } = "cache_evicted" stable,
         /// The serve layer refused a lookup at admission: the shard's queue
         /// was too deep for the request to meet its latency budget.
-        ServeShed { shard: u32, endpoint: String, } = "serve_shed" stable,
+        ServeShed { shard: u32, endpoint: Arc<str>, } = "serve_shed" stable,
         /// The attempt was answered from the journal, not the transport.
         /// *Ephemeral*: only resumed runs emit it.
         JournalReplay { tag: u64, attempt: u32, } = "journal_replay" ephemeral,
         /// The transport injected a fault into a live page fetch. *Ephemeral.*
-        FaultInjected { endpoint: String, fault: FaultClass, } = "fault_injected" ephemeral,
+        FaultInjected { endpoint: Arc<str>, fault: FaultClass, } = "fault_injected" ephemeral,
         /// A monitor SLO rule crossed its threshold (with hysteresis) and an
         /// alert opened. *Ephemeral*: alerts are an observer's judgement, not
         /// part of the campaign's replayable schedule.

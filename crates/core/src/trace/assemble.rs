@@ -441,7 +441,7 @@ impl TraceAssembler {
                 self.reservoir.offer(
                     Trace {
                         tag: *tag,
-                        endpoint: endpoint.clone(),
+                        endpoint: endpoint.to_string(),
                         root,
                     },
                     at_ms,

@@ -185,6 +185,9 @@ fn run_shard(
     emit: &dyn Fn(ShardNote),
 ) {
     let endpoint = shard.endpoint();
+    // Interned once: every event of the shard clones this `Arc`, not the
+    // text.
+    let interned: Arc<str> = Arc::from(endpoint.as_str());
     let schedule = crate::load::generate_schedule(shard_id, shard, &opts.phases, opts.seed);
     emit(ShardNote::Arrivals(schedule.len() as u64));
 
@@ -196,7 +199,7 @@ fn run_shard(
 
     let mut transport = Transport::hermetic(opts.seed);
     transport.register(
-        endpoint.clone(),
+        endpoint,
         Endpoint::new(
             Box::new(PlanService::new(
                 store.clone(),
@@ -226,7 +229,7 @@ fn run_shard(
                 at: SimTime::from_millis(at_ms),
                 kind: EventKind::ServeShed {
                     shard: shard_id,
-                    endpoint: endpoint.clone(),
+                    endpoint: interned.clone(),
                 },
             });
             continue;
@@ -234,7 +237,7 @@ fn run_shard(
         let send_at = at_ms.max(prev_done);
         let http = request.to_http();
         let (resp, rt) = transport
-            .round_trip(&endpoint, src, &http, SimTime::from_millis(send_at))
+            .round_trip(&interned, src, &http, SimTime::from_millis(send_at))
             // lint:allow(T2): the endpoint is registered above on a transport with no fault plan, and every request is framed and re-parsed from its own wire form
             .expect("registered endpoint, no fault plan");
         let done = send_at + rt.as_millis();
@@ -255,7 +258,7 @@ fn run_shard(
                 kind: EventKind::ServeLookupEnd {
                     tag: q.telemetry_tag(),
                     shard: shard_id,
-                    endpoint: endpoint.clone(),
+                    endpoint: interned.clone(),
                     outcome,
                     cache_hit: hits.next().unwrap_or(false),
                     duration_ms: done - at_ms,

@@ -557,8 +557,8 @@ mod shard_merge {
     use super::*;
     use decoding_divide::bqt::monitor::WatermarkHeap;
     use decoding_divide::bqt::{
-        merge_seq_streams, shard_seq, Event, EventKind, MergeKey, MergeSink, SeqEvent,
-        ShardRecorder, StreamMerger, FINISHED,
+        merge_order, merge_seq_streams, merge_sorted, shard_seq, Event, EventKind, MergeKey,
+        MergeSink, SeqEvent, ShardRecorder, StreamMerger, FINISHED,
     };
     use decoding_divide::net::SimTime;
 
@@ -643,6 +643,26 @@ mod shard_merge {
 
         fn event(&mut self, event: Event) {
             self.events.push(event);
+        }
+    }
+
+    /// What a by-reference merge released: `(events before it, total)`
+    /// per `begin`, each borrowed event, and a clone of each.
+    #[derive(Default)]
+    struct Delivered<'a> {
+        begins: Vec<(usize, u64)>,
+        delivered: Vec<&'a Event>,
+        stored: Vec<Event>,
+    }
+
+    impl<'a> MergeSink<&'a Event> for Delivered<'a> {
+        fn begin(&mut self, total: u64) {
+            self.begins.push((self.delivered.len(), total));
+        }
+
+        fn event(&mut self, event: &'a Event) {
+            self.delivered.push(event);
+            self.stored.push(event.clone());
         }
     }
 
@@ -777,6 +797,57 @@ mod shard_merge {
             prop_assert_eq!(workers(&seen.events), workers(&expected));
         }
 
+        /// The by-reference merge of complete streams, each walked in its
+        /// own `merge_order` and handed over in any completion order,
+        /// releases exactly `merge_seq_streams`'s sequence and the
+        /// canonical `(at, seq)` sort. Every released event is borrowed
+        /// from its stream, not copied, and a sink that delivers each
+        /// event and then keeps a clone (as a sharded run feeds its
+        /// recorders and its merged stream) stores what it delivered.
+        #[test]
+        fn by_reference_merge_matches_the_copying_merge_and_the_model(
+            at_ms in proptest::collection::vec(0u64..50, 0..150),
+            assign in proptest::collection::vec(any::<u8>(), 150),
+            n_shards in 1u8..9,
+            completion in proptest::collection::vec(any::<u8>(), 8),
+        ) {
+            let streams = stamped(&at_ms, &assign, n_shards);
+            let mut model: Vec<(MergeKey, u32)> = streams
+                .iter()
+                .flatten()
+                .map(|se| (se.key(), workers(std::slice::from_ref(&se.event))[0]))
+                .collect();
+            model.sort_unstable();
+            let model: Vec<u32> = model.into_iter().map(|(_, w)| w).collect();
+            let copied = merge_seq_streams(streams.iter().map(Vec::as_slice));
+
+            // Shards finish in the order `completion` ranks them.
+            let mut finished: Vec<usize> = (0..streams.len()).collect();
+            finished.sort_by_key(|&s| (completion[s], s));
+            let orders: Vec<Vec<u32>> = finished.iter().map(|&s| merge_order(&streams[s])).collect();
+            let mut sink = Delivered::default();
+            merge_sorted(
+                finished
+                    .iter()
+                    .zip(&orders)
+                    .map(|(&s, order)| (streams[s].as_slice(), order.as_slice())),
+                &mut sink,
+            );
+
+            prop_assert_eq!(sink.begins, vec![(0, at_ms.len() as u64)]);
+            for event in &sink.delivered {
+                let borrowed = streams
+                    .iter()
+                    .flatten()
+                    .any(|se| std::ptr::eq(&se.event, *event));
+                prop_assert!(borrowed, "a released event is a copy");
+            }
+            let delivered: Vec<Event> = sink.delivered.iter().map(|e| (*e).clone()).collect();
+            prop_assert_eq!(&delivered, &sink.stored);
+            prop_assert_eq!(&sink.stored, &copied);
+            prop_assert_eq!(workers(&sink.stored), model);
+        }
+
         /// The watermark gate never releases an entry stamped beyond the
         /// watermark, and always drains ready entries in `(at, seq)` order
         /// no matter how pushes and advances interleave.
@@ -878,7 +949,7 @@ mod assembler_bypass {
             let attempts = &jobs[job].1;
             let (duration, backoff) = attempts[attempt];
             let tag = job as u64;
-            let endpoint = ["isp-a", "isp-b"][job % 2].to_string();
+            let endpoint: std::sync::Arc<str> = ["isp-a", "isp-b"][job % 2].into();
             let last = attempt + 1 == attempts.len();
             let end = at + duration;
             makespan = makespan.max(end);
@@ -1211,7 +1282,7 @@ mod monitor_oracles {
         }
         for &(kind, at, len, endpoint) in marks {
             let (at, len) = (at * unit, len * unit);
-            let endpoint = ENDPOINTS[endpoint].to_string();
+            let endpoint: std::sync::Arc<str> = ENDPOINTS[endpoint].into();
             match kind {
                 0 | 1 => {
                     push(at, at, EventKind::ShedCut { limit: 1 });
@@ -1325,7 +1396,7 @@ mod monitor_oracles {
                     self.jobs.insert(
                         *tag,
                         OpenJob {
-                            endpoint: endpoint.clone(),
+                            endpoint: endpoint.to_string(),
                             started_ms: at_ms,
                             cursor_ms: at_ms,
                             children: Vec::new(),
@@ -1413,13 +1484,13 @@ mod monitor_oracles {
                     }
                 }
                 EventKind::RebootstrapStarted { endpoint } => {
-                    let intervals = self.quarantines.entry(endpoint.clone()).or_default();
+                    let intervals = self.quarantines.entry(endpoint.to_string()).or_default();
                     if !matches!(intervals.last(), Some((_, None))) {
                         intervals.push((at_ms, None));
                     }
                 }
                 EventKind::RebootstrapCompleted { endpoint, .. } => {
-                    let intervals = self.quarantines.entry(endpoint.clone()).or_default();
+                    let intervals = self.quarantines.entry(endpoint.to_string()).or_default();
                     if let Some((_, end @ None)) = intervals.last_mut() {
                         *end = Some(at_ms);
                     }
@@ -1486,7 +1557,7 @@ mod monitor_oracles {
                     }
                     let trace = Trace {
                         tag: *tag,
-                        endpoint: endpoint.clone(),
+                        endpoint: endpoint.to_string(),
                         root,
                     };
                     self.reservoir.offer(trace, at_ms, self.seq);
@@ -1874,7 +1945,7 @@ mod jsonl_encoder {
                     tag: a,
                     attempt: n32,
                     worker: c32,
-                    endpoint: s0,
+                    endpoint: s0.into(),
                     outcome,
                     duration_ms: c,
                     steps: n32,
@@ -1892,7 +1963,7 @@ mod jsonl_encoder {
                 let kind = EventKind::ServeLookupEnd {
                     tag: a,
                     shard: c32,
-                    endpoint: s0,
+                    endpoint: s0.into(),
                     outcome,
                     cache_hit: flag,
                     duration_ms: b,
@@ -2007,7 +2078,7 @@ mod jsonl_schema {
             3 => EventKind::WorkerEnd { worker: c32 },
             4 => EventKind::JobBegin {
                 tag: a,
-                endpoint: s0,
+                endpoint: s0.into(),
             },
             5 => EventKind::JobEnd {
                 tag: a,
@@ -2019,13 +2090,13 @@ mod jsonl_schema {
                 tag: a,
                 attempt: b32,
                 worker: c32,
-                endpoint: s0,
+                endpoint: s0.into(),
             },
             7 => EventKind::AttemptEnd {
                 tag: a,
                 attempt: b32,
                 worker: c32,
-                endpoint: s0,
+                endpoint: s0.into(),
                 outcome,
                 duration_ms: c,
                 steps: b32,
@@ -2035,10 +2106,12 @@ mod jsonl_schema {
                 next_attempt: b32,
                 delay_ms: c,
             },
-            9 => EventKind::BreakerTrip { endpoint: s0 },
+            9 => EventKind::BreakerTrip {
+                endpoint: s0.into(),
+            },
             10 => EventKind::BreakerDefer {
                 tag: a,
-                endpoint: s0,
+                endpoint: s0.into(),
                 until_ms: b,
             },
             11 => EventKind::ShedCut { limit: b32 },
@@ -2049,21 +2122,23 @@ mod jsonl_schema {
             },
             14 => EventKind::DriftSuspected {
                 tag: a,
-                endpoint: s0,
+                endpoint: s0.into(),
             },
-            15 => EventKind::RebootstrapStarted { endpoint: s0 },
+            15 => EventKind::RebootstrapStarted {
+                endpoint: s0.into(),
+            },
             16 => EventKind::TemplateSwapped {
-                endpoint: s0,
+                endpoint: s0.into(),
                 generation: b32,
             },
             17 => EventKind::RebootstrapCompleted {
-                endpoint: s0,
+                endpoint: s0.into(),
                 confidence_pct: c32,
             },
             18 => EventKind::ServeLookupEnd {
                 tag: a,
                 shard: b32,
-                endpoint: s0,
+                endpoint: s0.into(),
                 outcome,
                 cache_hit: flag,
                 duration_ms: c,
@@ -2074,14 +2149,14 @@ mod jsonl_schema {
             },
             20 => EventKind::ServeShed {
                 shard: c32,
-                endpoint: s0,
+                endpoint: s0.into(),
             },
             21 => EventKind::JournalReplay {
                 tag: a,
                 attempt: b32,
             },
             22 => EventKind::FaultInjected {
-                endpoint: s0,
+                endpoint: s0.into(),
                 fault,
             },
             23 => EventKind::AlertFired {

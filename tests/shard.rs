@@ -9,9 +9,9 @@
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::MonitorPolicy;
 use decoding_divide::bqt::{
-    render_folded, render_prometheus, seq_counter, seq_shard, Campaign, Journal, JournalError,
-    JsonlRecorder, Orchestrator, QueryJob, RetryPolicy, ShardEnv, ShardPlan, ShardSpec,
-    ShardedOutcome,
+    render_folded, render_prometheus, seq_counter, seq_shard, Campaign, Event, EventKind, Journal,
+    JournalError, JsonlRecorder, Orchestrator, QueryJob, RetryPolicy, ShardEnv, ShardPlan,
+    ShardSpec, ShardedOutcome,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::dataset::{curate_city_journaled, CurationOptions};
@@ -19,6 +19,7 @@ use decoding_divide::isp::{CityWorld, Isp};
 use decoding_divide::net::{
     Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const N_JOBS: usize = 90;
@@ -175,6 +176,87 @@ fn seq_allocation_never_interleaves_across_shards() {
         max0 < min1,
         "shard 0's namespace sits wholly below shard 1's"
     );
+}
+
+/// The endpoint an endpoint-bearing event names.
+fn endpoint_of(kind: &EventKind) -> Option<&Arc<str>> {
+    match kind {
+        EventKind::JobBegin { endpoint, .. }
+        | EventKind::AttemptBegin { endpoint, .. }
+        | EventKind::AttemptEnd { endpoint, .. }
+        | EventKind::BreakerTrip { endpoint }
+        | EventKind::BreakerDefer { endpoint, .. }
+        | EventKind::DriftSuspected { endpoint, .. }
+        | EventKind::RebootstrapStarted { endpoint }
+        | EventKind::TemplateSwapped { endpoint, .. }
+        | EventKind::RebootstrapCompleted { endpoint, .. }
+        | EventKind::ServeLookupEnd { endpoint, .. }
+        | EventKind::ServeShed { endpoint, .. }
+        | EventKind::FaultInjected { endpoint, .. } => Some(endpoint),
+        _ => None,
+    }
+}
+
+/// Checks that every endpoint-bearing event of `events` shares the
+/// allocation `interned` holds for its endpoint (the first one seen), and
+/// counts the events by kind.
+fn shares_interned<'e>(
+    interned: &mut BTreeMap<String, Arc<str>>,
+    events: impl Iterator<Item = &'e Event>,
+) -> BTreeMap<&'static str, u32> {
+    let mut kinds = BTreeMap::new();
+    for event in events {
+        let Some(endpoint) = endpoint_of(&event.kind) else {
+            continue;
+        };
+        let first = interned
+            .entry(endpoint.to_string())
+            .or_insert_with(|| endpoint.clone());
+        assert!(
+            Arc::ptr_eq(first, endpoint),
+            "{} event copied endpoint {endpoint:?}",
+            event.kind.name()
+        );
+        *kinds.entry(event.kind.name()).or_insert(0) += 1;
+    }
+    kinds
+}
+
+/// Endpoints are interned once per run: every event naming an endpoint,
+/// in a shard's own stream and in the merged stream, shares that
+/// endpoint's one allocation, so no event copy allocates a string. Each
+/// shard's `order` walks its stream in `(at, seq)` order.
+#[test]
+fn endpoint_events_share_one_allocation_per_endpoint() {
+    let (outcome, _, _, _) = run_at(2);
+    let mut interned = BTreeMap::new();
+    for run in &outcome.shards {
+        let kinds = shares_interned(&mut interned, run.events.iter().map(|se| &se.event));
+        // Orchestrator-emitted kinds, and the driver's on the flaky
+        // endpoint.
+        for kind in ["job_begin", "attempt_begin", "attempt_end"] {
+            assert!(
+                kinds.contains_key(kind),
+                "shard {} has no {kind}",
+                run.label
+            );
+        }
+        if run.label == Isp::CenturyLink.slug() {
+            assert!(kinds.contains_key("fault_injected"));
+        }
+        let mut keys: Vec<(u64, u64)> = run
+            .order
+            .iter()
+            .map(|&i| run.events[i as usize].key())
+            .collect();
+        assert_eq!(keys.len(), run.events.len());
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "not (at, seq) order");
+        keys.dedup();
+        assert_eq!(keys.len(), run.events.len(), "not a permutation");
+    }
+    assert_eq!(interned.len(), 2, "one allocation per endpoint");
+    shares_interned(&mut interned, outcome.events.iter());
+    assert_eq!(interned.len(), 2);
 }
 
 /// The journal-backed pipeline end to end: curating a city at `threads=1`

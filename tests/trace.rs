@@ -57,7 +57,7 @@ fn events_for(plans: &[JobPlan]) -> (Vec<Event>, u64) {
             t,
             EventKind::JobBegin {
                 tag,
-                endpoint: endpoint.to_string(),
+                endpoint: endpoint.into(),
             },
         ));
         let last = plan.attempts.len() - 1;
@@ -70,7 +70,7 @@ fn events_for(plans: &[JobPlan]) -> (Vec<Event>, u64) {
                     tag,
                     attempt,
                     worker: 0,
-                    endpoint: endpoint.to_string(),
+                    endpoint: endpoint.into(),
                 },
             ));
             let end = t + dur;
@@ -99,7 +99,7 @@ fn events_for(plans: &[JobPlan]) -> (Vec<Event>, u64) {
                     tag,
                     attempt,
                     worker: 0,
-                    endpoint: endpoint.to_string(),
+                    endpoint: endpoint.into(),
                     outcome,
                     duration_ms: dur,
                     steps: fetches as u32 + 1,
