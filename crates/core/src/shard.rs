@@ -463,6 +463,10 @@ impl MergeSink<&Event> for Vec<Event> {
 pub struct StreamMerger<T: MergeItem = SeqEvent> {
     /// Per stream, its unreleased chunks; no chunk in a queue is empty.
     queues: Vec<VecDeque<std::vec::IntoIter<T>>>,
+    /// Per stream, the key of its queue's first item; `None` when the
+    /// queue is empty. Kept beside the queues so that choosing the next
+    /// stream reads one array instead of every queue's head item.
+    heads: Vec<Option<MergeKey>>,
     frontiers: Vec<MergeKey>,
     declared: Vec<Option<u64>>,
     /// Whether the sink's `begin` has run.
@@ -476,6 +480,7 @@ impl<T: MergeItem> StreamMerger<T> {
     pub fn new(streams: usize) -> Self {
         Self {
             queues: (0..streams).map(|_| VecDeque::new()).collect(),
+            heads: vec![None; streams],
             frontiers: vec![(0, 0); streams],
             declared: vec![None; streams],
             begun: false,
@@ -495,13 +500,19 @@ impl<T: MergeItem> StreamMerger<T> {
     /// `chunk` must be sorted on `(at, seq)` and sort below `frontier`;
     /// ids outside `0..streams` are ignored.
     pub fn push(&mut self, id: usize, chunk: Vec<T>, frontier: MergeKey) {
-        let (Some(queue), Some(slot)) = (self.queues.get_mut(id), self.frontiers.get_mut(id))
-        else {
+        let (Some(queue), Some(head), Some(slot)) = (
+            self.queues.get_mut(id),
+            self.heads.get_mut(id),
+            self.frontiers.get_mut(id),
+        ) else {
             return;
         };
         self.queued += chunk.len();
         self.high_water = self.high_water.max(self.queued);
-        if !chunk.is_empty() {
+        if let Some(first) = chunk.first() {
+            if head.is_none() {
+                *head = Some(first.key());
+            }
             queue.push_back(chunk.into_iter());
         }
         *slot = frontier;
@@ -523,12 +534,11 @@ impl<T: MergeItem> StreamMerger<T> {
             // every empty queue.
             let mut best: Option<(MergeKey, usize)> = None;
             let mut limit = FINISHED;
-            for (id, (queue, &frontier)) in self.queues.iter().zip(&self.frontiers).enumerate() {
-                let Some(head) = queue.front().and_then(|c| c.as_slice().first()) else {
+            for (id, (head, &frontier)) in self.heads.iter().zip(&self.frontiers).enumerate() {
+                let Some(key) = *head else {
                     limit = limit.min(frontier);
                     continue;
                 };
-                let key = head.key();
                 match best {
                     Some((lowest, _)) if lowest < key => limit = limit.min(key),
                     _ => {
@@ -539,21 +549,26 @@ impl<T: MergeItem> StreamMerger<T> {
                     }
                 }
             }
-            let Some(queue) = best.and_then(|(_, id)| self.queues.get_mut(id)) else {
+            let Some((queue, head)) =
+                best.and_then(|(_, id)| self.queues.get_mut(id).zip(self.heads.get_mut(id)))
+            else {
                 break;
             };
             // Drain that stream while it stays below the limit.
             let mut released = 0;
-            while let Some(chunk) = queue.front_mut() {
-                match chunk.as_slice().first() {
-                    Some(head) if head.key() < limit => {}
-                    Some(_) => break,
-                    None => {
-                        queue.pop_front();
-                        continue;
-                    }
+            while head.is_some_and(|key| key < limit) {
+                let Some(chunk) = queue.front_mut() else {
+                    break;
+                };
+                let next = chunk.next();
+                if chunk.as_slice().is_empty() {
+                    queue.pop_front();
                 }
-                if let Some(next) = chunk.next() {
+                *head = queue
+                    .front()
+                    .and_then(|c| c.as_slice().first())
+                    .map(MergeItem::key);
+                if let Some(next) = next {
                     released += 1;
                     sink.event(next.into_event());
                 }
