@@ -33,7 +33,7 @@ use crate::journal::{CampaignManifest, Journal, JournalError};
 use crate::monitor::{CampaignMonitor, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport};
 use crate::retry::RetryPolicy;
-use crate::shard::{self, MergeSink, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
+use crate::shard::{self, MergeSink, SeqEvent, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
 use crate::telemetry::{Event, Fanout, Recorder, Telemetry};
 use bbsim_net::{IpPool, SimDuration, SimTime, Transport};
 
@@ -257,38 +257,74 @@ impl<'a> Campaign<'a> {
         for r in recorders {
             fanout.attach(r);
         }
-        let mut merged = Deliver {
-            fanout,
-            events: Vec::new(),
-        };
-        shard::merge_sorted(
-            shards
-                .iter()
-                .map(|s| (s.events.as_slice(), s.order.as_slice())),
-            &mut merged,
+        // One worker merges the streams by reference and clones each
+        // released event into the merged stream, while this thread hands
+        // the same events, in the same order, to the recorders (which
+        // need not be `Send`).
+        let streams: Vec<(&[SeqEvent], &[u32])> = shards
+            .iter()
+            .map(|s| (s.events.as_slice(), s.order.as_slice()))
+            .collect();
+        let merged = crate::exec::run(
+            &[()],
+            1,
+            |_| 0,
+            |_, _, emit| {
+                let mut relay = Relay {
+                    emit,
+                    batch: Vec::with_capacity(RELAY_BATCH),
+                    events: Vec::new(),
+                };
+                shard::merge_sorted(streams.iter().copied(), &mut relay);
+                relay.finish()
+            },
+            |_, batch: Vec<&Event>| {
+                for event in batch {
+                    fanout.deliver(event);
+                }
+            },
         );
-        Ok(ShardedOutcome {
-            shards,
-            events: merged.events,
-        })
+        let events = merged.into_iter().next().transpose()?.unwrap_or_default();
+        Ok(ShardedOutcome { shards, events })
     }
 }
 
-/// The sink of a sharded run's merge: each released event goes to the
-/// recorders, then is cloned once into the merged stream.
-struct Deliver<'r> {
-    fanout: Fanout<'r>,
+/// Released events per message from the merging worker to the thread
+/// that feeds the recorders: enough that the channel stays off the
+/// profile, few enough that delivery starts at once.
+const RELAY_BATCH: usize = 1024;
+
+/// The merge sink of a sharded run: keeps a clone of each released
+/// event for the merged stream and relays the event itself, in batches,
+/// to the recorders' thread.
+struct Relay<'e, 'f> {
+    emit: &'f dyn Fn(Vec<&'e Event>),
+    batch: Vec<&'e Event>,
     events: Vec<Event>,
 }
 
-impl MergeSink<&Event> for Deliver<'_> {
+impl<'e> Relay<'e, '_> {
+    /// Relays what is left and returns the merged stream.
+    fn finish(self) -> Vec<Event> {
+        if !self.batch.is_empty() {
+            (self.emit)(self.batch);
+        }
+        self.events
+    }
+}
+
+impl<'e> MergeSink<&'e Event> for Relay<'e, '_> {
     fn begin(&mut self, total: u64) {
         self.events.begin(total);
     }
 
-    fn event(&mut self, event: &Event) {
-        self.fanout.deliver(event);
+    fn event(&mut self, event: &'e Event) {
         self.events.push(event.clone());
+        self.batch.push(event);
+        if self.batch.len() == RELAY_BATCH {
+            let full = std::mem::replace(&mut self.batch, Vec::with_capacity(RELAY_BATCH));
+            (self.emit)(full);
+        }
     }
 }
 
