@@ -216,8 +216,10 @@ impl<'a> Campaign<'a> {
     ///
     /// Attached recorders replay the *merged* stream after all shards
     /// finish, so a [`JsonlRecorder`](crate::telemetry::JsonlRecorder)
-    /// here writes the canonical `events.jsonl` directly. A recorder that
-    /// panics there is detached, as in [`run`](Self::run).
+    /// here writes the canonical `events.jsonl` directly. They run on the
+    /// calling thread while one worker merges the streams and builds
+    /// [`ShardedOutcome::events`]. A recorder that panics there is
+    /// detached, as in [`run`](Self::run).
     ///
     /// A shard that panics does not take the run down: its siblings run
     /// to completion (their journal segments stay whole) and the run
