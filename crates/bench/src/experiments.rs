@@ -570,12 +570,11 @@ pub fn scaling(seed: u64) -> String {
         transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, seed);
         let config = BqtConfig::paper_default(SimDuration::from_secs(40));
-        let report = Campaign::new(seed)
-            .workers(workers)
-            .config(config)
-            .run(&mut transport, &jobs, &mut pool)
-            .expect("journal-less runs cannot hit journal errors")
-            .report();
+        let report = Campaign::new(seed).workers(workers).config(config).run(
+            &mut transport,
+            &jobs,
+            &mut pool,
+        );
         t.row(vec![
             workers.to_string(),
             opt_f64(report.mean_hit_duration_s(), 1),
@@ -658,12 +657,11 @@ pub fn ablation_wait(seed: u64) -> String {
         let net = server.profile().network_latency;
         transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, seed);
-        let report = Campaign::new(seed)
-            .workers(32)
-            .config(config)
-            .run(&mut transport, &jobs, &mut pool)
-            .expect("journal-less runs cannot hit journal errors")
-            .report();
+        let report =
+            Campaign::new(seed)
+                .workers(32)
+                .config(config)
+                .run(&mut transport, &jobs, &mut pool);
         let med = report.metrics.median_duration().map(|d| d.as_secs_f64());
         t.row(vec![
             name.to_string(),
@@ -796,9 +794,7 @@ pub fn strawman_vs_bqt(seed: u64) -> String {
     let report = Campaign::new(seed)
         .workers(32)
         .config(BqtConfig::paper_default(SimDuration::from_secs(60)))
-        .run(&mut t2, &jobs, &mut pool)
-        .expect("journal-less runs cannot hit journal errors")
-        .report();
+        .run(&mut t2, &jobs, &mut pool);
 
     let mut t = Table::new(vec!["client", "hit rate", "blocked"]);
     t.row(vec![

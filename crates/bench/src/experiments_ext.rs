@@ -595,10 +595,9 @@ pub fn resume(seed: u64) -> String {
     let mut journal = Journal::in_memory();
     let truth = Campaign::from_orchestrator(orch.clone())
         .config(config)
-        .journal(&mut journal)
-        .run(&mut t0, &jobs, &mut pool())
+        .run_journaled(&mut journal, &mut t0, &jobs, &mut pool())
         .expect("fresh journal")
-        .report();
+        .expect("no crash point");
     let full_requests = t0.requests_sent();
 
     let mut t = Table::new(vec![
@@ -620,12 +619,10 @@ pub fn resume(seed: u64) -> String {
     for pct in [10u64, 30, 50, 70, 90] {
         let crash_at = SimTime::from_millis(truth.makespan.as_millis() * pct / 100);
         let (mut t1, jobs) = setup();
-        let mut journal = Journal::in_memory();
+        let mut journal = Journal::in_memory().crash_at(crash_at);
         Campaign::from_orchestrator(orch.clone())
             .config(config)
-            .journal(&mut journal)
-            .crash_at(crash_at)
-            .run(&mut t1, &jobs, &mut pool())
+            .run_journaled(&mut journal, &mut t1, &jobs, &mut pool())
             .expect("fresh journal");
         // Reboot: only the journal bytes survive the crash.
         let mut journal =
@@ -634,10 +631,9 @@ pub fn resume(seed: u64) -> String {
         let (mut t2, jobs) = setup();
         let resumed = Campaign::from_orchestrator(orch.clone())
             .config(config)
-            .journal(&mut journal)
-            .run(&mut t2, &jobs, &mut pool())
+            .run_journaled(&mut journal, &mut t2, &jobs, &mut pool())
             .expect("same campaign")
-            .report();
+            .expect("no crash point");
         let identical = resumed.records == truth.records
             && resumed.metrics == truth.metrics
             && resumed.makespan == truth.makespan
@@ -702,9 +698,7 @@ pub fn trace(seed: u64) -> String {
         .retries(RetryPolicy::paper_default(seed))
         .config(BqtConfig::paper_default(SimDuration::from_secs(45)))
         .recorder(&mut rec)
-        .run(&mut transport, &jobs, &mut pool)
-        .expect("journal-less runs cannot hit journal errors")
-        .report();
+        .run(&mut transport, &jobs, &mut pool);
     let log = String::from_utf8(rec.into_inner()).expect("JSONL is UTF-8");
 
     // Schema-drift guard: every emitted line must survive parse → serialize
@@ -894,10 +888,9 @@ pub fn health(seed: u64) -> String {
     let mut probe_journal = Journal::in_memory();
     let clean_makespan = Campaign::from_orchestrator(orch.clone())
         .config(config)
-        .journal(&mut probe_journal)
-        .run(&mut tp, &jobs, &mut pool())
+        .run_journaled(&mut probe_journal, &mut tp, &jobs, &mut pool())
         .expect("fresh journal")
-        .report()
+        .expect("no crash point")
         .makespan
         .as_millis();
     // Long enough to breach the SLO for a couple of window boundaries,
@@ -909,23 +902,17 @@ pub fn health(seed: u64) -> String {
         SimTime::from_millis(clean_makespan * 7 / 20),
     );
 
-    let run = |crash: Option<SimTime>, journal: &mut Journal| -> Option<OrchestratorReport> {
+    let run = |journal: &mut Journal| -> Option<OrchestratorReport> {
         let (mut t, jobs) = setup(Some(outage));
-        let mut campaign = Campaign::from_orchestrator(orch.clone())
+        Campaign::from_orchestrator(orch.clone())
             .config(config)
-            .journal(journal)
-            .monitor(policy());
-        if let Some(at) = crash {
-            campaign = campaign.crash_at(at);
-        }
-        campaign
-            .run(&mut t, &jobs, &mut pool())
+            .monitor(policy())
+            .run_journaled(journal, &mut t, &jobs, &mut pool())
             .expect("fresh or matching journal")
-            .completed()
     };
 
     let mut j0 = Journal::in_memory();
-    let truth = run(None, &mut j0).expect("no crash scheduled");
+    let truth = run(&mut j0).expect("no crash scheduled");
     let health = truth.health.as_ref().expect("monitor attached");
     let section = truth.health_section("billings").expect("monitor attached");
     let prom = render_prometheus(std::slice::from_ref(&section));
@@ -942,14 +929,11 @@ pub fn health(seed: u64) -> String {
 
     // Crash mid-outage, reboot from the journal bytes alone, resume, and
     // demand byte-identical health artifacts and an identical alert log.
-    let mut j1 = Journal::in_memory();
     let crash_at = SimTime::from_millis(truth.makespan.as_millis() / 2);
-    assert!(
-        run(Some(crash_at), &mut j1).is_none(),
-        "the scheduled crash must fire"
-    );
+    let mut j1 = Journal::in_memory().crash_at(crash_at);
+    assert!(run(&mut j1).is_none(), "the scheduled crash must fire");
     let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let resumed = run(None, &mut j1).expect("resume completes");
+    let resumed = run(&mut j1).expect("resume completes");
     let rhealth = resumed.health.as_ref().expect("monitor attached");
     let rsection = resumed
         .health_section("billings")
@@ -1124,9 +1108,7 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
     let healthy = Campaign::from_orchestrator(orch.clone())
         .config(config)
         .recorder(&mut ring)
-        .run(&mut tp, &jobs, &mut pool())
-        .expect("journal-less run")
-        .report();
+        .run(&mut tp, &jobs, &mut pool());
     let mut ends: Vec<u64> = ring
         .events()
         .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
@@ -1140,36 +1122,26 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
     let (mut tu, jobs) = setup(Some(schedule.clone()));
     let unguarded = Campaign::from_orchestrator(orch.clone())
         .config(config)
-        .run(&mut tu, &jobs, &mut pool())
-        .expect("journal-less run")
-        .report();
+        .run(&mut tu, &jobs, &mut pool());
 
     // Guarded: drift monitor armed, match-confidence SLO watching,
     // journaled so the crash+resume identity below has bytes to reboot
     // from.
-    let guarded = |journal: &mut Journal,
-                   crash: Option<SimTime>|
-     -> (Option<bqt::OrchestratorReport>, String) {
+    let guarded = |journal: &mut Journal| -> (Option<bqt::OrchestratorReport>, String) {
         let (mut t, jobs) = setup(Some(schedule.clone()));
         let mut log = JsonlRecorder::stable(Vec::new());
-        let mut campaign = Campaign::from_orchestrator(orch.clone())
+        let report = Campaign::from_orchestrator(orch.clone())
             .config(config)
             .drift_monitor(DriftMonitor::default_ops())
             .monitor(policy())
-            .journal(journal)
-            .recorder(&mut log);
-        if let Some(at) = crash {
-            campaign = campaign.crash_at(at);
-        }
-        let report = campaign
-            .run(&mut t, &jobs, &mut pool())
-            .expect("fresh or matching journal")
-            .completed();
+            .recorder(&mut log)
+            .run_journaled(journal, &mut t, &jobs, &mut pool())
+            .expect("fresh or matching journal");
         (report, String::from_utf8(log.into_inner()).expect("utf8"))
     };
 
     let mut j0 = Journal::in_memory();
-    let (truth, truth_log) = guarded(&mut j0, None);
+    let (truth, truth_log) = guarded(&mut j0);
     let truth = truth.expect("no crash scheduled");
     let drift = truth.drift.as_ref().expect("armed runs report drift");
     assert!(truth.rebootstraps() >= 1, "the redesign must be healed");
@@ -1183,14 +1155,14 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
 
     // Crash inside the post-flip quarantine window, reboot from journal
     // bytes alone, and demand a byte-identical retrace.
-    let mut j1 = Journal::in_memory();
     let crash_at = SimTime::from_millis(midpoint.as_millis() * 11 / 10);
+    let mut j1 = Journal::in_memory().crash_at(crash_at);
     assert!(
-        guarded(&mut j1, Some(crash_at)).0.is_none(),
+        guarded(&mut j1).0.is_none(),
         "the scheduled crash must fire"
     );
     let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let (resumed, resumed_log) = guarded(&mut j1, None);
+    let (resumed, resumed_log) = guarded(&mut j1);
     let resumed = resumed.expect("resume completes");
     assert_eq!(truth.records, resumed.records, "resume retraces the run");
     assert_eq!(truth.drift, resumed.drift, "resume retraces the rescue");

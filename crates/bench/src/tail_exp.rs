@@ -197,9 +197,7 @@ fn drift_tail(seed: u64) -> String {
     Campaign::from_orchestrator(orch.clone())
         .config(config)
         .recorder(&mut ring)
-        .run(&mut tp, &jobs, &mut pool())
-        .expect("journal-less run")
-        .report();
+        .run(&mut tp, &jobs, &mut pool());
     let mut ends: Vec<u64> = ring
         .events()
         .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
@@ -210,24 +208,17 @@ fn drift_tail(seed: u64) -> String {
     let schedule = DriftSchedule::flip_at(midpoint, TemplateVersion::V2);
 
     // Guarded, journaled, monitored: the traced self-healing campaign.
-    let guarded =
-        |journal: &mut Journal, crash: Option<SimTime>| -> Option<bqt::OrchestratorReport> {
-            let (mut t, jobs) = setup(Some(schedule.clone()));
-            let mut log = JsonlRecorder::stable(std::io::sink());
-            let mut campaign = Campaign::from_orchestrator(orch.clone())
-                .config(config)
-                .drift_monitor(DriftMonitor::default_ops())
-                .monitor(policy())
-                .journal(journal)
-                .recorder(&mut log);
-            if let Some(at) = crash {
-                campaign = campaign.crash_at(at);
-            }
-            campaign
-                .run(&mut t, &jobs, &mut pool())
-                .expect("fresh or matching journal")
-                .completed()
-        };
+    let guarded = |journal: &mut Journal| -> Option<bqt::OrchestratorReport> {
+        let (mut t, jobs) = setup(Some(schedule.clone()));
+        let mut log = JsonlRecorder::stable(std::io::sink());
+        Campaign::from_orchestrator(orch.clone())
+            .config(config)
+            .drift_monitor(DriftMonitor::default_ops())
+            .monitor(policy())
+            .recorder(&mut log)
+            .run_journaled(journal, &mut t, &jobs, &mut pool())
+            .expect("fresh or matching journal")
+    };
 
     let render = |report: &bqt::OrchestratorReport| -> String {
         let section = report.health_section("drift").expect("monitor attached");
@@ -235,21 +226,18 @@ fn drift_tail(seed: u64) -> String {
     };
 
     let mut j0 = Journal::in_memory();
-    let truth = guarded(&mut j0, None).expect("no crash scheduled");
+    let truth = guarded(&mut j0).expect("no crash scheduled");
     let health = truth.health.as_ref().expect("monitor attached");
     assert_exact_attribution(&health.exemplars, "drift");
     let truth_json = render(&truth);
 
     // Crash inside the quarantine window, resume from journal bytes,
     // and demand the identical trace export.
-    let mut j1 = Journal::in_memory();
     let crash_at = SimTime::from_millis(midpoint.as_millis() * 11 / 10);
-    assert!(
-        guarded(&mut j1, Some(crash_at)).is_none(),
-        "the scheduled crash must fire"
-    );
+    let mut j1 = Journal::in_memory().crash_at(crash_at);
+    assert!(guarded(&mut j1).is_none(), "the scheduled crash must fire");
     let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let resumed = guarded(&mut j1, None).expect("resume completes");
+    let resumed = guarded(&mut j1).expect("resume completes");
     assert_eq!(
         truth_json,
         render(&resumed),

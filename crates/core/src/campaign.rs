@@ -1,10 +1,17 @@
 //! The one way to run a campaign: a builder over the orchestrator's
 //! discrete-event loop.
 //!
-//! The old `Orchestrator::run` / `run_journaled` / `run_journaled_with_crash`
-//! trio grew one signature per feature; [`Campaign`] replaces them with a
-//! single fluent entry point that composes journaling, simulated crashes
-//! and telemetry recorders freely:
+//! The builder composes orchestration, the health monitor and telemetry
+//! recorders. How the campaign then runs decides what it can return, so
+//! each way of running it has its own entry point:
+//!
+//! * [`Campaign::run`] — no journal, so nothing can fail or crash: it
+//!   returns the [`OrchestratorReport`] itself;
+//! * [`Campaign::run_journaled`] — write-ahead journaled and resumable:
+//!   a journal error is `Err`, and a simulated crash
+//!   ([`Journal::crash_at`]) is `Ok(None)`;
+//! * [`Campaign::run_sharded`] — split into shards on OS threads, each
+//!   journaled (and crashed) through its own [`ShardEnv::journal`].
 //!
 //! ```
 //! use bbsim_net::{IpPool, RotationPolicy, Transport};
@@ -15,34 +22,29 @@
 //! let mut pool = IpPool::residential(8, RotationPolicy::RoundRobin, 1);
 //! let report = Campaign::new(7)
 //!     .workers(16)
-//!     .run(&mut transport, &jobs, &mut pool)
-//!     .unwrap()
-//!     .report();
+//!     .run(&mut transport, &jobs, &mut pool);
 //! assert_eq!(report.records.len(), 0);
 //! ```
 //!
-//! A journaled run binds the campaign manifest before the loop starts; a
-//! `crash_at` run returns [`CampaignOutcome::Crashed`] when virtual time
-//! outlives the process. Attached [`Recorder`]s receive the run's full
-//! event stream (see [`telemetry`](crate::telemetry)).
+//! A journaled run binds the campaign manifest before the loop starts.
+//! Attached [`Recorder`]s receive the run's full event stream (see
+//! [`telemetry`](crate::telemetry)).
 
 use crate::client::BqtConfig;
 use crate::drift::DriftMonitor;
 use crate::driver::QueryJob;
-use crate::journal::{CampaignManifest, Journal, JournalError};
+use crate::journal::{CampaignManifest, Halt, Journal, JournalError, Unjournaled};
 use crate::monitor::{CampaignMonitor, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport};
 use crate::retry::RetryPolicy;
 use crate::shard::{self, MergeSink, SeqEvent, ShardEnv, ShardPlan, ShardSpec, ShardedOutcome};
 use crate::telemetry::{Event, Fanout, Recorder, Telemetry};
-use bbsim_net::{IpPool, SimDuration, SimTime, Transport};
+use bbsim_net::{IpPool, SimDuration, Transport};
 
 /// Builder for one orchestrated scraping campaign.
 pub struct Campaign<'a> {
     orch: Orchestrator,
     config: BqtConfig,
-    journal: Option<&'a mut Journal>,
-    crash_at: Option<SimTime>,
     recorders: Vec<&'a mut dyn Recorder>,
     monitor: Option<MonitorPolicy>,
     threads: usize,
@@ -61,8 +63,6 @@ impl<'a> Campaign<'a> {
         Self {
             orch,
             config: BqtConfig::paper_default(SimDuration::from_secs(45)),
-            journal: None,
-            crash_at: None,
             recorders: Vec::new(),
             monitor: None,
             threads: 1,
@@ -107,23 +107,6 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Makes the run crash-recoverable: finished attempts are journaled
-    /// write-ahead, and attempts already in `journal` are replayed instead
-    /// of re-scraped. The campaign manifest is bound (written or
-    /// validated) before the loop starts.
-    pub fn journal(mut self, journal: &'a mut Journal) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Simulates the process dying once virtual time passes `at`: the run
-    /// returns [`CampaignOutcome::Crashed`] and the journal retains
-    /// exactly the attempts that finished by then.
-    pub fn crash_at(mut self, at: SimTime) -> Self {
-        self.crash_at = Some(at);
-        self
-    }
-
     /// Attaches a telemetry recorder for the run. May be called multiple
     /// times; recorders see every event in emission order, and a
     /// panicking recorder is detached rather than allowed to kill the
@@ -157,7 +140,7 @@ impl<'a> Campaign<'a> {
         self.orch.manifest(&self.config, jobs)
     }
 
-    /// Runs the campaign to completion (or to the simulated crash).
+    /// Runs the campaign to completion.
     ///
     /// `pool` supplies source IPs; each attempt checks out the next
     /// address, so per-IP request rates stay below BAT rate limits when
@@ -166,40 +149,54 @@ impl<'a> Campaign<'a> {
     /// jobs are dead-lettered; a per-endpoint circuit breaker defers
     /// traffic away from consistently failing endpoints. Every address
     /// produces exactly one record either way.
-    ///
-    /// Journal errors (manifest mismatch, torn write, I/O) surface as
-    /// `Err`; journal-less campaigns cannot fail.
     pub fn run(
         self,
         transport: &mut Transport,
         jobs: &[QueryJob],
         pool: &mut IpPool,
-    ) -> Result<CampaignOutcome, JournalError> {
-        let Campaign {
-            orch,
-            config,
-            mut journal,
-            crash_at,
-            recorders,
-            monitor,
-            threads: _,
-        } = self;
-        if let Some(j) = journal.as_deref_mut() {
-            j.bind_manifest(orch.manifest(&config, jobs))?;
+    ) -> OrchestratorReport {
+        let (orch, config, mut tel) = self.into_parts();
+        let Ok(report) = orch.run_inner(transport, &config, jobs, pool, &mut Unjournaled, &mut tel);
+        report
+    }
+
+    /// Runs the campaign crash-recoverably over `journal`, as
+    /// [`run`](Self::run) does otherwise: finished attempts are journaled
+    /// write-ahead, and attempts already in `journal` are replayed instead
+    /// of re-scraped. The campaign manifest is bound (written or
+    /// validated) before the loop starts.
+    ///
+    /// Journal errors (manifest mismatch, torn write, I/O) surface as
+    /// `Err`. `Ok(None)` means the journal's simulated crash point
+    /// ([`Journal::crash_at`]) passed first: the journal retains exactly
+    /// the work that finished by then.
+    pub fn run_journaled(
+        self,
+        journal: &mut Journal,
+        transport: &mut Transport,
+        jobs: &[QueryJob],
+        pool: &mut IpPool,
+    ) -> Result<Option<OrchestratorReport>, JournalError> {
+        journal.bind_manifest(self.manifest(jobs))?;
+        let (orch, config, mut tel) = self.into_parts();
+        match orch.run_inner(transport, &config, jobs, pool, journal, &mut tel) {
+            Ok(report) => Ok(Some(report)),
+            Err(Halt::Crashed) => Ok(None),
+            Err(Halt::Failed(e)) => Err(e),
         }
+    }
+
+    /// The orchestrator and configuration to run, and the telemetry
+    /// fan-out over the attached monitor and recorders.
+    fn into_parts(self) -> (Orchestrator, BqtConfig, Telemetry<'a>) {
         let mut tel = Telemetry::new();
-        if let Some(policy) = monitor {
+        if let Some(policy) = self.monitor {
             tel.set_monitor(CampaignMonitor::new(policy));
         }
-        for r in recorders {
+        for r in self.recorders {
             tel.attach(r);
         }
-        Ok(
-            match orch.run_inner(transport, &config, jobs, pool, journal, crash_at, &mut tel)? {
-                Some(report) => CampaignOutcome::Completed(Box::new(report)),
-                None => CampaignOutcome::Crashed,
-            },
-        )
+        (self.orch, self.config, tel)
     }
 
     /// Runs the campaign split into `plan`'s shards on up to
@@ -208,8 +205,8 @@ impl<'a> Campaign<'a> {
     ///
     /// Each shard runs under its own environment from `make_env` — a fresh
     /// hermetic transport, IP pool, and (for crash-recoverable campaigns)
-    /// its own journal segment — its own virtual clock starting at zero,
-    /// and the shard seed from the plan. Because shards share nothing and
+    /// its own journal segment, which may carry a crash point — its own
+    /// virtual clock starting at zero, and the shard seed from the plan. Because shards share nothing and
     /// the merge orders by `(at, seq)` with shard-namespaced `seq`s, the
     /// merged stream — and everything derived from it — is byte-identical
     /// for every thread count.
@@ -225,10 +222,6 @@ impl<'a> Campaign<'a> {
     /// to completion (their journal segments stay whole) and the run
     /// returns [`JournalError::ShardFailed`] naming the shard. Re-running
     /// over the same segments resumes it like a crashed shard.
-    ///
-    /// # Panics
-    /// If a campaign-level [`journal`](Self::journal) is attached: sharded
-    /// runs journal per shard, through [`ShardEnv::journal`].
     pub fn run_sharded(
         self,
         plan: &ShardPlan,
@@ -237,22 +230,14 @@ impl<'a> Campaign<'a> {
         let Campaign {
             orch,
             config,
-            journal,
-            crash_at,
             recorders,
             monitor,
             threads,
         } = self;
-        assert!(
-            journal.is_none(),
-            "sharded campaigns journal per shard: supply segments via make_env, \
-             not Campaign::journal"
-        );
         let template = shard::ShardTemplate {
             orch: &orch,
             config: &config,
             monitor: monitor.as_ref(),
-            crash_at,
         };
         let shards = shard::execute(&template, plan, threads, make_env)?;
         let mut fanout = Fanout::default();
@@ -330,44 +315,6 @@ impl<'e> MergeSink<&'e Event> for Relay<'e, '_> {
     }
 }
 
-/// How a [`Campaign`] run ended.
-#[derive(Debug)]
-pub enum CampaignOutcome {
-    /// The campaign ran every job to completion. Boxed: a report carries
-    /// full per-address records and the telemetry summary, and the crashed
-    /// arm would otherwise pay for that inline.
-    Completed(Box<OrchestratorReport>),
-    /// The simulated crash fired first; the journal holds what survived.
-    Crashed,
-}
-
-impl CampaignOutcome {
-    /// The completed report.
-    ///
-    /// # Panics
-    /// If the campaign crashed — use [`completed`](Self::completed) when a
-    /// crash is an expected outcome.
-    pub fn report(self) -> OrchestratorReport {
-        match self {
-            CampaignOutcome::Completed(report) => *report,
-            // lint:allow(T2): reporting a crashed campaign is a caller bug; fault tests match on Crashed
-            CampaignOutcome::Crashed => panic!("campaign crashed before completing"),
-        }
-    }
-
-    /// The report if the campaign completed, `None` if it crashed.
-    pub fn completed(self) -> Option<OrchestratorReport> {
-        match self {
-            CampaignOutcome::Completed(report) => Some(*report),
-            CampaignOutcome::Crashed => None,
-        }
-    }
-
-    pub fn crashed(&self) -> bool {
-        matches!(self, CampaignOutcome::Crashed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,7 +322,7 @@ mod tests {
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::{Endpoint, RotationPolicy};
+    use bbsim_net::{Endpoint, RotationPolicy, SimTime};
     use std::sync::Arc;
 
     fn setup() -> (Transport, Vec<QueryJob>) {
@@ -403,18 +350,15 @@ mod tests {
     fn builder_composes_journal_crash_and_recorder() {
         let (mut t, jobs) = setup();
         let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
-        let mut journal = Journal::in_memory();
+        let mut journal = Journal::in_memory().crash_at(SimTime::from_millis(200_000));
         let mut ring = RingRecorder::new(100_000);
         let outcome = Campaign::new(7)
             .workers(8)
             .retries(RetryPolicy::paper_default(7))
-            .journal(&mut journal)
-            .crash_at(SimTime::from_millis(200_000))
             .recorder(&mut ring)
-            .run(&mut t, &jobs, &mut pool)
+            .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
             .unwrap();
-        assert!(outcome.crashed());
-        assert!(outcome.completed().is_none());
+        assert!(outcome.is_none());
         assert!(
             !journal.attempts().is_empty(),
             "journal captured pre-crash work"
@@ -430,9 +374,7 @@ mod tests {
         let report = Campaign::new(7)
             .workers(8)
             .recorder(&mut ring)
-            .run(&mut t, &jobs, &mut pool)
-            .unwrap()
-            .report();
+            .run(&mut t, &jobs, &mut pool);
         assert_eq!(report.records.len(), jobs.len());
         // The stream is framed by the campaign span.
         let first = ring.events().next().unwrap();

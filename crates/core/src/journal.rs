@@ -46,8 +46,9 @@ use crate::client::{BqtConfig, WaitPolicy};
 use crate::driver::{QueryJob, QueryOutcome, QueryRecord};
 use crate::exec::ShardFailed;
 use crate::scrape::ScrapedPlan;
-use bbsim_net::{fnv1a, mix64, SimDuration};
+use bbsim_net::{fnv1a, mix64, SimDuration, SimTime};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -661,6 +662,8 @@ pub struct Journal {
     /// Template re-bootstraps in append order; looked up by
     /// `(endpoint, occurrence)` on resume.
     rebootstraps: Vec<RebootstrapEntry>,
+    /// The simulated crash point; never persisted.
+    crash_at: Option<SimTime>,
 }
 
 impl Journal {
@@ -672,6 +675,7 @@ impl Journal {
             index: HashMap::new(),
             attempts: Vec::new(),
             rebootstraps: Vec::new(),
+            crash_at: None,
         };
         for entry in entries {
             j.apply(entry);
@@ -724,6 +728,16 @@ impl Journal {
             frame: Vec::new(),
         };
         Ok(Self::new(sink, entries))
+    }
+
+    /// Simulates the process dying once virtual time passes `at`: a
+    /// campaign run over this journal returns `Ok(None)` and the journal
+    /// retains exactly the work that finished by then. The crash point is
+    /// not written, so the journal reopened from its bytes or its file
+    /// resumes with none.
+    pub fn crash_at(mut self, at: SimTime) -> Self {
+        self.crash_at = Some(at);
+        self
     }
 
     /// The journal's campaign manifest, if one has been written.
@@ -837,6 +851,83 @@ impl Journal {
     /// All journaled template re-bootstraps in append order.
     pub fn rebootstraps(&self) -> &[RebootstrapEntry] {
         &self.rebootstraps
+    }
+}
+
+/// Where a campaign's loop writes each finished attempt and template swap
+/// ahead of folding it into the report, and why the run can stop short.
+/// A campaign without a journal ([`Unjournaled`]) cannot: it has nothing
+/// to write and no crash point, so it always reaches its report.
+pub(crate) trait WriteAhead {
+    /// Why a run stopped before its report.
+    type Halt;
+
+    /// The journal whose entries the run replays, if any.
+    fn replay_log(&self) -> Option<&Journal>;
+
+    /// Stops the run once virtual time `now` passes the crash point.
+    fn check_crash(&self, now: SimTime) -> Result<(), Self::Halt>;
+
+    /// Writes `entry()` for work finished at `done`, unless the crash
+    /// point came first: a real crash loses the in-flight work.
+    fn write_ahead(
+        &mut self,
+        done: SimTime,
+        entry: impl FnOnce() -> Entry,
+    ) -> Result<(), Self::Halt>;
+}
+
+/// The log of a campaign run without a journal: replays nothing, writes
+/// nothing, never crashes.
+pub(crate) struct Unjournaled;
+
+impl WriteAhead for Unjournaled {
+    type Halt = Infallible;
+
+    fn replay_log(&self) -> Option<&Journal> {
+        None
+    }
+
+    fn check_crash(&self, _now: SimTime) -> Result<(), Infallible> {
+        Ok(())
+    }
+
+    fn write_ahead(
+        &mut self,
+        _done: SimTime,
+        _entry: impl FnOnce() -> Entry,
+    ) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// Why a journaled run stopped before its report.
+pub(crate) enum Halt {
+    /// Virtual time passed the journal's crash point.
+    Crashed,
+    /// The journal failed to write.
+    Failed(JournalError),
+}
+
+impl WriteAhead for Journal {
+    type Halt = Halt;
+
+    fn replay_log(&self) -> Option<&Journal> {
+        Some(self)
+    }
+
+    fn check_crash(&self, now: SimTime) -> Result<(), Halt> {
+        match self.crash_at {
+            Some(crash) if now > crash => Err(Halt::Crashed),
+            _ => Ok(()),
+        }
+    }
+
+    fn write_ahead(&mut self, done: SimTime, entry: impl FnOnce() -> Entry) -> Result<(), Halt> {
+        if self.crash_at.is_some_and(|crash| done > crash) {
+            return Ok(());
+        }
+        self.write(entry()).map_err(Halt::Failed)
     }
 }
 

@@ -25,9 +25,9 @@
 //! * [`retry`] — job-level robustness: capped exponential backoff with
 //!   seeded jitter, retry classification of outcomes, and per-endpoint
 //!   circuit breakers in virtual time;
-//! * [`campaign`] — the [`Campaign`] builder, the one entry point that
-//!   composes orchestration, journaling, simulated crashes and telemetry
-//!   recorders into a run;
+//! * [`campaign`] — the [`Campaign`] builder, which composes
+//!   orchestration, the health monitor and telemetry recorders into a
+//!   plain, journaled or sharded run;
 //! * [`exec`] — the one shard executor: scoped threads, a largest-first
 //!   work queue, results in task slots, panics as typed [`ShardFailed`]
 //!   errors, and a consumer on the calling thread while tasks run;
@@ -67,7 +67,7 @@ pub mod strawman;
 pub mod telemetry;
 pub mod trace;
 
-pub use campaign::{Campaign, CampaignOutcome};
+pub use campaign::Campaign;
 pub use client::{BqtConfig, WaitPolicy};
 pub use drift::{DriftMonitor, DriftReport};
 pub use driver::{query_address, query_address_traced, QueryJob, QueryOutcome, QueryRecord};
@@ -105,7 +105,7 @@ pub use trace::{
 /// `use bqt::prelude::*;` covers configuring, running and observing a
 /// campaign; reach into the individual modules for the long tail.
 pub mod prelude {
-    pub use crate::campaign::{Campaign, CampaignOutcome};
+    pub use crate::campaign::Campaign;
     pub use crate::client::{BqtConfig, WaitPolicy};
     pub use crate::drift::{DriftMonitor, DriftReport};
     pub use crate::driver::{query_address, QueryJob, QueryOutcome, QueryRecord};

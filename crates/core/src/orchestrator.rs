@@ -14,8 +14,8 @@
 //!
 //! On top of the original event loop sit three robustness mechanisms:
 //!
-//! * **Write-ahead journaling + resume** ([`Campaign::journal`](crate::campaign::Campaign::journal))
-//!   — every finished attempt is appended to a [`Journal`] before being
+//! * **Write-ahead journaling + resume** ([`Campaign::run_journaled`](crate::campaign::Campaign::run_journaled))
+//!   — every finished attempt is appended to a [`Journal`](crate::journal::Journal) before being
 //!   folded into the report. A campaign killed mid-run resumes by
 //!   replaying journaled attempts instead of re-scraping them; with a
 //!   hermetic transport ([`Transport::hermetic`]) the resumed report is
@@ -36,7 +36,7 @@ use crate::client::BqtConfig;
 use crate::drift::{DriftMonitor, DriftReport};
 use crate::driver::{query_address_traced, QueryJob, QueryOutcome, QueryRecord};
 use crate::journal::{
-    config_fingerprint, AttemptEntry, CampaignManifest, Journal, JournalError, RebootstrapEntry,
+    config_fingerprint, AttemptEntry, CampaignManifest, Entry, RebootstrapEntry, WriteAhead,
 };
 use crate::metrics::Metrics;
 use crate::monitor::{CampaignSection, HealthReport};
@@ -143,8 +143,11 @@ impl Orchestrator {
 
     /// The discrete-event loop shared by every way of running a campaign.
     ///
-    /// Entered through [`Campaign::run`], which binds the journal manifest
-    /// and assembles the [`Telemetry`] fan-out. Every state transition the
+    /// Entered through [`Campaign::run`] with no journal, or through
+    /// [`Campaign::run_journaled`], which binds the journal manifest first;
+    /// both assemble the [`Telemetry`] fan-out. The run stops short only
+    /// for the reasons `journal` can give ([`WriteAhead::Halt`]): none,
+    /// without one. Every state transition the
     /// loop makes is narrated into `tel`; the always-on aggregator's
     /// summary becomes [`OrchestratorReport::telemetry`].
     ///
@@ -154,19 +157,17 @@ impl Orchestrator {
     /// the original run. Journaled runs derive all per-attempt randomness
     /// from `(seed, tag, attempt)` so replayed work cannot desynchronize
     /// the draws that live work observes.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_inner(
+    pub(crate) fn run_inner<W: WriteAhead>(
         &self,
         transport: &mut Transport,
         config: &BqtConfig,
         jobs: &[QueryJob],
         pool: &mut IpPool,
-        mut journal: Option<&mut Journal>,
-        crash_at: Option<SimTime>,
+        journal: &mut W,
         tel: &mut Telemetry<'_>,
-    ) -> Result<Option<OrchestratorReport>, JournalError> {
+    ) -> Result<OrchestratorReport, W::Halt> {
         assert!(self.n_workers >= 1, "need at least one worker");
-        let journaled = journal.is_some();
+        let journaled = journal.replay_log().is_some();
         // Journal-less runs share one sequential RNG (the original
         // behaviour); journaled runs derive per-attempt RNGs below so
         // replayed attempts cannot desynchronize live ones.
@@ -221,13 +222,9 @@ impl Orchestrator {
         let mut quarantines: BTreeMap<Arc<str>, u32> = BTreeMap::new();
 
         while let Some((now, event)) = queue.pop() {
-            if let Some(crash) = crash_at {
-                if now > crash {
-                    // The process died here: whatever the journal holds is
-                    // all that survives.
-                    return Ok(None);
-                }
-            }
+            // Past the crash point the process has died: whatever the
+            // journal holds is all that survives.
+            journal.check_crash(now)?;
             // Pair a free worker with a ready job, or park whichever side
             // arrived without a counterpart.
             let (worker, j) = match event {
@@ -318,7 +315,7 @@ impl Orchestrator {
             // before a crash, take its journaled result verbatim instead
             // of re-scraping.
             let replayed = journal
-                .as_deref()
+                .replay_log()
                 .and_then(|jr| jr.replay(job.tag, attempt))
                 .map(|entry| entry.to_record());
             let from_journal = replayed.is_some();
@@ -397,10 +394,10 @@ impl Orchestrator {
             // Write-ahead: journal the attempt before folding it into the
             // report, but only if it finished before the simulated crash —
             // a real crash loses the in-flight attempt.
-            if !from_journal && crash_at.is_none_or(|c| done <= c) {
-                if let Some(jr) = journal.as_deref_mut() {
-                    jr.append(AttemptEntry::from_record(&rec, attempt))?;
-                }
+            if !from_journal {
+                journal.write_ahead(done, || {
+                    Entry::Attempt(AttemptEntry::from_record(&rec, attempt))
+                })?;
             }
 
             // Template-drift watch: every finished attempt — replayed or
@@ -436,7 +433,7 @@ impl Orchestrator {
                     // A journaled swap for this exact quarantine is
                     // replayed verbatim instead of re-probing.
                     let replayed_swap = journal
-                        .as_deref()
+                        .replay_log()
                         .and_then(|jr| jr.rebootstrap(&job.endpoint, occurrence))
                         .map(|r| (r.generation, r.confidence_pct));
                     let swap_from_journal = replayed_swap.is_some();
@@ -508,15 +505,15 @@ impl Orchestrator {
                     );
                     // Write-ahead like the attempts: the swap is journaled
                     // only if it completed before the simulated crash.
-                    if !swap_from_journal && crash_at.is_none_or(|c| done <= c) {
-                        if let Some(jr) = journal.as_deref_mut() {
-                            jr.append_rebootstrap(RebootstrapEntry {
+                    if !swap_from_journal {
+                        journal.write_ahead(done, || {
+                            Entry::Rebootstrap(RebootstrapEntry {
                                 endpoint: job.endpoint.clone(),
                                 occurrence,
                                 generation,
                                 confidence_pct,
-                            })?;
-                        }
+                            })
+                        })?;
                     }
                     mon.reset();
                 }
@@ -635,7 +632,7 @@ impl Orchestrator {
                 .map(|(e, n)| (e.to_string(), *n))
                 .collect(),
         });
-        Ok(Some(OrchestratorReport {
+        Ok(OrchestratorReport {
             records,
             metrics,
             makespan,
@@ -644,7 +641,7 @@ impl Orchestrator {
             telemetry: tel.summary(),
             health,
             drift,
-        }))
+        })
     }
 }
 
@@ -756,6 +753,7 @@ impl OrchestratorReport {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
+    use crate::journal::Journal;
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
@@ -802,9 +800,7 @@ mod tests {
         let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, 1);
         let report = Campaign::from_orchestrator(orch)
             .config(config())
-            .run(&mut t, &jobs, &mut pool)
-            .unwrap()
-            .report();
+            .run(&mut t, &jobs, &mut pool);
         assert_eq!(report.records.len(), jobs.len());
         let mut tags: Vec<u64> = report.records.iter().map(|r| r.tag).collect();
         tags.sort_unstable();
@@ -819,18 +815,14 @@ mod tests {
         let serial = Campaign::new(2)
             .workers(1)
             .config(config())
-            .run(&mut t1, &jobs, &mut pool1)
-            .unwrap()
-            .report();
+            .run(&mut t1, &jobs, &mut pool1);
 
         let (mut t2, jobs2) = setup();
         let mut pool2 = IpPool::residential(256, RotationPolicy::RoundRobin, 2);
         let parallel = Campaign::new(2)
             .workers(50)
             .config(config())
-            .run(&mut t2, &jobs2, &mut pool2)
-            .unwrap()
-            .report();
+            .run(&mut t2, &jobs2, &mut pool2);
 
         assert!(
             parallel.makespan.as_millis() * 5 < serial.makespan.as_millis(),
@@ -851,9 +843,7 @@ mod tests {
             let report = Campaign::new(3)
                 .workers(n)
                 .config(config())
-                .run(&mut t, &jobs, &mut pool)
-                .unwrap()
-                .report();
+                .run(&mut t, &jobs, &mut pool);
             means.push(report.mean_hit_duration_s().unwrap());
         }
         let min = means.iter().cloned().fold(f64::MAX, f64::min);
@@ -871,9 +861,7 @@ mod tests {
             .workers(100)
             .politeness(SimDuration::from_secs(1))
             .config(config())
-            .run(&mut t, &jobs, &mut pool)
-            .unwrap()
-            .report();
+            .run(&mut t, &jobs, &mut pool);
         assert!(
             report.metrics.blocked > 0,
             "expected rate-limit blocks, got {:?}",
@@ -887,9 +875,7 @@ mod tests {
         let mut pool = IpPool::residential(128, RotationPolicy::RoundRobin, 5);
         let report = Campaign::new(5)
             .config(config())
-            .run(&mut t, &jobs, &mut pool)
-            .unwrap()
-            .report();
+            .run(&mut t, &jobs, &mut pool);
         assert!(
             report.metrics.hit_rate() > 0.75,
             "hit rate {}",
@@ -906,9 +892,7 @@ mod tests {
             .workers(64)
             .politeness(SimDuration::from_secs(1))
             .config(config())
-            .run(&mut t, &few, &mut pool)
-            .unwrap()
-            .report();
+            .run(&mut t, &few, &mut pool);
         assert_eq!(report.records.len(), 3);
     }
 
@@ -924,10 +908,9 @@ mod tests {
                 ..Orchestrator::with_retries(7)
             })
             .config(config())
-            .journal(&mut journal)
-            .run(&mut t, &jobs, &mut pool)
+            .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
             .unwrap()
-            .report()
+            .unwrap()
         };
         let a = run();
         let b = run();
@@ -958,9 +941,7 @@ mod tests {
             ..Orchestrator::with_retries(9)
         })
         .config(config())
-        .run(&mut t, &few, &mut pool)
-        .unwrap()
-        .report();
+        .run(&mut t, &few, &mut pool);
         assert_eq!(report.records.len(), 40, "no job lost to a hang");
         assert!(
             report.stalls_reclaimed() > 0,
@@ -995,9 +976,7 @@ mod tests {
             ..Orchestrator::with_retries(10)
         })
         .config(config())
-        .run(&mut t, &few, &mut pool)
-        .unwrap()
-        .report();
+        .run(&mut t, &few, &mut pool);
         assert_eq!(report.dead_letters.len(), 10);
         for dl in &report.dead_letters {
             assert_eq!(dl.attempts as usize, dl.history.len());
@@ -1023,8 +1002,6 @@ mod tests {
             Campaign::from_orchestrator(orch.clone())
                 .config(config())
                 .run(&mut t, &jobs, &mut pool)
-                .unwrap()
-                .report()
         };
         let a = run_plain();
         let b = run_plain();
@@ -1034,14 +1011,11 @@ mod tests {
 
         let (mut t, jobs) = setup_with(Transport::hermetic(11));
         let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, 1);
-        let mut journal = Journal::in_memory();
+        let mut journal = Journal::in_memory().crash_at(SimTime::from_millis(60_000));
         let crashed = Campaign::from_orchestrator(orch)
             .config(config())
-            .journal(&mut journal)
-            .crash_at(SimTime::from_millis(60_000))
-            .run(&mut t, &jobs, &mut pool)
-            .unwrap()
-            .completed();
+            .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
+            .unwrap();
         assert!(crashed.is_none(), "early crash loses the report");
         assert!(!journal.attempts().is_empty(), "but not the journal");
     }

@@ -40,20 +40,20 @@
 //! ## Crash + resume
 //!
 //! Every shard journals to its own segment (the caller's
-//! [`ShardEnv::journal`]); a `crash_at` campaign crashes each shard at the
-//! same instant *of its own clock*, which models one global virtual crash
-//! time. Resuming — with any thread count — replays each segment
-//! independently and re-merges, so the recovered output is byte-identical
-//! to an uninterrupted run's.
+//! [`ShardEnv::journal`]); a crashed campaign gives every segment the same
+//! [`Journal::crash_at`] point, so each shard crashes at the same instant
+//! *of its own clock*, which models one global virtual crash time.
+//! Resuming — with any thread count — replays each segment independently
+//! and re-merges, so the recovered output is byte-identical to an
+//! uninterrupted run's.
 
-use crate::campaign::CampaignOutcome;
 use crate::client::BqtConfig;
 use crate::driver::QueryJob;
 use crate::journal::{Journal, JournalError};
 use crate::monitor::{CampaignSection, MonitorPolicy};
 use crate::orchestrator::{Orchestrator, OrchestratorReport, ResumeStats};
 use crate::telemetry::{Event, Recorder};
-use bbsim_net::{mix64, IpPool, SimTime, Transport};
+use bbsim_net::{mix64, IpPool, Transport};
 use std::collections::VecDeque;
 
 /// Domain separator for derived per-shard seeds.
@@ -184,6 +184,7 @@ pub struct ShardEnv {
     pub transport: Transport,
     pub pool: IpPool,
     /// The shard's journal segment, if the campaign is crash-recoverable.
+    /// A crash point set on it ([`Journal::crash_at`]) crashes the shard.
     pub journal: Option<Journal>,
 }
 
@@ -592,7 +593,6 @@ pub(crate) struct ShardTemplate<'t> {
     pub orch: &'t Orchestrator,
     pub config: &'t BqtConfig,
     pub monitor: Option<&'t MonitorPolicy>,
-    pub crash_at: Option<SimTime>,
 }
 
 /// Runs every shard of `plan` on up to `threads` OS threads through
@@ -635,9 +635,6 @@ fn run_one(
     if let Some(policy) = template.monitor {
         campaign = campaign.monitor(policy.clone());
     }
-    if let Some(at) = template.crash_at {
-        campaign = campaign.crash_at(at);
-    }
     campaign = campaign.recorder(&mut recorder);
 
     let ShardEnv {
@@ -645,13 +642,11 @@ fn run_one(
         pool,
         journal,
     } = &mut env;
-    let outcome = match journal.as_mut() {
-        Some(j) => campaign.journal(j).run(transport, &spec.jobs, pool)?,
-        None => campaign.run(transport, &spec.jobs, pool)?,
-    };
-    let report = match outcome {
-        CampaignOutcome::Completed(report) => Some(report),
-        CampaignOutcome::Crashed => None,
+    let report = match journal.as_mut() {
+        Some(j) => campaign
+            .run_journaled(j, transport, &spec.jobs, pool)?
+            .map(Box::new),
+        None => Some(Box::new(campaign.run(transport, &spec.jobs, pool))),
     };
     let events = recorder.into_events();
     let order = merge_order(&events);
@@ -669,6 +664,7 @@ fn run_one(
 mod tests {
     use super::*;
     use crate::telemetry::EventKind;
+    use bbsim_net::SimTime;
 
     fn ev(at_ms: u64, worker: u32) -> Event {
         Event {

@@ -174,12 +174,7 @@ pub fn curate_city_with_faults(
         transport.set_fault_plan(plan);
     }
 
-    // Stand the BAT fleet up.
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-    }
+    register_fleet(&mut transport, &world);
 
     let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
     let mut records = Vec::new();
@@ -193,14 +188,9 @@ pub fn curate_city_with_faults(
         let jobs = sample_jobs(&world, opts, isp, sample_seed(city, opts));
 
         // Scrape.
-        let Ok(outcome) = Campaign::from_orchestrator(isp_orchestrator(opts, isp, run_seed))
+        let report = Campaign::from_orchestrator(isp_orchestrator(opts, isp, run_seed))
             .config(config)
-            .run(&mut transport, &jobs, &mut pool)
-        else {
-            // lint:allow(T2): no journal is configured, so journal errors are unconstructible
-            unreachable!("journal-less runs cannot hit journal errors")
-        };
-        let report = outcome.report();
+            .run(&mut transport, &jobs, &mut pool);
 
         land_records(&mut records, city, &world, isp, &report.records);
         per_isp_metrics.push((isp, report.metrics));
@@ -248,6 +238,16 @@ fn city_world(city: &'static CityProfile, opts: &CurationOptions) -> (Arc<CityWo
     (world, run_seed)
 }
 
+/// Stands the city's BAT fleet up on `transport`: one server per ISP,
+/// behind its own profile's network latency.
+fn register_fleet(transport: &mut Transport, world: &Arc<CityWorld>) {
+    for isp in world.isps() {
+        let server = BatServer::new(isp, world.clone());
+        let net = server.profile().network_latency;
+        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+    }
+}
+
 /// Journaled curation, sharded per ISP: calibration runs serially upfront
 /// (it consumes the shared pool's cursor), then every ISP's campaign
 /// becomes one shard with its own hermetic environment, executed on up to
@@ -270,11 +270,7 @@ fn curate_city_sharded(
     if let Some(plan) = plan.clone() {
         transport.set_fault_plan(plan);
     }
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-    }
+    register_fleet(&mut transport, world);
     let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
 
     let mut per_isp_pause = Vec::new();
@@ -308,11 +304,7 @@ fn curate_city_sharded(
         if let Some(plan) = plan.clone() {
             transport.set_fault_plan(plan);
         }
-        for isp in fleet.isps() {
-            let server = BatServer::new(isp, fleet.clone());
-            let net = server.profile().network_latency;
-            transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-        }
+        register_fleet(&mut transport, &fleet);
         let journal = Journal::open(&dir.join(format!("{}.journal", spec.label)))?;
         Ok(ShardEnv {
             transport,

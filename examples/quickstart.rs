@@ -78,9 +78,7 @@ fn main() {
         .workers(4)
         .config(config)
         .monitor(MonitorPolicy::paper_default())
-        .run(&mut transport, &jobs, &mut pool)
-        .expect("journal-less runs cannot hit journal errors")
-        .report();
+        .run(&mut transport, &jobs, &mut pool);
 
     println!("campaign health ({} queries, 4 workers):", jobs.len());
     for (endpoint, stats) in &report.telemetry.per_endpoint {

@@ -43,12 +43,11 @@ fn main() {
         let net = server.profile().network_latency;
         transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, 9);
-        let report = Campaign::new(9)
-            .workers(workers)
-            .config(config)
-            .run(&mut transport, &jobs, &mut pool)
-            .expect("journal-less runs cannot hit journal errors")
-            .report();
+        let report =
+            Campaign::new(9)
+                .workers(workers)
+                .config(config)
+                .run(&mut transport, &jobs, &mut pool);
         println!(
             "{:>10} {:>18.1} {:>9.1}% {:>14.2} {:>9}",
             workers,
@@ -69,9 +68,7 @@ fn main() {
         .workers(200)
         .politeness(SimDuration::from_secs(1))
         .config(config)
-        .run(&mut transport, &jobs, &mut pool)
-        .expect("journal-less runs cannot hit journal errors")
-        .report();
+        .run(&mut transport, &jobs, &mut pool);
     println!(
         "hit rate {:.1}%, {} queries blocked by the per-IP rate limiter",
         100.0 * report.metrics.hit_rate(),

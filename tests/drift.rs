@@ -89,9 +89,7 @@ fn baseline(seed: u64) -> (OrchestratorReport, SimTime) {
     let report = Campaign::from_orchestrator(orch(seed))
         .config(config())
         .recorder(&mut ring)
-        .run(&mut t, &jobs, &mut pool(seed))
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool(seed));
     let midpoint = median_attempt_end(ring.events());
     (report, midpoint)
 }
@@ -122,9 +120,7 @@ fn rebootstrap_recovers_the_hit_rate_a_redesign_destroys() {
     let (mut t, jobs) = setup(Some(schedule.clone()));
     let unguarded = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .run(&mut t, &jobs, &mut pool(seed))
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool(seed));
     assert!(
         unguarded.metrics.hit_rate() < healthy - 0.10,
         "an unwatched redesign must hurt: {} vs {healthy}",
@@ -141,9 +137,7 @@ fn rebootstrap_recovers_the_hit_rate_a_redesign_destroys() {
         .config(config())
         .drift_monitor(DriftMonitor::default_ops())
         .recorder(&mut log)
-        .run(&mut t, &jobs, &mut pool(seed))
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool(seed));
     assert!(
         guarded.metrics.hit_rate() >= healthy - 0.02,
         "self-healing must recover to within 2pp: {} vs {healthy}",
@@ -191,9 +185,7 @@ fn redesign_fires_and_resolves_the_match_confidence_slo() {
         .config(config())
         .drift_monitor(DriftMonitor::default_ops())
         .monitor(policy)
-        .run(&mut t, &jobs, &mut pool(seed))
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool(seed));
 
     let health = report.health.as_ref().expect("monitor attached");
     let alert = health
@@ -221,11 +213,10 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
     let truth = Campaign::from_orchestrator(orch(seed))
         .config(config())
         .drift_monitor(DriftMonitor::default_ops())
-        .journal(&mut journal)
         .recorder(&mut full_log)
-        .run(&mut t0, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t0, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     assert!(truth.rebootstraps() >= 1, "the redesign was healed");
     let full = String::from_utf8(full_log.into_inner()).unwrap();
 
@@ -238,15 +229,13 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
     for (i, &at_ms) in crash_points.iter().enumerate() {
         let crash_at = SimTime::from_millis(at_ms);
         let (mut t1, jobs) = setup(Some(schedule.clone()));
-        let mut journal = Journal::in_memory();
+        let mut journal = Journal::in_memory().crash_at(crash_at);
         assert!(Campaign::from_orchestrator(orch(seed))
             .config(config())
             .drift_monitor(DriftMonitor::default_ops())
-            .journal(&mut journal)
-            .crash_at(crash_at)
-            .run(&mut t1, &jobs, &mut pool(seed))
+            .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
             .unwrap()
-            .crashed());
+            .is_none());
 
         // Reboot: only the journal bytes survive — including any
         // rebootstrap entries, so a healed swap is never re-probed.
@@ -257,11 +246,10 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
         let resumed = Campaign::from_orchestrator(orch(seed))
             .config(config())
             .drift_monitor(DriftMonitor::default_ops())
-            .journal(&mut journal)
             .recorder(&mut resumed_log)
-            .run(&mut t2, &jobs, &mut pool(seed))
+            .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
             .unwrap()
-            .report();
+            .unwrap();
 
         assert_reports_identical(&truth, &resumed);
         assert_eq!(

@@ -98,10 +98,9 @@ fn baseline(seed: u64) -> (OrchestratorReport, Vec<u8>, u64) {
     let mut journal = Journal::in_memory();
     let report = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
-        .run(&mut t, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     let bytes = journal.bytes().unwrap().to_vec();
     (report, bytes, t.requests_sent())
 }
@@ -127,15 +126,13 @@ fn resume_is_byte_identical_at_arbitrary_crash_points() {
 
         let (mut t1, jobs) = setup();
         t1.set_fault_plan(plan(seed));
-        let mut journal = Journal::in_memory();
+        let mut journal = Journal::in_memory().crash_at(crash_at);
         let crashed = Campaign::from_orchestrator(orch(seed))
             .config(config())
-            .journal(&mut journal)
-            .crash_at(crash_at)
-            .run(&mut t1, &jobs, &mut pool(seed))
+            .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
             .unwrap();
         assert!(
-            crashed.crashed(),
+            crashed.is_none(),
             "crash point {i} landed before the finish"
         );
         let crash_requests = t1.requests_sent();
@@ -149,10 +146,9 @@ fn resume_is_byte_identical_at_arbitrary_crash_points() {
         t2.set_fault_plan(plan(seed));
         let resumed = Campaign::from_orchestrator(orch(seed))
             .config(config())
-            .journal(&mut journal)
-            .run(&mut t2, &jobs, &mut pool(seed))
+            .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
             .unwrap()
-            .report();
+            .unwrap();
 
         assert_reports_identical(&truth, &resumed);
         assert_eq!(
@@ -188,10 +184,9 @@ fn complete_journal_resumes_with_zero_scrapes() {
     t.set_fault_plan(plan(seed));
     let resumed = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
-        .run(&mut t, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
 
     assert_reports_identical(&truth, &resumed);
     assert_eq!(resumed.resume().live_attempts, 0, "nothing left to scrape");
@@ -205,16 +200,13 @@ fn crash_after_the_finish_line_returns_the_full_report() {
 
     let (mut t, jobs) = setup();
     t.set_fault_plan(plan(seed));
-    let mut journal = Journal::in_memory();
+    // The last queue event is the final worker's cooldown at
+    // makespan + politeness; crash comfortably past it.
+    let mut journal = Journal::in_memory().crash_at(truth.makespan + SimDuration::from_secs(60));
     let report = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
-        // The last queue event is the final worker's cooldown at
-        // makespan + politeness; crash comfortably past it.
-        .crash_at(truth.makespan + SimDuration::from_secs(60))
-        .run(&mut t, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
-        .completed()
         .expect("crash after completion is a no-op");
     assert_reports_identical(&truth, &report);
 }
@@ -231,8 +223,7 @@ fn foreign_journal_is_refused_not_replayed() {
     t.set_fault_plan(plan(other));
     let err = Campaign::from_orchestrator(orch(other))
         .config(config())
-        .journal(&mut journal)
-        .run(&mut t, &jobs, &mut pool(other))
+        .run_journaled(&mut journal, &mut t, &jobs, &mut pool(other))
         .unwrap_err();
     assert!(
         matches!(err, JournalError::ManifestMismatch { .. }),
@@ -257,11 +248,10 @@ fn watchdog_reclaims_every_hung_job_without_deadlock() {
         ..orch(seed)
     };
     // The run returning at all proves no worker wedged permanently.
-    let report = Campaign::from_orchestrator(o.clone())
-        .config(config())
-        .run(&mut t, &jobs, &mut pool(seed))
-        .unwrap()
-        .report();
+    let report =
+        Campaign::from_orchestrator(o.clone())
+            .config(config())
+            .run(&mut t, &jobs, &mut pool(seed));
 
     assert_eq!(report.records.len(), jobs.len(), "every address reported");
     assert!(
@@ -307,33 +297,29 @@ fn journaled_watchdog_campaign_still_resumes_identically() {
     let mut journal = Journal::in_memory();
     let truth = Campaign::from_orchestrator(o.clone())
         .config(config())
-        .journal(&mut journal)
-        .run(&mut t, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     assert!(truth.stalls_reclaimed() > 0, "{:?}", truth.metrics);
 
     let crash_at = SimTime::from_millis(truth.makespan.as_millis() / 3);
     let (mut t1, jobs) = setup();
     t1.set_fault_plan(stall_plan());
-    let mut journal = Journal::in_memory();
+    let mut journal = Journal::in_memory().crash_at(crash_at);
     assert!(Campaign::from_orchestrator(o.clone())
         .config(config())
-        .journal(&mut journal)
-        .crash_at(crash_at)
-        .run(&mut t1, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
         .unwrap()
-        .crashed());
+        .is_none());
 
     let mut journal = Journal::from_bytes(journal.bytes().unwrap()).unwrap();
     let (mut t2, jobs) = setup();
     t2.set_fault_plan(stall_plan());
     let resumed = Campaign::from_orchestrator(o.clone())
         .config(config())
-        .journal(&mut journal)
-        .run(&mut t2, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     assert_reports_identical(&truth, &resumed);
 }
 
@@ -367,8 +353,6 @@ fn load_shedding_strictly_reduces_dead_letters_under_a_storm() {
         Campaign::from_orchestrator(o)
             .config(config())
             .run(&mut t, &jobs, &mut pool(seed))
-            .unwrap()
-            .report()
     };
 
     let unshed = run(None);
@@ -430,7 +414,7 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
     let base = std::env::temp_dir().join(format!("bqt-shard-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let make_env = |dir: std::path::PathBuf| {
+    let make_env = |dir: std::path::PathBuf, crash: Option<SimTime>| {
         let world = world.clone();
         move |spec: &ShardSpec| -> Result<ShardEnv, JournalError> {
             let mut t = Transport::hermetic(seed);
@@ -439,10 +423,14 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
             let net = server.profile().network_latency;
             t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
             std::fs::create_dir_all(&dir).map_err(|e| JournalError::Io(e.to_string()))?;
+            let mut journal = Journal::open(&dir.join(format!("{}.journal", spec.label)))?;
+            if let Some(at) = crash {
+                journal = journal.crash_at(at);
+            }
             Ok(ShardEnv {
                 transport: t,
                 pool: pool(seed),
-                journal: Some(Journal::open(&dir.join(format!("{}.journal", spec.label)))?),
+                journal: Some(journal),
             })
         }
     };
@@ -453,7 +441,7 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
         .config(config())
         .threads(1)
         .recorder(&mut truth_log)
-        .run_sharded(&shard_plan, &make_env(base.join("truth")))
+        .run_sharded(&shard_plan, &make_env(base.join("truth"), None))
         .unwrap();
     assert!(!truth.crashed());
     let truth_jsonl = String::from_utf8(truth_log.into_inner()).unwrap();
@@ -472,8 +460,7 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
         let crashed = Campaign::from_orchestrator(orch(seed))
             .config(config())
             .threads(4)
-            .crash_at(crash_at)
-            .run_sharded(&shard_plan, &make_env(dir.clone()))
+            .run_sharded(&shard_plan, &make_env(dir.clone(), Some(crash_at)))
             .unwrap();
         assert!(crashed.crashed(), "crash point {i} landed early enough");
         let journaled: u64 = crashed
@@ -495,7 +482,7 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
             .config(config())
             .threads(2)
             .recorder(&mut resumed_log)
-            .run_sharded(&shard_plan, &make_env(dir))
+            .run_sharded(&shard_plan, &make_env(dir, None))
             .unwrap();
         assert!(!resumed.crashed(), "resume runs to completion (crash {i})");
         assert_eq!(
@@ -534,11 +521,10 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     let mut full_log = JsonlRecorder::stable(Vec::new());
     let truth = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
         .recorder(&mut full_log)
-        .run(&mut t0, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t0, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     let full = String::from_utf8(full_log.into_inner()).unwrap();
     assert!(!full.is_empty(), "the uninterrupted run traced events");
 
@@ -546,14 +532,12 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     let crash_at = SimTime::from_millis(truth.makespan.as_millis() * 2 / 5);
     let (mut t1, jobs) = setup();
     t1.set_fault_plan(plan(seed));
-    let mut journal = Journal::in_memory();
+    let mut journal = Journal::in_memory().crash_at(crash_at);
     assert!(Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
-        .crash_at(crash_at)
-        .run(&mut t1, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
         .unwrap()
-        .crashed());
+        .is_none());
     let mut journal = Journal::from_bytes(journal.bytes().unwrap()).unwrap();
     assert!(!journal.attempts().is_empty(), "the crash left work behind");
 
@@ -565,11 +549,10 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     let mut resumed_log = JsonlRecorder::stable(Vec::new());
     let resumed = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .journal(&mut journal)
         .recorder(&mut resumed_log)
-        .run(&mut t2, &jobs, &mut pool(seed))
+        .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
         .unwrap()
-        .report();
+        .unwrap();
     assert_reports_identical(&truth, &resumed);
     assert!(
         resumed.resume().replayed_attempts > 0,

@@ -59,9 +59,7 @@ fn every_attached_recorder_sees_the_identical_stream() {
         .recorder(&mut ring_a)
         .recorder(&mut ring_b)
         .recorder(&mut jsonl)
-        .run(&mut t, &jobs, &mut pool)
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool);
 
     let a: Vec<Event> = ring_a.events().cloned().collect();
     let b: Vec<Event> = ring_b.events().cloned().collect();
@@ -133,9 +131,7 @@ fn a_panicking_recorder_is_detached_without_poisoning_the_run() {
         .workers(8)
         .recorder(&mut grenade)
         .recorder(&mut ring)
-        .run(&mut t, &jobs, &mut pool)
-        .unwrap()
-        .report();
+        .run(&mut t, &jobs, &mut pool);
     std::panic::set_hook(prev);
 
     // The campaign itself is untouched: every address reported.
@@ -223,11 +219,7 @@ fn a_panicking_recorder_is_detached_from_a_sharded_run() {
 fn a_campaign_with_no_recorders_still_aggregates() {
     let (mut t, jobs) = setup();
     let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
-    let report = Campaign::new(5)
-        .workers(8)
-        .run(&mut t, &jobs, &mut pool)
-        .unwrap()
-        .report();
+    let report = Campaign::new(5).workers(8).run(&mut t, &jobs, &mut pool);
     assert_eq!(report.records.len(), jobs.len());
     assert_eq!(report.telemetry.attempts, jobs.len() as u64);
     assert!(report.telemetry.attempt_latency.count() > 0);

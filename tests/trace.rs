@@ -352,19 +352,13 @@ fn trace_json_is_byte_identical_across_crash_and_resume() {
     let config = BqtConfig::paper_default(SimDuration::from_secs(45));
     let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
 
-    let guarded = |journal: &mut Journal, crash: Option<SimTime>| -> Option<OrchestratorReport> {
+    let guarded = |journal: &mut Journal| -> Option<OrchestratorReport> {
         let (mut t, jobs) = setup(seed);
-        let mut campaign = Campaign::from_orchestrator(orch.clone())
+        Campaign::from_orchestrator(orch.clone())
             .config(config)
             .monitor(MonitorPolicy::paper_default())
-            .journal(journal);
-        if let Some(at) = crash {
-            campaign = campaign.crash_at(at);
-        }
-        campaign
-            .run(&mut t, &jobs, &mut pool())
+            .run_journaled(journal, &mut t, &jobs, &mut pool())
             .expect("fresh or matching journal")
-            .completed()
     };
     let render = |report: &OrchestratorReport| -> String {
         let section = report.health_section("billings").expect("monitor attached");
@@ -372,7 +366,7 @@ fn trace_json_is_byte_identical_across_crash_and_resume() {
     };
 
     let mut j0 = Journal::in_memory();
-    let truth = guarded(&mut j0, None).expect("no crash scheduled");
+    let truth = guarded(&mut j0).expect("no crash scheduled");
     let truth_json = render(&truth);
     let health = truth.health.as_ref().expect("monitor attached");
     assert!(
@@ -383,14 +377,11 @@ fn trace_json_is_byte_identical_across_crash_and_resume() {
         assert_eq!(attribute(&trace.root).total_ms(), trace.duration_ms());
     }
 
-    let mut j1 = Journal::in_memory();
     let crash_at = SimTime::from_millis(truth.makespan.as_millis() / 3);
-    assert!(
-        guarded(&mut j1, Some(crash_at)).is_none(),
-        "the scheduled crash must fire"
-    );
+    let mut j1 = Journal::in_memory().crash_at(crash_at);
+    assert!(guarded(&mut j1).is_none(), "the scheduled crash must fire");
     let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let resumed = guarded(&mut j1, None).expect("resume completes");
+    let resumed = guarded(&mut j1).expect("resume completes");
     assert_eq!(
         truth_json,
         render(&resumed),
