@@ -71,6 +71,11 @@ pub const ENTRY_POINTS: &[EntryPointDef] = &[
     EntryPointDef {
         file: "crates/core/src/campaign.rs",
         owner: Some("Campaign"),
+        name: "run_journaled",
+    },
+    EntryPointDef {
+        file: "crates/core/src/campaign.rs",
+        owner: Some("Campaign"),
         name: "run_sharded",
     },
     EntryPointDef {

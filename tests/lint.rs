@@ -578,6 +578,41 @@ fn workspace_has_no_findings() {
     assert!(findings.is_empty(), "findings:\n{}", render(&findings));
 }
 
+/// Every public `run*` method of `Campaign` is a T1/T2 entry point, so a
+/// new way to run a campaign cannot fall outside both rules unnoticed.
+/// The methods are found with the analyzer's own parser.
+#[test]
+fn every_public_campaign_run_is_an_entry_point() {
+    const CAMPAIGN: &str = "crates/core/src/campaign.rs";
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(CAMPAIGN);
+    let file = divide_lint::SourceFile::new(CAMPAIGN.into(), &std::fs::read(path).unwrap());
+    let tokens = file.tokens();
+    let runs: Vec<String> = divide_lint::parse::parse_file(&file)
+        .fns
+        .into_iter()
+        .filter(|f| {
+            !f.is_test
+                && f.owner.as_deref() == Some("Campaign")
+                && f.name.starts_with("run")
+                && f.span.0 > 0
+                && divide_lint::scan::is_ident(&tokens[f.span.0 - 1], "pub")
+        })
+        .map(|f| f.name)
+        .collect();
+    assert!(
+        runs.len() >= 3,
+        "the parser lost Campaign's run methods: {runs:?}"
+    );
+    for name in &runs {
+        assert!(
+            divide_lint::scopes::ENTRY_POINTS
+                .iter()
+                .any(|e| e.file == CAMPAIGN && e.owner == Some("Campaign") && e.name == name),
+            "`Campaign::{name}` is missing from ENTRY_POINTS"
+        );
+    }
+}
+
 // ---- lexer totality ----------------------------------------------------
 
 proptest! {
