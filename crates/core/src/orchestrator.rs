@@ -985,8 +985,8 @@ mod tests {
         }
     }
 
-    /// The legacy `run`/`run_journaled`/`run_journaled_with_crash` shims
-    /// are gone; the builder is the single entry point and carries their
+    /// The legacy `Orchestrator::run`/`run_journaled`/
+    /// `run_journaled_with_crash` shims are gone; `Campaign` carries their
     /// contracts: a plain run is deterministic (what the old shim-parity
     /// test really pinned down), and an early crash loses the report.
     #[test]
