@@ -11,7 +11,7 @@
 //! *hidden* state of the world: only the BAT servers may query it.
 
 use crate::deployment::{smoothed_noise, Deployment, TechAtBlockGroup};
-use crate::isp::Isp;
+use crate::isp::{Isp, Technology};
 use crate::plans::{catalog, Plan, Tech};
 use crate::pricing::CablePricing;
 use bbsim_address::{AddressDb, AddressRecord, NoiseProfile};
@@ -38,11 +38,33 @@ pub struct CityWorld {
     income: IncomeField,
     acs: AcsDataset,
     addresses: AddressDb,
-    deployments: Vec<(Isp, Deployment)>,
-    cable_pricing: Vec<(Isp, CablePricing)>,
-    /// Per-(ISP-slot, block group) DSL line quality in [0, 1]; indexes
-    /// align with `deployments`.
-    dsl_quality: Vec<Vec<f64>>,
+    /// One plant per active ISP, in [`Isp::of_city`] order.
+    plants: Vec<Plant>,
+}
+
+/// One ISP's plant in the city: its deployment and what sets the offers on
+/// it.
+enum Plant {
+    /// Cable prices each block group from its tier table, built against the
+    /// co-located fiber rival.
+    Cable {
+        deployment: Deployment,
+        pricing: CablePricing,
+    },
+    /// DSL/fiber caps each block group's DSL ladder by the local line
+    /// quality in [0, 1].
+    DslFiber {
+        deployment: Deployment,
+        dsl_quality: Vec<f64>,
+    },
+}
+
+impl Plant {
+    fn deployment(&self) -> &Deployment {
+        match self {
+            Plant::Cable { deployment, .. } | Plant::DslFiber { deployment, .. } => deployment,
+        }
+    }
 }
 
 impl CityWorld {
@@ -62,42 +84,44 @@ impl CityWorld {
         let acs = AcsDataset::build(city, &grid, &income, seed);
         let addresses = AddressDb::generate(city, &grid, &NoiseProfile::zillow_like());
 
-        let isps = Isp::of_city(city);
-
-        let deployments: Vec<(Isp, Deployment)> = isps
-            .iter()
-            .map(|&isp| {
-                (
-                    isp,
-                    Deployment::generate_at(isp, city, &grid, &income, epoch),
-                )
-            })
+        let deployments: Vec<Deployment> = Isp::of_city(city)
+            .into_iter()
+            .map(|isp| Deployment::generate_at(isp, city, &grid, &income, epoch))
             .collect();
 
         // The cable ISP prices against the co-located fiber deployment.
         let rival_fiber: Vec<bool> = deployments
             .iter()
-            .find(|(i, _)| !i.is_cable())
-            .map(|(_, d)| d.fiber_mask())
+            .find(|d| !d.isp().is_cable())
+            .map(Deployment::fiber_mask)
             .unwrap_or_else(|| vec![false; grid.len()]);
-        let cable_pricing: Vec<(Isp, CablePricing)> = deployments
-            .iter()
-            .filter(|(i, _)| i.is_cable())
-            .map(|&(isp, _)| {
-                (
-                    isp,
-                    CablePricing::generate_at(isp, city, &grid, &income, &rival_fiber, epoch),
-                )
-            })
-            .collect();
-
-        // Per-ISP DSL line quality fields (loop length proxy), spatially
-        // smoothed like real copper plant quality.
-        let dsl_quality: Vec<Vec<f64>> = deployments
-            .iter()
-            .map(|(isp, _)| {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xD51 ^ ((isp.column() as u64) << 32));
-                smoothed_noise(&grid, 2, &mut rng)
+        let plants = deployments
+            .into_iter()
+            .map(|deployment| {
+                let isp = deployment.isp();
+                match isp.technology() {
+                    Technology::Cable => Plant::Cable {
+                        pricing: CablePricing::generate_at(
+                            isp,
+                            city,
+                            &grid,
+                            &income,
+                            &rival_fiber,
+                            epoch,
+                        ),
+                        deployment,
+                    },
+                    Technology::DslFiber => {
+                        // DSL line quality (loop length proxy), spatially
+                        // smoothed like real copper plant quality.
+                        let mut rng =
+                            StdRng::seed_from_u64(seed ^ 0xD51 ^ ((isp.column() as u64) << 32));
+                        Plant::DslFiber {
+                            dsl_quality: smoothed_noise(&grid, 2, &mut rng),
+                            deployment,
+                        }
+                    }
+                }
             })
             .collect();
 
@@ -107,9 +131,7 @@ impl CityWorld {
             income,
             acs,
             addresses,
-            deployments,
-            cable_pricing,
-            dsl_quality,
+            plants,
         }
     }
 
@@ -135,23 +157,24 @@ impl CityWorld {
 
     /// The major ISPs active in this city.
     pub fn isps(&self) -> Vec<Isp> {
-        self.deployments.iter().map(|&(i, _)| i).collect()
+        self.plants.iter().map(|p| p.deployment().isp()).collect()
+    }
+
+    fn plant(&self, isp: Isp) -> Option<&Plant> {
+        self.plants.iter().find(|p| p.deployment().isp() == isp)
     }
 
     /// This city's deployment for `isp`, if active here.
     pub fn deployment(&self, isp: Isp) -> Option<&Deployment> {
-        self.deployments
-            .iter()
-            .find(|(i, _)| *i == isp)
-            .map(|(_, d)| d)
+        self.plant(isp).map(Plant::deployment)
     }
 
     /// This city's cable pricing for `isp`, if it is an active cable ISP.
     pub fn cable_pricing(&self, isp: Isp) -> Option<&CablePricing> {
-        self.cable_pricing
-            .iter()
-            .find(|(i, _)| *i == isp)
-            .map(|(_, p)| p)
+        match self.plant(isp)? {
+            Plant::Cable { pricing, .. } => Some(pricing),
+            Plant::DslFiber { .. } => None,
+        }
     }
 
     /// Stable per-address hash used for sub-block-group assignment.
@@ -168,27 +191,20 @@ impl CityWorld {
     /// Ground truth: the plans `isp` offers at `addr` (empty when not
     /// served). Only the BAT servers should call this.
     pub fn plans_at(&self, isp: Isp, addr: &AddressRecord) -> OfferedPlans {
-        let Some(slot) = self.deployments.iter().position(|(i, _)| *i == isp) else {
-            return OfferedPlans {
-                isp,
-                plans: Vec::new(),
-            };
-        };
-        let deployment = &self.deployments[slot].1;
         let bg = addr.bg_index();
-        let plans = match deployment.tech(bg) {
-            TechAtBlockGroup::NotServed => Vec::new(),
-            TechAtBlockGroup::Cable => self
-                .cable_pricing(isp)
-                // lint:allow(T2): Cable tech at a block group implies a cable pricing table
-                .expect("cable ISP has pricing")
-                .plans_in(bg),
-            TechAtBlockGroup::Fiber => {
+        let plans = match self.plant(isp) {
+            None => Vec::new(),
+            Some(plant) if plant.deployment().tech(bg) == TechAtBlockGroup::NotServed => Vec::new(),
+            Some(Plant::Cable { pricing, .. }) => pricing.plans_in(bg),
+            Some(Plant::DslFiber {
+                deployment,
+                dsl_quality,
+            }) => {
                 // Most addresses in a fiber block group get the fiber menu;
                 // the remainder fall back to the local DSL ladder (this is
                 // the within-block variability behind Fig. 4's long tail).
-                let h = self.addr_hash(isp, addr);
-                let fiber_served = (h % 10_000) as f64 / 10_000.0 < FIBER_TAKE_RATE;
+                let fiber_served = deployment.tech(bg) == TechAtBlockGroup::Fiber
+                    && (self.addr_hash(isp, addr) % 10_000) as f64 / 10_000.0 < FIBER_TAKE_RATE;
                 if fiber_served {
                     catalog(isp)
                         .iter()
@@ -196,29 +212,27 @@ impl CityWorld {
                         .copied()
                         .collect()
                 } else {
-                    self.dsl_ladder(isp, slot, bg)
+                    dsl_ladder(isp, dsl_quality[bg])
                 }
             }
-            TechAtBlockGroup::Dsl => self.dsl_ladder(isp, slot, bg),
         };
         OfferedPlans { isp, plans }
     }
+}
 
-    /// The DSL plans available in a block group: the ladder up to the local
-    /// line-quality ceiling, showing at most the top three tiers (ISPs
-    /// advertise a short menu).
-    fn dsl_ladder(&self, isp: Isp, slot: usize, bg: usize) -> Vec<Plan> {
-        let dsl: Vec<Plan> = catalog(isp)
-            .iter()
-            .filter(|p| p.tech == Tech::Dsl)
-            .copied()
-            .collect();
-        debug_assert!(!dsl.is_empty(), "DSL/fiber ISPs always have DSL tiers");
-        let q = self.dsl_quality[slot][bg];
-        let max_idx = ((q * dsl.len() as f64).floor() as usize).min(dsl.len() - 1);
-        let lo = max_idx.saturating_sub(2);
-        dsl[lo..=max_idx].to_vec()
-    }
+/// The DSL plans available at line quality `q`: the ladder up to the
+/// quality's ceiling, showing at most the top three tiers (ISPs advertise a
+/// short menu).
+fn dsl_ladder(isp: Isp, q: f64) -> Vec<Plan> {
+    let dsl: Vec<Plan> = catalog(isp)
+        .iter()
+        .filter(|p| p.tech == Tech::Dsl)
+        .copied()
+        .collect();
+    debug_assert!(!dsl.is_empty(), "DSL/fiber ISPs always have DSL tiers");
+    let max_idx = ((q * dsl.len() as f64).floor() as usize).min(dsl.len() - 1);
+    let lo = max_idx.saturating_sub(2);
+    dsl[lo..=max_idx].to_vec()
 }
 
 #[cfg(test)]
