@@ -207,10 +207,7 @@ fn write_artifacts(
     let threads = opts.threads;
     let mut rec = JsonlRecorder::stable(io::BufWriter::new(file));
     let outcome = run_recorded(store, &opts, &mut rec);
-    {
-        use io::Write as _;
-        rec.into_inner().flush().expect("flush events.jsonl");
-    }
+    rec.finish().expect("write events.jsonl");
     let section = CampaignSection {
         label: "serve",
         telemetry: &outcome.summary,

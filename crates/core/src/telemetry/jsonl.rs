@@ -19,7 +19,7 @@
 use super::{Event, EventKind, FaultClass, OutcomeCode, Recorder};
 use bbsim_net::SimTime;
 use std::fmt;
-use std::io::Write;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Serializes one event to its canonical JSONL line (no trailing newline).
@@ -441,6 +441,9 @@ pub(crate) fn decimal_len(v: u64) -> usize {
 /// `stable` mode keeps only replay-stable events
 /// ([`EventKind::replay_stable`]) so the log survives crash/resume
 /// byte-identical; `new` keeps everything, page fetches and all.
+///
+/// A failed write stops the recorder: it keeps the error, writes nothing
+/// more, and [`finish`](Self::finish) returns it to the log's owner.
 pub struct JsonlRecorder<W: Write> {
     out: W,
     stable_only: bool,
@@ -449,6 +452,8 @@ pub struct JsonlRecorder<W: Write> {
     /// built over the previous one's bytes, so the recorder allocates
     /// only when a line is longer than every line before it.
     line: String,
+    /// The first failed write, after which nothing more is written.
+    failed: Option<io::Error>,
 }
 
 impl<W: Write> JsonlRecorder<W> {
@@ -459,6 +464,7 @@ impl<W: Write> JsonlRecorder<W> {
             stable_only: false,
             written: 0,
             line: String::new(),
+            failed: None,
         }
     }
 
@@ -482,21 +488,29 @@ impl<W: Write> JsonlRecorder<W> {
     pub fn into_inner(self) -> W {
         self.out
     }
+
+    /// Flushes the writer and returns it, or the first write error: a log
+    /// that lost a line is an error, not a shorter log.
+    pub fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
+        self.out.flush()?;
+        Ok(self.out)
+    }
 }
 
 impl<W: Write> Recorder for JsonlRecorder<W> {
     fn record(&mut self, event: &Event) {
-        if self.stable_only && !event.kind.replay_stable() {
+        if self.failed.is_some() || (self.stable_only && !event.kind.replay_stable()) {
             return;
         }
         self.line = write_line(event, std::mem::take(&mut self.line));
         self.line.push('\n');
-        let written = self.out.write_all(self.line.as_bytes());
-        // A failed write panics; the fan-out poisons this recorder and the
-        // campaign carries on without its log.
-        // lint:allow(T2): panicking here is the poisoning contract — the telemetry fan-out catches it and detaches the recorder
-        written.expect("event log write failed");
-        self.written += 1;
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.failed = Some(e),
+        }
     }
 }
 
@@ -852,6 +866,46 @@ mod tests {
         let line = to_line(&event);
         assert_eq!(parse_line(&line).unwrap(), event);
         assert_eq!(to_line(&parse_line(&line).unwrap()), line);
+    }
+
+    /// Takes `room` bytes, then fails every write; counts the writes it
+    /// refused.
+    struct FullAfter {
+        room: usize,
+        refused: usize,
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.room == 0 {
+                self.refused += 1;
+                return Err(io::Error::other("device full"));
+            }
+            let n = buf.len().min(self.room);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_write_stops_the_recorder_and_finish_returns_it() {
+        let events = sample_events();
+        let first_line = to_line(&events[0]).len() + 1;
+        let mut rec = JsonlRecorder::new(FullAfter {
+            room: first_line + 10,
+            refused: 0,
+        });
+        for event in &events {
+            rec.record(event);
+        }
+        assert_eq!(rec.written(), 1, "only the first line fit");
+        assert_eq!(rec.get_ref().refused, 1, "no write after the failure");
+        let err = rec.finish().err().expect("finish reports the failed write");
+        assert_eq!(err.to_string(), "device full");
     }
 
     /// A control character in a caller-supplied string is escaped, so the

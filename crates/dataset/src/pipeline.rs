@@ -324,6 +324,9 @@ fn curate_city_sharded(
         .threads(opts.threads)
         .recorder(&mut event_log)
         .run_sharded(&shard_plan, &make_env)?;
+    event_log
+        .finish()
+        .map_err(|e| JournalError::Io(format!("events.jsonl: {e}")))?;
 
     // Beside `events.jsonl`, the campaign directory gets the monitor's
     // exposition and profile — both replay-stable, so a resumed run
@@ -597,6 +600,27 @@ mod tests {
         }
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An event log that loses a line fails the curation: here
+    /// `events.jsonl` is a symlink to a device that refuses every write.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_unwritable_event_log_fails_the_curation() {
+        let dir = std::env::temp_dir().join(format!("bqj-full-log-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::os::unix::fs::symlink("/dev/full", dir.join("events.jsonl")).unwrap();
+        let mut opts = CurationOptions::quick(9);
+        opts.max_samples_per_bg = Some(2);
+        opts.min_samples = 2;
+        let result = curate_city_journaled(city_by_name("Billings").unwrap(), &opts, None, &dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        match result {
+            Err(JournalError::Io(msg)) => assert!(msg.starts_with("events.jsonl: "), "{msg}"),
+            Err(other) => panic!("expected an events.jsonl I/O error, got {other}"),
+            Ok(_) => panic!("a lost event log must not read as a success"),
+        }
     }
 
     #[test]
