@@ -27,5 +27,5 @@ pub mod templates;
 
 pub use drift::DriftSchedule;
 pub use profile::ServerProfile;
-pub use server::BatServer;
+pub use server::{register_fleet, BatServer};
 pub use templates::{Dialect, PageKind, TemplateVersion};

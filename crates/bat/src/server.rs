@@ -21,7 +21,9 @@ use crate::templates::TemplateVersion;
 use bbsim_address::abbrev::normalize_into;
 use bbsim_address::AddressId;
 use bbsim_isp::{CityWorld, Isp};
-use bbsim_net::{Exchange, Request, Response, Service, SimDuration, SimIp, SimTime, Status};
+use bbsim_net::{
+    Endpoint, Exchange, Request, Response, Service, SimDuration, SimIp, SimTime, Status, Transport,
+};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
@@ -65,6 +67,14 @@ fn addr_draw(isp: Isp, id: AddressId, salt: u64) -> f64 {
     h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     h ^= h >> 33;
     (h % 1_000_000) as f64 / 1_000_000.0
+}
+
+/// Stands `world`'s BAT fleet up on `transport`: one server per active ISP,
+/// registered under the ISP's slug.
+pub fn register_fleet(transport: &mut Transport, world: &Arc<CityWorld>) {
+    for isp in world.isps() {
+        transport.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
+    }
 }
 
 impl BatServer {
@@ -118,6 +128,13 @@ impl BatServer {
 
     pub fn profile(&self) -> &ServerProfile {
         &self.profile
+    }
+
+    /// The server as a transport endpoint, behind its own profile's network
+    /// latency.
+    pub fn endpoint(self) -> Endpoint {
+        let net = self.profile.network_latency;
+        Endpoint::new(Box::new(self), net)
     }
 
     fn rate_limited(&mut self, peer: SimIp, now: SimTime) -> bool {

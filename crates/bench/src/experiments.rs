@@ -537,7 +537,7 @@ pub fn fig9b(study: &StudyDataset) -> String {
 pub fn scaling(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer};
     use bbsim_isp::CityWorld;
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, Transport};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, Transport};
     use bqt::{BqtConfig, Campaign, QueryJob};
     use std::sync::Arc;
 
@@ -565,9 +565,7 @@ pub fn scaling(seed: u64) -> String {
     ]);
     for &workers in &[1usize, 50, 100, 200] {
         let mut transport = Transport::new(seed);
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+        transport.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, seed);
         let config = BqtConfig::paper_default(SimDuration::from_secs(40));
         let report = Campaign::new(seed).workers(workers).config(config).run(
@@ -621,7 +619,7 @@ pub fn ablation_matcher(seed: u64) -> String {
 pub fn ablation_wait(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer};
     use bbsim_isp::CityWorld;
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, Transport};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, Transport};
     use bqt::{BqtConfig, Campaign, QueryJob};
     use std::sync::Arc;
 
@@ -653,9 +651,7 @@ pub fn ablation_wait(seed: u64) -> String {
         ),
     ] {
         let mut transport = Transport::new(seed);
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+        transport.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, seed);
         let report =
             Campaign::new(seed)
@@ -746,7 +742,7 @@ pub fn ablation_sampling(seed: u64) -> String {
 pub fn strawman_vs_bqt(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer};
     use bbsim_isp::CityWorld;
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, SimIp, Transport};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimIp, Transport};
     use bqt::strawman::run_strawman;
     use bqt::{BqtConfig, Campaign, QueryJob};
     use std::sync::Arc;
@@ -764,9 +760,7 @@ pub fn strawman_vs_bqt(seed: u64) -> String {
 
     // Strawman run.
     let mut t1 = Transport::new(seed);
-    let server = BatServer::new(isp, world.clone());
-    let net = server.profile().network_latency;
-    t1.register(isp.slug(), Endpoint::new(Box::new(server), net));
+    t1.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
     let (_, straw_metrics) = run_strawman(
         &mut t1,
         isp.slug(),
@@ -777,9 +771,7 @@ pub fn strawman_vs_bqt(seed: u64) -> String {
 
     // BQT run on the same addresses.
     let mut t2 = Transport::new(seed);
-    let server2 = BatServer::new(isp, world.clone());
-    let net2 = server2.profile().network_latency;
-    t2.register(isp.slug(), Endpoint::new(Box::new(server2), net2));
+    t2.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
     let jobs: Vec<QueryJob> = lines
         .iter()
         .enumerate()

@@ -104,7 +104,7 @@ pub fn audit(seed: u64) -> String {
 /// §3 limitation — template drift detection and re-bootstrap.
 pub fn drift(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer, TemplateVersion};
-    use bbsim_net::{Endpoint, SimDuration, SimIp, SimTime, Transport};
+    use bbsim_net::{SimDuration, SimIp, SimTime, Transport};
     use bqt::{query_address, BqtConfig, DriftMonitor, QueryJob, TemplateSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -122,8 +122,7 @@ pub fn drift(seed: u64) -> String {
         let mut transport = Transport::new(seed);
         let mut server = BatServer::new(isp, world.clone());
         server.set_template_version(version);
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+        transport.register(isp.slug(), server.endpoint());
         let config =
             BqtConfig::paper_default(SimDuration::from_secs(60)).with_templates(templates_used);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -548,7 +547,7 @@ pub fn chaos(seed: u64) -> String {
 /// of the re-run.
 pub fn resume(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer};
-    use bbsim_net::{Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+    use bbsim_net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{BqtConfig, Campaign, Journal, Orchestrator, QueryJob, RetryPolicy};
     use std::sync::Arc;
 
@@ -561,8 +560,7 @@ pub fn resume(seed: u64) -> String {
         // the journal and re-derives the rest bit-for-bit.
         let mut t = Transport::hermetic(seed ^ 0x2E5);
         let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
-        t.register(endpoint, Endpoint::new(Box::new(server), net));
+        t.register(endpoint, server.endpoint());
         let horizon = SimTime::ZERO + SimDuration::from_secs(100_000_000);
         t.set_fault_plan(
             FaultPlan::new(seed ^ 0xC4A05)
@@ -659,8 +657,8 @@ pub fn resume(seed: u64) -> String {
 /// timeline and per-ISP latency histograms from the parsed log alone — the
 /// event log, not the report, is the source of truth here.
 pub fn trace(seed: u64) -> String {
-    use bbsim_bat::{templates, BatServer};
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, Transport};
+    use bbsim_bat::{register_fleet, templates};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, Transport};
     use bqt::telemetry::jsonl::{parse_line, to_line};
     use bqt::telemetry::{EventKind, Histogram};
     use bqt::{BqtConfig, Campaign, JsonlRecorder, QueryJob, RetryPolicy};
@@ -670,11 +668,7 @@ pub fn trace(seed: u64) -> String {
     let city = city_by_name("Billings").expect("study city");
     let world = Arc::new(CityWorld::build(city));
     let mut transport = Transport::hermetic(seed ^ 0x72ACE);
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-    }
+    register_fleet(&mut transport, &world);
     let mut jobs: Vec<QueryJob> = Vec::new();
     for isp in world.isps() {
         jobs.extend(
@@ -817,8 +811,8 @@ pub fn trace(seed: u64) -> String {
 /// and the folded profile are byte-identical across a crash+resume. A panic
 /// anywhere here fails the `health` CI job.
 pub fn health(seed: u64) -> String {
-    use bbsim_bat::{templates, BatServer};
-    use bbsim_net::{Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+    use bbsim_bat::{register_fleet, templates};
+    use bbsim_net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{
         render_folded, render_prometheus, BqtConfig, Campaign, Journal, MonitorPolicy,
         Orchestrator, OrchestratorReport, QueryJob, RetryPolicy, ShedPolicy, SloRule,
@@ -831,11 +825,7 @@ pub fn health(seed: u64) -> String {
 
     let setup = |faults: Option<(SimTime, SimTime)>| -> (Transport, Vec<QueryJob>) {
         let mut t = Transport::hermetic(seed ^ 0x8EA17);
-        for isp in world.isps() {
-            let server = BatServer::new(isp, world.clone());
-            let net = server.profile().network_latency;
-            t.register(isp.slug(), Endpoint::new(Box::new(server), net));
-        }
+        register_fleet(&mut t, &world);
         if let Some((from, to)) = faults {
             t.set_fault_plan(
                 FaultPlan::new(seed ^ 0xFA17)
@@ -1053,7 +1043,7 @@ pub fn health(seed: u64) -> String {
 pub fn longitudinal(seed: u64, threads: usize) -> String {
     use bbsim_bat::{templates, BatServer, DriftSchedule, TemplateVersion};
     use bbsim_dataset::{curate_city, diff_epochs};
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{
         BqtConfig, Campaign, DriftMonitor, EventKind, Journal, JsonlRecorder, MonitorPolicy,
         Orchestrator, QueryJob, RetryPolicy, RingRecorder, ShardEnv, ShardPlan, ShardSpec, SloRule,
@@ -1071,8 +1061,7 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
         if let Some(schedule) = drift {
             server.set_drift_schedule(schedule);
         }
-        let net = server.profile().network_latency;
-        t.register(endpoint, Endpoint::new(Box::new(server), net));
+        t.register(endpoint, server.endpoint());
         let jobs = world
             .addresses()
             .records()
@@ -1182,8 +1171,7 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
             let mut t = Transport::hermetic(seed ^ 0x10_9D);
             let mut server = BatServer::new(isp, world.clone());
             server.set_drift_schedule(schedule.clone());
-            let net = server.profile().network_latency;
-            t.register(endpoint, Endpoint::new(Box::new(server), net));
+            t.register(endpoint, server.endpoint());
             Ok(ShardEnv {
                 transport: t,
                 pool: IpPool::residential(64, RotationPolicy::RoundRobin, seed),

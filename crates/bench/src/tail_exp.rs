@@ -144,7 +144,7 @@ fn drift_tail(seed: u64) -> String {
     use bbsim_bat::{templates, BatServer, DriftSchedule, TemplateVersion};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::{Endpoint, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+    use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{
         BqtConfig, Campaign, DriftMonitor, EventKind, Journal, MonitorPolicy, Orchestrator,
         QueryJob, RetryPolicy, RingRecorder, SloRule,
@@ -161,8 +161,7 @@ fn drift_tail(seed: u64) -> String {
         if let Some(schedule) = drift {
             server.set_drift_schedule(schedule);
         }
-        let net = server.profile().network_latency;
-        t.register(endpoint, Endpoint::new(Box::new(server), net));
+        t.register(endpoint, server.endpoint());
         let jobs = world
             .addresses()
             .records()

@@ -322,15 +322,14 @@ mod tests {
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::{Endpoint, RotationPolicy, SimTime};
+    use bbsim_net::{RotationPolicy, SimTime};
     use std::sync::Arc;
 
     fn setup() -> (Transport, Vec<QueryJob>) {
         let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
-        let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
         let mut t = Transport::hermetic(11);
-        t.register("centurylink/billings", Endpoint::new(Box::new(server), net));
+        let server = BatServer::new(Isp::CenturyLink, world.clone());
+        t.register("centurylink/billings", server.endpoint());
         let jobs: Vec<QueryJob> = world
             .addresses()
             .records()

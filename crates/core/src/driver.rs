@@ -343,11 +343,7 @@ mod tests {
         let mut t = Transport::new(42);
         for isp in world.isps() {
             let server = BatServer::new(isp, world.clone());
-            let net = server.profile().network_latency;
-            t.register(
-                format!("{}/billings", isp.slug()),
-                Endpoint::new(Box::new(server), net),
-            );
+            t.register(format!("{}/billings", isp.slug()), server.endpoint());
         }
         (t, world)
     }

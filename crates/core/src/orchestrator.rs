@@ -757,7 +757,7 @@ mod tests {
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::{Endpoint, FaultPlan, RotationPolicy};
+    use bbsim_net::{FaultPlan, RotationPolicy};
     use std::sync::Arc;
 
     fn setup() -> (Transport, Vec<QueryJob>) {
@@ -767,8 +767,7 @@ mod tests {
     fn setup_with(mut t: Transport) -> (Transport, Vec<QueryJob>) {
         let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
         let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
-        t.register("centurylink/billings", Endpoint::new(Box::new(server), net));
+        t.register("centurylink/billings", server.endpoint());
         let jobs: Vec<QueryJob> = world
             .addresses()
             .records()

@@ -87,7 +87,6 @@ mod tests {
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::Endpoint;
     use std::sync::Arc;
 
     #[test]
@@ -95,8 +94,7 @@ mod tests {
         let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
         let mut t = Transport::new(21);
         let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
-        t.register("cl", Endpoint::new(Box::new(server), net));
+        t.register("cl", server.endpoint());
 
         let lines: Vec<String> = world
             .addresses()

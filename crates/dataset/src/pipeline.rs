@@ -2,10 +2,10 @@
 
 use crate::record::PlanRecord;
 use bbsim_address::matching::Measure;
-use bbsim_bat::{templates, BatServer};
+use bbsim_bat::{register_fleet, templates};
 use bbsim_census::{city_seed, CityProfile};
 use bbsim_isp::{CityWorld, Isp};
-use bbsim_net::{Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, Transport};
+use bbsim_net::{FaultPlan, IpPool, RotationPolicy, SimDuration, Transport};
 use bqt::{
     render_folded, render_prometheus, render_trace_json, BqtConfig, Campaign, Journal,
     JournalError, JsonlRecorder, Metrics, MonitorPolicy, Orchestrator, QueryJob, QueryOutcome,
@@ -236,16 +236,6 @@ fn city_world(city: &'static CityProfile, opts: &CurationOptions) -> (Arc<CityWo
     let world = Arc::new(CityWorld::build_at(city, opts.epoch));
     let run_seed = city_seed(city.name) ^ opts.seed.rotate_left(16) ^ ((opts.epoch as u64) << 1);
     (world, run_seed)
-}
-
-/// Stands the city's BAT fleet up on `transport`: one server per ISP,
-/// behind its own profile's network latency.
-fn register_fleet(transport: &mut Transport, world: &Arc<CityWorld>) {
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-    }
 }
 
 /// Journaled curation, sharded per ISP: calibration runs serially upfront

@@ -17,11 +17,7 @@ fn main() {
     let city = city_by_name("New Orleans").expect("a Table-2 city");
     let world = Arc::new(CityWorld::build(city));
     let mut transport = Transport::new(7);
-    for isp in world.isps() {
-        let server = BatServer::new(isp, world.clone());
-        let network = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), network));
-    }
+    register_fleet(&mut transport, &world);
 
     // 2. Pick an address as it appears in the (noisy) listing data.
     let address = &world.addresses().records()[100];

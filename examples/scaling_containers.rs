@@ -39,9 +39,7 @@ fn main() {
     );
     for workers in [1usize, 50, 100, 200] {
         let mut transport = Transport::new(9);
-        let server = BatServer::new(isp, world.clone());
-        let net = server.profile().network_latency;
-        transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+        transport.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
         let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, 9);
         let report =
             Campaign::new(9)
@@ -60,9 +58,7 @@ fn main() {
 
     println!("\nsame 200 containers, but one shared source IP:\n");
     let mut transport = Transport::new(9);
-    let server = BatServer::new(isp, world.clone());
-    let net = server.profile().network_latency;
-    transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
+    transport.register(isp.slug(), BatServer::new(isp, world.clone()).endpoint());
     let mut pool = IpPool::residential(1, RotationPolicy::RoundRobin, 9);
     let report = Campaign::new(9)
         .workers(200)

@@ -18,7 +18,7 @@ pub use bqt;
 /// examples pair it with: the simulated BAT servers, study-city lookup,
 /// the dataset curation entry points and the plan-serving query layer.
 pub mod prelude {
-    pub use bbsim_bat::{templates, BatServer};
+    pub use bbsim_bat::{register_fleet, templates, BatServer};
     pub use bbsim_census::{city_by_name, ALL_CITIES};
     pub use bbsim_dataset::{aggregate_block_groups, curate_city, CityArtifact, CurationOptions};
     pub use bbsim_isp::{CityWorld, Isp};

@@ -10,9 +10,7 @@ use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::{BqtConfig, Campaign, Orchestrator, OrchestratorReport, QueryJob};
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{
-    Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
-};
+use decoding_divide::net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -21,8 +19,7 @@ fn setup(transport_seed: u64) -> (Transport, Vec<QueryJob>) {
     let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
     let mut t = Transport::new(transport_seed);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
-    let net = server.profile().network_latency;
-    t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+    t.register(ENDPOINT, server.endpoint());
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()

@@ -17,7 +17,7 @@ use decoding_divide::bqt::{
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{Endpoint, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+use decoding_divide::net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -30,8 +30,7 @@ fn setup(drift: Option<DriftSchedule>) -> (Transport, Vec<QueryJob>) {
     if let Some(schedule) = drift {
         server.set_drift_schedule(schedule);
     }
-    let net = server.profile().network_latency;
-    t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+    t.register(ENDPOINT, server.endpoint());
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()
@@ -283,8 +282,7 @@ fn sharded_drifted_campaign_is_byte_identical_across_thread_counts() {
             if let Some(schedule) = &schedule {
                 server.set_drift_schedule(schedule.clone());
             }
-            let net = server.profile().network_latency;
-            t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+            t.register(ENDPOINT, server.endpoint());
             std::fs::create_dir_all(&dir).map_err(|e| JournalError::Io(e.to_string()))?;
             Ok(ShardEnv {
                 transport: t,

@@ -330,7 +330,7 @@ proptest! {
         use decoding_divide::census::city_by_name;
         use decoding_divide::isp::{CityWorld, Isp};
         use decoding_divide::net::{
-            Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
+            FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
         };
         use std::sync::{Arc, OnceLock};
 
@@ -340,9 +340,7 @@ proptest! {
             .clone();
 
         let mut t = Transport::new(7);
-        let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
-        t.register("centurylink/billings", Endpoint::new(Box::new(server), net));
+        t.register("centurylink/billings", BatServer::new(Isp::CenturyLink, world.clone()).endpoint());
         // Every request times out forever: all jobs must dead-letter after
         // exactly `max_attempts` tries, regardless of seed.
         let horizon = SimTime::ZERO + SimDuration::from_secs(1_000_000);
@@ -407,7 +405,7 @@ proptest! {
         use decoding_divide::census::city_by_name;
         use decoding_divide::isp::{CityWorld, Isp};
         use decoding_divide::net::{
-            Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
+            FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
         };
         use std::collections::{HashMap, HashSet};
         use std::sync::{Arc, OnceLock};
@@ -418,9 +416,7 @@ proptest! {
             .clone();
 
         let mut t = Transport::hermetic(seed);
-        let server = BatServer::new(Isp::CenturyLink, world.clone());
-        let net = server.profile().network_latency;
-        t.register("centurylink/billings", Endpoint::new(Box::new(server), net));
+        t.register("centurylink/billings", BatServer::new(Isp::CenturyLink, world.clone()).endpoint());
         if flake > 0 {
             let horizon = SimTime::ZERO + SimDuration::from_secs(1_000_000);
             t.set_fault_plan(

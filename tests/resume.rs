@@ -32,8 +32,7 @@ fn setup() -> (Transport, Vec<QueryJob>) {
     // re-executed ones.
     let mut t = Transport::hermetic(11);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
-    let net = server.profile().network_latency;
-    t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+    t.register(ENDPOINT, server.endpoint());
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()
@@ -420,8 +419,7 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
             let mut t = Transport::hermetic(seed);
             t.set_fault_plan(plan(seed));
             let server = BatServer::new(Isp::CenturyLink, world.clone());
-            let net = server.profile().network_latency;
-            t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+            t.register(ENDPOINT, server.endpoint());
             std::fs::create_dir_all(&dir).map_err(|e| JournalError::Io(e.to_string()))?;
             let mut journal = Journal::open(&dir.join(format!("{}.journal", spec.label)))?;
             if let Some(at) = crash {

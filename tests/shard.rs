@@ -6,7 +6,7 @@
 //! pure scheduling and the partition, clocks, RNG streams and `seq`
 //! namespaces are all fixed by the plan.
 
-use decoding_divide::bat::{templates, BatServer};
+use decoding_divide::bat::{register_fleet, templates};
 use decoding_divide::bqt::MonitorPolicy;
 use decoding_divide::bqt::{
     render_folded, render_prometheus, seq_counter, seq_shard, Campaign, Event, EventKind, Journal,
@@ -16,9 +16,7 @@ use decoding_divide::bqt::{
 use decoding_divide::census::city_by_name;
 use decoding_divide::dataset::{curate_city_journaled, CurationOptions};
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{
-    Endpoint, FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport,
-};
+use decoding_divide::net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -62,11 +60,7 @@ fn make_env(
                 )
                 .hermetic(),
         );
-        for isp in world.isps() {
-            let server = BatServer::new(isp, world.clone());
-            let net = server.profile().network_latency;
-            transport.register(isp.slug(), Endpoint::new(Box::new(server), net));
-        }
+        register_fleet(&mut transport, &world);
         Ok(ShardEnv {
             transport,
             pool: IpPool::residential(64, RotationPolicy::RoundRobin, SEED),

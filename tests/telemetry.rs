@@ -15,7 +15,7 @@ use decoding_divide::bqt::{
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{Endpoint, IpPool, RotationPolicy, Transport};
+use decoding_divide::net::{IpPool, RotationPolicy, Transport};
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -23,8 +23,7 @@ const ENDPOINT: &str = "centurylink/billings";
 fn transport(world: &Arc<CityWorld>) -> Transport {
     let mut t = Transport::hermetic(11);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
-    let net = server.profile().network_latency;
-    t.register(ENDPOINT, Endpoint::new(Box::new(server), net));
+    t.register(ENDPOINT, server.endpoint());
     t
 }
 

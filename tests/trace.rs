@@ -15,7 +15,7 @@ use decoding_divide::bqt::{
 use decoding_divide::census::city_by_name;
 use decoding_divide::dataset::{curate_city_journaled, CurationOptions};
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{Endpoint, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+use decoding_divide::net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -320,8 +320,7 @@ fn setup(seed: u64) -> (Transport, Vec<QueryJob>) {
     let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
     let mut t = Transport::hermetic(seed);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
-    let net = server.profile().network_latency;
-    t.register("centurylink/billings", Endpoint::new(Box::new(server), net));
+    t.register("centurylink/billings", server.endpoint());
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()
