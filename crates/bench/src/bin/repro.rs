@@ -107,7 +107,7 @@ fn main() {
         usage();
     };
 
-    let study = if experiment.needs_study() {
+    let study = if experiment.needs_study {
         let cities = resolve_cities(args.cities.as_deref());
         eprintln!(
             "[repro] curating {} cities at {:?} scale on {} threads ...",
@@ -135,7 +135,7 @@ fn main() {
         artifacts: args.artifacts.as_deref(),
     };
 
-    match experiment.run(&ctx) {
+    match (experiment.run)(&ctx) {
         ExperimentAction::Exit(code) => std::process::exit(code),
         ExperimentAction::Report(report) => match &args.out {
             Some(path) => {

@@ -5,9 +5,9 @@
 //! * [`experiments`] — one function per paper table/figure, each returning a
 //!   plain-text report with the same rows/series the paper plots;
 //! * [`determinism`] — the cross-thread determinism probe;
-//! * [`registry`] — every experiment as a value behind one
-//!   [`Experiment`](registry::Experiment) trait; the `repro` binary is
-//!   argument parsing plus one lookup;
+//! * [`registry`] — every experiment as an [`Experiment`] value (name,
+//!   study flag, run function); the `repro` binary is argument parsing
+//!   plus one lookup;
 //! * [`serve_exp`] — the `repro serve` plan-serving campaign: thread
 //!   sweep, byte-identity digests and the SLO dashboard;
 //! * [`tail_exp`] — the `repro tail` tail-latency attribution: slowest-
@@ -25,5 +25,5 @@ pub mod serve_exp;
 pub mod study;
 pub mod tail_exp;
 
-pub use registry::{Experiment, ExperimentAction, ExperimentCtx, FnExperiment};
+pub use registry::{Experiment, ExperimentAction, ExperimentCtx};
 pub use study::{run_study, Scale, StudyDataset};

@@ -4,9 +4,9 @@
 //! here as an [`Experiment`] — a name, whether it wants the shared
 //! curated study, and a run function. The `repro` binary is reduced to
 //! argument parsing plus one registry lookup; adding an experiment
-//! means adding one [`FnExperiment`] line to [`registry`], not
-//! extending a hand-maintained `match` *and* a parallel `needs_study`
-//! list that can drift apart.
+//! means adding one line to [`registry`], not extending a
+//! hand-maintained `match` *and* a parallel `needs_study` list that can
+//! drift apart.
 
 use crate::experiments as exp;
 use crate::experiments_ext as ext;
@@ -34,7 +34,7 @@ impl ExperimentCtx<'_> {
     /// The curated study this experiment declared it needs.
     ///
     /// # Panics
-    /// If called from an experiment whose `needs_study()` is false —
+    /// If called from an experiment whose `needs_study` is false —
     /// the driver only curates for experiments that ask.
     pub fn study(&self) -> &StudyDataset {
         self.study
@@ -50,62 +50,33 @@ pub enum ExperimentAction {
     Exit(i32),
 }
 
-/// One `repro` subcommand.
-pub trait Experiment {
+/// One `repro` subcommand: a name, whether it wants the shared curated
+/// study, and a plain function.
+pub struct Experiment {
     /// The subcommand name (`repro <name>`).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// Whether the driver must curate the shared study first.
-    fn needs_study(&self) -> bool {
-        false
-    }
+    pub needs_study: bool,
     /// Runs the experiment.
-    fn run(&self, ctx: &ExperimentCtx) -> ExperimentAction;
-}
-
-/// The one [`Experiment`] impl most entries need: a name, a study
-/// flag and a plain function.
-pub struct FnExperiment {
-    name: &'static str,
-    needs_study: bool,
-    run: fn(&ExperimentCtx) -> ExperimentAction,
-}
-
-impl FnExperiment {
-    pub const fn new(
-        name: &'static str,
-        needs_study: bool,
-        run: fn(&ExperimentCtx) -> ExperimentAction,
-    ) -> Self {
-        Self {
-            name,
-            needs_study,
-            run,
-        }
-    }
-}
-
-impl Experiment for FnExperiment {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn needs_study(&self) -> bool {
-        self.needs_study
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> ExperimentAction {
-        (self.run)(ctx)
-    }
+    pub run: fn(&ExperimentCtx) -> ExperimentAction,
 }
 
 /// Shorthand for a study-backed report experiment.
-fn study_exp(name: &'static str, run: fn(&ExperimentCtx) -> ExperimentAction) -> Box<FnExperiment> {
-    Box::new(FnExperiment::new(name, true, run))
+fn study_exp(name: &'static str, run: fn(&ExperimentCtx) -> ExperimentAction) -> Experiment {
+    Experiment {
+        name,
+        needs_study: true,
+        run,
+    }
 }
 
 /// Shorthand for a self-contained report experiment.
-fn solo_exp(name: &'static str, run: fn(&ExperimentCtx) -> ExperimentAction) -> Box<FnExperiment> {
-    Box::new(FnExperiment::new(name, false, run))
+fn solo_exp(name: &'static str, run: fn(&ExperimentCtx) -> ExperimentAction) -> Experiment {
+    Experiment {
+        name,
+        needs_study: false,
+        run,
+    }
 }
 
 fn report(text: String) -> ExperimentAction {
@@ -113,8 +84,8 @@ fn report(text: String) -> ExperimentAction {
 }
 
 /// Every registered experiment, in `repro --help` order.
-pub fn registry() -> Vec<Box<dyn Experiment>> {
-    let all: Vec<Box<FnExperiment>> = vec![
+pub fn registry() -> Vec<Experiment> {
+    vec![
         study_exp("all", |c| report(exp::all_reports(c.study(), c.seed))),
         solo_exp("table1", |_| report(exp::table1())),
         study_exp("table2", |c| report(exp::table2(c.study()))),
@@ -168,18 +139,17 @@ pub fn registry() -> Vec<Box<dyn Experiment>> {
         solo_exp("determinism", |c| {
             report(crate::determinism::determinism(c.seed, c.threads))
         }),
-    ];
-    all.into_iter().map(|e| e as Box<dyn Experiment>).collect()
+    ]
 }
 
 /// Looks a subcommand up by name.
-pub fn find(name: &str) -> Option<Box<dyn Experiment>> {
-    registry().into_iter().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<Experiment> {
+    registry().into_iter().find(|e| e.name == name)
 }
 
 /// All registered names, for `repro --help`.
 pub fn names() -> Vec<&'static str> {
-    registry().iter().map(|e| e.name()).collect()
+    registry().iter().map(|e| e.name).collect()
 }
 
 /// Runs the workspace static analyzer. Exit code 0 when clean, 1 on any
@@ -236,10 +206,10 @@ mod tests {
         // Self-contained experiments must not claim the study; the
         // driver would waste minutes curating for nothing.
         for solo in ["table1", "fig3", "scaling", "serve", "tail", "longitudinal"] {
-            assert!(!find(solo).expect(solo).needs_study(), "{solo}");
+            assert!(!find(solo).expect(solo).needs_study, "{solo}");
         }
         for study in ["all", "table2", "fig4", "policy", "release"] {
-            assert!(find(study).expect(study).needs_study(), "{study}");
+            assert!(find(study).expect(study).needs_study, "{study}");
         }
     }
 }
