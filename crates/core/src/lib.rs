@@ -40,7 +40,7 @@
 //!   sliding-window aggregation, SLO alerting with hysteresis, Prometheus
 //!   text exposition and a virtual-clock phase profiler;
 //! * [`telemetry`] — structured event tracing on the virtual clock: a
-//!   [`Recorder`](telemetry::Recorder) fan-out fed by the orchestrator and
+//!   [`Recorder`] fan-out fed by the orchestrator and
 //!   driver, with ring-buffer, JSONL and aggregating recorders;
 //! * [`trace`] — causal span trees folded from the telemetry stream:
 //!   per-job/per-request trace assembly, critical-path tail attribution,

@@ -6,14 +6,14 @@
 //! [`Telemetry`](crate::telemetry::Telemetry) fan-out (installed via
 //! `Campaign::monitor`, or by the serve engine) and maintains:
 //!
-//! * a [`SlidingWindow`] — a ring of virtual-time buckets tracking hit
+//! * a `SlidingWindow` — a ring of virtual-time buckets tracking hit
 //!   rate, latency p50/p99, retry and breaker-flap rate, queue depth, shed
 //!   level and worker liveness;
-//! * an [`SloEngine`](slo::SloEngine) of declarative [`SloRule`]s with
+//! * an `SloEngine` of declarative [`SloRule`]s with
 //!   hysteresis, which emits [`AlertFired`](crate::telemetry::EventKind)/
 //!   `AlertResolved` events back into the stream and can optionally
 //!   escalate to the load-shedder;
-//! * a [`PhaseProfiler`](profile::PhaseProfiler) folding the span tree
+//! * a `PhaseProfiler` folding the span tree
 //!   into flamegraph-compatible folded stacks.
 //!
 //! At campaign end the monitor condenses into a [`HealthReport`]

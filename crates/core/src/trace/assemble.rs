@@ -34,9 +34,9 @@
 //! streams carry no job spans at all.
 //!
 //! Only the traces the reservoir keeps are ever built. An open job holds
-//! compact [`Segment`]s (no labels, its endpoint an index into the
+//! compact `Segment`s (no labels, its endpoint an index into the
 //! assembler's name table), and at `JobEnd`, as for each serve lookup,
-//! [`ExemplarReservoir::admits`] decides from the trace's duration and
+//! `ExemplarReservoir::admits` decides from the trace's duration and
 //! stream coordinates alone whether any [`Span`], label or [`Trace`]
 //! gets made. A campaign ends tens of thousands of jobs and keeps a
 //! handful.

@@ -12,7 +12,7 @@
 //! `cat` the kind's attribution class; labels go through the same JSON
 //! string escaper as `events.jsonl`.
 //!
-//! The exporter is byte-deterministic: it writes from [`ExemplarSet`]s
+//! The exporter is byte-deterministic: it writes from [`ExemplarSet`](super::ExemplarSet)s
 //! held by `HealthReport`s, which are themselves byte-identical across
 //! thread counts and crash+resume, and it never consults a real clock
 //! or hash-ordered container.

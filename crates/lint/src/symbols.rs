@@ -3,7 +3,7 @@
 //! call-graph resolver queries.
 //!
 //! Ids are assigned in `(file, definition order)` — the file list is
-//! already path-sorted by [`crate::collect_sources`] — so every
+//! already path-sorted by `collect_sources` — so every
 //! downstream artifact (edges, BFS witnesses, findings) is independent
 //! of filesystem iteration order.
 
