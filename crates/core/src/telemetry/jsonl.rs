@@ -868,44 +868,20 @@ mod tests {
         assert_eq!(to_line(&parse_line(&line).unwrap()), line);
     }
 
-    /// Takes `room` bytes, then fails every write; counts the writes it
-    /// refused.
-    struct FullAfter {
-        room: usize,
-        refused: usize,
-    }
-
-    impl Write for FullAfter {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self.room == 0 {
-                self.refused += 1;
-                return Err(io::Error::other("device full"));
-            }
-            let n = buf.len().min(self.room);
-            self.room -= n;
-            Ok(n)
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
+    /// The writer has room for the first line and part of the second, so
+    /// the second line's write fails: the recorder keeps that error for
+    /// `finish` and counts no line after it.
     #[test]
     fn a_failed_write_stops_the_recorder_and_finish_returns_it() {
         let events = sample_events();
-        let first_line = to_line(&events[0]).len() + 1;
-        let mut rec = JsonlRecorder::new(FullAfter {
-            room: first_line + 10,
-            refused: 0,
-        });
+        let mut room = vec![0u8; to_line(&events[0]).len() + 11];
+        let mut rec = JsonlRecorder::new(&mut room[..]);
         for event in &events {
             rec.record(event);
         }
         assert_eq!(rec.written(), 1, "only the first line fit");
-        assert_eq!(rec.get_ref().refused, 1, "no write after the failure");
-        let err = rec.finish().err().expect("finish reports the failed write");
-        assert_eq!(err.to_string(), "device full");
+        let err = rec.finish().expect_err("finish reports the failed write");
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     /// A control character in a caller-supplied string is escaped, so the

@@ -42,29 +42,20 @@ pub struct CityWorld {
     plants: Vec<Plant>,
 }
 
-/// One ISP's plant in the city: its deployment and what sets the offers on
-/// it.
-enum Plant {
-    /// Cable prices each block group from its tier table, built against the
-    /// co-located fiber rival.
-    Cable {
-        deployment: Deployment,
-        pricing: CablePricing,
-    },
-    /// DSL/fiber caps each block group's DSL ladder by the local line
-    /// quality in [0, 1].
-    DslFiber {
-        deployment: Deployment,
-        dsl_quality: Vec<f64>,
-    },
+/// One ISP's plant in the city: its deployment and what prices the offers
+/// on it.
+struct Plant {
+    deployment: Deployment,
+    pricing: Pricing,
 }
 
-impl Plant {
-    fn deployment(&self) -> &Deployment {
-        match self {
-            Plant::Cable { deployment, .. } | Plant::DslFiber { deployment, .. } => deployment,
-        }
-    }
+enum Pricing {
+    /// Cable's per-block-group tier table, built against the co-located
+    /// fiber rival.
+    Cable(CablePricing),
+    /// DSL/fiber's per-block-group DSL line quality in [0, 1], which caps
+    /// the DSL ladder.
+    DslFiber(Vec<f64>),
 }
 
 impl CityWorld {
@@ -99,28 +90,26 @@ impl CityWorld {
             .into_iter()
             .map(|deployment| {
                 let isp = deployment.isp();
-                match isp.technology() {
-                    Technology::Cable => Plant::Cable {
-                        pricing: CablePricing::generate_at(
-                            isp,
-                            city,
-                            &grid,
-                            &income,
-                            &rival_fiber,
-                            epoch,
-                        ),
-                        deployment,
-                    },
+                let pricing = match isp.technology() {
+                    Technology::Cable => Pricing::Cable(CablePricing::generate_at(
+                        isp,
+                        city,
+                        &grid,
+                        &income,
+                        &rival_fiber,
+                        epoch,
+                    )),
+                    // DSL line quality (loop length proxy), spatially
+                    // smoothed like real copper plant quality.
                     Technology::DslFiber => {
-                        // DSL line quality (loop length proxy), spatially
-                        // smoothed like real copper plant quality.
                         let mut rng =
                             StdRng::seed_from_u64(seed ^ 0xD51 ^ ((isp.column() as u64) << 32));
-                        Plant::DslFiber {
-                            dsl_quality: smoothed_noise(&grid, 2, &mut rng),
-                            deployment,
-                        }
+                        Pricing::DslFiber(smoothed_noise(&grid, 2, &mut rng))
                     }
+                };
+                Plant {
+                    deployment,
+                    pricing,
                 }
             })
             .collect();
@@ -157,23 +146,23 @@ impl CityWorld {
 
     /// The major ISPs active in this city.
     pub fn isps(&self) -> Vec<Isp> {
-        self.plants.iter().map(|p| p.deployment().isp()).collect()
+        self.plants.iter().map(|p| p.deployment.isp()).collect()
     }
 
     fn plant(&self, isp: Isp) -> Option<&Plant> {
-        self.plants.iter().find(|p| p.deployment().isp() == isp)
+        self.plants.iter().find(|p| p.deployment.isp() == isp)
     }
 
     /// This city's deployment for `isp`, if active here.
     pub fn deployment(&self, isp: Isp) -> Option<&Deployment> {
-        self.plant(isp).map(Plant::deployment)
+        self.plant(isp).map(|p| &p.deployment)
     }
 
     /// This city's cable pricing for `isp`, if it is an active cable ISP.
     pub fn cable_pricing(&self, isp: Isp) -> Option<&CablePricing> {
-        match self.plant(isp)? {
-            Plant::Cable { pricing, .. } => Some(pricing),
-            Plant::DslFiber { .. } => None,
+        match &self.plant(isp)?.pricing {
+            Pricing::Cable(pricing) => Some(pricing),
+            Pricing::DslFiber(_) => None,
         }
     }
 
@@ -194,27 +183,23 @@ impl CityWorld {
         let bg = addr.bg_index();
         let plans = match self.plant(isp) {
             None => Vec::new(),
-            Some(plant) if plant.deployment().tech(bg) == TechAtBlockGroup::NotServed => Vec::new(),
-            Some(Plant::Cable { pricing, .. }) => pricing.plans_in(bg),
-            Some(Plant::DslFiber {
-                deployment,
-                dsl_quality,
-            }) => {
+            Some(plant) => match (&plant.pricing, plant.deployment.tech(bg)) {
+                (_, TechAtBlockGroup::NotServed) => Vec::new(),
+                (Pricing::Cable(pricing), _) => pricing.plans_in(bg),
                 // Most addresses in a fiber block group get the fiber menu;
                 // the remainder fall back to the local DSL ladder (this is
                 // the within-block variability behind Fig. 4's long tail).
-                let fiber_served = deployment.tech(bg) == TechAtBlockGroup::Fiber
-                    && (self.addr_hash(isp, addr) % 10_000) as f64 / 10_000.0 < FIBER_TAKE_RATE;
-                if fiber_served {
+                (Pricing::DslFiber(_), TechAtBlockGroup::Fiber)
+                    if (self.addr_hash(isp, addr) % 10_000) as f64 / 10_000.0 < FIBER_TAKE_RATE =>
+                {
                     catalog(isp)
                         .iter()
                         .filter(|p| p.tech == Tech::Fiber)
                         .copied()
                         .collect()
-                } else {
-                    dsl_ladder(isp, dsl_quality[bg])
                 }
-            }
+                (Pricing::DslFiber(quality), _) => dsl_ladder(isp, quality[bg]),
+            },
         };
         OfferedPlans { isp, plans }
     }

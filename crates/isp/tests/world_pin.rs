@@ -5,7 +5,7 @@
 //! line quality must leave these bytes unchanged.
 
 use bbsim_census::city_by_name;
-use bbsim_isp::{CityWorld, Isp, Tech, ALL_ISPS};
+use bbsim_isp::{CityWorld, Isp, ALL_ISPS};
 
 /// (city, hash at epoch 0, hash at epoch 6).
 const PINNED: [(&str, u64, u64); 5] = [
@@ -37,14 +37,7 @@ fn world_hash(city: &str, epoch: u32, seen: &mut Vec<Isp>) -> u64 {
                 fnv(&mut h, p.download_mbps.to_bits());
                 fnv(&mut h, p.upload_mbps.to_bits());
                 fnv(&mut h, p.price_usd.to_bits());
-                fnv(
-                    &mut h,
-                    match p.tech {
-                        Tech::Dsl => 0,
-                        Tech::Fiber => 1,
-                        Tech::Cable => 2,
-                    },
-                );
+                fnv(&mut h, p.tech as u64);
             }
         }
     }
