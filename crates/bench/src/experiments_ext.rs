@@ -1045,8 +1045,8 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
     use bbsim_dataset::{curate_city, diff_epochs};
     use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{
-        BqtConfig, Campaign, DriftMonitor, EventKind, Journal, JsonlRecorder, MonitorPolicy,
-        Orchestrator, QueryJob, RetryPolicy, RingRecorder, ShardEnv, ShardPlan, ShardSpec, SloRule,
+        BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, JsonlRecorder, MonitorPolicy,
+        Orchestrator, QueryJob, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, SloRule,
     };
     use std::sync::Arc;
 
@@ -1093,13 +1093,13 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
     // Probe run: locate "mid-campaign" at the median attempt instant (the
     // makespan's tail is stretched by a few stragglers' retry backoff).
     let (mut tp, jobs) = setup(None);
-    let mut ring = RingRecorder::new(1 << 16);
+    let mut stream: Vec<Event> = Vec::new();
     let healthy = Campaign::from_orchestrator(orch.clone())
         .config(config)
-        .recorder(&mut ring)
+        .recorder(&mut stream)
         .run(&mut tp, &jobs, &mut pool());
-    let mut ends: Vec<u64> = ring
-        .events()
+    let mut ends: Vec<u64> = stream
+        .iter()
         .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
         .map(|e| e.at.as_millis())
         .collect();

@@ -146,8 +146,8 @@ fn drift_tail(seed: u64) -> String {
     use bbsim_isp::{CityWorld, Isp};
     use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
     use bqt::{
-        BqtConfig, Campaign, DriftMonitor, EventKind, Journal, MonitorPolicy, Orchestrator,
-        QueryJob, RetryPolicy, RingRecorder, SloRule,
+        BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, MonitorPolicy, Orchestrator,
+        QueryJob, RetryPolicy, SloRule,
     };
 
     let city = city_by_name("Billings").expect("study city");
@@ -192,13 +192,13 @@ fn drift_tail(seed: u64) -> String {
 
     // Probe run pins "mid-campaign" to the median attempt instant.
     let (mut tp, jobs) = setup(None);
-    let mut ring = RingRecorder::new(1 << 16);
+    let mut stream: Vec<Event> = Vec::new();
     Campaign::from_orchestrator(orch.clone())
         .config(config)
-        .recorder(&mut ring)
+        .recorder(&mut stream)
         .run(&mut tp, &jobs, &mut pool());
-    let mut ends: Vec<u64> = ring
-        .events()
+    let mut ends: Vec<u64> = stream
+        .iter()
         .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
         .map(|e| e.at.as_millis())
         .collect();

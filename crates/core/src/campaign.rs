@@ -318,7 +318,7 @@ impl<'e> MergeSink<&'e Event> for Relay<'e, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{EventKind, RingRecorder};
+    use crate::telemetry::{Event, EventKind};
     use bbsim_bat::{templates, BatServer};
     use bbsim_census::city_by_name;
     use bbsim_isp::{CityWorld, Isp};
@@ -350,11 +350,11 @@ mod tests {
         let (mut t, jobs) = setup();
         let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
         let mut journal = Journal::in_memory().crash_at(SimTime::from_millis(200_000));
-        let mut ring = RingRecorder::new(100_000);
+        let mut stream: Vec<Event> = Vec::new();
         let outcome = Campaign::new(7)
             .workers(8)
             .retries(RetryPolicy::paper_default(7))
-            .recorder(&mut ring)
+            .recorder(&mut stream)
             .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
             .unwrap();
         assert!(outcome.is_none());
@@ -362,27 +362,27 @@ mod tests {
             !journal.attempts().is_empty(),
             "journal captured pre-crash work"
         );
-        assert!(ring.seen() > 0, "recorder saw the pre-crash stream");
+        assert!(!stream.is_empty(), "recorder saw the pre-crash stream");
     }
 
     #[test]
     fn completed_campaign_reports_and_narrates() {
         let (mut t, jobs) = setup();
         let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
-        let mut ring = RingRecorder::new(1_000_000);
+        let mut stream: Vec<Event> = Vec::new();
         let report = Campaign::new(7)
             .workers(8)
-            .recorder(&mut ring)
+            .recorder(&mut stream)
             .run(&mut t, &jobs, &mut pool);
         assert_eq!(report.records.len(), jobs.len());
         // The stream is framed by the campaign span.
-        let first = ring.events().next().unwrap();
+        let first = stream.first().unwrap();
         assert!(matches!(first.kind, EventKind::CampaignBegin { .. }));
-        let last = ring.events().last().unwrap();
+        let last = stream.last().unwrap();
         assert!(matches!(last.kind, EventKind::CampaignEnd { .. }));
-        // The report's aggregated view counted every attempt the ring saw.
-        let attempt_ends = ring
-            .events()
+        // The report's aggregated view counted every attempt recorded.
+        let attempt_ends = stream
+            .iter()
             .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
             .count() as u64;
         assert_eq!(report.telemetry.attempts, attempt_ends);

@@ -92,8 +92,7 @@ pub use shard::{
 };
 pub use shed::{ShedController, ShedDecision, ShedPolicy};
 pub use telemetry::{
-    Event, EventKind, JsonlRecorder, MetricsAggregator, Recorder, RingRecorder, Telemetry,
-    TelemetrySummary,
+    Event, EventKind, JsonlRecorder, MetricsAggregator, Recorder, Telemetry, TelemetrySummary,
 };
 pub use trace::{
     attribute, critical_path, render_trace_json, Attribution, ExemplarSet, Span, SpanKind, Trace,
@@ -116,8 +115,7 @@ pub mod prelude {
     pub use crate::retry::RetryPolicy;
     pub use crate::shed::ShedPolicy;
     pub use crate::telemetry::{
-        Event, EventKind, JsonlRecorder, MetricsAggregator, Recorder, RingRecorder,
-        TelemetrySummary,
+        Event, EventKind, JsonlRecorder, MetricsAggregator, Recorder, TelemetrySummary,
     };
     pub use crate::trace::{attribute, Attribution, ExemplarSet, Trace, TraceAssembler};
     pub use bbsim_net::{

@@ -5,9 +5,9 @@
 //! at any moment its [`TelemetrySummary`] answers the operator questions
 //! the flat [`Metrics`](crate::metrics::Metrics) bag could not — how
 //! attempt latency distributes per endpoint, how much backoff each retry
-//! wave injected, how many pages a session really takes, which workers did
-//! the work. One aggregator is always attached to a run, and its summary
-//! ships in `OrchestratorReport::telemetry`; the report's `resume()`,
+//! wave injected, how many pages a session really takes. One aggregator
+//! is always attached to a run, and its summary ships in
+//! `OrchestratorReport::telemetry`; the report's `resume()`,
 //! `shed_events()` and `stalls_reclaimed()` views are computed from it.
 
 use super::{Event, EventKind, Recorder};
@@ -159,22 +159,13 @@ impl EndpointStats {
     }
 }
 
-/// Per-worker utilization.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerStats {
-    /// Attempts this worker ran (live or replayed).
-    pub attempts: u64,
-    /// Virtual time this worker spent inside attempts.
-    pub busy_ms: u64,
-}
-
 /// Counter families and histograms folded from one run's event stream.
 ///
-/// No `PartialEq` on purpose: `replayed_attempts` and `faults_injected`
-/// legitimately differ between a resumed run and an uninterrupted one, so
-/// whole-summary comparisons would break exactly the byte-identity
-/// guarantees the stable event subset provides. Compare stable fields (or
-/// the stable JSONL log) instead.
+/// No `PartialEq` on purpose: `replayed_attempts` counts the ephemeral
+/// `JournalReplay` events, so it legitimately differs between a resumed
+/// run and an uninterrupted one, and whole-summary comparisons would
+/// break exactly the byte-identity guarantees the stable event subset
+/// provides. Compare stable fields (or the stable JSONL log) instead.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySummary {
     /// Attempts finished (live + replayed).
@@ -193,10 +184,6 @@ pub struct TelemetrySummary {
     pub shed_raises: u64,
     /// Workers the watchdog reclaimed from hung sessions.
     pub stalls_reclaimed: u64,
-    /// Transport faults observed by live page fetches.
-    pub faults_injected: u64,
-    /// Live page fetches (transport round trips) started.
-    pub page_fetches: u64,
     /// Monitor alerts opened (`AlertFired` events).
     pub alerts_fired: u64,
     /// Monitor alerts closed (`AlertResolved` events).
@@ -227,8 +214,6 @@ pub struct TelemetrySummary {
     pub lookup_latency: Histogram,
     /// Stats keyed by endpoint name.
     pub per_endpoint: BTreeMap<String, EndpointStats>,
-    /// Stats keyed by worker id.
-    pub per_worker: BTreeMap<u32, WorkerStats>,
 }
 
 impl TelemetrySummary {
@@ -265,7 +250,6 @@ impl MetricsAggregator {
         let s = &mut self.summary;
         match &event.kind {
             EventKind::AttemptEnd {
-                worker,
                 endpoint,
                 outcome,
                 duration_ms,
@@ -283,9 +267,6 @@ impl MetricsAggregator {
                     e.latency.record(*duration_ms);
                     e.pages.record(*steps as u64);
                 });
-                let w = s.per_worker.entry(*worker).or_default();
-                w.attempts += 1;
-                w.busy_ms += duration_ms;
             }
             EventKind::Retry { delay_ms, .. } => {
                 s.retries += 1;
@@ -326,14 +307,13 @@ impl MetricsAggregator {
             EventKind::CacheEvicted { .. } => s.cache_evictions += 1,
             EventKind::ServeShed { .. } => s.serve_sheds += 1,
             EventKind::JournalReplay { .. } => s.replayed_attempts += 1,
-            EventKind::FaultInjected { .. } => s.faults_injected += 1,
-            EventKind::PageFetchBegin { .. } => s.page_fetches += 1,
             EventKind::AlertFired { .. } => s.alerts_fired += 1,
             EventKind::AlertResolved { .. } => s.alerts_resolved += 1,
-            // Lifecycle brackets and fetch completions carry no counters of
-            // their own: attempts are charged once at AttemptEnd, and page
-            // fetches once at PageFetchBegin. The arms stay explicit so a
-            // new variant must make this choice deliberately (lint rule E1).
+            // Lifecycle brackets, page fetches and fault injections carry no
+            // counters of their own: attempts are charged once at
+            // AttemptEnd, and nothing reads a fetch or fault count. The arms
+            // stay explicit so a new variant must make this choice
+            // deliberately (lint rule E1).
             EventKind::CampaignBegin { .. }
             | EventKind::CampaignEnd { .. }
             | EventKind::WorkerBegin { .. }
@@ -341,6 +321,8 @@ impl MetricsAggregator {
             | EventKind::JobBegin { .. }
             | EventKind::JobEnd { .. }
             | EventKind::AttemptBegin { .. }
+            | EventKind::FaultInjected { .. }
+            | EventKind::PageFetchBegin { .. }
             | EventKind::PageFetchEnd { .. } => {}
         }
     }
@@ -412,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregator_builds_per_endpoint_and_per_worker_views() {
+    fn aggregator_builds_per_endpoint_views() {
         let mut agg = MetricsAggregator::new();
         let end = |tag: u64, worker: u32, endpoint: &str, outcome: OutcomeCode, ms: u64| {
             at(
@@ -450,9 +432,6 @@ mod tests {
         assert_eq!(s.per_endpoint["a"].attempts, 2);
         assert_eq!(s.per_endpoint["a"].hits, 1);
         assert_eq!(s.per_endpoint["b"].hits, 1);
-        assert_eq!(s.per_worker[&0].attempts, 2);
-        assert_eq!(s.per_worker[&0].busy_ms, 90_000);
-        assert_eq!(s.per_worker[&1].busy_ms, 90_000);
         assert_eq!(s.pages_per_session.count(), 3);
     }
 }

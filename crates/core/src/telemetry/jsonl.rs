@@ -1,50 +1,53 @@
-//! Canonical JSONL encoding of the event stream.
+//! The one-line JSON-lite codec: the canonical encoding of the event
+//! stream, and the dialect serve's query and answer lines share.
 //!
-//! One event per line, one flat JSON object per event, keys in a fixed
-//! order (`t`, `ev`, then the kind's fields in declaration order), `u64`
-//! numbers and string enums. The per-kind field lists are not written
-//! here: `event_schema!` in the parent module declares each kind once and
-//! generates the writer and reader these functions call, through the
-//! `Wire` encoding of each field type.
+//! A line is one flat JSON object whose keys come in a fixed order. For
+//! an event that is `t`, `ev`, then the kind's fields in declaration
+//! order, with `u64` numbers and string enums. The per-kind field lists
+//! are not written here: `event_schema!` in the parent module (and
+//! serve's `wire_schema!`) declares each kind once and generates the
+//! writer and reader that drive [`LineWriter`] and [`Fields`], through
+//! the [`Wire`] encoding of each field type.
 //!
 //! The format is canonical on purpose: [`parse_line`] followed by
 //! [`to_line`] reproduces the input byte for byte, which is what the
 //! resume byte-identity test and the `repro trace` schema-drift guard both
 //! lean on. Strings escape quotes, backslashes and control characters
-//! (see `escape_into`), so every event stays on one line. Unknown event
-//! names, missing fields, extra or reordered fields, non-canonical values
-//! and escapes the writer never emits are all hard errors — schema drift
-//! fails loudly instead of rotting logs.
+//! (see `escape_into`), so every line stays one line and any text
+//! round-trips. Unknown event names, missing fields, extra or reordered
+//! fields, non-canonical values and escapes the writer never emits are
+//! all hard errors — schema drift fails loudly instead of rotting logs.
 
 use super::{Event, EventKind, FaultClass, OutcomeCode, Recorder};
 use bbsim_net::SimTime;
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Serializes one event to its canonical JSONL line (no trailing newline).
 pub fn to_line(event: &Event) -> String {
-    write_line(event, String::with_capacity(96))
+    let mut line = String::with_capacity(96);
+    push_line(event, &mut line);
+    line
 }
 
-/// Writes `event`'s canonical line into `buf`, replacing what it held,
-/// and returns the buffer: a caller that hands the same buffer back for
-/// every event allocates only while its lines grow.
-fn write_line(event: &Event, buf: String) -> String {
-    let mut w = LineWriter::new(buf, event.at.as_millis(), event.kind.name());
+/// Appends `event`'s canonical line to `buf`: a caller that clears and
+/// hands back the same buffer for every event allocates only while its
+/// lines grow.
+fn push_line(event: &Event, buf: &mut String) {
+    let mut w = LineWriter::open(buf);
+    event.at.as_millis().write(&mut w, "t");
+    w.str("ev", event.kind.name());
     event.kind.write_fields(&mut w);
-    w.finish()
+    w.finish();
 }
 
 /// Parses one canonical JSONL line back into an [`Event`].
 pub fn parse_line(line: &str) -> Result<Event, ParseError> {
-    let fields = tokenize(line)?;
-    let mut f = Fields {
-        fields: &fields,
-        i: 0,
-    };
+    let mut f = Fields::open(line)?;
     let t = u64::read(&mut f, "t")?;
-    let ev = String::read(&mut f, "ev")?;
+    let ev = f.str("ev")?;
     let kind = EventKind::read_fields(&ev, &mut f)?;
     f.done()?;
     Ok(Event {
@@ -53,11 +56,16 @@ pub fn parse_line(line: &str) -> Result<Event, ParseError> {
     })
 }
 
+/// Whether `s` holds a byte [`escape_into`] rewrites.
+fn needs_escape(s: &str) -> bool {
+    s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
+}
+
 /// Escapes `s` into the body of a JSON string literal: quotes,
 /// backslashes, `\n`, `\t` and `\u00xx` for the other control
 /// characters. Shared by the JSONL and trace-event exporters.
 pub(crate) fn escape_into(s: &str, out: &mut String) {
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    if !needs_escape(s) {
         out.push_str(s);
         return;
     }
@@ -79,29 +87,30 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Appends `"key":value` pairs to one line.
+/// Appends one line's `"key":value` pairs to a buffer, in the order they
+/// are written: the dialect's one writer. Strings go through its methods,
+/// numbers and booleans through their [`Wire`] impls.
 ///
 /// Its methods and the [`Wire`] writers are `#[inline]` because their
-/// callers, the per-kind field writers, are generated in the parent
-/// module and may land in another codegen unit.
-pub(super) struct LineWriter {
-    buf: String,
+/// callers, the field writers `event_schema!` and serve's `wire_schema!`
+/// generate, live in other modules and crates.
+pub struct LineWriter<'a> {
+    buf: &'a mut String,
+    /// Where the line's `{` sits in `buf`.
+    start: usize,
 }
 
-impl LineWriter {
-    /// Starts a line in `buf`, which is cleared first.
-    fn new(mut buf: String, t: u64, ev: &str) -> Self {
-        buf.clear();
-        let mut w = Self { buf };
-        w.buf.push('{');
-        w.num("t", t);
-        w.str("ev", ev);
-        w
+impl<'a> LineWriter<'a> {
+    /// Opens a line at the end of `buf`, after whatever `buf` holds.
+    pub fn open(buf: &'a mut String) -> Self {
+        let start = buf.len();
+        buf.push('{');
+        Self { buf, start }
     }
 
     #[inline]
     fn key(&mut self, key: &str) {
-        if self.buf.len() > 1 {
+        if self.buf.len() > self.start + 1 {
             self.buf.push(',');
         }
         self.buf.push('"');
@@ -109,40 +118,41 @@ impl LineWriter {
         self.buf.push_str("\":");
     }
 
+    /// Writes `v` as an escaped string literal.
     #[inline]
-    fn num(&mut self, key: &str, v: u64) {
-        self.key(key);
-        push_u64(&mut self.buf, v);
+    pub fn str(&mut self, key: &str, v: &str) {
+        self.str_with(key, |buf| buf.push_str(v));
     }
 
+    /// Writes a string literal whose text `text` appends to the line
+    /// piecewise, escaped as [`str`](Self::str) escapes it.
     #[inline]
-    fn str(&mut self, key: &str, v: &str) {
+    pub fn str_with(&mut self, key: &str, text: impl FnOnce(&mut String)) {
         self.key(key);
         self.buf.push('"');
-        escape_into(v, &mut self.buf);
+        let from = self.buf.len();
+        text(self.buf);
+        if self.buf.get(from..).is_some_and(needs_escape) {
+            let raw = self.buf.split_off(from);
+            escape_into(&raw, self.buf);
+        }
         self.buf.push('"');
     }
 
-    #[inline]
-    fn boolean(&mut self, key: &str, v: bool) {
-        self.key(key);
-        self.buf.push_str(if v { "true" } else { "false" });
-    }
-
-    fn finish(mut self) -> String {
+    /// Closes the line.
+    pub fn finish(self) {
         self.buf.push('}');
-        self.buf
     }
 }
 
-/// Why a line failed to parse back into an [`Event`].
+/// Why a line failed to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     pub message: String,
 }
 
 impl ParseError {
-    pub(super) fn new(message: impl Into<String>) -> Self {
+    pub fn new(message: impl Into<String>) -> Self {
         Self {
             message: message.into(),
         }
@@ -157,217 +167,140 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, PartialEq)]
-enum Val {
-    Num(u64),
-    Str(String),
-    Bool(bool),
-}
-
-/// Strict field cursor: canonical lines name every field exactly once, in
-/// schema order, with nothing extra.
-pub(super) struct Fields<'a> {
-    fields: &'a [(String, Val)],
-    i: usize,
+/// The dialect's one reader: a strict cursor over one line's
+/// `"key":value` pairs, borrowed from the line.
+///
+/// A canonical line names every field exactly once, in schema order,
+/// with nothing extra and nothing after the closing `}`. Each field type
+/// reads its own value, either a string (borrowed unless it holds an
+/// escape) or a bare token, so reading a key allocates nothing. The
+/// cursor never panics, whatever the line.
+pub struct Fields<'a> {
+    line: &'a str,
+    /// Byte offset of the first unread byte.
+    at: usize,
 }
 
 impl<'a> Fields<'a> {
-    fn next(&mut self, key: &str) -> Result<&'a Val, ParseError> {
-        let (k, v) = self
-            .fields
-            .get(self.i)
-            .ok_or_else(|| ParseError::new(format!("missing field {key:?}")))?;
-        if k != key {
-            return Err(ParseError::new(format!(
-                "expected field {key:?}, found {k:?}"
-            )));
+    /// Opens `line`, which must start with `{`.
+    pub fn open(line: &'a str) -> Result<Self, ParseError> {
+        if !line.starts_with('{') {
+            return Err(ParseError::new("expected '{'"));
         }
-        self.i += 1;
-        Ok(v)
+        Ok(Self { line, at: 1 })
     }
 
-    fn done(&self) -> Result<(), ParseError> {
-        match self.fields.get(self.i) {
-            None => Ok(()),
-            Some((k, _)) => Err(ParseError::new(format!("unexpected extra field {k:?}"))),
-        }
-    }
-}
-
-/// How one field type is written to and read from a line.
-pub(super) trait Wire: Sized {
-    fn write(&self, w: &mut LineWriter, key: &str);
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError>;
-}
-
-impl Wire for u64 {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.num(key, *self);
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.at).copied()
     }
 
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        match f.next(key)? {
-            Val::Num(n) => Ok(*n),
-            _ => Err(ParseError::new(format!("field {key:?} is not a number"))),
-        }
-    }
-}
-
-impl Wire for u32 {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.num(key, u64::from(*self));
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        u32::try_from(u64::read(f, key)?)
-            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
-    }
-}
-
-impl Wire for String {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.str(key, self);
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        match f.next(key)? {
-            Val::Str(s) => Ok(s.clone()),
-            _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
-        }
-    }
-}
-
-/// An interned endpoint: written as its text, so the line is the same as
-/// for a `String`; each parsed line gets its own allocation.
-impl Wire for Arc<str> {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.str(key, self);
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        match f.next(key)? {
-            Val::Str(s) => Ok(Arc::from(s.as_str())),
-            _ => Err(ParseError::new(format!("field {key:?} is not a string"))),
-        }
-    }
-}
-
-impl Wire for bool {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.boolean(key, *self);
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        match f.next(key)? {
-            Val::Bool(b) => Ok(*b),
-            _ => Err(ParseError::new(format!("field {key:?} is not a bool"))),
-        }
-    }
-}
-
-impl Wire for OutcomeCode {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.str(key, self.as_str());
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        let s = String::read(f, key)?;
-        OutcomeCode::parse(&s).ok_or_else(|| ParseError::new(format!("unknown outcome {s:?}")))
-    }
-}
-
-impl Wire for FaultClass {
-    #[inline]
-    fn write(&self, w: &mut LineWriter, key: &str) {
-        w.str(key, self.as_str());
-    }
-
-    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
-        let s = String::read(f, key)?;
-        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
-    }
-}
-
-/// Tokenizes one flat JSON object into ordered `(key, value)` pairs.
-fn tokenize(line: &str) -> Result<Vec<(String, Val)>, ParseError> {
-    let b = line.as_bytes();
-    let mut i = 0usize;
-    let mut out = Vec::new();
-    if b.first() != Some(&b'{') {
-        return Err(ParseError::new("expected '{'"));
-    }
-    i += 1;
-    if b.get(i) == Some(&b'}') {
-        return Err(ParseError::new("empty object"));
-    }
-    loop {
-        let (key, next) = parse_string(b, i)?;
-        i = next;
-        if b.get(i) != Some(&b':') {
-            return Err(ParseError::new("expected ':' after key"));
-        }
-        i += 1;
-        let (val, next) = parse_value(b, i)?;
-        i = next;
-        out.push((key, val));
-        match b.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => {
-                i += 1;
-                break;
-            }
+    /// Reads the next key and its `:`, or `None` at the closing `}`.
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        match self.peek() {
+            Some(b'}') => return Ok(None),
+            Some(b',') if self.at > 1 => self.at += 1,
+            _ if self.at == 1 => {}
             _ => return Err(ParseError::new("expected ',' or '}'")),
         }
+        let key = self.string()?;
+        if self.peek() != Some(b':') {
+            return Err(ParseError::new("expected ':' after key"));
+        }
+        self.at += 1;
+        Ok(Some(key))
     }
-    if i != b.len() {
-        return Err(ParseError::new("trailing bytes after object"));
-    }
-    Ok(out)
-}
 
-/// Reads a string literal, accepting exactly the escapes [`escape_into`]
-/// writes and no raw control bytes, so only canonical text parses.
-fn parse_string(b: &[u8], mut i: usize) -> Result<(String, usize), ParseError> {
-    if b.get(i) != Some(&b'"') {
-        return Err(ParseError::new("expected '\"'"));
-    }
-    i += 1;
-    let mut s = Vec::new();
-    loop {
-        match b.get(i) {
-            Some(b'"') => break,
-            Some(b'\\') => {
-                let (c, len) = match b.get(i + 1) {
-                    Some(b'"') => (b'"', 2),
-                    Some(b'\\') => (b'\\', 2),
-                    Some(b'n') => (b'\n', 2),
-                    Some(b't') => (b'\t', 2),
-                    Some(b'u') => match b.get(i + 2..i + 6).and_then(control_escape) {
-                        Some(c) => (c, 6),
-                        None => return Err(ParseError::new("unsupported escape")),
-                    },
-                    _ => return Err(ParseError::new("unsupported escape")),
-                };
-                s.push(c);
-                i += len;
-            }
-            Some(&c) if c < 0x20 => return Err(ParseError::new("raw control byte in string")),
-            // Multi-byte UTF-8 is carried through verbatim.
-            Some(&c) => {
-                s.push(c);
-                i += 1;
-            }
-            None => return Err(ParseError::new("unterminated string")),
+    /// Reads the next key, which must be `key`.
+    fn field(&mut self, key: &str) -> Result<(), ParseError> {
+        match self.next_key()? {
+            Some(k) if k == key => Ok(()),
+            Some(k) => Err(ParseError::new(format!(
+                "expected field {key:?}, found {k:?}"
+            ))),
+            None => Err(ParseError::new(format!("missing field {key:?}"))),
         }
     }
-    let s = String::from_utf8(s).map_err(|_| ParseError::new("invalid utf-8 in string"))?;
-    Ok((s, i + 1))
+
+    /// Reads field `key`, which must hold a string.
+    pub fn str(&mut self, key: &str) -> Result<Cow<'a, str>, ParseError> {
+        self.field(key)?;
+        if self.peek() != Some(b'"') {
+            return Err(ParseError::new(format!("field {key:?} is not a string")));
+        }
+        self.string()
+    }
+
+    /// Reads field `key` as a bare token (a number, `true` or `false`):
+    /// the bytes up to the next `,` or `}`, for the field's type to parse.
+    pub fn bare(&mut self, key: &str) -> Result<&'a str, ParseError> {
+        self.field(key)?;
+        let rest = self.line.get(self.at..).unwrap_or_default();
+        let (token, _) = rest.split_at(rest.find([',', '}']).unwrap_or(rest.len()));
+        self.at += token.len();
+        Ok(token)
+    }
+
+    /// Checks that no field is left and nothing follows the closing `}`.
+    pub fn done(mut self) -> Result<(), ParseError> {
+        match self.next_key()? {
+            Some(k) => Err(ParseError::new(format!("unexpected extra field {k:?}"))),
+            None if self.at + 1 == self.line.len() => Ok(()),
+            None => Err(ParseError::new("trailing bytes after object")),
+        }
+    }
+
+    /// Reads a string literal, accepting exactly the escapes
+    /// [`escape_into`] writes and no raw control bytes, so only canonical
+    /// text parses. Every byte the scan stops at is ASCII, so each slice
+    /// taken falls on a character boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let line = self.line;
+        let b = line.as_bytes();
+        if b.get(self.at) != Some(&b'"') {
+            return Err(ParseError::new("expected '\"'"));
+        }
+        let mut i = self.at + 1;
+        // The text before `run` is unescaped into `owned`; none is, until
+        // the first escape.
+        let mut run = i;
+        let mut owned: Option<String> = None;
+        loop {
+            match b.get(i) {
+                Some(b'"') => break,
+                Some(b'\\') => {
+                    let (c, len) = match b.get(i + 1) {
+                        Some(b'"') => (b'"', 2),
+                        Some(b'\\') => (b'\\', 2),
+                        Some(b'n') => (b'\n', 2),
+                        Some(b't') => (b'\t', 2),
+                        Some(b'u') => match b.get(i + 2..i + 6).and_then(control_escape) {
+                            Some(c) => (c, 6),
+                            None => return Err(ParseError::new("unsupported escape")),
+                        },
+                        _ => return Err(ParseError::new("unsupported escape")),
+                    };
+                    let text = owned.get_or_insert_with(String::new);
+                    text.push_str(line.get(run..i).unwrap_or_default());
+                    text.push(char::from(c));
+                    i += len;
+                    run = i;
+                }
+                Some(&c) if c < 0x20 => return Err(ParseError::new("raw control byte in string")),
+                // Multi-byte UTF-8 is carried through verbatim.
+                Some(_) => i += 1,
+                None => return Err(ParseError::new("unterminated string")),
+            }
+        }
+        self.at = i + 1;
+        let tail = line.get(run..i).unwrap_or_default();
+        Ok(match owned {
+            None => Cow::Borrowed(tail),
+            Some(mut text) => {
+                text.push_str(tail);
+                Cow::Owned(text)
+            }
+        })
+    }
 }
 
 /// The control character a canonical `\u00xx` escape names: lowercase
@@ -385,28 +318,119 @@ fn control_escape(hex: &[u8]) -> Option<u8> {
     (c != b'\n' && c != b'\t').then_some(c)
 }
 
-fn parse_value(b: &[u8], i: usize) -> Result<(Val, usize), ParseError> {
-    match b.get(i) {
-        Some(b'"') => parse_string(b, i).map(|(s, n)| (Val::Str(s), n)),
-        Some(b't') if b[i..].starts_with(b"true") => Ok((Val::Bool(true), i + 4)),
-        Some(b'f') if b[i..].starts_with(b"false") => Ok((Val::Bool(false), i + 5)),
-        Some(c) if c.is_ascii_digit() => {
-            let mut j = i;
-            while j < b.len() && b[j].is_ascii_digit() {
-                j += 1;
-            }
-            let Ok(text) = std::str::from_utf8(&b[i..j]) else {
-                return Err(ParseError::new("invalid utf-8 in number"));
-            };
-            if text.len() > 1 && text.starts_with('0') {
-                return Err(ParseError::new("non-canonical number"));
-            }
-            let n: u64 = text
-                .parse()
-                .map_err(|_| ParseError::new("number out of range"))?;
-            Ok((Val::Num(n), j))
+/// How one field type is written to and read from a line.
+pub trait Wire: Sized {
+    fn write(&self, w: &mut LineWriter<'_>, key: &str);
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError>;
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.key(key);
+        push_u64(w.buf, *self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let text = f.bare(key)?;
+        // `str::parse` also takes a leading `+` or `0`; the writer never
+        // writes either, so only canonical decimal reads back.
+        match text.parse() {
+            Ok(n) if text == "0" || !text.starts_with(['+', '0']) => Ok(n),
+            _ => Err(ParseError::new(format!("field {key:?} is not a number"))),
         }
-        _ => Err(ParseError::new("unsupported value")),
+    }
+}
+
+impl Wire for u32 {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        u64::from(*self).write(w, key);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        u32::try_from(u64::read(f, key)?)
+            .map_err(|_| ParseError::new(format!("field {key:?} overflows u32")))
+    }
+}
+
+/// Written in `Display` form, the shortest that parses back to the same
+/// value; read with `str::parse`, so the value survives byte-identically.
+impl Wire for f64 {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.key(key);
+        push_f64(w.buf, *self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        f.bare(key)?
+            .parse()
+            .map_err(|_| ParseError::new(format!("field {key:?} is not a number")))
+    }
+}
+
+impl Wire for String {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str(key, self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        f.str(key).map(Cow::into_owned)
+    }
+}
+
+/// An interned endpoint: written as its text, so the line is the same as
+/// for a `String`; each parsed line gets its own allocation.
+impl Wire for Arc<str> {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str(key, self);
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        f.str(key).map(|s| Arc::from(&*s))
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.key(key);
+        w.buf.push_str(if *self { "true" } else { "false" });
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        match f.bare(key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            _ => Err(ParseError::new(format!("field {key:?} is not a bool"))),
+        }
+    }
+}
+
+impl Wire for OutcomeCode {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str(key, self.as_str());
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let s = f.str(key)?;
+        OutcomeCode::parse(&s).ok_or_else(|| ParseError::new(format!("unknown outcome {s:?}")))
+    }
+}
+
+impl Wire for FaultClass {
+    #[inline]
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str(key, self.as_str());
+    }
+
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let s = f.str(key)?;
+        FaultClass::parse(&s).ok_or_else(|| ParseError::new(format!("unknown fault {s:?}")))
     }
 }
 
@@ -429,6 +453,14 @@ pub(crate) fn push_u64(out: &mut String, v: u64) {
     for &d in digits[..len].iter().rev() {
         out.push(char::from(d));
     }
+}
+
+/// Appends `v` in its `Display` form: the shortest decimal that parses
+/// back to `v`.
+#[inline]
+pub fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
+    let _ = write!(out, "{v}");
 }
 
 /// The number of decimal digits [`push_u64`] writes for `v`.
@@ -505,7 +537,8 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
         if self.failed.is_some() || (self.stable_only && !event.kind.replay_stable()) {
             return;
         }
-        self.line = write_line(event, std::mem::take(&mut self.line));
+        self.line.clear();
+        push_line(event, &mut self.line);
         self.line.push('\n');
         match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,

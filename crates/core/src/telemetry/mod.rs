@@ -25,11 +25,11 @@
 //!
 //! A [`Recorder`] receives each event by reference. Shipped recorders:
 //!
-//! * [`RingRecorder`] — bounded in-memory buffer of the most recent events;
+//! * `Vec<Event>` — keeps every event in memory, in emission order;
 //! * [`JsonlRecorder`] — writes one canonical JSON object per line, exactly
 //!   re-parseable with [`jsonl::parse_line`];
 //! * [`MetricsAggregator`] — folds the stream into counter families and
-//!   per-endpoint/per-worker histograms ([`TelemetrySummary`]); one is
+//!   per-endpoint histograms ([`TelemetrySummary`]); one is
 //!   always attached internally, and its summary lands in
 //!   `OrchestratorReport::telemetry`.
 //!
@@ -54,14 +54,10 @@
 
 mod aggregate;
 pub mod jsonl;
-mod ring;
 
-pub use aggregate::{
-    EndpointStats, Histogram, MetricsAggregator, ResumeStats, TelemetrySummary, WorkerStats,
-};
+pub use aggregate::{EndpointStats, Histogram, MetricsAggregator, ResumeStats, TelemetrySummary};
 use jsonl::Wire;
 pub use jsonl::{JsonlRecorder, ParseError};
-pub use ring::RingRecorder;
 
 use crate::driver::QueryOutcome;
 use crate::monitor::CampaignMonitor;
@@ -150,7 +146,7 @@ macro_rules! event_schema {
             }
 
             /// Writes the kind's fields in declaration order.
-            fn write_fields(&self, w: &mut jsonl::LineWriter) {
+            fn write_fields(&self, w: &mut jsonl::LineWriter<'_>) {
                 match self {
                     $( $kind::$variant { $($field,)* } => {
                         $( Wire::write($field, w, stringify!($field)); )*
@@ -352,6 +348,13 @@ event_schema! {
 /// (silently detached) rather than allowed to abort the campaign.
 pub trait Recorder {
     fn record(&mut self, event: &Event);
+}
+
+/// Keeps every event, in emission order.
+impl Recorder for Vec<Event> {
+    fn record(&mut self, event: &Event) {
+        self.push(event.clone());
+    }
 }
 
 /// The emission side: where the orchestrator and driver hand events in.

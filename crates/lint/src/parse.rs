@@ -11,7 +11,9 @@
 //! * every call expression inside a function body, classified as a free
 //!   call (`helper(..)`), a qualified call (`Type::new(..)` — only the
 //!   last two path segments are kept), a method call (`recv.step(..)`
-//!   with a receiver hint), or a macro invocation (`panic!(..)`).
+//!   with a receiver hint), or a macro invocation (`panic!(..)`). A
+//!   qualified fn path passed as an argument (`.map(Type::name)`) is a
+//!   qualified call too; a bare `.map(helper)` is not.
 //!
 //! Design constraints mirror the lexer's:
 //!
@@ -346,7 +348,18 @@ impl Parser<'_> {
                     .get(c + 1)
                     .is_some_and(|t| scan::is_punct(t, '('))
             });
-        if !scan::is_punct(next, '(') && !paren_after_turbofish {
+        // `f(Type::name)`, `.map(module::name)`: the callee calls a
+        // qualified fn path passed as an argument, so it is a call site.
+        // A bare `.map(helper)` is not: a lexical pass cannot tell a fn
+        // name from a local binding.
+        let is = |j: usize, c: char| self.tokens.get(j).is_some_and(|t| scan::is_punct(t, c));
+        let passed_path = (is(i + 1, ')') || is(i + 1, ','))
+            && i >= 4
+            && is(i - 1, ':')
+            && is(i - 2, ':')
+            && scan::ident_name(&self.tokens[i - 3]).is_some()
+            && (is(i - 4, '(') || is(i - 4, ',') || is(i - 4, ':'));
+        if !scan::is_punct(next, '(') && !paren_after_turbofish && !passed_path {
             return None;
         }
         if NON_CALL_KEYWORDS.contains(&name) {
@@ -487,6 +500,25 @@ mod tests {
         assert!(!calls
             .iter()
             .any(|c| matches!(&c.callee, Callee::Free(n) if n == "if" || n == "loop")));
+    }
+
+    #[test]
+    fn qualified_fn_paths_passed_as_arguments_are_calls() {
+        let src =
+            "fn f() { xs.map(Helper::stamp); g(a, crate::m::h); xs.map(helper); k(E::V + 1); }";
+        let calls: Vec<Callee> = parse(src).fns[0]
+            .calls
+            .iter()
+            .map(|c| c.callee.clone())
+            .collect();
+        let qualified = |q: &str, n: &str| Callee::Qualified(q.into(), n.into());
+        assert!(calls.contains(&qualified("Helper", "stamp")));
+        assert!(calls.contains(&qualified("m", "h")));
+        assert!(!calls.contains(&Callee::Free("helper".into())));
+        assert!(
+            !calls.contains(&qualified("E", "V")),
+            "a path inside an expression"
+        );
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //!
 //! Every query kind is one [`ServeQuery`] variant; every reply is one
 //! [`ServeAnswer`] variant. The wire form is a single line of JSON-lite
-//! per query or answer (the same restricted dialect `events.jsonl`
-//! uses: string values never contain quotes or backslashes, so no
-//! escaping pass exists on either side; a parser that meets a quote
-//! inside a value rejects the line). Each enum is declared once, in a
-//! `wire_schema!` invocation that generates its wire names, line writer
-//! and parser from the variant list, so a new variant travels the wire
-//! by construction. Only the store's `answer` dispatch is written by
-//! hand, and divide-lint's E1 rule keeps it exhaustive.
+//! per query or answer, in the dialect `events.jsonl` uses, and through
+//! the same codec: [`bqt::telemetry::jsonl`]'s `LineWriter` writes each
+//! line, escaping strings, and its strict `Fields` cursor reads it back,
+//! keys in order, so any city round-trips. Each enum is declared once, in
+//! a `wire_schema!` invocation that generates its wire names, line writer
+//! and parser from the variant list, so a new variant travels the wire by
+//! construction. Only the store's `answer` dispatch is written by hand,
+//! and divide-lint's E1 rule keeps it exhaustive.
 
 use bbsim_isp::Isp;
 use bbsim_net::{Method, Request, Response};
+use bqt::telemetry::jsonl::{push_f64, Fields, LineWriter, ParseError, Wire};
 use bqt::ScrapedPlan;
 use std::fmt::{self, Write};
 
@@ -22,9 +23,12 @@ use std::fmt::{self, Write};
 /// lines carry (for errors) and the key of their kind field; each
 /// variant lists its fields and its wire name. From that the macro
 /// generates the enum, `wire_name`, the line writer `push_line` and the
-/// key-based parser `read_line`. A line is `{"<key>":"<wire name>"`,
-/// then `,"<field>":<value>` per field in declaration order, then `}`;
-/// each value goes through the field type's [`Wire`] impl.
+/// parser `read_line`. A line is `{"<key>":"<wire name>"`, then
+/// `,"<field>":<value>` per field in declaration order, then `}`. Each
+/// value goes through its type's shared [`Wire`] impl or, for the
+/// serve-only types, its [`ServeWire`] impl: the two traits name their
+/// methods alike, so `.write` and `<$ty>::read` find whichever one the
+/// type implements.
 macro_rules! wire_schema {
     (
         $(#[$meta:meta])*
@@ -50,29 +54,30 @@ macro_rules! wire_schema {
 
             /// Appends the single-line wire form to `out`.
             fn push_line(&self, out: &mut String) {
+                let mut w = LineWriter::open(out);
                 match self {
                     $( $name::$variant { $($( $field, )*)? } => {
-                        out.push_str(concat!("{\"", $key, "\":\"", $wire, "\""));
-                        $($(
-                            out.push_str(concat!(",\"", stringify!($field), "\":"));
-                            Wire::write($field, out);
-                        )*)?
+                        w.str($key, $wire);
+                        $($( $field.write(&mut w, stringify!($field)); )*)?
                     } )*
                 }
-                out.push('}');
+                w.finish();
             }
 
-            /// Parses one line, finding the kind and each field by key.
+            /// Parses one line: the kind, then each field in order.
             fn read_line(line: &str) -> Result<Self, WireError> {
-                Ok(match field(line, $key)? {
+                let mut f = Fields::open(line)?;
+                let value = match &*f.str($key)? {
                     $( $wire => $name::$variant { $($(
-                        $field: Wire::read(field(line, stringify!($field))?, stringify!($field))?,
+                        $field: <$ty>::read(&mut f, stringify!($field))?,
                     )*)? }, )*
                     other => {
                         let kind = stringify!($kind);
                         return Err(wire_err(format!("unknown {kind} kind {other:?}")));
                     }
-                })
+                };
+                f.done()?;
+                Ok(value)
             }
         }
     };
@@ -151,128 +156,70 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<ParseError> for WireError {
+    fn from(e: ParseError) -> Self {
+        WireError(e.message)
+    }
+}
+
 fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-/// The rest of `line` after the first `"key":`. Keys are quote-free
-/// literals, so a match never overlaps an earlier partial one and the
-/// search can resume past it.
-fn value_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let mut from = 0;
-    loop {
-        let start = from + line.get(from..)?.find(key)?;
-        let end = start + key.len();
-        if line[..start].ends_with('"') && line[end..].starts_with("\":") {
-            return line.get(end + 2..);
-        }
-        from = end;
-    }
-}
-
-/// Extracts `"key":<value>` from a JSON-lite line, borrowed; values are
-/// either quoted strings (no escapes) or bare tokens terminated by `,`
-/// / `}`. A quoted value must end its field: a closing quote followed by
-/// anything but `,` or `}` means the value itself held a quote, which
-/// the dialect cannot carry, so the line is rejected rather than read
-/// as a shorter value.
-fn field<'a>(line: &'a str, key: &str) -> Result<&'a str, WireError> {
-    let rest = value_after(line, key).ok_or_else(|| wire_err(format!("missing field {key:?}")))?;
-    if let Some(quoted) = rest.strip_prefix('"') {
-        let end = quoted
-            .find('"')
-            .ok_or_else(|| wire_err(format!("unterminated field {key:?}")))?;
-        match quoted.as_bytes().get(end + 1) {
-            Some(b',' | b'}') => Ok(&quoted[..end]),
-            _ => Err(wire_err(format!("stray quote in field {key:?}"))),
-        }
-    } else {
-        let end = rest
-            .find([',', '}'])
-            .ok_or_else(|| wire_err(format!("unterminated field {key:?}")))?;
-        Ok(&rest[..end])
-    }
-}
-
-/// How one field type travels on a wire line: `write` appends the value
-/// (quoted or bare), `read` rebuilds it from what [`field`] found under
-/// `key`.
-trait Wire: Sized {
-    fn write(&self, out: &mut String);
-    fn read(value: &str, key: &str) -> Result<Self, WireError>;
-}
-
-/// Numbers travel bare, in `Display` form: shortest round-trip for
-/// `f64`, so values survive byte-identically.
-macro_rules! bare_number {
-    ($($ty:ty),*) => {$(
-        impl Wire for $ty {
-            fn write(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
-            }
-
-            fn read(value: &str, key: &str) -> Result<Self, WireError> {
-                value.parse().map_err(|_| wire_err(format!("non-numeric field {key:?}")))
-            }
-        }
-    )*};
-}
-
-bare_number!(u64, f64);
-
-/// The query's city: the only string a parse allocates.
-impl Wire for String {
-    fn write(&self, out: &mut String) {
-        let _ = write!(out, "\"{self}\"");
-    }
-
-    fn read(value: &str, _key: &str) -> Result<Self, WireError> {
-        Ok(value.to_string())
-    }
+/// The field types whose codec the orphan rule keeps in this crate:
+/// neither the shared [`Wire`] trait nor these types are local to it.
+trait ServeWire: Sized {
+    fn write(&self, w: &mut LineWriter<'_>, key: &str);
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError>;
 }
 
 /// An ISP travels as its slug, matched borrowed.
-impl Wire for Isp {
-    fn write(&self, out: &mut String) {
-        let _ = write!(out, "\"{}\"", self.slug());
+impl ServeWire for Isp {
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str(key, self.slug());
     }
 
-    fn read(slug: &str, _key: &str) -> Result<Self, WireError> {
-        Isp::from_slug(slug).ok_or_else(|| wire_err(format!("unknown isp slug {slug:?}")))
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let slug = f.str(key)?;
+        Isp::from_slug(&slug).ok_or_else(|| ParseError::new(format!("unknown isp slug {slug:?}")))
     }
 }
 
-/// Plans travel in the dataset's quoted `down/up/price;...` triple
-/// format.
-impl Wire for Vec<ScrapedPlan> {
-    fn write(&self, out: &mut String) {
-        out.push('"');
-        for (i, p) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(';');
+/// Plans travel as one string in the dataset's `down/up/price;...`
+/// triple format.
+impl ServeWire for Vec<ScrapedPlan> {
+    fn write(&self, w: &mut LineWriter<'_>, key: &str) {
+        w.str_with(key, |out| {
+            for (i, p) in self.iter().enumerate() {
+                if i > 0 {
+                    out.push(';');
+                }
+                push_f64(out, p.download_mbps);
+                out.push('/');
+                push_f64(out, p.upload_mbps);
+                out.push('/');
+                push_f64(out, p.price_usd);
             }
-            let _ = write!(out, "{}/{}/{}", p.download_mbps, p.upload_mbps, p.price_usd);
-        }
-        out.push('"');
+        });
     }
 
-    fn read(s: &str, _key: &str) -> Result<Self, WireError> {
+    fn read(f: &mut Fields<'_>, key: &str) -> Result<Self, ParseError> {
+        let s = f.str(key)?;
         if s.is_empty() {
             return Ok(Vec::new());
         }
         let mut plans = Vec::with_capacity(1 + s.bytes().filter(|&b| b == b';').count());
         for triple in s.split(';') {
-            let mut it = triple.split('/');
-            let mut next = || {
-                it.next()
-                    .ok_or_else(|| wire_err(format!("short plan triple {triple:?}")))?
-                    .parse::<f64>()
-                    .map_err(|_| wire_err(format!("non-numeric plan triple {triple:?}")))
+            let mut it = triple.split('/').map(str::parse);
+            let (Some(Ok(download_mbps)), Some(Ok(upload_mbps)), Some(Ok(price_usd)), None) =
+                (it.next(), it.next(), it.next(), it.next())
+            else {
+                return Err(ParseError::new(format!("bad plan triple {triple:?}")));
             };
             plans.push(ScrapedPlan {
-                download_mbps: next()?,
-                upload_mbps: next()?,
-                price_usd: next()?,
+                download_mbps,
+                upload_mbps,
+                price_usd,
             });
         }
         Ok(plans)
@@ -290,9 +237,8 @@ pub fn query_to_line(q: &ServeQuery) -> String {
 }
 
 /// Parses one wire line back to a query; exact inverse of
-/// [`query_to_line`] on every value the serializer emits whose city
-/// holds no `"`. The kind and ISP slug are matched borrowed; the city
-/// is the only string a parse allocates.
+/// [`query_to_line`]. The kind and ISP slug are matched borrowed; the
+/// city is the only string a parse allocates.
 pub fn parse_query_line(line: &str) -> Result<ServeQuery, WireError> {
     ServeQuery::read_line(line)
 }
@@ -570,8 +516,58 @@ mod tests {
         assert!(parse_answer_line("{\"a\":\"percentiles\",\"n\":no}").is_err());
     }
 
+    /// Queries whose city holds every character the codec escapes.
+    fn escaped_queries() -> Vec<ServeQuery> {
+        ["a\"b", "back\\slash", "tab\there", "ctl\u{1}x"]
+            .into_iter()
+            .flat_map(|city| {
+                [
+                    ServeQuery::Plans {
+                        city: city.into(),
+                        isp: Isp::Att,
+                        tag: 7,
+                    },
+                    ServeQuery::Tiles { city: city.into() },
+                ]
+            })
+            .collect()
+    }
+
     #[test]
-    fn a_quote_inside_a_quoted_value_is_rejected() {
+    fn cities_that_need_escapes_round_trip() {
+        for q in escaped_queries() {
+            let line = query_to_line(&q);
+            assert!(!line.contains('\t') && !line.contains('\u{1}'), "{line}");
+            assert_eq!(parse_query_line(&line), Ok(q));
+        }
+    }
+
+    #[test]
+    fn cities_that_need_escapes_round_trip_through_http_wire() {
+        let qs = escaped_queries();
+        let mut reqs: Vec<ServeRequest> = qs.iter().cloned().map(ServeRequest::Single).collect();
+        reqs.push(ServeRequest::Batch(qs));
+        for req in reqs {
+            let revived = Request::from_wire(&req.to_http().to_wire()).unwrap();
+            assert_eq!(ServeRequest::from_http(&revived), Ok(req));
+        }
+    }
+
+    #[test]
+    fn keys_out_of_order_are_rejected() {
+        let line = query_to_line(&queries().remove(0));
+        assert_eq!(
+            line,
+            r#"{"q":"plans","city":"Billings","isp":"centurylink","tag":90210}"#
+        );
+        let swapped = r#"{"q":"plans","isp":"centurylink","city":"Billings","tag":90210}"#;
+        assert!(parse_query_line(swapped).is_err());
+        let kind_last = r#"{"city":"Billings","q":"tiles"}"#;
+        assert!(parse_query_line(kind_last).is_err());
+    }
+
+    #[test]
+    fn a_quote_inside_a_quoted_value_round_trips() {
         for q in [
             ServeQuery::Plans {
                 city: "a\"b".into(),
@@ -580,7 +576,7 @@ mod tests {
             },
             ServeQuery::Tiles { city: "\"".into() },
         ] {
-            assert!(parse_query_line(&query_to_line(&q)).is_err(), "{q:?}");
+            assert_eq!(parse_query_line(&query_to_line(&q)), Ok(q));
         }
         let quoted_kind = "{\"q\":\"tiles\"x\",\"city\":\"B\"}";
         assert!(parse_query_line(quoted_kind).is_err());

@@ -260,8 +260,11 @@ mod tests {
         assert!(cache_flags(&Response::new(Status::BadRequest)).is_empty());
     }
 
+    /// A quote in a value is escaped on the wire, so the lookup reaches
+    /// the (empty) store like any other; a line the codec rejects is a
+    /// bad request.
     #[test]
-    fn a_quote_inside_a_value_is_a_bad_request() {
+    fn a_quote_inside_a_value_is_served_and_a_malformed_line_is_a_bad_request() {
         let mut transport = transport();
         let resp = lookup(
             &mut transport,
@@ -271,7 +274,19 @@ mod tests {
                 tag: 1,
             },
         );
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(cache_flags(&resp), vec![false]);
+        assert_eq!(
+            ServeResponse::from_http(&resp, false),
+            Ok(ServeResponse::Single(ServeAnswer::NotFound))
+        );
+
+        let extra = Request::post("/lookup", r#"{"q":"tiles","city":"B","extra":1}"#);
+        let (resp, _) = transport
+            .round_trip("serve", SimIp(1), &extra, SimTime::ZERO)
+            .expect("registered endpoint");
         assert_eq!(resp.status, Status::BadRequest);
+        assert_eq!(resp.body, r#"unexpected extra field "extra""#);
         assert!(cache_flags(&resp).is_empty());
         assert!(ServeResponse::from_http(&resp, false).is_err());
     }

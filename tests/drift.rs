@@ -12,8 +12,8 @@
 use decoding_divide::bat::{templates, BatServer, DriftSchedule, TemplateVersion};
 use decoding_divide::bqt::{
     BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, JournalError, JsonlRecorder,
-    MonitorPolicy, Orchestrator, OrchestratorReport, QueryJob, RetryPolicy, RingRecorder, ShardEnv,
-    ShardPlan, ShardSpec, SloRule,
+    MonitorPolicy, Orchestrator, OrchestratorReport, QueryJob, RetryPolicy, ShardEnv, ShardPlan,
+    ShardSpec, SloRule,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
@@ -84,12 +84,12 @@ fn median_attempt_end<'a>(events: impl Iterator<Item = &'a Event>) -> SimTime {
 /// back to, and the median attempt instant that locates "mid-campaign".
 fn baseline(seed: u64) -> (OrchestratorReport, SimTime) {
     let (mut t, jobs) = setup(None);
-    let mut ring = RingRecorder::new(1 << 16);
+    let mut stream: Vec<Event> = Vec::new();
     let report = Campaign::from_orchestrator(orch(seed))
         .config(config())
-        .recorder(&mut ring)
+        .recorder(&mut stream)
         .run(&mut t, &jobs, &mut pool(seed));
-    let midpoint = median_attempt_end(ring.events());
+    let midpoint = median_attempt_end(stream.iter());
     (report, midpoint)
 }
 
@@ -295,15 +295,15 @@ fn sharded_drifted_campaign_is_byte_identical_across_thread_counts() {
     // Shards run the same jobs split four ways, so their attempt flow
     // finishes early relative to the unsharded baseline — locate the
     // redesign at the *sharded* median attempt instant.
-    let mut ring = RingRecorder::new(1 << 16);
+    let mut stream: Vec<Event> = Vec::new();
     let undrifted = Campaign::from_orchestrator(orch(seed))
         .config(config())
         .threads(1)
-        .recorder(&mut ring)
+        .recorder(&mut stream)
         .run_sharded(&shard_plan, &make_env(base.join("undrifted"), None))
         .unwrap();
     assert!(!undrifted.crashed());
-    let schedule = redesign_at(median_attempt_end(ring.events()));
+    let schedule = redesign_at(median_attempt_end(stream.iter()));
 
     let run = |threads: usize, dir: &str| {
         let mut log = JsonlRecorder::stable(Vec::new());

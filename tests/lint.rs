@@ -308,6 +308,25 @@ fn t1_reports_transitive_sources_with_full_chains() {
     assert!(hash.hint.contains("-> hash_summary"), "{}", hash.hint);
 }
 
+/// A fn passed by path (`.map(Helper::stamp)`) is a call edge: the
+/// wall-clock read inside it is reached, with the chain through it.
+#[test]
+fn t1_follows_a_fn_passed_by_path() {
+    let findings = run(|c| {
+        c.entries = vec![entry("taint/t1_fn_path.rs", Some("Campaign"), "run")];
+    });
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let wall = &findings[0];
+    assert_eq!(wall.rule, RuleId::T1);
+    assert!(wall.message.contains("Instant::now"), "{}", wall.message);
+    assert!(
+        wall.hint.contains("Campaign::run (taint/t1_fn_path.rs:")
+            && wall.hint.contains("-> Helper::stamp (taint/t1_fn_path.rs:"),
+        "incomplete witness chain: {}",
+        wall.hint
+    );
+}
+
 /// A source that is both in scope and reached names the nearest entry
 /// and its witness chain, not the scope; the same file under its scope
 /// alone names the scope.

@@ -400,7 +400,7 @@ proptest! {
     ) {
         use decoding_divide::bat::{templates, BatServer};
         use decoding_divide::bqt::{
-            BqtConfig, Campaign, EventKind, Orchestrator, QueryJob, RetryPolicy, RingRecorder,
+            BqtConfig, Campaign, Event, EventKind, Orchestrator, QueryJob, RetryPolicy,
         };
         use decoding_divide::census::city_by_name;
         use decoding_divide::isp::{CityWorld, Isp};
@@ -445,10 +445,10 @@ proptest! {
             ..Orchestrator::paper_default(seed)
         };
         let mut pool = IpPool::residential(16, RotationPolicy::RoundRobin, seed);
-        let mut ring = RingRecorder::new(1_000_000);
+        let mut stream: Vec<Event> = Vec::new();
         let report = Campaign::from_orchestrator(orch)
             .config(BqtConfig::paper_default(SimDuration::from_secs(45)))
-            .recorder(&mut ring)
+            .recorder(&mut stream)
             .run(&mut t, &jobs, &mut pool);
         prop_assert_eq!(report.records.len(), jobs.len());
 
@@ -462,7 +462,7 @@ proptest! {
         }
         let mut open: HashMap<Key, SimTime> = HashMap::new();
         let mut closed: HashSet<Key> = HashSet::new();
-        for e in ring.events() {
+        for e in &stream {
             let (key, is_begin) = match e.kind {
                 EventKind::CampaignBegin { .. } => (Key::Campaign, true),
                 EventKind::CampaignEnd { .. } => (Key::Campaign, false),

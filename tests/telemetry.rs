@@ -11,7 +11,7 @@ use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::jsonl::parse_line;
 use decoding_divide::bqt::{
     Campaign, Event, EventKind, JournalError, JsonlRecorder, QueryJob, Recorder, RetryPolicy,
-    RingRecorder, ShardEnv, ShardPlan, ShardSpec,
+    ShardEnv, ShardPlan, ShardSpec,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
@@ -49,21 +49,19 @@ fn setup() -> (Transport, Vec<QueryJob>) {
 fn every_attached_recorder_sees_the_identical_stream() {
     let (mut t, jobs) = setup();
     let mut pool = IpPool::residential(32, RotationPolicy::RoundRobin, 1);
-    let mut ring_a = RingRecorder::new(1_000_000);
-    let mut ring_b = RingRecorder::new(1_000_000);
+    let mut a: Vec<Event> = Vec::new();
+    let mut b: Vec<Event> = Vec::new();
     let mut jsonl = JsonlRecorder::new(Vec::new());
     let report = Campaign::new(5)
         .workers(8)
         .retries(RetryPolicy::paper_default(5))
-        .recorder(&mut ring_a)
-        .recorder(&mut ring_b)
+        .recorder(&mut a)
+        .recorder(&mut b)
         .recorder(&mut jsonl)
         .run(&mut t, &jobs, &mut pool);
 
-    let a: Vec<Event> = ring_a.events().cloned().collect();
-    let b: Vec<Event> = ring_b.events().cloned().collect();
     assert!(!a.is_empty());
-    assert_eq!(a, b, "both rings saw the same events in the same order");
+    assert_eq!(a, b, "both recorders saw the same events in the same order");
 
     // The JSONL recorder logged the same stream, one line per event.
     let log = String::from_utf8(jsonl.into_inner()).unwrap();
@@ -125,11 +123,11 @@ fn a_panicking_recorder_is_detached_without_poisoning_the_run() {
         seen_after_panic: 0,
         panicked: false,
     };
-    let mut ring = RingRecorder::new(1_000_000);
+    let mut stream: Vec<Event> = Vec::new();
     let report = Campaign::new(5)
         .workers(8)
         .recorder(&mut grenade)
-        .recorder(&mut ring)
+        .recorder(&mut stream)
         .run(&mut t, &jobs, &mut pool);
     std::panic::set_hook(prev);
 
@@ -139,15 +137,15 @@ fn a_panicking_recorder_is_detached_without_poisoning_the_run() {
     // The healthy recorder saw the full stream, panic notwithstanding:
     // through to CampaignEnd, with every attempt the aggregator counted.
     assert!(
-        ring.seen() > grenade.seen as u64,
+        stream.len() > grenade.seen,
         "the stream outlived the grenade"
     );
     assert!(matches!(
-        ring.events().last().unwrap().kind,
+        stream.last().unwrap().kind,
         EventKind::CampaignEnd { .. }
     ));
-    let attempt_ends = ring
-        .events()
+    let attempt_ends = stream
+        .iter()
         .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
         .count() as u64;
     assert_eq!(attempt_ends, report.telemetry.attempts);
@@ -187,24 +185,23 @@ fn a_panicking_recorder_is_detached_from_a_sharded_run() {
                 seen_after_panic: 0,
                 panicked: false,
             };
-            let mut ring = RingRecorder::new(1_000_000);
+            let mut stream: Vec<Event> = Vec::new();
             let result = Campaign::new(5)
                 .workers(8)
                 .threads(threads)
                 .recorder(&mut grenade)
-                .recorder(&mut ring)
+                .recorder(&mut stream)
                 .run_sharded(&plan, &make_env);
-            (threads, result, grenade, ring)
+            (threads, result, grenade, stream)
         })
         .collect();
     std::panic::set_hook(prev);
 
-    for (threads, result, grenade, ring) in runs {
+    for (threads, result, grenade, stream) in runs {
         let outcome = result.expect("a recorder panic is not a run failure");
         assert!(!outcome.crashed(), "threads {threads}");
         // The healthy recorder saw the whole merged stream.
-        let seen: Vec<Event> = ring.events().cloned().collect();
-        assert_eq!(seen, outcome.events, "threads {threads}");
+        assert_eq!(stream, outcome.events, "threads {threads}");
         // The poisoned recorder was dropped at the explosion, not retried.
         assert_eq!(grenade.seen, 25, "threads {threads}");
         assert_eq!(
