@@ -549,12 +549,7 @@ pub fn scaling(seed: u64) -> String {
         .records()
         .iter()
         .take(400)
-        .map(|r| QueryJob {
-            endpoint: isp.slug().to_string(),
-            dialect: templates::dialect_of(isp),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(isp.slug(), templates::dialect_of(isp), r))
         .collect();
 
     let mut t = Table::new(vec![
@@ -631,12 +626,7 @@ pub fn ablation_wait(seed: u64) -> String {
         .records()
         .iter()
         .take(300)
-        .map(|r| QueryJob {
-            endpoint: isp.slug().to_string(),
-            dialect: templates::dialect_of(isp),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(isp.slug(), templates::dialect_of(isp), r))
         .collect();
 
     let mut t = Table::new(vec!["wait policy", "median query (s)", "hit rate"]);

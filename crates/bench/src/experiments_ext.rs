@@ -7,10 +7,17 @@ use bbsim_analysis::{
     audit_form477, evaluate_intervention, markup_view, morans_i_for_isp, report::opt_f64,
     test_competition, upload_consistency, worst_flattening, CompetitionMode, Intervention, Table,
 };
+use bbsim_bat::{templates, BatServer, DriftSchedule, TemplateVersion};
 use bbsim_census::city_by_name;
 use bbsim_dataset::{aggregate_block_groups, curate_city, CurationOptions};
 use bbsim_isp::{CityWorld, Form477Report, Isp, ALL_ISPS};
+use bbsim_net::{IpPool, RotationPolicy, SimTime, Transport};
 use bbsim_stats::{gearys_c, mann_whitney, median};
+use bqt::{
+    Campaign, DriftMonitor, Event, EventKind, Journal, JournalError, JsonlRecorder, MonitorPolicy,
+    Orchestrator, OrchestratorReport, QueryJob, ShardEnv, ShardPlan, ShardSpec, SloRule,
+};
+use std::sync::Arc;
 
 /// §4.3 — staleness: how much does a snapshot drift per month?
 pub fn staleness(seed: u64) -> String {
@@ -103,12 +110,10 @@ pub fn audit(seed: u64) -> String {
 
 /// §3 limitation — template drift detection and re-bootstrap.
 pub fn drift(seed: u64) -> String {
-    use bbsim_bat::{templates, BatServer, TemplateVersion};
-    use bbsim_net::{SimDuration, SimIp, SimTime, Transport};
-    use bqt::{query_address, BqtConfig, DriftMonitor, QueryJob, TemplateSet};
+    use bbsim_net::{SimDuration, SimIp};
+    use bqt::{query_address, BqtConfig, TemplateSet};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
 
     let city = city_by_name("Billings").expect("study city");
     let world = Arc::new(CityWorld::build(city));
@@ -131,12 +136,7 @@ pub fn drift(seed: u64) -> String {
         let mut now = SimTime::ZERO;
         let src = SimIp(0x6440_0009);
         for r in world.addresses().records().iter().take(n) {
-            let job = QueryJob {
-                endpoint: isp.slug().to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            };
+            let job = QueryJob::listing(isp.slug(), templates::dialect_of(isp), r);
             let rec = query_address(&mut transport, &config, &job, src, now, &mut rng);
             now = now + rec.duration + SimDuration::from_secs(10);
             monitor.observe(&rec);
@@ -546,10 +546,7 @@ pub fn chaos(seed: u64) -> String {
 /// show the resumed report is identical while the journal pays for most
 /// of the re-run.
 pub fn resume(seed: u64) -> String {
-    use bbsim_bat::{templates, BatServer};
-    use bbsim_net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
-    use bqt::{BqtConfig, Campaign, Journal, Orchestrator, QueryJob, RetryPolicy};
-    use std::sync::Arc;
+    use bbsim_net::{FaultPlan, SimDuration};
 
     let endpoint = "centurylink/billings";
     let city = city_by_name("Billings").expect("study city");
@@ -572,27 +569,19 @@ pub fn resume(seed: u64) -> String {
             .records()
             .iter()
             .take(120)
-            .map(|r| QueryJob {
-                endpoint: endpoint.to_string(),
-                dialect: templates::dialect_of(Isp::CenturyLink),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .map(|r| QueryJob::listing(endpoint, templates::dialect_of(Isp::CenturyLink), r))
             .collect();
         (t, jobs)
     };
     let orch = Orchestrator {
         n_workers: 8,
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
+        ..Orchestrator::with_retries(seed)
     };
-    let config = BqtConfig::paper_default(SimDuration::from_secs(45));
     let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
 
     let (mut t0, jobs) = setup();
     let mut journal = Journal::in_memory();
     let truth = Campaign::from_orchestrator(orch.clone())
-        .config(config)
         .run_journaled(&mut journal, &mut t0, &jobs, &mut pool())
         .expect("fresh journal")
         .expect("no crash point");
@@ -619,7 +608,6 @@ pub fn resume(seed: u64) -> String {
         let (mut t1, jobs) = setup();
         let mut journal = Journal::in_memory().crash_at(crash_at);
         Campaign::from_orchestrator(orch.clone())
-            .config(config)
             .run_journaled(&mut journal, &mut t1, &jobs, &mut pool())
             .expect("fresh journal");
         // Reboot: only the journal bytes survive the crash.
@@ -628,7 +616,6 @@ pub fn resume(seed: u64) -> String {
         let survived = journal.attempts().len();
         let (mut t2, jobs) = setup();
         let resumed = Campaign::from_orchestrator(orch.clone())
-            .config(config)
             .run_journaled(&mut journal, &mut t2, &jobs, &mut pool())
             .expect("same campaign")
             .expect("no crash point");
@@ -657,13 +644,11 @@ pub fn resume(seed: u64) -> String {
 /// timeline and per-ISP latency histograms from the parsed log alone — the
 /// event log, not the report, is the source of truth here.
 pub fn trace(seed: u64) -> String {
-    use bbsim_bat::{register_fleet, templates};
-    use bbsim_net::{IpPool, RotationPolicy, SimDuration, Transport};
+    use bbsim_bat::register_fleet;
     use bqt::telemetry::jsonl::{parse_line, to_line};
-    use bqt::telemetry::{EventKind, Histogram};
-    use bqt::{BqtConfig, Campaign, JsonlRecorder, QueryJob, RetryPolicy};
+    use bqt::telemetry::Histogram;
+    use bqt::RetryPolicy;
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     let city = city_by_name("Billings").expect("study city");
     let world = Arc::new(CityWorld::build(city));
@@ -677,12 +662,7 @@ pub fn trace(seed: u64) -> String {
                 .records()
                 .iter()
                 .take(40)
-                .map(|r| QueryJob {
-                    endpoint: isp.slug().to_string(),
-                    dialect: templates::dialect_of(isp),
-                    input_line: r.listing_line.clone(),
-                    tag: r.id as u64,
-                }),
+                .map(|r| QueryJob::listing(isp.slug(), templates::dialect_of(isp), r)),
         );
     }
     let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, seed);
@@ -690,7 +670,6 @@ pub fn trace(seed: u64) -> String {
     Campaign::new(seed)
         .workers(8)
         .retries(RetryPolicy::paper_default(seed))
-        .config(BqtConfig::paper_default(SimDuration::from_secs(45)))
         .recorder(&mut rec)
         .run(&mut transport, &jobs, &mut pool);
     let log = String::from_utf8(rec.into_inner()).expect("JSONL is UTF-8");
@@ -811,13 +790,9 @@ pub fn trace(seed: u64) -> String {
 /// and the folded profile are byte-identical across a crash+resume. A panic
 /// anywhere here fails the `health` CI job.
 pub fn health(seed: u64) -> String {
-    use bbsim_bat::{register_fleet, templates};
-    use bbsim_net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
-    use bqt::{
-        render_folded, render_prometheus, BqtConfig, Campaign, Journal, MonitorPolicy,
-        Orchestrator, OrchestratorReport, QueryJob, RetryPolicy, ShedPolicy, SloRule,
-    };
-    use std::sync::Arc;
+    use bbsim_bat::register_fleet;
+    use bbsim_net::{FaultPlan, SimDuration};
+    use bqt::{render_folded, render_prometheus, ShedPolicy};
 
     let city = city_by_name("Billings").expect("study city");
     let world = Arc::new(CityWorld::build(city));
@@ -839,13 +814,11 @@ pub fn health(seed: u64) -> String {
         for r in world.addresses().records().iter().take(60) {
             for isp in world.isps() {
                 jobs.push(QueryJob {
-                    endpoint: isp.slug().to_string(),
-                    dialect: templates::dialect_of(isp),
-                    input_line: r.listing_line.clone(),
                     // Tags must be campaign-unique: the journal and the
                     // per-attempt RNG are keyed by tag, and both ISPs'
                     // job lists come from the same address records.
                     tag: ((isp.column() as u64) << 32) | r.id as u64,
+                    ..QueryJob::listing(isp.slug(), templates::dialect_of(isp), r)
                 });
             }
         }
@@ -853,11 +826,9 @@ pub fn health(seed: u64) -> String {
     };
     let orch = Orchestrator {
         n_workers: 8,
-        retry: Some(RetryPolicy::paper_default(seed)),
         shed: Some(ShedPolicy::paper_default()),
-        ..Orchestrator::paper_default(seed)
+        ..Orchestrator::with_retries(seed)
     };
-    let config = BqtConfig::paper_default(SimDuration::from_secs(45));
     let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
     let policy = || {
         MonitorPolicy::paper_default()
@@ -877,7 +848,6 @@ pub fn health(seed: u64) -> String {
     let (mut tp, jobs) = setup(None);
     let mut probe_journal = Journal::in_memory();
     let clean_makespan = Campaign::from_orchestrator(orch.clone())
-        .config(config)
         .run_journaled(&mut probe_journal, &mut tp, &jobs, &mut pool())
         .expect("fresh journal")
         .expect("no crash point")
@@ -895,7 +865,6 @@ pub fn health(seed: u64) -> String {
     let run = |journal: &mut Journal| -> Option<OrchestratorReport> {
         let (mut t, jobs) = setup(Some(outage));
         Campaign::from_orchestrator(orch.clone())
-            .config(config)
             .monitor(policy())
             .run_journaled(journal, &mut t, &jobs, &mut pool())
             .expect("fresh or matching journal")
@@ -920,10 +889,7 @@ pub fn health(seed: u64) -> String {
     // Crash mid-outage, reboot from the journal bytes alone, resume, and
     // demand byte-identical health artifacts and an identical alert log.
     let crash_at = SimTime::from_millis(truth.makespan.as_millis() / 2);
-    let mut j1 = Journal::in_memory().crash_at(crash_at);
-    assert!(run(&mut j1).is_none(), "the scheduled crash must fire");
-    let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let resumed = run(&mut j1).expect("resume completes");
+    let resumed = crash_and_resume(crash_at, run);
     let rhealth = resumed.health.as_ref().expect("monitor attached");
     let rsection = resumed
         .health_section("billings")
@@ -1037,101 +1003,171 @@ pub fn health(seed: u64) -> String {
     )
 }
 
-/// Longitudinal campaigns: a mid-campaign site redesign is detected,
-/// quarantined and re-bootstrapped without losing the wave, then the same
-/// sample is re-curated across epoch waves and the snapshots diffed.
-pub fn longitudinal(seed: u64, threads: usize) -> String {
-    use bbsim_bat::{templates, BatServer, DriftSchedule, TemplateVersion};
-    use bbsim_dataset::{curate_city, diff_epochs};
-    use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
-    use bqt::{
-        BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, JsonlRecorder, MonitorPolicy,
-        Orchestrator, QueryJob, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, SloRule,
-    };
-    use std::sync::Arc;
+/// Runs a journaled campaign whose journal crashes at `crash_at`, reboots
+/// it from the journal bytes alone and returns the resumed run's result.
+/// Panics unless the crash fires and the resume completes.
+fn crash_and_resume<T>(
+    crash_at: SimTime,
+    mut run: impl FnMut(&mut Journal) -> Option<T>,
+) -> T {
+    let mut journal = Journal::in_memory().crash_at(crash_at);
+    assert!(run(&mut journal).is_none(), "the scheduled crash must fire");
+    let mut journal =
+        Journal::from_bytes(journal.bytes().expect("memory journal")).expect("recoverable");
+    run(&mut journal).expect("resume completes")
+}
 
-    let city = city_by_name("Billings").expect("study city");
-    let world = Arc::new(CityWorld::build(city));
-    let isp = Isp::CenturyLink;
-    let endpoint = isp.slug();
+/// The BQT+ redesign-rescue campaign (Koduru et al., arXiv 2602.16969)
+/// behind `repro tail` and `repro longitudinal`: CenturyLink in Billings,
+/// 8 workers with paper retries over a 64-IP pool. A probe run places
+/// "mid-campaign" at its median attempt instant, where the BAT flips to
+/// V2 templates.
+pub(crate) struct DriftRescue {
+    seed: u64,
+    /// Salt of the hermetic transport's seed.
+    salt: u64,
+    world: Arc<CityWorld>,
+    pub(crate) jobs: Vec<QueryJob>,
+    orch: Orchestrator,
+    /// The redesign; empty (V1 throughout) for the probe run.
+    drift: DriftSchedule,
+    /// When the redesign ships.
+    pub(crate) midpoint: SimTime,
+}
 
-    let setup = |drift: Option<DriftSchedule>| -> (Transport, Vec<QueryJob>) {
-        let mut t = Transport::hermetic(seed ^ 0x10_9D);
-        let mut server = BatServer::new(isp, world.clone());
-        if let Some(schedule) = drift {
-            server.set_drift_schedule(schedule);
-        }
-        t.register(endpoint, server.endpoint());
+impl DriftRescue {
+    /// Places the redesign with a probe run over the first `n_jobs`
+    /// addresses, and returns that undrifted run's report beside it.
+    pub(crate) fn new(seed: u64, salt: u64, n_jobs: usize) -> (Self, OrchestratorReport) {
+        let world = Arc::new(CityWorld::build(
+            city_by_name("Billings").expect("study city"),
+        ));
+        let dialect = templates::dialect_of(Isp::CenturyLink);
         let jobs = world
             .addresses()
             .records()
             .iter()
-            .take(150)
-            .map(|r| QueryJob {
-                endpoint: endpoint.to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .take(n_jobs)
+            .map(|r| QueryJob::listing(Isp::CenturyLink.slug(), dialect, r))
             .collect();
-        (t, jobs)
-    };
-    let orch = Orchestrator {
-        n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
-    };
-    let config = BqtConfig::paper_default(SimDuration::from_secs(45));
-    let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
-    let policy = || {
-        MonitorPolicy::paper_default().rules(vec![SloRule::match_confidence_at_least(0.8)
-            .hysteresis(1, 1)
-            .min_samples(5)])
-    };
+        let mut rescue = Self {
+            seed,
+            salt,
+            world,
+            jobs,
+            orch: Orchestrator {
+                n_workers: 8,
+                ..Orchestrator::with_retries(seed)
+            },
+            drift: DriftSchedule::default(),
+            midpoint: SimTime::ZERO,
+        };
+        // The median attempt instant, not the makespan's: a few
+        // stragglers' retry backoff stretches the tail.
+        let mut stream: Vec<Event> = Vec::new();
+        let healthy = rescue.campaign().recorder(&mut stream).run(
+            &mut rescue.transport(),
+            &rescue.jobs,
+            &mut rescue.pool(),
+        );
+        let mut ends: Vec<u64> = stream
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
+            .map(|e| e.at.as_millis())
+            .collect();
+        ends.sort_unstable();
+        rescue.midpoint = SimTime::from_millis(ends[ends.len() / 2]);
+        rescue.drift = DriftSchedule::flip_at(rescue.midpoint, TemplateVersion::V2);
+        (rescue, healthy)
+    }
 
-    // Probe run: locate "mid-campaign" at the median attempt instant (the
-    // makespan's tail is stretched by a few stragglers' retry backoff).
-    let (mut tp, jobs) = setup(None);
-    let mut stream: Vec<Event> = Vec::new();
-    let healthy = Campaign::from_orchestrator(orch.clone())
-        .config(config)
-        .recorder(&mut stream)
-        .run(&mut tp, &jobs, &mut pool());
-    let mut ends: Vec<u64> = stream
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
-        .map(|e| e.at.as_millis())
-        .collect();
-    ends.sort_unstable();
-    let midpoint = SimTime::from_millis(ends[ends.len() / 2]);
-    let schedule = DriftSchedule::flip_at(midpoint, TemplateVersion::V2);
+    fn transport(&self) -> Transport {
+        let mut t = Transport::hermetic(self.seed ^ self.salt);
+        let mut server = BatServer::new(Isp::CenturyLink, self.world.clone());
+        server.set_drift_schedule(self.drift.clone());
+        t.register(Isp::CenturyLink.slug(), server.endpoint());
+        t
+    }
 
-    // Unguarded: the redesign ships and nobody is watching.
-    let (mut tu, jobs) = setup(Some(schedule.clone()));
-    let unguarded = Campaign::from_orchestrator(orch.clone())
-        .config(config)
-        .run(&mut tu, &jobs, &mut pool());
+    fn pool(&self) -> IpPool {
+        IpPool::residential(64, RotationPolicy::RoundRobin, self.seed)
+    }
 
-    // Guarded: drift monitor armed, match-confidence SLO watching,
-    // journaled so the crash+resume identity below has bytes to reboot
-    // from.
-    let guarded = |journal: &mut Journal| -> (Option<bqt::OrchestratorReport>, String) {
-        let (mut t, jobs) = setup(Some(schedule.clone()));
+    fn campaign<'a>(&self) -> Campaign<'a> {
+        Campaign::from_orchestrator(self.orch.clone())
+    }
+
+    /// The redesign ships and nobody is watching.
+    pub(crate) fn unguarded(&self) -> OrchestratorReport {
+        self.campaign()
+            .run(&mut self.transport(), &self.jobs, &mut self.pool())
+    }
+
+    /// Drift monitor armed, match-confidence SLO watching, journaled:
+    /// the report and its stable JSONL log, or `None` if the journal's
+    /// crash point fired.
+    pub(crate) fn guarded(&self, journal: &mut Journal) -> Option<(OrchestratorReport, String)> {
         let mut log = JsonlRecorder::stable(Vec::new());
-        let report = Campaign::from_orchestrator(orch.clone())
-            .config(config)
+        let policy =
+            MonitorPolicy::paper_default().rules(vec![SloRule::match_confidence_at_least(0.8)
+                .hysteresis(1, 1)
+                .min_samples(5)]);
+        let report = self
+            .campaign()
             .drift_monitor(DriftMonitor::default_ops())
-            .monitor(policy())
+            .monitor(policy)
             .recorder(&mut log)
-            .run_journaled(journal, &mut t, &jobs, &mut pool())
-            .expect("fresh or matching journal");
-        (report, String::from_utf8(log.into_inner()).expect("utf8"))
-    };
+            .run_journaled(journal, &mut self.transport(), &self.jobs, &mut self.pool())
+            .expect("fresh or matching journal")?;
+        Some((report, String::from_utf8(log.into_inner()).expect("utf8")))
+    }
 
-    let mut j0 = Journal::in_memory();
-    let (truth, truth_log) = guarded(&mut j0);
-    let truth = truth.expect("no crash scheduled");
+    /// Inside the post-flip quarantine window.
+    pub(crate) fn crash_at(&self) -> SimTime {
+        SimTime::from_millis(self.midpoint.as_millis() * 11 / 10)
+    }
+
+    /// [`Self::guarded`] crashed at [`Self::crash_at`] and resumed from
+    /// the journal bytes alone.
+    pub(crate) fn resumed(&self) -> (OrchestratorReport, String) {
+        crash_and_resume(self.crash_at(), |journal| self.guarded(journal))
+    }
+
+    /// The drifted campaign split four ways and merged at `threads`: the
+    /// merged stable JSONL stream.
+    fn sharded(&self, threads: usize) -> String {
+        let plan = ShardPlan::round_robin(self.seed, &self.jobs, 4);
+        let make_env = |_: &ShardSpec| -> Result<ShardEnv, JournalError> {
+            Ok(ShardEnv {
+                transport: self.transport(),
+                pool: self.pool(),
+                journal: Some(Journal::in_memory()),
+            })
+        };
+        let mut log = JsonlRecorder::stable(Vec::new());
+        let outcome = self
+            .campaign()
+            .drift_monitor(DriftMonitor::default_ops())
+            .threads(threads)
+            .recorder(&mut log)
+            .run_sharded(&plan, &make_env)
+            .expect("fresh journals");
+        assert!(!outcome.crashed());
+        String::from_utf8(log.into_inner()).expect("utf8")
+    }
+}
+
+/// Longitudinal campaigns: a mid-campaign site redesign is detected,
+/// quarantined and re-bootstrapped without losing the wave, then the same
+/// sample is re-curated across epoch waves and the snapshots diffed.
+pub fn longitudinal(seed: u64, threads: usize) -> String {
+    use bbsim_dataset::diff_epochs;
+
+    let (rescue, healthy) = DriftRescue::new(seed, 0x10_9D, 150);
+    let unguarded = rescue.unguarded();
+    let (truth, truth_log) = rescue
+        .guarded(&mut Journal::in_memory())
+        .expect("no crash scheduled");
     let drift = truth.drift.as_ref().expect("armed runs report drift");
     assert!(truth.rebootstraps() >= 1, "the redesign must be healed");
     let health = truth.health.as_ref().expect("monitor attached");
@@ -1144,15 +1180,7 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
 
     // Crash inside the post-flip quarantine window, reboot from journal
     // bytes alone, and demand a byte-identical retrace.
-    let crash_at = SimTime::from_millis(midpoint.as_millis() * 11 / 10);
-    let mut j1 = Journal::in_memory().crash_at(crash_at);
-    assert!(
-        guarded(&mut j1).0.is_none(),
-        "the scheduled crash must fire"
-    );
-    let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let (resumed, resumed_log) = guarded(&mut j1);
-    let resumed = resumed.expect("resume completes");
+    let (resumed, resumed_log) = rescue.resumed();
     assert_eq!(truth.records, resumed.records, "resume retraces the run");
     assert_eq!(truth.drift, resumed.drift, "resume retraces the rescue");
     assert_eq!(
@@ -1162,43 +1190,20 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
 
     // Sharded: the same drifted campaign split four ways must merge to
     // one byte-identical stream at any thread count.
-    let sharded = |threads: usize| -> String {
-        let (_, jobs) = setup(None);
-        let shard_plan = ShardPlan::round_robin(seed, &jobs, 4);
-        let world = world.clone();
-        let schedule = schedule.clone();
-        let make_env = move |_spec: &ShardSpec| -> Result<ShardEnv, bqt::JournalError> {
-            let mut t = Transport::hermetic(seed ^ 0x10_9D);
-            let mut server = BatServer::new(isp, world.clone());
-            server.set_drift_schedule(schedule.clone());
-            t.register(endpoint, server.endpoint());
-            Ok(ShardEnv {
-                transport: t,
-                pool: IpPool::residential(64, RotationPolicy::RoundRobin, seed),
-                journal: Some(Journal::in_memory()),
-            })
-        };
-        let mut log = JsonlRecorder::stable(Vec::new());
-        let outcome = Campaign::from_orchestrator(orch.clone())
-            .config(config)
-            .drift_monitor(DriftMonitor::default_ops())
-            .threads(threads)
-            .recorder(&mut log)
-            .run_sharded(&shard_plan, &make_env)
-            .expect("fresh journals");
-        assert!(!outcome.crashed());
-        String::from_utf8(log.into_inner()).expect("utf8")
-    };
-    let serial_stream = sharded(1);
     assert_eq!(
-        serial_stream,
-        sharded(threads.max(2)),
+        rescue.sharded(1),
+        rescue.sharded(threads.max(2)),
         "merged drift stream is thread-count invariant"
     );
 
     // --- Epoch waves: re-curate the same sample as the world evolves. ---
     let waves: Vec<_> = (0..4)
-        .map(|epoch| curate_city(city, &CurationOptions::quick(seed).epoch(epoch * 2)))
+        .map(|epoch| {
+            curate_city(
+                rescue.world.city(),
+                &CurationOptions::quick(seed).epoch(epoch * 2),
+            )
+        })
         .collect();
     let diffs = diff_epochs(&waves);
 
@@ -1246,9 +1251,9 @@ pub fn longitudinal(seed: u64, threads: usize) -> String {
          drift sightings: {}; re-bootstraps: {}; match-confidence SLO fired {} / resolved {}\n\n\
          epoch waves (same sample, world evolving; quick scale):\n{}\n\
          last wave's snapshot diff (first 8 lines):\n{}",
-        mins(midpoint.as_millis()),
+        mins(rescue.midpoint.as_millis()),
         mins(healthy.makespan.as_millis()),
-        jobs.len(),
+        rescue.jobs.len(),
         "no redesign:",
         100.0 * healthy.metrics.hit_rate(),
         "redesign, unguarded:",

@@ -24,13 +24,14 @@
 //! `DIR`; CI invokes that twice at different thread counts and
 //! byte-compares both files.
 
+use crate::experiments_ext::DriftRescue;
 use crate::registry::{ExperimentAction, ExperimentCtx};
 use crate::serve_exp::build_store;
 use bbsim_analysis::Table;
 use bbsim_serve::{run, PlanStore, ServeOptions, ServeOutcome};
 use bqt::monitor::CampaignSection;
 use bqt::trace::{attribute, ExemplarSet};
-use bqt::{render_trace_json, JsonlRecorder};
+use bqt::{render_trace_json, Journal};
 use std::sync::Arc;
 
 /// Panics unless every exemplar's attribution sums exactly to its
@@ -141,102 +142,22 @@ fn serve_report(run: &TailRun, sweep: &[usize]) -> String {
 /// the report section after asserting crash+resume byte-identity of the
 /// trace export.
 fn drift_tail(seed: u64) -> String {
-    use bbsim_bat::{templates, BatServer, DriftSchedule, TemplateVersion};
-    use bbsim_census::city_by_name;
-    use bbsim_isp::{CityWorld, Isp};
-    use bbsim_net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
-    use bqt::{
-        BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, MonitorPolicy, Orchestrator,
-        QueryJob, RetryPolicy, SloRule,
-    };
-
-    let city = city_by_name("Billings").expect("study city");
-    let world = Arc::new(CityWorld::build(city));
-    let isp = Isp::CenturyLink;
-    let endpoint = isp.slug();
-
-    let setup = |drift: Option<DriftSchedule>| -> (Transport, Vec<QueryJob>) {
-        let mut t = Transport::hermetic(seed ^ 0x7A11);
-        let mut server = BatServer::new(isp, world.clone());
-        if let Some(schedule) = drift {
-            server.set_drift_schedule(schedule);
-        }
-        t.register(endpoint, server.endpoint());
-        let jobs = world
-            .addresses()
-            .records()
-            .iter()
-            .take(120)
-            .map(|r| QueryJob {
-                endpoint: endpoint.to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
-            .collect();
-        (t, jobs)
-    };
-    let orch = Orchestrator {
-        n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
-    };
-    let config = BqtConfig::paper_default(SimDuration::from_secs(45));
-    let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
-    let policy = || {
-        MonitorPolicy::paper_default().rules(vec![SloRule::match_confidence_at_least(0.8)
-            .hysteresis(1, 1)
-            .min_samples(5)])
-    };
-
-    // Probe run pins "mid-campaign" to the median attempt instant.
-    let (mut tp, jobs) = setup(None);
-    let mut stream: Vec<Event> = Vec::new();
-    Campaign::from_orchestrator(orch.clone())
-        .config(config)
-        .recorder(&mut stream)
-        .run(&mut tp, &jobs, &mut pool());
-    let mut ends: Vec<u64> = stream
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::AttemptEnd { .. }))
-        .map(|e| e.at.as_millis())
-        .collect();
-    ends.sort_unstable();
-    let midpoint = SimTime::from_millis(ends[ends.len() / 2]);
-    let schedule = DriftSchedule::flip_at(midpoint, TemplateVersion::V2);
-
-    // Guarded, journaled, monitored: the traced self-healing campaign.
-    let guarded = |journal: &mut Journal| -> Option<bqt::OrchestratorReport> {
-        let (mut t, jobs) = setup(Some(schedule.clone()));
-        let mut log = JsonlRecorder::stable(std::io::sink());
-        Campaign::from_orchestrator(orch.clone())
-            .config(config)
-            .drift_monitor(DriftMonitor::default_ops())
-            .monitor(policy())
-            .recorder(&mut log)
-            .run_journaled(journal, &mut t, &jobs, &mut pool())
-            .expect("fresh or matching journal")
-    };
-
+    let (rescue, _) = DriftRescue::new(seed, 0x7A11, 120);
     let render = |report: &bqt::OrchestratorReport| -> String {
         let section = report.health_section("drift").expect("monitor attached");
         render_trace_json(std::slice::from_ref(&section))
     };
 
-    let mut j0 = Journal::in_memory();
-    let truth = guarded(&mut j0).expect("no crash scheduled");
+    let (truth, _) = rescue
+        .guarded(&mut Journal::in_memory())
+        .expect("no crash scheduled");
     let health = truth.health.as_ref().expect("monitor attached");
     assert_exact_attribution(&health.exemplars, "drift");
     let truth_json = render(&truth);
 
     // Crash inside the quarantine window, resume from journal bytes,
     // and demand the identical trace export.
-    let crash_at = SimTime::from_millis(midpoint.as_millis() * 11 / 10);
-    let mut j1 = Journal::in_memory().crash_at(crash_at);
-    assert!(guarded(&mut j1).is_none(), "the scheduled crash must fire");
-    let mut j1 = Journal::from_bytes(j1.bytes().expect("memory journal")).expect("recoverable");
-    let resumed = guarded(&mut j1).expect("resume completes");
+    let (resumed, _) = rescue.resumed();
     assert_eq!(
         truth_json,
         render(&resumed),
@@ -255,8 +176,8 @@ fn drift_tail(seed: u64) -> String {
     out.push_str(&format!(
         "redesign at {}ms healed mid-campaign; crash@{}ms resumes to a byte-identical \
          trace.json (fnv64={:016x})\n",
-        midpoint.as_millis(),
-        crash_at.as_millis(),
+        rescue.midpoint.as_millis(),
+        rescue.crash_at().as_millis(),
         bbsim_net::fnv1a(truth_json.as_bytes()),
     ));
     out.push_str(&format!(

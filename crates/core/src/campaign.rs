@@ -330,17 +330,13 @@ mod tests {
         let mut t = Transport::hermetic(11);
         let server = BatServer::new(Isp::CenturyLink, world.clone());
         t.register("centurylink/billings", server.endpoint());
+        let dialect = templates::dialect_of(Isp::CenturyLink);
         let jobs: Vec<QueryJob> = world
             .addresses()
             .records()
             .iter()
             .take(60)
-            .map(|r| QueryJob {
-                endpoint: "centurylink/billings".to_string(),
-                dialect: templates::dialect_of(Isp::CenturyLink),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .map(|r| QueryJob::listing("centurylink/billings", dialect, r))
             .collect();
         (t, jobs)
     }

@@ -11,6 +11,7 @@ use crate::scrape::{detect_with, DetectedPage, ScrapedPlan};
 use crate::telemetry::{EventKind, EventSink, FaultClass, NullSink};
 use bbsim_address::abbrev::extract_zip;
 use bbsim_address::matching::best_match;
+use bbsim_address::AddressRecord;
 use bbsim_bat::Dialect;
 use bbsim_net::{Request, SimDuration, SimIp, SimTime, Status, Transport, TransportError};
 use rand::rngs::StdRng;
@@ -28,6 +29,20 @@ pub struct QueryJob {
     pub input_line: String,
     /// Caller correlation tag (e.g. the address id).
     pub tag: u64,
+}
+
+impl QueryJob {
+    /// The job for one address record: BQT's one query per (address,
+    /// ISP) pair. The record's listing line goes in and its address id
+    /// comes back as the tag.
+    pub fn listing(endpoint: impl Into<String>, dialect: Dialect, record: &AddressRecord) -> Self {
+        Self {
+            endpoint: endpoint.into(),
+            dialect,
+            input_line: record.listing_line.clone(),
+            tag: u64::from(record.id),
+        }
+    }
 }
 
 /// Terminal result of one address query.

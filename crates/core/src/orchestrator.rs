@@ -768,23 +768,15 @@ mod tests {
         let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
         let server = BatServer::new(Isp::CenturyLink, world.clone());
         t.register("centurylink/billings", server.endpoint());
+        let dialect = templates::dialect_of(Isp::CenturyLink);
         let jobs: Vec<QueryJob> = world
             .addresses()
             .records()
             .iter()
             .take(150)
-            .map(|r| QueryJob {
-                endpoint: "centurylink/billings".to_string(),
-                dialect: templates::dialect_of(Isp::CenturyLink),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .map(|r| QueryJob::listing("centurylink/billings", dialect, r))
             .collect();
         (t, jobs)
-    }
-
-    fn config() -> BqtConfig {
-        BqtConfig::paper_default(SimDuration::from_secs(45))
     }
 
     #[test]
@@ -792,14 +784,10 @@ mod tests {
         let (mut t, jobs) = setup();
         let orch = Orchestrator {
             n_workers: 16,
-            politeness: SimDuration::from_secs(5),
-            seed: 1,
             ..Orchestrator::paper_default(1)
         };
         let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, 1);
-        let report = Campaign::from_orchestrator(orch)
-            .config(config())
-            .run(&mut t, &jobs, &mut pool);
+        let report = Campaign::from_orchestrator(orch).run(&mut t, &jobs, &mut pool);
         assert_eq!(report.records.len(), jobs.len());
         let mut tags: Vec<u64> = report.records.iter().map(|r| r.tag).collect();
         tags.sort_unstable();
@@ -811,16 +799,12 @@ mod tests {
     fn more_workers_shrink_makespan() {
         let (mut t1, jobs) = setup();
         let mut pool1 = IpPool::residential(256, RotationPolicy::RoundRobin, 2);
-        let serial = Campaign::new(2)
-            .workers(1)
-            .config(config())
-            .run(&mut t1, &jobs, &mut pool1);
+        let serial = Campaign::new(2).workers(1).run(&mut t1, &jobs, &mut pool1);
 
         let (mut t2, jobs2) = setup();
         let mut pool2 = IpPool::residential(256, RotationPolicy::RoundRobin, 2);
         let parallel = Campaign::new(2)
             .workers(50)
-            .config(config())
             .run(&mut t2, &jobs2, &mut pool2);
 
         assert!(
@@ -839,10 +823,7 @@ mod tests {
         for &n in &[1usize, 50, 200] {
             let (mut t, jobs) = setup();
             let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, 3);
-            let report = Campaign::new(3)
-                .workers(n)
-                .config(config())
-                .run(&mut t, &jobs, &mut pool);
+            let report = Campaign::new(3).workers(n).run(&mut t, &jobs, &mut pool);
             means.push(report.mean_hit_duration_s().unwrap());
         }
         let min = means.iter().cloned().fold(f64::MAX, f64::min);
@@ -859,7 +840,6 @@ mod tests {
         let report = Campaign::new(4)
             .workers(100)
             .politeness(SimDuration::from_secs(1))
-            .config(config())
             .run(&mut t, &jobs, &mut pool);
         assert!(
             report.metrics.blocked > 0,
@@ -872,9 +852,7 @@ mod tests {
     fn hit_rate_stays_high_under_paper_defaults() {
         let (mut t, jobs) = setup();
         let mut pool = IpPool::residential(128, RotationPolicy::RoundRobin, 5);
-        let report = Campaign::new(5)
-            .config(config())
-            .run(&mut t, &jobs, &mut pool);
+        let report = Campaign::new(5).run(&mut t, &jobs, &mut pool);
         assert!(
             report.metrics.hit_rate() > 0.75,
             "hit rate {}",
@@ -890,7 +868,6 @@ mod tests {
         let report = Campaign::new(6)
             .workers(64)
             .politeness(SimDuration::from_secs(1))
-            .config(config())
             .run(&mut t, &few, &mut pool);
         assert_eq!(report.records.len(), 3);
     }
@@ -906,7 +883,6 @@ mod tests {
                 n_workers: 16,
                 ..Orchestrator::with_retries(7)
             })
-            .config(config())
             .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
             .unwrap()
             .unwrap()
@@ -939,7 +915,6 @@ mod tests {
             watchdog: SimDuration::from_secs(120),
             ..Orchestrator::with_retries(9)
         })
-        .config(config())
         .run(&mut t, &few, &mut pool);
         assert_eq!(report.records.len(), 40, "no job lost to a hang");
         assert!(
@@ -974,7 +949,6 @@ mod tests {
             watchdog: SimDuration::from_secs(60),
             ..Orchestrator::with_retries(10)
         })
-        .config(config())
         .run(&mut t, &few, &mut pool);
         assert_eq!(report.dead_letters.len(), 10);
         for dl in &report.dead_letters {
@@ -998,9 +972,7 @@ mod tests {
         let run_plain = || {
             let (mut t, jobs) = setup_with(Transport::hermetic(11));
             let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, 1);
-            Campaign::from_orchestrator(orch.clone())
-                .config(config())
-                .run(&mut t, &jobs, &mut pool)
+            Campaign::from_orchestrator(orch.clone()).run(&mut t, &jobs, &mut pool)
         };
         let a = run_plain();
         let b = run_plain();
@@ -1012,7 +984,6 @@ mod tests {
         let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, 1);
         let mut journal = Journal::in_memory().crash_at(SimTime::from_millis(60_000));
         let crashed = Campaign::from_orchestrator(orch)
-            .config(config())
             .run_journaled(&mut journal, &mut t, &jobs, &mut pool)
             .unwrap();
         assert!(crashed.is_none(), "early crash loses the report");

@@ -169,13 +169,7 @@ pub fn curate_city_with_faults(
     plan: Option<FaultPlan>,
 ) -> CityDataset {
     let (world, run_seed) = city_world(city, opts);
-    let mut transport = Transport::new(run_seed);
-    if let Some(plan) = plan {
-        transport.set_fault_plan(plan);
-    }
-
-    register_fleet(&mut transport, &world);
-
+    let mut transport = fleet(Transport::new(run_seed), plan, &world);
     let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
     let mut records = Vec::new();
     let mut per_isp_metrics = Vec::new();
@@ -206,13 +200,17 @@ pub fn curate_city_with_faults(
 
 /// Crash-recoverable curation: like [`curate_city_with_faults`], but the
 /// transport is hermetic and every ISP's campaign is journaled to
-/// `<journal_dir>/<isp-slug>.journal`. Re-running after a crash replays
+/// `<dir>/<isp-slug>.journal`. Re-running after a crash replays
 /// the journaled attempts and scrapes only the remainder; the returned
 /// [`ResumeStats`] (summed over ISPs) say how much the journals saved.
 ///
-/// The campaign directory also gets one `events.jsonl` telemetry log
-/// covering every ISP's campaign in order, restricted to replay-stable
-/// events so a resumed run rewrites the identical log.
+/// Every ISP's campaign is one shard with its own hermetic environment,
+/// executed on up to `opts.threads` OS threads and merged back into
+/// `(at, seq)` order. The merged stream feeds the campaign directory's one
+/// `events.jsonl`, restricted to replay-stable events; `health.prom`,
+/// `profile.folded` and `trace.json` render the shard health sections in
+/// ISP order. All four are byte-identical for every thread count, and
+/// across crash+resume.
 ///
 /// The fault `plan`, if any, should itself be hermetic
 /// ([`FaultPlan::hermetic`]) or resumed runs will see different faults
@@ -221,46 +219,16 @@ pub fn curate_city_journaled(
     city: &'static CityProfile,
     opts: &CurationOptions,
     plan: Option<FaultPlan>,
-    journal_dir: &Path,
-) -> Result<(CityDataset, ResumeStats), JournalError> {
-    std::fs::create_dir_all(journal_dir).map_err(|e| JournalError::Io(e.to_string()))?;
-    let (world, run_seed) = city_world(city, opts);
-    curate_city_sharded(city, opts, plan, journal_dir, &world, run_seed)
-}
-
-/// Checks `opts` and builds the city's world at their epoch, with the
-/// run seed both curation modes derive their streams from.
-fn city_world(city: &'static CityProfile, opts: &CurationOptions) -> (Arc<CityWorld>, u64) {
-    assert!(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0);
-    assert!(opts.workers >= 1);
-    let world = Arc::new(CityWorld::build_at(city, opts.epoch));
-    let run_seed = city_seed(city.name) ^ opts.seed.rotate_left(16) ^ ((opts.epoch as u64) << 1);
-    (world, run_seed)
-}
-
-/// Journaled curation, sharded per ISP: calibration runs serially upfront
-/// (it consumes the shared pool's cursor), then every ISP's campaign
-/// becomes one shard with its own hermetic environment, executed on up to
-/// `opts.threads` OS threads and merged back into `(at, seq)` order. The
-/// merged stream feeds one `events.jsonl`; `health.prom` and
-/// `profile.folded` render the shard health sections in ISP order — all
-/// three byte-identical for every thread count, and across crash+resume.
-fn curate_city_sharded(
-    city: &'static CityProfile,
-    opts: &CurationOptions,
-    plan: Option<FaultPlan>,
     dir: &Path,
-    world: &Arc<CityWorld>,
-    run_seed: u64,
 ) -> Result<(CityDataset, ResumeStats), JournalError> {
-    // The calibration transport mirrors what each shard will rebuild: the
+    std::fs::create_dir_all(dir).map_err(|e| JournalError::Io(e.to_string()))?;
+    let (world, run_seed) = city_world(city, opts);
+
+    // Calibration runs serially upfront (it consumes the shared pool's
+    // cursor). Its transport mirrors what each shard will rebuild: the
     // hermetic transport's draws are keyed by (seed, endpoint, ip, time),
     // so per-shard copies answer exactly like this shared one.
-    let mut transport = Transport::hermetic(run_seed);
-    if let Some(plan) = plan.clone() {
-        transport.set_fault_plan(plan);
-    }
-    register_fleet(&mut transport, world);
+    let mut transport = fleet(Transport::hermetic(run_seed), plan.clone(), &world);
     let mut pool = IpPool::residential(256, RotationPolicy::RoundRobin, run_seed);
 
     let mut per_isp_pause = Vec::new();
@@ -268,9 +236,9 @@ fn curate_city_sharded(
     let isps = world.isps();
     for (i, &isp) in isps.iter().enumerate() {
         let src = pool.next();
-        let (pause, config) = calibrate_isp(world, opts, &mut transport, isp, src);
+        let (pause, config) = calibrate_isp(&world, opts, &mut transport, isp, src);
         per_isp_pause.push((isp, pause));
-        let jobs = sample_jobs(world, opts, isp, sample_seed(city, opts));
+        let jobs = sample_jobs(&world, opts, isp, sample_seed(city, opts));
         specs.push(ShardSpec {
             id: i as u32,
             label: isp.slug().to_string(),
@@ -288,16 +256,10 @@ fn curate_city_sharded(
     // transport (same seed — draws are position-independent), fresh pool
     // (journaled attempts assign IPs by key, never by cursor), and its own
     // journal segment.
-    let fleet = world.clone();
-    let make_env = move |spec: &ShardSpec| -> Result<ShardEnv, JournalError> {
-        let mut transport = Transport::hermetic(run_seed);
-        if let Some(plan) = plan.clone() {
-            transport.set_fault_plan(plan);
-        }
-        register_fleet(&mut transport, &fleet);
+    let make_env = |spec: &ShardSpec| -> Result<ShardEnv, JournalError> {
         let journal = Journal::open(&dir.join(format!("{}.journal", spec.label)))?;
         Ok(ShardEnv {
-            transport,
+            transport: fleet(Transport::hermetic(run_seed), plan.clone(), &world),
             pool: IpPool::residential(256, RotationPolicy::RoundRobin, run_seed),
             journal: Some(journal),
         })
@@ -338,7 +300,7 @@ fn curate_city_sharded(
             // lint:allow(T2): pipeline campaigns never set a crash point
             unreachable!("pipeline campaigns never set a crash point")
         };
-        land_records(&mut records, city, world, isp, &report.records);
+        land_records(&mut records, city, &world, isp, &report.records);
         per_isp_metrics.push((isp, report.metrics));
     }
 
@@ -351,6 +313,26 @@ fn curate_city_sharded(
         },
         resume,
     ))
+}
+
+/// `transport` with the city's BAT fleet registered, the fault `plan`, if
+/// any, attached first.
+fn fleet(mut transport: Transport, plan: Option<FaultPlan>, world: &Arc<CityWorld>) -> Transport {
+    if let Some(plan) = plan {
+        transport.set_fault_plan(plan);
+    }
+    register_fleet(&mut transport, world);
+    transport
+}
+
+/// Checks `opts` and builds the city's world at their epoch, with the
+/// run seed both curation modes derive their streams from.
+fn city_world(city: &'static CityProfile, opts: &CurationOptions) -> (Arc<CityWorld>, u64) {
+    assert!(opts.sample_rate > 0.0 && opts.sample_rate <= 1.0);
+    assert!(opts.workers >= 1);
+    let world = Arc::new(CityWorld::build_at(city, opts.epoch));
+    let run_seed = city_seed(city.name) ^ opts.seed.rotate_left(16) ^ ((opts.epoch as u64) << 1);
+    (world, run_seed)
 }
 
 /// The epoch-free address-sampling seed: every wave of a longitudinal
@@ -405,12 +387,11 @@ fn sample_jobs(
             sampled.truncate(cap);
         }
         for rec in sampled {
-            jobs.push(QueryJob {
-                endpoint: isp.slug().to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: rec.listing_line.clone(),
-                tag: u64::from(rec.id),
-            });
+            jobs.push(QueryJob::listing(
+                isp.slug(),
+                templates::dialect_of(isp),
+                rec,
+            ));
         }
     }
     jobs

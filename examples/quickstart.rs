@@ -28,12 +28,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     let src = SimIp(u32::from_be_bytes([100, 64, 0, 1]));
     for isp in world.isps() {
-        let job = QueryJob {
-            endpoint: isp.slug().to_string(),
-            dialect: templates::dialect_of(isp),
-            input_line: address.listing_line.clone(),
-            tag: address.id as u64,
-        };
+        let job = QueryJob::listing(isp.slug(), templates::dialect_of(isp), address);
         let rec = query_address(&mut transport, &config, &job, src, SimTime::ZERO, &mut rng);
         println!(
             "{} (answered in {} virtual, {} steps):",
@@ -62,10 +57,8 @@ fn main() {
     for record in world.addresses().records().iter().take(25) {
         for isp in world.isps() {
             jobs.push(QueryJob {
-                endpoint: isp.slug().to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: record.listing_line.clone(),
                 tag: ((isp.column() as u64) << 32) | record.id as u64,
+                ..QueryJob::listing(isp.slug(), templates::dialect_of(isp), record)
             });
         }
     }

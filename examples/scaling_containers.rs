@@ -20,12 +20,7 @@ fn main() {
         .records()
         .iter()
         .take(500)
-        .map(|r| QueryJob {
-            endpoint: isp.slug().to_string(),
-            dialect: templates::dialect_of(isp),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(isp.slug(), templates::dialect_of(isp), r))
         .collect();
     let config = BqtConfig::paper_default(SimDuration::from_secs(40));
 

@@ -7,7 +7,7 @@
 //! address still produces exactly one record either way.
 
 use decoding_divide::bat::{templates, BatServer};
-use decoding_divide::bqt::{BqtConfig, Campaign, Orchestrator, OrchestratorReport, QueryJob};
+use decoding_divide::bqt::{Campaign, Orchestrator, OrchestratorReport, QueryJob};
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
 use decoding_divide::net::{FaultPlan, IpPool, RotationPolicy, SimDuration, SimTime, Transport};
@@ -25,18 +25,9 @@ fn setup(transport_seed: u64) -> (Transport, Vec<QueryJob>) {
         .records()
         .iter()
         .take(150)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(ENDPOINT, templates::dialect_of(Isp::CenturyLink), r))
         .collect();
     (t, jobs)
-}
-
-fn config() -> BqtConfig {
-    BqtConfig::paper_default(SimDuration::from_secs(45))
 }
 
 /// CI sweeps this suite under several seeds by exporting `CHAOS_SEED`;
@@ -58,15 +49,11 @@ fn run(plan: Option<FaultPlan>, retries: bool, seed: u64) -> OrchestratorReport 
     }
     let orch = Orchestrator {
         n_workers: 16,
-        politeness: SimDuration::from_secs(5),
-        seed,
         retry: retries.then(|| decoding_divide::bqt::RetryPolicy::paper_default(seed)),
         ..Orchestrator::paper_default(seed)
     };
     let mut pool = IpPool::residential(64, RotationPolicy::RoundRobin, seed);
-    let report = Campaign::from_orchestrator(orch)
-        .config(config())
-        .run(&mut t, &jobs, &mut pool);
+    let report = Campaign::from_orchestrator(orch).run(&mut t, &jobs, &mut pool);
 
     // Exactly-once is unconditional: retries must never duplicate or drop
     // an address.

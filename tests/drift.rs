@@ -11,13 +11,12 @@
 
 use decoding_divide::bat::{templates, BatServer, DriftSchedule, TemplateVersion};
 use decoding_divide::bqt::{
-    BqtConfig, Campaign, DriftMonitor, Event, EventKind, Journal, JournalError, JsonlRecorder,
-    MonitorPolicy, Orchestrator, OrchestratorReport, QueryJob, RetryPolicy, ShardEnv, ShardPlan,
-    ShardSpec, SloRule,
+    Campaign, DriftMonitor, Event, EventKind, Journal, JournalError, JsonlRecorder, MonitorPolicy,
+    Orchestrator, OrchestratorReport, QueryJob, ShardEnv, ShardPlan, ShardSpec, SloRule,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+use decoding_divide::net::{IpPool, RotationPolicy, SimTime, Transport};
 use std::sync::Arc;
 
 const ENDPOINT: &str = "centurylink/billings";
@@ -36,18 +35,9 @@ fn setup(drift: Option<DriftSchedule>) -> (Transport, Vec<QueryJob>) {
         .records()
         .iter()
         .take(N_JOBS)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(ENDPOINT, templates::dialect_of(Isp::CenturyLink), r))
         .collect();
     (t, jobs)
-}
-
-fn config() -> BqtConfig {
-    BqtConfig::paper_default(SimDuration::from_secs(45))
 }
 
 /// Retries are part of the recovery story: attempts burned on unknown
@@ -56,9 +46,7 @@ fn config() -> BqtConfig {
 fn orch(seed: u64) -> Orchestrator {
     Orchestrator {
         n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
+        ..Orchestrator::with_retries(seed)
     }
 }
 
@@ -86,7 +74,6 @@ fn baseline(seed: u64) -> (OrchestratorReport, SimTime) {
     let (mut t, jobs) = setup(None);
     let mut stream: Vec<Event> = Vec::new();
     let report = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .recorder(&mut stream)
         .run(&mut t, &jobs, &mut pool(seed));
     let midpoint = median_attempt_end(stream.iter());
@@ -117,9 +104,7 @@ fn rebootstrap_recovers_the_hit_rate_a_redesign_destroys() {
     // the flip onward dies on unknown markup (retries included), so the
     // campaign loses a large bite of its hit rate.
     let (mut t, jobs) = setup(Some(schedule.clone()));
-    let unguarded = Campaign::from_orchestrator(orch(seed))
-        .config(config())
-        .run(&mut t, &jobs, &mut pool(seed));
+    let unguarded = Campaign::from_orchestrator(orch(seed)).run(&mut t, &jobs, &mut pool(seed));
     assert!(
         unguarded.metrics.hit_rate() < healthy - 0.10,
         "an unwatched redesign must hurt: {} vs {healthy}",
@@ -133,7 +118,6 @@ fn rebootstrap_recovers_the_hit_rate_a_redesign_destroys() {
     let (mut t, jobs) = setup(Some(schedule));
     let mut log = JsonlRecorder::stable(Vec::new());
     let guarded = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .drift_monitor(DriftMonitor::default_ops())
         .recorder(&mut log)
         .run(&mut t, &jobs, &mut pool(seed));
@@ -181,7 +165,6 @@ fn redesign_fires_and_resolves_the_match_confidence_slo() {
             .min_samples(5)]);
     let (mut t, jobs) = setup(Some(schedule));
     let report = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .drift_monitor(DriftMonitor::default_ops())
         .monitor(policy)
         .run(&mut t, &jobs, &mut pool(seed));
@@ -210,7 +193,6 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
     let mut journal = Journal::in_memory();
     let mut full_log = JsonlRecorder::stable(Vec::new());
     let truth = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .drift_monitor(DriftMonitor::default_ops())
         .recorder(&mut full_log)
         .run_journaled(&mut journal, &mut t0, &jobs, &mut pool(seed))
@@ -230,7 +212,6 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
         let (mut t1, jobs) = setup(Some(schedule.clone()));
         let mut journal = Journal::in_memory().crash_at(crash_at);
         assert!(Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .drift_monitor(DriftMonitor::default_ops())
             .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
             .unwrap()
@@ -243,7 +224,6 @@ fn drifted_campaign_resumes_byte_identically_across_crashes() {
         let (mut t2, jobs) = setup(Some(schedule.clone()));
         let mut resumed_log = JsonlRecorder::stable(Vec::new());
         let resumed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .drift_monitor(DriftMonitor::default_ops())
             .recorder(&mut resumed_log)
             .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
@@ -297,7 +277,6 @@ fn sharded_drifted_campaign_is_byte_identical_across_thread_counts() {
     // redesign at the *sharded* median attempt instant.
     let mut stream: Vec<Event> = Vec::new();
     let undrifted = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .threads(1)
         .recorder(&mut stream)
         .run_sharded(&shard_plan, &make_env(base.join("undrifted"), None))
@@ -308,7 +287,6 @@ fn sharded_drifted_campaign_is_byte_identical_across_thread_counts() {
     let run = |threads: usize, dir: &str| {
         let mut log = JsonlRecorder::stable(Vec::new());
         let outcome = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .drift_monitor(DriftMonitor::default_ops())
             .threads(threads)
             .recorder(&mut log)

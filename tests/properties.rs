@@ -326,7 +326,7 @@ proptest! {
     #[test]
     fn retry_attempts_never_exceed_the_budget(seed in any::<u64>(), max_attempts in 1u32..=5) {
         use decoding_divide::bat::{templates, BatServer};
-        use decoding_divide::bqt::{BqtConfig, Campaign, Orchestrator, QueryJob, RetryPolicy};
+        use decoding_divide::bqt::{Campaign, Orchestrator, QueryJob, RetryPolicy};
         use decoding_divide::census::city_by_name;
         use decoding_divide::isp::{CityWorld, Isp};
         use decoding_divide::net::{
@@ -351,25 +351,18 @@ proptest! {
             .records()
             .iter()
             .take(8)
-            .map(|r| QueryJob {
-                endpoint: "centurylink/billings".to_string(),
-                dialect: templates::dialect_of(Isp::CenturyLink),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .map(|r| QueryJob::listing("centurylink/billings", templates::dialect_of(Isp::CenturyLink), r))
             .collect();
 
         let mut policy = RetryPolicy::paper_default(seed);
         policy.max_attempts = max_attempts;
         let orch = Orchestrator {
             n_workers: 2,
-            seed,
             retry: Some(policy),
             ..Orchestrator::paper_default(seed)
         };
         let mut pool = IpPool::residential(8, RotationPolicy::RoundRobin, seed);
         let report = Campaign::from_orchestrator(orch)
-            .config(BqtConfig::paper_default(SimDuration::from_secs(45)))
             .run(&mut t, &jobs, &mut pool);
 
         prop_assert_eq!(report.records.len(), jobs.len());
@@ -400,7 +393,7 @@ proptest! {
     ) {
         use decoding_divide::bat::{templates, BatServer};
         use decoding_divide::bqt::{
-            BqtConfig, Campaign, Event, EventKind, Orchestrator, QueryJob, RetryPolicy,
+            Campaign, Event, EventKind, Orchestrator, QueryJob,
         };
         use decoding_divide::census::city_by_name;
         use decoding_divide::isp::{CityWorld, Isp};
@@ -430,24 +423,16 @@ proptest! {
             .records()
             .iter()
             .take(12)
-            .map(|r| QueryJob {
-                endpoint: "centurylink/billings".to_string(),
-                dialect: templates::dialect_of(Isp::CenturyLink),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            })
+            .map(|r| QueryJob::listing("centurylink/billings", templates::dialect_of(Isp::CenturyLink), r))
             .collect();
 
         let orch = Orchestrator {
             n_workers: workers,
-            seed,
-            retry: Some(RetryPolicy::paper_default(seed)),
-            ..Orchestrator::paper_default(seed)
+            ..Orchestrator::with_retries(seed)
         };
         let mut pool = IpPool::residential(16, RotationPolicy::RoundRobin, seed);
         let mut stream: Vec<Event> = Vec::new();
         let report = Campaign::from_orchestrator(orch)
-            .config(BqtConfig::paper_default(SimDuration::from_secs(45)))
             .recorder(&mut stream)
             .run(&mut t, &jobs, &mut pool);
         prop_assert_eq!(report.records.len(), jobs.len());

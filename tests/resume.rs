@@ -9,8 +9,8 @@
 
 use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::{
-    BqtConfig, Campaign, Journal, JournalError, JsonlRecorder, Orchestrator, OrchestratorReport,
-    QueryJob, QueryOutcome, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, ShedPolicy,
+    Campaign, Journal, JournalError, JsonlRecorder, Orchestrator, OrchestratorReport, QueryJob,
+    QueryOutcome, RetryPolicy, ShardEnv, ShardPlan, ShardSpec, ShedPolicy,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::isp::{CityWorld, Isp};
@@ -33,23 +33,18 @@ fn setup() -> (Transport, Vec<QueryJob>) {
     let mut t = Transport::hermetic(11);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
     t.register(ENDPOINT, server.endpoint());
-    let jobs: Vec<QueryJob> = world
+    (t, jobs(&world))
+}
+
+/// The first `N_JOBS` Billings addresses against CenturyLink.
+fn jobs(world: &CityWorld) -> Vec<QueryJob> {
+    world
         .addresses()
         .records()
         .iter()
         .take(N_JOBS)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
-        .collect();
-    (t, jobs)
-}
-
-fn config() -> BqtConfig {
-    BqtConfig::paper_default(SimDuration::from_secs(45))
+        .map(|r| QueryJob::listing(ENDPOINT, templates::dialect_of(Isp::CenturyLink), r))
+        .collect()
 }
 
 /// CI sweeps this suite under several seeds by exporting `CHAOS_SEED`;
@@ -64,9 +59,7 @@ fn chaos_seed() -> u64 {
 fn orch(seed: u64) -> Orchestrator {
     Orchestrator {
         n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
+        ..Orchestrator::with_retries(seed)
     }
 }
 
@@ -96,7 +89,6 @@ fn baseline(seed: u64) -> (OrchestratorReport, Vec<u8>, u64) {
     t.set_fault_plan(plan(seed));
     let mut journal = Journal::in_memory();
     let report = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
         .unwrap();
@@ -127,7 +119,6 @@ fn resume_is_byte_identical_at_arbitrary_crash_points() {
         t1.set_fault_plan(plan(seed));
         let mut journal = Journal::in_memory().crash_at(crash_at);
         let crashed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
             .unwrap();
         assert!(
@@ -144,7 +135,6 @@ fn resume_is_byte_identical_at_arbitrary_crash_points() {
         let (mut t2, jobs) = setup();
         t2.set_fault_plan(plan(seed));
         let resumed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
             .unwrap()
             .unwrap();
@@ -182,7 +172,6 @@ fn complete_journal_resumes_with_zero_scrapes() {
     let (mut t, jobs) = setup();
     t.set_fault_plan(plan(seed));
     let resumed = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
         .unwrap();
@@ -203,7 +192,6 @@ fn crash_after_the_finish_line_returns_the_full_report() {
     // makespan + politeness; crash comfortably past it.
     let mut journal = Journal::in_memory().crash_at(truth.makespan + SimDuration::from_secs(60));
     let report = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
         .expect("crash after completion is a no-op");
@@ -221,7 +209,6 @@ fn foreign_journal_is_refused_not_replayed() {
     let (mut t, jobs) = setup();
     t.set_fault_plan(plan(other));
     let err = Campaign::from_orchestrator(orch(other))
-        .config(config())
         .run_journaled(&mut journal, &mut t, &jobs, &mut pool(other))
         .unwrap_err();
     assert!(
@@ -247,10 +234,7 @@ fn watchdog_reclaims_every_hung_job_without_deadlock() {
         ..orch(seed)
     };
     // The run returning at all proves no worker wedged permanently.
-    let report =
-        Campaign::from_orchestrator(o.clone())
-            .config(config())
-            .run(&mut t, &jobs, &mut pool(seed));
+    let report = Campaign::from_orchestrator(o.clone()).run(&mut t, &jobs, &mut pool(seed));
 
     assert_eq!(report.records.len(), jobs.len(), "every address reported");
     assert!(
@@ -295,7 +279,6 @@ fn journaled_watchdog_campaign_still_resumes_identically() {
     t.set_fault_plan(stall_plan());
     let mut journal = Journal::in_memory();
     let truth = Campaign::from_orchestrator(o.clone())
-        .config(config())
         .run_journaled(&mut journal, &mut t, &jobs, &mut pool(seed))
         .unwrap()
         .unwrap();
@@ -306,7 +289,6 @@ fn journaled_watchdog_campaign_still_resumes_identically() {
     t1.set_fault_plan(stall_plan());
     let mut journal = Journal::in_memory().crash_at(crash_at);
     assert!(Campaign::from_orchestrator(o.clone())
-        .config(config())
         .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
         .unwrap()
         .is_none());
@@ -315,7 +297,6 @@ fn journaled_watchdog_campaign_still_resumes_identically() {
     let (mut t2, jobs) = setup();
     t2.set_fault_plan(stall_plan());
     let resumed = Campaign::from_orchestrator(o.clone())
-        .config(config())
         .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
         .unwrap()
         .unwrap();
@@ -349,9 +330,7 @@ fn load_shedding_strictly_reduces_dead_letters_under_a_storm() {
             retry: Some(policy),
             ..orch(seed)
         };
-        Campaign::from_orchestrator(o)
-            .config(config())
-            .run(&mut t, &jobs, &mut pool(seed))
+        Campaign::from_orchestrator(o).run(&mut t, &jobs, &mut pool(seed))
     };
 
     let unshed = run(None);
@@ -394,18 +373,7 @@ fn load_shedding_strictly_reduces_dead_letters_under_a_storm() {
 fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
     let seed = 49 ^ chaos_seed().rotate_left(24);
     let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
-    let jobs: Vec<QueryJob> = world
-        .addresses()
-        .records()
-        .iter()
-        .take(N_JOBS)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
-        .collect();
+    let jobs = jobs(&world);
     // Four shards over one endpoint: striping forces cross-shard merge
     // ties while the flaky fault plan keeps retries in play.
     let shard_plan = ShardPlan::round_robin(seed, &jobs, 4);
@@ -436,7 +404,6 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
     // Ground truth: uninterrupted, single-threaded.
     let mut truth_log = JsonlRecorder::stable(Vec::new());
     let truth = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .threads(1)
         .recorder(&mut truth_log)
         .run_sharded(&shard_plan, &make_env(base.join("truth"), None))
@@ -456,7 +423,6 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
 
         // Crash a 4-thread run mid-campaign.
         let crashed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .threads(4)
             .run_sharded(&shard_plan, &make_env(dir.clone(), Some(crash_at)))
             .unwrap();
@@ -477,7 +443,6 @@ fn sharded_crash_resume_is_byte_identical_across_thread_counts() {
         // count.
         let mut resumed_log = JsonlRecorder::stable(Vec::new());
         let resumed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .threads(2)
             .recorder(&mut resumed_log)
             .run_sharded(&shard_plan, &make_env(dir, None))
@@ -518,7 +483,6 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     let mut journal = Journal::in_memory();
     let mut full_log = JsonlRecorder::stable(Vec::new());
     let truth = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .recorder(&mut full_log)
         .run_journaled(&mut journal, &mut t0, &jobs, &mut pool(seed))
         .unwrap()
@@ -532,7 +496,6 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     t1.set_fault_plan(plan(seed));
     let mut journal = Journal::in_memory().crash_at(crash_at);
     assert!(Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .run_journaled(&mut journal, &mut t1, &jobs, &mut pool(seed))
         .unwrap()
         .is_none());
@@ -546,7 +509,6 @@ fn resumed_event_log_is_byte_identical_to_the_uninterrupted_runs() {
     t2.set_fault_plan(plan(seed));
     let mut resumed_log = JsonlRecorder::stable(Vec::new());
     let resumed = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .recorder(&mut resumed_log)
         .run_journaled(&mut journal, &mut t2, &jobs, &mut pool(seed))
         .unwrap()
@@ -591,18 +553,7 @@ fn a_panicking_shard_is_a_typed_error_and_resumes_byte_identically() {
     const FAILING: u32 = 2;
     let seed = 53 ^ chaos_seed().rotate_left(24);
     let world = Arc::new(CityWorld::build(city_by_name("Billings").unwrap()));
-    let jobs: Vec<QueryJob> = world
-        .addresses()
-        .records()
-        .iter()
-        .take(N_JOBS)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
-        .collect();
+    let jobs = jobs(&world);
     let shard_plan = ShardPlan::round_robin(seed, &jobs, 4);
 
     let base = std::env::temp_dir().join(format!("bqt-shard-panic-{}", std::process::id()));
@@ -638,7 +589,6 @@ fn a_panicking_shard_is_a_typed_error_and_resumes_byte_identically() {
     let truth_dir = base.join("truth");
     let mut truth_log = JsonlRecorder::stable(Vec::new());
     let truth = Campaign::from_orchestrator(orch(seed))
-        .config(config())
         .threads(1)
         .recorder(&mut truth_log)
         .run_sharded(&shard_plan, &make_env(truth_dir.clone(), None))
@@ -648,7 +598,6 @@ fn a_panicking_shard_is_a_typed_error_and_resumes_byte_identically() {
     for threads in [1usize, 4] {
         let dir = base.join(format!("failed-t{threads}"));
         let err = match Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .threads(threads)
             .run_sharded(&shard_plan, &make_env(dir.clone(), Some(40)))
         {
@@ -679,7 +628,6 @@ fn a_panicking_shard_is_a_typed_error_and_resumes_byte_identically() {
 
         let mut resumed_log = JsonlRecorder::stable(Vec::new());
         let resumed = Campaign::from_orchestrator(orch(seed))
-            .config(config())
             .threads(2)
             .recorder(&mut resumed_log)
             .run_sharded(&shard_plan, &make_env(dir, None))

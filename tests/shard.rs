@@ -10,8 +10,8 @@ use decoding_divide::bat::{register_fleet, templates};
 use decoding_divide::bqt::MonitorPolicy;
 use decoding_divide::bqt::{
     render_folded, render_prometheus, seq_counter, seq_shard, Campaign, Event, EventKind, Journal,
-    JournalError, JsonlRecorder, Orchestrator, QueryJob, RetryPolicy, ShardEnv, ShardPlan,
-    ShardSpec, ShardedOutcome,
+    JournalError, JsonlRecorder, Orchestrator, QueryJob, ShardEnv, ShardPlan, ShardSpec,
+    ShardedOutcome,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::dataset::{curate_city_journaled, CurationOptions};
@@ -33,12 +33,7 @@ fn jobs(world: &Arc<CityWorld>) -> Vec<QueryJob> {
     let mut jobs = Vec::new();
     for r in world.addresses().records().iter().take(N_JOBS) {
         for isp in world.isps() {
-            jobs.push(QueryJob {
-                endpoint: isp.slug().to_string(),
-                dialect: templates::dialect_of(isp),
-                input_line: r.listing_line.clone(),
-                tag: r.id as u64,
-            });
+            jobs.push(QueryJob::listing(isp.slug(), templates::dialect_of(isp), r));
         }
     }
     jobs
@@ -72,9 +67,7 @@ fn make_env(
 fn campaign_template() -> Orchestrator {
     Orchestrator {
         n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(SEED)),
-        ..Orchestrator::paper_default(SEED)
+        ..Orchestrator::with_retries(SEED)
     }
 }
 

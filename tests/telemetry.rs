@@ -35,12 +35,7 @@ fn setup() -> (Transport, Vec<QueryJob>) {
         .records()
         .iter()
         .take(80)
-        .map(|r| QueryJob {
-            endpoint: ENDPOINT.to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing(ENDPOINT, templates::dialect_of(Isp::CenturyLink), r))
         .collect();
     (t, jobs)
 }

@@ -9,13 +9,13 @@ use decoding_divide::bat::{templates, BatServer};
 use decoding_divide::bqt::telemetry::OutcomeCode;
 use decoding_divide::bqt::trace::{attribute, critical_path, Span, SpanKind, TraceAssembler};
 use decoding_divide::bqt::{
-    render_trace_json, BqtConfig, Campaign, Event, EventKind, Journal, MonitorPolicy, Orchestrator,
-    OrchestratorReport, QueryJob, RetryPolicy,
+    render_trace_json, Campaign, Event, EventKind, Journal, MonitorPolicy, Orchestrator,
+    OrchestratorReport, QueryJob,
 };
 use decoding_divide::census::city_by_name;
 use decoding_divide::dataset::{curate_city_journaled, CurationOptions};
 use decoding_divide::isp::{CityWorld, Isp};
-use decoding_divide::net::{IpPool, RotationPolicy, SimDuration, SimTime, Transport};
+use decoding_divide::net::{IpPool, RotationPolicy, SimTime, Transport};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -321,17 +321,13 @@ fn setup(seed: u64) -> (Transport, Vec<QueryJob>) {
     let mut t = Transport::hermetic(seed);
     let server = BatServer::new(Isp::CenturyLink, world.clone());
     t.register("centurylink/billings", server.endpoint());
+    let dialect = templates::dialect_of(Isp::CenturyLink);
     let jobs: Vec<QueryJob> = world
         .addresses()
         .records()
         .iter()
         .take(100)
-        .map(|r| QueryJob {
-            endpoint: "centurylink/billings".to_string(),
-            dialect: templates::dialect_of(Isp::CenturyLink),
-            input_line: r.listing_line.clone(),
-            tag: r.id as u64,
-        })
+        .map(|r| QueryJob::listing("centurylink/billings", dialect, r))
         .collect();
     (t, jobs)
 }
@@ -344,17 +340,13 @@ fn trace_json_is_byte_identical_across_crash_and_resume() {
     let seed = 23;
     let orch = Orchestrator {
         n_workers: 8,
-        politeness: SimDuration::from_secs(5),
-        retry: Some(RetryPolicy::paper_default(seed)),
-        ..Orchestrator::paper_default(seed)
+        ..Orchestrator::with_retries(seed)
     };
-    let config = BqtConfig::paper_default(SimDuration::from_secs(45));
     let pool = || IpPool::residential(64, RotationPolicy::RoundRobin, seed);
 
     let guarded = |journal: &mut Journal| -> Option<OrchestratorReport> {
         let (mut t, jobs) = setup(seed);
         Campaign::from_orchestrator(orch.clone())
-            .config(config)
             .monitor(MonitorPolicy::paper_default())
             .run_journaled(journal, &mut t, &jobs, &mut pool())
             .expect("fresh or matching journal")
