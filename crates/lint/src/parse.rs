@@ -12,8 +12,8 @@
 //!   call (`helper(..)`), a qualified call (`Type::new(..)` — only the
 //!   last two path segments are kept), a method call (`recv.step(..)`
 //!   with a receiver hint), or a macro invocation (`panic!(..)`). A
-//!   qualified fn path passed as an argument (`.map(Type::name)`) is a
-//!   qualified call too; a bare `.map(helper)` is not.
+//!   fn passed as an argument is a call too: `.map(Type::name)` a
+//!   qualified one, a bare `.map(helper)` a free one.
 //!
 //! Design constraints mirror the lexer's:
 //!
@@ -348,18 +348,21 @@ impl Parser<'_> {
                     .get(c + 1)
                     .is_some_and(|t| scan::is_punct(t, '('))
             });
-        // `f(Type::name)`, `.map(module::name)`: the callee calls a
-        // qualified fn path passed as an argument, so it is a call site.
-        // A bare `.map(helper)` is not: a lexical pass cannot tell a fn
-        // name from a local binding.
+        // `f(Type::name)`, `.map(module::name)`, `.map(helper)`: the
+        // callee calls a fn passed as an argument, so it is a call site. A
+        // lexical pass cannot tell a bare fn name from a local binding, so
+        // this over-approximates as methods do: a local with no same-named
+        // free fn resolves to no edge.
         let is = |j: usize, c: char| self.tokens.get(j).is_some_and(|t| scan::is_punct(t, c));
-        let passed_path = (is(i + 1, ')') || is(i + 1, ','))
+        let argument = is(i + 1, ')') || is(i + 1, ',');
+        let passed_name = argument && i >= 1 && (is(i - 1, '(') || is(i - 1, ','));
+        let passed_path = argument
             && i >= 4
             && is(i - 1, ':')
             && is(i - 2, ':')
             && scan::ident_name(&self.tokens[i - 3]).is_some()
             && (is(i - 4, '(') || is(i - 4, ',') || is(i - 4, ':'));
-        if !scan::is_punct(next, '(') && !paren_after_turbofish && !passed_path {
+        if !scan::is_punct(next, '(') && !paren_after_turbofish && !passed_path && !passed_name {
             return None;
         }
         if NON_CALL_KEYWORDS.contains(&name) {
@@ -514,7 +517,7 @@ mod tests {
         let qualified = |q: &str, n: &str| Callee::Qualified(q.into(), n.into());
         assert!(calls.contains(&qualified("Helper", "stamp")));
         assert!(calls.contains(&qualified("m", "h")));
-        assert!(!calls.contains(&Callee::Free("helper".into())));
+        assert!(calls.contains(&Callee::Free("helper".into())));
         assert!(
             !calls.contains(&qualified("E", "V")),
             "a path inside an expression"

@@ -327,6 +327,24 @@ fn t1_follows_a_fn_passed_by_path() {
     );
 }
 
+/// A fn passed by bare name (`.map(stamp_tag)`) is a call edge too.
+#[test]
+fn t1_follows_a_fn_passed_by_name() {
+    let findings = run(|c| {
+        c.entries = vec![entry("taint/t1_fn_name.rs", Some("Campaign"), "run")];
+    });
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let wall = &findings[0];
+    assert_eq!(wall.rule, RuleId::T1);
+    assert!(wall.message.contains("Instant::now"), "{}", wall.message);
+    assert!(
+        wall.hint.contains("Campaign::run (taint/t1_fn_name.rs:")
+            && wall.hint.contains("-> stamp_tag (taint/t1_fn_name.rs:"),
+        "incomplete witness chain: {}",
+        wall.hint
+    );
+}
+
 /// A source that is both in scope and reached names the nearest entry
 /// and its witness chain, not the scope; the same file under its scope
 /// alone names the scope.
