@@ -421,16 +421,6 @@ fn run_streamed<T: Sync>(
 mod tests {
     use super::*;
 
-    /// Keeps what the merged stream delivered.
-    #[derive(Default)]
-    struct Kept(Vec<Event>);
-
-    impl Recorder for Kept {
-        fn record(&mut self, event: &Event) {
-            self.0.push(event.clone());
-        }
-    }
-
     fn worker(at_ms: u64, worker: u32) -> Event {
         Event {
             at: SimTime::from_millis(at_ms),
@@ -460,11 +450,10 @@ mod tests {
     #[test]
     fn fake_shards_merge_in_at_seq_order_at_any_thread_count() {
         for threads in [1, 2, 3, 8] {
-            let mut kept = Kept::default();
+            let mut kept: Vec<Event> = Vec::new();
             let opts = ServeOptions::quick(1).threads(threads);
             let outcome = run_streamed(&[(); 3], &opts, Some(&mut kept), fake_shard(u32::MAX));
             let workers: Vec<(u64, u32)> = kept
-                .0
                 .iter()
                 .filter_map(|e| match e.kind {
                     EventKind::WorkerBegin { worker } => Some((e.at.as_millis(), worker)),
@@ -479,7 +468,7 @@ mod tests {
             assert_eq!(outcome.arrivals, 12);
             assert_eq!(outcome.makespan_ms, 30);
             assert!(matches!(
-                kept.0.first().map(|e| &e.kind),
+                kept.first().map(|e| &e.kind),
                 Some(EventKind::CampaignBegin { n_jobs: 12, .. })
             ));
         }
@@ -504,14 +493,14 @@ mod tests {
     fn a_panicking_recorder_is_detached_and_the_run_completes() {
         for threads in [1, 2, 4] {
             let opts = ServeOptions::quick(1).threads(threads);
-            let mut healthy = Kept::default();
+            let mut healthy: Vec<Event> = Vec::new();
             let want = run_streamed(&[(); 3], &opts, Some(&mut healthy), fake_shard(u32::MAX));
             let mut bomb = Bomb {
                 calls: 0,
                 panic_on: 10,
             };
             let got = run_streamed(&[(); 3], &opts, Some(&mut bomb), fake_shard(u32::MAX));
-            assert!(healthy.0.len() > 10, "the stream outlasts the bomb");
+            assert!(healthy.len() > 10, "the stream outlasts the bomb");
             assert_eq!(bomb.calls, 10, "never called again after it panicked");
             assert_eq!(got.arrivals, want.arrivals);
             assert_eq!(got.makespan_ms, want.makespan_ms);
@@ -523,7 +512,7 @@ mod tests {
     #[test]
     fn a_panicking_shard_panics_the_run_naming_it_and_never_blocks() {
         for threads in [1, 2, 4] {
-            let mut kept = Kept::default();
+            let mut kept: Vec<Event> = Vec::new();
             let opts = ServeOptions::quick(1).threads(threads);
             let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run_streamed(&[(); 3], &opts, Some(&mut kept), fake_shard(1))
@@ -535,9 +524,8 @@ mod tests {
             assert_eq!(message, "serve shard 1 panicked: the store went away");
             // Nothing past the dead shard's last frontier was fed, and
             // the stream was not closed as if complete.
-            assert!(kept.0.iter().all(|e| e.at.as_millis() < 5), "{:?}", kept.0);
+            assert!(kept.iter().all(|e| e.at.as_millis() < 5), "{kept:?}");
             assert!(!kept
-                .0
                 .iter()
                 .any(|e| matches!(e.kind, EventKind::CampaignEnd { .. })));
         }
