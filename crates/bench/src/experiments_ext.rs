@@ -1006,10 +1006,7 @@ pub fn health(seed: u64) -> String {
 /// Runs a journaled campaign whose journal crashes at `crash_at`, reboots
 /// it from the journal bytes alone and returns the resumed run's result.
 /// Panics unless the crash fires and the resume completes.
-fn crash_and_resume<T>(
-    crash_at: SimTime,
-    mut run: impl FnMut(&mut Journal) -> Option<T>,
-) -> T {
+fn crash_and_resume<T>(crash_at: SimTime, mut run: impl FnMut(&mut Journal) -> Option<T>) -> T {
     let mut journal = Journal::in_memory().crash_at(crash_at);
     assert!(run(&mut journal).is_none(), "the scheduled crash must fire");
     let mut journal =
