@@ -352,10 +352,13 @@ impl Parser<'_> {
         // callee calls a fn passed as an argument, so it is a call site. A
         // lexical pass cannot tell a bare fn name from a local binding, so
         // this over-approximates as methods do: a local with no same-named
-        // free fn resolves to no edge.
+        // free fn resolves to no edge. A bare name counts only inside a
+        // call's parentheses, not in a `for (a, b)` or `let (a, b)`
+        // pattern or a tuple.
         let is = |j: usize, c: char| self.tokens.get(j).is_some_and(|t| scan::is_punct(t, c));
         let argument = is(i + 1, ')') || is(i + 1, ',');
-        let passed_name = argument && i >= 1 && (is(i - 1, '(') || is(i - 1, ','));
+        let passed_name =
+            argument && i >= 1 && (is(i - 1, '(') || is(i - 1, ',')) && self.in_call_args(i);
         let passed_path = argument
             && i >= 4
             && is(i - 1, ':')
@@ -406,6 +409,29 @@ impl Parser<'_> {
             line: tok.line,
             col: tok.col,
         })
+    }
+
+    /// Whether the innermost bracket around token `i` is a `(` that
+    /// directly follows a name other than a keyword (`f(`, `.map(`,
+    /// `Type::new(`), scanning a bounded window back (an unclosed or
+    /// distant bracket just means "not a call").
+    fn in_call_args(&self, i: usize) -> bool {
+        let mut depth = 0usize;
+        for j in (i.saturating_sub(256)..i).rev() {
+            let t = &self.tokens[j];
+            if ")]}".chars().any(|c| scan::is_punct(t, c)) {
+                depth += 1;
+            } else if "([{".chars().any(|c| scan::is_punct(t, c)) {
+                if depth == 0 {
+                    return scan::is_punct(t, '(')
+                        && j >= 1
+                        && scan::ident_name(&self.tokens[j - 1])
+                            .is_some_and(|name| !NON_CALL_KEYWORDS.contains(&name));
+                }
+                depth -= 1;
+            }
+        }
+        false
     }
 
     /// Index of the `>` closing a turbofish `<` at `open`, scanning a
@@ -507,8 +533,8 @@ mod tests {
 
     #[test]
     fn qualified_fn_paths_passed_as_arguments_are_calls() {
-        let src =
-            "fn f() { xs.map(Helper::stamp); g(a, crate::m::h); xs.map(helper); k(E::V + 1); }";
+        let src = "fn f() { xs.map(Helper::stamp); g(a, crate::m::h); xs.map(helper); \
+                   k(E::V + 1); for (pat, x) in ys {} let (tup, y) = (elem, z); }";
         let calls: Vec<Callee> = parse(src).fns[0]
             .calls
             .iter()
@@ -518,6 +544,9 @@ mod tests {
         assert!(calls.contains(&qualified("Helper", "stamp")));
         assert!(calls.contains(&qualified("m", "h")));
         assert!(calls.contains(&Callee::Free("helper".into())));
+        for binding in ["pat", "tup", "elem"] {
+            assert!(!calls.contains(&Callee::Free(binding.into())), "{binding}");
+        }
         assert!(
             !calls.contains(&qualified("E", "V")),
             "a path inside an expression"
